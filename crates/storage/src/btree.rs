@@ -1,4 +1,5 @@
-//! Disk-resident B+Tree.
+//! Disk-resident B+Tree over slotted pages that are read and written where
+//! they lie in the buffer frame.
 //!
 //! One tree per table. Keys and values are arbitrary byte strings (bounded
 //! so that any entry fits comfortably in a page); interior nodes hold
@@ -6,17 +7,62 @@
 //! whose index-lookup cost Harmony's update coalescence deduplicates
 //! (Figure 5 of the paper).
 //!
+//! # Page layout
+//!
+//! Every node is one self-describing [`PAGE_SIZE`]-byte page. Integers are
+//! little-endian.
+//!
+//! | offset | size | field |
+//! |---|---|---|
+//! | 0 | 1 | format: `2`; any other value (a zeroed page, a page written before this layout) is refused as unsupported |
+//! | 1 | 1 | kind: `0` leaf, `1` interior |
+//! | 2 | 2 | `n`, the number of slots |
+//! | 4 | 2 | `low_water`, the offset of the lowest cell byte (`PAGE_SIZE` when there are no cells) |
+//! | 6 | 2 | `dead`, bytes of the cell area that no slot refers to |
+//! | 8 | 8 | leaf: page id of the next leaf (`PageId::NULL` at the end); interior: `child0`, the subtree of keys below the first separator |
+//! | 16 | 2·`n` | slot array: the offset of each cell, in key order |
+//! | 16 + 2·`n` | … | free space |
+//! | `low_water` | … | cell area, growing down from the page end |
+//!
+//! A cell is `klen: u16 | vlen: u16 | key | value`, the same on both kinds
+//! of node: an interior cell's value is the 8-byte id of the subtree
+//! holding the keys `>=` its separator.
+//!
+//! Invariants of a well-formed page, which every operation keeps and the
+//! tests check page by page:
+//!
+//! * slots are sorted by key, strictly ascending;
+//! * every cell lies within `low_water..PAGE_SIZE` and no two overlap;
+//! * `low_water >= 16 + 2·n`;
+//! * `dead == PAGE_SIZE - low_water - Σ cell lengths`: every byte of the
+//!   cell area is either in a live cell or counted dead.
+//!
+//! A lookup binary-searches keys borrowed from the frame under its read
+//! guard and copies out only the value. An overwrite that does not grow
+//! the value touches only the value bytes; an insert moves slot entries,
+//! never cells; a page with enough free bytes that are not contiguous is
+//! rebuilt once in place; a page without is split by bytes, not by count.
+//! The bytes of a page are a pure function of the operations applied to
+//! the tree, whatever the buffer pool evicted in between.
+//!
+//! Nothing read from a page is trusted: every header field, slot offset
+//! and cell length is checked against the page before use, descents and
+//! leaf-chain walks are bounded, and a page that fails a check is an
+//! [`Error::Corruption`], never a panic or a hang.
+//!
 //! Concurrency: the tree itself is not latched; callers (the
 //! [`crate::engine::StorageEngine`]) wrap each table in an `RwLock`.
 //! Deletion removes entries without rebalancing (underfull pages are
 //! tolerated), a standard simplification that preserves search correctness.
 
+use std::cmp::Ordering;
+use std::fmt;
 use std::sync::Arc;
 
 use harmony_common::vtime;
 use harmony_common::{Error, Result};
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, Frame};
 use crate::cost::StorageCost;
 use crate::page::{PageId, PAGE_SIZE};
 
@@ -24,148 +70,379 @@ use crate::page::{PageId, PAGE_SIZE};
 /// page can always hold at least four entries, keeping splits productive.
 pub const MAX_ENTRY_SIZE: usize = 900;
 
-const TAG_LEAF: u8 = 0;
-const TAG_INTERNAL: u8 = 1;
-const HEADER_LEN: usize = 1 + 2 + 8; // tag + count + (next_leaf | child0)
+const FORMAT: u8 = 2;
+const KIND_LEAF: u8 = 0;
+const KIND_INTERIOR: u8 = 1;
+const HEADER_LEN: usize = 16;
+const SLOT_LEN: usize = 2;
+const CELL_HEADER_LEN: usize = 4;
 
-/// Parsed in-memory form of one node page.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Node {
-    Leaf {
-        next: PageId,
-        entries: Vec<(Vec<u8>, Vec<u8>)>,
-    },
-    Internal {
-        child0: PageId,
-        entries: Vec<(Vec<u8>, PageId)>,
-    },
+/// No well-formed tree is deeper: every interior node has at least two
+/// children, and page ids are 64 bits.
+const MAX_DEPTH: usize = 64;
+
+type Page = [u8; PAGE_SIZE];
+
+fn corrupt(what: impl fmt::Display) -> Error {
+    Error::Corruption(format!("btree page: {what}"))
 }
 
-impl Node {
-    fn parse(bytes: &[u8]) -> Result<Node> {
-        let tag = bytes[0];
-        let n = u16::from_le_bytes([bytes[1], bytes[2]]) as usize;
-        let mut off = 3;
-        let ptr = u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
-        off += 8;
-        match tag {
-            TAG_LEAF => {
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let klen = u16::from_le_bytes([bytes[off], bytes[off + 1]]) as usize;
-                    let vlen = u16::from_le_bytes([bytes[off + 2], bytes[off + 3]]) as usize;
-                    off += 4;
-                    if off + klen + vlen > PAGE_SIZE {
-                        return Err(Error::Corruption("leaf entry overruns page".into()));
-                    }
-                    let key = bytes[off..off + klen].to_vec();
-                    off += klen;
-                    let val = bytes[off..off + vlen].to_vec();
-                    off += vlen;
-                    entries.push((key, val));
-                }
-                Ok(Node::Leaf {
-                    next: PageId(ptr),
-                    entries,
-                })
-            }
-            TAG_INTERNAL => {
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let klen = u16::from_le_bytes([bytes[off], bytes[off + 1]]) as usize;
-                    off += 2;
-                    if off + klen + 8 > PAGE_SIZE {
-                        return Err(Error::Corruption("internal entry overruns page".into()));
-                    }
-                    let key = bytes[off..off + klen].to_vec();
-                    off += klen;
-                    let child =
-                        u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
-                    off += 8;
-                    entries.push((key, PageId(child)));
-                }
-                Ok(Node::Internal {
-                    child0: PageId(ptr),
-                    entries,
-                })
-            }
-            t => Err(Error::Corruption(format!("unknown node tag {t}"))),
-        }
-    }
-
-    fn serialize_into(&self, out: &mut [u8; PAGE_SIZE]) {
-        out.fill(0);
-        match self {
-            Node::Leaf { next, entries } => {
-                out[0] = TAG_LEAF;
-                out[1..3].copy_from_slice(
-                    &u16::try_from(entries.len())
-                        .expect("entry count")
-                        .to_le_bytes(),
-                );
-                out[3..11].copy_from_slice(&next.0.to_le_bytes());
-                let mut off = HEADER_LEN;
-                for (k, v) in entries {
-                    out[off..off + 2]
-                        .copy_from_slice(&u16::try_from(k.len()).expect("key len").to_le_bytes());
-                    out[off + 2..off + 4]
-                        .copy_from_slice(&u16::try_from(v.len()).expect("val len").to_le_bytes());
-                    off += 4;
-                    out[off..off + k.len()].copy_from_slice(k);
-                    off += k.len();
-                    out[off..off + v.len()].copy_from_slice(v);
-                    off += v.len();
-                }
-            }
-            Node::Internal { child0, entries } => {
-                out[0] = TAG_INTERNAL;
-                out[1..3].copy_from_slice(
-                    &u16::try_from(entries.len())
-                        .expect("entry count")
-                        .to_le_bytes(),
-                );
-                out[3..11].copy_from_slice(&child0.0.to_le_bytes());
-                let mut off = HEADER_LEN;
-                for (k, child) in entries {
-                    out[off..off + 2]
-                        .copy_from_slice(&u16::try_from(k.len()).expect("key len").to_le_bytes());
-                    off += 2;
-                    out[off..off + k.len()].copy_from_slice(k);
-                    off += k.len();
-                    out[off..off + 8].copy_from_slice(&child.0.to_le_bytes());
-                    off += 8;
-                }
-            }
-        }
-    }
-
-    fn serialized_size(&self) -> usize {
-        match self {
-            Node::Leaf { entries, .. } => {
-                HEADER_LEN
-                    + entries
-                        .iter()
-                        .map(|(k, v)| 4 + k.len() + v.len())
-                        .sum::<usize>()
-            }
-            Node::Internal { entries, .. } => {
-                HEADER_LEN + entries.iter().map(|(k, _)| 2 + k.len() + 8).sum::<usize>()
-            }
-        }
+fn read_u16(page: &Page, at: usize) -> Result<usize> {
+    match page.get(at..at + 2) {
+        Some(b) => Ok(usize::from(u16::from_le_bytes([b[0], b[1]]))),
+        None => Err(corrupt("offset past the page end")),
     }
 }
 
-/// What an insert into a subtree produced.
-enum InsertOutcome {
-    /// Entry stored; `replaced` is true when an existing key was updated.
-    Done { replaced: bool },
-    /// The child split; the parent must add `(separator, right_page)`.
-    Split {
-        separator: Vec<u8>,
-        right: PageId,
-        replaced: bool,
-    },
+/// `at` is a header field or a slot of a page whose header has been checked.
+fn write_u16(page: &mut Page, at: usize, v: usize) {
+    let v = u16::try_from(v).expect("page offsets and entry lengths fit 16 bits");
+    page[at..at + 2].copy_from_slice(&v.to_le_bytes());
 }
+
+fn write_counts(page: &mut Page, n: usize, low: usize, dead: usize) {
+    write_u16(page, 2, n);
+    write_u16(page, 4, low);
+    write_u16(page, 6, dead);
+}
+
+fn too_deep() -> Error {
+    corrupt("descent deeper than any tree (pointer cycle)")
+}
+
+fn page_id(bytes: &[u8]) -> Result<PageId> {
+    let id: [u8; 8] = bytes
+        .try_into()
+        .map_err(|_| corrupt("interior cell does not hold a page id"))?;
+    Ok(PageId(u64::from_le_bytes(id)))
+}
+
+fn cell_len(key: &[u8], val: &[u8]) -> usize {
+    CELL_HEADER_LEN + key.len() + val.len()
+}
+
+/// Read-only view of one node page, borrowed from the buffer frame. The
+/// header is checked once, here; slots and cells are checked as they are
+/// read.
+#[derive(Clone, Copy)]
+struct NodeRef<'a> {
+    page: &'a Page,
+    leaf: bool,
+    n: usize,
+    low: usize,
+    dead: usize,
+}
+
+impl<'a> NodeRef<'a> {
+    fn parse(page: &'a Page) -> Result<NodeRef<'a>> {
+        if page[0] != FORMAT {
+            return Err(corrupt(format_args!(
+                "unsupported format {} (this build reads format {FORMAT})",
+                page[0]
+            )));
+        }
+        let leaf = match page[1] {
+            KIND_LEAF => true,
+            KIND_INTERIOR => false,
+            kind => return Err(corrupt(format_args!("unknown node kind {kind}"))),
+        };
+        let n = read_u16(page, 2)?;
+        let low = read_u16(page, 4)?;
+        let dead = read_u16(page, 6)?;
+        if low > PAGE_SIZE || HEADER_LEN + SLOT_LEN * n > low || dead > PAGE_SIZE - low {
+            return Err(corrupt("header fields disagree with the page size"));
+        }
+        Ok(NodeRef {
+            page,
+            leaf,
+            n,
+            low,
+            dead,
+        })
+    }
+
+    /// Next leaf (leaf) or `child0` (interior).
+    fn ptr(&self) -> PageId {
+        PageId(u64::from_le_bytes(
+            self.page[8..16].try_into().expect("8 bytes"),
+        ))
+    }
+
+    /// Contiguous free bytes between the slot array and the cell area.
+    fn free(&self) -> usize {
+        self.low - HEADER_LEN - SLOT_LEN * self.n
+    }
+
+    /// Offset of cell `i`, known to lie in the cell area.
+    fn slot(&self, i: usize) -> Result<usize> {
+        debug_assert!(i < self.n);
+        let off = read_u16(self.page, HEADER_LEN + SLOT_LEN * i)?;
+        if off < self.low {
+            return Err(corrupt("slot points outside the cell area"));
+        }
+        Ok(off)
+    }
+
+    /// Key and value of cell `i`.
+    fn cell(&self, i: usize) -> Result<(&'a [u8], &'a [u8])> {
+        let off = self.slot(i)?;
+        let klen = read_u16(self.page, off)?;
+        let vlen = read_u16(self.page, off + 2)?;
+        let start = off + CELL_HEADER_LEN;
+        match self.page.get(start..start + klen + vlen) {
+            Some(cell) => Ok(cell.split_at(klen)),
+            None => Err(corrupt("cell overruns the page")),
+        }
+    }
+
+    /// `Ok(i)` when slot `i` holds `key`, else `Err(i)` with the slot it
+    /// would be inserted before.
+    fn search(&self, key: &[u8]) -> Result<std::result::Result<usize, usize>> {
+        let (mut lo, mut hi) = (0, self.n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.cell(mid)?.0.cmp(key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(Ok(mid)),
+            }
+        }
+        Ok(Err(lo))
+    }
+
+    /// The child subtree for `key`: the rightmost cell whose separator is
+    /// `<= key`, or `child0` when `key` precedes every separator.
+    fn child_for(&self, key: &[u8]) -> Result<PageId> {
+        match self.search(key)? {
+            Ok(i) => page_id(self.cell(i)?.1),
+            Err(0) => Ok(self.ptr()),
+            Err(i) => page_id(self.cell(i - 1)?.1),
+        }
+    }
+}
+
+/// Writes an empty node over `page` and appends cells to it in key order.
+struct Builder<'a> {
+    page: &'a mut Page,
+    n: usize,
+    low: usize,
+}
+
+impl<'a> Builder<'a> {
+    fn new(page: &'a mut Page, leaf: bool, ptr: PageId) -> Builder<'a> {
+        page.fill(0);
+        page[0] = FORMAT;
+        page[1] = if leaf { KIND_LEAF } else { KIND_INTERIOR };
+        page[8..16].copy_from_slice(&ptr.0.to_le_bytes());
+        write_counts(page, 0, PAGE_SIZE, 0);
+        Builder {
+            page,
+            n: 0,
+            low: PAGE_SIZE,
+        }
+    }
+
+    fn push(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
+        let slot_at = HEADER_LEN + SLOT_LEN * self.n;
+        let need = cell_len(key, val);
+        if slot_at + SLOT_LEN + need > self.low {
+            // The source page's `dead` count promised room its cells do
+            // not leave.
+            return Err(corrupt("cells do not fit the page they came from"));
+        }
+        self.low -= need;
+        write_cell(self.page, self.low, key, val);
+        write_u16(self.page, slot_at, self.low);
+        self.n += 1;
+        write_counts(self.page, self.n, self.low, 0);
+        Ok(())
+    }
+
+    fn push_range(&mut self, cells: &Merged<'_>, range: std::ops::Range<usize>) -> Result<()> {
+        for j in range {
+            let (k, v) = cells.get(j)?;
+            self.push(k, v)?;
+        }
+        Ok(())
+    }
+}
+
+/// `at..at + cell_len(key, val)` is free space of a checked page.
+fn write_cell(page: &mut Page, at: usize, key: &[u8], val: &[u8]) {
+    write_u16(page, at, key.len());
+    write_u16(page, at + 2, val.len());
+    let start = at + CELL_HEADER_LEN;
+    page[start..start + key.len()].copy_from_slice(key);
+    page[start + key.len()..start + key.len() + val.len()].copy_from_slice(val);
+}
+
+/// A node's cells in key order as they stand once `(key, val)` has been put
+/// at `pos` (`Ok`: in place of that slot, `Err`: before it).
+struct Merged<'a> {
+    src: NodeRef<'a>,
+    pos: std::result::Result<usize, usize>,
+    key: &'a [u8],
+    val: &'a [u8],
+}
+
+impl<'a> Merged<'a> {
+    fn len(&self) -> usize {
+        self.src.n + usize::from(self.pos.is_err())
+    }
+
+    fn get(&self, j: usize) -> Result<(&'a [u8], &'a [u8])> {
+        match self.pos {
+            Ok(at) | Err(at) if j == at => Ok((self.key, self.val)),
+            Err(at) if j > at => self.src.cell(j - 1),
+            _ => self.src.cell(j),
+        }
+    }
+}
+
+/// Run `f` over `page` with a view of a copy of it taken first. If `f`
+/// fails the copy is put back, so a page found corrupt half-way through a
+/// rewrite is left as it was found.
+fn rewrite<T>(page: &mut Page, f: impl FnOnce(&mut Page, NodeRef<'_>) -> Result<T>) -> Result<T> {
+    let before = *page;
+    let result = NodeRef::parse(&before).and_then(|src| f(page, src));
+    if result.is_err() {
+        *page = before;
+    }
+    result
+}
+
+/// What [`put_in_page`] did.
+enum Placed {
+    Done,
+    /// Even rebuilt, the page cannot hold the entry.
+    Full,
+}
+
+/// Put `(key, val)` at `pos` of `page` without leaving the page: in place
+/// when the contiguous free space allows, else by rebuilding the page
+/// without its dead bytes when that makes room.
+fn put_in_page(
+    page: &mut Page,
+    pos: std::result::Result<usize, usize>,
+    key: &[u8],
+    val: &[u8],
+) -> Result<Placed> {
+    let node = NodeRef::parse(page)?;
+    let (n, low, dead, free) = (node.n, node.low, node.dead, node.free());
+    let need = cell_len(key, val);
+    // What the entry takes from the free space, and the bytes a rebuild
+    // would add to it.
+    let (want, reclaimable) = match pos {
+        Ok(i) => {
+            let off = node.slot(i)?;
+            let (old_key, old_val) = node.cell(i)?;
+            let old = cell_len(old_key, old_val);
+            if val.len() <= old_val.len() {
+                // The common update: only value bytes (and, if it shrank,
+                // two counters) change.
+                let start = off + CELL_HEADER_LEN + old_key.len();
+                let shrink = old_val.len() - val.len();
+                page[start..start + val.len()].copy_from_slice(val);
+                if shrink > 0 {
+                    write_u16(page, off + 2, val.len());
+                    write_counts(page, n, low, dead + shrink);
+                }
+                return Ok(Placed::Done);
+            }
+            if need <= free {
+                write_cell(page, low - need, key, val);
+                write_u16(page, HEADER_LEN + SLOT_LEN * i, low - need);
+                write_counts(page, n, low - need, dead + old);
+                return Ok(Placed::Done);
+            }
+            (need, dead + old)
+        }
+        Err(i) => {
+            if need + SLOT_LEN <= free {
+                write_cell(page, low - need, key, val);
+                let at = HEADER_LEN + SLOT_LEN * i;
+                page.copy_within(at..HEADER_LEN + SLOT_LEN * n, at + SLOT_LEN);
+                write_u16(page, at, low - need);
+                write_counts(page, n + 1, low - need, dead);
+                return Ok(Placed::Done);
+            }
+            (need + SLOT_LEN, dead)
+        }
+    };
+    if want > free + reclaimable {
+        return Ok(Placed::Full);
+    }
+    rewrite(page, |page, src| {
+        let merged = Merged { src, pos, key, val };
+        Builder::new(page, src.leaf, src.ptr()).push_range(&merged, 0..merged.len())?;
+        Ok(Placed::Done)
+    })
+}
+
+/// Split an overfull node: `left` is rewritten to hold the lower part of
+/// its cells with `(key, val)` put at `pos`, `right` (the fresh page
+/// `right_id`) receives the upper part, and the separator the parent must
+/// add for `right` is returned. The cut falls where the bytes, not the
+/// counts, balance, so both halves fit whatever the entry sizes. A leaf
+/// keeps the separator's cell as the first of `right`; an interior node
+/// moves it up, its subtree becoming `right`'s `child0`.
+fn split_page(
+    left: &mut Page,
+    right: &mut Page,
+    right_id: PageId,
+    pos: std::result::Result<usize, usize>,
+    key: &[u8],
+    val: &[u8],
+) -> Result<Vec<u8>> {
+    rewrite(left, |left, src| {
+        let merged = Merged { src, pos, key, val };
+        let m = merged.len();
+        // Both halves keep at least one cell.
+        let last_cut = if src.leaf {
+            m.saturating_sub(1)
+        } else {
+            m.saturating_sub(2)
+        };
+        if last_cut == 0 {
+            return Err(corrupt("page too full to insert into, too empty to split"));
+        }
+        let mut total = 0;
+        for j in 0..m {
+            let (k, v) = merged.get(j)?;
+            total += SLOT_LEN + cell_len(k, v);
+        }
+        let (mut cut, mut below) = (0, 0);
+        while cut < last_cut && 2 * below < total {
+            let (k, v) = merged.get(cut)?;
+            below += SLOT_LEN + cell_len(k, v);
+            cut += 1;
+        }
+        let (separator, subtree) = merged.get(cut)?;
+        let (left_ptr, right_ptr, right_from) = if src.leaf {
+            (right_id, src.ptr(), cut)
+        } else {
+            (src.ptr(), page_id(subtree)?, cut + 1)
+        };
+        Builder::new(left, src.leaf, left_ptr).push_range(&merged, 0..cut)?;
+        Builder::new(right, src.leaf, right_ptr).push_range(&merged, right_from..m)?;
+        Ok(separator.to_vec())
+    })
+}
+
+/// Remove slot `i`; its cell becomes dead bytes.
+fn remove_from_page(page: &mut Page, i: usize) -> Result<()> {
+    let node = NodeRef::parse(page)?;
+    let (n, low, dead) = (node.n, node.low, node.dead);
+    let (k, v) = node.cell(i)?;
+    let freed = cell_len(k, v);
+    let at = HEADER_LEN + SLOT_LEN * i;
+    page.copy_within(at + SLOT_LEN..HEADER_LEN + SLOT_LEN * n, at);
+    write_counts(page, n - 1, low, dead + freed);
+    Ok(())
+}
+
+/// A node split: the parent must add `(separator, right page)`.
+type Split = (Vec<u8>, PageId);
 
 /// A B+Tree rooted at a page, performing all I/O through a buffer pool.
 pub struct BTree {
@@ -179,11 +456,7 @@ impl BTree {
     /// Create an empty tree (allocates one leaf page).
     pub fn create(pool: Arc<BufferPool>, cost: StorageCost) -> Result<BTree> {
         let (root, frame) = pool.allocate()?;
-        let node = Node::Leaf {
-            next: PageId::NULL,
-            entries: Vec::new(),
-        };
-        node.serialize_into(frame.data.write().bytes_mut());
+        Builder::new(frame.data.write().bytes_mut(), true, PageId::NULL);
         frame.mark_dirty();
         Ok(BTree {
             pool,
@@ -223,37 +496,45 @@ impl BTree {
         self.len == 0
     }
 
-    fn load(&self, id: PageId) -> Result<Node> {
-        let frame = self.pool.fetch(id)?;
+    /// Fetch a node to search it. A pointer to a page the disk does not
+    /// hold is a fault of the page it was read from.
+    fn visit(&self, id: PageId) -> Result<Arc<Frame>> {
+        let frame = self.pool.fetch(id).map_err(|e| match e {
+            Error::NotFound(what) => corrupt(format_args!("dangling pointer to {what}")),
+            e => e,
+        })?;
         vtime::charge(self.cost.node_search_ns);
-        let guard = frame.data.read();
-        Node::parse(guard.bytes().as_slice())
+        Ok(frame)
     }
 
-    fn store(&self, id: PageId, node: &Node) -> Result<()> {
-        let frame = self.pool.fetch(id)?;
-        vtime::charge(self.cost.node_write_ns);
-        node.serialize_into(frame.data.write().bytes_mut());
-        frame.mark_dirty();
-        Ok(())
+    /// Descend to the leaf that could contain `key` and run `at_leaf` on it
+    /// under its frame's read guard.
+    fn descend<T>(
+        &self,
+        key: &[u8],
+        at_leaf: impl FnOnce(&Arc<Frame>, NodeRef<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let mut id = self.root;
+        for _ in 0..MAX_DEPTH {
+            let frame = self.visit(id)?;
+            let guard = frame.data.read();
+            let node = NodeRef::parse(guard.bytes())?;
+            if node.leaf {
+                return at_leaf(&frame, node);
+            }
+            id = node.child_for(key)?;
+        }
+        Err(too_deep())
     }
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let mut pid = self.root;
-        loop {
-            match self.load(pid)? {
-                Node::Internal { child0, entries } => {
-                    pid = child_for(&entries, child0, key);
-                }
-                Node::Leaf { entries, .. } => {
-                    return Ok(entries
-                        .iter()
-                        .find(|(k, _)| k.as_slice() == key)
-                        .map(|(_, v)| v.clone()));
-                }
-            }
-        }
+        self.descend(key, |_, leaf| {
+            Ok(match leaf.search(key)? {
+                Ok(i) => Some(leaf.cell(i)?.1.to_vec()),
+                Err(_) => None,
+            })
+        })
     }
 
     /// Insert or overwrite. Returns `true` if the key already existed.
@@ -264,150 +545,100 @@ impl BTree {
                 key.len() + value.len()
             )));
         }
-        let outcome = self.insert_rec(self.root, key, value)?;
-        let replaced = match outcome {
-            InsertOutcome::Done { replaced } => replaced,
-            InsertOutcome::Split {
-                separator,
-                right,
-                replaced,
-            } => {
-                // Grow a new root.
-                let (new_root, frame) = self.pool.allocate()?;
-                let node = Node::Internal {
-                    child0: self.root,
-                    entries: vec![(separator, right)],
-                };
-                vtime::charge(self.cost.node_write_ns);
-                node.serialize_into(frame.data.write().bytes_mut());
-                frame.mark_dirty();
-                self.root = new_root;
-                replaced
-            }
-        };
+        let (replaced, split) = self.insert_rec(self.root, key, value, 0)?;
+        if let Some((separator, right)) = split {
+            // Grow a new root.
+            let (new_root, frame) = self.pool.allocate()?;
+            vtime::charge(self.cost.node_write_ns);
+            let mut guard = frame.data.write();
+            Builder::new(guard.bytes_mut(), false, self.root)
+                .push(&separator, &right.0.to_le_bytes())?;
+            frame.mark_dirty();
+            self.root = new_root;
+        }
         if !replaced {
             self.len += 1;
         }
         Ok(replaced)
     }
 
-    fn insert_rec(&mut self, pid: PageId, key: &[u8], value: &[u8]) -> Result<InsertOutcome> {
-        match self.load(pid)? {
-            Node::Leaf { next, mut entries } => {
-                let replaced = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        entries[i].1 = value.to_vec();
-                        true
-                    }
-                    Err(i) => {
-                        entries.insert(i, (key.to_vec(), value.to_vec()));
-                        false
-                    }
-                };
-                let node = Node::Leaf { next, entries };
-                if node.serialized_size() <= PAGE_SIZE {
-                    self.store(pid, &node)?;
-                    return Ok(InsertOutcome::Done { replaced });
-                }
-                // Split the leaf in half.
-                let Node::Leaf { next, mut entries } = node else {
-                    unreachable!()
-                };
-                let mid = entries.len() / 2;
-                let right_entries = entries.split_off(mid);
-                let separator = right_entries[0].0.clone();
-                let (right_pid, right_frame) = self.pool.allocate()?;
-                let right = Node::Leaf {
-                    next,
-                    entries: right_entries,
-                };
-                vtime::charge(self.cost.node_write_ns);
-                right.serialize_into(right_frame.data.write().bytes_mut());
-                right_frame.mark_dirty();
-                let left = Node::Leaf {
-                    next: right_pid,
-                    entries,
-                };
-                self.store(pid, &left)?;
-                Ok(InsertOutcome::Split {
-                    separator,
-                    right: right_pid,
-                    replaced,
-                })
-            }
-            Node::Internal { child0, entries } => {
-                let child = child_for(&entries, child0, key);
-                match self.insert_rec(child, key, value)? {
-                    InsertOutcome::Done { replaced } => Ok(InsertOutcome::Done { replaced }),
-                    InsertOutcome::Split {
-                        separator,
-                        right,
-                        replaced,
-                    } => {
-                        let mut entries = entries;
-                        let pos = entries
-                            .binary_search_by(|(k, _)| k.as_slice().cmp(&separator))
-                            .unwrap_or_else(|i| i);
-                        entries.insert(pos, (separator, right));
-                        let node = Node::Internal { child0, entries };
-                        if node.serialized_size() <= PAGE_SIZE {
-                            self.store(pid, &node)?;
-                            return Ok(InsertOutcome::Done { replaced });
-                        }
-                        // Split the internal node; the middle separator is
-                        // promoted (not duplicated).
-                        let Node::Internal {
-                            child0,
-                            mut entries,
-                        } = node
-                        else {
-                            unreachable!()
-                        };
-                        let mid = entries.len() / 2;
-                        let mut right_part = entries.split_off(mid);
-                        let (promoted, right_child0) = right_part.remove(0);
-                        let (right_pid, right_frame) = self.pool.allocate()?;
-                        let right_node = Node::Internal {
-                            child0: right_child0,
-                            entries: right_part,
-                        };
-                        vtime::charge(self.cost.node_write_ns);
-                        right_node.serialize_into(right_frame.data.write().bytes_mut());
-                        right_frame.mark_dirty();
-                        let left_node = Node::Internal { child0, entries };
-                        self.store(pid, &left_node)?;
-                        Ok(InsertOutcome::Split {
-                            separator: promoted,
-                            right: right_pid,
-                            replaced,
-                        })
-                    }
-                }
-            }
+    /// Put the entry into the subtree under `id`. Returns whether the key
+    /// already existed and, if the node `id` split, what its parent must add.
+    fn insert_rec(
+        &mut self,
+        id: PageId,
+        key: &[u8],
+        value: &[u8],
+        depth: usize,
+    ) -> Result<(bool, Option<Split>)> {
+        if depth == MAX_DEPTH {
+            return Err(too_deep());
         }
+        let frame = self.visit(id)?;
+        let child = {
+            let guard = frame.data.read();
+            let node = NodeRef::parse(guard.bytes())?;
+            if node.leaf {
+                None
+            } else {
+                Some(node.child_for(key)?)
+            }
+        };
+        let Some(child) = child else {
+            return self.put_into(&frame, key, value);
+        };
+        // The path is not kept pinned while the subtree is written.
+        drop(frame);
+        let (replaced, split) = self.insert_rec(child, key, value, depth + 1)?;
+        let Some((separator, right)) = split else {
+            return Ok((replaced, None));
+        };
+        let frame = self.pool.fetch(id)?;
+        let (_, split) = self.put_into(&frame, &separator, &right.0.to_le_bytes())?;
+        Ok((replaced, split))
+    }
+
+    /// Put `(key, val)` into the node in `frame`, splitting it if it must.
+    /// Returns whether the node held `key`, and the split if there was one.
+    fn put_into(&mut self, frame: &Frame, key: &[u8], val: &[u8]) -> Result<(bool, Option<Split>)> {
+        vtime::charge(self.cost.node_write_ns);
+        let mut guard = frame.data.write();
+        let page = guard.bytes_mut();
+        let pos = NodeRef::parse(page)?.search(key)?;
+        let replaced = pos.is_ok();
+        if let Placed::Done = put_in_page(page, pos, key, val)? {
+            frame.mark_dirty();
+            return Ok((replaced, None));
+        }
+        let (right, right_frame) = self.pool.allocate()?;
+        vtime::charge(self.cost.node_write_ns);
+        let separator = split_page(
+            page,
+            right_frame.data.write().bytes_mut(),
+            right,
+            pos,
+            key,
+            val,
+        )?;
+        right_frame.mark_dirty();
+        frame.mark_dirty();
+        Ok((replaced, Some((separator, right))))
     }
 
     /// Remove a key. Returns `true` if it existed. Pages are never merged.
     pub fn delete(&mut self, key: &[u8]) -> Result<bool> {
-        let mut pid = self.root;
-        loop {
-            match self.load(pid)? {
-                Node::Internal { child0, entries } => {
-                    pid = child_for(&entries, child0, key);
-                }
-                Node::Leaf { next, mut entries } => {
-                    match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                        Ok(i) => {
-                            entries.remove(i);
-                            self.store(pid, &Node::Leaf { next, entries })?;
-                            self.len -= 1;
-                            return Ok(true);
-                        }
-                        Err(_) => return Ok(false),
-                    }
-                }
-            }
-        }
+        let frame = self.descend(key, |frame, _| Ok(Arc::clone(frame)))?;
+        let mut guard = frame.data.write();
+        let page = guard.bytes_mut();
+        let Ok(i) = NodeRef::parse(page)?.search(key)? else {
+            return Ok(false);
+        };
+        vtime::charge(self.cost.node_write_ns);
+        remove_from_page(page, i)?;
+        frame.mark_dirty();
+        // Saturating: a corrupt page can hold a key the catalog never counted.
+        self.len = self.len.saturating_sub(1);
+        Ok(true)
     }
 
     /// Range scan over `[start, end)` (whole tree if `end` is `None`),
@@ -419,73 +650,55 @@ impl BTree {
         end: Option<&[u8]>,
         mut f: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> Result<()> {
-        // Descend to the leaf that could contain `start`.
-        let mut pid = self.root;
-        loop {
-            match self.load(pid)? {
-                Node::Internal { child0, entries } => {
-                    pid = child_for(&entries, child0, start);
-                }
-                Node::Leaf { next, entries } => {
-                    let from = entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(start))
-                        .unwrap_or_else(|i| i);
-                    for (k, v) in &entries[from..] {
-                        if let Some(end) = end {
-                            if k.as_slice() >= end {
-                                return Ok(());
-                            }
-                        }
-                        vtime::charge(self.cost.scan_per_record_ns);
-                        if !f(k, v) {
-                            return Ok(());
-                        }
-                    }
-                    let mut cur = next;
-                    while !cur.is_null() {
-                        match self.load(cur)? {
-                            Node::Leaf { next, entries } => {
-                                for (k, v) in &entries {
-                                    if let Some(end) = end {
-                                        if k.as_slice() >= end {
-                                            return Ok(());
-                                        }
-                                    }
-                                    vtime::charge(self.cost.scan_per_record_ns);
-                                    if !f(k, v) {
-                                        return Ok(());
-                                    }
-                                }
-                                cur = next;
-                            }
-                            Node::Internal { .. } => {
-                                return Err(Error::Corruption(
-                                    "leaf chain points at internal node".into(),
-                                ))
-                            }
-                        }
-                    }
-                    return Ok(());
-                }
+        let mut next = self.descend(start, |_, leaf| {
+            let from = leaf.search(start)?.unwrap_or_else(|i| i);
+            self.emit(leaf, from, end, &mut f)
+        })?;
+        // A chain longer than the disk has pages revisits one.
+        let mut hops_left = self.pool.disk().page_count();
+        while let Some(id) = next.filter(|id| !id.is_null()) {
+            if hops_left == 0 {
+                return Err(corrupt("leaf chain longer than the disk (pointer cycle)"));
+            }
+            hops_left -= 1;
+            let frame = self.visit(id)?;
+            let guard = frame.data.read();
+            let leaf = NodeRef::parse(guard.bytes())?;
+            if !leaf.leaf {
+                return Err(corrupt("leaf chain points at an interior node"));
+            }
+            next = self.emit(leaf, 0, end, &mut f)?;
+        }
+        Ok(())
+    }
+
+    /// Hand the cells of `leaf` from slot `from` on to `f`. Returns the next
+    /// leaf to continue with, or `None` when the scan is over.
+    fn emit(
+        &self,
+        leaf: NodeRef<'_>,
+        from: usize,
+        end: Option<&[u8]>,
+        f: &mut impl FnMut(&[u8], &[u8]) -> bool,
+    ) -> Result<Option<PageId>> {
+        for i in from..leaf.n {
+            let (k, v) = leaf.cell(i)?;
+            if end.is_some_and(|end| k >= end) {
+                return Ok(None);
+            }
+            vtime::charge(self.cost.scan_per_record_ns);
+            if !f(k, v) {
+                return Ok(None);
             }
         }
-    }
-}
-
-/// Pick the child subtree for `key`: the rightmost entry whose separator is
-/// `<= key`, or `child0` when `key` precedes every separator.
-fn child_for(entries: &[(Vec<u8>, PageId)], child0: PageId, key: &[u8]) -> PageId {
-    match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-        Ok(i) => entries[i].1,
-        Err(0) => child0,
-        Err(i) => entries[i - 1].1,
+        Ok(Some(leaf.ptr()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::MemDisk;
+    use crate::disk::{DiskBackend, MemDisk};
     use std::collections::BTreeMap;
 
     fn tree() -> BTree {
@@ -499,6 +712,80 @@ mod tests {
 
     fn key(i: u64) -> Vec<u8> {
         format!("key-{i:08}").into_bytes()
+    }
+
+    fn page_of(t: &BTree, id: PageId) -> Page {
+        *t.pool.fetch(id).unwrap().data.read().bytes()
+    }
+
+    fn patch(t: &BTree, id: PageId, f: impl FnOnce(&mut Page)) {
+        let frame = t.pool.fetch(id).unwrap();
+        f(frame.data.write().bytes_mut());
+        frame.mark_dirty();
+    }
+
+    /// Check the module doc's invariants on every page under `id`, whose
+    /// keys must lie in `lo..hi`. Returns the entries below it and appends
+    /// `(leaf, its next pointer)` in key order.
+    fn check_node(
+        t: &BTree,
+        id: PageId,
+        lo: Option<&[u8]>,
+        hi: Option<&[u8]>,
+        leaves: &mut Vec<(PageId, PageId)>,
+    ) -> u64 {
+        let page = page_of(t, id);
+        let node = NodeRef::parse(&page).unwrap();
+        let mut extents = Vec::new();
+        let mut prev: Option<&[u8]> = None;
+        for i in 0..node.n {
+            let (k, v) = node.cell(i).unwrap();
+            assert!(prev.is_none_or(|p| p < k), "{id:?}: slots out of order");
+            assert!(lo.is_none_or(|lo| k >= lo) && hi.is_none_or(|hi| k < hi));
+            let off = node.slot(i).unwrap();
+            extents.push((off, off + cell_len(k, v)));
+            prev = Some(k);
+        }
+        extents.sort_unstable();
+        assert!(
+            extents.windows(2).all(|w| w[0].1 <= w[1].0),
+            "{id:?}: cells overlap"
+        );
+        let live: usize = extents.iter().map(|(from, to)| to - from).sum();
+        assert_eq!(node.dead, PAGE_SIZE - node.low - live, "{id:?}: dead bytes");
+        if node.leaf {
+            leaves.push((id, node.ptr()));
+            return node.n as u64;
+        }
+        assert!(node.n >= 1, "{id:?}: interior node with one child");
+        let mut entries = 0;
+        for c in 0..=node.n {
+            let (child, child_lo) = match c {
+                0 => (node.ptr(), lo),
+                c => {
+                    let (k, v) = node.cell(c - 1).unwrap();
+                    (page_id(v).unwrap(), Some(k))
+                }
+            };
+            let child_hi = if c == node.n {
+                hi
+            } else {
+                Some(node.cell(c).unwrap().0)
+            };
+            entries += check_node(t, child, child_lo, child_hi, leaves);
+        }
+        entries
+    }
+
+    /// Every page well-formed, separators bound their subtrees, the leaf
+    /// chain runs through the leaves in key order, `len` counts the cells.
+    fn check_tree(t: &BTree) {
+        let mut leaves = Vec::new();
+        assert_eq!(check_node(t, t.root, None, None, &mut leaves), t.len);
+        for w in leaves.windows(2) {
+            assert_eq!(w[0].1, w[1].0, "leaf chain skips a leaf");
+        }
+        assert!(leaves.last().unwrap().1.is_null());
     }
 
     #[test]
@@ -535,6 +822,7 @@ mod tests {
             );
         }
         assert!(t.root() != PageId(0) || n < 10, "root must have split");
+        check_tree(&t);
     }
 
     #[test]
@@ -578,6 +866,7 @@ mod tests {
         }
         assert_eq!(t.len(), 500);
         assert_eq!(t.get(&key(4)).unwrap(), Some(b"y".to_vec()));
+        check_tree(&t);
     }
 
     #[test]
@@ -675,7 +964,11 @@ mod tests {
             let k = key(rng.gen_range(600));
             match rng.gen_range(10) {
                 0..=5 => {
-                    let v = format!("v{step}").into_bytes();
+                    // Lengths from 2 to ~400 bytes: overwrites grow and
+                    // shrink, pages fill with dead bytes, get rebuilt, split.
+                    let v =
+                        format!("v{step}").repeat(1 + rng.gen_range(80) as usize % (1 + step % 81));
+                    let v = v.into_bytes();
                     let replaced = t.put(&k, &v).unwrap();
                     assert_eq!(replaced, model.insert(k, v).is_some());
                 }
@@ -698,5 +991,190 @@ mod tests {
         .unwrap();
         let expect: Vec<_> = model.into_iter().collect();
         assert_eq!(scanned, expect);
+        check_tree(&t);
+    }
+
+    #[test]
+    fn same_length_overwrite_touches_only_the_value() {
+        let mut t = tree();
+        for i in 0..20 {
+            t.put(&key(i), b"before--").unwrap();
+        }
+        let before = page_of(&t, t.root());
+        t.put(&key(7), b"after---").unwrap();
+        let after = page_of(&t, t.root());
+        let changed: Vec<usize> = (0..PAGE_SIZE).filter(|&i| before[i] != after[i]).collect();
+        assert!(!changed.is_empty() && changed.len() <= 8);
+        assert!(changed[changed.len() - 1] - changed[0] < 8, "{changed:?}");
+        assert_eq!(&after[changed[0]..changed[0] + 5], b"after");
+    }
+
+    #[test]
+    fn dead_bytes_are_reclaimed_before_a_page_splits() {
+        let mut t = tree();
+        // Each round moves every cell (a growing value cannot stay in
+        // place), so without reclaiming dead bytes the page would split.
+        for round in 1..=40usize {
+            for i in 0..8 {
+                t.put(&key(i), &vec![round as u8; 10 * round]).unwrap();
+            }
+            check_tree(&t);
+        }
+        assert_eq!(t.root(), PageId(0), "8 entries of 400 bytes fit one page");
+        assert_eq!(t.pool.disk().page_count(), 1);
+        // ... and shrinking in place accounts the tail as dead.
+        for i in 0..8 {
+            t.put(&key(i), b"small").unwrap();
+        }
+        check_tree(&t);
+        assert_eq!(t.get(&key(3)).unwrap(), Some(b"small".to_vec()));
+    }
+
+    #[test]
+    fn largest_entries_split_by_bytes() {
+        // Five maximal entries cannot share a page; a split by count would
+        // leave one half overfull when small entries pad the other.
+        let mut t = tree();
+        for i in 0..40 {
+            t.put(&key(1_000 + i), b"s").unwrap();
+        }
+        let big = vec![0xEE; MAX_ENTRY_SIZE - key(0).len()];
+        for i in 0..12 {
+            t.put(&key(i), &big).unwrap();
+            check_tree(&t);
+        }
+        for i in 0..12 {
+            assert_eq!(t.get(&key(i)).unwrap().as_deref(), Some(big.as_slice()));
+        }
+        assert_eq!(t.len(), 52);
+    }
+
+    /// The same operations leave the same bytes on disk, whatever the pool
+    /// evicted on the way: what page-shipping checkpoints will rely on.
+    #[test]
+    fn page_bytes_are_a_function_of_the_operations() {
+        use crate::buffer::EvictionPolicy;
+        let build = |capacity, policy| {
+            let disk = Arc::new(MemDisk::new());
+            let pool = Arc::new(BufferPool::with_policy(
+                Arc::clone(&disk) as Arc<dyn DiskBackend>,
+                capacity,
+                StorageCost::free(),
+                policy,
+            ));
+            let mut t = BTree::create(Arc::clone(&pool), StorageCost::free()).unwrap();
+            let mut rng = harmony_common::DetRng::new(7);
+            for step in 0..6_000u64 {
+                let k = key(rng.gen_range(500));
+                if rng.gen_range(4) == 0 {
+                    t.delete(&k).unwrap();
+                } else {
+                    let len = rng.gen_range(if step % 50 == 0 { 800 } else { 90 });
+                    t.put(&k, &vec![step as u8; len as usize]).unwrap();
+                }
+            }
+            check_tree(&t);
+            pool.flush_all().unwrap();
+            let pages: Vec<Page> = (0..disk.page_count())
+                .map(|id| {
+                    let mut buf = crate::page::PageBuf::zeroed();
+                    disk.read_page(PageId(id), &mut buf).unwrap();
+                    *buf.bytes()
+                })
+                .collect();
+            (t.root(), pages)
+        };
+        let (root_a, pages_a) = build(1024, EvictionPolicy::NoSteal);
+        let (root_b, pages_b) = build(4, EvictionPolicy::Steal);
+        assert_eq!(root_a, root_b);
+        assert!(pages_a.len() > 8, "the sequence must split pages");
+        assert!(pages_a == pages_b, "page bytes differ");
+    }
+
+    fn corruption(r: Result<impl std::fmt::Debug>) -> String {
+        match r {
+            Err(Error::Corruption(what)) => what,
+            other => panic!("expected a corruption error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn other_formats_are_refused_not_misread() {
+        let mut t = tree();
+        t.put(b"k", b"v").unwrap();
+        // A zeroed page, and the root leaf as the previous layout wrote it
+        // (tag 0, count 1, next = NULL, then the entry).
+        let mut old = [0u8; PAGE_SIZE];
+        old[1] = 1;
+        old[3..11].copy_from_slice(&u64::MAX.to_le_bytes());
+        old[11..17].copy_from_slice(&[1, 0, 1, 0, b'k', b'v']);
+        for page in [[0u8; PAGE_SIZE], old] {
+            patch(&t, t.root(), |p| *p = page);
+            assert!(corruption(t.get(b"k")).contains("unsupported format 0"));
+            assert!(corruption(t.put(b"k", b"w")).contains("unsupported format 0"));
+            assert!(corruption(t.delete(b"k")).contains("unsupported format 0"));
+            assert!(corruption(t.scan(b"", None, |_, _| true)).contains("unsupported format 0"));
+        }
+    }
+
+    #[test]
+    fn pointer_cycles_end_in_an_error() {
+        let mut t = tree();
+        for i in 0..2_000 {
+            t.put(&key(i), b"v").unwrap();
+        }
+        let root = t.root();
+        assert!(!NodeRef::parse(&page_of(&t, root)).unwrap().leaf);
+        // The leaf chain bites its tail: a full scan must stop.
+        let first_leaf = t.descend(b"", |f, _| Ok(f.page_id)).unwrap();
+        let last_leaf = t.descend(&key(9_999), |f, _| Ok(f.page_id)).unwrap();
+        patch(&t, last_leaf, |p| {
+            p[8..16].copy_from_slice(&first_leaf.0.to_le_bytes())
+        });
+        assert!(corruption(t.scan(b"", None, |_, _| true)).contains("leaf chain"));
+        // The root's first child is the root: descents must stop.
+        patch(&t, root, |p| {
+            p[8..16].copy_from_slice(&root.0.to_le_bytes())
+        });
+        assert!(corruption(t.get(b"a")).contains("deeper"));
+        assert!(corruption(t.put(b"a", b"v")).contains("deeper"));
+        assert!(corruption(t.delete(b"a")).contains("deeper"));
+        // A pointer off the disk is the page's fault, not a missing table.
+        patch(&t, root, |p| {
+            p[8..16].copy_from_slice(&(u64::MAX / 2).to_le_bytes())
+        });
+        assert!(corruption(t.get(b"a")).contains("dangling"));
+    }
+
+    #[test]
+    fn torn_cells_are_errors() {
+        let mut t = tree();
+        for i in 0..10 {
+            t.put(&key(i), b"value").unwrap();
+        }
+        let root = t.root();
+        let good = page_of(&t, root);
+        // A slot pointing into the slot array; a key length running off
+        // the page; a header whose counts cannot both be true.
+        let slot0 = HEADER_LEN;
+        let cell0 = usize::from(u16::from_le_bytes([good[slot0], good[slot0 + 1]]));
+        type Tear = fn(&mut Page, usize);
+        let tears: [Tear; 3] = [
+            |p, _| p[HEADER_LEN..HEADER_LEN + 2].copy_from_slice(&4u16.to_le_bytes()),
+            |p, cell| p[cell..cell + 2].copy_from_slice(&u16::MAX.to_le_bytes()),
+            |p, _| p[2..4].copy_from_slice(&3000u16.to_le_bytes()),
+        ];
+        for tear in tears {
+            patch(&t, root, |p| {
+                *p = good;
+                tear(p, cell0);
+            });
+            corruption(t.get(&key(0)));
+            corruption(t.put(&key(0), b"grown value"));
+            corruption(t.delete(&key(0)));
+            corruption(t.scan(b"", None, |_, _| true));
+        }
+        patch(&t, root, |p| *p = good);
+        assert_eq!(t.get(&key(0)).unwrap(), Some(b"value".to_vec()));
     }
 }

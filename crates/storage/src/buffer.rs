@@ -9,6 +9,7 @@
 //! benchmark scheduler sees realistic hit/miss asymmetry.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -57,9 +58,35 @@ pub struct PoolStats {
     pub flush_writebacks: u64,
 }
 
+/// Hash of a [`PageId`]: one multiply. Page ids are dense integers handed
+/// out by the disk's allocator, and an id read from a (possibly hostile)
+/// page is only ever probed, never inserted unless the disk holds that
+/// page — nobody outside the program chooses the keys, so SipHash's
+/// collision resistance would be paid for on every fetch and buy nothing.
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 struct PoolInner {
-    frames: HashMap<PageId, Arc<Frame>>,
+    frames: HashMap<PageId, Arc<Frame>, BuildHasherDefault<PageIdHasher>>,
     tick: u64,
+    /// Counted under the lock the hit path already holds.
+    hits: u64,
 }
 
 /// What the pool may do with dirty pages under memory pressure.
@@ -83,7 +110,6 @@ pub struct BufferPool {
     capacity: usize,
     cost: StorageCost,
     policy: EvictionPolicy,
-    hits: AtomicU64,
     misses: AtomicU64,
     evict_writebacks: AtomicU64,
     flush_writebacks: AtomicU64,
@@ -114,14 +140,14 @@ impl BufferPool {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         BufferPool {
             inner: Mutex::new(PoolInner {
-                frames: HashMap::with_capacity(capacity),
+                frames: HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
                 tick: 0,
+                hits: 0,
             }),
             disk,
             capacity,
             cost,
             policy,
-            hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evict_writebacks: AtomicU64::new(0),
             flush_writebacks: AtomicU64::new(0),
@@ -162,9 +188,10 @@ impl BufferPool {
             let tick = inner.tick;
             if let Some(f) = inner.frames.get(&id) {
                 f.last_used.store(tick, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                let f = Arc::clone(f);
+                inner.hits += 1;
                 vtime::charge(self.cost.buffer_hit_ns);
-                return Ok(Arc::clone(f));
+                return Ok(f);
             }
         }
         // Miss: read outside the pool lock, then insert (another thread may
@@ -256,7 +283,7 @@ impl BufferPool {
     #[must_use]
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
+            hits: self.inner.lock().hits,
             misses: self.misses.load(Ordering::Relaxed),
             evict_writebacks: self.evict_writebacks.load(Ordering::Relaxed),
             flush_writebacks: self.flush_writebacks.load(Ordering::Relaxed),

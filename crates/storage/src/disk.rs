@@ -250,6 +250,11 @@ impl DiskBackend for FileDisk {
     fn read_page(&self, id: PageId, out: &mut PageBuf) -> Result<()> {
         use std::os::unix::fs::FileExt;
         self.counts.reads.fetch_add(1, Ordering::Relaxed);
+        // Also keeps the offset of an id read from a corrupt page from
+        // overflowing.
+        if id.0 >= self.page_count() {
+            return Err(Error::NotFound(format!("page {id:?}")));
+        }
         self.file
             .read_exact_at(out.bytes_mut().as_mut_slice(), id.0 * PAGE_SIZE as u64)
             .map_err(|e| {
@@ -394,10 +399,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let d = FileDisk::open(&path).unwrap();
         let mut out = PageBuf::zeroed();
-        assert!(matches!(
-            d.read_page(PageId(5), &mut out),
-            Err(Error::NotFound(_))
-        ));
+        for id in [PageId(5), PageId(u64::MAX / 2), PageId::NULL] {
+            assert!(matches!(d.read_page(id, &mut out), Err(Error::NotFound(_))));
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

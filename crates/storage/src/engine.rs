@@ -283,23 +283,31 @@ impl StorageEngine {
         v
     }
 
+    /// Run one statement against a table's tree, under the catalog's read
+    /// guard instead of a clone of the handle. Not for calls that run
+    /// caller code (`scan`): a callback that re-entered the engine would
+    /// take the catalog lock again behind a waiting `create_table`.
+    fn with_tree<T>(&self, id: TableId, f: impl FnOnce(&RwLock<BTree>) -> Result<T>) -> Result<T> {
+        harmony_common::vtime::charge(self.cost.statement_ns);
+        match self.tables.read().get(&id) {
+            Some(handle) => f(&handle.tree),
+            None => Err(Error::NotFound(format!("table {id:?}"))),
+        }
+    }
+
     /// Point read.
     pub fn get(&self, table: TableId, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        harmony_common::vtime::charge(self.cost.statement_ns);
-        self.table(table)?.tree.read().get(key)
+        self.with_tree(table, |tree| tree.read().get(key))
     }
 
     /// Insert or overwrite.
     pub fn put(&self, table: TableId, key: &[u8], value: &[u8]) -> Result<()> {
-        harmony_common::vtime::charge(self.cost.statement_ns);
-        self.table(table)?.tree.write().put(key, value)?;
-        Ok(())
+        self.with_tree(table, |tree| tree.write().put(key, value).map(drop))
     }
 
     /// Delete; returns whether the key existed.
     pub fn delete(&self, table: TableId, key: &[u8]) -> Result<bool> {
-        harmony_common::vtime::charge(self.cost.statement_ns);
-        self.table(table)?.tree.write().delete(key)
+        self.with_tree(table, |tree| tree.write().delete(key))
     }
 
     /// Ordered scan over `[start, end)` (unbounded when `end` is `None`).

@@ -10,7 +10,9 @@
 //! * [`buffer`] — a buffer pool with LRU eviction, pinning and dirty
 //!   tracking; every hit/miss charges calibrated virtual-time costs.
 //! * [`btree`] — a B+Tree keyed by arbitrary byte strings, one per table,
-//!   with leaf chaining for range scans.
+//!   with leaf chaining for range scans. Nodes are self-describing slotted
+//!   pages searched and updated in place in the buffer frame; a page that
+//!   fails a bounds check is a typed corruption error.
 //! * [`log`] — append-only logs: a physical write-set WAL (used by the SOV
 //!   baselines) and the logical block log (used by OE chains).
 //! * [`checkpoint`] — double-slot checkpoint manifests for crash recovery.
