@@ -5,17 +5,20 @@
 //! full database. Rescanning every table per check is O(n) and was the
 //! single hottest non-execution path; instead the chain keeps one
 //! [`AuthMap`] per table and folds each block's write-set into it at apply
-//! time: O(Δ·log n) per block, O(1) to read the root.
+//! time, as one [`AuthMap::batch`] per touched table: O(Δ·log n) descents
+//! but each touched tree node hashed once per block — the upper levels a
+//! block's keys share are not rehashed per key — and O(1) to read the root.
 //!
 //! The commitment is **history independent** (the treap shape is a pure
 //! function of the key set), so the same structure serves both paths:
-//! [`StateCommitment::build`] from a full scan is the audit oracle, and the
-//! incrementally folded instance a replica maintains must equal it bit for
-//! bit. Table names enter the top-level fold length-prefixed — fixing the
-//! boundary ambiguity the old flat digest had — and each table's root is an
-//! [`AuthMap`] root, so any row has an O(log n) inclusion proof against its
-//! table root plus the table head list ([`StateCommitment::table_heads`])
-//! to reach the state root: the proof surface for light-client queries.
+//! [`StateCommitment::build`] from a full scan (one batch per table, O(n)
+//! hashes) is the audit oracle, and the incrementally folded instance a
+//! replica maintains must equal it bit for bit. Table names enter the
+//! top-level fold length-prefixed — fixing the boundary ambiguity the old
+//! flat digest had — and each table's root is an [`AuthMap`] root, so any
+//! row has an O(log n) inclusion proof against its table root plus the
+//! table head list ([`StateCommitment::table_heads`]) to reach the state
+//! root: the proof surface for light-client queries.
 
 use harmony_common::ids::TableId;
 use harmony_common::Result;
@@ -60,8 +63,9 @@ impl StateCommitment {
         };
         c.refresh_catalog(engine);
         for table in &mut c.tables {
+            let mut batch = table.map.batch();
             engine.scan(table.id, b"", None, |k, v| {
-                table.map.upsert(k, v);
+                batch.upsert(k, v);
                 true
             })?;
         }
@@ -69,30 +73,36 @@ impl StateCommitment {
     }
 
     /// Fold one block's write-set: re-read each written key from the engine
-    /// (post-state) and upsert or remove it. O(Δ·log n).
+    /// (post-state) and upsert or remove it, one batch per touched table.
+    /// `keys` may come in any order and repeat: every entry lands on the
+    /// key's post-state, so the result is the same. O(Δ·log n).
     pub fn apply_writes(&mut self, engine: &StorageEngine, keys: &[Key]) -> Result<()> {
-        for key in keys {
-            let idx = match self.table_index(key.table()) {
+        if !keys.is_empty() {
+            self.root = None;
+        }
+        let mut by_table: Vec<&Key> = keys.iter().collect();
+        by_table.sort_by_key(|key| key.table());
+        for group in by_table.chunk_by(|a, b| a.table() == b.table()) {
+            let table = group[0].table();
+            let idx = match self.table_index(table) {
                 Some(idx) => idx,
                 None => {
                     // A table created since the last catalog refresh.
                     self.refresh_catalog(engine);
-                    self.table_index(key.table()).ok_or_else(|| {
+                    self.table_index(table).ok_or_else(|| {
                         harmony_common::Error::InvalidArgument(format!(
-                            "write to unknown table {:?}",
-                            key.table()
+                            "write to unknown table {table:?}"
                         ))
                     })?
                 }
             };
-            let map = &mut self.tables[idx].map;
-            match engine.get(key.table(), key.row())? {
-                Some(value) => map.upsert(key.row(), &value),
-                None => map.remove(key.row()),
-            };
-        }
-        if !keys.is_empty() {
-            self.root = None;
+            let mut batch = self.tables[idx].map.batch();
+            for key in group {
+                match engine.get(table, key.row())? {
+                    Some(value) => batch.upsert(key.row(), &value),
+                    None => batch.remove(key.row()),
+                };
+            }
         }
         Ok(())
     }
@@ -205,6 +215,49 @@ mod tests {
         let mut oracle = StateCommitment::build(&e).unwrap();
         assert_eq!(inc.root(), oracle.root());
         assert_eq!(inc.len(), oracle.len());
+
+        // Several more blocks on the same commitment: updates, inserts and
+        // deletes interleaved over both tables, with `keys` neither sorted
+        // nor grouped by table and with repeats — a row written twice, a
+        // row inserted and then deleted, a delete of a row never present.
+        for block in 1..=6u64 {
+            let mut keys = Vec::new();
+            let mut write = |table, row: String, value: Option<&[u8]>| {
+                match value {
+                    Some(value) => e.put(table, row.as_bytes(), value).unwrap(),
+                    None => {
+                        e.delete(table, row.as_bytes()).unwrap();
+                    }
+                }
+                keys.push(Key::new(table, row.into_bytes()));
+            };
+            for i in (0..40u64).rev() {
+                let n = (i * 37 + block * 11) % 230;
+                let value = format!("b{block}-{i}");
+                match i % 5 {
+                    0 => write(u, format!("o{n}"), Some(value.as_bytes())),
+                    1 => write(t, format!("a{n}"), None),
+                    2 => write(u, format!("o{}", n + 1), None),
+                    _ => write(t, format!("a{n}"), Some(value.as_bytes())),
+                }
+            }
+            write(t, format!("twice-{block}"), Some(b"first"));
+            write(u, format!("gone-{block}"), Some(b"short-lived"));
+            write(t, format!("twice-{block}"), Some(b"second"));
+            write(u, format!("gone-{block}"), None);
+            write(t, "never-there".to_string(), None);
+            assert!(!keys.is_sorted(), "the fold must not rely on sorted keys");
+            inc.apply_writes(&e, &keys).unwrap();
+
+            let mut oracle = StateCommitment::build(&e).unwrap();
+            assert_eq!(inc.root(), oracle.root(), "block {block}");
+            assert_eq!(inc.len(), oracle.len(), "block {block}");
+            assert_eq!(inc.table_heads(), oracle.table_heads(), "block {block}");
+        }
+        // An empty write-set is a no-op.
+        let before = inc.root();
+        inc.apply_writes(&e, &[]).unwrap();
+        assert_eq!(inc.root(), before);
     }
 
     #[test]

@@ -15,6 +15,31 @@
 //! both paths: the incrementally folded commitment a replica maintains block
 //! by block, and the full-scan oracle it is audited against, are the same
 //! tree bit for bit.
+//!
+//! # Batches and the stale mark
+//!
+//! Every mutation goes through an [`AuthMapBatch`] ([`AuthMap::upsert`] and
+//! [`AuthMap::remove`] are batches of one). Inside a batch a mutation
+//! changes structure and leaf digests at once but hashes no interior node:
+//! it only *marks* as stale each node whose subtree digest is now out of
+//! date — the descent path, both ends of a rotation, every node a merge
+//! re-links. Closing the batch (drop, or [`AuthMapBatch::finish`]) runs one
+//! children-first pass from the root that recomputes each marked node.
+//!
+//! * **A marked node's ancestors are all marked** — marks are set while the
+//!   recursion unwinds towards the root, so the closing pass finds every
+//!   marked node by descending through marked nodes only, and an unmarked
+//!   node heads a subtree with no mark in it.
+//! * **No mark survives a batch** — the batch mutably borrows the map, so
+//!   nothing can read a digest before the closing pass has run: between
+//!   calls on the map every digest is valid, exactly as when each mutation
+//!   rehashed its own spine.
+//!
+//! Cost: one leaf hash per mutation, one key hash per node *allocated* (its
+//! priority; an overwrite needs none), and one node hash per touched node
+//! **per batch** — the upper levels, shared by every key of a block's
+//! write-set, are hashed once a block instead of once a key, and filling an
+//! empty map with n rows costs O(n) hashes, not O(n log n).
 
 use crate::sha256::{sha256, Digest, Sha256};
 
@@ -63,9 +88,12 @@ struct Node {
     key: Box<[u8]>,
     prio: u64,
     leaf: Digest,
+    /// Subtree digest; out of date while `stale`.
     digest: Digest,
     left: u32,
     right: u32,
+    /// Set inside a batch when this subtree changed; see the module doc.
+    stale: bool,
 }
 
 /// One step of an inclusion proof, bottom-up from the proven node's parent:
@@ -102,6 +130,44 @@ pub struct AuthMap {
     len: usize,
 }
 
+/// A run of mutations whose interior digests are recomputed once, when the
+/// batch is dropped (or [`finish`](AuthMapBatch::finish)ed). It holds the
+/// map's only mutable borrow, so no reader can observe a stale digest.
+pub struct AuthMapBatch<'a> {
+    map: &'a mut AuthMap,
+}
+
+impl AuthMapBatch<'_> {
+    /// Insert or update a pair; returns true if the key was new. A key
+    /// written twice in one batch keeps its last value.
+    pub fn upsert(&mut self, key: &[u8], value: &[u8]) -> bool {
+        let map = &mut *self.map;
+        let mut inserted = false;
+        map.root = map.upsert_at(map.root, key, leaf_digest(key, value), &mut inserted);
+        map.len += usize::from(inserted);
+        inserted
+    }
+
+    /// Remove a key; returns true if it was present.
+    pub fn remove(&mut self, key: &[u8]) -> bool {
+        let map = &mut *self.map;
+        let mut removed = false;
+        map.root = map.remove_at(map.root, key, &mut removed);
+        map.len -= usize::from(removed);
+        removed
+    }
+
+    /// Close the batch: rehash every node it marked. Dropping it does the
+    /// same; this spells the point out at a call site.
+    pub fn finish(self) {}
+}
+
+impl Drop for AuthMapBatch<'_> {
+    fn drop(&mut self) {
+        self.map.rehash(self.map.root);
+    }
+}
+
 impl Default for AuthMap {
     fn default() -> AuthMap {
         AuthMap::new()
@@ -132,8 +198,8 @@ impl AuthMap {
         self.len == 0
     }
 
-    /// Root commitment over the full contents. O(1): digests are maintained
-    /// on every mutation.
+    /// Root commitment over the full contents. O(1): every digest is valid
+    /// whenever no batch is open.
     #[must_use]
     pub fn root(&self) -> Digest {
         if self.root == NIL {
@@ -143,27 +209,21 @@ impl AuthMap {
         }
     }
 
-    /// Insert or update a pair; returns true if the key was new. Touches the
-    /// expected O(log n) spine only.
-    pub fn upsert(&mut self, key: &[u8], value: &[u8]) -> bool {
-        let leaf = leaf_digest(key, value);
-        let prio = Self::priority(key);
-        let mut inserted = false;
-        self.root = self.upsert_at(self.root, key, prio, leaf, &mut inserted);
-        if inserted {
-            self.len += 1;
-        }
-        inserted
+    /// Open a batch of mutations: hashes each touched interior node once,
+    /// when the batch closes, however many of its keys pass through it.
+    pub fn batch(&mut self) -> AuthMapBatch<'_> {
+        AuthMapBatch { map: self }
     }
 
-    /// Remove a key; returns true if it was present.
+    /// Insert or update a pair; returns true if the key was new. A batch of
+    /// one: touches the expected O(log n) spine only.
+    pub fn upsert(&mut self, key: &[u8], value: &[u8]) -> bool {
+        self.batch().upsert(key, value)
+    }
+
+    /// Remove a key; returns true if it was present. A batch of one.
     pub fn remove(&mut self, key: &[u8]) -> bool {
-        let mut removed = false;
-        self.root = self.remove_at(self.root, key, &mut removed);
-        if removed {
-            self.len -= 1;
-        }
-        removed
+        self.batch().remove(key)
     }
 
     /// True if `key` is present.
@@ -266,27 +326,43 @@ impl AuthMap {
         }
     }
 
-    fn refresh(&mut self, idx: u32) {
+    /// The batch-closing pass: recompute the digest of every stale node
+    /// under `at`, children first, and clear its mark. Stops at unmarked
+    /// nodes — nothing below one is marked.
+    fn rehash(&mut self, at: u32) {
+        if at == NIL || !self.nodes[at as usize].stale {
+            return;
+        }
         let (left, right) = {
-            let node = &self.nodes[idx as usize];
+            let node = &self.nodes[at as usize];
             (node.left, node.right)
         };
+        self.rehash(left);
+        self.rehash(right);
         let digest = node_digest(
             &self.subtree(left),
-            &self.nodes[idx as usize].leaf,
+            &self.nodes[at as usize].leaf,
             &self.subtree(right),
         );
-        self.nodes[idx as usize].digest = digest;
+        let node = &mut self.nodes[at as usize];
+        node.digest = digest;
+        node.stale = false;
     }
 
-    fn alloc(&mut self, key: &[u8], prio: u64, leaf: Digest) -> u32 {
+    fn mark(&mut self, idx: u32) {
+        self.nodes[idx as usize].stale = true;
+    }
+
+    /// A fresh, marked leaf node. The only place a priority is computed.
+    fn alloc(&mut self, key: &[u8], leaf: Digest) -> u32 {
         let node = Node {
             key: key.into(),
-            prio,
+            prio: Self::priority(key),
             leaf,
-            digest: node_digest(&Digest::ZERO, &leaf, &Digest::ZERO),
+            digest: Digest::ZERO,
             left: NIL,
             right: NIL,
+            stale: true,
         };
         if let Some(idx) = self.free.pop() {
             self.nodes[idx as usize] = node;
@@ -298,17 +374,10 @@ impl AuthMap {
         }
     }
 
-    fn upsert_at(
-        &mut self,
-        at: u32,
-        key: &[u8],
-        prio: u64,
-        leaf: Digest,
-        inserted: &mut bool,
-    ) -> u32 {
+    fn upsert_at(&mut self, at: u32, key: &[u8], leaf: Digest, inserted: &mut bool) -> u32 {
         if at == NIL {
             *inserted = true;
-            return self.alloc(key, prio, leaf);
+            return self.alloc(key, leaf);
         }
         match key.cmp(&self.nodes[at as usize].key) {
             std::cmp::Ordering::Equal => {
@@ -316,7 +385,7 @@ impl AuthMap {
             }
             std::cmp::Ordering::Less => {
                 let left = self.nodes[at as usize].left;
-                let child = self.upsert_at(left, key, prio, leaf, inserted);
+                let child = self.upsert_at(left, key, leaf, inserted);
                 self.nodes[at as usize].left = child;
                 if self.hotter(child, at) {
                     return self.rotate_right(at);
@@ -324,14 +393,14 @@ impl AuthMap {
             }
             std::cmp::Ordering::Greater => {
                 let right = self.nodes[at as usize].right;
-                let child = self.upsert_at(right, key, prio, leaf, inserted);
+                let child = self.upsert_at(right, key, leaf, inserted);
                 self.nodes[at as usize].right = child;
                 if self.hotter(child, at) {
                     return self.rotate_left(at);
                 }
             }
         }
-        self.refresh(at);
+        self.mark(at);
         at
     }
 
@@ -360,7 +429,10 @@ impl AuthMap {
                 return self.merge(left, right);
             }
         }
-        self.refresh(at);
+        // An absent key changed nothing below.
+        if *removed {
+            self.mark(at);
+        }
         at
     }
 
@@ -376,25 +448,25 @@ impl AuthMap {
             let right = self.nodes[a as usize].right;
             let merged = self.merge(right, b);
             self.nodes[a as usize].right = merged;
-            self.refresh(a);
+            self.mark(a);
             a
         } else {
             let left = self.nodes[b as usize].left;
             let merged = self.merge(a, left);
             self.nodes[b as usize].left = merged;
-            self.refresh(b);
+            self.mark(b);
             b
         }
     }
 
-    /// Rotate `at`'s left child up; returns the new subtree root. Refreshes
+    /// Rotate `at`'s left child up; returns the new subtree root. Marks
     /// both touched nodes.
     fn rotate_right(&mut self, at: u32) -> u32 {
         let x = self.nodes[at as usize].left;
         self.nodes[at as usize].left = self.nodes[x as usize].right;
         self.nodes[x as usize].right = at;
-        self.refresh(at);
-        self.refresh(x);
+        self.mark(at);
+        self.mark(x);
         x
     }
 
@@ -403,8 +475,8 @@ impl AuthMap {
         let x = self.nodes[at as usize].right;
         self.nodes[at as usize].right = self.nodes[x as usize].left;
         self.nodes[x as usize].left = at;
-        self.refresh(at);
-        self.refresh(x);
+        self.mark(at);
+        self.mark(x);
         x
     }
 }

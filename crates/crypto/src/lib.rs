@@ -7,6 +7,20 @@
 //! signatures as keyed MACs plus a calibrated CPU-cost constant, which is
 //! exactly how crypto enters the paper's evaluation (a per-transaction CPU
 //! term; see [`CryptoCost`]).
+//!
+//! Two things here are about *wall-clock* speed and change no digest:
+//!
+//! * [`sha256()`] compresses with the CPU's SHA extensions where
+//!   `is_x86_feature_detected!` finds them and with the portable scalar
+//!   rounds everywhere else; the choice is made from the CPU alone, and
+//!   every block hash, Merkle root, MAC, vote digest and state root inherits
+//!   it. The one `unsafe` block of the workspace lives there, behind that
+//!   check (its soundness argument is in the [`mod@sha256`] module doc).
+//! * [`AuthMap`] mutations run in batches ([`AuthMap::batch`]) that hash
+//!   each touched tree node once when the batch closes, not once per key.
+//!
+//! [`CryptoCost`] is the *virtual* cost of crypto in the paper's evaluation
+//! (a 2016 Xeon) and is deliberately independent of both.
 
 pub mod authmap;
 pub mod cost;
@@ -15,7 +29,7 @@ pub mod merkle;
 pub mod sha256;
 pub mod signer;
 
-pub use authmap::{AuthMap, MapProof, MapProofStep};
+pub use authmap::{AuthMap, AuthMapBatch, MapProof, MapProofStep};
 pub use cost::CryptoCost;
 pub use hmac::hmac_sha256;
 pub use merkle::MerkleTree;

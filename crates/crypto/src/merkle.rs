@@ -52,18 +52,19 @@ impl MerkleTree {
                 levels: vec![vec![sha256(b"")]],
             };
         }
-        let mut levels = Vec::new();
-        let mut cur: Vec<Digest> = leaves.iter().map(|l| hash_leaf(l.as_ref())).collect();
-        levels.push(cur.clone());
-        while cur.len() > 1 {
-            let mut next = Vec::with_capacity(cur.len().div_ceil(2));
-            for pair in cur.chunks(2) {
-                // Odd node is paired with itself (Bitcoin-style duplication).
-                let right = pair.get(1).unwrap_or(&pair[0]);
-                next.push(hash_node(&pair[0], right));
+        let mut levels: Vec<Vec<Digest>> =
+            vec![leaves.iter().map(|l| hash_leaf(l.as_ref())).collect()];
+        loop {
+            let cur = levels.last().expect("at least the leaf level");
+            if cur.len() == 1 {
+                break;
             }
-            levels.push(next.clone());
-            cur = next;
+            // Odd node is paired with itself (Bitcoin-style duplication).
+            let next = cur
+                .chunks(2)
+                .map(|pair| hash_node(&pair[0], pair.get(1).unwrap_or(&pair[0])))
+                .collect();
+            levels.push(next);
         }
         MerkleTree { levels }
     }

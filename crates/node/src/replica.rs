@@ -211,6 +211,34 @@ impl RootTracker {
     }
 }
 
+/// The virtual-time charge of each applied block: how much it extends the
+/// pipeline-aware makespan ([`pipeline_total_ns`]) of the blocks applied
+/// since the last reset. That makespan couples a block only to the one
+/// before it, so the previous schedule is all the history kept.
+#[derive(Default)]
+struct PipelineCharge {
+    last: Option<BlockSchedule>,
+}
+
+impl PipelineCharge {
+    /// Append `sched`; returns `pipeline_total_ns` of the blocks so far
+    /// minus that of the blocks before this one.
+    fn charge(&mut self, sched: BlockSchedule, depth: usize, workers: usize) -> u64 {
+        match self.last.replace(sched) {
+            None => pipeline_total_ns(&[sched], depth, workers),
+            Some(prev) => {
+                pipeline_total_ns(&[prev, sched], depth, workers)
+                    - pipeline_total_ns(&[prev], depth, workers)
+            }
+        }
+    }
+
+    /// Forget the pipeline: the next block starts a fresh one.
+    fn reset(&mut self) {
+        self.last = None;
+    }
+}
+
 /// A replica node: ordered delivery over an [`OeChain`].
 pub struct ReplicaNode {
     chain: OeChain,
@@ -221,8 +249,7 @@ pub struct ReplicaNode {
     log_sync_ns: u64,
     delivery_log: DeliveryLog,
     pending: BTreeMap<u64, Arc<ChainBlock>>,
-    schedules: Vec<BlockSchedule>,
-    charged_ns: u64,
+    pipeline: PipelineCharge,
     stats: BlockStats,
     roots: RootTracker,
     /// Fault-injection hook: corrupt the next gossiped (and self-tracked)
@@ -252,8 +279,7 @@ impl ReplicaNode {
             log_sync_ns,
             delivery_log: DeliveryLog::default(),
             pending: BTreeMap::new(),
-            schedules: Vec::new(),
-            charged_ns: 0,
+            pipeline: PipelineCharge::default(),
             stats: BlockStats::default(),
             roots: RootTracker::default(),
             poison_next_gossip: false,
@@ -356,14 +382,9 @@ impl ReplicaNode {
         sched.commit_ns += self.log_sync_ns;
         sched.commit_work_ns += self.log_sync_ns;
         sched.work_ns += self.log_sync_ns;
-        self.schedules.push(sched);
-        let total = pipeline_total_ns(
-            &self.schedules,
-            self.chain.dcc().pipeline_depth(),
-            self.workers,
-        );
-        let cost_ns = total.saturating_sub(self.charged_ns);
-        self.charged_ns = total;
+        let cost_ns = self
+            .pipeline
+            .charge(sched, self.chain.dcc().pipeline_depth(), self.workers);
         self.metrics.block_cost_ns.observe(cost_ns);
 
         let gossip_root = if block.header.id.0.is_multiple_of(self.gossip_every) {
@@ -425,8 +446,7 @@ impl ReplicaNode {
     pub fn wipe_for_resync(&mut self) -> Result<()> {
         let passed = self.roots.passed;
         self.chain = open_chain(&self.config)?;
-        self.schedules.clear();
-        self.charged_ns = 0;
+        self.pipeline.reset();
         self.roots.reset_for_resync(passed);
         Ok(())
     }
@@ -435,8 +455,7 @@ impl ReplicaNode {
     /// chain's durable state is recovered separately).
     pub fn crash(&mut self) {
         self.pending.clear();
-        self.schedules.clear();
-        self.charged_ns = 0;
+        self.pipeline.reset();
     }
 
     /// Local recovery: reload the last checkpoint and deterministically
@@ -475,8 +494,7 @@ impl ReplicaNode {
     ) -> Result<usize> {
         if self.chain.height() != BlockId(0) || !self.chain.engine().list_tables().is_empty() {
             self.chain = open_chain(&self.config)?;
-            self.schedules.clear();
-            self.charged_ns = 0;
+            self.pipeline.reset();
         }
         self.chain.install_snapshot(snapshot)?;
         self.catch_up_from_blocks(blocks)
@@ -597,6 +615,48 @@ mod tests {
             early.deliver(Arc::clone(b)).unwrap();
         }
         assert_eq!(early.divergence_alarms(), 1);
+    }
+
+    #[test]
+    fn pipeline_charge_is_the_difference_of_successive_prefix_totals() {
+        let mut rng = harmony_common::DetRng::new(17);
+        let mut random_schedule = || {
+            let mut ns = || rng.next_u64() % 50_000;
+            let (sim_ns, commit_ns, orderer_ns) = (ns(), ns(), ns());
+            // CPU-work is at least the makespan and can be several cores' worth.
+            let (pre_work_ns, commit_work_ns) = (orderer_ns + sim_ns + ns(), commit_ns + ns());
+            BlockSchedule {
+                sim_ns,
+                commit_ns,
+                orderer_ns,
+                work_ns: pre_work_ns + commit_work_ns,
+                pre_work_ns,
+                commit_work_ns,
+            }
+        };
+        for depth in [1, 2] {
+            for workers in [1, 2, 8] {
+                let mut charge = PipelineCharge::default();
+                // Three pipelines back to back, as after `wipe_for_resync`,
+                // `crash` and `bootstrap_from_snapshot`.
+                for run in [40, 1, 25] {
+                    let mut applied: Vec<BlockSchedule> = Vec::new();
+                    for _ in 0..run {
+                        let before = pipeline_total_ns(&applied, depth, workers);
+                        applied.push(random_schedule());
+                        let after = pipeline_total_ns(&applied, depth, workers);
+                        let sched = *applied.last().unwrap();
+                        assert_eq!(
+                            charge.charge(sched, depth, workers),
+                            after - before,
+                            "depth {depth}, {workers} workers, block {}",
+                            applied.len()
+                        );
+                    }
+                    charge.reset();
+                }
+            }
+        }
     }
 
     #[test]

@@ -397,14 +397,17 @@ pub fn logical_table_heads<'a>(
         // The authenticated map is history independent, so upserting the
         // disjoint shard partitions in any order commits to exactly the
         // merged table — the same digest `harmony_chain::state_root` gives
-        // a 1-shard deployment of the same logical database.
+        // a 1-shard deployment of the same logical database. One batch:
+        // each node of the merged tree is hashed once.
         let mut merged = AuthMap::new();
+        let mut batch = merged.batch();
         for engine in &engines {
             engine.scan(id, b"", None, |k, v| {
-                merged.upsert(k, v);
+                batch.upsert(k, v);
                 true
             })?;
         }
+        batch.finish();
         heads.push((name, merged.root()));
     }
     Ok(heads)
