@@ -24,7 +24,7 @@ use harmony_consensus::net::LatencyModel;
 use harmony_crypto::CryptoCost;
 use harmony_dcc_baselines::Architecture;
 use harmony_node::{
-    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, CrashPlan, FaultSchedule,
+    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
     MempoolConfig, OrderingMode, ReplicaConfig, SyncPolicy,
 };
 use harmony_sim::{ClusterModel, EngineKind, RunConfig};
@@ -39,7 +39,7 @@ fn cluster_config(
     engine: EngineKind,
     workload: ClusterWorkload,
     ordering: OrderingMode,
-    crash: Option<CrashPlan>,
+    crash: Option<FaultEvent>,
 ) -> ClusterConfig {
     ClusterConfig {
         replicas: REPLICAS,
@@ -57,7 +57,7 @@ fn cluster_config(
         },
         workload,
         ordering,
-        faults: crash.map(FaultSchedule::from).unwrap_or_default(),
+        faults: FaultSchedule::new(crash.into_iter().collect()),
         latency: LatencyModel::lan_1g(),
         mempool: MempoolConfig {
             capacity: 4_096,
@@ -179,7 +179,7 @@ fn main() {
                         kind,
                         node_workload(&workload),
                         ordering,
-                        Some(CrashPlan {
+                        Some(FaultEvent::Crash {
                             replica: 2,
                             at_ns: 20_000_000,
                             recover_at_ns: 40_000_000,

@@ -25,7 +25,7 @@ use harmony_chain::ChainConfig;
 use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
-    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, CrashPlan, FaultSchedule,
+    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
     MempoolConfig, OrderingMode, ReplicaConfig, ReshardAt, ReshardSchedule, ShardTopology,
     SyncPolicy,
 };
@@ -54,7 +54,7 @@ fn run(
     engine: EngineKind,
     shards: usize,
     reshards: ReshardSchedule,
-    crash: Option<CrashPlan>,
+    crash: Option<FaultEvent>,
 ) -> ClusterReport {
     Cluster::new(ClusterConfig {
         replicas: 4,
@@ -82,7 +82,7 @@ fn run(
             multi_partition_ratio: 0.25,
         }),
         ordering: OrderingMode::Kafka { brokers: 3 },
-        faults: crash.map(FaultSchedule::from).unwrap_or_default(),
+        faults: FaultSchedule::new(crash.into_iter().collect()),
         reshards,
         mempool: MempoolConfig::default(),
         open_loop: OpenLoopConfig {
@@ -171,7 +171,7 @@ fn main() {
         engine,
         1,
         split_schedule(),
-        Some(CrashPlan {
+        Some(FaultEvent::Crash {
             replica: 2,
             at_ns: 4 * MS,
             recover_at_ns: 10 * MS,

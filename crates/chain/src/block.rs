@@ -144,7 +144,7 @@ impl ChainBlock {
         let sealer = r.get_u64()?;
         let signer = r.get_u64()?;
         let mac = harmony_crypto::Digest(r.get_raw(32)?.try_into().expect("32 bytes"));
-        let n = r.get_u32()? as usize;
+        let n = r.get_count(4)?; // a transaction is a u32 length + bytes
         let mut txns = Vec::with_capacity(n);
         for _ in 0..n {
             txns.push(r.get_bytes()?);
@@ -192,6 +192,20 @@ mod tests {
         let decoded = ChainBlock::decode(&block.encode()).unwrap();
         assert_eq!(decoded, block);
         decoded.verify(&harmony_crypto::Digest::ZERO, &v).unwrap();
+    }
+
+    #[test]
+    fn lying_txn_count_is_refused_before_allocating() {
+        // The 124-byte body that used to abort a replica: a valid header,
+        // then a transaction count of `u32::MAX` and nothing else.
+        let (block, _) = sample(3, harmony_crypto::Digest::ZERO);
+        let mut bytes = block.encode()[..120].to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = ChainBlock::decode(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, harmony_common::Error::Corruption(m) if m.contains("count")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //!   Merkle root over transaction payloads, sealed/signed by the ordering
 //!   service, verified by replicas (tamper evidence).
 //! * [`oe`] — [`OeChain`]: the Order-Execute chain. Blocks are logically
-//!   logged *before* execution, executed by any [`DccEngine`] (Harmony by
-//!   default — that is HarmonyBC; Aria gives AriaBC, etc.), checkpointed
-//!   every `p` blocks, and recoverable by deterministic replay.
+//!   logged *before* execution, executed by any
+//!   [`harmony_dcc_baselines::DccEngine`] (Harmony by default — that is
+//!   HarmonyBC; Aria gives AriaBC, etc.), checkpointed every `p` blocks,
+//!   and recoverable by deterministic replay.
 //! * [`sov`] — [`SovChain`]: the Simulate-Order-Validate chain (Fabric
 //!   family) with *physical* write-set logging and value replay on
 //!   recovery.

@@ -641,7 +641,7 @@ pub(crate) fn put_undo(w: &mut Writer, undo: &[(Key, Option<Value>)]) {
 }
 
 pub(crate) fn get_undo(r: &mut Reader<'_>) -> Result<Vec<(Key, Option<Value>)>> {
-    let n = r.get_u32()? as usize;
+    let n = r.get_count(7)?; // table id + row length + before-image tag
     let mut undo = Vec::with_capacity(n);
     for _ in 0..n {
         let key = get_key(r)?;
@@ -748,7 +748,7 @@ pub(crate) fn put_block_undo(w: &mut Writer, undo: &[BlockUndo]) {
 }
 
 pub(crate) fn get_block_undo(r: &mut Reader<'_>) -> Result<Vec<BlockUndo>> {
-    let n = r.get_u32()? as usize;
+    let n = r.get_count(12)?; // block id + undo count
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let block = BlockId(r.get_u64()?);

@@ -102,12 +102,12 @@ impl StateSnapshot {
         let mut r = Reader::new(bytes);
         let height = BlockId(r.get_u64()?);
         let last_hash = Digest(r.get_raw(32)?.try_into().expect("32 bytes"));
-        let n_tables = r.get_u32()? as usize;
+        let n_tables = r.get_count(8)?; // name length + row count
         let mut tables = Vec::with_capacity(n_tables);
         for _ in 0..n_tables {
             let name = String::from_utf8(r.get_bytes()?)
                 .map_err(|e| harmony_common::Error::Corruption(format!("table name: {e}")))?;
-            let n_rows = r.get_u32()? as usize;
+            let n_rows = r.get_count(8)?; // key length + value length
             let mut rows = Vec::with_capacity(n_rows);
             for _ in 0..n_rows {
                 let k = r.get_bytes()?;
@@ -173,6 +173,42 @@ mod tests {
         assert_eq!(decoded.tables, snap.tables);
         assert_eq!(decoded.undo, snap.undo);
         assert_eq!(decoded.digest(), snap.digest());
+    }
+
+    #[test]
+    fn lying_counts_are_refused_before_allocating() {
+        use harmony_common::codec::Writer;
+        // One frame per count field of the manifest format (tables, rows,
+        // undo blocks, undo entries), each cut off right after a count of
+        // `u32::MAX`: the reader must refuse the count itself.
+        let head = |w: &mut Writer| {
+            w.put_u64(7);
+            w.put_raw(&[0; 32]);
+        };
+        let fields: [&dyn Fn(&mut Writer); 4] = [
+            &|_| {},
+            &|w| {
+                w.put_u32(1);
+                w.put_bytes(b"t");
+            },
+            &|w| w.put_u32(0),
+            &|w| {
+                w.put_u32(0);
+                w.put_u32(1);
+                w.put_u64(6);
+            },
+        ];
+        for (i, before_count) in fields.iter().enumerate() {
+            let mut w = Writer::default();
+            head(&mut w);
+            before_count(&mut w);
+            w.put_u32(u32::MAX);
+            let err = StateSnapshot::decode(&w.finish()).unwrap_err();
+            assert!(
+                matches!(&err, harmony_common::Error::Corruption(m) if m.contains("count")),
+                "count field {i}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -147,6 +147,24 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
+    /// Read the `u32` element count of a sequence whose every element
+    /// encodes to at least `min_item_bytes` bytes, refusing a count the
+    /// rest of the input cannot hold. A count read from a frame or a file
+    /// is untrusted: `Vec::with_capacity(u32::MAX)` aborts the process on
+    /// allocation failure before any per-element bounds check runs, so
+    /// decoders size their allocations by this, never by `get_u32`.
+    pub fn get_count(&mut self, min_item_bytes: usize) -> Result<usize> {
+        debug_assert!(min_item_bytes > 0, "a zero-byte element bounds nothing");
+        let n = self.get_u32()? as usize;
+        if n.saturating_mul(min_item_bytes) > self.buf.remaining() {
+            return Err(Error::Corruption(format!(
+                "count {n} needs at least {min_item_bytes} bytes per element, have {}",
+                self.buf.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
     /// Read a length-prefixed byte slice.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>> {
         let len = self.get_u32()? as usize;
@@ -259,6 +277,31 @@ mod tests {
         let buf = w.finish();
         let mut r = Reader::new(&buf[..10]);
         assert!(matches!(r.get_bytes(), Err(Error::Corruption(_))));
+    }
+
+    #[test]
+    fn count_is_bounded_by_the_bytes_that_could_hold_it() {
+        let mut w = Writer::default();
+        w.put_u32(3);
+        w.put_raw(&[0; 12]);
+        let buf = w.finish();
+        // Three 4-byte elements fit in 12 bytes exactly; three 5-byte ones do not.
+        assert_eq!(Reader::new(&buf).get_count(4).unwrap(), 3);
+        assert!(matches!(
+            Reader::new(&buf).get_count(5),
+            Err(Error::Corruption(_))
+        ));
+        // The count that aborts `Vec::with_capacity` is refused outright,
+        // as is a count cut short.
+        let lying = u32::MAX.to_le_bytes();
+        assert!(matches!(
+            Reader::new(&lying).get_count(1),
+            Err(Error::Corruption(_))
+        ));
+        assert!(matches!(
+            Reader::new(&lying[..3]).get_count(1),
+            Err(Error::Corruption(_))
+        ));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! generalized with reader tracking and range predicates). After the block
 //! barrier, [`ReservationTable::fire_rw_events`] walks each key entry and
 //! fires the `on_seeing_rw_dependency` events of Algorithm 1 into the
-//! [`TxnMeta`](crate::meta::TxnMeta) accumulators.
+//! [`TxnMeta`] accumulators.
 //!
 //! Because every transaction in a block reads the same snapshot, *every*
 //! (reader, writer) pair on one key is an rw-dependency: the reader saw the

@@ -26,7 +26,7 @@
 //!   also stable across releases, unlike `std`'s `DefaultHasher`, which
 //!   keeps hash-derived placement deterministic.)
 //! * **One map, one arena.** Undo chains and writer (version) history for
-//!   a key live in a single [`KeyState`] entry; undo nodes are allocated
+//!   a key live in a single `KeyState` entry; undo nodes are allocated
 //!   from a per-shard arena with a free list (chains stay ≤ pipeline
 //!   depth, so slots recycle instead of churning the allocator), and
 //!   `apply_write` clones the key only on first touch instead of once per

@@ -1,4 +1,4 @@
-//! HMAC-SHA-256 (RFC 2104), built on [`crate::sha256`].
+//! HMAC-SHA-256 (RFC 2104), built on [`mod@crate::sha256`].
 
 use crate::sha256::{Digest, Sha256};
 

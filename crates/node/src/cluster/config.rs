@@ -1,0 +1,325 @@
+//! What a cluster run is told: the workload, the ordering style, the
+//! replica topology, and every scenario knob — checked by
+//! [`ClusterConfig::validate`] before anything is built.
+
+use std::sync::Arc;
+
+use harmony_common::{Error, Result};
+use harmony_consensus::net::LatencyModel;
+use harmony_shard::Partitioning;
+use harmony_storage::{StorageConfig, StorageEngine};
+use harmony_txn::ContractCodec;
+use harmony_workloads::{
+    OpenLoopConfig, Smallbank, SmallbankCodec, SmallbankConfig, Tpcc, TpccCodec, TpccConfig,
+    Workload, Ycsb, YcsbCodec, YcsbConfig,
+};
+
+use crate::fault::{FaultSchedule, ReshardSchedule};
+use crate::mempool::MempoolConfig;
+use crate::replica::ReplicaConfig;
+use crate::statesync::{RetryPolicy, SyncPolicy};
+
+/// Workload selector for a cluster run (workload + its contract codec).
+#[derive(Clone, Debug)]
+pub enum ClusterWorkload {
+    /// Smallbank with the given configuration.
+    Smallbank(SmallbankConfig),
+    /// YCSB with the given configuration.
+    Ycsb(YcsbConfig),
+    /// TPC-C full mix with the given configuration.
+    Tpcc(TpccConfig),
+}
+
+impl ClusterWorkload {
+    /// Display name.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            ClusterWorkload::Smallbank(_) => "Smallbank",
+            ClusterWorkload::Ycsb(_) => "YCSB",
+            ClusterWorkload::Tpcc(_) => "TPC-C",
+        }
+    }
+
+    /// Load genesis state into a replica's engine and return the codec
+    /// that decodes this workload's contracts.
+    pub fn setup_node(&self, engine: &Arc<StorageEngine>) -> Result<Arc<dyn ContractCodec>> {
+        match self {
+            ClusterWorkload::Smallbank(c) => {
+                let mut w = Smallbank::new(c.clone());
+                w.setup(engine)?;
+                let (checking, savings) = w.tables();
+                Ok(Arc::new(SmallbankCodec { checking, savings }))
+            }
+            ClusterWorkload::Ycsb(c) => {
+                let mut w = Ycsb::new(c.clone());
+                w.setup(engine)?;
+                Ok(Arc::new(YcsbCodec { table: w.table() }))
+            }
+            ClusterWorkload::Tpcc(c) => {
+                let mut w = Tpcc::new(c.clone());
+                w.setup(engine)?;
+                Ok(Arc::new(TpccCodec { tables: w.tables() }))
+            }
+        }
+    }
+
+    /// The workload's contract codec, built against a scratch engine (the
+    /// deterministic setup gives every node identical table ids). The
+    /// orderer process of a real-transport cluster uses this to decode
+    /// submitted contracts without hosting a replica.
+    pub fn codec(&self) -> Result<Arc<dyn ContractCodec>> {
+        let engine = Arc::new(StorageEngine::open(&StorageConfig::memory())?);
+        self.setup_node(&engine)
+    }
+
+    /// Tables a sharded deployment should replicate in full on every
+    /// shard: read-only dimension tables, never written after genesis.
+    /// TPC-C's `item` price list is the canonical case — replicating it
+    /// keeps NewOrder's price lookups shard-local, so a warehouse-local
+    /// order needs no cross-shard round at all.
+    #[must_use]
+    pub fn replicated_tables(&self) -> Vec<String> {
+        match self {
+            ClusterWorkload::Tpcc(_) => vec!["item".to_string()],
+            ClusterWorkload::Smallbank(_) | ClusterWorkload::Ycsb(_) => Vec::new(),
+        }
+    }
+
+    /// The partitioning function a sharded deployment of this workload
+    /// should run: entity-prefix for TPC-C (composite keys share their
+    /// warehouse's leading 8 bytes, making declared NewOrder/Payment
+    /// footprints single-shard), whole-row hash for the 8-byte-key
+    /// workloads — where the two are bit-identical anyway.
+    #[must_use]
+    pub fn recommended_partitioning(&self) -> Partitioning {
+        match self {
+            ClusterWorkload::Tpcc(_) => Partitioning::Prefix,
+            ClusterWorkload::Smallbank(_) | ClusterWorkload::Ycsb(_) => Partitioning::Hash,
+        }
+    }
+
+    /// A transaction generator for the client bank (set up against a
+    /// scratch engine so table ids match the replicas').
+    pub fn generator(&self) -> Result<Box<dyn Workload>> {
+        let engine = StorageEngine::open(&StorageConfig::memory())?;
+        match self {
+            ClusterWorkload::Smallbank(c) => {
+                let mut w = Smallbank::new(c.clone());
+                w.setup(&engine)?;
+                Ok(Box::new(w))
+            }
+            ClusterWorkload::Ycsb(c) => {
+                let mut w = Ycsb::new(c.clone());
+                w.setup(&engine)?;
+                Ok(Box::new(w))
+            }
+            ClusterWorkload::Tpcc(c) => {
+                let mut w = Tpcc::new(c.clone());
+                w.setup(&engine)?;
+                Ok(Box::new(w))
+            }
+        }
+    }
+}
+
+/// How the ordering service reaches agreement before delivering.
+#[derive(Clone, Copy, Debug)]
+pub enum OrderingMode {
+    /// Crash-fault-tolerant leader + follower brokers, majority ack.
+    Kafka {
+        /// Replication factor (leader + followers).
+        brokers: usize,
+    },
+    /// BFT: the replicas themselves vote in three chained rounds.
+    HotStuff,
+}
+
+/// Sharded-execution topology of every replica: M shards over a fixed
+/// logical partition count. `None` in [`ClusterConfig::topology`] keeps
+/// the flat single-engine replica.
+#[derive(Clone, Copy, Debug)]
+pub struct ShardTopology {
+    /// Physical shards hosted by every replica.
+    pub shards: usize,
+    /// Logical partitions (fixed across shard counts, so every commit
+    /// decision is shard-count-invariant). Should match the workload's
+    /// `partitions` knob.
+    pub partitions: u32,
+    /// Partitioning-function override. `None` (the default) uses
+    /// [`ClusterWorkload::recommended_partitioning`] — entity-prefix
+    /// for TPC-C, whole-row hash otherwise. Must be identical on every
+    /// replica of a chain.
+    pub partitioning: Option<Partitioning>,
+    /// Per-shard checkpoint-period stagger (see
+    /// [`crate::ShardedReplicaConfig::checkpoint_stagger`]).
+    pub checkpoint_stagger: u64,
+}
+
+impl Default for ShardTopology {
+    fn default() -> Self {
+        ShardTopology {
+            shards: 4,
+            partitions: 16,
+            partitioning: None,
+            checkpoint_stagger: 0,
+        }
+    }
+}
+
+/// Cluster configuration.
+#[derive(Clone, Debug)]
+pub struct ClusterConfig {
+    /// Number of replicas.
+    pub replicas: usize,
+    /// Per-replica configuration (engine, workers, chain, gossip).
+    pub replica: ReplicaConfig,
+    /// Sharded execution topology: `Some` makes every replica a
+    /// [`crate::ShardedReplicaNode`] with M shards (N×M deployment), `None`
+    /// keeps flat replicas.
+    pub topology: Option<ShardTopology>,
+    /// The workload and its codec.
+    pub workload: ClusterWorkload,
+    /// Ordering service style.
+    pub ordering: OrderingMode,
+    /// Network model.
+    pub latency: LatencyModel,
+    /// Mempool admission bounds.
+    pub mempool: MempoolConfig,
+    /// Open-loop client arrival process.
+    pub open_loop: OpenLoopConfig,
+    /// Arrivals stop after this much virtual time.
+    pub load_ns: u64,
+    /// Extra virtual time to drain the pipeline.
+    pub drain_ns: u64,
+    /// Transactions per sealed block (batch ceiling).
+    pub block_txns: usize,
+    /// Batching tick interval.
+    pub batch_interval_ns: u64,
+    /// Seal a full block the moment the mempool reaches `block_txns`
+    /// instead of waiting for the next batch tick. Off by default — the
+    /// default discipline's event schedule stays bit-identical to every
+    /// pinned run. Combined with a batch interval longer than the run,
+    /// sealing becomes purely count-driven: the block stream is a pure
+    /// function of the admitted submission sequence, independent of
+    /// arrival pacing — which is how a wall-clock TCP cluster and the
+    /// virtual-time simulator are proven to commit identical state roots.
+    pub eager_seal: bool,
+    /// Max unacknowledged blocks in the ordering pipeline.
+    pub window: usize,
+    /// State-sync serving policy.
+    pub sync: SyncPolicy,
+    /// Fault-injection schedule. Empty = healthy run: none of the chaos
+    /// machinery (watchdog timers, sync timeouts, net-fault table) is
+    /// armed, so the event schedule is bit-identical to a build without
+    /// the chaos plane.
+    pub faults: FaultSchedule,
+    /// Scheduled topology changes (live shard split/merge). Empty =
+    /// static topology: the orderer never consults the queue and the
+    /// sealed stream is bit-identical to a build without elastic
+    /// resharding. Requires a sharded `topology`.
+    pub reshards: ReshardSchedule,
+    /// State-sync timeout/retry/backoff/failover policy (active on
+    /// fault runs only).
+    pub sync_retry: RetryPolicy,
+    /// Client resubmission policy for retryable admission rejects
+    /// (backpressure, tenant quota, nonce gap). `None` disables
+    /// resubmission — rejected transactions are simply lost, the
+    /// pre-chaos behavior.
+    pub client_retry: Option<RetryPolicy>,
+    /// Peers that must dispute this replica's root at one gossip height
+    /// before it self-quarantines and re-syncs from scratch.
+    pub quarantine_quorum: u32,
+    /// Liveness-watchdog period (virtual ns); armed on fault runs only.
+    pub watchdog_ns: u64,
+    /// Metric-timeline snapshot interval (virtual ns). Snapshots are
+    /// taken in virtual time, so same-seed runs produce byte-identical
+    /// timelines.
+    pub metrics_every_ns: u64,
+    /// Simulation seed (network jitter + client stream).
+    pub seed: u64,
+}
+
+impl Default for ClusterConfig {
+    fn default() -> Self {
+        ClusterConfig {
+            replicas: 4,
+            replica: ReplicaConfig::default(),
+            topology: None,
+            workload: ClusterWorkload::Smallbank(SmallbankConfig {
+                accounts: 1_000,
+                theta: 0.6,
+                ..SmallbankConfig::default()
+            }),
+            ordering: OrderingMode::Kafka { brokers: 3 },
+            latency: LatencyModel::lan_1g(),
+            mempool: MempoolConfig::default(),
+            open_loop: OpenLoopConfig::default(),
+            load_ns: 40_000_000,
+            drain_ns: 400_000_000,
+            block_txns: 32,
+            batch_interval_ns: 500_000,
+            eager_seal: false,
+            window: 4,
+            sync: SyncPolicy::default(),
+            faults: FaultSchedule::default(),
+            reshards: ReshardSchedule::default(),
+            sync_retry: RetryPolicy::default(),
+            client_retry: None,
+            quarantine_quorum: 2,
+            watchdog_ns: 5_000_000,
+            metrics_every_ns: 5_000_000,
+            seed: 0xC10C,
+        }
+    }
+}
+
+impl ClusterConfig {
+    /// Check the configuration before running: sane shape parameters and
+    /// a well-formed fault schedule (indices in range, windows ordered,
+    /// non-overlapping crash cycles, an observer left standing).
+    /// [`super::Cluster::run`] calls this; harnesses building schedules
+    /// programmatically can call it early for a better error site.
+    pub fn validate(&self) -> Result<()> {
+        if self.replicas == 0 {
+            return Err(Error::InvalidArgument("cluster needs ≥ 1 replica".into()));
+        }
+        if self.quarantine_quorum == 0 {
+            return Err(Error::InvalidArgument(
+                "quarantine quorum must be ≥ 1".into(),
+            ));
+        }
+        if self.watchdog_ns == 0 {
+            return Err(Error::InvalidArgument(
+                "watchdog period must be non-zero".into(),
+            ));
+        }
+        if !self.reshards.is_empty() {
+            let Some(topology) = self.topology else {
+                return Err(Error::InvalidArgument(
+                    "reshard schedule requires a sharded topology".into(),
+                ));
+            };
+            self.reshards.validate(topology.partitions as usize)?;
+        }
+        self.faults.validate(self.replicas)
+    }
+
+    /// Human-readable system label (engine × replicas × shards ×
+    /// ordering) used by reports and metric timelines.
+    pub(super) fn system_label(&self) -> String {
+        format!(
+            "{}·node×{}{}{}",
+            self.replica.engine.name(),
+            self.replicas,
+            match self.topology {
+                Some(t) => format!("×{}shards", t.shards),
+                None => String::new(),
+            },
+            match self.ordering {
+                OrderingMode::Kafka { .. } => "·kafka",
+                OrderingMode::HotStuff => "·hotstuff",
+            }
+        )
+    }
+}

@@ -2,11 +2,10 @@
 //!
 //! One [`ReplicaMetrics`] per replica (committed/aborted transaction
 //! counters with abort-reason labels, block-cost histogram, and the
-//! [`RootTracker`](crate::replica::RootTracker) buffer high-water
-//! marks), plus one [`TxnCounters`] per hosted shard on a sharded
-//! replica. All handles default to detached cells, so a node built
-//! without an observability plane pays the same single relaxed atomic
-//! per event and nothing else.
+//! delivery front's root-tracker buffer high-water marks), plus one
+//! [`TxnCounters`] per hosted shard on a sharded replica. All handles
+//! default to detached cells, so a node built without an observability
+//! plane pays the same single relaxed atomic per event and nothing else.
 
 use harmony_core::BlockStats;
 use harmony_metrics::{doubling_buckets, Counter, Gauge, Histogram, Registry};

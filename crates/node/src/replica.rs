@@ -2,12 +2,14 @@
 //!
 //! A [`ReplicaNode`] owns an [`OeChain`] (storage engine, snapshot store,
 //! and any [`harmony_sim::EngineKind`] DCC engine) and consumes **sealed
-//! blocks** from an ordering service. Delivery is *ordered*: blocks
-//! arriving ahead of the next height are buffered and applied once the
-//! gap closes, every applied block is appended to a verified
-//! [`DeliveryLog`] (sequence + header hash), and the replica records its
-//! state root every `gossip_every` blocks for divergence detection
-//! against peers' gossiped roots.
+//! blocks** from an ordering service. Delivery is *ordered*, and the part
+//! of it that does not care how a block executes lives in one type,
+//! [`DeliveryFront`], shared with the sharded replica: blocks arriving
+//! ahead of the next height are buffered and applied once the gap closes,
+//! every applied block is appended to a verified [`DeliveryLog`]
+//! (sequence + header hash), and the replica records its state root every
+//! `gossip_every` blocks for divergence detection against peers' gossiped
+//! roots.
 //!
 //! Execution cost is charged in virtual time exactly like the experiment
 //! driver: each block's [`BlockSchedule`] extends a pipeline-aware
@@ -78,9 +80,9 @@ pub struct Applied {
     pub gossip_root: Option<Digest>,
 }
 
-/// Gossiped-root bookkeeping shared by the flat and sharded replicas:
-/// remembers this node's own roots per gossip height, holds peer roots
-/// that arrive early, and counts disagreements.
+/// Gossiped-root bookkeeping (the [`DeliveryFront`]'s, so shared by the
+/// flat and sharded replicas): remembers this node's own roots per gossip
+/// height, holds peer roots that arrive early, and counts disagreements.
 ///
 /// Memory is bounded: advancing past a gossip height drops every peer
 /// root buffered at or below it, the ahead-buffer holds at most
@@ -89,7 +91,7 @@ pub struct Applied {
 /// gossip heights only. A long-running replica therefore holds O(1)
 /// tracker state regardless of chain length or how far ahead peers rush.
 #[derive(Default)]
-pub(crate) struct RootTracker {
+pub struct RootTracker {
     own: BTreeMap<u64, Digest>,
     peers: BTreeMap<u64, Vec<Digest>>,
     /// Disagreeing comparisons per gossip height (pruned with `own`) —
@@ -111,9 +113,9 @@ pub(crate) struct RootTracker {
 
 impl RootTracker {
     /// Own roots retained, in trailing gossip heights.
-    const OWN_KEEP: usize = 32;
+    pub const OWN_KEEP: usize = 32;
     /// Future gossip heights buffered from peers.
-    const AHEAD_CAP: usize = 64;
+    pub const AHEAD_CAP: usize = 64;
 
     /// Record this node's root at `height`, comparing against any peer
     /// roots that arrived before the node got there. Prunes everything
@@ -147,7 +149,7 @@ impl RootTracker {
     /// Record a peer's gossiped root at `height` — compared now if this
     /// node already has its own root there, parked until it does if it is
     /// ahead, dropped if the node has already gossiped past it.
-    pub(crate) fn note_peer(&mut self, height: u64, root: Digest) {
+    pub fn note_peer(&mut self, height: u64, root: Digest) {
         self.peer_frontier = self.peer_frontier.max(height);
         if let Some(own) = self.own.get(&height) {
             if *own != root {
@@ -167,12 +169,15 @@ impl RootTracker {
     }
 
     /// Comparisons that disagreed so far.
-    pub(crate) fn alarms(&self) -> u64 {
+    #[must_use]
+    pub fn alarms(&self) -> u64 {
         self.alarms
     }
 
-    /// Highest gossip height seen from any peer.
-    pub(crate) fn peer_frontier(&self) -> u64 {
+    /// Highest gossip height seen from any peer — evidence the cluster
+    /// is ahead of this node.
+    #[must_use]
+    pub fn peer_frontier(&self) -> u64 {
         self.peer_frontier
     }
 
@@ -180,7 +185,8 @@ impl RootTracker {
     /// disagreed with this node's own root — the self-quarantine
     /// trigger: when a quorum of the cluster disputes our root, *we* are
     /// the diverged one.
-    pub(crate) fn quarantine_signal(&self, quorum: u32) -> Option<u64> {
+    #[must_use]
+    pub fn quarantine_signal(&self, quorum: u32) -> Option<u64> {
         self.mismatched
             .iter()
             .find(|(_, n)| **n >= quorum)
@@ -208,6 +214,162 @@ impl RootTracker {
     #[cfg(test)]
     pub(crate) fn own_heights(&self) -> usize {
         self.own.len()
+    }
+}
+
+/// The ordered-delivery front both replica kinds embed: everything about
+/// consuming an ordered block stream that does not depend on *how* a
+/// block is executed. It buffers blocks that arrive ahead of the tip and
+/// hands them back in order, keeps the verified [`DeliveryLog`] and the
+/// running [`BlockStats`] total, and owns root gossip — this node's roots
+/// per gossip height, peers' roots, the disagreement count behind
+/// self-quarantine, and the poison fault hook. [`ReplicaNode`] and
+/// [`crate::ShardedReplicaNode`] each put one in front of their own
+/// `apply` and expose it as `front()` / `front_mut()`.
+pub struct DeliveryFront {
+    pending: BTreeMap<u64, Arc<ChainBlock>>,
+    delivery_log: DeliveryLog,
+    stats: BlockStats,
+    roots: RootTracker,
+    gossip_every: u64,
+    /// Fault-injection hook: corrupt the next gossiped (and self-tracked)
+    /// root so the divergence/quarantine machinery fires without actually
+    /// corrupting chain state.
+    poison_next_gossip: bool,
+    pub(crate) metrics: ReplicaMetrics,
+}
+
+impl DeliveryFront {
+    pub(crate) fn new(gossip_every: u64) -> DeliveryFront {
+        DeliveryFront {
+            pending: BTreeMap::new(),
+            delivery_log: DeliveryLog::default(),
+            stats: BlockStats::default(),
+            roots: RootTracker::default(),
+            gossip_every: gossip_every.max(1),
+            poison_next_gossip: false,
+            metrics: ReplicaMetrics::detached(),
+        }
+    }
+
+    /// Report into the given metric handles (the default handles are
+    /// detached). Also wires the root tracker's buffer gauges.
+    pub(crate) fn set_metrics(&mut self, metrics: ReplicaMetrics) {
+        self.roots
+            .set_metrics(metrics.root_own_hwm.clone(), metrics.root_peer_hwm.clone());
+        self.metrics = metrics;
+    }
+
+    /// Hold `block` until the tip reaches it; a block at or below `tip`
+    /// (a duplicate, or one state-sync already covered) is dropped.
+    pub(crate) fn buffer(&mut self, block: Arc<ChainBlock>, tip: u64) {
+        let seq = block.header.id.0;
+        if seq > tip {
+            self.pending.entry(seq).or_insert(block);
+        }
+    }
+
+    /// The buffered block that extends `tip`, if it has arrived. Blocks
+    /// the tip has already passed are discarded on the way.
+    pub(crate) fn next_after(&mut self, tip: u64) -> Option<Arc<ChainBlock>> {
+        while let Some(entry) = self.pending.first_entry() {
+            if *entry.key() > tip + 1 {
+                break;
+            }
+            let block = entry.remove();
+            if block.header.id.0 == tip + 1 {
+                return Some(block);
+            }
+        }
+        None
+    }
+
+    /// Book one applied block — delivery log, counters, and at a gossip
+    /// height the root to gossip, computed by `root` — and describe it
+    /// for the caller. `cost_ns` is the virtual time the block added.
+    pub(crate) fn applied(
+        &mut self,
+        id: BlockId,
+        hash: Digest,
+        stats: &BlockStats,
+        cost_ns: u64,
+        root: impl FnOnce() -> Result<Digest>,
+    ) -> Result<Applied> {
+        self.delivery_log.observe(id.0, hash);
+        self.stats.absorb(stats);
+        self.metrics.txns.observe(stats);
+        self.metrics.block_cost_ns.observe(cost_ns);
+        let gossip_root = if id.0.is_multiple_of(self.gossip_every) {
+            let mut root = root()?;
+            if self.poison_next_gossip {
+                // Corrupt the *observed* root (gossip + own tracking), not
+                // the chain: peers will dispute it, and so will this node's
+                // own tracker once their true roots arrive.
+                root.0[0] ^= 0xFF;
+                self.poison_next_gossip = false;
+            }
+            self.roots.note_own(id.0, root);
+            self.metrics.root_fold_ns.observe(ROOT_FOLD_NS);
+            Some(root)
+        } else {
+            None
+        };
+        Ok(Applied {
+            block: id,
+            committed: stats.committed,
+            cost_ns,
+            gossip_root,
+        })
+    }
+
+    /// Log a block that state-sync replayed rather than `applied` booked.
+    pub(crate) fn observe_synced(&mut self, block: &ChainBlock) {
+        self.delivery_log
+            .observe(block.header.id.0, block.header.hash());
+    }
+
+    /// Crash: the delivery buffer is in-memory state and is lost.
+    pub(crate) fn crash(&mut self) {
+        self.pending.clear();
+    }
+
+    /// The verified delivery log.
+    #[must_use]
+    pub fn delivery_log(&self) -> &DeliveryLog {
+        &self.delivery_log
+    }
+
+    /// Aggregated execution counters.
+    #[must_use]
+    pub fn stats(&self) -> &BlockStats {
+        &self.stats
+    }
+
+    /// Blocks buffered ahead of the next applicable height.
+    #[must_use]
+    pub fn pending_gap(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Root-gossip evidence: disagreements, the peers' frontier, the
+    /// self-quarantine signal.
+    #[must_use]
+    pub fn roots(&self) -> &RootTracker {
+        &self.roots
+    }
+
+    /// Where a peer's gossiped root is noted ([`RootTracker::note_peer`]).
+    /// Resetting the evidence ahead of a from-scratch re-sync keeps
+    /// buffered deliveries: they apply once the peer's snapshot lands.
+    pub fn roots_mut(&mut self) -> &mut RootTracker {
+        &mut self.roots
+    }
+
+    /// Fault-injection hook: flip a byte in the next gossiped (and
+    /// self-tracked) root. Chain state stays intact, so this exercises
+    /// divergence detection and quarantine recovery end to end.
+    pub fn poison_next_gossip(&mut self) {
+        self.poison_next_gossip = true;
     }
 }
 
@@ -244,19 +406,8 @@ pub struct ReplicaNode {
     chain: OeChain,
     config: ReplicaConfig,
     codec: Arc<dyn ContractCodec>,
-    workers: usize,
-    gossip_every: u64,
-    log_sync_ns: u64,
-    delivery_log: DeliveryLog,
-    pending: BTreeMap<u64, Arc<ChainBlock>>,
+    front: DeliveryFront,
     pipeline: PipelineCharge,
-    stats: BlockStats,
-    roots: RootTracker,
-    /// Fault-injection hook: corrupt the next gossiped (and self-tracked)
-    /// root so the divergence/quarantine machinery fires without actually
-    /// corrupting chain state.
-    poison_next_gossip: bool,
-    metrics: ReplicaMetrics,
 }
 
 impl ReplicaNode {
@@ -269,42 +420,25 @@ impl ReplicaNode {
     ) -> Result<ReplicaNode> {
         let chain = open_chain(config)?;
         let codec = setup(chain.engine())?;
-        let log_sync_ns = config.chain.storage.log_sync_ns;
         Ok(ReplicaNode {
             chain,
             config: config.clone(),
             codec,
-            workers: config.workers,
-            gossip_every: config.gossip_every.max(1),
-            log_sync_ns,
-            delivery_log: DeliveryLog::default(),
-            pending: BTreeMap::new(),
+            front: DeliveryFront::new(config.gossip_every),
             pipeline: PipelineCharge::default(),
-            stats: BlockStats::default(),
-            roots: RootTracker::default(),
-            poison_next_gossip: false,
-            metrics: ReplicaMetrics::detached(),
         })
     }
 
     /// Report into the given metric handles (the default handles are
-    /// detached). Also wires the root tracker's buffer gauges.
+    /// detached).
     pub fn set_metrics(&mut self, metrics: ReplicaMetrics) {
-        self.roots
-            .set_metrics(metrics.root_own_hwm.clone(), metrics.root_peer_hwm.clone());
-        self.metrics = metrics;
+        self.front.set_metrics(metrics);
     }
 
     /// The underlying chain.
     #[must_use]
     pub fn chain(&self) -> &OeChain {
         &self.chain
-    }
-
-    /// The contract codec (decoding registry).
-    #[must_use]
-    pub fn codec(&self) -> &Arc<dyn ContractCodec> {
-        &self.codec
     }
 
     /// Current chain height.
@@ -318,51 +452,35 @@ impl ReplicaNode {
         self.chain.state_root()
     }
 
-    /// The verified delivery log.
+    /// The ordered-delivery front: delivery log, buffered gap, gossip.
     #[must_use]
-    pub fn delivery_log(&self) -> &DeliveryLog {
-        &self.delivery_log
+    pub fn front(&self) -> &DeliveryFront {
+        &self.front
+    }
+
+    /// Mutable front: peers' gossiped roots and the poison hook.
+    pub fn front_mut(&mut self) -> &mut DeliveryFront {
+        &mut self.front
     }
 
     /// Aggregated execution counters.
     #[must_use]
     pub fn stats(&self) -> &BlockStats {
-        &self.stats
-    }
-
-    /// Blocks buffered ahead of the next applicable height.
-    #[must_use]
-    pub fn pending_gap(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Root-gossip comparisons that disagreed.
-    #[must_use]
-    pub fn divergence_alarms(&self) -> u64 {
-        self.roots.alarms()
+        self.front.stats()
     }
 
     /// Receive one sealed block from the ordering service. Buffers it if
     /// it is ahead of the next height, then applies every consecutively
     /// available block. Returns the blocks applied by this call.
     pub fn deliver(&mut self, block: Arc<ChainBlock>) -> Result<Vec<Applied>> {
-        let seq = block.header.id.0;
-        if seq > self.height().0 {
-            self.pending.entry(seq).or_insert(block);
-        }
+        self.front.buffer(block, self.height().0);
         self.drain_pending()
     }
 
     /// Apply every buffered block that now connects to the chain tip.
     pub fn drain_pending(&mut self) -> Result<Vec<Applied>> {
         let mut applied = Vec::new();
-        let tip = self.chain.height().0;
-        self.pending.retain(|s, _| *s > tip);
-        loop {
-            let next = self.chain.height().0 + 1;
-            let Some(block) = self.pending.remove(&next) else {
-                break;
-            };
+        while let Some(block) = self.front.next_after(self.height().0) {
             applied.push(self.apply(&block)?);
         }
         Ok(applied)
@@ -370,72 +488,24 @@ impl ReplicaNode {
 
     fn apply(&mut self, block: &ChainBlock) -> Result<Applied> {
         let result = self.chain.apply_sealed_block(block, self.codec.as_ref())?;
-        self.delivery_log
-            .observe(block.header.id.0, block.header.hash());
-        self.stats.absorb(&result.stats);
-        self.metrics.txns.observe(&result.stats);
 
         // Virtual-time charge: extend the pipeline-aware makespan exactly
         // as the experiment driver schedules blocks (group-commit log sync
         // included), and charge only the increment.
-        let mut sched = schedule_block(&result, self.workers, self.chain.dcc().commit_is_serial());
-        sched.commit_ns += self.log_sync_ns;
-        sched.commit_work_ns += self.log_sync_ns;
-        sched.work_ns += self.log_sync_ns;
+        let (workers, log_sync_ns) = (self.config.workers, self.config.chain.storage.log_sync_ns);
+        let mut sched = schedule_block(&result, workers, self.chain.dcc().commit_is_serial());
+        sched.commit_ns += log_sync_ns;
+        sched.commit_work_ns += log_sync_ns;
+        sched.work_ns += log_sync_ns;
         let cost_ns = self
             .pipeline
-            .charge(sched, self.chain.dcc().pipeline_depth(), self.workers);
-        self.metrics.block_cost_ns.observe(cost_ns);
+            .charge(sched, self.chain.dcc().pipeline_depth(), workers);
 
-        let gossip_root = if block.header.id.0.is_multiple_of(self.gossip_every) {
-            let mut root = self.chain.state_root()?;
-            if self.poison_next_gossip {
-                // Corrupt the *observed* root (gossip + own tracking), not
-                // the chain: peers will dispute it, and so will this node's
-                // own tracker once their true roots arrive.
-                root.0[0] ^= 0xFF;
-                self.poison_next_gossip = false;
-            }
-            self.roots.note_own(block.header.id.0, root);
-            self.metrics.root_fold_ns.observe(ROOT_FOLD_NS);
-            Some(root)
-        } else {
-            None
-        };
-        Ok(Applied {
-            block: block.header.id,
-            committed: result.stats.committed,
-            cost_ns,
-            gossip_root,
-        })
-    }
-
-    /// Receive a peer's gossiped state root. Compares against this
-    /// replica's own root at that height (now, or when it gets there).
-    pub fn on_peer_root(&mut self, height: u64, root: Digest) {
-        self.roots.note_peer(height, root);
-    }
-
-    /// Highest gossip height seen from any peer — evidence the cluster
-    /// is ahead of this node.
-    #[must_use]
-    pub fn peer_frontier(&self) -> u64 {
-        self.roots.peer_frontier()
-    }
-
-    /// The lowest gossip height where at least `quorum` root comparisons
-    /// disagreed with this replica's own root, if any — the signal that
-    /// *this* replica has diverged and should quarantine + re-sync.
-    #[must_use]
-    pub fn quarantine_signal(&self, quorum: u32) -> Option<u64> {
-        self.roots.quarantine_signal(quorum)
-    }
-
-    /// Fault-injection hook: flip a byte in the next gossiped (and
-    /// self-tracked) root. Chain state stays intact, so this exercises
-    /// divergence detection and quarantine recovery end to end.
-    pub fn poison_next_gossip(&mut self) {
-        self.poison_next_gossip = true;
+        let header = &block.header;
+        self.front
+            .applied(header.id, header.hash(), &result.stats, cost_ns, || {
+                self.chain.state_root()
+            })
     }
 
     /// Drop all local chain state ahead of a quarantine re-sync: reopen a
@@ -444,17 +514,17 @@ impl ReplicaNode {
     /// peer's snapshot lands. After this, a state-sync request advertises
     /// height 0, so the serving peer answers with a full manifest.
     pub fn wipe_for_resync(&mut self) -> Result<()> {
-        let passed = self.roots.passed;
         self.chain = open_chain(&self.config)?;
         self.pipeline.reset();
-        self.roots.reset_for_resync(passed);
+        // Tip 0: the tracker keeps the gossip frontier it already passed.
+        self.front.roots_mut().reset_for_resync(0);
         Ok(())
     }
 
     /// Crash: lose the delivery buffer and in-memory execution state (the
     /// chain's durable state is recovered separately).
     pub fn crash(&mut self) {
-        self.pending.clear();
+        self.front.crash();
         self.pipeline.reset();
     }
 
@@ -473,8 +543,7 @@ impl ReplicaNode {
         let mut applied = self.chain.replay_range(blocks, codec.as_ref())?;
         for b in blocks {
             if b.header.id <= self.height() {
-                self.delivery_log.observe(b.header.id.0, b.header.hash());
-                self.pending.remove(&b.header.id.0);
+                self.front.observe_synced(b);
             }
         }
         applied += self.drain_pending()?.len();
@@ -504,92 +573,52 @@ impl ReplicaNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmony_workloads::{Smallbank, SmallbankCodec, SmallbankConfig, Workload};
+    use crate::testkit::{feed, flat_replica, sealed_stream};
 
-    fn smallbank_replica(engine: EngineKind) -> ReplicaNode {
-        let config = ReplicaConfig {
-            chain: ChainConfig {
-                checkpoint_every: 4,
-                ..ChainConfig::in_memory()
-            },
-            engine,
-            workers: 2,
-            gossip_every: 2,
-        };
-        ReplicaNode::new(&config, |eng| {
-            let mut w = Smallbank::new(SmallbankConfig {
-                accounts: 100,
-                theta: 0.5,
-                ..SmallbankConfig::default()
-            });
-            w.setup(eng)?;
-            let (checking, savings) = w.tables();
-            Ok(Arc::new(SmallbankCodec { checking, savings }))
-        })
-        .unwrap()
-    }
-
-    fn sealed_stream(n: usize) -> (Vec<Arc<ChainBlock>>, Digest) {
-        // A reference chain produces the sealed blocks an orderer would.
-        let mut sealer = smallbank_replica(EngineKind::Rbc);
-        let mut w = Smallbank::new(SmallbankConfig {
-            accounts: 100,
-            theta: 0.5,
-            ..SmallbankConfig::default()
-        });
-        let scratch = StorageEngine::open(&harmony_storage::StorageConfig::memory()).unwrap();
-        w.setup(&scratch).unwrap();
-        let mut rng = harmony_common::DetRng::new(11);
-        let mut blocks = Vec::new();
-        for _ in 0..n {
-            let txns = w.next_block(&mut rng, 8);
-            let sealed = sealer.chain.seal_block(&txns, sealer.codec.as_ref());
-            sealer
-                .chain
-                .apply_sealed_block(&sealed, sealer.codec.as_ref())
-                .unwrap();
-            blocks.push(Arc::new(sealed));
-        }
-        (blocks, sealer.state_root().unwrap())
+    /// The first `n` blocks of the shared stream, and the root an
+    /// in-order replica reaches on them.
+    fn stream_and_root(n: usize) -> (Vec<Arc<ChainBlock>>, Digest) {
+        let blocks = sealed_stream(n, 8);
+        let mut reference = flat_replica(EngineKind::Rbc, 4);
+        feed(&mut reference, &blocks);
+        (blocks, reference.state_root().unwrap())
     }
 
     #[test]
     fn out_of_order_delivery_is_buffered_and_applied_in_order() {
-        let (blocks, reference_root) = sealed_stream(5);
-        let mut r = smallbank_replica(EngineKind::Rbc);
+        let (blocks, reference_root) = stream_and_root(5);
+        let mut r = flat_replica(EngineKind::Rbc, 4);
         // Deliver 2, 3 first: buffered, nothing applies.
         assert!(r.deliver(Arc::clone(&blocks[1])).unwrap().is_empty());
         assert!(r.deliver(Arc::clone(&blocks[2])).unwrap().is_empty());
-        assert_eq!(r.pending_gap(), 2);
+        assert_eq!(r.front().pending_gap(), 2);
         // Block 1 closes the gap: all three apply, in order.
         let applied = r.deliver(Arc::clone(&blocks[0])).unwrap();
         assert_eq!(
             applied.iter().map(|a| a.block.0).collect::<Vec<_>>(),
             [1, 2, 3]
         );
-        for b in &blocks[3..] {
-            r.deliver(Arc::clone(b)).unwrap();
-        }
+        feed(&mut r, &blocks[3..]);
         assert_eq!(r.height(), BlockId(5));
         assert_eq!(r.state_root().unwrap(), reference_root);
-        assert!(r.delivery_log().is_gap_free());
-        assert_eq!(r.delivery_log().len(), 5);
+        assert!(r.front().delivery_log().is_gap_free());
+        assert_eq!(r.front().delivery_log().len(), 5);
     }
 
     #[test]
     fn duplicate_delivery_is_idempotent() {
-        let (blocks, _) = sealed_stream(3);
-        let mut r = smallbank_replica(EngineKind::Rbc);
+        let blocks = sealed_stream(3, 8);
+        let mut r = flat_replica(EngineKind::Rbc, 4);
         r.deliver(Arc::clone(&blocks[0])).unwrap();
         assert!(r.deliver(Arc::clone(&blocks[0])).unwrap().is_empty());
         assert_eq!(r.height(), BlockId(1));
-        assert_eq!(r.delivery_log().mismatches(), 0);
+        assert_eq!(r.front().delivery_log().mismatches(), 0);
     }
 
     #[test]
     fn gossip_roots_and_divergence_detection() {
-        let (blocks, _) = sealed_stream(4);
-        let mut r = smallbank_replica(EngineKind::Rbc);
+        let blocks = sealed_stream(4, 8);
+        let mut r = flat_replica(EngineKind::Rbc, 4);
         let mut gossiped = Vec::new();
         for b in &blocks {
             for a in r.deliver(Arc::clone(b)).unwrap() {
@@ -605,16 +634,17 @@ mod tests {
         );
         // Agreeing peer roots raise no alarm; a diverging one does — in
         // both arrival orders (before and after the local root exists).
-        r.on_peer_root(2, gossiped[0].1);
-        assert_eq!(r.divergence_alarms(), 0);
-        r.on_peer_root(4, Digest([0xAB; 32]));
-        assert_eq!(r.divergence_alarms(), 1);
-        let mut early = smallbank_replica(EngineKind::Rbc);
-        early.on_peer_root(2, Digest([0xCD; 32]));
-        for b in &blocks[..2] {
-            early.deliver(Arc::clone(b)).unwrap();
-        }
-        assert_eq!(early.divergence_alarms(), 1);
+        r.front_mut().roots_mut().note_peer(2, gossiped[0].1);
+        assert_eq!(r.front().roots().alarms(), 0);
+        r.front_mut().roots_mut().note_peer(4, Digest([0xAB; 32]));
+        assert_eq!(r.front().roots().alarms(), 1);
+        let mut early = flat_replica(EngineKind::Rbc, 4);
+        early
+            .front_mut()
+            .roots_mut()
+            .note_peer(2, Digest([0xCD; 32]));
+        feed(&mut early, &blocks[..2]);
+        assert_eq!(early.front().roots().alarms(), 1);
     }
 
     #[test]
@@ -720,8 +750,8 @@ mod tests {
 
     #[test]
     fn catch_up_closes_the_gap_under_buffered_tail() {
-        let (blocks, reference_root) = sealed_stream(6);
-        let mut r = smallbank_replica(EngineKind::Rbc);
+        let (blocks, reference_root) = stream_and_root(6);
+        let mut r = flat_replica(EngineKind::Rbc, 4);
         // Replica saw only block 1, then went down; blocks 5–6 arrive
         // while it syncs.
         r.deliver(Arc::clone(&blocks[0])).unwrap();
@@ -740,14 +770,14 @@ mod tests {
         assert_eq!(applied, 5);
         assert_eq!(r.height(), BlockId(6));
         assert_eq!(r.state_root().unwrap(), reference_root);
-        assert!(r.delivery_log().is_gap_free());
+        assert!(r.front().delivery_log().is_gap_free());
     }
 
     #[test]
     fn every_engine_reaches_the_same_root_as_its_sealer() {
-        // The sealed stream came from an RBC node; all-commit workloads
-        // aside, each engine must at least be self-consistent: two
-        // replicas of the same kind fed the same blocks agree.
+        // Engines may disagree with each other on what commits, but each
+        // must be self-consistent: two replicas of the same kind fed the
+        // same blocks agree.
         for kind in [
             EngineKind::Harmony(harmony_core::HarmonyConfig::default()),
             EngineKind::Aria,
@@ -755,12 +785,10 @@ mod tests {
             EngineKind::Fabric,
             EngineKind::FastFabric,
         ] {
-            let (blocks, _) = sealed_stream(4);
+            let blocks = sealed_stream(4, 8);
             let run = |blocks: &[Arc<ChainBlock>]| {
-                let mut r = smallbank_replica(kind);
-                for b in blocks {
-                    r.deliver(Arc::clone(b)).unwrap();
-                }
+                let mut r = flat_replica(kind, 4);
+                feed(&mut r, blocks);
                 r.state_root().unwrap()
             };
             assert_eq!(

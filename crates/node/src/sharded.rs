@@ -38,20 +38,20 @@ use std::sync::Arc;
 use harmony_chain::sync::{StateSnapshot, TableDump};
 use harmony_chain::{sharded_state_root, state_root, ChainBlock, ChainConfig, OeChain};
 use harmony_common::{BlockId, Error, Result};
-use harmony_consensus::net::{DeliveryLog, LatencyModel};
+use harmony_consensus::net::LatencyModel;
 use harmony_core::par::run_indexed;
 use harmony_core::BlockStats;
 use harmony_crypto::{sha256, Digest, Verifier};
 use harmony_shard::{
-    logical_state_root, plan_block, prune_to_owned, FragmentCodec, Partitioning, PlannerMetrics,
-    ReshardMarker, ShardRouter,
+    plan_block, prune_to_owned, FragmentCodec, Partitioning, PlannerMetrics, ReshardMarker,
+    ShardRouter,
 };
 use harmony_sim::{makespan, schedule_block, EngineKind};
 use harmony_storage::StorageEngine;
 use harmony_txn::{ContractCodec, Key, MultiCodec};
 
-use crate::metrics::{ReplicaMetrics, TxnCounters, ROOT_FOLD_NS};
-use crate::replica::{Applied, RootTracker};
+use crate::metrics::{ReplicaMetrics, TxnCounters};
+use crate::replica::{Applied, DeliveryFront};
 
 /// Sharded replica configuration.
 #[derive(Clone, Debug)]
@@ -161,14 +161,6 @@ fn build_router(config: &ShardedReplicaConfig, engine: &Arc<StorageEngine>) -> R
     )
 }
 
-/// Whether the replica knows the hash of its latest global block — the
-/// value the next delivery's `prev_hash` must match. Lost on crash (it is
-/// in-memory state), restored by the first state-sync response.
-enum GlobalAnchor {
-    Known(Digest),
-    Unknown,
-}
-
 /// A replica hosting M shards behind one ordered global block stream.
 pub struct ShardedReplicaNode {
     config: ShardedReplicaConfig,
@@ -180,16 +172,11 @@ pub struct ShardedReplicaNode {
     /// Topology epoch: 0 for the genesis layout, bumped by every applied
     /// reshard marker.
     epoch: u64,
-    anchor: GlobalAnchor,
-    delivery_log: DeliveryLog,
-    pending: BTreeMap<u64, Arc<ChainBlock>>,
-    stats: BlockStats,
-    roots: RootTracker,
-    /// Fault-injection hook: corrupt the next gossiped (and self-tracked)
-    /// root without touching shard state. See
-    /// [`ShardedReplicaNode::poison_next_gossip`].
-    poison_next_gossip: bool,
-    metrics: ReplicaMetrics,
+    /// Hash of the latest global block — the value the next delivery's
+    /// `prev_hash` must match — if known. Lost on crash (it is in-memory
+    /// state), restored by the first state-sync response.
+    anchor: Option<Digest>,
+    front: DeliveryFront,
     shard_metrics: Vec<TxnCounters>,
     planner_metrics: PlannerMetrics,
 }
@@ -235,13 +222,8 @@ impl ShardedReplicaNode {
             verifier: Verifier::new(&config.chain.provision, config.chain.crypto),
             height: BlockId(0),
             epoch: 0,
-            anchor: GlobalAnchor::Known(Digest::ZERO),
-            delivery_log: DeliveryLog::default(),
-            pending: BTreeMap::new(),
-            stats: BlockStats::default(),
-            roots: RootTracker::default(),
-            poison_next_gossip: false,
-            metrics: ReplicaMetrics::detached(),
+            anchor: Some(Digest::ZERO),
+            front: DeliveryFront::new(config.gossip_every),
             shard_metrics: (0..config.shards)
                 .map(|_| TxnCounters::detached())
                 .collect(),
@@ -264,10 +246,8 @@ impl ShardedReplicaNode {
             self.shards.len(),
             "one counter pair per shard"
         );
-        self.roots
-            .set_metrics(metrics.root_own_hwm.clone(), metrics.root_peer_hwm.clone());
         metrics.hosted_shards.set(self.shards.len() as i64);
-        self.metrics = metrics;
+        self.front.set_metrics(metrics);
         self.shard_metrics = per_shard;
         self.planner_metrics = planner;
     }
@@ -278,22 +258,18 @@ impl ShardedReplicaNode {
         self.shards.len()
     }
 
-    /// The router placing transactions onto shards.
-    #[must_use]
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
     /// One shard's chain (inspection / sync serving).
     #[must_use]
     pub fn shard_chain(&self, shard: usize) -> &OeChain {
         &self.shards[shard]
     }
 
-    /// The decoding registry (fragments + workload contracts).
+    /// Every hosted shard chain, in shard order. Their heights are
+    /// unequal only after a crash recovery that lost some shards'
+    /// checkpoints (state-sync then evens them out).
     #[must_use]
-    pub fn codec(&self) -> &Arc<dyn ContractCodec> {
-        &self.codec
+    pub fn chains(&self) -> &[OeChain] {
+        &self.shards
     }
 
     /// Global height (every shard chain sits at this height, except
@@ -303,35 +279,21 @@ impl ShardedReplicaNode {
         self.height
     }
 
-    /// Per-shard heights — unequal only after a crash recovery that lost
-    /// some shards' checkpoints (state-sync then evens them out).
+    /// The ordered-delivery front: delivery log, buffered gap, gossip.
     #[must_use]
-    pub fn shard_heights(&self) -> Vec<BlockId> {
-        self.shards.iter().map(OeChain::height).collect()
+    pub fn front(&self) -> &DeliveryFront {
+        &self.front
     }
 
-    /// The verified global delivery log.
-    #[must_use]
-    pub fn delivery_log(&self) -> &DeliveryLog {
-        &self.delivery_log
+    /// Mutable front: peers' gossiped roots and the poison hook.
+    pub fn front_mut(&mut self) -> &mut DeliveryFront {
+        &mut self.front
     }
 
     /// Aggregated execution counters.
     #[must_use]
     pub fn stats(&self) -> &BlockStats {
-        &self.stats
-    }
-
-    /// Blocks buffered ahead of the next applicable height.
-    #[must_use]
-    pub fn pending_gap(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Root-gossip comparisons that disagreed.
-    #[must_use]
-    pub fn divergence_alarms(&self) -> u64 {
-        self.roots.alarms()
+        self.front.stats()
     }
 
     /// Per-shard state roots and their Merkle fold — what this replica
@@ -340,19 +302,7 @@ impl ShardedReplicaNode {
     /// needs its one-time commitment build (first gossip, post-recovery),
     /// the builds run in parallel across shards.
     pub fn sharded_root(&self) -> Result<Digest> {
-        let shard_roots: Vec<Digest> = if self.shards.iter().all(OeChain::root_is_cached) {
-            self.shards
-                .iter()
-                .map(OeChain::state_root)
-                .collect::<Result<_>>()?
-        } else {
-            run_indexed(self.shards.len(), self.config.workers.max(1), |s| {
-                self.shards[s].state_root()
-            })
-            .into_iter()
-            .collect::<Result<_>>()?
-        };
-        Ok(sharded_state_root(&shard_roots))
+        fold_shard_roots(&self.shards, self.config.workers)
     }
 
     /// Audit-oracle counterpart of [`Self::sharded_root`]: rebuilds every
@@ -366,29 +316,11 @@ impl ShardedReplicaNode {
         Ok(sharded_state_root(&shard_roots))
     }
 
-    /// Shard-count-invariant digest of the logical database (the union of
-    /// the disjoint shard partitions) — comparable across deployments with
-    /// different M.
-    pub fn logical_state_root(&self) -> Result<Digest> {
-        logical_state_root(self.shards.iter().map(OeChain::engine))
-    }
-
-    /// Per-table digests of the logical database — the table-granular
-    /// decomposition of [`Self::logical_state_root`], equally
-    /// shard-count-invariant. The resharding equivalence tests compare
-    /// these so a divergence names the table that drifted.
-    pub fn logical_table_heads(&self) -> Result<Vec<(String, Digest)>> {
-        harmony_shard::logical_table_heads(self.shards.iter().map(OeChain::engine))
-    }
-
     /// Receive one globally ordered sealed block. Buffers it if it is
     /// ahead of the next height, then applies every consecutively
     /// available block. Returns the blocks applied by this call.
     pub fn deliver(&mut self, block: Arc<ChainBlock>) -> Result<Vec<Applied>> {
-        let seq = block.header.id.0;
-        if seq > self.height.0 {
-            self.pending.entry(seq).or_insert(block);
-        }
+        self.front.buffer(block, self.height.0);
         self.drain_pending()
     }
 
@@ -397,16 +329,10 @@ impl ShardedReplicaNode {
     /// linkage of a delivered block cannot be verified without it.
     pub fn drain_pending(&mut self) -> Result<Vec<Applied>> {
         let mut applied = Vec::new();
-        let tip = self.height.0;
-        self.pending.retain(|s, _| *s > tip);
-        if matches!(self.anchor, GlobalAnchor::Unknown) {
+        if self.anchor.is_none() {
             return Ok(applied);
         }
-        loop {
-            let next = self.height.0 + 1;
-            let Some(block) = self.pending.remove(&next) else {
-                break;
-            };
+        while let Some(block) = self.front.next_after(self.height.0) {
             applied.push(self.apply(&block)?);
         }
         Ok(applied)
@@ -414,7 +340,7 @@ impl ShardedReplicaNode {
 
     fn apply(&mut self, block: &ChainBlock) -> Result<Applied> {
         let id = block.header.id;
-        let GlobalAnchor::Known(prev) = &self.anchor else {
+        let Some(prev) = &self.anchor else {
             return Err(Error::InvalidArgument(
                 "cannot apply without a global anchor".into(),
             ));
@@ -471,8 +397,6 @@ impl ShardedReplicaNode {
         }
         let outcomes = plan.fold_outcomes(&shard_results)?;
         let block_stats = plan.accumulate_stats(&outcomes, &shard_results);
-        self.stats.absorb(&block_stats);
-        self.metrics.txns.observe(&block_stats);
 
         // Virtual-time charge: the cross stage (fragment exchange + the
         // multi-partition re-simulation) runs in lockstep, then every
@@ -481,30 +405,12 @@ impl ShardedReplicaNode {
         // so blocks are charged back-to-back.
         let cost_ns =
             plan.exchange_ns + makespan(&plan.cross_sim_ns, self.config.workers) + shard_stage_ns;
-        self.metrics.block_cost_ns.observe(cost_ns);
 
+        let hash = block.header.hash();
         self.height = id;
-        self.anchor = GlobalAnchor::Known(block.header.hash());
-        self.delivery_log.observe(id.0, block.header.hash());
-
-        let committed = outcomes.iter().filter(|o| o.is_committed()).count();
-        let gossip_root = if id.0.is_multiple_of(self.config.gossip_every.max(1)) {
-            let mut root = self.sharded_root()?;
-            if self.poison_next_gossip {
-                root.0[0] ^= 0xFF;
-                self.poison_next_gossip = false;
-            }
-            self.roots.note_own(id.0, root);
-            self.metrics.root_fold_ns.observe(ROOT_FOLD_NS);
-            Some(root)
-        } else {
-            None
-        };
-        Ok(Applied {
-            block: id,
-            committed,
-            cost_ns,
-            gossip_root,
+        self.anchor = Some(hash);
+        self.front.applied(id, hash, &block_stats, cost_ns, || {
+            fold_shard_roots(&self.shards, self.config.workers)
         })
     }
 
@@ -515,7 +421,7 @@ impl ShardedReplicaNode {
     /// in-flight sub-block is already drained when the marker lands. The
     /// handover reuses the state-sync primitives end to end: each old
     /// shard exports its checkpoint manifest ([`OeChain::export_snapshot`]
-    /// — the same manifest `serve_sharded_sync` ships), a split serves
+    /// — the same manifest a sync `serve` ships), a split serves
     /// each new shard its partition slice of those manifests, a merge
     /// first re-verifies the folded sub-block logs (verified range
     /// replay, [`OeChain::verify_chain`]) and then folds their slices,
@@ -581,33 +487,17 @@ impl ShardedReplicaNode {
         self.shard_metrics
             .resize_with(new_count, TxnCounters::detached);
         self.height = id;
-        self.anchor = GlobalAnchor::Known(hash);
-        self.delivery_log.observe(id.0, hash);
-        self.metrics.reshards.inc();
-        self.metrics.hosted_shards.set(new_count as i64);
+        self.anchor = Some(hash);
+        self.front.metrics.reshards.inc();
+        self.front.metrics.hosted_shards.set(new_count as i64);
 
         // The handover is charged like a sync serve/install round over
-        // every shard manifest that moved.
+        // every shard manifest that moved. A marker commits nothing.
         let cost_ns = RESHARD_HANDOVER_NS.saturating_mul((old_count + new_count) as u64);
-        self.metrics.block_cost_ns.observe(cost_ns);
-        let gossip_root = if id.0.is_multiple_of(self.config.gossip_every.max(1)) {
-            let mut root = self.sharded_root()?;
-            if self.poison_next_gossip {
-                root.0[0] ^= 0xFF;
-                self.poison_next_gossip = false;
-            }
-            self.roots.note_own(id.0, root);
-            self.metrics.root_fold_ns.observe(ROOT_FOLD_NS);
-            Some(root)
-        } else {
-            None
-        };
-        Ok(Applied {
-            block: id,
-            committed: 0,
-            cost_ns,
-            gossip_root,
-        })
+        self.front
+            .applied(id, hash, &BlockStats::default(), cost_ns, || {
+                fold_shard_roots(&self.shards, self.config.workers)
+            })
     }
 
     /// Current topology epoch (0 until the first reshard marker applies).
@@ -628,9 +518,9 @@ impl ShardedReplicaNode {
     /// Adopt a serving peer's shard count ahead of applying its sync
     /// response — the requester sits on the far side of a reshard
     /// boundary (it crashed or partitioned across the epoch swap), so its
-    /// local layout is obsolete. Like [`Self::wipe_for_resync`], but onto
-    /// `new_count` fresh shard chains with a recounted router; the
-    /// response's full manifests then rebuild every shard.
+    /// local layout is obsolete. Every shard restarts as a fresh chain
+    /// under a recounted router; the response's full manifests then
+    /// rebuild them. ([`Self::wipe_for_resync`] is the same-count case.)
     pub fn reshape_for_sync(&mut self, new_count: usize) -> Result<()> {
         if new_count == 0 {
             return Err(Error::InvalidArgument(
@@ -645,37 +535,11 @@ impl ShardedReplicaNode {
             .collect::<Result<Vec<_>>>()?;
         self.shard_metrics
             .resize_with(new_count, TxnCounters::detached);
-        self.metrics.hosted_shards.set(new_count as i64);
+        self.front.metrics.hosted_shards.set(new_count as i64);
         self.height = BlockId(0);
-        self.anchor = GlobalAnchor::Unknown;
-        self.roots.reset_for_resync(passed);
+        self.anchor = None;
+        self.front.roots_mut().reset_for_resync(passed);
         Ok(())
-    }
-
-    /// Receive a peer's gossiped sharded state root.
-    pub fn on_peer_root(&mut self, height: u64, root: Digest) {
-        self.roots.note_peer(height, root);
-    }
-
-    /// Highest gossip height seen from any peer — evidence the cluster
-    /// is ahead of this node.
-    #[must_use]
-    pub fn peer_frontier(&self) -> u64 {
-        self.roots.peer_frontier()
-    }
-
-    /// The lowest gossip height where at least `quorum` root comparisons
-    /// disagreed with this replica's own root, if any — the signal that
-    /// *this* replica has diverged and should quarantine + re-sync.
-    #[must_use]
-    pub fn quarantine_signal(&self, quorum: u32) -> Option<u64> {
-        self.roots.quarantine_signal(quorum)
-    }
-
-    /// Fault-injection hook: flip a byte in the next gossiped (and
-    /// self-tracked) sharded root. Shard state stays intact.
-    pub fn poison_next_gossip(&mut self) {
-        self.poison_next_gossip = true;
     }
 
     /// Drop all local shard state ahead of a quarantine re-sync: reopen
@@ -685,21 +549,14 @@ impl ShardedReplicaNode {
     /// this, a state-sync request advertises height 0 for every shard,
     /// so the serving peer answers with full manifests.
     pub fn wipe_for_resync(&mut self) -> Result<()> {
-        let passed = self.height.0;
-        for s in 0..self.shards.len() {
-            self.shards[s] = open_shard_chain(&self.config, s)?;
-        }
-        self.height = BlockId(0);
-        self.anchor = GlobalAnchor::Unknown;
-        self.roots.reset_for_resync(passed);
-        Ok(())
+        self.reshape_for_sync(self.shards.len())
     }
 
     /// Crash: lose the delivery buffer and the in-memory global position
     /// (shards' durable state is recovered separately).
     pub fn crash(&mut self) {
-        self.pending.clear();
-        self.anchor = GlobalAnchor::Unknown;
+        self.front.crash();
+        self.anchor = None;
     }
 
     /// Local recovery: every shard chain reloads its last checkpoint and
@@ -720,7 +577,7 @@ impl ShardedReplicaNode {
             .map(OeChain::height)
             .min()
             .expect("at least one shard");
-        self.anchor = GlobalAnchor::Unknown;
+        self.anchor = None;
         Ok(())
     }
 
@@ -786,8 +643,8 @@ impl ShardedReplicaNode {
             )));
         }
         if landed == height {
-            self.anchor = GlobalAnchor::Known(global_hash);
-        } else if matches!(self.anchor, GlobalAnchor::Unknown) {
+            self.anchor = Some(global_hash);
+        } else if self.anchor.is_none() {
             return Err(Error::Corruption(format!(
                 "shards at {landed} past the served height {height} with no anchor"
             )));
@@ -800,11 +657,25 @@ impl ShardedReplicaNode {
     /// served to syncing peers so they can re-anchor.
     #[must_use]
     pub fn global_hash(&self) -> Option<Digest> {
-        match &self.anchor {
-            GlobalAnchor::Known(h) => Some(*h),
-            GlobalAnchor::Unknown => None,
-        }
+        self.anchor
     }
+}
+
+/// The sharded Merkle fold over `shards`' state roots (see
+/// [`ShardedReplicaNode::sharded_root`]) — a free function so the
+/// delivery front can be handed it while the node is mutably borrowed.
+fn fold_shard_roots(shards: &[OeChain], workers: usize) -> Result<Digest> {
+    let shard_roots: Vec<Digest> = if shards.iter().all(OeChain::root_is_cached) {
+        shards
+            .iter()
+            .map(OeChain::state_root)
+            .collect::<Result<_>>()?
+    } else {
+        run_indexed(shards.len(), workers.max(1), |s| shards[s].state_root())
+            .into_iter()
+            .collect::<Result<_>>()?
+    };
+    Ok(sharded_state_root(&shard_roots))
 }
 
 /// Virtual nanoseconds charged per shard manifest moved by a reshard
@@ -896,65 +767,10 @@ fn slice_manifest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmony_crypto::KeyPair;
-    use harmony_txn::encode_contract;
-    use harmony_workloads::{Smallbank, SmallbankCodec, SmallbankConfig, Workload};
-
-    fn config(engine: EngineKind, shards: usize) -> ShardedReplicaConfig {
-        ShardedReplicaConfig {
-            chain: ChainConfig {
-                checkpoint_every: 3,
-                ..ChainConfig::in_memory()
-            },
-            engine,
-            workers: 2,
-            shards,
-            partitions: 8,
-            partitioning: Partitioning::default(),
-            replicated_tables: Vec::new(),
-            checkpoint_stagger: 0,
-            latency: LatencyModel::lan_1g(),
-            gossip_every: 2,
-        }
-    }
-
-    fn smallbank_cfg() -> SmallbankConfig {
-        SmallbankConfig {
-            accounts: 120,
-            theta: 0.5,
-            partitions: 8,
-            multi_partition_ratio: 0.4,
-        }
-    }
+    use crate::testkit::{orderer_keypair, sealed_stream, sharded_config, sharded_replica};
 
     fn replica(engine: EngineKind, shards: usize) -> ShardedReplicaNode {
-        ShardedReplicaNode::new(&config(engine, shards), |eng| {
-            let mut w = Smallbank::new(smallbank_cfg());
-            w.setup(eng)?;
-            let (checking, savings) = w.tables();
-            Ok(Arc::new(SmallbankCodec { checking, savings }))
-        })
-        .unwrap()
-    }
-
-    /// Seal a deterministic global block stream the way the orderer does.
-    fn sealed_stream(n: usize, block_txns: usize) -> Vec<Arc<ChainBlock>> {
-        let chain_cfg = ChainConfig::in_memory();
-        let keypair = KeyPair::derive(&chain_cfg.provision, chain_cfg.orderer_id, chain_cfg.crypto);
-        let mut w = Smallbank::new(smallbank_cfg());
-        let scratch = StorageEngine::open(&harmony_storage::StorageConfig::memory()).unwrap();
-        w.setup(&scratch).unwrap();
-        let mut rng = harmony_common::DetRng::new(0x5A);
-        let mut prev = Digest::ZERO;
-        let mut blocks = Vec::with_capacity(n);
-        for b in 0..n {
-            let txns = w.next_block(&mut rng, block_txns);
-            let encoded: Vec<Vec<u8>> = txns.iter().map(|t| encode_contract(t.as_ref())).collect();
-            let sealed = ChainBlock::seal(BlockId(b as u64 + 1), prev, encoded, &keypair);
-            prev = sealed.header.hash();
-            blocks.push(Arc::new(sealed));
-        }
-        blocks
+        sharded_replica(&sharded_config(engine, shards))
     }
 
     #[test]
@@ -966,9 +782,10 @@ mod tests {
                 r.deliver(Arc::clone(b)).unwrap();
             }
             assert_eq!(r.height(), BlockId(6));
-            assert!(r.shard_heights().iter().all(|h| *h == BlockId(6)));
-            assert!(r.delivery_log().is_gap_free());
-            (r.sharded_root().unwrap(), r.logical_state_root().unwrap())
+            assert!(r.chains().iter().all(|c| c.height() == BlockId(6)));
+            assert!(r.front().delivery_log().is_gap_free());
+            let logical = harmony_shard::logical_state_root(r.chains().iter().map(OeChain::engine));
+            (r.sharded_root().unwrap(), logical.unwrap())
         };
         let (top_a, logical_a) = run(4);
         let (top_b, logical_b) = run(4);
@@ -987,7 +804,7 @@ mod tests {
         let mut r = replica(EngineKind::Rbc, 2);
         assert!(r.deliver(Arc::clone(&blocks[2])).unwrap().is_empty());
         assert!(r.deliver(Arc::clone(&blocks[1])).unwrap().is_empty());
-        assert_eq!(r.pending_gap(), 2);
+        assert_eq!(r.front().pending_gap(), 2);
         let applied = r.deliver(Arc::clone(&blocks[0])).unwrap();
         assert_eq!(
             applied.iter().map(|a| a.block.0).collect::<Vec<_>>(),
@@ -1027,26 +844,57 @@ mod tests {
     #[test]
     fn staggered_checkpoints_strand_shards_at_different_heights() {
         let blocks = sealed_stream(5, 10);
-        let mut cfg = config(EngineKind::Rbc, 2);
+        let mut cfg = sharded_config(EngineKind::Rbc, 2);
         cfg.chain.checkpoint_every = 2;
         cfg.checkpoint_stagger = 100; // shard 1 never checkpoints in 5 blocks
-        let mut r = ShardedReplicaNode::new(&cfg, |eng| {
-            let mut w = Smallbank::new(smallbank_cfg());
-            w.setup(eng)?;
-            let (checking, savings) = w.tables();
-            Ok(Arc::new(SmallbankCodec { checking, savings }))
-        })
-        .unwrap();
+        let mut r = sharded_replica(&cfg);
         for b in &blocks {
             r.deliver(Arc::clone(b)).unwrap();
         }
         r.crash();
         r.recover_local().unwrap();
-        let heights = r.shard_heights();
+        let heights: Vec<BlockId> = r.chains().iter().map(OeChain::height).collect();
         assert_eq!(heights[0], BlockId(5), "checkpointed shard replays fully");
         assert_eq!(heights[1], BlockId(0), "uncheckpointed shard lost all");
         assert_eq!(r.height(), BlockId(0), "global position is the laggard");
         // Deliveries stay buffered without an anchor.
         assert!(r.deliver(Arc::clone(&blocks[0])).unwrap().is_empty());
+    }
+
+    #[test]
+    fn poisoned_gossip_on_a_reshard_marker_height_is_disputed() {
+        // Block 2 is a gossip height (gossip_every = 2) and a topology
+        // change: the marker path must run the same gossip stanza as a
+        // workload block — poison applied once, tracked, then disputed.
+        let first = sealed_stream(1, 8).remove(0);
+        let marker = ReshardMarker {
+            new_shards: 4,
+            epoch: 1,
+        };
+        let marker_block = Arc::new(ChainBlock::seal(
+            BlockId(2),
+            first.header.hash(),
+            vec![marker.encode()],
+            &orderer_keypair(),
+        ));
+        let mut r = replica(EngineKind::Rbc, 2);
+        r.front_mut().poison_next_gossip();
+        r.deliver(first).unwrap();
+        let applied = r.deliver(marker_block).unwrap();
+        assert_eq!((r.shards(), r.epoch(), applied.len()), (4, 1, 1));
+        let lie = applied[0].gossip_root.expect("2 is a gossip height");
+        let truth = r.sharded_root().unwrap();
+        assert_eq!(
+            lie.0[0],
+            truth.0[0] ^ 0xFF,
+            "the gossiped root is corrupted"
+        );
+        assert_eq!(lie.0[1..], truth.0[1..], "…in one byte; state is intact");
+        // Two honest peers' roots land on the node's own tracker, which
+        // holds the lie: a quorum disputes it.
+        r.front_mut().roots_mut().note_peer(2, truth);
+        assert_eq!(r.front().roots().quarantine_signal(2), None);
+        r.front_mut().roots_mut().note_peer(2, truth);
+        assert_eq!(r.front().roots().quarantine_signal(2), Some(2));
     }
 }

@@ -1,24 +1,34 @@
 //! The state-sync protocol: how a lagging replica catches up from a peer.
 //!
-//! Two phases, chosen by the serving peer:
+//! **One shape for every replica.** A request carries the requester's
+//! height on each chain it hosts, in shard order — a flat replica hosts
+//! one chain and sends one height. The reply ([`ShardedSyncResponse`]) is
+//! the peer's position on the global chain (height, global block hash,
+//! topology epoch) plus one part per chain the peer hosts, and one
+//! function, [`serve`], produces it for both replica kinds. Only
+//! installing a reply differs: a flat replica takes exactly one part into
+//! its chain ([`apply_sync`]), a sharded one takes a part per shard and
+//! re-anchors its in-memory global position ([`apply_sharded_sync`]).
+//!
+//! Each part takes one of two paths, chosen per chain by the serving
+//! peer:
 //!
 //! 1. **Checkpoint manifest transfer** — when the requester is so far
 //!    behind that block-range replay is impossible (it predates the
 //!    peer's own local history) or uneconomical (the gap exceeds
 //!    [`SyncPolicy::snapshot_threshold`]), the peer ships a
-//!    [`StateSnapshot`] of its state at the current height, plus any
-//!    blocks it commits afterwards.
+//!    [`StateSnapshot`] of the chain's state at its current height.
 //! 2. **Block-range replay** — otherwise the peer serves its verified
 //!    block log after the requester's height and the requester replays it
 //!    deterministically.
 //!
-//! A **sharded** replica runs the same two-phase protocol *per shard*
-//! ([`serve_sharded_sync`] / [`apply_sharded_sync`]): each shard's
-//! position is judged independently, so one crashed shard can take the
-//! manifest path (its checkpoint never landed) while a sibling replays a
-//! verified sub-block range. The sharded response also carries the peer's
-//! global block hash, re-anchoring the requester's global chain position
-//! (which is in-memory state lost by a crash).
+//! Chains are judged independently, so after a crash one shard can take
+//! the manifest path (its checkpoint never landed) while a sibling
+//! replays a verified sub-block range. A request whose height count does
+//! not match the peer's chain count — a requester on the far side of a
+//! reshard, a misconfigured or hostile one — has every chain served from
+//! scratch; a reply whose part count a requester cannot install is a
+//! typed error, and the requester fails over.
 //!
 //! All responses carry real serialized sizes so the discrete-event
 //! network charges honest transfer time.
@@ -105,7 +115,7 @@ impl RetryPolicy {
     }
 }
 
-/// A peer's answer to a `SyncRequest { from }`.
+/// One chain's part of a sync reply.
 #[derive(Clone, Debug)]
 pub enum SyncResponse {
     /// Replay these verified blocks (all with id > the requested height).
@@ -114,55 +124,11 @@ pub enum SyncResponse {
     Snapshot(Box<StateSnapshot>, Vec<ChainBlock>),
 }
 
-impl SyncResponse {
-    /// Modeled transfer size in bytes.
-    #[must_use]
-    pub fn transfer_bytes(&self) -> u64 {
-        let blocks_bytes =
-            |blocks: &[ChainBlock]| blocks.iter().map(|b| b.encode().len() as u64).sum::<u64>();
-        match self {
-            SyncResponse::Range(blocks) => blocks_bytes(blocks) + 64,
-            SyncResponse::Snapshot(snap, blocks) => {
-                snap.encode().len() as u64 + blocks_bytes(blocks) + 64
-            }
-        }
-    }
+/// Modeled size of the reply's anchor header, and of each part's.
+const HEADER_BYTES: u64 = 64;
 
-    /// Bytes of this response that are checkpoint-manifest payload (the
-    /// serialized [`StateSnapshot`] plus the response header). Zero on
-    /// the range path; [`Self::range_bytes`] is the exact complement, so
-    /// `manifest_bytes() + range_bytes() == transfer_bytes()` always.
-    #[must_use]
-    pub fn manifest_bytes(&self) -> u64 {
-        match self {
-            SyncResponse::Range(_) => 0,
-            SyncResponse::Snapshot(snap, _) => snap.encode().len() as u64 + 64,
-        }
-    }
-
-    /// Bytes of this response that are replayable-block payload (plus
-    /// the response header on the range path). Complement of
-    /// [`Self::manifest_bytes`]. Saturating: a malformed or
-    /// future-version reply whose manifest share exceeds its total must
-    /// read as zero range bytes, not underflow (this feeds metrics, and
-    /// a hostile peer must never panic a node).
-    #[must_use]
-    pub fn range_bytes(&self) -> u64 {
-        self.transfer_bytes().saturating_sub(self.manifest_bytes())
-    }
-
-    /// Number of blocks shipped.
-    #[must_use]
-    pub fn block_count(&self) -> usize {
-        match self {
-            SyncResponse::Range(blocks) | SyncResponse::Snapshot(_, blocks) => blocks.len(),
-        }
-    }
-}
-
-/// Serve a sync request against one chain: decide manifest vs range per
-/// `policy` and the chain's own local history — shared by the flat path
-/// and each shard of the sharded path.
+/// Serve one chain: decide manifest vs range per `policy` and the chain's
+/// own local history.
 fn serve_chain(chain: &OeChain, from: BlockId, policy: SyncPolicy) -> Result<SyncResponse> {
     let (base, _) = chain.base();
     let gap = chain.height().0.saturating_sub(from.0);
@@ -179,31 +145,11 @@ fn serve_chain(chain: &OeChain, from: BlockId, policy: SyncPolicy) -> Result<Syn
     }
 }
 
-/// Serve a sync request against `peer`'s chain: decide manifest vs range
-/// per `policy` and the peer's own local history.
-pub fn serve_sync(peer: &ReplicaNode, from: BlockId, policy: SyncPolicy) -> Result<SyncResponse> {
-    serve_chain(peer.chain(), from, policy)
-}
-
-/// Apply a sync response at the requesting replica. Returns the number of
-/// blocks applied (snapshot installs count as the height jump).
-pub fn apply_sync(replica: &mut ReplicaNode, response: &SyncResponse) -> Result<u64> {
-    match response {
-        SyncResponse::Range(blocks) => Ok(replica.catch_up_from_blocks(blocks)? as u64),
-        SyncResponse::Snapshot(snapshot, blocks) => {
-            let before = replica.height().0;
-            replica.bootstrap_from_snapshot(snapshot, blocks)?;
-            Ok(replica.height().0 - before)
-        }
-    }
-}
-
-// ── Sharded state-sync ──────────────────────────────────────────────────
-
-/// A sharded peer's answer to a per-shard sync request: one independently
-/// decided manifest-or-range part per shard, all ending at the peer's
-/// common height, plus the global-chain anchor the requester lost in the
-/// crash.
+/// A peer's answer to a sync request: one independently decided
+/// manifest-or-range part per chain it hosts, all ending at the peer's
+/// common height, plus the global-chain anchor a sharded requester lost
+/// in the crash. (The name predates flat replicas sharing the shape: a
+/// flat peer's reply is the one-part case.)
 #[derive(Clone, Debug)]
 pub struct ShardedSyncResponse {
     /// The peer's global height every part catches the requester up to.
@@ -214,113 +160,141 @@ pub struct ShardedSyncResponse {
     /// across one or more reshard boundaries misses those markers
     /// entirely (the manifest path never replays them), so the reply
     /// carries the authoritative epoch and the requester adopts it —
-    /// monotonically, in case it raced past a stale reply.
+    /// monotonically, in case it raced past a stale reply. Always 0 from
+    /// a flat peer.
     pub epoch: u64,
-    /// One part per shard, in shard order.
+    /// One part per chain, in shard order.
     pub parts: Vec<SyncResponse>,
 }
 
 impl ShardedSyncResponse {
+    /// Modeled `(manifest, range)` bytes of the reply, from one
+    /// serialization pass over it. Manifest bytes are every shipped
+    /// [`StateSnapshot`] plus its part header; range bytes are every
+    /// shipped block, the headers of range parts, and the anchor header.
+    /// The two are summed up separately, never subtracted, so whatever a
+    /// peer ships — hollow manifests, empty ranges — they partition
+    /// [`Self::transfer_bytes`] exactly and cannot underflow.
+    #[must_use]
+    pub fn byte_split(&self) -> (u64, u64) {
+        let (mut manifest, mut range) = (0, HEADER_BYTES);
+        for part in &self.parts {
+            let blocks = match part {
+                SyncResponse::Range(blocks) => {
+                    range += HEADER_BYTES;
+                    blocks
+                }
+                SyncResponse::Snapshot(snapshot, blocks) => {
+                    manifest += snapshot.encode().len() as u64 + HEADER_BYTES;
+                    blocks
+                }
+            };
+            range += blocks.iter().map(|b| b.encode().len() as u64).sum::<u64>();
+        }
+        (manifest, range)
+    }
+
     /// Modeled transfer size in bytes.
     #[must_use]
     pub fn transfer_bytes(&self) -> u64 {
-        64 + self
-            .parts
-            .iter()
-            .map(SyncResponse::transfer_bytes)
-            .sum::<u64>()
+        let (manifest, range) = self.byte_split();
+        manifest + range
     }
 
-    /// Checkpoint-manifest bytes summed over every part that took the
-    /// manifest path. With [`Self::range_bytes`] this exactly partitions
-    /// [`Self::transfer_bytes`] (the top-level anchor header rides with
-    /// the range share).
-    #[must_use]
-    pub fn manifest_bytes(&self) -> u64 {
-        self.parts.iter().map(SyncResponse::manifest_bytes).sum()
-    }
-
-    /// Block-replay bytes summed over every part, plus the top-level
-    /// anchor header. Complement of [`Self::manifest_bytes`].
-    /// Saturating, like [`SyncResponse::range_bytes`]: corrupted replies
-    /// must never underflow the accounting.
-    #[must_use]
-    pub fn range_bytes(&self) -> u64 {
-        self.transfer_bytes().saturating_sub(self.manifest_bytes())
-    }
-
-    /// Number of sub-blocks shipped across all parts.
+    /// Number of blocks shipped across all parts.
     #[must_use]
     pub fn block_count(&self) -> usize {
-        self.parts.iter().map(SyncResponse::block_count).sum()
-    }
-
-    /// How many shards were served the checkpoint-manifest path.
-    #[must_use]
-    pub fn manifest_shards(&self) -> u64 {
-        self.parts
-            .iter()
-            .filter(|p| matches!(p, SyncResponse::Snapshot(..)))
-            .count() as u64
-    }
-
-    /// How many shards were served the block-range-replay path.
-    #[must_use]
-    pub fn range_shards(&self) -> u64 {
-        self.parts
-            .iter()
-            .filter(|p| matches!(p, SyncResponse::Range(_)))
-            .count() as u64
+        let blocks = |part: &SyncResponse| match part {
+            SyncResponse::Range(blocks) | SyncResponse::Snapshot(_, blocks) => blocks.len(),
+        };
+        self.parts.iter().map(blocks).sum()
     }
 }
 
-/// Serve a sharded sync request: judge every shard independently against
-/// the requester's per-shard heights. The peer must be fully caught up
-/// itself (anchored, shards level) — the cluster only routes sync
-/// requests to stable replicas.
-pub fn serve_sharded_sync(
-    peer: &ShardedReplicaNode,
+/// Serve a sync request from a replica standing at `height` /
+/// `global_hash` / topology `epoch` and hosting `chains`: judge every
+/// chain independently against the requester's heights `from`. The
+/// caller must be fully caught up itself (anchored, chains level) — the
+/// cluster only routes sync requests to stable replicas.
+pub fn serve(
+    height: BlockId,
+    global_hash: Digest,
+    epoch: u64,
+    chains: &[OeChain],
     from: &[BlockId],
     policy: SyncPolicy,
 ) -> Result<ShardedSyncResponse> {
-    let global_hash = peer.global_hash().ok_or_else(|| {
-        Error::InvalidArgument("sync peer has no global anchor (still recovering?)".into())
-    })?;
-    // A shard-count mismatch means the requester sits on the far side of
-    // a topology-change (reshard) boundary: its per-shard heights are
-    // meaningless under this peer's layout, so every current shard is
-    // served from scratch (full manifest). The reply's part count tells
-    // the requester the layout it must reshape into.
-    let crossed_epoch = from.len() != peer.shards();
-    let parts = (0..peer.shards())
-        .map(|s| {
+    // A height-count mismatch means the requester sits on the far side of
+    // a topology-change (reshard) boundary — or is misconfigured, or
+    // hostile: its heights are meaningless under this peer's layout, so
+    // every chain is served from scratch (full manifest). The reply's
+    // part count tells the requester the layout it must reshape into.
+    let crossed_epoch = from.len() != chains.len();
+    let parts = chains
+        .iter()
+        .enumerate()
+        .map(|(s, chain)| {
             let at = if crossed_epoch { BlockId(0) } else { from[s] };
-            serve_chain(peer.shard_chain(s), at, policy)
+            serve_chain(chain, at, policy)
         })
         .collect::<Result<Vec<_>>>()?;
     Ok(ShardedSyncResponse {
-        height: peer.height(),
+        height,
         global_hash,
-        epoch: peer.epoch(),
+        epoch,
         parts,
     })
 }
 
-/// What a sharded sync application did at the requester.
+/// What applying a sync reply did at the requester.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardedSyncApplied {
-    /// Sub-blocks applied (snapshot installs count as the height jump).
+    /// Blocks applied (snapshot installs count as the height jump).
     pub blocks: u64,
-    /// Shards brought up via checkpoint-manifest install.
+    /// Chains brought up via checkpoint-manifest install.
     pub manifest_shards: u64,
-    /// Shards brought up via block-range replay.
+    /// Chains brought up via block-range replay.
     pub range_shards: u64,
 }
 
-/// Apply a sharded sync response: every shard takes its served path, then
-/// the replica's global position is re-anchored at the peer's height and
-/// buffered deliveries drain. Returns what happened per path (the
-/// crash-rejoin tests assert both paths were actually exercised).
+/// Apply a sync reply at a flat replica: its one part goes into the
+/// replica's chain (which carries its own anchor, so the reply's is not
+/// needed). A reply with any other part count came from a peer that is
+/// not a flat replica and cannot be installed.
+pub fn apply_sync(
+    replica: &mut ReplicaNode,
+    response: &ShardedSyncResponse,
+) -> Result<ShardedSyncApplied> {
+    let [part] = response.parts.as_slice() else {
+        return Err(Error::InvalidArgument(format!(
+            "a flat replica cannot install a sync reply of {} parts",
+            response.parts.len()
+        )));
+    };
+    Ok(match part {
+        SyncResponse::Range(blocks) => ShardedSyncApplied {
+            blocks: replica.catch_up_from_blocks(blocks)? as u64,
+            range_shards: 1,
+            ..ShardedSyncApplied::default()
+        },
+        SyncResponse::Snapshot(snapshot, blocks) => {
+            let before = replica.height().0;
+            replica.bootstrap_from_snapshot(snapshot, blocks)?;
+            ShardedSyncApplied {
+                // Saturating: a peer may serve a manifest older than the
+                // state it replaces.
+                blocks: replica.height().0.saturating_sub(before),
+                manifest_shards: 1,
+                ..ShardedSyncApplied::default()
+            }
+        }
+    })
+}
+
+/// Apply a sync reply at a sharded replica: every shard takes its served
+/// path, then the replica's global position is re-anchored at the peer's
+/// height and buffered deliveries drain. Returns what happened per path
+/// (the crash-rejoin tests assert both paths were actually exercised).
 pub fn apply_sharded_sync(
     replica: &mut ShardedReplicaNode,
     response: &ShardedSyncResponse,
@@ -361,53 +335,17 @@ pub fn apply_sharded_sync(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmony_chain::ChainConfig;
     use harmony_sim::EngineKind;
-    use harmony_workloads::{Workload, Ycsb, YcsbCodec, YcsbConfig};
     use std::sync::Arc;
 
-    use crate::replica::ReplicaConfig;
+    use crate::testkit::{feed, flat_replica, sealed_stream};
 
-    fn ycsb_replica(checkpoint_every: u64) -> ReplicaNode {
-        ReplicaNode::new(
-            &ReplicaConfig {
-                chain: ChainConfig {
-                    checkpoint_every,
-                    ..ChainConfig::in_memory()
-                },
-                engine: EngineKind::Harmony(harmony_core::HarmonyConfig::default()),
-                workers: 2,
-                gossip_every: 4,
-            },
-            |eng| {
-                let mut w = Ycsb::new(YcsbConfig {
-                    keys: 150,
-                    theta: 0.6,
-                    ..YcsbConfig::default()
-                });
-                w.setup(eng)?;
-                Ok(Arc::new(YcsbCodec { table: w.table() }))
-            },
-        )
-        .unwrap()
-    }
-
-    fn advance(r: &mut ReplicaNode, blocks: usize, rng: &mut harmony_common::DetRng) {
-        let mut w = Ycsb::new(YcsbConfig {
-            keys: 150,
-            theta: 0.6,
-            ..YcsbConfig::default()
-        });
-        let scratch =
-            harmony_storage::StorageEngine::open(&harmony_storage::StorageConfig::memory())
-                .unwrap();
-        w.setup(&scratch).unwrap();
-        for _ in 0..blocks {
-            let txns = w.next_block(rng, 10);
-            let codec = Arc::clone(r.codec());
-            let sealed = r.chain().seal_block(&txns, codec.as_ref());
-            r.deliver(Arc::new(sealed)).unwrap();
-        }
+    /// A Harmony replica that applied the first `blocks` of the shared
+    /// stream, checkpointing every 5.
+    fn replica_at(blocks: usize) -> ReplicaNode {
+        let mut r = flat_replica(EngineKind::Harmony(Default::default()), 5);
+        feed(&mut r, &sealed_stream(blocks, 10));
+        r
     }
 
     #[test]
@@ -452,53 +390,65 @@ mod tests {
         let _ = p.backoff_ns(u32::MAX, 42, 0);
     }
 
+    /// Serve `from` the way a flat replica's wrapper does: one chain, the
+    /// chain's own tip as the anchor, topology epoch 0.
+    fn serve_flat(
+        peer: &ReplicaNode,
+        from: &[BlockId],
+        snapshot_threshold: u64,
+    ) -> ShardedSyncResponse {
+        serve(
+            peer.height(),
+            peer.chain().last_hash(),
+            0,
+            std::slice::from_ref(peer.chain()),
+            from,
+            SyncPolicy { snapshot_threshold },
+        )
+        .unwrap()
+    }
+
     #[test]
     fn small_gap_served_as_range_large_gap_as_snapshot() {
-        let mut peer = ycsb_replica(5);
-        let mut rng = harmony_common::DetRng::new(1);
-        advance(&mut peer, 12, &mut rng);
-        let policy = SyncPolicy {
-            snapshot_threshold: 8,
-        };
+        let peer = replica_at(12);
+        let near = serve_flat(&peer, &[BlockId(8)], 8);
+        assert_eq!(near.height, BlockId(12));
+        assert_eq!(near.global_hash, peer.chain().last_hash());
+        assert_eq!(near.epoch, 0);
         assert!(matches!(
-            serve_sync(&peer, BlockId(8), policy).unwrap(),
-            SyncResponse::Range(ref b) if b.len() == 4
+            near.parts.as_slice(),
+            [SyncResponse::Range(b)] if b.len() == 4
         ));
-        let resp = serve_sync(&peer, BlockId(0), policy).unwrap();
-        assert!(matches!(resp, SyncResponse::Snapshot(..)));
-        assert!(resp.transfer_bytes() > 0);
+        let far = serve_flat(&peer, &[BlockId(0)], 8);
+        assert!(matches!(far.parts.as_slice(), [SyncResponse::Snapshot(..)]));
+        assert!(far.transfer_bytes() > 0);
     }
 
     #[test]
     fn transfer_bytes_split_exactly_by_path() {
-        let mut peer = ycsb_replica(5);
-        let mut rng = harmony_common::DetRng::new(3);
-        advance(&mut peer, 12, &mut rng);
-        let policy = SyncPolicy {
-            snapshot_threshold: 8,
-        };
+        let peer = replica_at(12);
         // Range path: all bytes are range bytes.
-        let range = serve_sync(&peer, BlockId(8), policy).unwrap();
-        assert_eq!(range.manifest_bytes(), 0);
-        assert_eq!(range.range_bytes(), range.transfer_bytes());
-        assert!(range.range_bytes() > 64, "blocks plus header");
+        let range = serve_flat(&peer, &[BlockId(8)], 8);
+        let (manifest_bytes, range_bytes) = range.byte_split();
+        assert_eq!(manifest_bytes, 0);
+        assert_eq!(range_bytes, range.transfer_bytes());
+        assert!(range_bytes > 2 * HEADER_BYTES, "blocks plus both headers");
         // Manifest path: the manifest dominates, and the two shares
         // partition the total exactly.
-        let snap = serve_sync(&peer, BlockId(0), policy).unwrap();
-        assert!(snap.manifest_bytes() > 0);
-        assert_eq!(
-            snap.manifest_bytes() + snap.range_bytes(),
-            snap.transfer_bytes()
-        );
+        let snap = serve_flat(&peer, &[BlockId(0)], 8);
+        let (manifest_bytes, range_bytes) = snap.byte_split();
+        assert!(manifest_bytes > range_bytes);
+        assert_eq!(range_bytes, HEADER_BYTES, "only the anchor header");
+        assert_eq!(manifest_bytes + range_bytes, snap.transfer_bytes());
     }
 
     #[test]
     fn range_bytes_saturates_on_corrupted_reply() {
-        // A corrupted (or future-version) reply can degenerate to a frame
-        // that is all manifest: the range share must read zero, never
-        // underflow — and the exact-partition invariant
-        // `manifest_bytes + range_bytes == transfer_bytes` must hold on
-        // every reply a node can decode, well-formed or not.
+        // A corrupted (or future-version) reply can degenerate to parts
+        // that are all manifest, or all nothing: the range share must
+        // never underflow — and the exact-partition invariant
+        // `manifest + range == transfer_bytes` must hold on every reply a
+        // node can decode, well-formed or not.
         let hollow = StateSnapshot {
             height: BlockId(0),
             last_hash: Digest::ZERO,
@@ -506,90 +456,91 @@ mod tests {
             undo: Vec::new(),
             summary: None,
         };
-        let corrupted = SyncResponse::Snapshot(Box::new(hollow.clone()), Vec::new());
-        assert_eq!(corrupted.range_bytes(), 0, "all-manifest frame");
-        assert_eq!(
-            corrupted.manifest_bytes() + corrupted.range_bytes(),
-            corrupted.transfer_bytes()
-        );
-        // Same invariant on the sharded envelope, with a part mix a
-        // hostile peer could ship (hollow manifests and an empty range).
-        let sharded = ShardedSyncResponse {
+        let reply = |parts| ShardedSyncResponse {
             height: BlockId(7),
             global_hash: Digest::ZERO,
             epoch: 0,
-            parts: vec![
-                SyncResponse::Snapshot(Box::new(hollow), Vec::new()),
-                SyncResponse::Range(Vec::new()),
-            ],
+            parts,
         };
-        assert_eq!(
-            sharded.manifest_bytes() + sharded.range_bytes(),
-            sharded.transfer_bytes()
-        );
-        assert!(
-            sharded.range_bytes() >= 64,
-            "anchor header rides the range share"
-        );
+        let all_manifest = reply(vec![SyncResponse::Snapshot(
+            Box::new(hollow.clone()),
+            Vec::new(),
+        )]);
+        let (manifest_bytes, range_bytes) = all_manifest.byte_split();
+        assert_eq!(range_bytes, HEADER_BYTES, "nothing but the anchor header");
+        assert_eq!(manifest_bytes + range_bytes, all_manifest.transfer_bytes());
+        // A part mix a hostile peer could ship (hollow manifests and an
+        // empty range), and no parts at all.
+        let mixed = reply(vec![
+            SyncResponse::Snapshot(Box::new(hollow), Vec::new()),
+            SyncResponse::Range(Vec::new()),
+        ]);
+        let (manifest_bytes, range_bytes) = mixed.byte_split();
+        assert_eq!(manifest_bytes + range_bytes, mixed.transfer_bytes());
+        assert_eq!(range_bytes, 2 * HEADER_BYTES, "anchor + range-part header");
+        assert_eq!(reply(Vec::new()).byte_split(), (0, HEADER_BYTES));
+    }
+
+    #[test]
+    fn wrong_part_or_height_count_is_a_typed_error_or_a_from_scratch_manifest() {
+        let peer = replica_at(12);
+        // A 2-height request to a flat server (a sharded or hostile
+        // requester): its heights mean nothing here, so the one chain is
+        // served from scratch — even though both heights are in range.
+        let reply = serve_flat(&peer, &[BlockId(10), BlockId(11)], 8);
+        assert!(matches!(
+            reply.parts.as_slice(),
+            [SyncResponse::Snapshot(..)]
+        ));
+        assert!(matches!(
+            serve_flat(&peer, &[], 8).parts.as_slice(),
+            [SyncResponse::Snapshot(..)]
+        ));
+        // A 2-part (or 0-part) reply to a flat requester: refused with a
+        // typed error before anything is installed.
+        let mut joiner = replica_at(3);
+        let root = joiner.state_root().unwrap();
+        let part = || SyncResponse::Range(Vec::new());
+        for parts in [vec![part(), part()], Vec::new()] {
+            let two = ShardedSyncResponse {
+                parts,
+                ..reply.clone()
+            };
+            assert!(matches!(
+                apply_sync(&mut joiner, &two),
+                Err(Error::InvalidArgument(_))
+            ));
+        }
+        assert_eq!(joiner.height(), BlockId(3));
+        assert_eq!(joiner.state_root().unwrap(), root);
     }
 
     #[test]
     fn snapshot_sync_bootstraps_a_fresh_replica() {
-        let mut peer = ycsb_replica(5);
-        let mut rng = harmony_common::DetRng::new(2);
-        advance(&mut peer, 10, &mut rng);
-        let resp = serve_sync(
-            &peer,
-            BlockId(0),
-            SyncPolicy {
-                snapshot_threshold: 4,
-            },
-        )
-        .unwrap();
-        // install_snapshot requires an empty database: build the joiner
-        // without genesis data (state comes entirely from the peer).
-        let mut joiner_fresh = ReplicaNode::new(
-            &ReplicaConfig {
-                chain: ChainConfig {
-                    checkpoint_every: 5,
-                    ..ChainConfig::in_memory()
-                },
-                engine: EngineKind::Harmony(harmony_core::HarmonyConfig::default()),
-                workers: 2,
-                gossip_every: 4,
-            },
-            |_| {
-                let w = Ycsb::new(YcsbConfig {
-                    keys: 150,
-                    theta: 0.6,
-                    ..YcsbConfig::default()
-                });
-                Ok(Arc::new(YcsbCodec { table: w.table() }))
-            },
-        )
-        .unwrap();
-        let jumped = apply_sync(&mut joiner_fresh, &resp).unwrap();
-        assert_eq!(jumped, 10);
+        let blocks = sealed_stream(11, 10);
+        let mut peer = replica_at(10);
+        let resp = serve_flat(&peer, &[BlockId(0)], 4);
+        // install_snapshot requires an empty database: the joiner holds
+        // no genesis data (state comes entirely from the peer).
+        let mut joiner_fresh = flat_replica(EngineKind::Harmony(Default::default()), 5);
+        joiner_fresh.wipe_for_resync().unwrap();
+        let applied = apply_sync(&mut joiner_fresh, &resp).unwrap();
+        assert_eq!(
+            applied,
+            ShardedSyncApplied {
+                blocks: 10,
+                manifest_shards: 1,
+                range_shards: 0
+            }
+        );
         assert_eq!(joiner_fresh.height(), peer.height());
         assert_eq!(
             joiner_fresh.state_root().unwrap(),
             peer.state_root().unwrap()
         );
         // And it keeps up with subsequent sealed blocks.
-        let mut w = Ycsb::new(YcsbConfig {
-            keys: 150,
-            theta: 0.6,
-            ..YcsbConfig::default()
-        });
-        let scratch =
-            harmony_storage::StorageEngine::open(&harmony_storage::StorageConfig::memory())
-                .unwrap();
-        w.setup(&scratch).unwrap();
-        let txns = w.next_block(&mut rng, 10);
-        let codec = Arc::clone(peer.codec());
-        let sealed = Arc::new(peer.chain().seal_block(&txns, codec.as_ref()));
-        peer.deliver(Arc::clone(&sealed)).unwrap();
-        joiner_fresh.deliver(sealed).unwrap();
+        peer.deliver(Arc::clone(&blocks[10])).unwrap();
+        joiner_fresh.deliver(Arc::clone(&blocks[10])).unwrap();
         assert_eq!(
             joiner_fresh.state_root().unwrap(),
             peer.state_root().unwrap()

@@ -8,7 +8,7 @@ use harmony_chain::ChainConfig;
 use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
-    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, CrashPlan, FaultSchedule,
+    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
     MempoolConfig, OrderingMode, ReplicaConfig, SyncPolicy,
 };
 use harmony_sim::EngineKind;
@@ -45,7 +45,7 @@ fn config(
     engine: EngineKind,
     workload: ClusterWorkload,
     ordering: OrderingMode,
-    crash: Option<CrashPlan>,
+    crash: Option<FaultEvent>,
 ) -> ClusterConfig {
     ClusterConfig {
         replicas: 4,
@@ -62,7 +62,7 @@ fn config(
         },
         workload,
         ordering,
-        faults: crash.map(FaultSchedule::from).unwrap_or_default(),
+        faults: FaultSchedule::new(crash.into_iter().collect()),
         mempool: MempoolConfig {
             capacity: 2_048,
             ..MempoolConfig::default()
@@ -146,7 +146,7 @@ fn crash_and_statesync_rejoin_all_engines() {
             engine,
             smallbank(),
             OrderingMode::Kafka { brokers: 3 },
-            Some(CrashPlan {
+            Some(FaultEvent::Crash {
                 replica: 2,
                 at_ns: 8_000_000,
                 recover_at_ns: 16_000_000,
@@ -176,7 +176,7 @@ fn early_crash_rejoins_via_manifest_transfer() {
         EngineKind::Harmony(HarmonyConfig::default()),
         smallbank(),
         OrderingMode::Kafka { brokers: 3 },
-        Some(CrashPlan {
+        Some(FaultEvent::Crash {
             replica: 1,
             at_ns: 6_000_000,
             recover_at_ns: 14_000_000,
@@ -251,7 +251,7 @@ fn crash_rejoin_under_hotstuff_ordering() {
         EngineKind::Harmony(HarmonyConfig::default()),
         ycsb(),
         OrderingMode::HotStuff,
-        Some(CrashPlan {
+        Some(FaultEvent::Crash {
             replica: 3,
             at_ns: 8_000_000,
             recover_at_ns: 16_000_000,
@@ -270,7 +270,7 @@ fn cluster_runs_are_deterministic() {
             EngineKind::Aria,
             smallbank(),
             OrderingMode::Kafka { brokers: 3 },
-            Some(CrashPlan {
+            Some(FaultEvent::Crash {
                 replica: 0,
                 at_ns: 8_000_000,
                 recover_at_ns: 16_000_000,
@@ -322,7 +322,7 @@ fn tpcc_full_mix_on_the_node_runtime() {
         EngineKind::Rbc,
         workload(),
         OrderingMode::Kafka { brokers: 3 },
-        Some(CrashPlan {
+        Some(FaultEvent::Crash {
             replica: 1,
             at_ns: 5_000_000,
             recover_at_ns: 10_000_000,

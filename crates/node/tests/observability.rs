@@ -10,7 +10,7 @@ use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_metrics::TIMELINE_SCHEMA;
 use harmony_node::{
-    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, CrashPlan, FaultSchedule,
+    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
     MempoolConfig, OrderingMode, ReplicaConfig, ShardTopology, SyncPolicy,
 };
 use harmony_sim::EngineKind;
@@ -30,7 +30,7 @@ fn smallbank() -> ClusterWorkload {
     })
 }
 
-fn config(crash: Option<CrashPlan>, stagger: u64) -> ClusterConfig {
+fn config(crash: Option<FaultEvent>, stagger: u64) -> ClusterConfig {
     ClusterConfig {
         replicas: 4,
         replica: ReplicaConfig {
@@ -52,7 +52,7 @@ fn config(crash: Option<CrashPlan>, stagger: u64) -> ClusterConfig {
         }),
         workload: smallbank(),
         ordering: OrderingMode::Kafka { brokers: 3 },
-        faults: crash.map(FaultSchedule::from).unwrap_or_default(),
+        faults: FaultSchedule::new(crash.into_iter().collect()),
         mempool: MempoolConfig {
             capacity: 2_048,
             ..MempoolConfig::default()
@@ -213,7 +213,7 @@ fn crash_rejoin_splits_sync_bytes_by_path() {
     // for the rest), so both byte counters must move — and partition the
     // transfer exactly.
     let report = Cluster::new(config(
-        Some(CrashPlan {
+        Some(FaultEvent::Crash {
             replica: 2,
             at_ns: 7_000_000,
             recover_at_ns: 14_000_000,

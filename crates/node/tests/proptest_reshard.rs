@@ -20,7 +20,7 @@ use harmony_chain::ChainConfig;
 use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
-    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, CrashPlan, FaultSchedule,
+    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
     MempoolConfig, OrderingMode, ReplicaConfig, ReshardAt, ReshardSchedule, ShardTopology,
     SyncPolicy,
 };
@@ -64,7 +64,7 @@ fn run_cluster(
     shards: usize,
     seed: u64,
     reshards: ReshardSchedule,
-    crash: Option<CrashPlan>,
+    crash: Option<FaultEvent>,
 ) -> ClusterReport {
     Cluster::new(ClusterConfig {
         replicas: 4,
@@ -92,7 +92,7 @@ fn run_cluster(
             multi_partition_ratio: 0.25,
         }),
         ordering: OrderingMode::Kafka { brokers: 3 },
-        faults: crash.map(FaultSchedule::from).unwrap_or_default(),
+        faults: FaultSchedule::new(crash.into_iter().collect()),
         reshards,
         mempool: MempoolConfig::default(),
         open_loop: OpenLoopConfig {
@@ -140,7 +140,7 @@ proptest! {
         crash_at_ms in 2u64..7,
         downtime_ms in 2u64..6,
     ) {
-        let crash = CrashPlan {
+        let crash = FaultEvent::Crash {
             replica: crash_replica,
             at_ns: crash_at_ms * 1_000_000,
             recover_at_ns: (crash_at_ms + downtime_ms) * 1_000_000,

@@ -16,7 +16,7 @@ use harmony_chain::ChainConfig;
 use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
-    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, CrashPlan, FaultSchedule,
+    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
     MempoolConfig, OrderingMode, ReplicaConfig, ShardTopology, SyncPolicy,
 };
 use harmony_sim::EngineKind;
@@ -41,7 +41,7 @@ fn run_cluster(
     shards: usize,
     seed: u64,
     stagger: u64,
-    crash: Option<CrashPlan>,
+    crash: Option<FaultEvent>,
 ) -> ClusterReport {
     Cluster::new(ClusterConfig {
         replicas: 4,
@@ -69,7 +69,7 @@ fn run_cluster(
             multi_partition_ratio: 0.25,
         }),
         ordering: OrderingMode::Kafka { brokers: 3 },
-        faults: crash.map(FaultSchedule::from).unwrap_or_default(),
+        faults: FaultSchedule::new(crash.into_iter().collect()),
         mempool: MempoolConfig::default(),
         open_loop: OpenLoopConfig {
             clients: 6,
@@ -113,7 +113,7 @@ proptest! {
         // 0: lockstep checkpoints; 2: mildly staggered; 1000: later
         // shards never checkpoint before the crash (manifest path).
         let stagger = [0, 2, 1_000][stagger_pick];
-        let crash = CrashPlan {
+        let crash = FaultEvent::Crash {
             replica: crash_replica,
             at_ns: crash_at_ms * 1_000_000,
             recover_at_ns: (crash_at_ms + downtime_ms) * 1_000_000,

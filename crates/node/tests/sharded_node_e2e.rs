@@ -10,7 +10,7 @@ use harmony_chain::ChainConfig;
 use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
-    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, CrashPlan, FaultSchedule,
+    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
     MempoolConfig, OrderingMode, ReplicaConfig, ShardTopology, SyncPolicy,
 };
 use harmony_sim::EngineKind;
@@ -52,7 +52,7 @@ fn config(
     engine: EngineKind,
     workload: ClusterWorkload,
     ordering: OrderingMode,
-    crash: Option<CrashPlan>,
+    crash: Option<FaultEvent>,
     shards: usize,
 ) -> ClusterConfig {
     ClusterConfig {
@@ -76,7 +76,7 @@ fn config(
         }),
         workload,
         ordering,
-        faults: crash.map(FaultSchedule::from).unwrap_or_default(),
+        faults: FaultSchedule::new(crash.into_iter().collect()),
         mempool: MempoolConfig {
             capacity: 2_048,
             ..MempoolConfig::default()
@@ -170,7 +170,7 @@ fn crash_rejoin_mixes_manifest_and_range_paths_all_engines() {
             engine,
             smallbank(),
             OrderingMode::Kafka { brokers: 3 },
-            Some(CrashPlan {
+            Some(FaultEvent::Crash {
                 replica: 2,
                 at_ns: 7_000_000,
                 recover_at_ns: 14_000_000,
@@ -209,7 +209,7 @@ fn crash_rejoin_under_hotstuff_ordering() {
         EngineKind::Harmony(HarmonyConfig::default()),
         ycsb(),
         OrderingMode::HotStuff,
-        Some(CrashPlan {
+        Some(FaultEvent::Crash {
             replica: 3,
             at_ns: 7_000_000,
             recover_at_ns: 14_000_000,
@@ -236,7 +236,7 @@ fn sharded_cluster_runs_are_deterministic() {
             EngineKind::Aria,
             smallbank(),
             OrderingMode::Kafka { brokers: 3 },
-            Some(CrashPlan {
+            Some(FaultEvent::Crash {
                 replica: 0,
                 at_ns: 7_000_000,
                 recover_at_ns: 14_000_000,

@@ -79,7 +79,7 @@ impl Manifest {
         }
         let epoch = r.get_u64()?;
         let block = BlockId(r.get_u64()?);
-        let n = r.get_u32()? as usize;
+        let n = r.get_count(22)?; // table id + name length + root page + row count
         let mut tables = Vec::with_capacity(n);
         for _ in 0..n {
             let id = TableId(r.get_u16()?);
@@ -242,6 +242,26 @@ mod tests {
         let mut blob = manifest(1, 2).encode();
         blob[6] ^= 0x01;
         assert!(matches!(Manifest::decode(&blob), Err(Error::Corruption(_))));
+    }
+
+    #[test]
+    fn lying_table_count_is_refused_before_allocating() {
+        // A blob whose CRC is right (a torn write that happens to
+        // checksum, or a hostile file) but whose table count lies.
+        let empty = Manifest {
+            tables: Vec::new(),
+            ..manifest(1, 0)
+        };
+        let mut body = empty.encode();
+        body.truncate(body.len() - 8); // drop the CRC and the zero count
+        body.extend_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32c(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        let err = Manifest::decode(&body).unwrap_err();
+        assert!(
+            matches!(&err, Error::Corruption(m) if m.contains("count")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -235,7 +235,7 @@ impl WalRecord {
     pub fn decode(bytes: &[u8]) -> Result<WalRecord> {
         let mut r = Reader::new(bytes);
         let block = BlockId(r.get_u64()?);
-        let n = r.get_u32()? as usize;
+        let n = r.get_count(7)?; // table id + key length + value tag
         let mut writes = Vec::with_capacity(n);
         for _ in 0..n {
             let table = TableId(r.get_u16()?);
@@ -344,6 +344,17 @@ mod tests {
         };
         let enc = rec.encode();
         assert!(WalRecord::decode(&enc[..enc.len() - 5]).is_err());
+    }
+
+    #[test]
+    fn wal_record_lying_count_is_refused_before_allocating() {
+        let mut bytes = 1u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = WalRecord::decode(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, Error::Corruption(m) if m.contains("count")),
+            "{err}"
+        );
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {

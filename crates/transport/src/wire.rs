@@ -6,6 +6,15 @@
 //! instead of misparsing them); the tag selects the [`Msg`] variant —
 //! or, in the `0x80..` range, a control-plane message ([`CtlMsg`]).
 //!
+//! **One version decodes.** Every node of a cluster is built from the
+//! same workspace and started together, so no peer can send an older
+//! frame; a decode path for one would be code nothing exercises on
+//! input nothing produces. A frame stamped with any version but
+//! [`WIRE_VERSION`] is [`Error::Corruption`]. Likewise the state-sync
+//! frames have **one shape** for flat and sharded replicas (a height per
+//! hosted chain; an anchor plus a part per chain), with no kind byte to
+//! mismatch.
+//!
 //! Payloads reuse the workspace's existing serialization: contracts
 //! travel as [`encode_contract`] bytes (decoded by the workload's
 //! [`ContractCodec`], so cross-shard fragments and every workload's
@@ -21,18 +30,14 @@ use harmony_chain::{ChainBlock, StateSnapshot};
 use harmony_common::codec::{Reader, Writer};
 use harmony_common::{BlockId, Error, Result};
 use harmony_crypto::Digest;
-use harmony_node::cluster::{Msg, SyncFrom, SyncReplyBody};
+use harmony_node::cluster::Msg;
 use harmony_node::{BlockSummary, NodeStatus, ShardedSyncResponse, SyncResponse};
 use harmony_txn::{encode_contract, ContractCodec};
 
-/// Wire-format version carried in every frame body. Version 2 added the
-/// topology-change (reshard) tags; frames are still emitted and accepted
-/// down to [`MIN_WIRE_VERSION`], with the new tags rejected on old
-/// versions, so a v1 peer interoperates until it sees a reshard.
-pub const WIRE_VERSION: u8 = 2;
-
-/// Oldest wire version this build still accepts.
-pub const MIN_WIRE_VERSION: u8 = 1;
+/// Wire-format version carried in every frame body, and the only one
+/// decoded. Version 2 added the topology-change (reshard) tags; version 3
+/// gave the state-sync frames one shape for both replica kinds.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Upper bound on a frame body; longer length prefixes are rejected
 /// before any allocation, so a garbage prefix can't balloon memory.
@@ -50,7 +55,6 @@ const TAG_SYNC_REQUEST: u8 = 7;
 const TAG_SYNC_REPLY: u8 = 8;
 const TAG_SYNC_REFUSED: u8 = 9;
 const TAG_REJECT: u8 = 10;
-/// Topology change (wire v2+): a v1 frame carrying this tag is rejected.
 const TAG_RESHARD: u8 = 11;
 
 // Control-plane tags (0x80..).
@@ -75,7 +79,7 @@ const TAG_HELLO: u8 = 0xFE;
 /// control plane before full decoding).
 #[must_use]
 pub fn frame_tag(body: &[u8]) -> Option<u8> {
-    (body.len() >= 2 && (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&body[0])).then(|| body[1])
+    (body.len() >= 2 && body[0] == WIRE_VERSION).then(|| body[1])
 }
 
 /// Whether a frame tag belongs to the control plane (including the
@@ -109,17 +113,15 @@ fn frame(w: Writer) -> Vec<u8> {
     out
 }
 
-/// Open a frame body: check the version byte and return
-/// `(version, tag, reader)`. Tags introduced after a version are gated
-/// by the caller against the frame's declared version.
-fn open_body(body: &[u8]) -> Result<(u8, u8, Reader<'_>)> {
+/// Open a frame body: check the version byte and return `(tag, reader)`.
+fn open_body(body: &[u8]) -> Result<(u8, Reader<'_>)> {
     let mut r = Reader::new(body);
     let version = r.get_u8().map_err(|_| corrupt("empty frame"))?;
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(corrupt(&format!("unknown wire version {version}")));
     }
     let tag = r.get_u8().map_err(|_| corrupt("missing tag"))?;
-    Ok((version, tag, r))
+    Ok((tag, r))
 }
 
 fn put_digest(w: &mut Writer, d: &Digest) {
@@ -141,10 +143,10 @@ fn put_blocks(w: &mut Writer, blocks: &[ChainBlock]) {
 }
 
 fn get_blocks(r: &mut Reader<'_>) -> Result<Vec<ChainBlock>> {
-    let n = r.get_u32()?;
-    // No `with_capacity(n)` from untrusted input: a lying count just
-    // runs the reader off the end and errors.
-    let mut out = Vec::new();
+    // `get_count`, not `get_u32`: the count is untrusted input, and a
+    // lying one must be refused before it sizes an allocation.
+    let n = r.get_count(4)?;
+    let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(ChainBlock::decode(&r.get_bytes()?)?);
     }
@@ -249,43 +251,23 @@ impl WireCodec {
                 w
             }
             Msg::SyncRequest { from, epoch } => {
-                let mut w = body_writer(TAG_SYNC_REQUEST, 64);
+                let mut w = body_writer(TAG_SYNC_REQUEST, 12 + 8 * from.len());
                 w.put_u64(*epoch);
-                match from {
-                    SyncFrom::Flat(height) => {
-                        w.put_u8(0);
-                        w.put_u64(*height);
-                    }
-                    SyncFrom::Sharded(heights) => {
-                        w.put_u8(1);
-                        w.put_u32(u32::try_from(heights.len()).expect("shard count"));
-                        for h in heights {
-                            w.put_u64(h.0);
-                        }
-                    }
+                w.put_u32(u32::try_from(from.len()).expect("chain count"));
+                for h in from {
+                    w.put_u64(h.0);
                 }
                 w
             }
             Msg::SyncReply { response, epoch } => {
                 let mut w = body_writer(TAG_SYNC_REPLY, 256);
                 w.put_u64(*epoch);
-                match response.as_ref() {
-                    SyncReplyBody::Flat(resp) => {
-                        w.put_u8(0);
-                        put_sync_response(&mut w, resp);
-                    }
-                    SyncReplyBody::Sharded(resp) => {
-                        w.put_u8(1);
-                        w.put_u64(resp.height.0);
-                        put_digest(&mut w, &resp.global_hash);
-                        // v2 field: the peer's topology epoch (v1 peers
-                        // decode it as absent and default to 0).
-                        w.put_u64(resp.epoch);
-                        w.put_u32(u32::try_from(resp.parts.len()).expect("part count"));
-                        for part in &resp.parts {
-                            put_sync_response(&mut w, part);
-                        }
-                    }
+                w.put_u64(response.height.0);
+                put_digest(&mut w, &response.global_hash);
+                w.put_u64(response.epoch);
+                w.put_u32(u32::try_from(response.parts.len()).expect("part count"));
+                for part in &response.parts {
+                    put_sync_response(&mut w, part);
                 }
                 w
             }
@@ -323,7 +305,7 @@ impl WireCodec {
     /// [`Error::Corruption`] on truncation, an unknown version or tag,
     /// or a payload the inner codecs reject — never a panic.
     pub fn decode_msg(&self, body: &[u8]) -> Result<Msg> {
-        let (version, tag, mut r) = open_body(body)?;
+        let (tag, mut r) = open_body(body)?;
         let msg = match tag {
             TAG_SUBMIT | TAG_REJECT => {
                 let client = r.get_u64()?;
@@ -372,62 +354,40 @@ impl WireCodec {
             },
             TAG_SYNC_REQUEST => {
                 let epoch = r.get_u64()?;
-                let from = match r.get_u8()? {
-                    0 => SyncFrom::Flat(r.get_u64()?),
-                    1 => {
-                        let n = r.get_u32()?;
-                        let mut heights = Vec::new();
-                        for _ in 0..n {
-                            heights.push(BlockId(r.get_u64()?));
-                        }
-                        SyncFrom::Sharded(heights)
-                    }
-                    t => return Err(corrupt(&format!("unknown sync-from kind {t}"))),
-                };
+                let n = r.get_count(8)?;
+                let mut from = Vec::with_capacity(n);
+                for _ in 0..n {
+                    from.push(BlockId(r.get_u64()?));
+                }
                 Msg::SyncRequest { from, epoch }
             }
             TAG_SYNC_REPLY => {
                 let epoch = r.get_u64()?;
-                let response = match r.get_u8()? {
-                    0 => SyncReplyBody::Flat(get_sync_response(&mut r)?),
-                    1 => {
-                        let height = BlockId(r.get_u64()?);
-                        let global_hash = get_digest(&mut r)?;
-                        // A v1 peer predates elastic resharding and is
-                        // necessarily at topology epoch 0.
-                        let topology_epoch = if version >= 2 { r.get_u64()? } else { 0 };
-                        let n = r.get_u32()?;
-                        let mut parts = Vec::new();
-                        for _ in 0..n {
-                            parts.push(get_sync_response(&mut r)?);
-                        }
-                        SyncReplyBody::Sharded(ShardedSyncResponse {
-                            height,
-                            global_hash,
-                            epoch: topology_epoch,
-                            parts,
-                        })
-                    }
-                    t => return Err(corrupt(&format!("unknown sync-reply kind {t}"))),
-                };
+                let height = BlockId(r.get_u64()?);
+                let global_hash = get_digest(&mut r)?;
+                let topology_epoch = r.get_u64()?;
+                // A part is at least its kind byte and a block count.
+                let n = r.get_count(5)?;
+                let mut parts = Vec::with_capacity(n);
+                for _ in 0..n {
+                    parts.push(get_sync_response(&mut r)?);
+                }
                 Msg::SyncReply {
-                    response: Arc::new(response),
+                    response: Arc::new(ShardedSyncResponse {
+                        height,
+                        global_hash,
+                        epoch: topology_epoch,
+                        parts,
+                    }),
                     epoch,
                 }
             }
             TAG_SYNC_REFUSED => Msg::SyncRefused {
                 epoch: r.get_u64()?,
             },
-            TAG_RESHARD => {
-                // Version gate: a v1 build never defined this tag, so a
-                // v1 frame claiming it is garbage, not a new feature.
-                if version < 2 {
-                    return Err(corrupt("reshard message requires wire version 2"));
-                }
-                Msg::Reshard {
-                    new_shards: r.get_u32()?,
-                }
-            }
+            TAG_RESHARD => Msg::Reshard {
+                new_shards: r.get_u32()?,
+            },
             t => return Err(corrupt(&format!("unknown message tag {t:#x}"))),
         };
         if r.remaining() != 0 {
@@ -454,7 +414,7 @@ pub enum CtlMsg {
     StatusReply(NodeStatus),
     /// Ask a replica to describe one sealed block.
     BlockReq {
-        /// Shard whose chain to inspect (ignored on flat replicas).
+        /// Shard whose chain to inspect (a flat replica hosts chain 0).
         shard: u32,
         /// Block id (height).
         seq: u64,
@@ -560,7 +520,7 @@ pub fn encode_ctl(msg: &CtlMsg) -> Vec<u8> {
 /// # Errors
 /// [`Error::Corruption`] on truncation or an unknown version/tag.
 pub fn decode_ctl(body: &[u8]) -> Result<CtlMsg> {
-    let (version, tag, mut r) = open_body(body)?;
+    let (tag, mut r) = open_body(body)?;
     let msg = match tag {
         TAG_HELLO => CtlMsg::Hello {
             index: r.get_u32()?,
@@ -596,14 +556,9 @@ pub fn decode_ctl(body: &[u8]) -> Result<CtlMsg> {
         }),
         TAG_CTL_CRASH => CtlMsg::Crash,
         TAG_CTL_RECOVER => CtlMsg::Recover,
-        TAG_CTL_RESHARD => {
-            if version < 2 {
-                return Err(corrupt("reshard control message requires wire version 2"));
-            }
-            CtlMsg::Reshard {
-                new_shards: r.get_u32()?,
-            }
-        }
+        TAG_CTL_RESHARD => CtlMsg::Reshard {
+            new_shards: r.get_u32()?,
+        },
         TAG_CTL_METRICS_REQ => CtlMsg::MetricsReq,
         TAG_CTL_TEXT => CtlMsg::Text(r.get_str()?),
         TAG_CTL_SHUTDOWN => CtlMsg::Shutdown,

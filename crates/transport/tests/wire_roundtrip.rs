@@ -14,11 +14,10 @@ use harmony_common::BlockId;
 use harmony_crypto::{CryptoCost, Digest, KeyPair};
 use harmony_node::cluster::Msg;
 use harmony_node::{
-    submission_trace, ClusterConfig, ClusterWorkload, ShardedSyncResponse, SyncFrom, SyncReplyBody,
-    SyncResponse,
+    submission_trace, ClusterConfig, ClusterWorkload, ShardedSyncResponse, SyncResponse,
 };
 use harmony_transport::wire::{
-    decode_ctl, encode_ctl, frame_tag, read_frame, CtlMsg, WireCodec, MAX_FRAME_BYTES,
+    decode_ctl, encode_ctl, frame_tag, read_frame, CtlMsg, WireCodec, MAX_FRAME_BYTES, WIRE_VERSION,
 };
 use harmony_workloads::{SmallbankConfig, TpccConfig, YcsbConfig};
 use proptest::prelude::*;
@@ -82,6 +81,18 @@ fn snapshot(height: u64, tables: usize) -> StateSnapshot {
     }
 }
 
+fn sync_reply(epoch: u64, parts: Vec<SyncResponse>) -> Msg {
+    Msg::SyncReply {
+        response: Arc::new(ShardedSyncResponse {
+            height: BlockId(6),
+            global_hash: digest(0x66),
+            epoch: 2,
+            parts,
+        }),
+        epoch,
+    }
+}
+
 /// Every Msg variant, exercised across all three workload codecs.
 #[test]
 fn every_msg_variant_roundtrips_bit_identically() {
@@ -127,40 +138,44 @@ fn every_msg_variant_roundtrips_bit_identically() {
                 height: 42,
                 root: digest(0x42),
             },
+            // One sync shape: a request carries a height per hosted chain
+            // (1 from a flat replica, M from a sharded one, and a decoder
+            // must survive 0), a reply an anchor plus a part per chain.
             Msg::SyncRequest {
-                from: SyncFrom::Flat(9),
+                from: vec![BlockId(9)],
                 epoch: 1,
             },
             Msg::SyncRequest {
-                from: SyncFrom::Sharded(vec![BlockId(1), BlockId(0), BlockId(u64::MAX)]),
+                from: vec![BlockId(1), BlockId(0), BlockId(u64::MAX)],
                 epoch: 2,
             },
-            Msg::SyncReply {
-                response: Arc::new(SyncReplyBody::Flat(SyncResponse::Range(vec![
-                    block(2, txns.clone(), 13),
-                    block(3, Vec::new(), 13),
-                ]))),
+            Msg::SyncRequest {
+                from: Vec::new(),
                 epoch: 3,
             },
-            Msg::SyncReply {
-                response: Arc::new(SyncReplyBody::Flat(SyncResponse::Snapshot(
+            sync_reply(
+                3,
+                vec![SyncResponse::Range(vec![
+                    block(2, txns.clone(), 13),
+                    block(3, Vec::new(), 13),
+                ])],
+            ),
+            sync_reply(
+                4,
+                vec![SyncResponse::Snapshot(
                     Box::new(snapshot(4, 3)),
                     vec![block(5, txns.clone(), 14)],
-                ))),
-                epoch: 4,
-            },
-            Msg::SyncReply {
-                response: Arc::new(SyncReplyBody::Sharded(ShardedSyncResponse {
-                    height: BlockId(6),
-                    global_hash: digest(0x66),
-                    epoch: 2,
-                    parts: vec![
-                        SyncResponse::Range(vec![block(6, txns.clone(), 15)]),
-                        SyncResponse::Snapshot(Box::new(snapshot(6, 0)), Vec::new()),
-                    ],
-                })),
-                epoch: 5,
-            },
+                )],
+            ),
+            sync_reply(
+                5,
+                vec![
+                    SyncResponse::Range(vec![block(6, txns.clone(), 15)]),
+                    SyncResponse::Snapshot(Box::new(snapshot(6, 0)), Vec::new()),
+                    SyncResponse::Range(Vec::new()),
+                ],
+            ),
+            sync_reply(6, Vec::new()),
             Msg::SyncRefused { epoch: u64::MAX },
             Msg::Reshard { new_shards: 4 },
             Msg::Reshard {
@@ -274,79 +289,95 @@ fn oversized_length_prefix_is_refused() {
     assert!(matches!(read_frame(&mut empty), Ok(None)));
 }
 
-/// The reshard tags are wire-version-2 additions: the same bytes with
-/// the version byte rewritten to 1 must be refused (a v1 peer never
-/// emits them, so their appearance on a v1 frame is corruption), while
-/// every pre-existing tag still decodes as v1.
+/// Exactly one wire version decodes. Every node of a cluster is the
+/// same build, so a frame stamped with an older (or newer) version is not
+/// a peer to interoperate with but corruption — on every tag, old or new,
+/// peer plane and control plane alike.
 #[test]
-fn reshard_tags_are_rejected_on_version_1_frames() {
+fn a_frame_of_any_other_version_is_corruption() {
     let fx = &fixtures()[0];
-    let frame = fx.codec.encode_msg(&Msg::Reshard { new_shards: 4 });
-    let mut body = frame[4..].to_vec();
-    assert!(fx.codec.decode_msg(&body).is_ok(), "v2 frame decodes");
-    body[0] = 1;
-    let Err(err) = fx.codec.decode_msg(&body) else {
-        panic!("v1 reshard frame decoded");
-    };
-    assert!(
-        err.to_string().contains("wire version 2"),
-        "wrong error: {err}"
-    );
-
-    let ctl = encode_ctl(&CtlMsg::Reshard { new_shards: 2 });
-    let mut body = ctl[4..].to_vec();
-    assert!(decode_ctl(&body).is_ok());
-    body[0] = 1;
-    let err = decode_ctl(&body).unwrap_err();
-    assert!(
-        err.to_string().contains("wire version 2"),
-        "wrong error: {err}"
-    );
-
-    // A v1 tag on a v1 frame still decodes: version bumps are additive.
-    let frame = fx.codec.encode_msg(&Msg::Ack { seq: 9 });
-    let mut body = frame[4..].to_vec();
-    body[0] = 1;
-    assert!(fx.codec.decode_msg(&body).is_ok(), "v1 compat broken");
+    let msgs = [
+        Msg::Ack { seq: 9 },
+        Msg::Reshard { new_shards: 4 },
+        Msg::SyncRequest {
+            from: vec![BlockId(3), BlockId(4)],
+            epoch: 8,
+        },
+        sync_reply(5, vec![SyncResponse::Range(Vec::new())]),
+    ];
+    let ctls = [CtlMsg::StatusReq, CtlMsg::Reshard { new_shards: 2 }];
+    for version in [0, 1, 2, WIRE_VERSION + 1, u8::MAX] {
+        for msg in &msgs {
+            let mut body = fx.codec.encode_msg(msg)[4..].to_vec();
+            assert_eq!(body[0], WIRE_VERSION);
+            assert!(fx.codec.decode_msg(&body).is_ok());
+            body[0] = version;
+            let err = fx.codec.decode_msg(&body).err().expect("decoded");
+            assert!(
+                matches!(&err, harmony_common::Error::Corruption(m) if m.contains("wire version")),
+                "version {version}: {err}"
+            );
+            assert_eq!(frame_tag(&body), None, "version {version} routed");
+        }
+        for ctl in &ctls {
+            let mut body = encode_ctl(ctl)[4..].to_vec();
+            assert!(decode_ctl(&body).is_ok());
+            body[0] = version;
+            assert!(matches!(
+                decode_ctl(&body),
+                Err(harmony_common::Error::Corruption(_))
+            ));
+        }
+    }
 }
 
-/// A v1 sharded sync reply has no topology-epoch field; decoding one
-/// must succeed and default the epoch to 0 (a v1 peer necessarily
-/// predates elastic resharding).
+/// A count field that promises more than the frame holds is refused
+/// where it is read — `Reader::get_count` — before it sizes anything:
+/// the sync frames' own counts, and the counts inside the blocks and
+/// manifests they carry.
 #[test]
-fn v1_sharded_sync_reply_defaults_topology_epoch_to_zero() {
+fn lying_counts_in_sync_frames_are_corruption() {
     let fx = &fixtures()[0];
-    let msg = Msg::SyncReply {
-        response: Arc::new(SyncReplyBody::Sharded(ShardedSyncResponse {
-            height: BlockId(6),
-            global_hash: digest(0x66),
-            epoch: 0,
-            parts: vec![SyncResponse::Range(Vec::new())],
-        })),
-        epoch: 5,
+    let lie = u32::MAX.to_le_bytes();
+    let refused = |body: &[u8], what: &str| {
+        let err = fx.codec.decode_msg(body).err().expect(what);
+        assert!(
+            matches!(&err, harmony_common::Error::Corruption(m) if m.contains("count")),
+            "{what}: {err}"
+        );
     };
-    let frame = fx.codec.encode_msg(&msg);
-    let mut body = frame[4..].to_vec();
-    // Body layout: version, tag, sync-epoch u64, kind u8, height u64,
-    // 32-byte digest, then the v2 topology-epoch u64. Strip it and mark
-    // the frame v1.
-    const EPOCH_AT: usize = 2 + 8 + 1 + 8 + 32;
-    body.drain(EPOCH_AT..EPOCH_AT + 8);
-    body[0] = 1;
-    match fx.codec.decode_msg(&body).expect("v1 reply decodes") {
-        Msg::SyncReply { response, epoch } => {
-            assert_eq!(epoch, 5);
-            match response.as_ref() {
-                SyncReplyBody::Sharded(resp) => {
-                    assert_eq!(resp.epoch, 0, "v1 peers are at topology epoch 0");
-                    assert_eq!(resp.height, BlockId(6));
-                    assert_eq!(resp.parts.len(), 1);
-                }
-                SyncReplyBody::Flat(_) => panic!("wrong reply body: flat"),
-            }
-        }
-        _ => panic!("wrong message kind"),
-    }
+    // Request: version, tag, sync epoch u64, then the height count.
+    let request = fx.codec.encode_msg(&Msg::SyncRequest {
+        from: vec![BlockId(3)],
+        epoch: 8,
+    });
+    let mut body = request[4..].to_vec();
+    body[10..14].copy_from_slice(&lie);
+    refused(&body, "height count");
+    // Reply: version, tag, sync epoch, height, 32-byte hash, topology
+    // epoch, then the part count; the first part's kind byte and block
+    // count follow.
+    const PARTS_AT: usize = 2 + 8 + 8 + 32 + 8;
+    let reply = fx
+        .codec
+        .encode_msg(&sync_reply(5, vec![SyncResponse::Range(Vec::new())]));
+    let mut body = reply[4..].to_vec();
+    body[PARTS_AT..PARTS_AT + 4].copy_from_slice(&lie);
+    refused(&body, "part count");
+    let mut body = reply[4..].to_vec();
+    body[PARTS_AT + 5..PARTS_AT + 9].copy_from_slice(&lie);
+    refused(&body, "block count");
+    // A delivered block whose transaction count lies: version, tag, two
+    // u64 timestamps, the block's length prefix, its 120-byte header.
+    let deliver = fx.codec.encode_msg(&Msg::Deliver {
+        block: Arc::new(block(1, Vec::new(), 12)),
+        born_ns: 0,
+        mean_submit_ns: 0,
+    });
+    let mut body = deliver[4..].to_vec();
+    const TXNS_AT: usize = 2 + 8 + 8 + 4 + 120;
+    body[TXNS_AT..TXNS_AT + 4].copy_from_slice(&lie);
+    refused(&body, "transaction count");
 }
 
 proptest! {
@@ -372,7 +403,7 @@ proptest! {
             ..SmallbankConfig::default()
         }));
         let msg = Msg::SyncRequest {
-            from: SyncFrom::Sharded(vec![BlockId(3), BlockId(4)]),
+            from: vec![BlockId(3), BlockId(4)],
             epoch: 8,
         };
         let frame = fx.codec.encode_msg(&msg);

@@ -228,7 +228,7 @@ pub fn build_txn(table: TableId, ops: Vec<(u64, u8, i64)>) -> Arc<dyn Contract> 
     )
 }
 
-/// [`ContractCodec`] for YCSB transactions — the smart-contract registry a
+/// [`harmony_txn::ContractCodec`] for YCSB transactions — the smart-contract registry a
 /// replica uses to re-execute logged blocks after recovery.
 pub struct YcsbCodec {
     /// The user table.

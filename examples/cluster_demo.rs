@@ -12,8 +12,8 @@
 use harmonybc::chain::ChainConfig;
 use harmonybc::crypto::CryptoCost;
 use harmonybc::node::{
-    Cluster, ClusterConfig, ClusterWorkload, CrashPlan, MempoolConfig, OrderingMode, ReplicaConfig,
-    SyncPolicy,
+    Cluster, ClusterConfig, ClusterWorkload, FaultEvent, FaultSchedule, MempoolConfig,
+    OrderingMode, ReplicaConfig, SyncPolicy,
 };
 use harmonybc::sim::EngineKind;
 use harmonybc::storage::StorageConfig;
@@ -44,14 +44,13 @@ fn main() {
         ordering: OrderingMode::Kafka { brokers: 3 },
         // Replica 2 goes down 8 ms in and rejoins at 16 ms: it recovers
         // its local checkpoint, then catches the missed range up from a
-        // peer via the state-sync protocol. `CrashPlan` is the one-crash
-        // shorthand; richer scenarios build a `FaultSchedule` directly.
-        faults: CrashPlan {
+        // peer via the state-sync protocol. One event of a
+        // `FaultSchedule`; richer scenarios list more.
+        faults: FaultSchedule::new(vec![FaultEvent::Crash {
             replica: 2,
             at_ns: 8_000_000,
             recover_at_ns: 16_000_000,
-        }
-        .into(),
+        }]),
         mempool: MempoolConfig::default(),
         open_loop: OpenLoopConfig {
             clients: 8,

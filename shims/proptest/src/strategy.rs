@@ -136,7 +136,7 @@ impl_tuple_strategy!(A, B, C, D, E, F);
 
 // ── Collections and options ─────────────────────────────────────────────
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: Range<usize>,
