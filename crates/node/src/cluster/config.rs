@@ -44,33 +44,43 @@ impl ClusterWorkload {
     /// Load genesis state into a replica's engine and return the codec
     /// that decodes this workload's contracts.
     pub fn setup_node(&self, engine: &Arc<StorageEngine>) -> Result<Arc<dyn ContractCodec>> {
-        match self {
+        self.codec_after(|w| w.setup(engine))
+    }
+
+    /// The workload's contract codec alone: table ids follow from the
+    /// order tables are created in, so a scratch engine with the tables
+    /// and no rows gives the ids every node's genesis load gives. Every
+    /// process of a real-transport cluster decodes frames with it — the
+    /// orderer without hosting a replica at all.
+    pub fn codec(&self) -> Result<Arc<dyn ContractCodec>> {
+        let engine = StorageEngine::open(&StorageConfig::memory())?;
+        self.codec_after(|w| w.create_tables(&engine))
+    }
+
+    /// Run `prepare` on a fresh instance of the workload (it must leave
+    /// the table ids recorded) and wrap those ids in the codec.
+    fn codec_after(
+        &self,
+        prepare: impl FnOnce(&mut dyn Workload) -> Result<()>,
+    ) -> Result<Arc<dyn ContractCodec>> {
+        Ok(match self {
             ClusterWorkload::Smallbank(c) => {
                 let mut w = Smallbank::new(c.clone());
-                w.setup(engine)?;
+                prepare(&mut w)?;
                 let (checking, savings) = w.tables();
-                Ok(Arc::new(SmallbankCodec { checking, savings }))
+                Arc::new(SmallbankCodec { checking, savings })
             }
             ClusterWorkload::Ycsb(c) => {
                 let mut w = Ycsb::new(c.clone());
-                w.setup(engine)?;
-                Ok(Arc::new(YcsbCodec { table: w.table() }))
+                prepare(&mut w)?;
+                Arc::new(YcsbCodec { table: w.table() })
             }
             ClusterWorkload::Tpcc(c) => {
                 let mut w = Tpcc::new(c.clone());
-                w.setup(engine)?;
-                Ok(Arc::new(TpccCodec { tables: w.tables() }))
+                prepare(&mut w)?;
+                Arc::new(TpccCodec { tables: w.tables() })
             }
-        }
-    }
-
-    /// The workload's contract codec, built against a scratch engine (the
-    /// deterministic setup gives every node identical table ids). The
-    /// orderer process of a real-transport cluster uses this to decode
-    /// submitted contracts without hosting a replica.
-    pub fn codec(&self) -> Result<Arc<dyn ContractCodec>> {
-        let engine = Arc::new(StorageEngine::open(&StorageConfig::memory())?);
-        self.setup_node(&engine)
+        })
     }
 
     /// Tables a sharded deployment should replicate in full on every

@@ -127,7 +127,7 @@ impl CtlClient {
         }
     }
 
-    /// Ask the node's event loop to exit.
+    /// Ask the node's runtime to stop.
     ///
     /// # Errors
     /// Transport errors or an unexpected reply kind.

@@ -8,9 +8,12 @@
 //!   the workspace's existing contract/block/snapshot serialization.
 //! * [`tcp`] — [`tcp::NodeRuntime`]: one OS process hosting one
 //!   cluster node (client bank, orderer, follower, or replica) behind
-//!   the consensus [`harmony_consensus::net::Transport`] seam, with
-//!   wall-clock timers, per-peer reconnecting writers, and a
-//!   control-plane request/reply loop.
+//!   the consensus [`harmony_consensus::net::Transport`] seam. The node
+//!   sits behind one lock; the thread that read a burst of frames runs
+//!   their handlers and writes what they sent, one non-blocking `write`
+//!   per peer. A timer thread fires wall-clock timers, per-peer
+//!   connectors (re)connect, and control requests are answered by the
+//!   reader of the connection they came in on.
 //! * [`http`] — a tiny per-node observability endpoint (`/metrics` in
 //!   Prometheus text format, `/timeline` JSON, `/healthz`).
 //! * [`ctl`] — the operator clients `harmonyctl` drives:
@@ -30,8 +33,8 @@ pub mod wire;
 
 pub use ctl::{CtlClient, SubmitClient};
 pub use http::http_get;
-pub use tcp::{NodeRuntime, NodeRuntimeConfig};
+pub use tcp::{NodeRuntime, NodeRuntimeConfig, PEER_BACKLOG_BYTES};
 pub use wire::{
-    decode_ctl, encode_ctl, frame_tag, is_ctl_tag, read_frame, write_frame, CtlMsg, WireCodec,
-    MAX_FRAME_BYTES, WIRE_VERSION,
+    decode_ctl, encode_ctl, frame_tag, is_ctl_tag, read_frame, write_frame, CtlMsg, FrameBuf,
+    WireCodec, MAX_FRAME_BYTES, READ_BUF_BYTES, WIRE_VERSION,
 };

@@ -1,37 +1,73 @@
 //! The socket/thread node runtime: one OS process hosting one
 //! [`ClusterNode`] behind the [`Transport`] seam.
 //!
-//! Layout of a running process:
+//! A frame crosses **one** thread on its way in and none on its way out:
+//! the thread that read it runs the handler, and whatever the handler
+//! sends leaves in one `write` per peer before that thread reads again.
 //!
-//! * **Event-loop thread** — owns the node and a wall-clock timer heap;
+//! # Layout of a running process
+//!
+//! * **The node lock** — the [`ClusterNode`], its wall-clock timer heap
+//!   and every outbound buffer sit behind one mutex. Whoever holds it runs
 //!   the *identical* `on_message`/`on_timer` handlers the deterministic
-//!   simulator drives, fed from an mpsc channel and a
-//!   `recv_timeout`-based timer wheel. Also takes wall-clock metric
-//!   timeline snapshots and answers control-plane requests.
-//! * **Listener + per-connection reader threads** — accept loop; each
-//!   reader decodes length-prefixed frames and forwards them. A peer
-//!   connection introduces itself with a `Hello{index}` handshake
-//!   frame; control connections skip the handshake and speak
-//!   request/reply.
-//! * **Per-peer writer threads** — one bounded outbound queue per
-//!   configured peer. `try_send` backpressure: when a peer can't drain
-//!   its queue, frames are dropped and counted rather than stalling the
-//!   event loop. Writers (re)connect lazily with [`RetryPolicy`]
-//!   exponential backoff, so process start order doesn't matter and a
-//!   restarted peer is re-reached automatically.
+//!   simulator drives; nothing else ever touches the node.
+//! * **Listener + one reader thread per inbound connection** — a reader
+//!   owns one reused buffer ([`FrameBuf`]): one `read` brings in whatever
+//!   the socket holds, every whole frame in it is decoded on the reader
+//!   (outside the lock; a partial tail just stays buffered), then the
+//!   reader takes the lock once and runs the handlers for the whole
+//!   batch. A peer connection introduces itself with a `Hello{index}`
+//!   frame; frames from one that never did are counted and dropped.
+//!   Control connections skip the handshake and speak request/reply: the
+//!   reply is computed by the connection's own reader under the same
+//!   lock — so a `StatusReq` still queues behind a block in progress —
+//!   and written after the lock is released, so an operator that stops
+//!   reading stalls only its own reader.
+//! * **Who writes** — [`Transport::send`] only appends the encoded frame
+//!   to the destination's buffer. When the batch's handlers have returned,
+//!   the thread still holding the lock hands each non-empty buffer to its
+//!   socket with one `write`. Outbound sockets are connected by this
+//!   process and used for nothing but writing (replies come back on the
+//!   peer's own connection to our listener), so they can be
+//!   **non-blocking**: a `write` takes what the kernel has room for and
+//!   returns, and a thread running handlers never waits on a configured
+//!   peer.
+//! * **The backlog** — what the socket would not take stays at the front
+//!   of the peer's buffer and is retried on a short tick (`BACKLOG_TICK`) by the
+//!   timer thread. It is bounded by [`PEER_BACKLOG_BYTES`]; beyond it frames are
+//!   dropped and counted, one by one. The bound is in bytes because frames
+//!   range from a 15-byte vote to a multi-megabyte sync reply: a frame
+//!   count bounds neither the memory a stalled peer can pin nor the time
+//!   its backlog takes to drain.
+//! * **One connector thread per configured peer** — owns connect →
+//!   `Hello` → install, with [`RetryPolicy`] exponential backoff, so
+//!   process start order doesn't matter and a restarted peer is reached
+//!   again. It sleeps until told the connection broke; the unsent bytes
+//!   are then cut back to the last frame boundary, so the new connection
+//!   starts with the interrupted frame, whole.
+//! * **Timer thread** — what is left of an event loop: fires due timers
+//!   under the lock, retries backlogs, takes the wall-clock metric
+//!   timeline snapshots, and runs the shutdown sequence. It sleeps until
+//!   its next deadline and is woken only when a handler arms an earlier
+//!   one or the node is asked to stop.
 //!
 //! Peers without a configured address (the client slot, where
-//! `harmonyctl` lives) are reached over whatever inbound connection
-//! last introduced itself with that index — which is how admission
-//! rejects find their way back to an external driver.
+//! `harmonyctl` lives) are reached over whatever inbound connection last
+//! introduced itself with that index — which is how admission rejects
+//! find their way back to an external driver. Such a socket is shared
+//! with its reader (one file description), so it **cannot** be
+//! non-blocking; instead it has a short write timeout
+//! (`DYNAMIC_WRITE_TIMEOUT`), the one bounded wait a handler thread can
+//! meet. A client that lets it expire loses the link: its frames are
+//! counted as dropped and our write side is closed, while its
+//! submissions keep being read.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -40,12 +76,40 @@ use harmony_consensus::net::{SimNode, Transport};
 use harmony_metrics::{Counter, Registry, Timeline};
 use harmony_node::cluster::Msg;
 use harmony_node::{build_node, ClusterConfig, ClusterLayout, ClusterNode, RetryPolicy};
-use parking_lot::Mutex;
 
 use crate::http::spawn_http;
-use crate::wire::{
-    decode_ctl, encode_ctl, frame_tag, is_ctl_tag, read_frame, write_frame, CtlMsg, WireCodec,
-};
+use crate::wire::{decode_ctl, encode_ctl, frame_tag, is_ctl_tag, CtlMsg, FrameBuf, WireCodec};
+
+/// Most unsent bytes kept for one configured peer. The orderer's window
+/// and the replicas' sync policy keep a healthy peer far below it (a
+/// 100-transaction `Deliver` is about 6 KiB, so this is some 700 blocks);
+/// a peer further behind than this is recovering by state sync anyway,
+/// and holding more for it only delays the moment it finds out.
+pub const PEER_BACKLOG_BYTES: usize = 4 << 20;
+
+/// How often the timer thread offers a backlog to its socket again. A
+/// loopback or LAN peer that fell behind drains its receive buffer within
+/// a fraction of this; shorter would only spin on a peer that is stuck.
+const BACKLOG_TICK: Duration = Duration::from_millis(1);
+
+/// Longest a handler thread waits for a dynamic (client-slot) link to
+/// take a batch. The kernel buffers absorb hundreds of kilobytes before a
+/// write blocks at all, so only a client that has stopped reading gets
+/// here, and every replica's block stream waits while it does.
+const DYNAMIC_WRITE_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Longest one connection attempt may take. A peer on a host that is down
+/// answers nothing at all, and a connector inside `connect` cannot hear a
+/// stop request; a live peer answers within a round trip.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Pause after a failed `accept` (descriptor exhaustion), so the listener
+/// does not spin while readers are still closing theirs.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
+/// A handler panic leaves the node in no known state: every thread that
+/// then asks for the lock ends with it, and `join` returns.
+const POISONED: &str = "a handler panicked holding the node lock";
 
 /// Configuration of one OS-process node.
 #[derive(Clone, Debug)]
@@ -64,54 +128,177 @@ pub struct NodeRuntimeConfig {
     pub http: Option<SocketAddr>,
 }
 
-enum Event {
-    /// A cluster message from peer `from`.
-    Peer { from: usize, body: Vec<u8> },
-    /// A control request; the reply goes back down `stream`.
-    Ctl { stream: TcpStream, body: Vec<u8> },
-}
-
-/// Outbound connectivity: bounded queues to configured peers, direct
-/// streams to peers that introduced themselves inbound.
-struct PeerTable {
-    outbound: Vec<Option<SyncSender<Vec<u8>>>>,
-    dynamic: Mutex<HashMap<usize, TcpStream>>,
-    dropped: Counter,
-}
-
-impl PeerTable {
-    fn send(&self, to: usize, frame: Vec<u8>) {
-        if let Some(Some(tx)) = self.outbound.get(to) {
-            match tx.try_send(frame) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => self.dropped.inc(),
-            }
-            return;
+/// Offset of the last frame boundary at or before `upto` in a buffer of
+/// whole `[u32 LE length][body]` frames that starts at a boundary.
+fn frame_boundary(frames: &[u8], upto: usize) -> usize {
+    let mut at = 0;
+    while let Some(prefix) = frames[at..].first_chunk::<4>() {
+        let next = at + 4 + u32::from_le_bytes(*prefix) as usize;
+        if next > upto {
+            break;
         }
-        let mut dynamic = self.dynamic.lock();
-        match dynamic.get_mut(&to) {
-            Some(stream) => {
-                if stream.write_all(&frame).is_err() {
-                    dynamic.remove(&to);
-                    self.dropped.inc();
+        at = next;
+    }
+    at
+}
+
+/// Write all of `buf` or give up once `limit` has passed. The stream's
+/// own send timeout (set to the same `limit`) bounds each `write`; this
+/// bounds their sum, so a reader that drips cannot hold the caller.
+fn write_all_within(mut stream: &TcpStream, mut buf: &[u8], limit: Duration) -> io::Result<()> {
+    let started = Instant::now();
+    while !buf.is_empty() {
+        match stream.write(buf) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => buf = &buf[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        if !buf.is_empty() && started.elapsed() >= limit {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+    }
+    Ok(())
+}
+
+/// The outbound side of one configured peer.
+#[derive(Default)]
+struct PeerLink {
+    /// Connected, non-blocking, write-only; `None` while the connector is
+    /// (re)connecting.
+    stream: Option<TcpStream>,
+    /// Whole frames the socket has not fully taken. Starts at a frame
+    /// boundary.
+    out: Vec<u8>,
+    /// Bytes at the front of `out` the current connection already took.
+    head: usize,
+}
+
+impl PeerLink {
+    fn unsent(&self) -> usize {
+        self.out.len() - self.head
+    }
+
+    /// Offer the unsent bytes to the socket with one `write`. Returns
+    /// `false` when the connection turned out broken: the link is then
+    /// cut back to a frame boundary and waits for its connector.
+    fn flush(&mut self) -> bool {
+        let Some(stream) = &mut self.stream else {
+            return true;
+        };
+        match stream.write(&self.out[self.head..]) {
+            Ok(0) => {}
+            Ok(n) => {
+                self.head += n;
+                if self.head == self.out.len() {
+                    self.out.clear();
+                    self.head = 0;
+                } else if self.head > self.out.len() / 2 {
+                    self.cut_to_boundary();
                 }
+                return true;
             }
-            None => self.dropped.inc(),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) =>
+            {
+                return true;
+            }
+            Err(_) => {}
         }
+        // The peer may have seen part of a frame: the next connection
+        // starts over with that frame, whole.
+        self.stream = None;
+        self.cut_to_boundary();
+        self.head = 0;
+        false
+    }
+
+    /// Forget the frames the socket took whole.
+    fn cut_to_boundary(&mut self) {
+        let boundary = frame_boundary(&self.out, self.head);
+        self.out.drain(..boundary);
+        self.head -= boundary;
     }
 }
 
-/// State shared across the runtime's threads.
-struct Shared {
-    shutdown: Arc<AtomicBool>,
-    /// Accepted inbound streams, kept so shutdown can unblock readers.
-    conns: Mutex<Vec<TcpStream>>,
-    peers: PeerTable,
-    listen_addr: SocketAddr,
+/// A peer without an address of its own, reached over the inbound
+/// connection `conn` that introduced itself with its index.
+struct DynamicLink {
+    conn: u64,
+    stream: Arc<TcpStream>,
+    out: Vec<u8>,
+    frames: u64,
 }
 
-/// Transport metric handles (interned once, cloned into threads).
-#[derive(Clone)]
+/// Every way out of this node. Lives behind the node lock.
+struct Links {
+    /// By node index; `None` where no address is configured (and at our
+    /// own index).
+    peers: Vec<Option<PeerLink>>,
+    dynamic: HashMap<usize, DynamicLink>,
+    dropped: Counter,
+}
+
+/// What [`Links::flush`] left behind.
+#[derive(Default)]
+struct Flushed {
+    /// A connected peer still holds a backlog.
+    backlog: bool,
+    /// A connection broke; its connector must be woken.
+    broke: bool,
+}
+
+impl Links {
+    fn send(&mut self, to: usize, frame: &[u8]) {
+        if let Some(Some(link)) = self.peers.get_mut(to) {
+            // An empty buffer takes any frame, so one larger than the
+            // bound still travels.
+            if link.unsent() > 0 && link.unsent() + frame.len() > PEER_BACKLOG_BYTES {
+                self.dropped.inc();
+            } else {
+                link.out.extend_from_slice(frame);
+            }
+        } else if let Some(link) = self.dynamic.get_mut(&to) {
+            link.out.extend_from_slice(frame);
+            link.frames += 1;
+        } else {
+            self.dropped.inc();
+        }
+    }
+
+    /// Hand every non-empty buffer to its socket: one `write` each.
+    fn flush(&mut self) -> Flushed {
+        let mut flushed = Flushed::default();
+        for link in self.peers.iter_mut().flatten() {
+            if link.unsent() > 0 {
+                flushed.broke |= !link.flush();
+                flushed.backlog |= link.unsent() > 0 && link.stream.is_some();
+            }
+        }
+        let dropped = &self.dropped;
+        self.dynamic.retain(|_, link| {
+            if link.out.is_empty() {
+                return true;
+            }
+            let sent = write_all_within(&link.stream, &link.out, DYNAMIC_WRITE_TIMEOUT);
+            if sent.is_err() {
+                // Part of a frame may be out: end the stream our way, so
+                // the client meets an EOF and not a frame that never ends.
+                dropped.add(link.frames);
+                let _ = link.stream.shutdown(Shutdown::Write);
+            }
+            link.out.clear();
+            link.frames = 0;
+            sent.is_ok()
+        });
+        flushed
+    }
+}
+
+/// Transport metric handles (interned once).
 struct NetMetrics {
     frames_in: Counter,
     bytes_in: Counter,
@@ -158,13 +345,10 @@ impl NetMetrics {
 
 /// The wall-clock [`Transport`] impl handed to the node's handlers.
 struct TcpCtx<'a> {
-    me: usize,
+    rt: &'a Runtime,
     now_ns: u64,
-    peers: &'a PeerTable,
-    codec: &'a WireCodec,
-    metrics: &'a NetMetrics,
-    /// Timers armed during this dispatch: `(due_ns, id)`.
-    new_timers: Vec<(u64, u64)>,
+    links: &'a mut Links,
+    timers: &'a mut BinaryHeap<Reverse<(u64, u64)>>,
 }
 
 impl Transport<Msg> for TcpCtx<'_> {
@@ -173,19 +357,19 @@ impl Transport<Msg> for TcpCtx<'_> {
     }
 
     fn me(&self) -> usize {
-        self.me
+        self.rt.me
     }
 
     fn send(&mut self, to: usize, msg: Msg, _bytes: u64) {
-        let frame = self.codec.encode_msg(&msg);
-        self.metrics.frames_out.inc();
-        self.metrics.bytes_out.add(frame.len() as u64);
-        self.peers.send(to, frame);
+        let frame = self.rt.codec.encode_msg(&msg);
+        self.rt.metrics.frames_out.inc();
+        self.rt.metrics.bytes_out.add(frame.len() as u64);
+        self.links.send(to, &frame);
     }
 
     fn set_timer(&mut self, delay_ns: u64, id: u64) {
-        self.new_timers
-            .push((self.now_ns.saturating_add(delay_ns), id));
+        self.timers
+            .push(Reverse((self.now_ns.saturating_add(delay_ns), id)));
     }
 
     fn charge_cpu(&mut self, _ns: u64) {
@@ -193,22 +377,223 @@ impl Transport<Msg> for TcpCtx<'_> {
     }
 }
 
+/// Everything a handler may touch, behind the node lock.
+struct Core {
+    node: ClusterNode,
+    /// Armed timers as `(due_ns, id)`.
+    timers: BinaryHeap<Reverse<(u64, u64)>>,
+    links: Links,
+    /// The deadline the timer thread is asleep until (0 while it is
+    /// awake): whoever creates an earlier one wakes it.
+    asleep_until_ns: u64,
+    /// Asked to stop; the timer thread runs the shutdown sequence.
+    stopping: bool,
+}
+
+impl Core {
+    fn drive(&mut self, rt: &Runtime, f: impl FnOnce(&mut ClusterNode, &mut TcpCtx<'_>)) {
+        let mut ctx = TcpCtx {
+            rt,
+            now_ns: rt.now_ns(),
+            links: &mut self.links,
+            timers: &mut self.timers,
+        };
+        f(&mut self.node, &mut ctx);
+    }
+
+    /// Answer one control request. `true` with the reply asks the caller
+    /// to stop the node once the reply is on its way.
+    fn control(&mut self, rt: &Runtime, request: Result<CtlMsg>) -> (CtlMsg, bool) {
+        let reply = match request {
+            Ok(CtlMsg::StatusReq) => CtlMsg::StatusReply(self.node.status()),
+            Ok(CtlMsg::BlockReq { shard, seq }) => {
+                CtlMsg::BlockReply(self.node.block_summary(shard as usize, seq))
+            }
+            Ok(CtlMsg::Crash) => {
+                self.drive(rt, |n, ctx| n.on_timer(harmony_node::TIMER_CRASH, ctx));
+                CtlMsg::Ok
+            }
+            Ok(CtlMsg::Recover) => {
+                self.drive(rt, |n, ctx| n.on_timer(harmony_node::TIMER_RECOVER, ctx));
+                CtlMsg::Ok
+            }
+            Ok(CtlMsg::Reshard { new_shards }) => {
+                if self.node.role() == "orderer" {
+                    self.drive(rt, |n, ctx| {
+                        n.on_message(rt.me, Msg::Reshard { new_shards }, ctx);
+                    });
+                    CtlMsg::Ok
+                } else {
+                    CtlMsg::Err("reshard must target the orderer".into())
+                }
+            }
+            Ok(CtlMsg::MetricsReq) => CtlMsg::Text(rt.registry.render_prometheus()),
+            Ok(CtlMsg::Shutdown) => return (CtlMsg::Ok, true),
+            Ok(other) => CtlMsg::Err(format!("unexpected control request: {other:?}")),
+            Err(e) => CtlMsg::Err(format!("bad control frame: {e}")),
+        };
+        (reply, false)
+    }
+}
+
+/// One decoded inbound frame, waiting for the node lock.
+enum Inbound {
+    /// A cluster message from peer `from`.
+    Peer { from: usize, msg: Msg },
+    /// A control request; the reply goes back down the same connection.
+    Ctl(Result<CtlMsg>),
+    /// `Hello` from a peer without an address: reach it over this
+    /// connection from now on.
+    Link { index: usize },
+}
+
+/// Accepted connections, kept so shutdown can unblock their readers.
+#[derive(Default)]
+struct Conns {
+    /// Set by shutdown under the lock: nothing registers after it.
+    closed: bool,
+    open: HashMap<u64, Arc<TcpStream>>,
+}
+
+/// State shared across the runtime's threads.
+struct Runtime {
+    me: usize,
+    epoch: Instant,
+    core: Mutex<Core>,
+    /// Wakes the timer thread (paired with `core`).
+    timer_wake: Condvar,
+    /// Wakes the connectors (paired with `core`).
+    connector_wake: Condvar,
+    codec: WireCodec,
+    metrics: NetMetrics,
+    registry: Arc<Registry>,
+    /// Node indices reached over a connector (an address, and not ours).
+    configured: Vec<bool>,
+    shutdown: Arc<AtomicBool>,
+    conns: parking_lot::Mutex<Conns>,
+    listen_addr: SocketAddr,
+}
+
+impl Runtime {
+    fn now_ns(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Core> {
+        self.core.lock().expect(POISONED)
+    }
+
+    /// End a batch of handler calls: push out what they sent, and wake
+    /// whoever now has something to do sooner than it thought. Returns the
+    /// next instant the timer thread is needed: the earliest armed timer,
+    /// or a backlog's next tick.
+    fn finish(&self, core: &mut Core) -> u64 {
+        let flushed = core.links.flush();
+        if flushed.broke {
+            self.connector_wake.notify_all();
+        }
+        let mut next = core
+            .timers
+            .peek()
+            .map_or(u64::MAX, |&Reverse((due, _))| due);
+        if flushed.backlog {
+            next = next.min(self.now_ns() + BACKLOG_TICK.as_nanos() as u64);
+        }
+        if next < core.asleep_until_ns {
+            // One wake-up is enough until the timer thread sleeps again.
+            core.asleep_until_ns = 0;
+            self.timer_wake.notify_one();
+        }
+        next
+    }
+
+    /// Run the handlers for one reader's batch under one hold of the
+    /// lock; control replies are appended to `replies`. Returns whether a
+    /// control request asked the node to stop.
+    fn handle(
+        &self,
+        conn: u64,
+        stream: &Arc<TcpStream>,
+        batch: &mut Vec<Inbound>,
+        replies: &mut Vec<u8>,
+    ) -> bool {
+        let mut stop = false;
+        let mut core = self.lock();
+        for inbound in batch.drain(..) {
+            match inbound {
+                Inbound::Peer { from, msg } => {
+                    core.drive(self, |n, ctx| n.on_message(from, msg, ctx));
+                }
+                Inbound::Ctl(request) => {
+                    let (reply, asked_to_stop) = core.control(self, request);
+                    replies.extend_from_slice(&encode_ctl(&reply));
+                    stop |= asked_to_stop;
+                }
+                Inbound::Link { index } => {
+                    // Without its timeout the link could hold a handler.
+                    if stream
+                        .set_write_timeout(Some(DYNAMIC_WRITE_TIMEOUT))
+                        .is_ok()
+                    {
+                        let link = DynamicLink {
+                            conn,
+                            stream: Arc::clone(stream),
+                            out: Vec::new(),
+                            frames: 0,
+                        };
+                        core.links.dynamic.insert(index, link);
+                    }
+                }
+            }
+        }
+        self.finish(&mut core);
+        stop
+    }
+
+    /// Ask the node to stop (a control-plane `Shutdown`, or
+    /// [`NodeRuntime::stop`]).
+    fn request_stop(&self) {
+        self.lock().stopping = true;
+        self.timer_wake.notify_one();
+    }
+
+    /// Flip the flag, unblock every thread, and wait for them.
+    fn shut_down(&self, threads: Vec<JoinHandle<()>>) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.lock().stopping = true;
+        self.connector_wake.notify_all();
+        {
+            let mut conns = self.conns.lock();
+            conns.closed = true;
+            for stream in conns.open.values() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
+        // One last self-connect pops the listener out of accept().
+        let _ = TcpStream::connect(self.listen_addr);
+        for thread in threads {
+            let _ = thread.join();
+        }
+    }
+}
+
 /// A running OS-process node. Dropping the handle does **not** stop the
 /// runtime; use [`NodeRuntime::stop`] or a control-plane `Shutdown`.
 pub struct NodeRuntime {
-    event_loop: JoinHandle<()>,
-    shared: Arc<Shared>,
+    timer: JoinHandle<()>,
+    rt: Arc<Runtime>,
     http_addr: Option<SocketAddr>,
 }
 
 impl NodeRuntime {
     /// Bind the listener, spawn the runtime's threads, and start the
     /// node at `cfg.index` built by the same [`build_node`] factory the
-    /// simulator uses.
+    /// simulator uses. Every thread that will run a handler descends from
+    /// the calling thread (and so inherits its CPU affinity).
     ///
     /// # Errors
     /// Configuration errors (bad index, missing listen address), node
-    /// construction failures, and socket bind errors.
+    /// construction failures, socket bind and thread spawn errors.
     pub fn start(cfg: NodeRuntimeConfig) -> Result<NodeRuntime> {
         let layout = ClusterLayout::of(&cfg.cluster);
         if cfg.index >= layout.total() || cfg.peers.len() != layout.total() {
@@ -228,93 +613,97 @@ impl NodeRuntime {
         let listener = bind_with_retry(listen, cfg.cluster.sync_retry, cfg.cluster.seed)?;
         let listen_addr = listener.local_addr().map_err(Error::Io)?;
 
-        // Outbound writer per configured peer (lazy connect + reconnect).
-        let mut outbound: Vec<Option<SyncSender<Vec<u8>>>> = Vec::new();
-        let mut writer_specs = Vec::new();
-        for (to, addr) in cfg.peers.iter().enumerate() {
-            match addr {
-                Some(addr) if to != cfg.index => {
-                    let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(1024);
-                    outbound.push(Some(tx));
-                    writer_specs.push((to, *addr, rx));
-                }
-                _ => outbound.push(None),
-            }
-        }
-        let shared = Arc::new(Shared {
-            shutdown: Arc::new(AtomicBool::new(false)),
-            conns: Mutex::new(Vec::new()),
-            peers: PeerTable {
-                outbound,
-                dynamic: Mutex::new(HashMap::new()),
-                dropped: registry.counter(
-                    "harmony_transport_dropped_frames_total",
-                    "Outbound frames dropped by queue backpressure or dead peers.",
-                ),
-            },
+        let configured: Vec<bool> = cfg
+            .peers
+            .iter()
+            .enumerate()
+            .map(|(to, addr)| addr.is_some() && to != cfg.index)
+            .collect();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let rt = Arc::new(Runtime {
+            me: cfg.index,
+            epoch: Instant::now(),
+            core: Mutex::new(Core {
+                node,
+                timers: BinaryHeap::new(),
+                links: Links {
+                    peers: configured
+                        .iter()
+                        .map(|&c| c.then(PeerLink::default))
+                        .collect(),
+                    dynamic: HashMap::new(),
+                    dropped: registry.counter(
+                        "harmony_transport_dropped_frames_total",
+                        "Outbound frames dropped by backlog backpressure or dead peers.",
+                    ),
+                },
+                asleep_until_ns: 0,
+                stopping: false,
+            }),
+            timer_wake: Condvar::new(),
+            connector_wake: Condvar::new(),
+            codec,
+            metrics,
+            registry: Arc::clone(&registry),
+            configured,
+            shutdown: Arc::clone(&shutdown),
+            conns: parking_lot::Mutex::new(Conns::default()),
             listen_addr,
         });
-        for (to, addr, rx) in writer_specs {
-            spawn_writer(
-                cfg.index,
-                to,
-                addr,
-                rx,
-                cfg.cluster.sync_retry,
-                cfg.cluster.seed,
-                metrics.reconnects.clone(),
-                Arc::clone(&shared),
-            );
-        }
 
-        let timeline = Arc::new(Mutex::new(Timeline::new(
+        let every_ns = cfg.cluster.metrics_every_ns.max(1);
+        let timeline = Arc::new(parking_lot::Mutex::new(Timeline::new(
             &format!("tcp·node{}", cfg.index),
             cfg.cluster.seed,
-            cfg.cluster.metrics_every_ns.max(1),
+            every_ns,
         )));
         let http_addr = match cfg.http {
-            Some(addr) => Some(spawn_http(
-                addr,
-                Arc::clone(&registry),
-                Arc::clone(&timeline),
-                Arc::clone(&shared.shutdown),
-            )?),
+            Some(addr) => Some(spawn_http(addr, registry, Arc::clone(&timeline), shutdown)?),
             None => None,
         };
 
-        let (events_tx, events_rx) = mpsc::sync_channel::<Event>(4096);
-        spawn_listener(listener, events_tx, metrics.clone(), Arc::clone(&shared));
-
-        let loop_shared = Arc::clone(&shared);
-        let every_ns = cfg.cluster.metrics_every_ns.max(1);
-        let event_loop = thread::Builder::new()
-            .name(format!("harmony-node-{}", cfg.index))
-            .spawn(move || {
-                run_event_loop(
-                    node,
-                    cfg.index,
-                    codec,
-                    events_rx,
-                    loop_shared,
-                    registry,
-                    timeline,
-                    every_ns,
-                    metrics,
-                );
-            })
-            .map_err(Error::Io)?;
-
-        Ok(NodeRuntime {
-            event_loop,
-            shared,
-            http_addr,
-        })
+        // Connectors and the listener first: the timer thread, which ends
+        // the runtime, takes their handles with it.
+        let spawn_all = || -> io::Result<JoinHandle<()>> {
+            let named = |name: String| thread::Builder::new().name(name);
+            let mut threads = Vec::new();
+            for (to, addr) in cfg.peers.iter().enumerate() {
+                if let (Some(addr), true) = (*addr, rt.configured[to]) {
+                    let (rt, retry, seed) =
+                        (Arc::clone(&rt), cfg.cluster.sync_retry, cfg.cluster.seed);
+                    threads.push(
+                        named(format!("harmony-conn-{}-{to}", cfg.index))
+                            .spawn(move || run_connector(&rt, to, addr, retry, seed))?,
+                    );
+                }
+            }
+            let listener_rt = Arc::clone(&rt);
+            threads.push(
+                named("harmony-listener".into())
+                    .spawn(move || run_listener(&listener_rt, &listener))?,
+            );
+            let rt = Arc::clone(&rt);
+            named(format!("harmony-node-{}", cfg.index))
+                .spawn(move || run_timers(&rt, &timeline, every_ns, threads))
+        };
+        match spawn_all() {
+            Ok(timer) => Ok(NodeRuntime {
+                timer,
+                rt,
+                http_addr,
+            }),
+            Err(e) => {
+                // Whatever did start exits on the flag, unjoined.
+                rt.shut_down(Vec::new());
+                Err(Error::Io(e))
+            }
+        }
     }
 
     /// The bound listen address (useful with port-0 configs).
     #[must_use]
     pub fn listen_addr(&self) -> SocketAddr {
-        self.shared.listen_addr
+        self.rt.listen_addr
     }
 
     /// The bound HTTP endpoint address, if one was configured.
@@ -323,19 +712,16 @@ impl NodeRuntime {
         self.http_addr
     }
 
-    /// Ask the event loop to exit (same as a control-plane `Shutdown`).
+    /// Ask the runtime to exit (same as a control-plane `Shutdown`).
     pub fn stop(&self) {
-        if let Ok(mut stream) = TcpStream::connect(self.shared.listen_addr) {
-            let _ = write_frame(&mut stream, &encode_ctl(&CtlMsg::Shutdown));
-            let mut s = stream;
-            let _ = read_frame(&mut s);
-        }
+        self.rt.request_stop();
     }
 
-    /// Block until the event loop exits (control-plane `Shutdown` or
-    /// [`NodeRuntime::stop`]).
+    /// Block until the runtime has stopped (control-plane `Shutdown` or
+    /// [`NodeRuntime::stop`]) and every thread it started, the HTTP
+    /// endpoint's aside, has exited.
     pub fn join(self) {
-        let _ = self.event_loop.join();
+        let _ = self.timer.join();
     }
 }
 
@@ -345,7 +731,7 @@ impl NodeRuntime {
 /// `harmonyctl spawn` allocates ports by bind-and-release, so the
 /// spawned process can race the allocator's socket still closing (or a
 /// predecessor process still unwinding) — the classic bind TOCTOU. A
-/// bounded retry with the same jittered backoff the writer threads use
+/// bounded retry with the same jittered backoff the connector threads use
 /// closes that window without hanging forever on a genuinely taken
 /// port; any error other than `AddrInUse` still fails immediately.
 fn bind_with_retry(addr: SocketAddr, retry: RetryPolicy, seed: u64) -> Result<TcpListener> {
@@ -366,289 +752,217 @@ fn bind_with_retry(addr: SocketAddr, retry: RetryPolicy, seed: u64) -> Result<Tc
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_event_loop(
-    mut node: ClusterNode,
-    me: usize,
-    codec: WireCodec,
-    events: Receiver<Event>,
-    shared: Arc<Shared>,
-    registry: Arc<Registry>,
-    timeline: Arc<Mutex<Timeline>>,
+/// The timer thread: fire due timers, retry backlogs, snapshot the
+/// timeline; on the way out, stop everything else.
+fn run_timers(
+    rt: &Runtime,
+    timeline: &parking_lot::Mutex<Timeline>,
     snapshot_every_ns: u64,
-    metrics: NetMetrics,
+    threads: Vec<JoinHandle<()>>,
 ) {
-    let epoch = Instant::now();
-    let now_ns = || u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let mut timers: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
     let mut next_snapshot = snapshot_every_ns;
-
-    let drive = |node: &mut ClusterNode,
-                 timers: &mut BinaryHeap<Reverse<(u64, u64)>>,
-                 f: &mut dyn FnMut(&mut ClusterNode, &mut TcpCtx<'_>)| {
-        let mut ctx = TcpCtx {
-            me,
-            now_ns: now_ns(),
-            peers: &shared.peers,
-            codec: &codec,
-            metrics: &metrics,
-            new_timers: Vec::new(),
-        };
-        f(node, &mut ctx);
-        for (due, id) in ctx.new_timers {
-            timers.push(Reverse((due, id)));
-        }
-    };
-
     loop {
-        // Fire every due timer.
+        let mut core = rt.lock();
         loop {
-            let now = now_ns();
-            match timers.peek() {
-                Some(&Reverse((due, id))) if due <= now => {
-                    timers.pop();
-                    drive(&mut node, &mut timers, &mut |n, ctx| n.on_timer(id, ctx));
+            match core.timers.peek() {
+                Some(&Reverse((due, id))) if due <= rt.now_ns() => {
+                    core.timers.pop();
+                    core.drive(rt, |n, ctx| n.on_timer(id, ctx));
                 }
                 _ => break,
             }
         }
-        // Wall-clock timeline snapshot.
-        let now = now_ns();
+        let next = rt.finish(&mut core);
+        if core.stopping {
+            break;
+        }
+        let now = rt.now_ns();
         if now >= next_snapshot {
-            timeline.lock().record(now, &registry);
+            // Off the lock: a snapshot reads atomics, not the node.
+            drop(core);
+            timeline.lock().record(now, &rt.registry);
             while next_snapshot <= now {
                 next_snapshot += snapshot_every_ns;
             }
+            continue;
         }
-        // Sleep until the next deadline (or a short poll tick).
-        let deadline = timers
-            .peek()
-            .map_or(next_snapshot, |&Reverse((due, _))| due.min(next_snapshot));
-        let wait_ns = deadline.saturating_sub(now_ns()).clamp(1, 100_000_000);
-        match events.recv_timeout(Duration::from_nanos(wait_ns)) {
-            Ok(Event::Peer { from, body }) => match codec.decode_msg(&body) {
-                Ok(msg) => {
-                    drive(&mut node, &mut timers, &mut |n, ctx| {
-                        n.on_message(from, msg.clone(), ctx);
-                    });
+        let deadline = next.min(next_snapshot);
+        core.asleep_until_ns = deadline;
+        let wait = Duration::from_nanos(deadline.saturating_sub(now).max(1));
+        let (mut core, _) = rt.timer_wake.wait_timeout(core, wait).expect(POISONED);
+        core.asleep_until_ns = 0;
+    }
+    rt.shut_down(threads);
+}
+
+/// Connect to `addr` and introduce ourselves; the stream comes back
+/// non-blocking, ready to install.
+fn connect_and_greet(addr: SocketAddr, me: usize, reconnects: &Counter) -> io::Result<TcpStream> {
+    let mut stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+    reconnects.inc();
+    let _ = stream.set_nodelay(true);
+    stream.write_all(&encode_ctl(&CtlMsg::Hello {
+        index: u32::try_from(me).unwrap_or(u32::MAX),
+    }))?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
+}
+
+/// One configured peer's connector: connect → `Hello` → install, then
+/// sleep until the link reports the connection broken.
+fn run_connector(rt: &Runtime, to: usize, addr: SocketAddr, retry: RetryPolicy, seed: u64) {
+    let connected = |core: &Core| {
+        core.links.peers[to]
+            .as_ref()
+            .is_some_and(|link| link.stream.is_some())
+    };
+    let mut attempt: u32 = 0;
+    loop {
+        let core = rt
+            .connector_wake
+            .wait_while(rt.lock(), |core| !core.stopping && connected(core))
+            .expect(POISONED);
+        if core.stopping {
+            return;
+        }
+        drop(core);
+        match connect_and_greet(addr, rt.me, &rt.metrics.reconnects) {
+            Ok(stream) => {
+                attempt = 0;
+                let mut core = rt.lock();
+                if let Some(link) = &mut core.links.peers[to] {
+                    link.stream = Some(stream);
                 }
-                Err(_) => metrics.decode_errors.inc(),
-            },
-            Ok(Event::Ctl { mut stream, body }) => {
-                let mut stop = false;
-                let reply = match decode_ctl(&body) {
-                    Ok(CtlMsg::StatusReq) => CtlMsg::StatusReply(node.status()),
-                    Ok(CtlMsg::BlockReq { shard, seq }) => {
-                        CtlMsg::BlockReply(node.block_summary(shard as usize, seq))
+                rt.finish(&mut core);
+            }
+            Err(_) => {
+                // Exponential backoff with deterministic jitter — the
+                // state-sync retry policy, reused on real sockets; a stop
+                // request cuts the wait short.
+                let wait = retry.backoff_ns(attempt.min(retry.max_retries), seed, to as u64);
+                attempt = attempt.saturating_add(1);
+                let _ = rt
+                    .connector_wake
+                    .wait_timeout_while(rt.lock(), Duration::from_nanos(wait), |core| {
+                        !core.stopping
+                    })
+                    .expect(POISONED);
+            }
+        }
+    }
+}
+
+fn run_listener(rt: &Arc<Runtime>, listener: &TcpListener) {
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_conn: u64 = 0;
+    loop {
+        let accepted = listener.accept();
+        if rt.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok((stream, _)) = accepted else {
+            thread::sleep(ACCEPT_RETRY);
+            continue;
+        };
+        readers.retain(|reader| !reader.is_finished());
+        let _ = stream.set_nodelay(true);
+        let stream = Arc::new(stream);
+        let conn = next_conn;
+        next_conn += 1;
+        {
+            let mut conns = rt.conns.lock();
+            if conns.closed {
+                break;
+            }
+            conns.open.insert(conn, Arc::clone(&stream));
+        }
+        let reader_rt = Arc::clone(rt);
+        let reader = thread::Builder::new()
+            .name("harmony-reader".into())
+            .spawn(move || run_reader(&reader_rt, conn, &stream));
+        match reader {
+            Ok(reader) => readers.push(reader),
+            Err(_) => {
+                rt.conns.lock().open.remove(&conn);
+            }
+        }
+    }
+    for reader in readers {
+        let _ = reader.join();
+    }
+}
+
+/// One inbound connection: read a burst, decode every whole frame in it,
+/// run the handlers for the batch, write the control replies, repeat.
+fn run_reader(rt: &Runtime, conn: u64, stream: &Arc<TcpStream>) {
+    let mut frames = FrameBuf::new();
+    let mut batch: Vec<Inbound> = Vec::new();
+    let mut replies: Vec<u8> = Vec::new();
+    let mut from: Option<usize> = None;
+    let mut resynchronisable = true;
+    while resynchronisable && matches!(frames.fill(&mut &**stream), Ok(n) if n > 0) {
+        loop {
+            match frames.next_frame() {
+                Ok(Some(body)) => {
+                    rt.metrics.frames_in.inc();
+                    rt.metrics.bytes_in.add(body.len() as u64 + 4);
+                    match decode_inbound(rt, body, &mut from) {
+                        Ok(inbound) => batch.extend(inbound),
+                        Err(()) => rt.metrics.decode_errors.inc(),
                     }
-                    Ok(CtlMsg::Crash) => {
-                        drive(&mut node, &mut timers, &mut |n, ctx| {
-                            n.on_timer(harmony_node::TIMER_CRASH, ctx);
-                        });
-                        CtlMsg::Ok
-                    }
-                    Ok(CtlMsg::Recover) => {
-                        drive(&mut node, &mut timers, &mut |n, ctx| {
-                            n.on_timer(harmony_node::TIMER_RECOVER, ctx);
-                        });
-                        CtlMsg::Ok
-                    }
-                    Ok(CtlMsg::Reshard { new_shards }) => {
-                        if node.role() == "orderer" {
-                            drive(&mut node, &mut timers, &mut |n, ctx| {
-                                n.on_message(me, Msg::Reshard { new_shards }, ctx);
-                            });
-                            CtlMsg::Ok
-                        } else {
-                            CtlMsg::Err("reshard must target the orderer".into())
-                        }
-                    }
-                    Ok(CtlMsg::MetricsReq) => CtlMsg::Text(registry.render_prometheus()),
-                    Ok(CtlMsg::Shutdown) => {
-                        stop = true;
-                        CtlMsg::Ok
-                    }
-                    Ok(other) => CtlMsg::Err(format!("unexpected control request: {other:?}")),
-                    Err(e) => CtlMsg::Err(format!("bad control frame: {e}")),
-                };
-                let _ = write_frame(&mut stream, &encode_ctl(&reply));
-                if stop {
+                }
+                Ok(None) => break,
+                Err(_) => {
+                    // A length beyond the cap: nothing after it can be
+                    // trusted to be a frame boundary.
+                    rt.metrics.decode_errors.inc();
+                    resynchronisable = false;
                     break;
                 }
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+        }
+        if batch.is_empty() {
+            continue;
+        }
+        let stop = rt.handle(conn, stream, &mut batch, &mut replies);
+        if !replies.is_empty() {
+            // Off the lock; a failed write shows as EOF on the next read.
+            let _ = (&**stream).write_all(&replies);
+            replies.clear();
+        }
+        if stop {
+            rt.request_stop();
         }
     }
+    // Close the descriptor: drop every handle on it but the caller's.
+    rt.lock().links.dynamic.retain(|_, link| link.conn != conn);
+    rt.conns.lock().open.remove(&conn);
+}
 
-    // Shutdown: flip the flag, then unblock every blocked thread.
-    shared.shutdown.store(true, Ordering::SeqCst);
-    for tx in shared.peers.outbound.iter().flatten() {
-        let _ = tx.try_send(Vec::new()); // writer sentinel
+/// Decode one frame body on the reader. `Ok(None)`: a `Hello` that needs
+/// nothing from the node. `Err`: malformed, or a cluster message from a
+/// connection that never said `Hello`.
+fn decode_inbound(
+    rt: &Runtime,
+    body: &[u8],
+    from: &mut Option<usize>,
+) -> std::result::Result<Option<Inbound>, ()> {
+    let tag = frame_tag(body).ok_or(())?;
+    if !is_ctl_tag(tag) {
+        let from = from.ok_or(())?;
+        let msg = rt.codec.decode_msg(body).map_err(drop)?;
+        return Ok(Some(Inbound::Peer { from, msg }));
     }
-    for stream in shared.conns.lock().iter() {
-        let _ = stream.shutdown(Shutdown::Both);
-    }
-    // One last self-connect pops the listener out of accept().
-    let _ = TcpStream::connect(shared.listen_addr);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_writer(
-    me: usize,
-    to: usize,
-    addr: SocketAddr,
-    rx: Receiver<Vec<u8>>,
-    retry: RetryPolicy,
-    seed: u64,
-    reconnects: Counter,
-    shared: Arc<Shared>,
-) {
-    let _ = thread::Builder::new()
-        .name(format!("harmony-writer-{me}-{to}"))
-        .spawn(move || {
-            let mut attempt: u32 = 0;
-            let mut pending: Option<Vec<u8>> = None;
-            'reconnect: loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let mut stream = match TcpStream::connect(addr) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        // Exponential backoff with deterministic jitter —
-                        // the PR 8 retry policy, reused on real sockets.
-                        let wait =
-                            retry.backoff_ns(attempt.min(retry.max_retries), seed, to as u64);
-                        attempt = attempt.saturating_add(1);
-                        thread::sleep(Duration::from_nanos(wait));
-                        continue;
-                    }
-                };
-                attempt = 0;
-                reconnects.inc();
-                let _ = stream.set_nodelay(true);
-                let hello = encode_ctl(&CtlMsg::Hello {
-                    index: u32::try_from(me).unwrap_or(u32::MAX),
-                });
-                if write_frame(&mut stream, &hello).is_err() {
-                    continue 'reconnect;
-                }
-                // Re-send a frame that failed mid-write on the previous
-                // connection before draining the queue.
-                if let Some(frame) = pending.take() {
-                    if write_frame(&mut stream, &frame).is_err() {
-                        pending = Some(frame);
-                        continue 'reconnect;
-                    }
-                }
-                loop {
-                    match rx.recv() {
-                        Ok(frame) if frame.is_empty() => return, // sentinel
-                        Ok(frame) => {
-                            if write_frame(&mut stream, &frame).is_err() {
-                                pending = Some(frame);
-                                continue 'reconnect;
-                            }
-                        }
-                        Err(_) => return,
-                    }
-                }
-            }
-        });
-}
-
-fn spawn_listener(
-    listener: TcpListener,
-    events: SyncSender<Event>,
-    metrics: NetMetrics,
-    shared: Arc<Shared>,
-) {
-    let _ = thread::Builder::new()
-        .name("harmony-listener".into())
-        .spawn(move || loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    if let Ok(clone) = stream.try_clone() {
-                        shared.conns.lock().push(clone);
-                    }
-                    spawn_reader(stream, events.clone(), metrics.clone(), Arc::clone(&shared));
-                }
-                Err(_) => {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-            }
-        });
-}
-
-/// One inbound connection: route `Hello`-introduced peer frames to the
-/// event loop with their sender index, control frames with a reply
-/// handle, and drop anything from a peer that never introduced itself.
-fn spawn_reader(
-    stream: TcpStream,
-    events: SyncSender<Event>,
-    metrics: NetMetrics,
-    shared: Arc<Shared>,
-) {
-    let _ = thread::Builder::new()
-        .name("harmony-reader".into())
-        .spawn(move || {
-            let mut reading = match stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => return,
-            };
-            let mut from: Option<usize> = None;
-            while let Ok(Some(body)) = read_frame(&mut reading) {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                metrics.frames_in.inc();
-                metrics.bytes_in.add(body.len() as u64 + 4);
-                let Some(tag) = frame_tag(&body) else {
-                    metrics.decode_errors.inc();
-                    continue;
-                };
-                if is_ctl_tag(tag) {
-                    if let Ok(CtlMsg::Hello { index }) = decode_ctl(&body) {
-                        let index = index as usize;
-                        from = Some(index);
-                        // Peers without a configured address become
-                        // reachable over this connection (e.g. replies
-                        // to the external client driver).
-                        if matches!(shared.peers.outbound.get(index), None | Some(None)) {
-                            if let Ok(back) = stream.try_clone() {
-                                shared.peers.dynamic.lock().insert(index, back);
-                            }
-                        }
-                        continue;
-                    }
-                    let Ok(reply_stream) = stream.try_clone() else {
-                        return;
-                    };
-                    if events
-                        .send(Event::Ctl {
-                            stream: reply_stream,
-                            body,
-                        })
-                        .is_err()
-                    {
-                        return;
-                    }
-                    continue;
-                }
-                let Some(from) = from else {
-                    metrics.decode_errors.inc();
-                    continue;
-                };
-                if events.send(Event::Peer { from, body }).is_err() {
-                    return;
-                }
-            }
-        });
+    Ok(match decode_ctl(body) {
+        Ok(CtlMsg::Hello { index }) => {
+            let index = index as usize;
+            *from = Some(index);
+            // Peers without a configured address become reachable over
+            // this connection (e.g. replies to the external client
+            // driver).
+            let configured = rt.configured.get(index).copied().unwrap_or(false);
+            (!configured).then_some(Inbound::Link { index })
+        }
+        request => Some(Inbound::Ctl(request)),
+    })
 }

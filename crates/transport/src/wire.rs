@@ -39,8 +39,9 @@ use harmony_txn::{encode_contract, ContractCodec};
 /// gave the state-sync frames one shape for both replica kinds.
 pub const WIRE_VERSION: u8 = 3;
 
-/// Upper bound on a frame body; longer length prefixes are rejected
-/// before any allocation, so a garbage prefix can't balloon memory.
+/// Upper bound on a frame body; a longer length prefix is refused. Below
+/// it the prefix still sizes nothing by itself: see [`FrameBuf`] and
+/// [`read_frame`], which reserve as the body's bytes arrive.
 pub const MAX_FRAME_BYTES: usize = 256 << 20;
 
 // Msg variant tags (0x00..0x7F).
@@ -437,7 +438,7 @@ pub enum CtlMsg {
     MetricsReq,
     /// A text payload (exposition, timeline).
     Text(String),
-    /// Ask the process to exit its event loop.
+    /// Ask the node's runtime to stop.
     Shutdown,
     /// Generic acknowledgement.
     Ok,
@@ -574,6 +575,123 @@ pub fn decode_ctl(body: &[u8]) -> Result<CtlMsg> {
 
 // ── Frame I/O ───────────────────────────────────────────────────────────
 
+/// Bytes a [`FrameBuf`] starts with and shrinks back to once drained, and
+/// the most [`read_frame`] reserves before a body byte has arrived. One
+/// `read` of this size takes in a whole burst of consensus frames (a
+/// HotStuff round is under 100 bytes, a 100-transaction `Deliver` about
+/// 6 KiB) with room to spare, and a multi-megabyte sync reply needs few
+/// reads once the buffer has doubled a few times.
+pub const READ_BUF_BYTES: usize = 64 << 10;
+
+fn oversize(len: usize) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("frame of {len} bytes exceeds cap"),
+    )
+}
+
+/// The inbound half of a connection: one reused buffer that a single
+/// `read` fills with whatever the socket holds, and that hands back every
+/// *whole* frame in it without copying.
+///
+/// The length prefix is untrusted (it arrives before the `Hello` gate),
+/// so it never sizes an allocation by itself: the buffer doubles only
+/// when it is full of one unfinished frame, which keeps its capacity
+/// within twice the bytes the peer has really sent.
+pub struct FrameBuf {
+    /// Readable region: `buf.len()` is the capacity in use.
+    buf: Vec<u8>,
+    /// Undelivered bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+impl Default for FrameBuf {
+    fn default() -> FrameBuf {
+        FrameBuf::new()
+    }
+}
+
+impl FrameBuf {
+    /// An empty buffer of [`READ_BUF_BYTES`].
+    #[must_use]
+    pub fn new() -> FrameBuf {
+        FrameBuf {
+            buf: vec![0; READ_BUF_BYTES],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Bytes currently reserved for this connection.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Length prefix of the frame at the front, once its 4 bytes are in.
+    fn front_len(&self) -> Option<usize> {
+        let prefix = self.buf[self.start..self.end].first_chunk::<4>()?;
+        Some(u32::from_le_bytes(*prefix) as usize)
+    }
+
+    /// Bring in what the stream holds with **one** `read`; returns the
+    /// bytes read (0: the peer closed). Call [`FrameBuf::next_frame`]
+    /// until it yields `None` before filling again.
+    ///
+    /// # Errors
+    /// I/O errors pass through (`Interrupted` is retried).
+    pub fn fill(&mut self, stream: &mut impl Read) -> io::Result<usize> {
+        // What is left is the head of one unfinished frame: move it to
+        // the front so the free space is in one piece.
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.end == 0 && self.buf.len() > READ_BUF_BYTES {
+            // A large frame has gone through; give its memory back.
+            self.buf.truncate(READ_BUF_BYTES);
+            self.buf.shrink_to_fit();
+        } else if self.end == self.buf.len() {
+            // Full of one frame that is still arriving: double, but never
+            // beyond what that frame needs.
+            let need = 4 + self.front_len().unwrap_or(0);
+            let grown = (self.buf.len() * 2).min(need).max(self.buf.len() + 1);
+            self.buf.resize(grown, 0);
+        }
+        loop {
+            match stream.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// The body of the next whole frame, or `None` when only part of one
+    /// (or nothing) is buffered.
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidData`] for a length prefix beyond
+    /// [`MAX_FRAME_BYTES`]; the stream cannot be resynchronised after it.
+    pub fn next_frame(&mut self) -> io::Result<Option<&[u8]>> {
+        let Some(len) = self.front_len() else {
+            return Ok(None);
+        };
+        if len > MAX_FRAME_BYTES {
+            return Err(oversize(len));
+        }
+        let body = self.start + 4;
+        if self.end - body < len {
+            return Ok(None);
+        }
+        self.start = body + len;
+        Ok(Some(&self.buf[body..body + len]))
+    }
+}
+
 /// Read one frame body from a stream. `Ok(None)` means the peer closed
 /// the connection cleanly at a frame boundary.
 ///
@@ -600,13 +718,18 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     }
     let len = u32::from_le_bytes(prefix) as usize;
     if len > MAX_FRAME_BYTES {
+        return Err(oversize(len));
+    }
+    // The prefix is the peer's claim, not yet bytes received: reserve a
+    // bounded amount and let the body grow as it really arrives.
+    let mut body = Vec::with_capacity(len.min(READ_BUF_BYTES));
+    stream.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
         return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds cap"),
+            io::ErrorKind::UnexpectedEof,
+            "eof inside frame body",
         ));
     }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
     Ok(Some(body))
 }
 

@@ -137,9 +137,14 @@ impl Workload for Smallbank {
         "Smallbank"
     }
 
-    fn setup(&mut self, engine: &StorageEngine) -> Result<()> {
+    fn create_tables(&mut self, engine: &StorageEngine) -> Result<()> {
         self.checking = engine.create_table("checking")?;
         self.savings = engine.create_table("savings")?;
+        Ok(())
+    }
+
+    fn setup(&mut self, engine: &StorageEngine) -> Result<()> {
+        self.create_tables(engine)?;
         let row = Self::account_row(INITIAL_BALANCE);
         for a in 0..self.config.accounts {
             engine.put(self.checking, &a.to_be_bytes(), &row)?;

@@ -677,8 +677,8 @@ impl Workload for Tpcc {
         "TPC-C"
     }
 
-    fn setup(&mut self, engine: &StorageEngine) -> Result<()> {
-        let t = TpccTables {
+    fn create_tables(&mut self, engine: &StorageEngine) -> Result<()> {
+        self.tables = TpccTables {
             warehouse: engine.create_table("warehouse")?,
             district: engine.create_table("district")?,
             customer: engine.create_table("customer")?,
@@ -689,7 +689,12 @@ impl Workload for Tpcc {
             order_line: engine.create_table("order_line")?,
             history: engine.create_table("history")?,
         };
-        self.tables = t;
+        Ok(())
+    }
+
+    fn setup(&mut self, engine: &StorageEngine) -> Result<()> {
+        self.create_tables(engine)?;
+        let t = self.tables;
         let cfg = &self.config;
         let mut load_rng = DetRng::new(0x7BCC_1234);
         for i in 0..cfg.items() {

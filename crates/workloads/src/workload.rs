@@ -15,6 +15,11 @@ pub trait Workload: Send + Sync {
     /// Display name.
     fn name(&self) -> &'static str;
 
+    /// Create the workload's tables, empty, and record their ids. Table
+    /// ids follow from creation order alone, so this is all a contract codec
+    /// needs from an engine.
+    fn create_tables(&mut self, engine: &StorageEngine) -> Result<()>;
+
     /// Create tables and load the initial database. Must be called once
     /// before generating transactions; records the table ids internally.
     fn setup(&mut self, engine: &StorageEngine) -> Result<()>;

@@ -136,9 +136,14 @@ impl Workload for Ycsb {
         "YCSB"
     }
 
+    fn create_tables(&mut self, engine: &StorageEngine) -> Result<()> {
+        self.table = engine.create_table("usertable")?;
+        Ok(())
+    }
+
     fn setup(&mut self, engine: &StorageEngine) -> Result<()> {
-        let table = engine.create_table("usertable")?;
-        self.table = table;
+        self.create_tables(engine)?;
+        let table = self.table;
         for k in 0..self.config.keys {
             engine.put(table, &k.to_be_bytes(), &Self::make_row(k))?;
         }
