@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use harmony_common::{BlockId, DetRng, Result};
 use harmony_core::executor::{ExecBlock, TxnOutcome};
 use harmony_core::HarmonyConfig;
-use harmony_dcc_baselines::ProtocolBlockResult;
+use harmony_dcc_baselines::{EngineSpec, ProtocolBlockResult};
 use harmony_sim::{run_experiment, EngineKind, RunConfig, RunMetrics};
 use harmony_storage::{DiskProfile, StorageConfig, StorageEngine};
 use harmony_txn::Key;
@@ -54,13 +54,7 @@ pub fn engines_from_env(default: Vec<EngineKind>) -> Vec<EngineKind> {
 /// (overridable via `HARMONY_ENGINES`).
 #[must_use]
 pub fn all_systems() -> Vec<EngineKind> {
-    engines_from_env(vec![
-        EngineKind::Fabric,
-        EngineKind::FastFabric,
-        EngineKind::Rbc,
-        EngineKind::Aria,
-        EngineKind::Harmony(HarmonyConfig::default()),
-    ])
+    engines_from_env(EngineKind::ALL.to_vec())
 }
 
 /// The OE/relational subset used for TPC-C and the hotspot study. A
@@ -197,7 +191,7 @@ pub fn run_with_inspector(
     let engine = std::sync::Arc::new(StorageEngine::open(&StorageConfig::default())?);
     w.setup(&engine)?;
     let store = std::sync::Arc::new(harmony_core::SnapshotStore::new(engine));
-    let dcc = kind.build(std::sync::Arc::clone(&store), 8);
+    let dcc = EngineSpec::flat(kind, 8).build(std::sync::Arc::clone(&store));
     let mut rng = DetRng::new(0xF16);
     for b in 0..blocks {
         let block = ExecBlock::new(BlockId(b as u64 + 1), w.next_block(&mut rng, block_size));

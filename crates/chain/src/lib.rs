@@ -5,10 +5,11 @@
 //!   Merkle root over transaction payloads, sealed/signed by the ordering
 //!   service, verified by replicas (tamper evidence).
 //! * [`oe`] — [`OeChain`]: the Order-Execute chain. Blocks are logically
-//!   logged *before* execution, executed by any
-//!   [`harmony_dcc_baselines::DccEngine`] (Harmony by default — that is
-//!   HarmonyBC; Aria gives AriaBC, etc.), checkpointed every `p` blocks,
-//!   and recoverable by deterministic replay.
+//!   logged *before* execution, executed by the engine named at
+//!   [`OeChain::open`] (a [`harmony_dcc_baselines::EngineSpec`]: Harmony
+//!   gives HarmonyBC, Aria gives AriaBC, etc.), checkpointed every `p`
+//!   blocks, and recoverable by deterministic replay onto that same
+//!   engine.
 //! * [`sov`] — [`SovChain`]: the Simulate-Order-Validate chain (Fabric
 //!   family) with *physical* write-set logging and value replay on
 //!   recovery.
@@ -27,8 +28,6 @@ pub mod sync;
 
 pub use block::{BlockHeader, ChainBlock};
 pub use commit::{fold_table_roots, StateCommitment};
-pub use oe::{
-    sharded_state_root, state_root, BlockUndo, ChainConfig, DccFactory, OeChain, RowProof,
-};
+pub use oe::{sharded_state_root, state_root, BlockUndo, ChainConfig, OeChain, RowProof};
 pub use sov::SovChain;
 pub use sync::{StateSnapshot, TableDump};

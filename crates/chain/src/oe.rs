@@ -5,7 +5,7 @@
 //! 1. Seal the block (hash-chain + Merkle root + orderer MAC).
 //! 2. **Logical logging**: persist the sealed input block *before*
 //!    execution — determinism makes replay sufficient for recovery.
-//! 3. Execute through the plugged [`DccEngine`].
+//! 3. Execute through the [`DccEngine`] the chain was opened with.
 //! 4. Every `p` blocks: checkpoint (flush dirty pages, write the manifest,
 //!    and persist the *recovery sidecar*: the last block's undo images and
 //!    Rule-3 summary, so replay under inter-block parallelism reproduces
@@ -20,22 +20,21 @@ use std::sync::{Arc, Mutex};
 use harmony_common::codec::{Reader, Writer};
 use harmony_common::{BlockId, Error, Result};
 use harmony_core::executor::{BlockSummary, ExecBlock, WriterInfo};
-use harmony_core::{HarmonyConfig, SnapshotStore};
+use harmony_core::SnapshotStore;
 use harmony_crypto::{CryptoCost, Digest, KeyPair, MapProof, MerkleTree, Verifier};
-use harmony_dcc_baselines::{DccEngine, HarmonyEngine, ProtocolBlockResult};
+use harmony_dcc_baselines::{DccEngine, EngineSpec, ProtocolBlockResult};
 use harmony_storage::{StorageConfig, StorageEngine};
 use harmony_txn::{Contract, ContractCodec, Key, RangePredicate, Value};
 
 use crate::block::ChainBlock;
 use crate::commit::StateCommitment;
 
-/// Chain configuration.
+/// Chain configuration. Which engine executes the blocks is not part of
+/// it: that is the second argument of [`OeChain::open`].
 #[derive(Clone, Debug)]
 pub struct ChainConfig {
     /// Storage engine configuration.
     pub storage: StorageConfig,
-    /// Harmony DCC configuration.
-    pub harmony: HarmonyConfig,
     /// Checkpoint period `p` in blocks (paper example: 10).
     pub checkpoint_every: u64,
     /// How many trailing blocks' before-images (and version-history
@@ -57,7 +56,6 @@ impl Default for ChainConfig {
     fn default() -> Self {
         ChainConfig {
             storage: StorageConfig::default(),
-            harmony: HarmonyConfig::default(),
             checkpoint_every: 10,
             sidecar_depth: 4,
             provision: b"harmonybc-cluster".to_vec(),
@@ -106,15 +104,6 @@ pub fn sharded_state_root(shard_roots: &[Digest]) -> Digest {
     MerkleTree::build(&leaves).root()
 }
 
-/// Factory rebuilding the DCC engine over a snapshot store, positioned at
-/// `next_block` with the previous block's Rule-3 summary (Harmony only;
-/// other engines ignore it). [`OeChain`] calls it on open, crash recovery,
-/// and state-snapshot install, so a chain running any of the five engines
-/// recovers onto the *same* engine kind.
-pub type DccFactory = Arc<
-    dyn Fn(Arc<SnapshotStore>, BlockId, Option<BlockSummary>) -> Arc<dyn DccEngine> + Send + Sync,
->;
-
 /// A row inclusion proof plus the `(table name, table root)` heads that
 /// fold to the state root — what [`OeChain::prove_row`] hands a light
 /// client.
@@ -126,7 +115,9 @@ pub struct OeChain {
     engine: Arc<StorageEngine>,
     snapshots: Arc<SnapshotStore>,
     dcc: Arc<dyn DccEngine>,
-    factory: DccFactory,
+    /// What `dcc` was built from, and is rebuilt from after a crash, a
+    /// total loss and a snapshot install.
+    spec: EngineSpec,
     keypair: KeyPair,
     verifier: Verifier,
     height: BlockId,
@@ -146,30 +137,16 @@ pub struct OeChain {
 }
 
 impl OeChain {
-    /// Fresh in-memory HarmonyBC node (Harmony DCC).
-    pub fn in_memory(config: ChainConfig) -> Result<OeChain> {
-        OeChain::open(config)
-    }
-
-    /// Open a node, recovering from the latest checkpoint if one exists.
-    /// For recovery with re-execution use [`OeChain::crash_and_recover`].
-    pub fn open(config: ChainConfig) -> Result<OeChain> {
-        let harmony = config.harmony;
-        OeChain::open_with_factory(
-            config,
-            Arc::new(move |store, next, summary| {
-                Arc::new(HarmonyEngine::starting_at(store, harmony, next, summary))
-            }),
-        )
-    }
-
-    /// Open a node whose DCC engine (and its recovery re-instantiation)
-    /// comes from `factory` — AriaBC, RBC, or the SOV engines on the same
-    /// chain framework, as the paper does.
-    pub fn open_with_factory(config: ChainConfig, factory: DccFactory) -> Result<OeChain> {
+    /// Open a node that executes blocks with `spec`'s engine — HarmonyBC,
+    /// or AriaBC, RBC and the SOV engines on the same chain framework, as
+    /// the paper does. The chain keeps `spec` and rebuilds the engine from
+    /// it wherever it has to (crash recovery, total loss, snapshot
+    /// install), so it always recovers onto the engine it ran. For recovery
+    /// with re-execution use [`OeChain::crash_and_recover`].
+    pub fn open(config: ChainConfig, spec: EngineSpec) -> Result<OeChain> {
         let engine = Arc::new(StorageEngine::open(&config.storage)?);
         let snapshots = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
-        let dcc = factory(Arc::clone(&snapshots), BlockId(1), None);
+        let dcc = spec.build(Arc::clone(&snapshots));
         let keypair = KeyPair::derive(&config.provision, config.orderer_id, config.crypto);
         let verifier = Verifier::new(&config.provision, config.crypto);
         Ok(OeChain {
@@ -177,7 +154,7 @@ impl OeChain {
             engine,
             snapshots,
             dcc,
-            factory,
+            spec,
             keypair,
             verifier,
             height: BlockId(0),
@@ -186,17 +163,6 @@ impl OeChain {
             commitment: Mutex::new(None),
             base: (BlockId(0), Digest::ZERO),
         })
-    }
-
-    /// Replace the DCC engine (build AriaBC / RBC on the same chain
-    /// framework, as the paper does). Must be called before any block.
-    /// Crash recovery still rebuilds through the configured factory — use
-    /// [`OeChain::open_with_factory`] when the node must recover onto the
-    /// same engine kind.
-    pub fn with_dcc(mut self, dcc: Arc<dyn DccEngine>) -> OeChain {
-        assert_eq!(self.height, BlockId(0), "cannot swap DCC mid-chain");
-        self.dcc = dcc;
-        self
     }
 
     /// The storage engine (for workload setup / inspection).
@@ -434,9 +400,9 @@ impl OeChain {
 
     /// Crash this node (drop caches and unsynced state) and recover:
     /// reload the checkpoint, then deterministically re-execute every
-    /// logged block after it. The DCC engine is rebuilt through the
-    /// configured factory, so AriaBC/RBC/Fabric chains recover onto their
-    /// own engine kind.
+    /// logged block after it. The DCC engine is rebuilt from the spec the
+    /// chain was opened with, so AriaBC/RBC/Fabric chains recover onto
+    /// their own engine kind.
     ///
     /// A node that never checkpointed has lost its entire database (the
     /// genesis load included), so there is no base state to replay onto:
@@ -460,7 +426,7 @@ impl OeChain {
             self.base = (BlockId(0), Digest::ZERO);
             self.height = BlockId(0);
             self.last_hash = Digest::ZERO;
-            self.dcc = (self.factory)(Arc::clone(&self.snapshots), BlockId(1), None);
+            self.dcc = self.spec.build(Arc::clone(&self.snapshots));
             return Ok(());
         };
         let mut checkpoint_hash = None;
@@ -498,7 +464,7 @@ impl OeChain {
         *self.commitment.lock().expect("commitment lock") = Some(commitment);
 
         // Re-create the DCC engine positioned after the checkpoint.
-        self.dcc = (self.factory)(
+        self.dcc = self.spec.build_at(
             Arc::clone(&self.snapshots),
             checkpoint.next(),
             self.last_summary.clone(),
@@ -567,7 +533,7 @@ impl OeChain {
         // installed tables (and records its root in the sidecar).
         *self.commitment.lock().expect("commitment lock") = None;
         import_recent_undo(&self.snapshots, &snapshot.undo);
-        self.dcc = (self.factory)(
+        self.dcc = self.spec.build_at(
             Arc::clone(&self.snapshots),
             self.height.next(),
             self.last_summary.clone(),

@@ -24,6 +24,8 @@ pub struct SovChain {
     engine: Arc<StorageEngine>,
     snapshots: Arc<SnapshotStore>,
     dcc: Arc<dyn DccEngine>,
+    /// What `dcc` was built with, and is rebuilt with after a crash.
+    fabric: FabricConfig,
     keypair: KeyPair,
     verifier: Verifier,
     height: BlockId,
@@ -44,6 +46,7 @@ impl SovChain {
             engine,
             snapshots,
             dcc,
+            fabric,
             keypair: KeyPair::derive(b"sov-cluster", 0, CryptoCost::free()),
             verifier: Verifier::new(b"sov-cluster", CryptoCost::free()),
             height: BlockId(0),
@@ -51,13 +54,6 @@ impl SovChain {
             checkpoint_every,
             commitment: Mutex::new(None),
         })
-    }
-
-    /// Swap the engine (e.g. FastFabric#). Must precede any block.
-    pub fn with_dcc(mut self, dcc: Arc<dyn DccEngine>) -> SovChain {
-        assert_eq!(self.height, BlockId(0), "cannot swap DCC mid-chain");
-        self.dcc = dcc;
-        self
     }
 
     /// The storage engine.
@@ -192,7 +188,7 @@ impl SovChain {
             .map_or(Digest::ZERO, |b| b.header.hash());
         self.dcc = Arc::new(Fabric::starting_at(
             Arc::clone(&self.snapshots),
-            FabricConfig::default(),
+            self.fabric,
             height.next(),
         ));
         Ok(())

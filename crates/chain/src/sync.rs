@@ -140,13 +140,17 @@ mod tests {
     use super::*;
     use crate::ChainConfig;
     use harmony_common::DetRng;
+    use harmony_dcc_baselines::EngineSpec;
     use harmony_workloads::{Workload, Ycsb, YcsbCodec, YcsbConfig};
 
     fn running_chain(blocks: usize) -> (OeChain, YcsbCodec, Ycsb, DetRng) {
-        let mut chain = OeChain::in_memory(ChainConfig {
-            checkpoint_every: 4,
-            ..ChainConfig::in_memory()
-        })
+        let mut chain = OeChain::open(
+            ChainConfig {
+                checkpoint_every: 4,
+                ..ChainConfig::in_memory()
+            },
+            EngineSpec::default(),
+        )
         .unwrap();
         let mut w = Ycsb::new(YcsbConfig {
             keys: 200,
@@ -218,10 +222,13 @@ mod tests {
         let (mut peer, codec, w, mut rng) = running_chain(6);
         let snap = peer.export_snapshot().unwrap();
 
-        let mut joiner = OeChain::in_memory(ChainConfig {
-            checkpoint_every: 4,
-            ..ChainConfig::in_memory()
-        })
+        let mut joiner = OeChain::open(
+            ChainConfig {
+                checkpoint_every: 4,
+                ..ChainConfig::in_memory()
+            },
+            EngineSpec::default(),
+        )
         .unwrap();
         joiner
             .install_snapshot(&StateSnapshot::decode(&snap.encode()).unwrap())
@@ -263,10 +270,13 @@ mod tests {
         // A replica that stops at height 3 catches up to 8 purely from a
         // peer's verified block range (no manifest needed).
         let (mut peer, codec, w, mut rng) = running_chain(3);
-        let mut lagger = OeChain::in_memory(ChainConfig {
-            checkpoint_every: 4,
-            ..ChainConfig::in_memory()
-        })
+        let mut lagger = OeChain::open(
+            ChainConfig {
+                checkpoint_every: 4,
+                ..ChainConfig::in_memory()
+            },
+            EngineSpec::default(),
+        )
         .unwrap();
         let mut w2 = Ycsb::new(YcsbConfig {
             keys: 200,

@@ -1,23 +1,21 @@
 //! End-to-end chain properties: replica consistency, crash recovery
 //! (logical replay for OE, value replay for SOV), and tamper detection.
 
-use std::sync::Arc;
-
 use harmony_chain::{ChainConfig, OeChain, SovChain};
 use harmony_common::{BlockId, DetRng};
 use harmony_core::HarmonyConfig;
-use harmony_dcc_baselines::FabricConfig;
+use harmony_dcc_baselines::{EngineKind, EngineSpec, FabricConfig};
 use harmony_workloads::{
     Smallbank, SmallbankCodec, SmallbankConfig, Workload, Ycsb, YcsbCodec, YcsbConfig,
 };
 
 fn ycsb_chain(seed_tag: u64, harmony: HarmonyConfig) -> (OeChain, Ycsb, YcsbCodec, DetRng) {
     let config = ChainConfig {
-        harmony,
         checkpoint_every: 5,
         ..ChainConfig::in_memory()
     };
-    let chain = OeChain::in_memory(config).unwrap();
+    let spec = EngineSpec::flat(EngineKind::Harmony(harmony), harmony.workers);
+    let chain = OeChain::open(config, spec).unwrap();
     let mut workload = Ycsb::new(YcsbConfig {
         keys: 400,
         theta: 0.8,
@@ -99,7 +97,7 @@ fn oe_recovery_without_any_checkpoint() {
         checkpoint_every: 1_000, // never reached
         ..ChainConfig::in_memory()
     };
-    let mut chain = OeChain::in_memory(config).unwrap();
+    let mut chain = OeChain::open(config, EngineSpec::default()).unwrap();
     let mut workload = Ycsb::new(YcsbConfig {
         keys: 100,
         ..YcsbConfig::default()
@@ -126,10 +124,13 @@ fn oe_recovery_without_any_checkpoint() {
         "no tables must survive a checkpoint-less crash"
     );
     // A replica with the genesis state can still reproduce the chain:
-    let mut fresh = OeChain::in_memory(ChainConfig {
-        checkpoint_every: 1_000,
-        ..ChainConfig::in_memory()
-    })
+    let mut fresh = OeChain::open(
+        ChainConfig {
+            checkpoint_every: 1_000,
+            ..ChainConfig::in_memory()
+        },
+        EngineSpec::default(),
+    )
     .unwrap();
     let mut w2 = Ycsb::new(YcsbConfig {
         keys: 100,
@@ -174,7 +175,7 @@ fn smallbank_conservation_across_recovery() {
         checkpoint_every: 4,
         ..ChainConfig::in_memory()
     };
-    let mut chain = OeChain::in_memory(config).unwrap();
+    let mut chain = OeChain::open(config, EngineSpec::default()).unwrap();
     let mut workload = Smallbank::new(SmallbankConfig {
         accounts: 200,
         theta: 0.9,
@@ -235,9 +236,9 @@ fn sov_chain_recovers_by_value_replay() {
 
 #[test]
 fn aria_as_chain_engine() {
-    use harmony_dcc_baselines::{Aria, AriaConfig};
-    let config = ChainConfig::in_memory();
-    let chain = OeChain::in_memory(config).unwrap();
+    let spec = EngineSpec::flat(EngineKind::Aria, 8);
+    let mut chain = OeChain::open(ChainConfig::in_memory(), spec).unwrap();
+    assert_eq!(chain.dcc().name(), "AriaBC");
     let mut workload = Ycsb::new(YcsbConfig {
         keys: 200,
         ..YcsbConfig::default()
@@ -246,8 +247,6 @@ fn aria_as_chain_engine() {
     let codec = YcsbCodec {
         table: workload.table(),
     };
-    let snapshots = Arc::clone(chain.snapshots());
-    let mut chain = chain.with_dcc(Arc::new(Aria::new(snapshots, AriaConfig::default())));
     let mut rng = DetRng::new(7);
     let (_, res) = chain
         .submit_block(workload.next_block(&mut rng, 10), &codec)

@@ -10,26 +10,10 @@ use std::sync::Arc;
 
 use harmony_chain::{fold_table_roots, state_root, ChainConfig, OeChain, StateSnapshot};
 use harmony_common::{BlockId, DetRng};
-use harmony_core::HarmonyConfig;
 use harmony_crypto::AuthMap;
-use harmony_sim::EngineKind;
-use harmony_workloads::{
-    Smallbank, SmallbankCodec, SmallbankConfig, Workload, Ycsb, YcsbCodec, YcsbConfig,
-};
+use harmony_dcc_baselines::{EngineKind, EngineSpec};
+use harmony_workloads::{Smallbank, SmallbankConfig, Workload, Ycsb, YcsbConfig};
 use proptest::prelude::*;
-
-fn all_engines() -> [EngineKind; 5] {
-    [
-        EngineKind::Harmony(HarmonyConfig {
-            workers: 2,
-            ..HarmonyConfig::default()
-        }),
-        EngineKind::Aria,
-        EngineKind::Rbc,
-        EngineKind::Fabric,
-        EngineKind::FastFabric,
-    ]
-}
 
 #[derive(Clone, Copy, Debug)]
 enum Mix {
@@ -48,40 +32,24 @@ fn fixture(kind: EngineKind, mix: Mix, checkpoint_every: u64) -> Fixture {
         checkpoint_every,
         ..ChainConfig::in_memory()
     };
-    let chain = OeChain::open_with_factory(
-        config,
-        Arc::new(move |store, next, summary| kind.build_at(store, 2, next, summary)),
-    )
-    .unwrap();
-    let mut f = match mix {
-        Mix::Smallbank => {
-            let mut w = Smallbank::new(SmallbankConfig {
-                accounts: 100,
-                theta: 0.7,
-                ..SmallbankConfig::default()
-            });
-            w.setup(chain.engine()).unwrap();
-            let (checking, savings) = w.tables();
-            Fixture {
-                chain,
-                codec: Arc::new(SmallbankCodec { checking, savings }),
-                workload: Box::new(w),
-            }
-        }
-        Mix::Ycsb => {
-            let mut w = Ycsb::new(YcsbConfig {
-                keys: 120,
-                theta: 0.8,
-                ..YcsbConfig::default()
-            });
-            w.setup(chain.engine()).unwrap();
-            let codec = Arc::new(YcsbCodec { table: w.table() });
-            Fixture {
-                chain,
-                codec,
-                workload: Box::new(w),
-            }
-        }
+    let chain = OeChain::open(config, EngineSpec::flat(kind, 2)).unwrap();
+    let mut workload: Box<dyn Workload> = match mix {
+        Mix::Smallbank => Box::new(Smallbank::new(SmallbankConfig {
+            accounts: 100,
+            theta: 0.7,
+            ..SmallbankConfig::default()
+        })),
+        Mix::Ycsb => Box::new(Ycsb::new(YcsbConfig {
+            keys: 120,
+            theta: 0.8,
+            ..YcsbConfig::default()
+        })),
+    };
+    workload.setup(chain.engine()).unwrap();
+    let mut f = Fixture {
+        chain,
+        codec: workload.codec(),
+        workload,
     };
     f.chain.checkpoint().unwrap();
     f
@@ -103,7 +71,7 @@ fn assert_root_matches_oracle(chain: &OeChain, context: &str) {
 
 #[test]
 fn incremental_root_matches_oracle_after_every_block_all_engines() {
-    for kind in all_engines() {
+    for kind in EngineKind::ALL {
         for mix in [Mix::Smallbank, Mix::Ycsb] {
             let mut f = fixture(kind, mix, 3);
             let mut rng = DetRng::new(0x600D);
@@ -122,7 +90,7 @@ fn incremental_root_matches_oracle_after_every_block_all_engines() {
 #[test]
 fn recovery_at_every_boundary_preserves_commitment_all_engines() {
     const BLOCKS: u64 = 6;
-    for kind in all_engines() {
+    for kind in EngineKind::ALL {
         for crash_at in 1..=BLOCKS {
             let mut f = fixture(kind, Mix::Smallbank, 2);
             let mut rng = DetRng::new(0xC4A5);
@@ -166,12 +134,12 @@ fn snapshot_install_rebuilds_matching_commitment() {
 
     // Same engine kind as the peer: replicas replaying identical blocks
     // must run identical protocols to commit identical txn subsets.
-    let mut joiner = OeChain::open_with_factory(
+    let mut joiner = OeChain::open(
         ChainConfig {
             checkpoint_every: 3,
             ..ChainConfig::in_memory()
         },
-        Arc::new(move |store, next, summary| kind.build_at(store, 2, next, summary)),
+        EngineSpec::flat(kind, 2),
     )
     .unwrap();
     joiner
@@ -245,7 +213,7 @@ proptest! {
         crash_at in 1u64..7,
         block_size in 6usize..16,
     ) {
-        let kind = all_engines()[engine_idx];
+        let kind = EngineKind::ALL[engine_idx];
         let mix = if mix_sel == 0 { Mix::Smallbank } else { Mix::Ycsb };
         let mut f = fixture(kind, mix, checkpoint_every);
         let mut rng = DetRng::new(seed);

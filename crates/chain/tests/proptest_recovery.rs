@@ -2,34 +2,19 @@
 //!
 //! The invariant: crashing an [`OeChain`] node at *any* block boundary —
 //! checkpoint boundaries and mid-checkpoint-interval alike — and
-//! recovering (checkpoint reload + deterministic replay through the
-//! engine factory) must reproduce the exact state root and chain hash of
-//! a reference node that never crashed, for every engine kind.
+//! recovering (checkpoint reload + deterministic replay on a rebuilt
+//! engine) must reproduce the exact state root and chain hash of a
+//! reference node that never crashed, for every engine kind — and every
+//! site that rebuilds the engine rebuilds the one the chain was opened with.
 
 use std::sync::Arc;
 
 use harmony_chain::{ChainConfig, OeChain};
 use harmony_common::{BlockId, DetRng};
-use harmony_core::HarmonyConfig;
 use harmony_crypto::Digest;
-use harmony_sim::EngineKind;
-use harmony_workloads::{
-    Smallbank, SmallbankCodec, SmallbankConfig, Workload, Ycsb, YcsbCodec, YcsbConfig,
-};
+use harmony_dcc_baselines::{EngineKind, EngineSpec};
+use harmony_workloads::{Smallbank, SmallbankConfig, Workload, Ycsb, YcsbConfig};
 use proptest::prelude::*;
-
-fn all_engines() -> [EngineKind; 5] {
-    [
-        EngineKind::Harmony(HarmonyConfig {
-            workers: 2,
-            ..HarmonyConfig::default()
-        }),
-        EngineKind::Aria,
-        EngineKind::Rbc,
-        EngineKind::Fabric,
-        EngineKind::FastFabric,
-    ]
-}
 
 #[derive(Clone, Copy, Debug)]
 enum Mix {
@@ -43,45 +28,29 @@ struct Fixture {
     workload: Box<dyn Workload>,
 }
 
-fn fixture(kind: EngineKind, mix: Mix, checkpoint_every: u64) -> Fixture {
+fn fixture(spec: EngineSpec, mix: Mix, checkpoint_every: u64) -> Fixture {
     let config = ChainConfig {
         checkpoint_every,
         ..ChainConfig::in_memory()
     };
-    let chain = OeChain::open_with_factory(
-        config,
-        Arc::new(move |store, next, summary| kind.build_at(store, 2, next, summary)),
-    )
-    .unwrap();
-    let mut f = match mix {
-        Mix::Smallbank => {
-            let mut w = Smallbank::new(SmallbankConfig {
-                accounts: 120,
-                theta: 0.7,
-                ..SmallbankConfig::default()
-            });
-            w.setup(chain.engine()).unwrap();
-            let (checking, savings) = w.tables();
-            Fixture {
-                chain,
-                codec: Arc::new(SmallbankCodec { checking, savings }),
-                workload: Box::new(w),
-            }
-        }
-        Mix::Ycsb => {
-            let mut w = Ycsb::new(YcsbConfig {
-                keys: 150,
-                theta: 0.8,
-                ..YcsbConfig::default()
-            });
-            w.setup(chain.engine()).unwrap();
-            let codec = Arc::new(YcsbCodec { table: w.table() });
-            Fixture {
-                chain,
-                codec,
-                workload: Box::new(w),
-            }
-        }
+    let chain = OeChain::open(config, spec).unwrap();
+    let mut workload: Box<dyn Workload> = match mix {
+        Mix::Smallbank => Box::new(Smallbank::new(SmallbankConfig {
+            accounts: 120,
+            theta: 0.7,
+            ..SmallbankConfig::default()
+        })),
+        Mix::Ycsb => Box::new(Ycsb::new(YcsbConfig {
+            keys: 150,
+            theta: 0.8,
+            ..YcsbConfig::default()
+        })),
+    };
+    workload.setup(chain.engine()).unwrap();
+    let mut f = Fixture {
+        chain,
+        codec: workload.codec(),
+        workload,
     };
     // Genesis checkpoint: make the initial load durable, so a crash
     // before the first periodic checkpoint can still replay from block 1
@@ -101,7 +70,7 @@ fn run(
     block_size: usize,
     crashes: &[u64],
 ) -> (Digest, Digest) {
-    let mut f = fixture(kind, mix, checkpoint_every);
+    let mut f = fixture(EngineSpec::flat(kind, 2), mix, checkpoint_every);
     let mut rng = DetRng::new(seed);
     for b in 1..=blocks {
         let txns = f.workload.next_block(&mut rng, block_size);
@@ -119,7 +88,7 @@ fn crash_at_every_block_boundary_matches_reference_all_engines() {
     // checkpoint_every = 3 with 8 blocks: crash points cover checkpoint
     // boundaries (3, 6) and every mid-interval position.
     const BLOCKS: u64 = 8;
-    for kind in all_engines() {
+    for kind in EngineKind::ALL {
         let reference = run(kind, Mix::Smallbank, 3, 0xCAFE, BLOCKS, 15, &[]);
         for crash_at in 1..=BLOCKS {
             let crashed = run(kind, Mix::Smallbank, 3, 0xCAFE, BLOCKS, 15, &[crash_at]);
@@ -128,6 +97,73 @@ fn crash_at_every_block_boundary_matches_reference_all_engines() {
                 reference,
                 "{}: crash after block {crash_at} diverged",
                 kind.name()
+            );
+        }
+    }
+}
+
+/// What identifies the engine a chain runs: the system, and the pipeline
+/// depth that tells Harmony's flat profile (2) from its sharded one (1).
+fn engine_identity(chain: &OeChain) -> (&'static str, usize) {
+    (chain.dcc().name(), chain.dcc().pipeline_depth())
+}
+
+#[test]
+fn every_rebuild_site_rebuilds_the_engine_the_chain_was_opened_with() {
+    for kind in EngineKind::ALL {
+        for spec in [EngineSpec::flat(kind, 2), EngineSpec::sharded(kind, 2)] {
+            // Checkpointed crash: checkpoint reload + replay.
+            let mut f = fixture(spec, Mix::Smallbank, 3);
+            let opened_with = engine_identity(&f.chain);
+            assert_eq!(opened_with.0, kind.name());
+            let mut rng = DetRng::new(0xE61E);
+            for _ in 0..4 {
+                let txns = f.workload.next_block(&mut rng, 10);
+                f.chain.submit_block(txns, f.codec.as_ref()).unwrap();
+            }
+            let snapshot = f.chain.export_snapshot().unwrap();
+            f.chain.crash_and_recover(f.codec.as_ref()).unwrap();
+            assert_eq!(f.chain.height(), BlockId(4));
+            assert_eq!(
+                engine_identity(&f.chain),
+                opened_with,
+                "{spec:?} after crash_and_recover"
+            );
+
+            // Total loss: a node that never checkpointed resets to genesis.
+            let config = ChainConfig {
+                checkpoint_every: 1_000,
+                ..ChainConfig::in_memory()
+            };
+            let mut lost = OeChain::open(config, spec).unwrap();
+            f.workload.setup(lost.engine()).unwrap();
+            let txns = f.workload.next_block(&mut rng, 10);
+            lost.submit_block(txns, f.codec.as_ref()).unwrap();
+            lost.crash_and_recover(f.codec.as_ref()).unwrap();
+            assert_eq!(lost.height(), BlockId(0), "no checkpoint ⇒ total loss");
+            assert_eq!(
+                engine_identity(&lost),
+                opened_with,
+                "{spec:?} after total loss"
+            );
+
+            // Snapshot install, onto the node the total loss left empty.
+            lost.install_snapshot(&snapshot).unwrap();
+            assert_eq!(lost.height(), BlockId(4));
+            assert_eq!(
+                engine_identity(&lost),
+                opened_with,
+                "{spec:?} after install_snapshot"
+            );
+            // The rebuilt engines sit at the right block: both nodes take
+            // the next one and agree on it.
+            let txns = f.workload.next_block(&mut rng, 10);
+            let (sealed, _) = f.chain.submit_block(txns, f.codec.as_ref()).unwrap();
+            lost.apply_sealed_block(&sealed, f.codec.as_ref()).unwrap();
+            assert_eq!(
+                lost.state_root().unwrap(),
+                f.chain.state_root().unwrap(),
+                "{spec:?}: recovered and installed nodes diverged"
             );
         }
     }
@@ -148,7 +184,7 @@ proptest! {
         crash_a in 1u64..9,
         crash_b in 1u64..9,
     ) {
-        let kind = all_engines()[engine_idx];
+        let kind = EngineKind::ALL[engine_idx];
         let mix = if mix_sel == 0 { Mix::Smallbank } else { Mix::Ycsb };
         let mut crashes = vec![crash_a, crash_b];
         crashes.sort_unstable();

@@ -26,16 +26,19 @@ pub struct HarmonyConfig {
 
 impl Default for HarmonyConfig {
     fn default() -> Self {
-        HarmonyConfig {
-            workers: 8,
-            update_reordering: true,
-            update_coalescence: true,
-            inter_block_parallelism: true,
-        }
+        HarmonyConfig::FULL
     }
 }
 
 impl HarmonyConfig {
+    /// The full protocol — what `Default` returns, usable in constants.
+    pub const FULL: HarmonyConfig = HarmonyConfig {
+        workers: 8,
+        update_reordering: true,
+        update_coalescence: true,
+        inter_block_parallelism: true,
+    };
+
     /// The paper's "raw-HarmonyBC": only abort-minimizing validation.
     #[must_use]
     pub fn raw() -> HarmonyConfig {

@@ -391,18 +391,7 @@ impl BlockExecutor {
         };
         let mut results = Vec::with_capacity(n);
         for (i, outcome) in outcomes.iter().enumerate() {
-            match outcome {
-                TxnOutcome::Committed => stats.committed += 1,
-                TxnOutcome::Aborted(AbortReason::BackwardDangerousStructure) => {
-                    stats.aborted_rule1 += 1;
-                }
-                TxnOutcome::Aborted(AbortReason::InterBlockDangerousStructure) => {
-                    stats.aborted_interblock += 1;
-                }
-                TxnOutcome::Aborted(AbortReason::WwConflict) => stats.aborted_ww += 1,
-                TxnOutcome::Aborted(AbortReason::UserAbort) => stats.user_aborted += 1,
-                TxnOutcome::Aborted(_) => {}
-            }
+            stats.count(*outcome);
             results.push(TxnResult {
                 tid: TxnId::new(block.id, i as u32),
                 outcome: *outcome,

@@ -2,6 +2,10 @@
 
 use std::fmt;
 
+use harmony_common::error::AbortReason;
+
+use crate::executor::TxnOutcome;
+
 /// Counters produced by executing one block (or aggregated over many).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BlockStats {
@@ -98,6 +102,28 @@ impl BlockStats {
         ]
     }
 
+    /// Count one transaction's outcome in the counter of its cause (`txns`
+    /// is the block's size and is not touched). The one mapping from
+    /// outcome to counter, exhaustive over [`AbortReason`]: a new reason
+    /// cannot be forgotten by one engine.
+    pub fn count(&mut self, outcome: TxnOutcome) {
+        let counter = match outcome {
+            TxnOutcome::Committed => &mut self.committed,
+            TxnOutcome::Aborted(reason) => match reason {
+                AbortReason::BackwardDangerousStructure => &mut self.aborted_rule1,
+                AbortReason::InterBlockDangerousStructure => &mut self.aborted_interblock,
+                AbortReason::WwConflict => &mut self.aborted_ww,
+                AbortReason::StaleRead => &mut self.aborted_stale,
+                AbortReason::SsiDangerousStructure => &mut self.aborted_ssi,
+                AbortReason::EndorsementMismatch => &mut self.aborted_endorsement,
+                AbortReason::GraphCycle => &mut self.aborted_graph,
+                AbortReason::CrossShardConflict => &mut self.aborted_cross_shard,
+                AbortReason::UserAbort => &mut self.user_aborted,
+            },
+        };
+        *counter += 1;
+    }
+
     /// Accumulate another block's counters.
     pub fn absorb(&mut self, other: &BlockStats) {
         self.txns += other.txns;
@@ -176,6 +202,41 @@ mod tests {
         assert_eq!(a.aborted_ww, 2);
         assert_eq!(a.sim_ns_total, 100);
         assert_eq!(a.commit_ns_total, 50);
+    }
+
+    #[test]
+    fn count_covers_every_cause_once() {
+        use AbortReason::*;
+        let reasons = [
+            BackwardDangerousStructure,
+            InterBlockDangerousStructure,
+            WwConflict,
+            StaleRead,
+            SsiDangerousStructure,
+            EndorsementMismatch,
+            GraphCycle,
+            CrossShardConflict,
+            UserAbort,
+        ];
+        // Reasons are listed in `ABORT_REASONS` order: the i-th bumps the
+        // i-th counter and nothing else.
+        for (i, reason) in reasons.into_iter().enumerate() {
+            let mut s = BlockStats::default();
+            s.count(TxnOutcome::Aborted(reason));
+            let mut expected = [0usize; 9];
+            expected[i] = 1;
+            assert_eq!(s.abort_counts().map(|(_, n)| n), expected, "{reason:?}");
+            assert_eq!(s.committed, 0);
+        }
+        let mut s = BlockStats::default();
+        s.count(TxnOutcome::Committed);
+        assert_eq!(
+            s,
+            BlockStats {
+                committed: 1,
+                ..BlockStats::default()
+            }
+        );
     }
 
     #[test]

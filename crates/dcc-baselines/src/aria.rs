@@ -183,13 +183,7 @@ impl DccEngine for Aria {
             ..BlockStats::default()
         };
         for o in &outcomes {
-            match o {
-                TxnOutcome::Committed => stats.committed += 1,
-                TxnOutcome::Aborted(AbortReason::WwConflict) => stats.aborted_ww += 1,
-                TxnOutcome::Aborted(AbortReason::StaleRead) => stats.aborted_stale += 1,
-                TxnOutcome::Aborted(AbortReason::UserAbort) => stats.user_aborted += 1,
-                TxnOutcome::Aborted(_) => {}
-            }
+            stats.count(*o);
         }
         Ok(ProtocolBlockResult {
             block: block.id,

@@ -208,12 +208,10 @@ impl DccEngine for Fabric {
         for (i, e) in endorsements.iter().enumerate() {
             let Some(rwset) = &e.rwset else {
                 outcomes.push(TxnOutcome::Aborted(AbortReason::UserAbort));
-                stats.user_aborted += 1;
                 continue;
             };
             if e.mismatch {
                 outcomes.push(TxnOutcome::Aborted(AbortReason::EndorsementMismatch));
-                stats.aborted_endorsement += 1;
                 continue;
             }
             let tid = TxnId::new(block.id, i as u32).0;
@@ -238,12 +236,10 @@ impl DccEngine for Fabric {
             });
             let outcome = apply_res?;
             commit_ns[i] = ns;
-            match outcome {
-                TxnOutcome::Committed => stats.committed += 1,
-                TxnOutcome::Aborted(AbortReason::StaleRead) => stats.aborted_stale += 1,
-                _ => {}
-            }
             outcomes.push(outcome);
+        }
+        for o in &outcomes {
+            stats.count(*o);
         }
 
         self.store.gc(self.gc_horizon(block.id));

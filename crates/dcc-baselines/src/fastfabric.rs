@@ -261,16 +261,7 @@ impl DccEngine for FastFabric {
             ..BlockStats::default()
         };
         for o in &outcomes {
-            match o {
-                TxnOutcome::Committed => stats.committed += 1,
-                TxnOutcome::Aborted(AbortReason::EndorsementMismatch) => {
-                    stats.aborted_endorsement += 1;
-                }
-                TxnOutcome::Aborted(AbortReason::StaleRead) => stats.aborted_stale += 1,
-                TxnOutcome::Aborted(AbortReason::GraphCycle) => stats.aborted_graph += 1,
-                TxnOutcome::Aborted(AbortReason::UserAbort) => stats.user_aborted += 1,
-                TxnOutcome::Aborted(_) => {}
-            }
+            stats.count(*o);
         }
         Ok(ProtocolBlockResult {
             block: block.id,

@@ -16,8 +16,13 @@
 //!   large).
 //! * [`harmony_engine`] — adapter exposing Harmony itself through the same
 //!   [`DccEngine`] interface.
+//!
+//! [`engines`] names the five and builds them: one selector
+//! ([`EngineKind`]), one constructor ([`EngineSpec::build_at`]) for the
+//! flat and the sharded profile.
 
 pub mod aria;
+pub mod engines;
 pub mod fabric;
 pub mod fastfabric;
 pub mod harmony_engine;
@@ -25,6 +30,7 @@ pub mod protocol;
 pub mod rbc;
 
 pub use aria::{Aria, AriaConfig};
+pub use engines::{EngineKind, EngineSpec};
 pub use fabric::{Fabric, FabricConfig};
 pub use fastfabric::{FastFabric, FastFabricConfig};
 pub use harmony_engine::HarmonyEngine;

@@ -91,7 +91,6 @@ impl DccEngine for Rbc {
         for i in 0..n {
             let Some(rwset) = &rwsets[i] else {
                 outcomes.push(TxnOutcome::Aborted(AbortReason::UserAbort));
-                stats.user_aborted += 1;
                 continue;
             };
             let tid = TxnId::new(block.id, i as u32).0;
@@ -118,16 +117,8 @@ impl DccEngine for Rbc {
             });
             commit_ns[i] += ns;
             if outcomes[i] != TxnOutcome::Committed {
-                match outcomes[i] {
-                    TxnOutcome::Aborted(AbortReason::WwConflict) => stats.aborted_ww += 1,
-                    TxnOutcome::Aborted(AbortReason::SsiDangerousStructure) => {
-                        stats.aborted_ssi += 1;
-                    }
-                    _ => {}
-                }
                 continue;
             }
-            stats.committed += 1;
             let (apply_res, ns) = vtime::scope(|| -> Result<()> {
                 let writes = eval_writes(&self.store, snapshot, rwset)?;
                 install_writes(&self.store, block.id, tid, &writes, &mut written_this_block)?;
@@ -144,6 +135,9 @@ impl DccEngine for Rbc {
         }
 
         self.store.gc(snapshot);
+        for o in &outcomes {
+            stats.count(*o);
+        }
         stats.commit_ns_total = commit_ns.iter().sum();
         Ok(ProtocolBlockResult {
             block: block.id,

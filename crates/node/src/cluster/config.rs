@@ -10,8 +10,7 @@ use harmony_shard::Partitioning;
 use harmony_storage::{StorageConfig, StorageEngine};
 use harmony_txn::ContractCodec;
 use harmony_workloads::{
-    OpenLoopConfig, Smallbank, SmallbankCodec, SmallbankConfig, Tpcc, TpccCodec, TpccConfig,
-    Workload, Ycsb, YcsbCodec, YcsbConfig,
+    OpenLoopConfig, Smallbank, SmallbankConfig, Tpcc, TpccConfig, Workload, Ycsb, YcsbConfig,
 };
 
 use crate::fault::{FaultSchedule, ReshardSchedule};
@@ -41,46 +40,38 @@ impl ClusterWorkload {
         }
     }
 
+    /// A fresh instance of the workload (no table ids recorded yet) — the
+    /// one place the selector is turned into a workload.
+    fn instantiate(&self) -> Box<dyn Workload> {
+        match self {
+            ClusterWorkload::Smallbank(c) => Box::new(Smallbank::new(c.clone())),
+            ClusterWorkload::Ycsb(c) => Box::new(Ycsb::new(c.clone())),
+            ClusterWorkload::Tpcc(c) => Box::new(Tpcc::new(c.clone())),
+        }
+    }
+
+    /// The workload with its tables created, empty, on a scratch engine:
+    /// table ids follow from the order tables are created in, so these are
+    /// the ids every node's genesis load gives.
+    fn with_table_ids(&self) -> Result<Box<dyn Workload>> {
+        let mut workload = self.instantiate();
+        workload.create_tables(&StorageEngine::open(&StorageConfig::memory())?)?;
+        Ok(workload)
+    }
+
     /// Load genesis state into a replica's engine and return the codec
     /// that decodes this workload's contracts.
     pub fn setup_node(&self, engine: &Arc<StorageEngine>) -> Result<Arc<dyn ContractCodec>> {
-        self.codec_after(|w| w.setup(engine))
+        let mut workload = self.instantiate();
+        workload.setup(engine)?;
+        Ok(workload.codec())
     }
 
-    /// The workload's contract codec alone: table ids follow from the
-    /// order tables are created in, so a scratch engine with the tables
-    /// and no rows gives the ids every node's genesis load gives. Every
+    /// The workload's contract codec alone, without loading a row. Every
     /// process of a real-transport cluster decodes frames with it — the
     /// orderer without hosting a replica at all.
     pub fn codec(&self) -> Result<Arc<dyn ContractCodec>> {
-        let engine = StorageEngine::open(&StorageConfig::memory())?;
-        self.codec_after(|w| w.create_tables(&engine))
-    }
-
-    /// Run `prepare` on a fresh instance of the workload (it must leave
-    /// the table ids recorded) and wrap those ids in the codec.
-    fn codec_after(
-        &self,
-        prepare: impl FnOnce(&mut dyn Workload) -> Result<()>,
-    ) -> Result<Arc<dyn ContractCodec>> {
-        Ok(match self {
-            ClusterWorkload::Smallbank(c) => {
-                let mut w = Smallbank::new(c.clone());
-                prepare(&mut w)?;
-                let (checking, savings) = w.tables();
-                Arc::new(SmallbankCodec { checking, savings })
-            }
-            ClusterWorkload::Ycsb(c) => {
-                let mut w = Ycsb::new(c.clone());
-                prepare(&mut w)?;
-                Arc::new(YcsbCodec { table: w.table() })
-            }
-            ClusterWorkload::Tpcc(c) => {
-                let mut w = Tpcc::new(c.clone());
-                prepare(&mut w)?;
-                Arc::new(TpccCodec { tables: w.tables() })
-            }
-        })
+        Ok(self.with_table_ids()?.codec())
     }
 
     /// Tables a sharded deployment should replicate in full on every
@@ -109,27 +100,10 @@ impl ClusterWorkload {
         }
     }
 
-    /// A transaction generator for the client bank (set up against a
-    /// scratch engine so table ids match the replicas').
+    /// A transaction generator for the client bank. Generating reads only
+    /// the table ids, so no genesis is loaded.
     pub fn generator(&self) -> Result<Box<dyn Workload>> {
-        let engine = StorageEngine::open(&StorageConfig::memory())?;
-        match self {
-            ClusterWorkload::Smallbank(c) => {
-                let mut w = Smallbank::new(c.clone());
-                w.setup(&engine)?;
-                Ok(Box::new(w))
-            }
-            ClusterWorkload::Ycsb(c) => {
-                let mut w = Ycsb::new(c.clone());
-                w.setup(&engine)?;
-                Ok(Box::new(w))
-            }
-            ClusterWorkload::Tpcc(c) => {
-                let mut w = Tpcc::new(c.clone());
-                w.setup(&engine)?;
-                Ok(Box::new(w))
-            }
-        }
+        self.with_table_ids()
     }
 }
 

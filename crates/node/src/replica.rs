@@ -1,7 +1,7 @@
 //! A replica: the execution half of the Order-Execute loop.
 //!
 //! A [`ReplicaNode`] owns an [`OeChain`] (storage engine, snapshot store,
-//! and any [`harmony_sim::EngineKind`] DCC engine) and consumes **sealed
+//! and any [`EngineKind`] DCC engine) and consumes **sealed
 //! blocks** from an ordering service. Delivery is *ordered*, and the part
 //! of it that does not care how a block executes lives in one type,
 //! [`DeliveryFront`], shared with the sharded replica: blocks arriving
@@ -25,8 +25,9 @@ use harmony_common::{BlockId, Result};
 use harmony_consensus::net::DeliveryLog;
 use harmony_core::BlockStats;
 use harmony_crypto::Digest;
+use harmony_dcc_baselines::{EngineKind, EngineSpec};
 use harmony_metrics::Gauge;
-use harmony_sim::{pipeline_total_ns, schedule_block, BlockSchedule, EngineKind};
+use harmony_sim::{pipeline_total_ns, schedule_logged_block, BlockSchedule};
 use harmony_storage::StorageEngine;
 use harmony_txn::ContractCodec;
 
@@ -56,13 +57,11 @@ impl Default for ReplicaConfig {
     }
 }
 
-/// Open an [`OeChain`] wired to rebuild `config.engine` on recovery.
+/// Open a fresh [`OeChain`] running `config.engine` in the flat profile.
 fn open_chain(config: &ReplicaConfig) -> Result<OeChain> {
-    let kind = config.engine;
-    let workers = config.workers;
-    OeChain::open_with_factory(
+    OeChain::open(
         config.chain.clone(),
-        Arc::new(move |store, next, summary| kind.build_at(store, workers, next, summary)),
+        EngineSpec::flat(config.engine, config.workers),
     )
 }
 
@@ -411,9 +410,9 @@ pub struct ReplicaNode {
 }
 
 impl ReplicaNode {
-    /// Build a replica: open the chain with a factory for `config.engine`,
-    /// run `setup` to load genesis state, and obtain the contract codec
-    /// used to decode delivered payloads.
+    /// Build a replica: open the chain on `config.engine`, run `setup` to
+    /// load genesis state, and obtain the contract codec used to decode
+    /// delivered payloads.
     pub fn new(
         config: &ReplicaConfig,
         setup: impl FnOnce(&Arc<StorageEngine>) -> Result<Arc<dyn ContractCodec>>,
@@ -492,11 +491,13 @@ impl ReplicaNode {
         // Virtual-time charge: extend the pipeline-aware makespan exactly
         // as the experiment driver schedules blocks (group-commit log sync
         // included), and charge only the increment.
-        let (workers, log_sync_ns) = (self.config.workers, self.config.chain.storage.log_sync_ns);
-        let mut sched = schedule_block(&result, workers, self.chain.dcc().commit_is_serial());
-        sched.commit_ns += log_sync_ns;
-        sched.commit_work_ns += log_sync_ns;
-        sched.work_ns += log_sync_ns;
+        let workers = self.config.workers;
+        let sched = schedule_logged_block(
+            &result,
+            workers,
+            self.chain.dcc().commit_is_serial(),
+            self.config.chain.storage.log_sync_ns,
+        );
         let cost_ns = self
             .pipeline
             .charge(sched, self.chain.dcc().pipeline_depth(), workers);

@@ -3,9 +3,8 @@
 //! commit with `harmony-node`'s ordered delivery and crash recovery.
 //!
 //! A [`ShardedReplicaNode`] hosts M **per-shard [`OeChain`]s** (any of the
-//! five engines in their sharded profile, rebuilt through a sharded
-//! `DccFactory` on recovery). A globally ordered block is consumed in four
-//! steps:
+//! five engines in their sharded profile, which each chain rebuilds on
+//! recovery). A globally ordered block is consumed in four steps:
 //!
 //! 1. verify its linkage/signature against the replica's **global** hash
 //!    chain,
@@ -42,11 +41,12 @@ use harmony_consensus::net::LatencyModel;
 use harmony_core::par::run_indexed;
 use harmony_core::BlockStats;
 use harmony_crypto::{sha256, Digest, Verifier};
+use harmony_dcc_baselines::{EngineKind, EngineSpec};
 use harmony_shard::{
     plan_block, prune_to_owned, FragmentCodec, Partitioning, PlannerMetrics, ReshardMarker,
     ShardRouter,
 };
-use harmony_sim::{makespan, schedule_block, EngineKind};
+use harmony_sim::sharded_block_ns;
 use harmony_storage::StorageEngine;
 use harmony_txn::{ContractCodec, Key, MultiCodec};
 
@@ -126,14 +126,12 @@ impl ShardedReplicaConfig {
     }
 }
 
-/// Open one shard's chain, wired to rebuild the sharded-profile engine on
-/// recovery and snapshot install.
+/// Open one shard's fresh chain, running `config.engine` in the sharded
+/// profile.
 fn open_shard_chain(config: &ShardedReplicaConfig, shard: usize) -> Result<OeChain> {
-    let kind = config.engine;
-    let workers = config.workers;
-    OeChain::open_with_factory(
+    OeChain::open(
         config.shard_chain_config(shard),
-        Arc::new(move |store, next, _summary| kind.build_sharded_at(store, workers, next)),
+        EngineSpec::sharded(config.engine, config.workers),
     )
 }
 
@@ -376,9 +374,7 @@ impl ShardedReplicaNode {
             &self.config.latency,
         );
         self.planner_metrics.observe(&plan);
-        let log_sync_ns = self.config.chain.storage.log_sync_ns;
         let mut shard_results = Vec::with_capacity(self.shards.len());
-        let mut shard_stage_ns = 0u64;
         for (s, chain) in self.shards.iter_mut().enumerate() {
             let sub = std::mem::take(&mut plan.shard_txns[s]);
             // submit_block seals (one codec encode, into the shard's
@@ -387,24 +383,22 @@ impl ShardedReplicaNode {
             // separately pinned by the recovery/state-sync tests, which
             // replay the logged bytes through the codec.
             let (_sealed, result) = chain.submit_block(sub, self.codec.as_ref())?;
-            let commit_serial = chain.dcc().commit_is_serial();
-            shard_stage_ns = shard_stage_ns.max(
-                schedule_block(&result, self.config.workers, commit_serial).total_ns()
-                    + log_sync_ns,
-            );
             self.shard_metrics[s].observe(&result.stats);
             shard_results.push(result);
         }
         let outcomes = plan.fold_outcomes(&shard_results)?;
         let block_stats = plan.accumulate_stats(&outcomes, &shard_results);
 
-        // Virtual-time charge: the cross stage (fragment exchange + the
-        // multi-partition re-simulation) runs in lockstep, then every
-        // shard executes its sub-block concurrently — the block costs the
-        // slowest shard. The sharded profile has no inter-block pipeline,
-        // so blocks are charged back-to-back.
-        let cost_ns =
-            plan.exchange_ns + makespan(&plan.cross_sim_ns, self.config.workers) + shard_stage_ns;
+        // Virtual-time charge, exactly as the experiment driver charges a
+        // sharded block (every shard runs the same engine).
+        let cost_ns = sharded_block_ns(
+            plan.exchange_ns,
+            &plan.cross_sim_ns,
+            &shard_results,
+            self.config.workers,
+            self.shards[0].dcc().commit_is_serial(),
+            self.config.chain.storage.log_sync_ns,
+        );
 
         let hash = block.header.hash();
         self.height = id;

@@ -50,7 +50,7 @@ use harmony_core::executor::{ExecBlock, TxnOutcome};
 use harmony_core::par::run_indexed;
 use harmony_core::{BlockStats, SnapshotStore};
 use harmony_crypto::{AuthMap, Digest};
-use harmony_dcc_baselines::{DccEngine, ProtocolBlockResult};
+use harmony_dcc_baselines::{DccEngine, EngineKind, EngineSpec, ProtocolBlockResult};
 use harmony_storage::{StorageConfig, StorageEngine};
 use harmony_txn::{Contract, Key, RangePredicate, RwSet};
 
@@ -174,18 +174,20 @@ pub struct ShardGroup {
 
 impl ShardGroup {
     /// Build a group: one storage engine + snapshot store + DCC engine per
-    /// shard. `build` constructs the engine over a shard's store — use the
-    /// same engine kind and configuration for every shard.
+    /// shard, every shard running `kind` on `workers` cores in the sharded
+    /// profile ([`harmony_dcc_baselines::engines`]).
     pub fn new(
         router: ShardRouter,
         config: &ShardGroupConfig,
-        build: impl Fn(Arc<SnapshotStore>) -> Arc<dyn DccEngine>,
+        kind: EngineKind,
+        workers: usize,
     ) -> Result<ShardGroup> {
+        let spec = EngineSpec::sharded(kind, workers);
         let mut nodes = Vec::with_capacity(router.shards());
         for _ in 0..router.shards() {
             let engine = Arc::new(StorageEngine::open(&config.storage)?);
             let store = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
-            let dcc = build(Arc::clone(&store));
+            let dcc = spec.build(Arc::clone(&store));
             nodes.push(ShardNode {
                 engine,
                 store,
@@ -465,7 +467,6 @@ mod tests {
     use harmony_chain::state_root;
     use harmony_common::ids::TableId;
     use harmony_core::HarmonyConfig;
-    use harmony_dcc_baselines::HarmonyEngine;
     use harmony_txn::{FnContract, TxnCtx, UpdateCommand, UserAbort};
 
     const TABLE: TableId = TableId(0);
@@ -480,17 +481,8 @@ mod tests {
     fn group(shards: usize, keys: u64) -> ShardGroup {
         let router = ShardRouter::new(Arc::new(HashPartitioner::new(8)), shards);
         let config = ShardGroupConfig::in_memory();
-        let mut g = ShardGroup::new(router, &config, |store| {
-            Arc::new(HarmonyEngine::new(
-                store,
-                HarmonyConfig {
-                    inter_block_parallelism: false,
-                    workers: 2,
-                    ..HarmonyConfig::default()
-                },
-            ))
-        })
-        .unwrap();
+        let harmony = EngineKind::Harmony(HarmonyConfig::default());
+        let mut g = ShardGroup::new(router, &config, harmony, 2).unwrap();
         g.setup_with(|engine| {
             let t = engine.create_table("t")?;
             assert_eq!(t, TABLE);
@@ -546,17 +538,8 @@ mod tests {
         let router =
             ShardRouter::new(Arc::new(HashPartitioner::new(8)), shards).with_replicated(vec![DIM]);
         let config = ShardGroupConfig::in_memory();
-        let mut g = ShardGroup::new(router, &config, |store| {
-            Arc::new(HarmonyEngine::new(
-                store,
-                HarmonyConfig {
-                    inter_block_parallelism: false,
-                    workers: 2,
-                    ..HarmonyConfig::default()
-                },
-            ))
-        })
-        .unwrap();
+        let harmony = EngineKind::Harmony(HarmonyConfig::default());
+        let mut g = ShardGroup::new(router, &config, harmony, 2).unwrap();
         g.setup_with(|engine| {
             let t = engine.create_table("t")?;
             assert_eq!(t, TABLE);

@@ -6,7 +6,9 @@
 //! (previous state, ordered block). This crate scales that property out by
 //! hash- or range-partitioning the keyspace ([`Partitioner`]) across
 //! independent execution shards ([`ShardGroup`]), each running its own
-//! `DccEngine` (any of the five systems) over its own `SnapshotStore`.
+//! `DccEngine` over its own `SnapshotStore` — any of the five systems, in
+//! the sharded profile that [`harmony_dcc_baselines::engines`] defines and
+//! justifies.
 //!
 //! # Why determinism makes cross-shard commit coordination-free
 //!
@@ -42,14 +44,12 @@
 //! Tamper evidence survives sharding: each shard's state root is folded
 //! into a top-level root via `harmony_chain::sharded_state_root`.
 
-pub mod engines;
 pub mod group;
 pub mod metrics;
 pub mod partition;
 pub mod plan;
 pub mod router;
 
-pub use engines::ShardEngine;
 pub use group::{
     decide_cross, logical_state_root, logical_table_heads, prune_to_owned, ShardBlockResult,
     ShardGroup, ShardGroupConfig, ShardedRoot,

@@ -25,7 +25,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use harmony_common::codec::{Reader, Writer};
-use harmony_common::error::AbortReason;
 use harmony_common::ids::TableId;
 use harmony_common::{vtime, BlockId, Error, Result};
 use harmony_consensus::net::LatencyModel;
@@ -225,28 +224,7 @@ impl BlockPlan {
             stats.apply_noop_commands += r.stats.apply_noop_commands;
         }
         for o in outcomes {
-            match o {
-                TxnOutcome::Committed => stats.committed += 1,
-                TxnOutcome::Aborted(AbortReason::UserAbort) => stats.user_aborted += 1,
-                TxnOutcome::Aborted(AbortReason::CrossShardConflict) => {
-                    stats.aborted_cross_shard += 1;
-                }
-                TxnOutcome::Aborted(AbortReason::BackwardDangerousStructure) => {
-                    stats.aborted_rule1 += 1;
-                }
-                TxnOutcome::Aborted(AbortReason::InterBlockDangerousStructure) => {
-                    stats.aborted_interblock += 1;
-                }
-                TxnOutcome::Aborted(AbortReason::WwConflict) => stats.aborted_ww += 1,
-                TxnOutcome::Aborted(AbortReason::StaleRead) => stats.aborted_stale += 1,
-                TxnOutcome::Aborted(AbortReason::SsiDangerousStructure) => {
-                    stats.aborted_ssi += 1;
-                }
-                TxnOutcome::Aborted(AbortReason::EndorsementMismatch) => {
-                    stats.aborted_endorsement += 1;
-                }
-                TxnOutcome::Aborted(AbortReason::GraphCycle) => stats.aborted_graph += 1,
-            }
+            stats.count(*o);
         }
         stats
     }

@@ -8,7 +8,9 @@
 use std::sync::Arc;
 
 use harmony_core::executor::TxnOutcome;
-use harmony_shard::{HashPartitioner, ShardEngine, ShardGroup, ShardGroupConfig, ShardRouter};
+use harmony_core::HarmonyConfig;
+use harmony_dcc_baselines::EngineKind;
+use harmony_shard::{HashPartitioner, ShardGroup, ShardGroupConfig, ShardRouter};
 use harmony_workloads::{Smallbank, SmallbankConfig, Workload, Ycsb, YcsbConfig};
 use proptest::prelude::*;
 
@@ -49,7 +51,7 @@ struct StreamResult {
 /// stream through a shard group, with abort-retry requeueing (so decision
 /// differences would compound into stream differences and be caught).
 fn run_stream(
-    engine: ShardEngine,
+    engine: EngineKind,
     shards: usize,
     mix: Mix,
     ratio: f64,
@@ -59,7 +61,7 @@ fn run_stream(
 ) -> StreamResult {
     let router = ShardRouter::new(Arc::new(HashPartitioner::new(PARTITIONS)), shards);
     let config = ShardGroupConfig::in_memory();
-    let mut group = ShardGroup::new(router, &config, |store| engine.build(store, 2)).unwrap();
+    let mut group = ShardGroup::new(router, &config, engine, 2).unwrap();
     let mut w = workload(mix, 200, ratio);
     group.setup_with(|e| w.setup(e)).unwrap();
 
@@ -116,7 +118,7 @@ proptest! {
     ) {
         let mix = if mix_pick == 0 { Mix::Smallbank } else { Mix::Ycsb };
         let ratio = [0.0, 0.2, 0.5][ratio_pick];
-        for engine in ShardEngine::ALL {
+        for engine in EngineKind::ALL {
             let reference = run_stream(engine, 1, mix, ratio, seed, 4, 10);
             let sharded = run_stream(engine, shards, mix, ratio, seed, 4, 10);
             prop_assert_eq!(
@@ -139,7 +141,7 @@ proptest! {
     /// group stays deterministic run-to-run.
     #[test]
     fn cross_path_is_exercised_and_deterministic(seed in 0u64..1_000_000) {
-        let run = || run_stream(ShardEngine::Harmony, 4, Mix::Smallbank, 0.5, seed, 4, 10);
+        let run = || run_stream(EngineKind::Harmony(HarmonyConfig::default()), 4, Mix::Smallbank, 0.5, seed, 4, 10);
         let a = run();
         let b = run();
         prop_assert!(a.cross_txns > 0, "ratio 0.5 must produce cross txns");

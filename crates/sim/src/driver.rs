@@ -3,181 +3,19 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::str::FromStr;
 use std::sync::Arc;
 
 use harmony_common::{BlockId, DetRng, Result};
 use harmony_consensus::net::LatencyModel;
 use harmony_core::executor::{ExecBlock, TxnOutcome};
-use harmony_core::{BlockStats, HarmonyConfig, SnapshotStore};
-use harmony_dcc_baselines::{
-    Aria, AriaConfig, DccEngine, Fabric, FabricConfig, FastFabric, FastFabricConfig, HarmonyEngine,
-    Rbc,
-};
-use harmony_shard::{HashPartitioner, ShardEngine, ShardGroup, ShardGroupConfig, ShardRouter};
+use harmony_core::{BlockStats, SnapshotStore};
+use harmony_dcc_baselines::{EngineKind, EngineSpec};
+use harmony_shard::{HashPartitioner, ShardGroup, ShardGroupConfig, ShardRouter};
 use harmony_storage::{StorageConfig, StorageEngine};
 use harmony_txn::Contract;
 use harmony_workloads::Workload;
 
-use crate::sched::{makespan, pipeline_total_ns, schedule_block};
-
-/// Which engine to instantiate (the paper's five systems).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineKind {
-    /// HarmonyBC with the given toggles.
-    Harmony(HarmonyConfig),
-    /// AriaBC.
-    Aria,
-    /// RBC.
-    Rbc,
-    /// Fabric.
-    Fabric,
-    /// FastFabric#.
-    FastFabric,
-}
-
-impl EngineKind {
-    /// Display name matching the paper.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            EngineKind::Harmony(_) => "HarmonyBC",
-            EngineKind::Aria => "AriaBC",
-            EngineKind::Rbc => "RBC",
-            EngineKind::Fabric => "Fabric",
-            EngineKind::FastFabric => "FastFabric#",
-        }
-    }
-
-    /// The engine in its sharded profile (see `harmony_shard::engines`),
-    /// preserving Harmony's ablation toggles apart from the inter-block
-    /// parallelism the profile forbids.
-    #[must_use]
-    pub fn build_sharded(&self, store: Arc<SnapshotStore>, workers: usize) -> Arc<dyn DccEngine> {
-        match self {
-            EngineKind::Harmony(config) => Arc::new(HarmonyEngine::new(
-                store,
-                HarmonyConfig {
-                    workers,
-                    inter_block_parallelism: false,
-                    ..*config
-                },
-            )),
-            EngineKind::Aria => ShardEngine::Aria.build(store, workers),
-            EngineKind::Rbc => ShardEngine::Rbc.build(store, workers),
-            EngineKind::Fabric => ShardEngine::Fabric.build(store, workers),
-            EngineKind::FastFabric => ShardEngine::FastFabric.build(store, workers),
-        }
-    }
-
-    /// The sharded profile positioned at an arbitrary next block — what a
-    /// sharded replica's per-shard chain factory uses on open, crash
-    /// recovery, and snapshot install. Harmony keeps its ablation toggles
-    /// (minus the inter-block parallelism the profile forbids, which also
-    /// makes a previous-block summary moot); the other engines delegate to
-    /// [`ShardEngine::build_at`].
-    #[must_use]
-    pub fn build_sharded_at(
-        &self,
-        store: Arc<SnapshotStore>,
-        workers: usize,
-        next_block: BlockId,
-    ) -> Arc<dyn DccEngine> {
-        match self {
-            EngineKind::Harmony(config) => Arc::new(HarmonyEngine::starting_at(
-                store,
-                HarmonyConfig {
-                    workers,
-                    inter_block_parallelism: false,
-                    ..*config
-                },
-                next_block,
-                None,
-            )),
-            EngineKind::Aria => ShardEngine::Aria.build_at(store, workers, next_block),
-            EngineKind::Rbc => ShardEngine::Rbc.build_at(store, workers, next_block),
-            EngineKind::Fabric => ShardEngine::Fabric.build_at(store, workers, next_block),
-            EngineKind::FastFabric => ShardEngine::FastFabric.build_at(store, workers, next_block),
-        }
-    }
-
-    /// Instantiate over a snapshot store.
-    #[must_use]
-    pub fn build(&self, store: Arc<SnapshotStore>, workers: usize) -> Arc<dyn DccEngine> {
-        self.build_at(store, workers, BlockId(1), None)
-    }
-
-    /// Instantiate positioned at an arbitrary next block — the recovery /
-    /// state-sync entry point. `prev_summary` seeds Harmony's Rule-3
-    /// inter-block validation (ignored by the other engines, whose rules
-    /// are per-block).
-    #[must_use]
-    pub fn build_at(
-        &self,
-        store: Arc<SnapshotStore>,
-        workers: usize,
-        next_block: BlockId,
-        prev_summary: Option<harmony_core::executor::BlockSummary>,
-    ) -> Arc<dyn DccEngine> {
-        match self {
-            EngineKind::Harmony(config) => {
-                let config = HarmonyConfig { workers, ..*config };
-                Arc::new(HarmonyEngine::starting_at(
-                    store,
-                    config,
-                    next_block,
-                    prev_summary,
-                ))
-            }
-            EngineKind::Aria => Arc::new(Aria::starting_at(
-                store,
-                AriaConfig {
-                    workers,
-                    reordering: true,
-                },
-                next_block,
-            )),
-            EngineKind::Rbc => Arc::new(Rbc::starting_at(store, workers, next_block)),
-            EngineKind::Fabric => Arc::new(Fabric::starting_at(
-                store,
-                FabricConfig {
-                    workers,
-                    ..FabricConfig::default()
-                },
-                next_block,
-            )),
-            EngineKind::FastFabric => Arc::new(FastFabric::starting_at(
-                store,
-                FastFabricConfig {
-                    fabric: FabricConfig {
-                        workers,
-                        ..FabricConfig::default()
-                    },
-                    ..FastFabricConfig::default()
-                },
-                next_block,
-            )),
-        }
-    }
-}
-
-impl FromStr for EngineKind {
-    type Err = harmony_common::Error;
-
-    /// Case-insensitive parse of the paper names (plus common short
-    /// forms): `HarmonyBC`/`harmony`, `AriaBC`/`aria`, `RBC`,
-    /// `Fabric`, `FastFabric#`/`fastfabric`. Delegates to
-    /// [`ShardEngine`]'s parser so the two selectors can never drift.
-    fn from_str(s: &str) -> Result<EngineKind, Self::Err> {
-        Ok(match s.parse::<ShardEngine>()? {
-            ShardEngine::Harmony => EngineKind::Harmony(HarmonyConfig::default()),
-            ShardEngine::Aria => EngineKind::Aria,
-            ShardEngine::Rbc => EngineKind::Rbc,
-            ShardEngine::Fabric => EngineKind::Fabric,
-            ShardEngine::FastFabric => EngineKind::FastFabric,
-        })
-    }
-}
+use crate::sched::{pipeline_total_ns, schedule_logged_block, sharded_block_ns};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -321,7 +159,7 @@ pub fn run_experiment(
     let engine = Arc::new(StorageEngine::open(&config.storage)?);
     workload.setup(&engine)?;
     let store = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
-    let dcc = kind.build(Arc::clone(&store), config.workers);
+    let dcc = EngineSpec::flat(kind, config.workers).build(Arc::clone(&store));
     let io_before = engine.io_snapshot();
 
     let mut rng = DetRng::new(config.seed);
@@ -345,13 +183,12 @@ pub fn run_experiment(
             &mut committed_block_spans,
         );
         totals.absorb(&result.stats);
-        let mut sched = schedule_block(&result, config.workers, dcc.commit_is_serial());
-        // Group commit: one log write + sync per block (logical block log
-        // for OE, physical write-set log for SOV).
-        sched.commit_ns += config.storage.log_sync_ns;
-        sched.commit_work_ns += config.storage.log_sync_ns;
-        sched.work_ns += config.storage.log_sync_ns;
-        schedules.push(sched);
+        schedules.push(schedule_logged_block(
+            &result,
+            config.workers,
+            dcc.commit_is_serial(),
+            config.storage.log_sync_ns,
+        ));
     }
 
     let wall_ns = pipeline_total_ns(&schedules, dcc.pipeline_depth(), config.workers).max(1);
@@ -421,9 +258,7 @@ pub fn run_sharded_experiment(
         latency: config.latency.clone(),
         cross_workers: config.base.workers,
     };
-    let mut group = ShardGroup::new(router, &group_config, |store| {
-        kind.build_sharded(store, config.base.workers)
-    })?;
+    let mut group = ShardGroup::new(router, &group_config, kind, config.base.workers)?;
     group.setup_with(|engine| workload.setup(engine))?;
     let commit_serial = (0..group.shards()).any(|s| group.dcc(s).commit_is_serial());
     let io_before: Vec<_> = (0..group.shards())
@@ -450,21 +285,14 @@ pub fn run_sharded_experiment(
         );
         totals.absorb(&result.stats);
 
-        // Cross stage (all shards in lockstep): fragment exchange + the
-        // deterministic re-simulation of multi-partition transactions.
-        let cross_ns = result.exchange_ns + makespan(&result.cross_sim_ns, config.base.workers);
-        // Shard stage: every shard executes its sub-block concurrently;
-        // each pays its own group-commit log sync.
-        let shard_stage = result
-            .shard_results
-            .iter()
-            .map(|r| {
-                schedule_block(r, config.base.workers, commit_serial).total_ns()
-                    + config.base.storage.log_sync_ns
-            })
-            .max()
-            .unwrap_or(0);
-        wall_ns += cross_ns + shard_stage;
+        wall_ns += sharded_block_ns(
+            result.exchange_ns,
+            &result.cross_sim_ns,
+            &result.shard_results,
+            config.base.workers,
+            commit_serial,
+            config.base.storage.log_sync_ns,
+        );
         work_ns += result.stats.sim_ns_total
             + result.stats.commit_ns_total
             + config.base.storage.log_sync_ns * group.shards() as u64;
@@ -495,6 +323,7 @@ pub fn run_sharded_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmony_core::HarmonyConfig;
     use harmony_workloads::{Smallbank, SmallbankConfig, Ycsb, YcsbConfig};
 
     fn quick_config() -> RunConfig {
@@ -534,13 +363,7 @@ mod tests {
 
     #[test]
     fn all_engines_run_ycsb() {
-        for kind in [
-            EngineKind::Harmony(HarmonyConfig::default()),
-            EngineKind::Aria,
-            EngineKind::Rbc,
-            EngineKind::Fabric,
-            EngineKind::FastFabric,
-        ] {
+        for kind in EngineKind::ALL {
             let mut w = small_ycsb(0.6);
             let m = run_experiment(kind, &mut w, &quick_config()).unwrap();
             assert!(
@@ -603,34 +426,6 @@ mod tests {
         let m = run_experiment(EngineKind::Aria, &mut w, &quick_config()).unwrap();
         // With retries, attempts exceed blocks × size.
         assert!(m.stats.txns >= 12 * 20);
-    }
-
-    #[test]
-    fn engine_kind_name_parse_round_trip() {
-        for kind in [
-            EngineKind::Harmony(HarmonyConfig::default()),
-            EngineKind::Aria,
-            EngineKind::Rbc,
-            EngineKind::Fabric,
-            EngineKind::FastFabric,
-        ] {
-            let parsed: EngineKind = kind.name().parse().unwrap();
-            assert_eq!(parsed, kind, "round trip through {}", kind.name());
-        }
-        assert_eq!(
-            "fastfabric".parse::<EngineKind>().unwrap(),
-            EngineKind::FastFabric
-        );
-        // Case-insensitive, whitespace-tolerant (HARMONY_ENGINES DX).
-        assert_eq!(
-            " HARMONYBC ".parse::<EngineKind>().unwrap(),
-            EngineKind::Harmony(HarmonyConfig::default())
-        );
-        assert_eq!("Aria".parse::<EngineKind>().unwrap(), EngineKind::Aria);
-        let err = "mysql".parse::<EngineKind>().unwrap_err().to_string();
-        for name in ["HarmonyBC", "AriaBC", "RBC", "Fabric", "FastFabric#"] {
-            assert!(err.contains(name), "error must enumerate {name}: {err}");
-        }
     }
 
     fn sharded_config(shards: usize, blocks: usize, block_size: usize) -> ShardRunConfig {

@@ -20,7 +20,11 @@ pub mod driver;
 pub mod sched;
 
 pub use cluster::{ClusterMetrics, ClusterModel};
-pub use driver::{
-    run_experiment, run_sharded_experiment, EngineKind, RunConfig, RunMetrics, ShardRunConfig,
+pub use driver::{run_experiment, run_sharded_experiment, RunConfig, RunMetrics, ShardRunConfig};
+/// The engine selector lives with the engines; re-exported because every
+/// experiment names its system through this crate.
+pub use harmony_dcc_baselines::EngineKind;
+pub use sched::{
+    makespan, pipeline_total_ns, schedule_block, schedule_logged_block, sharded_block_ns,
+    BlockSchedule,
 };
-pub use sched::{makespan, pipeline_total_ns, schedule_block, BlockSchedule};

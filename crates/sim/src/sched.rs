@@ -71,6 +71,48 @@ pub fn schedule_block(
     }
 }
 
+/// [`schedule_block`] plus the block's group commit: one log write + sync
+/// per block (logical block log for OE, physical write-set log for SOV),
+/// serial after the commit step. What a flat replica and the experiment
+/// driver feed to [`pipeline_total_ns`].
+#[must_use]
+pub fn schedule_logged_block(
+    result: &ProtocolBlockResult,
+    workers: usize,
+    commit_serial: bool,
+    log_sync_ns: u64,
+) -> BlockSchedule {
+    let mut sched = schedule_block(result, workers, commit_serial);
+    sched.commit_ns += log_sync_ns;
+    sched.commit_work_ns += log_sync_ns;
+    sched.work_ns += log_sync_ns;
+    sched
+}
+
+/// Wall time of one block on a sharded replica. The cross stage runs in
+/// lockstep on all shards: the read-fragment exchange, then the
+/// deterministic re-simulation of the multi-partition transactions. Then
+/// every shard executes its sub-block concurrently and pays its own
+/// group-commit log sync, so the block costs the slowest shard. The
+/// sharded profile has no inter-block pipeline: blocks are charged
+/// back-to-back.
+#[must_use]
+pub fn sharded_block_ns(
+    exchange_ns: u64,
+    cross_sim_ns: &[u64],
+    shard_results: &[ProtocolBlockResult],
+    workers: usize,
+    commit_serial: bool,
+    log_sync_ns: u64,
+) -> u64 {
+    let shard_stage = shard_results
+        .iter()
+        .map(|r| schedule_block(r, workers, commit_serial).total_ns() + log_sync_ns)
+        .max()
+        .unwrap_or(0);
+    exchange_ns + makespan(cross_sim_ns, workers) + shard_stage
+}
+
 /// Total wall time of a sequence of blocks.
 ///
 /// * `depth = 1`: strictly sequential — `Σ (orderer + sim + commit)`.

@@ -141,6 +141,9 @@ impl IoSnapshot {
 /// A disk-oriented multi-table storage engine.
 pub struct StorageEngine {
     pool: Arc<BufferPool>,
+    /// The catalog is these two maps. Whoever holds both takes `tables`
+    /// first, then `names` — one order everywhere, so a checkpoint and a
+    /// `create_table` cannot wait on each other.
     tables: RwLock<HashMap<TableId, TableHandle>>,
     names: RwLock<HashMap<String, TableId>>,
     next_table: Mutex<u16>,
@@ -233,6 +236,7 @@ impl StorageEngine {
         if let Some(id) = self.names.read().get(name) {
             return Ok(*id);
         }
+        let mut tables = self.tables.write();
         let mut names = self.names.write();
         if let Some(id) = names.get(name) {
             return Ok(*id);
@@ -244,7 +248,7 @@ impl StorageEngine {
             id
         };
         let tree = BTree::create(Arc::clone(&self.pool), self.cost)?;
-        self.tables.write().insert(
+        tables.insert(
             id,
             TableHandle {
                 id,
@@ -603,5 +607,49 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(e.table_len(t).unwrap(), 64);
+    }
+
+    /// `checkpoint` and `create_table` both hold the two catalog locks; they
+    /// used to take them in opposite orders, and a checkpoint racing a
+    /// table creation hung both threads (about one such round in ten on the host
+    /// that found it). A watchdog turns a regression into a failure
+    /// instead of a suite that never ends.
+    #[test]
+    fn checkpoint_does_not_deadlock_against_create_table() {
+        use std::sync::{mpsc, Barrier};
+        use std::time::Duration;
+        const PER_ROUND: u64 = 300;
+        for round in 0..100 {
+            let e = Arc::new(engine());
+            let start = Arc::new(Barrier::new(2));
+            let (done, finished) = mpsc::channel();
+            let spawn = |work: fn(&StorageEngine, u64)| {
+                let (e, start, done) = (Arc::clone(&e), Arc::clone(&start), done.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..PER_ROUND {
+                        work(&e, i);
+                    }
+                    // A hung sibling has already failed the test and
+                    // dropped the receiver.
+                    let _ = done.send(());
+                })
+            };
+            let threads = [
+                spawn(|e, i| {
+                    e.create_table(&format!("t{i}")).unwrap();
+                }),
+                spawn(|e, i| e.checkpoint(BlockId(i)).unwrap()),
+            ];
+            for _ in &threads {
+                finished
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("round {round}: catalog deadlock"));
+            }
+            for t in threads {
+                t.join().unwrap();
+            }
+            assert_eq!(e.list_tables().len(), PER_ROUND as usize);
+        }
     }
 }

@@ -153,6 +153,13 @@ impl Workload for Smallbank {
         Ok(())
     }
 
+    fn codec(&self) -> Arc<dyn harmony_txn::ContractCodec> {
+        Arc::new(SmallbankCodec {
+            checking: self.checking,
+            savings: self.savings,
+        })
+    }
+
     fn next_txn(&self, rng: &mut DetRng) -> Arc<dyn Contract> {
         let weights: Vec<f64> = MIX.iter().map(|(_, w)| *w).collect();
         let proc = MIX[rng.weighted_index(&weights)].0;

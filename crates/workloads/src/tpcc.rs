@@ -752,6 +752,12 @@ impl Workload for Tpcc {
         Ok(())
     }
 
+    fn codec(&self) -> Arc<dyn harmony_txn::ContractCodec> {
+        Arc::new(TpccCodec {
+            tables: self.tables,
+        })
+    }
+
     fn next_txn(&self, rng: &mut DetRng) -> Arc<dyn Contract> {
         // Standard mix: 45/43/4/4/4.
         match rng.weighted_index(&[45.0, 43.0, 4.0, 4.0, 4.0]) {

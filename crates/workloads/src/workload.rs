@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use harmony_common::{DetRng, Result};
 use harmony_storage::StorageEngine;
-use harmony_txn::Contract;
+use harmony_txn::{Contract, ContractCodec};
 
 /// A transactional benchmark workload.
 ///
@@ -23,6 +23,10 @@ pub trait Workload: Send + Sync {
     /// Create tables and load the initial database. Must be called once
     /// before generating transactions; records the table ids internally.
     fn setup(&mut self, engine: &StorageEngine) -> Result<()>;
+
+    /// The codec that decodes this workload's contracts, over the table ids
+    /// recorded by `create_tables` / `setup`.
+    fn codec(&self) -> Arc<dyn ContractCodec>;
 
     /// Generate the next transaction using the caller's RNG.
     fn next_txn(&self, rng: &mut DetRng) -> Arc<dyn Contract>;

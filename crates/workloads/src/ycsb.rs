@@ -150,6 +150,10 @@ impl Workload for Ycsb {
         Ok(())
     }
 
+    fn codec(&self) -> Arc<dyn harmony_txn::ContractCodec> {
+        Arc::new(YcsbCodec { table: self.table })
+    }
+
     fn next_txn(&self, rng: &mut DetRng) -> Arc<dyn Contract> {
         let table = self.table;
         let hotspot_mode = self.config.hot_fraction > 0.0;

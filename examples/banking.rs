@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use harmonybc::baselines::{Aria, AriaConfig, DccEngine, HarmonyEngine};
+use harmonybc::baselines::{EngineKind, EngineSpec};
 use harmonybc::common::{BlockId, DetRng};
 use harmonybc::core::executor::ExecBlock;
 use harmonybc::core::{BlockStats, HarmonyConfig, SnapshotStore};
@@ -15,7 +15,7 @@ use harmonybc::storage::{StorageConfig, StorageEngine};
 use harmonybc::workloads::smallbank::{build_txn, Procedure};
 use harmonybc::workloads::{Smallbank, SmallbankConfig, Workload};
 
-fn run(name: &str, harmony: bool) -> harmonybc::common::Result<BlockStats> {
+fn run(kind: EngineKind) -> harmonybc::common::Result<BlockStats> {
     let engine = Arc::new(StorageEngine::open(&StorageConfig::memory())?);
     let mut bank = Smallbank::new(SmallbankConfig {
         accounts: 1_000,
@@ -25,14 +25,7 @@ fn run(name: &str, harmony: bool) -> harmonybc::common::Result<BlockStats> {
     bank.setup(&engine)?;
     let (checking, savings) = bank.tables();
     let store = Arc::new(SnapshotStore::new(engine));
-    let dcc: Arc<dyn DccEngine> = if harmony {
-        Arc::new(HarmonyEngine::new(
-            Arc::clone(&store),
-            HarmonyConfig::default(),
-        ))
-    } else {
-        Arc::new(Aria::new(Arc::clone(&store), AriaConfig::default()))
-    };
+    let dcc = EngineSpec::flat(kind, 8).build(store);
 
     // A payday storm: everyone deposits into a handful of hot merchant
     // accounts — single-statement read-modify-write UPDATEs, the shape
@@ -58,7 +51,8 @@ fn run(name: &str, harmony: bool) -> harmonybc::common::Result<BlockStats> {
         totals.absorb(&dcc.execute_block(&block)?.stats);
     }
     println!(
-        "{name:>10}: {} committed, {} protocol aborts, abort rate {:.1}%",
+        "{:>10}: {} committed, {} protocol aborts, abort rate {:.1}%",
+        kind.name(),
         totals.committed,
         totals.protocol_aborts(),
         totals.abort_rate() * 100.0
@@ -68,8 +62,8 @@ fn run(name: &str, harmony: bool) -> harmonybc::common::Result<BlockStats> {
 
 fn main() -> harmonybc::common::Result<()> {
     println!("Smallbank deposit storm: 5 hot merchant accounts, 20 blocks × 30 txns:\n");
-    let harmony = run("HarmonyBC", true)?;
-    let aria = run("AriaBC", false)?;
+    let harmony = run(EngineKind::Harmony(HarmonyConfig::default()))?;
+    let aria = run(EngineKind::Aria)?;
     println!(
         "\nHarmony committed {:.2}× the transactions per attempt \
          (update reordering turns Aria's ww-aborts into commits).",

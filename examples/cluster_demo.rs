@@ -9,13 +9,13 @@
 //! cargo run --example cluster_demo
 //! ```
 
+use harmonybc::baselines::EngineKind;
 use harmonybc::chain::ChainConfig;
 use harmonybc::crypto::CryptoCost;
 use harmonybc::node::{
     Cluster, ClusterConfig, ClusterWorkload, FaultEvent, FaultSchedule, MempoolConfig,
     OrderingMode, ReplicaConfig, SyncPolicy,
 };
-use harmonybc::sim::EngineKind;
 use harmonybc::storage::StorageConfig;
 use harmonybc::workloads::{OpenLoopConfig, SmallbankConfig};
 

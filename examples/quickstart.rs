@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use harmonybc::baselines::EngineSpec;
 use harmonybc::chain::{ChainConfig, OeChain};
 use harmonybc::common::ids::TableId;
 use harmonybc::txn::{Contract, FnContract, Key, TxnCtx};
@@ -41,7 +42,7 @@ fn increment(table: TableId, id: u64) -> Arc<dyn Contract> {
 fn main() -> harmonybc::common::Result<()> {
     // 1. A fresh in-memory HarmonyBC node (Harmony DCC, logical logging,
     //    checkpoints every 10 blocks).
-    let mut chain = OeChain::in_memory(ChainConfig::in_memory())?;
+    let mut chain = OeChain::open(ChainConfig::in_memory(), EngineSpec::default())?;
 
     // 2. Genesis state: one table with ten counters.
     let table = chain.engine().create_table("counters")?;

@@ -7,8 +7,10 @@
 
 use std::sync::Arc;
 
+use harmonybc::baselines::EngineKind;
 use harmonybc::common::DetRng;
-use harmonybc::shard::{HashPartitioner, ShardEngine, ShardGroup, ShardGroupConfig, ShardRouter};
+use harmonybc::core::HarmonyConfig;
+use harmonybc::shard::{HashPartitioner, ShardGroup, ShardGroupConfig, ShardRouter};
 use harmonybc::workloads::{Smallbank, SmallbankConfig, Workload};
 
 const SHARDS: usize = 4;
@@ -27,9 +29,8 @@ fn main() -> harmonybc::common::Result<()> {
     });
 
     let router = ShardRouter::new(Arc::new(HashPartitioner::new(PARTITIONS)), SHARDS);
-    let mut group = ShardGroup::new(router, &ShardGroupConfig::in_memory(), |store| {
-        ShardEngine::Harmony.build(store, 4)
-    })?;
+    let harmony = EngineKind::Harmony(HarmonyConfig::default());
+    let mut group = ShardGroup::new(router, &ShardGroupConfig::in_memory(), harmony, 4)?;
     group.setup_with(|engine| bank.setup(engine))?;
 
     println!(

@@ -7,13 +7,14 @@
 //! cargo run --example tamper_audit
 //! ```
 
+use harmonybc::baselines::EngineSpec;
 use harmonybc::chain::{ChainConfig, OeChain};
 use harmonybc::common::DetRng;
 use harmonybc::crypto::{CryptoCost, Verifier};
 use harmonybc::workloads::{Workload, Ycsb, YcsbCodec, YcsbConfig};
 
 fn main() -> harmonybc::common::Result<()> {
-    let mut chain = OeChain::in_memory(ChainConfig::in_memory())?;
+    let mut chain = OeChain::open(ChainConfig::in_memory(), EngineSpec::default())?;
     let mut workload = Ycsb::new(YcsbConfig {
         keys: 200,
         ..YcsbConfig::default()

@@ -14,8 +14,9 @@
 //! ```
 //! use harmonybc::prelude::*;
 //!
-//! // Build a tiny in-memory chain with the Harmony DCC.
-//! let chain = OeChain::in_memory(ChainConfig::in_memory()).unwrap();
+//! // Build a tiny in-memory chain; the second argument names the DCC
+//! // engine (the default is HarmonyBC as the paper runs it).
+//! let chain = OeChain::open(ChainConfig::in_memory(), EngineSpec::default()).unwrap();
 //! assert_eq!(chain.height(), BlockId(0));
 //! ```
 
@@ -39,7 +40,7 @@ pub mod prelude {
     pub use harmony_chain::{ChainConfig, OeChain, SovChain};
     pub use harmony_common::{BlockId, TableId, TxnId};
     pub use harmony_core::{BlockExecutor, ChainPipeline, HarmonyConfig, SnapshotStore};
-    pub use harmony_dcc_baselines::{DccEngine, HarmonyEngine};
+    pub use harmony_dcc_baselines::{DccEngine, EngineKind, EngineSpec, HarmonyEngine};
     pub use harmony_metrics::{Registry, Timeline};
     pub use harmony_node::{Cluster, ClusterConfig, ClusterWorkload, Mempool, ReplicaNode};
     pub use harmony_shard::{

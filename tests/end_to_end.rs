@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use harmonybc::baselines::{DccEngine, Rbc};
+use harmonybc::baselines::{DccEngine, EngineKind, EngineSpec, Rbc};
 use harmonybc::chain::{ChainConfig, OeChain};
 use harmonybc::common::{BlockId, DetRng};
 use harmonybc::core::executor::ExecBlock;
@@ -22,14 +22,10 @@ fn five_replicas_converge_on_ycsb() {
     let roots: Vec<_> = [1usize, 2, 4, 6, 8]
         .into_iter()
         .map(|workers| {
-            let config = ChainConfig {
-                harmony: HarmonyConfig {
-                    workers,
-                    ..HarmonyConfig::default()
-                },
-                ..ChainConfig::in_memory()
-            };
-            let mut chain = OeChain::in_memory(config).unwrap();
+            let harmony = EngineKind::Harmony(HarmonyConfig::default());
+            let mut chain =
+                OeChain::open(ChainConfig::in_memory(), EngineSpec::flat(harmony, workers))
+                    .unwrap();
             let mut w = Ycsb::new(YcsbConfig {
                 keys: 500,
                 theta: 0.9,
@@ -140,7 +136,7 @@ fn recovery_preserves_chain_across_smallbank_checkpoints() {
         checkpoint_every: 3,
         ..ChainConfig::in_memory()
     };
-    let mut chain = OeChain::in_memory(config).unwrap();
+    let mut chain = OeChain::open(config, EngineSpec::default()).unwrap();
     let mut bank = Smallbank::new(SmallbankConfig {
         accounts: 100,
         theta: 0.8,
@@ -166,7 +162,7 @@ fn recovery_preserves_chain_across_smallbank_checkpoints() {
 #[test]
 fn prelude_exposes_entry_points() {
     use harmonybc::prelude::*;
-    let chain = OeChain::in_memory(ChainConfig::in_memory()).unwrap();
+    let chain = OeChain::open(ChainConfig::in_memory(), EngineSpec::default()).unwrap();
     assert_eq!(chain.height(), BlockId(0));
     let engine = StorageEngine::open(&StorageConfig::memory()).unwrap();
     let t = engine.create_table("x").unwrap();
