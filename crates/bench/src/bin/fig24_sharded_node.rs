@@ -6,10 +6,13 @@
 //! replica as a [`harmony_node::ShardedReplicaNode`] (ordered global
 //! blocks → cross-shard planning → per-shard sub-block chains), and the
 //! same (workload, M) point runs through `run_sharded_experiment` (the
-//! fig22 path). Both speedup curves are normalized to their own M=1
-//! baseline: the node runtime carries ordering, sealing, and per-shard
-//! logging on top of pure execution, so absolute throughput differs, but
-//! the *scaling shape* must match — sharding pays off identically whether
+//! fig22 path). Both hosts execute through the same
+//! `harmony_shard::ShardGroup` — per-shard chains that seal and log every
+//! sub-block — so the two curves differ only in what the virtual-time
+//! model charges: fig22 charges execution alone, the node runtime adds
+//! ordering, delivery and root gossip. Both speedup curves are normalized
+//! to their own M=1 baseline: absolute throughput differs, but the
+//! *scaling shape* must match — sharding pays off identically whether
 //! the group lives in one process or behind a replicated chain.
 //!
 //! Every point asserts bit-identical sharded state roots across the four

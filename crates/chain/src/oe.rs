@@ -183,6 +183,12 @@ impl OeChain {
         &self.dcc
     }
 
+    /// What the active engine was built from.
+    #[must_use]
+    pub fn spec(&self) -> EngineSpec {
+        self.spec
+    }
+
     /// Current chain height.
     #[must_use]
     pub fn height(&self) -> BlockId {

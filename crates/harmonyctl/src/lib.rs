@@ -456,3 +456,23 @@ pub fn sim_reference(opts: &NetOptions) -> Result<ReferenceRun> {
         logical_root: first.logical_root.to_hex(),
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `spawn --shards N` goes through the same layout rule as
+    /// `reshard --shards N`: at most one shard per logical partition.
+    #[test]
+    fn spawn_refuses_more_shards_than_partitions() {
+        let opts = |shards| NetOptions {
+            shards,
+            ..NetOptions::default()
+        };
+        opts(16).cluster_config().unwrap();
+        assert!(matches!(
+            ClusterSpec::allocate(opts(17)),
+            Err(Error::InvalidArgument(_))
+        ));
+    }
+}

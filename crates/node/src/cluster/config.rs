@@ -16,6 +16,7 @@ use harmony_workloads::{
 use crate::fault::{FaultSchedule, ReshardSchedule};
 use crate::mempool::MempoolConfig;
 use crate::replica::ReplicaConfig;
+use crate::sharded::check_layout;
 use crate::statesync::{RetryPolicy, SyncPolicy};
 
 /// Workload selector for a cluster run (workload + its contract codec).
@@ -259,9 +260,12 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Check the configuration before running: sane shape parameters and
-    /// a well-formed fault schedule (indices in range, windows ordered,
-    /// non-overlapping crash cycles, an observer left standing).
+    /// Check the configuration before running: sane shape parameters, a
+    /// shard topology a replica can host (≥ 1 shard, ≥ 1 partition, no
+    /// more shards than partitions — the rule every reshard target
+    /// meets too), and a well-formed fault schedule (indices in range,
+    /// windows ordered, non-overlapping crash cycles, an observer left
+    /// standing).
     /// [`super::Cluster::run`] calls this; harnesses building schedules
     /// programmatically can call it early for a better error site.
     pub fn validate(&self) -> Result<()> {
@@ -277,6 +281,9 @@ impl ClusterConfig {
             return Err(Error::InvalidArgument(
                 "watchdog period must be non-zero".into(),
             ));
+        }
+        if let Some(topology) = self.topology {
+            check_layout(topology.shards, topology.partitions as usize)?;
         }
         if !self.reshards.is_empty() {
             let Some(topology) = self.topology else {
@@ -305,5 +312,49 @@ impl ClusterConfig {
                 OrderingMode::HotStuff => "·hotstuff",
             }
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sharded cluster with `shards` shards over `partitions` logical
+    /// partitions.
+    fn sharded(shards: usize, partitions: u32) -> ClusterConfig {
+        ClusterConfig {
+            topology: Some(ShardTopology {
+                shards,
+                partitions,
+                ..ShardTopology::default()
+            }),
+            ..ClusterConfig::default()
+        }
+    }
+
+    fn refused(cfg: &ClusterConfig) -> bool {
+        matches!(cfg.validate(), Err(Error::InvalidArgument(_)))
+    }
+
+    #[test]
+    fn hostable_topologies_pass() {
+        sharded(1, 1).validate().unwrap();
+        sharded(16, 16).validate().unwrap();
+        ClusterConfig::default().validate().unwrap();
+    }
+
+    #[test]
+    fn zero_shards_are_refused() {
+        assert!(refused(&sharded(0, 16)));
+    }
+
+    #[test]
+    fn zero_partitions_are_refused() {
+        assert!(refused(&sharded(1, 0)));
+    }
+
+    #[test]
+    fn more_shards_than_partitions_are_refused() {
+        assert!(refused(&sharded(17, 16)));
     }
 }

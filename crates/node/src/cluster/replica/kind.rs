@@ -37,12 +37,11 @@ impl NodeKind {
             n.set_metrics(ReplicaMetrics::register(registry, r));
             return Ok(NodeKind::Flat(Box::new(n)));
         };
-        let shards = topology.shards.max(1);
         let sharded_cfg = ShardedReplicaConfig {
             chain: cfg.replica.chain.clone(),
             engine: cfg.replica.engine,
             workers: cfg.replica.workers,
-            shards,
+            shards: topology.shards,
             partitions: topology.partitions,
             partitioning: topology
                 .partitioning
@@ -57,7 +56,7 @@ impl NodeKind {
         let id = r.to_string();
         n.set_metrics(
             ReplicaMetrics::register(registry, r),
-            (0..shards)
+            (0..topology.shards)
                 .map(|s| shard_txn_counters(registry, r, s))
                 .collect(),
             PlannerMetrics::register(registry, &[("replica", id.as_str())]),

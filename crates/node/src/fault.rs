@@ -23,6 +23,8 @@ use std::collections::BTreeSet;
 use harmony_common::{Error, Result};
 use harmony_consensus::net::{FaultEffect, FaultScope, LinkFault, NetFaults};
 
+use crate::sharded::check_layout;
+
 /// One scheduled fault. All node references are **replica indices**
 /// (`0..replicas`), translated to event-loop node ids by the cluster.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -452,14 +454,9 @@ impl ReshardSchedule {
                 ));
             }
             prev = ev.height;
-            if ev.new_shards == 0 {
-                return bad(format!("reshard at height {} to zero shards", ev.height));
-            }
-            if ev.new_shards as usize > max_shards {
-                return bad(format!(
-                    "reshard at height {} to {} shards exceeds the {max_shards} logical partitions",
-                    ev.height, ev.new_shards
-                ));
+            if let Err(Error::InvalidArgument(m)) = check_layout(ev.new_shards as usize, max_shards)
+            {
+                return bad(format!("reshard at height {}: {m}", ev.height));
             }
         }
         Ok(())

@@ -41,6 +41,8 @@
 //! ordered blocks reach **bit-identical state roots**, whatever the
 //! engine, worker count, crash points, or sync path.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod cluster;
 pub mod fault;
 pub mod mempool;

@@ -1,30 +1,32 @@
 //! The sharded replica: N-replica replication × M-shard execution in one
-//! node — the composition of `harmony-shard`'s deterministic cross-shard
-//! commit with `harmony-node`'s ordered delivery and crash recovery.
+//! node — `harmony-node`'s ordered delivery and crash recovery wrapped
+//! around `harmony-shard`'s executor.
 //!
-//! A [`ShardedReplicaNode`] hosts M **per-shard [`OeChain`]s** (any of the
-//! five engines in their sharded profile, which each chain rebuilds on
-//! recovery). A globally ordered block is consumed in four steps:
+//! A [`ShardedReplicaNode`] holds one [`ShardGroup`] — M per-shard
+//! [`OeChain`]s (any of the five engines in their sharded profile, which
+//! each chain rebuilds on recovery) behind the cross-shard planner — and
+//! the experiment driver holds another; both run a block through the same
+//! [`ShardGroup::execute_block`]. What the replica adds is what only a
+//! replica has. A globally ordered block is consumed in three steps:
 //!
 //! 1. verify its linkage/signature against the replica's **global** hash
-//!    chain,
-//! 2. plan it through the shared cross-shard planner
-//!    ([`harmony_shard::plan_block`]): classify, simulate multi-partition
-//!    transactions against the shards' previous-block snapshots, reserve
-//!    the survivor set, split survivors into serializable fragments,
-//! 3. seal each shard's sub-block on that shard's chain and apply it —
-//!    so every shard owns a verifiable hash-chained block log (height ==
-//!    global height) with its own checkpoints and recovery sidecar,
-//! 4. fold per-shard state roots into the
-//!    [`harmony_chain::sharded_state_root`] gossiped for divergence
-//!    detection.
+//!    chain, and decode its payloads,
+//! 2. hand the transactions to the group, which plans them, seals each
+//!    shard's sub-block on that shard's chain and applies it — so every
+//!    shard owns a verifiable hash-chained block log (height == global
+//!    height) with its own checkpoints and recovery sidecar,
+//! 3. charge the block's virtual time and, at gossip heights, fold the
+//!    per-shard state roots into the [`harmony_chain::sharded_state_root`]
+//!    gossiped for divergence detection.
 //!
 //! Because fragments serialize their captured update commands, a shard's
 //! sub-block log replays **independently** of the other shards: crash
 //! recovery and state-sync never re-run the cross-shard simulation.
 //! That is what lets a rejoining replica bring one shard back via a
 //! checkpoint-manifest install while another replays a verified block
-//! range ([`crate::statesync::apply_sharded_sync`]).
+//! range ([`crate::statesync::apply_sharded_sync`]). Topology epochs
+//! (reshard markers, a peer's layout adopted by sync) re-host the group
+//! on new chains.
 //!
 //! The replica's own position on the *global* chain (height + last block
 //! hash) lives in memory; after a crash it is re-anchored by the first
@@ -38,17 +40,13 @@ use harmony_chain::sync::{StateSnapshot, TableDump};
 use harmony_chain::{sharded_state_root, state_root, ChainBlock, ChainConfig, OeChain};
 use harmony_common::{BlockId, Error, Result};
 use harmony_consensus::net::LatencyModel;
-use harmony_core::par::run_indexed;
 use harmony_core::BlockStats;
 use harmony_crypto::{sha256, Digest, Verifier};
 use harmony_dcc_baselines::{EngineKind, EngineSpec};
-use harmony_shard::{
-    plan_block, prune_to_owned, FragmentCodec, Partitioning, PlannerMetrics, ReshardMarker,
-    ShardRouter,
-};
+use harmony_shard::{Partitioning, PlannerMetrics, ReshardMarker, ShardGroup, ShardRouter};
 use harmony_sim::sharded_block_ns;
 use harmony_storage::StorageEngine;
-use harmony_txn::{ContractCodec, Key, MultiCodec};
+use harmony_txn::{ContractCodec, Key};
 
 use crate::metrics::{ReplicaMetrics, TxnCounters};
 use crate::replica::{Applied, DeliveryFront};
@@ -113,7 +111,9 @@ impl Default for ShardedReplicaConfig {
 }
 
 impl ShardedReplicaConfig {
-    fn shard_chain_config(&self, shard: usize) -> ChainConfig {
+    /// Open one shard's fresh chain, running `engine` in the sharded
+    /// profile on its staggered checkpoint period.
+    fn open_shard_chain(&self, shard: usize) -> Result<OeChain> {
         let mut cfg = self.chain.clone();
         // checkpoint_every = 0 means "never checkpoint" on a flat chain;
         // preserve that rather than staggering it into "every block".
@@ -122,49 +122,42 @@ impl ShardedReplicaConfig {
                 .checkpoint_every
                 .saturating_add(shard as u64 * self.checkpoint_stagger);
         }
-        cfg
+        OeChain::open(cfg, EngineSpec::sharded(self.engine, self.workers))
+    }
+
+    /// `shards` fresh chains, in shard order.
+    fn open_shard_chains(&self, shards: usize) -> Result<Vec<OeChain>> {
+        (0..shards).map(|s| self.open_shard_chain(s)).collect()
     }
 }
 
-/// Open one shard's fresh chain, running `config.engine` in the sharded
-/// profile.
-fn open_shard_chain(config: &ShardedReplicaConfig, shard: usize) -> Result<OeChain> {
-    OeChain::open(
-        config.shard_chain_config(shard),
-        EngineSpec::sharded(config.engine, config.workers),
-    )
-}
-
-/// Build the shard router from the deployment's partitioning knob and
-/// replicated-table names, resolved against the catalog `setup` created
-/// on `engine`.
-fn build_router(config: &ShardedReplicaConfig, engine: &Arc<StorageEngine>) -> Result<ShardRouter> {
-    let catalog = engine.list_tables();
-    let mut replicated = Vec::with_capacity(config.replicated_tables.len());
-    for name in &config.replicated_tables {
-        let id = catalog
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, id)| *id)
-            .ok_or_else(|| {
-                Error::InvalidArgument(format!(
-                    "replicated table {name:?} is not in the workload's catalog"
-                ))
-            })?;
-        replicated.push(id);
+/// The layouts a sharded replica can host: at least one logical
+/// partition, at least one shard, and no more shards than partitions (a
+/// shard past the last partition would own nothing). One rule for the
+/// configured topology, every scheduled or delivered reshard target, and
+/// a sync peer's layout.
+pub(crate) fn check_layout(shards: usize, partitions: usize) -> Result<()> {
+    let bad = |msg: String| Err(Error::InvalidArgument(msg));
+    if partitions == 0 {
+        return bad("a sharded layout needs ≥ 1 logical partition".into());
     }
-    Ok(
-        ShardRouter::new(config.partitioning.build(config.partitions), config.shards)
-            .with_replicated(replicated),
-    )
+    if shards == 0 {
+        return bad("a sharded layout needs ≥ 1 shard".into());
+    }
+    if shards > partitions {
+        return bad(format!(
+            "{shards} shards exceed the {partitions} logical partitions"
+        ));
+    }
+    Ok(())
 }
 
 /// A replica hosting M shards behind one ordered global block stream.
 pub struct ShardedReplicaNode {
+    /// What every shard chain opens from; the live shard count is the
+    /// group's (`config.shards` is the genesis layout).
     config: ShardedReplicaConfig,
-    router: ShardRouter,
-    shards: Vec<OeChain>,
-    codec: Arc<dyn ContractCodec>,
+    group: ShardGroup,
     verifier: Verifier,
     height: BlockId,
     /// Topology epoch: 0 for the genesis layout, bumped by every applied
@@ -176,47 +169,30 @@ pub struct ShardedReplicaNode {
     anchor: Option<Digest>,
     front: DeliveryFront,
     shard_metrics: Vec<TxnCounters>,
-    planner_metrics: PlannerMetrics,
 }
 
 impl ShardedReplicaNode {
-    /// Build a sharded replica: open one chain per shard, run `setup` on
-    /// every shard's engine to load genesis state (table ids come out
-    /// identical because creation order is identical), prune each shard
-    /// down to the rows it owns, and compose the returned workload codec
-    /// with the fragment codec into the replica's decoding registry.
+    /// Build a sharded replica: open one chain per shard and load genesis
+    /// through the group ([`ShardGroup::setup_with`]): `setup` runs on
+    /// every shard's engine and returns the workload codec, and each
+    /// shard is pruned down to the rows it owns.
+    ///
+    /// # Errors
+    /// `InvalidArgument` for zero shards, zero partitions, more shards
+    /// than partitions, or an unknown replicated table; whatever opening a
+    /// chain or `setup` returns.
     pub fn new(
         config: &ShardedReplicaConfig,
-        mut setup: impl FnMut(&Arc<StorageEngine>) -> Result<Arc<dyn ContractCodec>>,
+        setup: impl FnMut(&Arc<StorageEngine>) -> Result<Arc<dyn ContractCodec>>,
     ) -> Result<ShardedReplicaNode> {
-        assert!(config.shards > 0, "need at least one shard");
-        let mut shards = Vec::with_capacity(config.shards);
-        let mut workload_codec = None;
-        let mut router: Option<ShardRouter> = None;
-        for s in 0..config.shards {
-            let chain = open_shard_chain(config, s)?;
-            workload_codec = Some(setup(chain.engine())?);
-            // The router needs the catalog `setup` creates (to resolve
-            // replicated table names), so it is built after the first
-            // shard's genesis load; table ids are identical on every
-            // shard because creation order is identical.
-            let r = match &router {
-                Some(r) => r,
-                None => router.insert(build_router(config, chain.engine())?),
-            };
-            prune_to_owned(chain.engine(), r, s)?;
-            shards.push(chain);
-        }
-        let router = router.expect("at least one shard");
-        let codec: Arc<dyn ContractCodec> = Arc::new(MultiCodec::new(vec![
-            Arc::new(FragmentCodec),
-            workload_codec.expect("at least one shard"),
-        ]));
+        check_layout(config.shards, config.partitions as usize)?;
+        let router = ShardRouter::new(config.partitioning.build(config.partitions), config.shards);
+        let chains = config.open_shard_chains(config.shards)?;
+        let mut group = ShardGroup::new(router, chains, config.latency.clone());
+        group.setup_with(&config.replicated_tables, setup)?;
         Ok(ShardedReplicaNode {
             config: config.clone(),
-            router,
-            shards,
-            codec,
+            group,
             verifier: Verifier::new(&config.chain.provision, config.chain.crypto),
             height: BlockId(0),
             epoch: 0,
@@ -225,7 +201,6 @@ impl ShardedReplicaNode {
             shard_metrics: (0..config.shards)
                 .map(|_| TxnCounters::detached())
                 .collect(),
-            planner_metrics: PlannerMetrics::detached(),
         })
     }
 
@@ -239,27 +214,23 @@ impl ShardedReplicaNode {
         per_shard: Vec<TxnCounters>,
         planner: PlannerMetrics,
     ) {
-        assert_eq!(
-            per_shard.len(),
-            self.shards.len(),
-            "one counter pair per shard"
-        );
-        metrics.hosted_shards.set(self.shards.len() as i64);
+        assert_eq!(per_shard.len(), self.shards(), "one counter pair per shard");
+        metrics.hosted_shards.set(self.shards() as i64);
         self.front.set_metrics(metrics);
         self.shard_metrics = per_shard;
-        self.planner_metrics = planner;
+        self.group.set_metrics(planner);
     }
 
     /// Number of shards hosted.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.group.shards()
     }
 
     /// One shard's chain (inspection / sync serving).
     #[must_use]
     pub fn shard_chain(&self, shard: usize) -> &OeChain {
-        &self.shards[shard]
+        self.group.chain(shard)
     }
 
     /// Every hosted shard chain, in shard order. Their heights are
@@ -267,7 +238,7 @@ impl ShardedReplicaNode {
     /// checkpoints (state-sync then evens them out).
     #[must_use]
     pub fn chains(&self) -> &[OeChain] {
-        &self.shards
+        self.group.chains()
     }
 
     /// Global height (every shard chain sits at this height, except
@@ -295,19 +266,17 @@ impl ShardedReplicaNode {
     }
 
     /// Per-shard state roots and their Merkle fold — what this replica
-    /// gossips and what a sharded block header would carry. O(M) over the
-    /// shards' cached commitment roots once warm; when any shard still
-    /// needs its one-time commitment build (first gossip, post-recovery),
-    /// the builds run in parallel across shards.
+    /// gossips and what a sharded block header would carry
+    /// ([`ShardGroup::state_roots`]).
     pub fn sharded_root(&self) -> Result<Digest> {
-        fold_shard_roots(&self.shards, self.config.workers)
+        Ok(self.group.state_roots()?.root)
     }
 
     /// Audit-oracle counterpart of [`Self::sharded_root`]: rebuilds every
     /// shard's root from a full scan. Must always equal the cached fold.
     pub fn sharded_root_oracle(&self) -> Result<Digest> {
         let shard_roots: Vec<Digest> = self
-            .shards
+            .chains()
             .iter()
             .map(|c| state_root(c.engine()))
             .collect::<Result<_>>()?;
@@ -337,7 +306,6 @@ impl ShardedReplicaNode {
     }
 
     fn apply(&mut self, block: &ChainBlock) -> Result<Applied> {
-        let id = block.header.id;
         let Some(prev) = &self.anchor else {
             return Err(Error::InvalidArgument(
                 "cannot apply without a global anchor".into(),
@@ -354,58 +322,34 @@ impl ShardedReplicaNode {
             }
         }
 
-        // Decode the global payloads, plan the block across shards, then
-        // seal + apply one sub-block per shard through its own chain (the
-        // sub-block hits the shard's logical block log before execution,
-        // exactly like a flat replica's blocks).
-        let txns: Result<Vec<_>> = block.txns.iter().map(|b| self.codec.decode(b)).collect();
-        let txns = txns?;
-        let stores: Vec<_> = self
-            .shards
-            .iter()
-            .map(|c| Arc::clone(c.snapshots()))
-            .collect();
-        let mut plan = plan_block(
-            &self.router,
-            &stores,
-            self.height,
-            &txns,
-            self.config.workers,
-            &self.config.latency,
-        );
-        self.planner_metrics.observe(&plan);
-        let mut shard_results = Vec::with_capacity(self.shards.len());
-        for (s, chain) in self.shards.iter_mut().enumerate() {
-            let sub = std::mem::take(&mut plan.shard_txns[s]);
-            // submit_block seals (one codec encode, into the shard's
-            // logical log) and executes the already-decoded contracts —
-            // no per-shard re-decode on the hot path. Decode fidelity is
-            // separately pinned by the recovery/state-sync tests, which
-            // replay the logged bytes through the codec.
-            let (_sealed, result) = chain.submit_block(sub, self.codec.as_ref())?;
-            self.shard_metrics[s].observe(&result.stats);
-            shard_results.push(result);
+        let codec = self.group.codec();
+        let txns: Result<Vec<_>> = block.txns.iter().map(|b| codec.decode(b)).collect();
+        let result = self.group.execute_block(&txns?)?;
+        for (counters, shard) in self.shard_metrics.iter().zip(&result.shard_results) {
+            counters.observe(&shard.stats);
         }
-        let outcomes = plan.fold_outcomes(&shard_results)?;
-        let block_stats = plan.accumulate_stats(&outcomes, &shard_results);
 
         // Virtual-time charge, exactly as the experiment driver charges a
         // sharded block (every shard runs the same engine).
         let cost_ns = sharded_block_ns(
-            plan.exchange_ns,
-            &plan.cross_sim_ns,
-            &shard_results,
+            &result,
             self.config.workers,
-            self.shards[0].dcc().commit_is_serial(),
+            self.group.chain(0).dcc().commit_is_serial(),
             self.config.chain.storage.log_sync_ns,
         );
+        self.advance(block, &result.stats, cost_ns)
+    }
 
+    /// Move the global tip onto `block`, hand it to the front (which
+    /// gossips the sharded root at gossip heights).
+    fn advance(&mut self, block: &ChainBlock, stats: &BlockStats, cost_ns: u64) -> Result<Applied> {
+        let id = block.header.id;
         let hash = block.header.hash();
         self.height = id;
         self.anchor = Some(hash);
-        self.front.applied(id, hash, &block_stats, cost_ns, || {
-            fold_shard_roots(&self.shards, self.config.workers)
-        })
+        let group = &self.group;
+        self.front
+            .applied(id, hash, stats, cost_ns, || Ok(group.state_roots()?.root))
     }
 
     /// Apply a topology-change block: re-host the logical database on
@@ -426,72 +370,44 @@ impl ShardedReplicaNode {
     /// shard-count-invariant and the logical state root is bit-identical
     /// to a fixed-count run.
     fn apply_reshard(&mut self, block: &ChainBlock, marker: ReshardMarker) -> Result<Applied> {
-        let id = block.header.id;
-        let hash = block.header.hash();
         let new_count = marker.new_shards as usize;
-        if new_count == 0 {
-            return Err(Error::InvalidArgument(
-                "reshard marker with zero shards".into(),
-            ));
-        }
-        if new_count > self.config.partitions as usize {
-            return Err(Error::InvalidArgument(format!(
-                "reshard to {new_count} shards exceeds the {} logical partitions",
-                self.config.partitions
-            )));
-        }
-        let old_count = self.shards.len();
+        check_layout(new_count, self.config.partitions as usize)?;
+        let old_count = self.shards();
         if new_count < old_count {
             // Merge direction: the surviving shards absorb foreign rows,
             // so the logs being folded are re-verified first (hash
             // linkage + deterministic replay of each sub-block log).
-            for chain in &self.shards {
+            for chain in self.chains() {
                 chain.verify_chain()?;
             }
         }
         let exports = self
-            .shards
+            .chains()
             .iter()
             .map(OeChain::export_snapshot)
             .collect::<Result<Vec<_>>>()?;
-        let new_router = self.router.resharded(new_count);
+        let new_router = self.group.router().resharded(new_count);
         // Catalog order is identical on every shard (creation order is
         // identical), so table ids resolve against shard 0.
-        let catalog = self.shards[0].engine().list_tables();
-
-        let mut new_shards = Vec::with_capacity(new_count);
-        for s in 0..new_count {
-            let snapshot = slice_manifest(
-                &exports,
-                &catalog,
-                &new_router,
-                s,
-                id,
-                reshard_shard_anchor(&hash, marker.epoch, marker.new_shards, s),
-            );
-            let mut chain = open_shard_chain(&self.config, s)?;
+        let catalog = self.group.chain(0).engine().list_tables();
+        let (id, hash) = (block.header.id, block.header.hash());
+        let mut new_chains = self.config.open_shard_chains(new_count)?;
+        for (s, chain) in new_chains.iter_mut().enumerate() {
+            let anchor = reshard_shard_anchor(&hash, marker.epoch, marker.new_shards, s);
+            let snapshot = slice_manifest(&exports, &catalog, &new_router, s, id, anchor);
             chain.install_snapshot(&snapshot)?;
-            new_shards.push(chain);
         }
-
-        self.shards = new_shards;
-        self.router = new_router;
-        self.config.shards = new_count;
+        self.group.rehost(new_router, new_chains);
         self.epoch = marker.epoch;
         self.shard_metrics
             .resize_with(new_count, TxnCounters::detached);
-        self.height = id;
-        self.anchor = Some(hash);
         self.front.metrics.reshards.inc();
         self.front.metrics.hosted_shards.set(new_count as i64);
 
         // The handover is charged like a sync serve/install round over
         // every shard manifest that moved. A marker commits nothing.
         let cost_ns = RESHARD_HANDOVER_NS.saturating_mul((old_count + new_count) as u64);
-        self.front
-            .applied(id, hash, &BlockStats::default(), cost_ns, || {
-                fold_shard_roots(&self.shards, self.config.workers)
-            })
+        self.advance(block, &BlockStats::default(), cost_ns)
     }
 
     /// Current topology epoch (0 until the first reshard marker applies).
@@ -516,17 +432,11 @@ impl ShardedReplicaNode {
     /// under a recounted router; the response's full manifests then
     /// rebuild them. ([`Self::wipe_for_resync`] is the same-count case.)
     pub fn reshape_for_sync(&mut self, new_count: usize) -> Result<()> {
-        if new_count == 0 {
-            return Err(Error::InvalidArgument(
-                "cannot reshape to zero shards".into(),
-            ));
-        }
+        check_layout(new_count, self.config.partitions as usize)?;
         let passed = self.height.0;
-        self.router = self.router.resharded(new_count);
-        self.config.shards = new_count;
-        self.shards = (0..new_count)
-            .map(|s| open_shard_chain(&self.config, s))
-            .collect::<Result<Vec<_>>>()?;
+        let router = self.group.router().resharded(new_count);
+        self.group
+            .rehost(router, self.config.open_shard_chains(new_count)?);
         self.shard_metrics
             .resize_with(new_count, TxnCounters::detached);
         self.front.metrics.hosted_shards.set(new_count as i64);
@@ -543,7 +453,7 @@ impl ShardedReplicaNode {
     /// this, a state-sync request advertises height 0 for every shard,
     /// so the serving peer answers with full manifests.
     pub fn wipe_for_resync(&mut self) -> Result<()> {
-        self.reshape_for_sync(self.shards.len())
+        self.reshape_for_sync(self.shards())
     }
 
     /// Crash: lose the delivery buffer and the in-memory global position
@@ -554,19 +464,16 @@ impl ShardedReplicaNode {
     }
 
     /// Local recovery: every shard chain reloads its last checkpoint and
-    /// deterministically replays its own sub-block log. A shard that never
-    /// checkpointed honestly lands at height 0 with an empty catalog
-    /// (ready for a manifest install); the others replay back to the
-    /// height they had applied. The replica's global height drops to the
-    /// laggiest shard; the global anchor stays unknown until state-sync
-    /// re-establishes it.
+    /// deterministically replays its own sub-block log
+    /// ([`ShardGroup::recover`]). A shard that never checkpointed honestly
+    /// lands at height 0 with an empty catalog (ready for a manifest
+    /// install); the others replay back to the height they had applied.
+    /// The replica's global height drops to the laggiest shard; the global
+    /// anchor stays unknown until state-sync re-establishes it.
     pub fn recover_local(&mut self) -> Result<()> {
-        let codec = Arc::clone(&self.codec);
-        for chain in &mut self.shards {
-            chain.crash_and_recover(codec.as_ref())?;
-        }
+        self.group.recover()?;
         self.height = self
-            .shards
+            .chains()
             .iter()
             .map(OeChain::height)
             .min()
@@ -582,8 +489,7 @@ impl ShardedReplicaNode {
         shard: usize,
         blocks: &[ChainBlock],
     ) -> Result<usize> {
-        let codec = Arc::clone(&self.codec);
-        self.shards[shard].replay_range(blocks, codec.as_ref())
+        self.group.replay(shard, blocks)
     }
 
     /// Bootstrap one shard from a peer's checkpoint manifest, then replay
@@ -594,25 +500,24 @@ impl ShardedReplicaNode {
     pub fn bootstrap_shard_from_snapshot(
         &mut self,
         shard: usize,
-        snapshot: &harmony_chain::sync::StateSnapshot,
+        snapshot: &StateSnapshot,
         blocks: &[ChainBlock],
     ) -> Result<usize> {
-        if snapshot.height > BlockId(0) && self.shards[shard].height() >= snapshot.height {
+        let height = self.shard_chain(shard).height();
+        if snapshot.height > BlockId(0) && height >= snapshot.height {
             // Deliveries that drained while the response was in flight
             // already carried this shard past the manifest point: its
             // verified chain state is at least as new, so installing the
             // older manifest would move backwards.
             return Ok(0);
         }
-        let fresh = self.shards[shard].height() == BlockId(0)
-            && self.shards[shard].engine().list_tables().is_empty();
-        if !fresh {
-            self.shards[shard] = open_shard_chain(&self.config, shard)?;
+        if height > BlockId(0) || !self.shard_chain(shard).engine().list_tables().is_empty() {
+            *self.group.chain_mut(shard) = self.config.open_shard_chain(shard)?;
         }
-        let before = self.shards[shard].height().0;
-        self.shards[shard].install_snapshot(snapshot)?;
-        let replayed = self.catch_up_shard_from_blocks(shard, blocks)?;
-        Ok((self.shards[shard].height().0 - before) as usize + replayed)
+        let before = self.shard_chain(shard).height().0;
+        self.group.chain_mut(shard).install_snapshot(snapshot)?;
+        let replayed = self.group.replay(shard, blocks)?;
+        Ok((self.shard_chain(shard).height().0 - before) as usize + replayed)
     }
 
     /// Finish a state-sync round: every shard must have landed on one
@@ -622,15 +527,7 @@ impl ShardedReplicaNode {
     /// the response was in flight and its own (newer) anchor stands.
     /// Buffered deliveries beyond the tip drain immediately.
     pub fn finish_sync(&mut self, height: BlockId, global_hash: Digest) -> Result<Vec<Applied>> {
-        let landed = self.shards[0].height();
-        for (s, chain) in self.shards.iter().enumerate() {
-            if chain.height() != landed {
-                return Err(Error::Corruption(format!(
-                    "shard {s} ended sync at {} (shard 0 at {landed})",
-                    chain.height()
-                )));
-            }
-        }
+        let landed = self.group.height()?;
         if landed < height {
             return Err(Error::Corruption(format!(
                 "sync landed at {landed}, short of the served height {height}"
@@ -655,23 +552,6 @@ impl ShardedReplicaNode {
     }
 }
 
-/// The sharded Merkle fold over `shards`' state roots (see
-/// [`ShardedReplicaNode::sharded_root`]) — a free function so the
-/// delivery front can be handed it while the node is mutably borrowed.
-fn fold_shard_roots(shards: &[OeChain], workers: usize) -> Result<Digest> {
-    let shard_roots: Vec<Digest> = if shards.iter().all(OeChain::root_is_cached) {
-        shards
-            .iter()
-            .map(OeChain::state_root)
-            .collect::<Result<_>>()?
-    } else {
-        run_indexed(shards.len(), workers.max(1), |s| shards[s].state_root())
-            .into_iter()
-            .collect::<Result<_>>()?
-    };
-    Ok(sharded_state_root(&shard_roots))
-}
-
 /// Virtual nanoseconds charged per shard manifest moved by a reshard
 /// handover (export + slice + install, same order of magnitude as a sync
 /// serve/replay round).
@@ -694,11 +574,10 @@ fn reshard_shard_anchor(global: &Digest, epoch: u64, new_shards: u32, shard: usi
 
 /// Slice the old shards' exported checkpoint manifests down to the
 /// partition set new shard `shard` owns under `router` — the reshard
-/// handover's per-shard manifest. Tables the router replicates are
-/// carried in full (every old shard holds an identical copy; shard 0's
-/// is taken). Partitioned tables take the union of every old shard's
-/// owned rows, re-merged in key order; the recovery sidecar (undo
-/// images) is sliced by the same ownership rule so the installed shard
+/// handover's per-shard manifest. Partitioned tables take the union of
+/// every old shard's owned rows, re-merged in key order; tables the
+/// router replicates are carried in full. The recovery sidecar (undo
+/// images) is sliced by the same ownership rule, so the installed shard
 /// recovers and re-simulates exactly like a shard that always existed.
 fn slice_manifest(
     exports: &[StateSnapshot],
@@ -708,51 +587,43 @@ fn slice_manifest(
     height: BlockId,
     last_hash: Digest,
 ) -> StateSnapshot {
-    let mut tables = Vec::with_capacity(catalog.len());
-    for (ti, (name, table)) in catalog.iter().enumerate() {
-        let rows = if router.is_replicated(*table) {
-            exports[0].tables[ti].rows.clone()
+    // A replicated table is identical on every old shard: take shard 0's
+    // copy, once.
+    let keep = |old: usize, key: &Key| {
+        if router.is_replicated(key.table()) {
+            old == 0
         } else {
-            let mut rows: Vec<(Vec<u8>, Vec<u8>)> = exports
-                .iter()
-                .flat_map(|e| e.tables[ti].rows.iter())
-                .filter(|(k, _)| router.shard_of_key(&Key::new(*table, k.clone())) == shard)
-                .cloned()
-                .collect();
-            // Old shards hold disjoint partitions; a simple re-sort
-            // restores global key order.
-            rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            rows
-        };
-        tables.push(TableDump {
-            name: name.clone(),
-            rows,
-        });
-    }
-    // Merge the undo sidecars block-by-block under the same ownership
-    // rule (replicated-table images ride to every shard).
-    let mut undo: BTreeMap<u64, Vec<_>> = BTreeMap::new();
-    for (ei, export) in exports.iter().enumerate() {
-        for (block, entries) in &export.undo {
-            let own = undo.entry(block.0).or_default();
-            for entry in entries {
-                // Replicated-table images are identical on every old
-                // shard — take shard 0's copy once.
-                let keep = if router.is_replicated(entry.0.table()) {
-                    ei == 0
-                } else {
-                    router.shard_of_key(&entry.0) == shard
-                };
-                if keep {
-                    own.push(entry.clone());
+            router.shard_of_key(key) == shard
+        }
+    };
+    let tables = catalog.iter().enumerate().map(|(ti, (name, table))| {
+        let mut rows = Vec::new();
+        for (old, export) in exports.iter().enumerate() {
+            for (k, v) in &export.tables[ti].rows {
+                if keep(old, &Key::new(*table, k.clone())) {
+                    rows.push((k.clone(), v.clone()));
                 }
             }
+        }
+        // Old shards hold disjoint partitions; a re-sort restores key order.
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        TableDump {
+            name: name.clone(),
+            rows,
+        }
+    });
+    // Merge the undo sidecars block by block.
+    let mut undo: BTreeMap<u64, Vec<_>> = BTreeMap::new();
+    for (old, export) in exports.iter().enumerate() {
+        for (block, entries) in &export.undo {
+            let own = undo.entry(block.0).or_default();
+            own.extend(entries.iter().filter(|e| keep(old, &e.0)).cloned());
         }
     }
     StateSnapshot {
         height,
         last_hash,
-        tables,
+        tables: tables.collect(),
         undo: undo.into_iter().map(|(b, e)| (BlockId(b), e)).collect(),
         summary: None,
     }
@@ -761,7 +632,9 @@ fn slice_manifest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{orderer_keypair, sealed_stream, sharded_config, sharded_replica};
+    use crate::testkit::{
+        orderer_keypair, sealed_stream, sharded_config, sharded_replica, workload,
+    };
 
     fn replica(engine: EngineKind, shards: usize) -> ShardedReplicaNode {
         sharded_replica(&sharded_config(engine, shards))
@@ -790,6 +663,70 @@ mod tests {
         let (top_one, logical_one) = run(1);
         assert_ne!(top_a, top_one, "physical fold commits to the layout");
         assert_eq!(logical_a, logical_one, "logical state is M-invariant");
+    }
+
+    /// One executor, two hosts: the replica verifies and decodes a sealed
+    /// global stream before its group executes it; a bare group handed
+    /// the decoded transactions must end on the same sub-block chains,
+    /// state roots and counters — for every engine and shard count.
+    #[test]
+    fn replica_and_bare_group_execute_identically() {
+        let blocks = sealed_stream(6, 12);
+        for shards in [2, 4] {
+            for engine in EngineKind::ALL {
+                let config = sharded_config(engine, shards);
+                let mut replica = sharded_replica(&config);
+                let router = ShardRouter::new(config.partitioning.build(config.partitions), shards);
+                let spec = EngineSpec::sharded(engine, config.workers);
+                let chains = (0..shards)
+                    .map(|_| OeChain::open(config.chain.clone(), spec).unwrap())
+                    .collect();
+                let mut group = ShardGroup::new(router, chains, config.latency.clone());
+                group.setup_with(&[], |e| workload().setup_node(e)).unwrap();
+                let (mut stats, mut cross) = (BlockStats::default(), 0);
+                for block in &blocks {
+                    replica.deliver(Arc::clone(block)).unwrap();
+                    let txns: Vec<_> = block
+                        .txns
+                        .iter()
+                        .map(|t| group.codec().decode(t).unwrap())
+                        .collect();
+                    let result = group.execute_block(&txns).unwrap();
+                    stats.absorb(&result.stats);
+                    cross += result.cross_txns;
+                }
+                let at = format!("{} on {shards} shards", engine.name());
+                assert!(cross > 0, "{at}: the stream must cross shards");
+                assert_eq!(replica.chains().len(), shards);
+                for (s, (hosted, bare)) in replica.chains().iter().zip(group.chains()).enumerate() {
+                    assert_eq!(hosted.height(), BlockId(6), "{at}, shard {s}");
+                    assert_eq!(hosted.height(), bare.height(), "{at}, shard {s}");
+                    assert_eq!(hosted.last_hash(), bare.last_hash(), "{at}, shard {s}");
+                    assert_eq!(
+                        hosted.state_root().unwrap(),
+                        bare.state_root().unwrap(),
+                        "{at}, shard {s}"
+                    );
+                }
+                assert_eq!(replica.stats(), &stats, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn unhostable_layouts_are_typed_errors() {
+        for (shards, partitions) in [(0, 8), (9, 8), (1, 0)] {
+            let config = ShardedReplicaConfig {
+                shards,
+                partitions,
+                ..sharded_config(EngineKind::Rbc, 1)
+            };
+            let built = ShardedReplicaNode::new(&config, |e| workload().setup_node(e));
+            assert!(
+                matches!(built, Err(Error::InvalidArgument(_))),
+                "{shards} shards over {partitions} partitions"
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,19 @@
-//! The shard group: one [`DccEngine`] per shard plus the deterministic
-//! cross-shard commit protocol.
+//! The shard group: the one executor of a planned block — M per-shard
+//! [`OeChain`]s, each running its engine in the sharded profile, plus the
+//! deterministic cross-shard commit protocol.
+//!
+//! Two hosts drive it and neither carries a copy of it: the experiment
+//! driver (`harmony_sim::run_sharded_experiment`, fig22) feeds it blocks
+//! straight from a workload, and `harmony-node`'s sharded replica wraps
+//! one group with what only a replica has — the global hash chain,
+//! ordered delivery, state-sync and live resharding. Fed the same
+//! transactions, the two hosts seal the same sub-blocks and reach the
+//! same per-shard state roots, because they run this code.
 //!
 //! # Block anatomy
 //!
-//! An ordered block enters the group and is split three ways:
+//! An ordered block enters the group and is split three ways
+//! ([`crate::plan::plan_block`]):
 //!
 //! 1. **Multi-partition transactions** are executed once against a global
 //!    snapshot view assembled from the owner shards' states after the
@@ -12,7 +22,8 @@
 //!    multi-partition transactions commit ([`decide_cross`]): a transaction
 //!    survives iff it conflicts with no earlier surviving one. Survivors
 //!    are therefore mutually conflict-free.
-//! 3. Each shard executes a sub-block through its own engine: first the
+//! 3. Each shard seals its sub-block on its own chain (logged before
+//!    execution) and executes it through its own engine: first the
 //!    **fragments** of surviving multi-partition transactions (one
 //!    synthetic contract per logical partition, in global sub-order), then
 //!    its single-partition transactions in global order.
@@ -40,81 +51,27 @@
 //! fails loudly if an engine ever violates it.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use harmony_chain::{fold_table_roots, sharded_state_root, StateCommitment};
+use harmony_chain::{fold_table_roots, sharded_state_root, ChainBlock, OeChain};
 use harmony_common::error::AbortReason;
-use harmony_common::{BlockId, Result};
+use harmony_common::{BlockId, Error, Result};
 use harmony_consensus::net::LatencyModel;
-use harmony_core::executor::{ExecBlock, TxnOutcome};
+use harmony_core::executor::TxnOutcome;
 use harmony_core::par::run_indexed;
 use harmony_core::{BlockStats, SnapshotStore};
 use harmony_crypto::{AuthMap, Digest};
-use harmony_dcc_baselines::{DccEngine, EngineKind, EngineSpec, ProtocolBlockResult};
-use harmony_storage::{StorageConfig, StorageEngine};
-use harmony_txn::{Contract, Key, RangePredicate, RwSet};
+use harmony_dcc_baselines::ProtocolBlockResult;
+use harmony_storage::StorageEngine;
+use harmony_txn::{Contract, ContractCodec, Key, MultiCodec, RangePredicate, RwSet};
 
 use crate::metrics::PlannerMetrics;
-use crate::plan::{plan_block, Slot};
+use crate::plan::{plan_block, FragmentCodec, Slot};
 use crate::router::ShardRouter;
-
-/// Shard-group configuration.
-#[derive(Clone, Debug)]
-pub struct ShardGroupConfig {
-    /// Storage configuration cloned per shard (each shard opens its own
-    /// engine; the in-memory engines never contend on a path).
-    pub storage: StorageConfig,
-    /// Network model for the read-fragment exchange between shards.
-    pub latency: LatencyModel,
-    /// Worker cores for the multi-partition simulation step.
-    pub cross_workers: usize,
-}
-
-impl Default for ShardGroupConfig {
-    fn default() -> Self {
-        ShardGroupConfig {
-            storage: StorageConfig::default(),
-            latency: LatencyModel::lan_1g(),
-            cross_workers: 8,
-        }
-    }
-}
-
-impl ShardGroupConfig {
-    /// All-in-memory, zero-cost configuration for tests.
-    #[must_use]
-    pub fn in_memory() -> ShardGroupConfig {
-        ShardGroupConfig {
-            storage: StorageConfig::memory(),
-            ..ShardGroupConfig::default()
-        }
-    }
-}
-
-struct ShardNode {
-    engine: Arc<StorageEngine>,
-    store: Arc<SnapshotStore>,
-    dcc: Arc<dyn DccEngine>,
-    /// Incrementally maintained state commitment of this shard's
-    /// partition. Lazily built on the first [`ShardGroup::state_roots`];
-    /// thereafter each executed sub-block folds its write-set in.
-    commit: Mutex<Option<StateCommitment>>,
-}
-
-/// This shard's cached state root, building the commitment if needed.
-fn shard_state_root(node: &ShardNode) -> Result<Digest> {
-    let mut guard = node.commit.lock().expect("commit lock");
-    if guard.is_none() {
-        *guard = Some(StateCommitment::build(&node.engine)?);
-    }
-    Ok(guard.as_mut().expect("just built").root())
-}
 
 /// Result of pushing one block through the group.
 #[derive(Debug)]
 pub struct ShardBlockResult {
-    /// The block.
-    pub block: BlockId,
     /// Outcome per transaction, in the submitted global order.
     pub outcomes: Vec<TxnOutcome>,
     /// Raw per-shard engine results (sub-block order).
@@ -162,47 +119,35 @@ pub struct ShardedRoot {
     pub root: Digest,
 }
 
-/// A group of shards executing one ordered chain of blocks.
+/// M shard chains executing one ordered chain of blocks.
 pub struct ShardGroup {
     router: ShardRouter,
-    nodes: Vec<ShardNode>,
+    chains: Vec<OeChain>,
+    /// Seals every sub-block and decodes every logged one: fragments plus
+    /// the workload's contracts (see [`Self::setup_with`]).
+    codec: Arc<dyn ContractCodec>,
     latency: LatencyModel,
-    cross_workers: usize,
-    height: BlockId,
     metrics: PlannerMetrics,
 }
 
 impl ShardGroup {
-    /// Build a group: one storage engine + snapshot store + DCC engine per
-    /// shard, every shard running `kind` on `workers` cores in the sharded
-    /// profile ([`harmony_dcc_baselines::engines`]).
-    pub fn new(
-        router: ShardRouter,
-        config: &ShardGroupConfig,
-        kind: EngineKind,
-        workers: usize,
-    ) -> Result<ShardGroup> {
-        let spec = EngineSpec::sharded(kind, workers);
-        let mut nodes = Vec::with_capacity(router.shards());
-        for _ in 0..router.shards() {
-            let engine = Arc::new(StorageEngine::open(&config.storage)?);
-            let store = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
-            let dcc = spec.build(Arc::clone(&store));
-            nodes.push(ShardNode {
-                engine,
-                store,
-                dcc,
-                commit: Mutex::new(None),
-            });
-        }
-        Ok(ShardGroup {
+    /// Host `chains`, one per shard of `router`, in shard order. The
+    /// caller opens them (each with `EngineSpec::sharded`, on whatever
+    /// chain configuration it runs); their engine's worker count also
+    /// sizes the multi-partition simulation and cold root builds.
+    ///
+    /// # Panics
+    /// Panics unless there is exactly one chain per shard of `router`.
+    #[must_use]
+    pub fn new(router: ShardRouter, chains: Vec<OeChain>, latency: LatencyModel) -> ShardGroup {
+        assert_eq!(router.shards(), chains.len(), "one chain per shard");
+        ShardGroup {
             router,
-            nodes,
-            latency: config.latency.clone(),
-            cross_workers: config.cross_workers.max(1),
-            height: BlockId(0),
+            chains,
+            codec: Arc::new(FragmentCodec),
+            latency,
             metrics: PlannerMetrics::detached(),
-        })
+        }
     }
 
     /// Report planner decisions into the given metric handles (the
@@ -220,31 +165,49 @@ impl ShardGroup {
     /// Number of shards.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.nodes.len()
+        self.chains.len()
     }
 
-    /// Current height (blocks executed).
+    /// One shard's chain.
     #[must_use]
-    pub fn height(&self) -> BlockId {
-        self.height
+    pub fn chain(&self, shard: usize) -> &OeChain {
+        &self.chains[shard]
     }
 
-    /// A shard's storage engine (inspection / workload setup).
-    #[must_use]
-    pub fn engine(&self, shard: usize) -> &Arc<StorageEngine> {
-        &self.nodes[shard].engine
+    /// Mutable access to one shard's chain (a manifest install, or its
+    /// replacement by a fresh chain).
+    pub fn chain_mut(&mut self, shard: usize) -> &mut OeChain {
+        &mut self.chains[shard]
     }
 
-    /// A shard's snapshot store.
+    /// Every shard chain, in shard order.
     #[must_use]
-    pub fn store(&self, shard: usize) -> &Arc<SnapshotStore> {
-        &self.nodes[shard].store
+    pub fn chains(&self) -> &[OeChain] {
+        &self.chains
     }
 
-    /// A shard's DCC engine.
+    /// The codec sub-blocks are sealed and replayed with.
     #[must_use]
-    pub fn dcc(&self, shard: usize) -> &Arc<dyn DccEngine> {
-        &self.nodes[shard].dcc
+    pub fn codec(&self) -> &Arc<dyn ContractCodec> {
+        &self.codec
+    }
+
+    /// The height every shard chain stands at: blocks executed.
+    ///
+    /// # Errors
+    /// `Corruption` when the shards disagree (mid-recovery, before
+    /// state-sync has evened them out).
+    pub fn height(&self) -> Result<BlockId> {
+        let height = self.chains[0].height();
+        for (s, chain) in self.chains.iter().enumerate() {
+            if chain.height() != height {
+                return Err(Error::Corruption(format!(
+                    "shard {s} at {} (shard 0 at {height})",
+                    chain.height()
+                )));
+            }
+        }
+        Ok(height)
     }
 
     /// Load the initial database: run `load` on every shard's engine (table
@@ -252,61 +215,117 @@ impl ShardGroup {
     /// prune each shard down to the rows it owns. After this, every shard
     /// holds exactly its partition of the database.
     ///
-    /// Typical call: `group.setup_with(|engine| workload.setup(engine))`.
-    pub fn setup_with(&mut self, mut load: impl FnMut(&StorageEngine) -> Result<()>) -> Result<()> {
-        assert_eq!(self.height, BlockId(0), "setup must precede execution");
-        for (s, node) in self.nodes.iter().enumerate() {
-            load(&node.engine)?;
-            prune_to_owned(&node.engine, &self.router, s)?;
+    /// Tables named in `replicated` stay whole on every shard (read-only
+    /// dimension tables — see [`ShardRouter::with_replicated`]); the names
+    /// are resolved against the catalog the first `load` creates. `load`
+    /// returns the workload's codec, which joins [`FragmentCodec`] as the
+    /// group's [`Self::codec`].
+    ///
+    /// Typical call: `group.setup_with(&[], |e| { w.setup(e)?; Ok(w.codec()) })`.
+    pub fn setup_with(
+        &mut self,
+        replicated: &[String],
+        mut load: impl FnMut(&Arc<StorageEngine>) -> Result<Arc<dyn ContractCodec>>,
+    ) -> Result<()> {
+        assert_eq!(
+            self.chains[0].height(),
+            BlockId(0),
+            "setup precedes execution"
+        );
+        let mut workload = None;
+        for (s, chain) in self.chains.iter().enumerate() {
+            workload = Some(load(chain.engine())?);
+            if s == 0 && !replicated.is_empty() {
+                let catalog = chain.engine().list_tables();
+                let ids = replicated.iter().map(|name| {
+                    let found = catalog.iter().find(|(n, _)| n == name);
+                    found.map(|(_, id)| *id).ok_or_else(|| {
+                        Error::InvalidArgument(format!(
+                            "replicated table {name:?} is not in the workload's catalog"
+                        ))
+                    })
+                });
+                self.router = self
+                    .router
+                    .clone()
+                    .with_replicated(ids.collect::<Result<_>>()?);
+            }
+            prune_to_owned(chain.engine(), &self.router, s)?;
         }
+        self.codec = Arc::new(MultiCodec::new(vec![
+            Arc::new(FragmentCodec),
+            workload.expect("at least one shard"),
+        ]));
         Ok(())
     }
 
     /// Execute the next block of the global order: plan it through the
-    /// shared cross-shard planner ([`crate::plan::plan_block`]), run each
-    /// shard's sub-block through its engine, and fold the outcomes back
-    /// into global order.
-    pub fn execute_block(&mut self, txns: Vec<Arc<dyn Contract>>) -> Result<ShardBlockResult> {
-        let id = self.height.next();
-        let snapshot = self.height;
-        let stores: Vec<Arc<SnapshotStore>> =
-            self.nodes.iter().map(|n| Arc::clone(&n.store)).collect();
+    /// cross-shard planner ([`crate::plan::plan_block`]), seal and apply
+    /// each shard's sub-block on that shard's chain, and fold the outcomes
+    /// back into global order.
+    pub fn execute_block(&mut self, txns: &[Arc<dyn Contract>]) -> Result<ShardBlockResult> {
+        let snapshot = self.height()?;
+        let stores: Vec<Arc<SnapshotStore>> = self
+            .chains
+            .iter()
+            .map(|c| Arc::clone(c.snapshots()))
+            .collect();
+        let workers = self.chains[0].spec().workers;
         let mut plan = plan_block(
             &self.router,
             &stores,
             snapshot,
-            &txns,
-            self.cross_workers,
+            txns,
+            workers,
             &self.latency,
         );
         self.metrics.observe(&plan);
-        let mut shard_results = Vec::with_capacity(self.shards());
-        for (s, node) in self.nodes.iter().enumerate() {
+        let mut shard_results = Vec::with_capacity(self.chains.len());
+        for (s, chain) in self.chains.iter_mut().enumerate() {
+            // One codec encode per contract into the shard's logical log;
+            // the already-decoded contracts execute as they are.
             let sub = std::mem::take(&mut plan.shard_txns[s]);
-            shard_results.push(node.dcc.execute_block(&ExecBlock::new(id, sub))?);
-            // Fold this sub-block's write-set into the shard commitment
-            // (now — the per-shard block log is GC'd by the next block).
-            let mut guard = node.commit.lock().expect("commit lock");
-            if let Some(c) = guard.as_mut() {
-                c.apply_writes(&node.engine, &node.store.keys_written_in(id))?;
-            }
+            shard_results.push(chain.submit_block(sub, self.codec.as_ref())?.1);
         }
         let outcomes = plan.fold_outcomes(&shard_results)?;
-        let stats = plan.accumulate_stats(&outcomes, &shard_results);
-        let cross_committed = plan.cross_committed();
-
-        self.height = id;
         Ok(ShardBlockResult {
-            block: id,
+            stats: plan.accumulate_stats(&outcomes, &shard_results),
+            cross_txns: plan.cross_idx.len(),
+            cross_committed: plan.cross_committed(),
             outcomes,
             shard_results,
             slots: plan.slots,
-            cross_txns: plan.cross_idx.len(),
-            cross_committed,
             cross_sim_ns: plan.cross_sim_ns,
             exchange_ns: plan.exchange_ns,
-            stats,
         })
+    }
+
+    /// Move the group onto a new layout: `chains`, one per shard of
+    /// `router`, replace the hosted ones — a reshard handover, or fresh
+    /// chains ahead of a full re-sync. The codec stays.
+    ///
+    /// # Panics
+    /// Panics unless there is exactly one chain per shard of `router`.
+    pub fn rehost(&mut self, router: ShardRouter, chains: Vec<OeChain>) {
+        assert_eq!(router.shards(), chains.len(), "one chain per shard");
+        self.router = router;
+        self.chains = chains;
+    }
+
+    /// Crash every shard chain and recover it: reload its last checkpoint
+    /// and replay its own sub-block log. Fragments replay from their
+    /// logged bytes, so no shard waits on another.
+    pub fn recover(&mut self) -> Result<()> {
+        for chain in &mut self.chains {
+            chain.crash_and_recover(self.codec.as_ref())?;
+        }
+        Ok(())
+    }
+
+    /// Replay a verified sub-block range on one shard; blocks at or below
+    /// its height are skipped. Returns the blocks applied.
+    pub fn replay(&mut self, shard: usize, blocks: &[ChainBlock]) -> Result<usize> {
+        self.chains[shard].replay_range(blocks, self.codec.as_ref())
     }
 
     /// Per-shard state roots and their Merkle fold. The fold commits to
@@ -317,21 +336,17 @@ impl ShardGroup {
     /// any shard still needs its one-time commitment build (first call, or
     /// after recovery), the builds run in parallel across shards.
     pub fn state_roots(&self) -> Result<ShardedRoot> {
-        let all_cached = self
-            .nodes
-            .iter()
-            .all(|n| n.commit.lock().expect("commit lock").is_some());
-        let shard_roots: Vec<Digest> = if all_cached {
-            self.nodes
+        let chains = &self.chains;
+        let shard_roots: Vec<Digest> = if chains.iter().all(OeChain::root_is_cached) {
+            chains
                 .iter()
-                .map(shard_state_root)
+                .map(OeChain::state_root)
                 .collect::<Result<_>>()?
         } else {
-            run_indexed(self.nodes.len(), self.cross_workers, |s| {
-                shard_state_root(&self.nodes[s])
-            })
-            .into_iter()
-            .collect::<Result<_>>()?
+            let workers = chains[0].spec().workers.max(1);
+            run_indexed(chains.len(), workers, |s| chains[s].state_root())
+                .into_iter()
+                .collect::<Result<_>>()?
         };
         let root = sharded_state_root(&shard_roots);
         Ok(ShardedRoot { shard_roots, root })
@@ -339,15 +354,13 @@ impl ShardGroup {
 
     /// Hash of the *logical* database — see [`logical_state_root`].
     pub fn logical_state_root(&self) -> Result<Digest> {
-        logical_state_root(self.nodes.iter().map(|n| &n.engine))
+        logical_state_root(self.chains.iter().map(OeChain::engine))
     }
 }
 
 /// Delete every row `shard` does not own under `router` — the second
-/// phase of shard setup (after loading the full database on every
-/// shard's engine). One definition serves both shard hosts: the
-/// single-process [`ShardGroup`] and `harmony-node`'s sharded replica,
-/// so their genesis partitions can never drift apart.
+/// phase of [`ShardGroup::setup_with`] (after loading the full database
+/// on every shard's engine).
 ///
 /// Tables the router marks replicated keep their full contents on every
 /// shard (read-only dimension tables — see
@@ -464,9 +477,10 @@ pub fn decide_cross(rwsets: &[Option<RwSet>]) -> Vec<TxnOutcome> {
 mod tests {
     use super::*;
     use crate::partition::HashPartitioner;
-    use harmony_chain::state_root;
+    use harmony_chain::{state_root, ChainConfig};
     use harmony_common::ids::TableId;
     use harmony_core::HarmonyConfig;
+    use harmony_dcc_baselines::{EngineKind, EngineSpec};
     use harmony_txn::{FnContract, TxnCtx, UpdateCommand, UserAbort};
 
     const TABLE: TableId = TableId(0);
@@ -476,14 +490,33 @@ mod tests {
     }
 
     /// Group of `shards` shards over 8 logical partitions, Harmony engines
-    /// (inter-block parallelism off — the sharded profile), `keys` records
-    /// valued 100.
-    fn group(shards: usize, keys: u64) -> ShardGroup {
+    /// (inter-block parallelism off — the sharded profile) on 2 workers,
+    /// `replicated` tables whole on every shard, each engine filled by
+    /// `load`.
+    fn open_group(
+        shards: usize,
+        replicated: &[&str],
+        mut load: impl FnMut(&StorageEngine) -> Result<()>,
+    ) -> ShardGroup {
         let router = ShardRouter::new(Arc::new(HashPartitioner::new(8)), shards);
-        let config = ShardGroupConfig::in_memory();
-        let harmony = EngineKind::Harmony(HarmonyConfig::default());
-        let mut g = ShardGroup::new(router, &config, harmony, 2).unwrap();
-        g.setup_with(|engine| {
+        let spec = EngineSpec::sharded(EngineKind::Harmony(HarmonyConfig::default()), 2);
+        let chains = (0..shards)
+            .map(|_| OeChain::open(ChainConfig::in_memory(), spec).unwrap())
+            .collect();
+        let mut g = ShardGroup::new(router, chains, LatencyModel::lan_1g());
+        let replicated: Vec<String> = replicated.iter().map(|n| n.to_string()).collect();
+        // FnContracts have no codec of their own; any codec seals them.
+        g.setup_with(&replicated, |engine| {
+            load(engine)?;
+            Ok(Arc::new(FragmentCodec))
+        })
+        .unwrap();
+        g
+    }
+
+    /// [`open_group`] over one table of `keys` records valued 100.
+    fn group(shards: usize, keys: u64) -> ShardGroup {
+        open_group(shards, &[], |engine| {
             let t = engine.create_table("t")?;
             assert_eq!(t, TABLE);
             for i in 0..keys {
@@ -491,8 +524,6 @@ mod tests {
             }
             Ok(())
         })
-        .unwrap();
-        g
     }
 
     /// `add(w, delta)` for each write key after reading each read key, with
@@ -516,7 +547,12 @@ mod tests {
     fn read_i64(g: &ShardGroup, id: u64) -> i64 {
         let k = key(id);
         let shard = g.router().shard_of_key(&k);
-        let v = g.engine(shard).get(TABLE, k.row()).unwrap().unwrap();
+        let v = g
+            .chain(shard)
+            .engine()
+            .get(TABLE, k.row())
+            .unwrap()
+            .unwrap();
         i64::from_le_bytes(v.as_slice().try_into().unwrap())
     }
 
@@ -531,16 +567,11 @@ mod tests {
 
     const DIM: TableId = TableId(1);
 
-    /// Group whose router replicates dimension table [`DIM`] ("prices"):
-    /// the fact table `t` is partitioned as usual, the dimension is
-    /// hosted in full everywhere.
+    /// Group replicating dimension table [`DIM`] ("prices"): the fact
+    /// table `t` is partitioned as usual, the dimension is hosted in full
+    /// everywhere.
     fn group_with_dim(shards: usize, keys: u64, dim_rows: u64) -> ShardGroup {
-        let router =
-            ShardRouter::new(Arc::new(HashPartitioner::new(8)), shards).with_replicated(vec![DIM]);
-        let config = ShardGroupConfig::in_memory();
-        let harmony = EngineKind::Harmony(HarmonyConfig::default());
-        let mut g = ShardGroup::new(router, &config, harmony, 2).unwrap();
-        g.setup_with(|engine| {
+        open_group(shards, &["prices"], |engine| {
             let t = engine.create_table("t")?;
             assert_eq!(t, TABLE);
             let dim = engine.create_table("prices")?;
@@ -553,8 +584,6 @@ mod tests {
             }
             Ok(())
         })
-        .unwrap();
-        g
     }
 
     /// Read a dimension row, then add its value to a fact row — declares
@@ -581,11 +610,11 @@ mod tests {
         let mut fact_total = 0;
         for s in 0..4 {
             assert_eq!(
-                g.engine(s).table_len(DIM).unwrap(),
+                g.chain(s).engine().table_len(DIM).unwrap(),
                 16,
                 "shard {s} must host the full dimension table"
             );
-            fact_total += g.engine(s).table_len(TABLE).unwrap();
+            fact_total += g.chain(s).engine().table_len(TABLE).unwrap();
         }
         assert_eq!(fact_total, 64, "fact table still partitioned exactly once");
     }
@@ -596,8 +625,8 @@ mod tests {
             || -> Vec<Arc<dyn Contract>> { (0..16).map(|i| dim_lookup_txn(i % 16, i)).collect() };
         let mut one = group_with_dim(1, 64, 16);
         let mut four = group_with_dim(4, 64, 16);
-        let r1 = one.execute_block(block()).unwrap();
-        let r4 = four.execute_block(block()).unwrap();
+        let r1 = one.execute_block(&block()).unwrap();
+        let r4 = four.execute_block(&block()).unwrap();
         // Dimension reads are placement-invisible: no txn goes cross.
         assert_eq!(
             r4.cross_txns, 0,
@@ -616,9 +645,10 @@ mod tests {
         let g = group(4, 64);
         let mut total = 0;
         for s in 0..4 {
-            let len = g.engine(s).table_len(TABLE).unwrap();
+            let len = g.chain(s).engine().table_len(TABLE).unwrap();
             assert!(len > 0, "shard {s} owns nothing");
-            g.engine(s)
+            g.chain(s)
+                .engine()
                 .scan(TABLE, b"", None, |k, _| {
                     assert_eq!(g.router().shard_of_key(&Key::new(TABLE, k.to_vec())), s);
                     true
@@ -633,7 +663,7 @@ mod tests {
     fn local_txns_run_on_their_shards() {
         let mut g = group(4, 64);
         let txns: Vec<Arc<dyn Contract>> = (0..8).map(|i| add_txn(vec![], vec![i], 1)).collect();
-        let res = g.execute_block(txns).unwrap();
+        let res = g.execute_block(&txns).unwrap();
         assert_eq!(res.cross_txns, 0);
         assert_eq!(res.stats.committed, 8);
         assert_eq!(res.exchange_ns, 0, "no cross txns, no exchange");
@@ -655,7 +685,7 @@ mod tests {
             })
             .with_footprint(vec![key(a), key(b)]),
         );
-        let res = g.execute_block(vec![transfer]).unwrap();
+        let res = g.execute_block(&[transfer]).unwrap();
         assert_eq!(res.cross_txns, 1);
         assert_eq!(res.cross_committed, 1);
         assert_eq!(res.outcomes[0], TxnOutcome::Committed);
@@ -672,7 +702,7 @@ mod tests {
         let mut g = group(4, 64);
         let (a, b) = cross_pair(&g);
         let t = |delta: i64| add_txn(vec![], vec![a, b], delta);
-        let res = g.execute_block(vec![t(1), t(2), t(4)]).unwrap();
+        let res = g.execute_block(&[t(1), t(2), t(4)]).unwrap();
         assert_eq!(res.outcomes[0], TxnOutcome::Committed);
         assert_eq!(
             res.outcomes[1],
@@ -691,7 +721,7 @@ mod tests {
         let mut g = group(2, 64);
         let (a, b) = cross_pair(&g);
         // Block 1: bump a.
-        g.execute_block(vec![add_txn(vec![], vec![a], 5)]).unwrap();
+        g.execute_block(&[add_txn(vec![], vec![a], 5)]).unwrap();
         // Block 2: a cross txn that copies a's value delta onto b must read
         // the state *after* block 1.
         let copier: Arc<dyn Contract> = Arc::new(
@@ -709,7 +739,7 @@ mod tests {
             })
             .with_footprint(vec![key(a), key(b)]),
         );
-        let res = g.execute_block(vec![copier]).unwrap();
+        let res = g.execute_block(&[copier]).unwrap();
         assert_eq!(res.outcomes[0], TxnOutcome::Committed);
         assert_eq!(read_i64(&g, b), 105);
     }
@@ -722,7 +752,7 @@ mod tests {
                 ctx.add_i64(key(3), 0, 7);
                 Ok(())
             }));
-        let res = g.execute_block(vec![opaque]).unwrap();
+        let res = g.execute_block(&[opaque]).unwrap();
         assert_eq!(res.cross_txns, 1);
         assert_eq!(res.outcomes[0], TxnOutcome::Committed);
         assert_eq!(read_i64(&g, 3), 107);
@@ -731,10 +761,10 @@ mod tests {
     #[test]
     fn logical_root_matches_chain_state_root_on_one_shard() {
         let mut g = group(1, 64);
-        g.execute_block(vec![add_txn(vec![], vec![0], 1)]).unwrap();
+        g.execute_block(&[add_txn(vec![], vec![0], 1)]).unwrap();
         assert_eq!(
             g.logical_state_root().unwrap(),
-            state_root(g.engine(0)).unwrap()
+            state_root(g.chain(0).engine()).unwrap()
         );
     }
 
@@ -743,7 +773,7 @@ mod tests {
         let mut g = group(4, 64);
         let before = g.state_roots().unwrap();
         assert_eq!(before.shard_roots.len(), 4);
-        g.execute_block(vec![add_txn(vec![], vec![0], 1)]).unwrap();
+        g.execute_block(&[add_txn(vec![], vec![0], 1)]).unwrap();
         let after = g.state_roots().unwrap();
         assert_ne!(before.root, after.root);
         // Only key 0's owner shard changed.
@@ -830,7 +860,7 @@ mod tests {
                         }
                     })
                     .collect();
-                outcomes.push(g.execute_block(txns).unwrap().outcomes);
+                outcomes.push(g.execute_block(&txns).unwrap().outcomes);
             }
             (outcomes, g.state_roots().unwrap())
         };

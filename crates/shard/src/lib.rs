@@ -5,10 +5,12 @@
 //! block deterministically: the committed post-state is a pure function of
 //! (previous state, ordered block). This crate scales that property out by
 //! hash- or range-partitioning the keyspace ([`Partitioner`]) across
-//! independent execution shards ([`ShardGroup`]), each running its own
-//! `DccEngine` over its own `SnapshotStore` — any of the five systems, in
-//! the sharded profile that [`harmony_dcc_baselines::engines`] defines and
-//! justifies.
+//! independent execution shards. A [`ShardGroup`] hosts one
+//! `harmony_chain::OeChain` per shard — any of the five systems, in the
+//! sharded profile that [`harmony_dcc_baselines::engines`] defines and
+//! justifies — and is the one executor of a planned block: the experiment
+//! driver and `harmony-node`'s sharded replica both run their blocks
+//! through it.
 //!
 //! # Why determinism makes cross-shard commit coordination-free
 //!
@@ -52,7 +54,7 @@ pub mod router;
 
 pub use group::{
     decide_cross, logical_state_root, logical_table_heads, prune_to_owned, ShardBlockResult,
-    ShardGroup, ShardGroupConfig, ShardedRoot,
+    ShardGroup, ShardedRoot,
 };
 pub use metrics::PlannerMetrics;
 pub use partition::{

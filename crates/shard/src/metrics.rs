@@ -1,10 +1,9 @@
 //! Planner observability: what the cross-shard planner decided, per
 //! block.
 //!
-//! The handles live in the shard crate so both entry points — the
-//! standalone [`ShardGroup`](crate::ShardGroup) and the sharded replica
-//! node in `harmony-node` — report through the same family; the caller
-//! picks the static label set (e.g. `replica="2"`) at registration.
+//! The handles live in the shard crate because the planner reports from
+//! inside [`ShardGroup`](crate::ShardGroup), whichever host drives it; the
+//! host picks the static label set (e.g. `replica="2"`) at registration.
 
 use harmony_common::error::AbortReason;
 use harmony_core::executor::TxnOutcome;

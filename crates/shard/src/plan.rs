@@ -1,7 +1,8 @@
-//! The cross-shard planning stage, factored out of [`crate::ShardGroup`]
-//! so that any host of per-shard engines — the single-process shard group
-//! or the replicated sharded node runtime in `harmony-node` — runs the
-//! *same* deterministic protocol:
+//! The cross-shard planning stage of [`crate::ShardGroup`], the one
+//! executor of a sharded block (every host — the experiment driver, the
+//! replicated sharded node in `harmony-node` — runs blocks through a
+//! group, never through this module directly). Planning is the
+//! deterministic protocol itself:
 //!
 //! 1. classify each transaction (single- vs multi-partition),
 //! 2. simulate multi-partition transactions once against a snapshot view

@@ -7,10 +7,12 @@
 
 use std::sync::Arc;
 
+use harmony_chain::{ChainConfig, OeChain};
+use harmony_consensus::net::LatencyModel;
 use harmony_core::executor::TxnOutcome;
 use harmony_core::HarmonyConfig;
-use harmony_dcc_baselines::EngineKind;
-use harmony_shard::{HashPartitioner, ShardGroup, ShardGroupConfig, ShardRouter};
+use harmony_dcc_baselines::{EngineKind, EngineSpec};
+use harmony_shard::{HashPartitioner, ShardGroup, ShardRouter};
 use harmony_workloads::{Smallbank, SmallbankConfig, Workload, Ycsb, YcsbConfig};
 use proptest::prelude::*;
 
@@ -60,10 +62,18 @@ fn run_stream(
     block_size: usize,
 ) -> StreamResult {
     let router = ShardRouter::new(Arc::new(HashPartitioner::new(PARTITIONS)), shards);
-    let config = ShardGroupConfig::in_memory();
-    let mut group = ShardGroup::new(router, &config, engine, 2).unwrap();
+    let spec = EngineSpec::sharded(engine, 2);
+    let chains = (0..shards)
+        .map(|_| OeChain::open(ChainConfig::in_memory(), spec).unwrap())
+        .collect();
+    let mut group = ShardGroup::new(router, chains, LatencyModel::lan_1g());
     let mut w = workload(mix, 200, ratio);
-    group.setup_with(|e| w.setup(e)).unwrap();
+    group
+        .setup_with(&[], |e| {
+            w.setup(e)?;
+            Ok(w.codec())
+        })
+        .unwrap();
 
     let mut rng = harmony_common::DetRng::new(seed);
     let mut retry: std::collections::VecDeque<Arc<dyn harmony_txn::Contract>> =
@@ -78,7 +88,7 @@ fn run_stream(
                 None => txns.push(w.next_txn(&mut rng)),
             }
         }
-        let result = group.execute_block(txns.clone()).unwrap();
+        let result = group.execute_block(&txns).unwrap();
         for (i, o) in result.outcomes.iter().enumerate() {
             if let TxnOutcome::Aborted(reason) = o {
                 if *reason != harmony_common::error::AbortReason::UserAbort {

@@ -5,12 +5,13 @@ use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use harmony_chain::{ChainConfig, OeChain};
 use harmony_common::{BlockId, DetRng, Result};
 use harmony_consensus::net::LatencyModel;
 use harmony_core::executor::{ExecBlock, TxnOutcome};
 use harmony_core::{BlockStats, SnapshotStore};
 use harmony_dcc_baselines::{EngineKind, EngineSpec};
-use harmony_shard::{HashPartitioner, ShardGroup, ShardGroupConfig, ShardRouter};
+use harmony_shard::{HashPartitioner, ShardGroup, ShardRouter};
 use harmony_storage::{StorageConfig, StorageEngine};
 use harmony_txn::Contract;
 use harmony_workloads::Workload;
@@ -253,16 +254,28 @@ pub fn run_sharded_experiment(
         Arc::new(HashPartitioner::new(config.partitions)),
         config.shards,
     );
-    let group_config = ShardGroupConfig {
+    // The shard chains never checkpoint, and their block-log syncs and
+    // seal/verify costs fall outside every `vtime::scope`: the charge
+    // below is execution alone, as the figure defines it.
+    let chain = ChainConfig {
         storage: config.base.storage.clone(),
-        latency: config.latency.clone(),
-        cross_workers: config.base.workers,
+        checkpoint_every: 0,
+        ..ChainConfig::default()
     };
-    let mut group = ShardGroup::new(router, &group_config, kind, config.base.workers)?;
-    group.setup_with(|engine| workload.setup(engine))?;
-    let commit_serial = (0..group.shards()).any(|s| group.dcc(s).commit_is_serial());
-    let io_before: Vec<_> = (0..group.shards())
-        .map(|s| group.engine(s).io_snapshot())
+    let spec = EngineSpec::sharded(kind, config.base.workers);
+    let chains = (0..config.shards)
+        .map(|_| OeChain::open(chain.clone(), spec))
+        .collect::<Result<_>>()?;
+    let mut group = ShardGroup::new(router, chains, config.latency.clone());
+    group.setup_with(&[], |engine| {
+        workload.setup(engine)?;
+        Ok(workload.codec())
+    })?;
+    let commit_serial = group.chain(0).dcc().commit_is_serial();
+    let io_before: Vec<_> = group
+        .chains()
+        .iter()
+        .map(|c| c.engine().io_snapshot())
         .collect();
 
     let mut rng = DetRng::new(config.base.seed);
@@ -273,7 +286,7 @@ pub fn run_sharded_experiment(
     let mut work_ns = 0u64;
     for b in 0..config.base.blocks {
         let (txns, born) = fill_block(&mut retry, workload, &mut rng, config.base.block_size, b);
-        let result = group.execute_block(txns.clone())?;
+        let result = group.execute_block(&txns)?;
         track_outcomes(
             &result.outcomes,
             &txns,
@@ -286,9 +299,7 @@ pub fn run_sharded_experiment(
         totals.absorb(&result.stats);
 
         wall_ns += sharded_block_ns(
-            result.exchange_ns,
-            &result.cross_sim_ns,
-            &result.shard_results,
+            &result,
             config.base.workers,
             commit_serial,
             config.base.storage.log_sync_ns,
@@ -300,8 +311,8 @@ pub fn run_sharded_experiment(
     let wall_ns = wall_ns.max(1);
 
     let mut io = harmony_storage::IoSnapshot::default();
-    for (s, before) in io_before.iter().enumerate() {
-        io.absorb(&group.engine(s).io_snapshot().delta_since(before));
+    for (chain, before) in group.chains().iter().zip(&io_before) {
+        io.absorb(&chain.engine().io_snapshot().delta_since(before));
     }
     let mean_block_ns = wall_ns as f64 / config.base.blocks as f64;
     let latency_ms = mean_latency_ms(&committed_block_spans, mean_block_ns);

@@ -1,6 +1,7 @@
 //! Deterministic task scheduling on virtual worker cores.
 
 use harmony_dcc_baselines::ProtocolBlockResult;
+use harmony_shard::ShardBlockResult;
 
 /// Virtual-time profile of one executed block.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -98,19 +99,18 @@ pub fn schedule_logged_block(
 /// back-to-back.
 #[must_use]
 pub fn sharded_block_ns(
-    exchange_ns: u64,
-    cross_sim_ns: &[u64],
-    shard_results: &[ProtocolBlockResult],
+    block: &ShardBlockResult,
     workers: usize,
     commit_serial: bool,
     log_sync_ns: u64,
 ) -> u64 {
-    let shard_stage = shard_results
+    let shard_stage = block
+        .shard_results
         .iter()
         .map(|r| schedule_block(r, workers, commit_serial).total_ns() + log_sync_ns)
         .max()
         .unwrap_or(0);
-    exchange_ns + makespan(cross_sim_ns, workers) + shard_stage
+    block.exchange_ns + makespan(&block.cross_sim_ns, workers) + shard_stage
 }
 
 /// Total wall time of a sequence of blocks.

@@ -19,6 +19,8 @@
 //! * [`engine`] — the [`StorageEngine`] facade: a catalog of tables, typed
 //!   get/put/delete/scan, checkpoint/recover, and I/O counters.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod btree;
 pub mod buffer;
 pub mod checkpoint;

@@ -26,6 +26,8 @@
 //! (single client session, count-driven sealing) the committed state
 //! roots over real sockets must equal the simulator's bit-for-bit.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod ctl;
 pub mod http;
 pub mod tcp;

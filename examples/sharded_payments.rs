@@ -7,10 +7,12 @@
 
 use std::sync::Arc;
 
-use harmonybc::baselines::EngineKind;
+use harmonybc::baselines::{EngineKind, EngineSpec};
+use harmonybc::chain::{ChainConfig, OeChain};
 use harmonybc::common::DetRng;
+use harmonybc::consensus::net::LatencyModel;
 use harmonybc::core::HarmonyConfig;
-use harmonybc::shard::{HashPartitioner, ShardGroup, ShardGroupConfig, ShardRouter};
+use harmonybc::shard::{HashPartitioner, ShardGroup, ShardRouter};
 use harmonybc::workloads::{Smallbank, SmallbankConfig, Workload};
 
 const SHARDS: usize = 4;
@@ -29,9 +31,16 @@ fn main() -> harmonybc::common::Result<()> {
     });
 
     let router = ShardRouter::new(Arc::new(HashPartitioner::new(PARTITIONS)), SHARDS);
-    let harmony = EngineKind::Harmony(HarmonyConfig::default());
-    let mut group = ShardGroup::new(router, &ShardGroupConfig::in_memory(), harmony, 4)?;
-    group.setup_with(|engine| bank.setup(engine))?;
+    // One hash-chained HarmonyBC chain per shard (sharded profile, 4 cores).
+    let spec = EngineSpec::sharded(EngineKind::Harmony(HarmonyConfig::default()), 4);
+    let chains = (0..SHARDS)
+        .map(|_| OeChain::open(ChainConfig::in_memory(), spec))
+        .collect::<harmonybc::common::Result<_>>()?;
+    let mut group = ShardGroup::new(router, chains, LatencyModel::lan_1g());
+    group.setup_with(&[], |engine| {
+        bank.setup(engine)?;
+        Ok(bank.codec())
+    })?;
 
     println!(
         "Smallbank on {SHARDS} shards ({PARTITIONS} logical partitions), \
@@ -41,7 +50,7 @@ fn main() -> harmonybc::common::Result<()> {
     let (mut committed, mut cross, mut cross_committed) = (0usize, 0usize, 0usize);
     let mut shard_committed = [0usize; SHARDS];
     for _ in 0..BLOCKS {
-        let result = group.execute_block(bank.next_block(&mut rng, BLOCK_SIZE))?;
+        let result = group.execute_block(&bank.next_block(&mut rng, BLOCK_SIZE))?;
         committed += result.stats.committed;
         cross += result.cross_txns;
         cross_committed += result.cross_committed;

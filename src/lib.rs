@@ -44,7 +44,7 @@ pub mod prelude {
     pub use harmony_metrics::{Registry, Timeline};
     pub use harmony_node::{Cluster, ClusterConfig, ClusterWorkload, Mempool, ReplicaNode};
     pub use harmony_shard::{
-        HashPartitioner, Partitioner, RangePartitioner, ShardGroup, ShardGroupConfig, ShardRouter,
+        HashPartitioner, Partitioner, RangePartitioner, ShardGroup, ShardRouter,
     };
     pub use harmony_storage::{DiskProfile, StorageConfig, StorageEngine};
     pub use harmony_txn::{Contract, ContractCodec, Key, TxnCtx, UpdateCommand, Value};
