@@ -9,6 +9,12 @@
 //! but each touched tree node hashed once per block — the upper levels a
 //! block's keys share are not rehashed per key — and O(1) to read the root.
 //!
+//! The fold takes the write-set *by value* ([`StateCommitment::fold_writes`]):
+//! the chain hands it the after-images its snapshot store kept from the
+//! block's own writes, so folding reads no row of the database.
+//! [`StateCommitment::apply_writes`] is the same fold for callers holding
+//! only keys: it reads each key's post-state first.
+//!
 //! The commitment is **history independent** (the treap shape is a pure
 //! function of the key set), so the same structure serves both paths:
 //! [`StateCommitment::build`] from a full scan (one batch per table, O(n)
@@ -24,7 +30,7 @@ use harmony_common::ids::TableId;
 use harmony_common::Result;
 use harmony_crypto::{AuthMap, Digest, MapProof, Sha256};
 use harmony_storage::StorageEngine;
-use harmony_txn::Key;
+use harmony_txn::{Key, Value};
 
 struct TableCommit {
     name: String,
@@ -72,18 +78,24 @@ impl StateCommitment {
         Ok(c)
     }
 
-    /// Fold one block's write-set: re-read each written key from the engine
-    /// (post-state) and upsert or remove it, one batch per touched table.
-    /// `keys` may come in any order and repeat: every entry lands on the
-    /// key's post-state, so the result is the same. O(Δ·log n).
-    pub fn apply_writes(&mut self, engine: &StorageEngine, keys: &[Key]) -> Result<()> {
-        if !keys.is_empty() {
+    /// Fold one block's write-set by value: upsert each `(key, Some(value))`
+    /// and remove each `(key, None)`, one batch per touched table. Reads no
+    /// row (only the catalog, for a table created since the last fold).
+    /// `writes` may come in any order; a key listed twice ends at its later
+    /// entry. O(Δ·log n).
+    pub fn fold_writes(
+        &mut self,
+        engine: &StorageEngine,
+        writes: &[(Key, Option<Value>)],
+    ) -> Result<()> {
+        if !writes.is_empty() {
             self.root = None;
         }
-        let mut by_table: Vec<&Key> = keys.iter().collect();
-        by_table.sort_by_key(|key| key.table());
-        for group in by_table.chunk_by(|a, b| a.table() == b.table()) {
-            let table = group[0].table();
+        let mut by_table: Vec<&(Key, Option<Value>)> = writes.iter().collect();
+        // Stable: a repeated key keeps its order within its table.
+        by_table.sort_by_key(|(key, _)| key.table());
+        for group in by_table.chunk_by(|a, b| a.0.table() == b.0.table()) {
+            let table = group[0].0.table();
             let idx = match self.table_index(table) {
                 Some(idx) => idx,
                 None => {
@@ -97,14 +109,29 @@ impl StateCommitment {
                 }
             };
             let mut batch = self.tables[idx].map.batch();
-            for key in group {
-                match engine.get(table, key.row())? {
-                    Some(value) => batch.upsert(key.row(), &value),
+            for (key, value) in group {
+                match value {
+                    Some(value) => batch.upsert(key.row(), value),
                     None => batch.remove(key.row()),
                 };
             }
         }
         Ok(())
+    }
+
+    /// Fold one block's write-set given by key: read each key's post-state
+    /// from the engine, then [`Self::fold_writes`]. `keys` may come in any
+    /// order and repeat: every entry lands on the key's post-state, so the
+    /// result is the same. O(Δ·log n).
+    pub fn apply_writes(&mut self, engine: &StorageEngine, keys: &[Key]) -> Result<()> {
+        let writes = keys
+            .iter()
+            .map(|key| {
+                let value = engine.get(key.table(), key.row())?;
+                Ok((key.clone(), value.map(Value::from)))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        self.fold_writes(engine, &writes)
     }
 
     /// The state root. O(T) fold over cached per-table roots when dirty,
@@ -258,6 +285,34 @@ mod tests {
         let before = inc.root();
         inc.apply_writes(&e, &[]).unwrap();
         assert_eq!(inc.root(), before);
+    }
+
+    #[test]
+    fn fold_by_value_takes_the_values_given_and_later_entries_win() {
+        let e = engine();
+        let t = e.create_table("t").unwrap();
+        e.put(t, b"a", b"0").unwrap();
+        e.put(t, b"b", b"0").unwrap();
+        let mut inc = StateCommitment::build(&e).unwrap();
+        let key = |row: &str| Key::new(t, row.as_bytes().to_vec());
+        let value = |v: &str| Some(Value::copy_from_slice(v.as_bytes()));
+        // The engine has not been written yet: only the values given count.
+        inc.fold_writes(
+            &e,
+            &[
+                (key("a"), value("stale")),
+                (key("c"), value("1")),
+                (key("b"), None),
+                (key("a"), value("2")),
+            ],
+        )
+        .unwrap();
+        e.put(t, b"a", b"2").unwrap();
+        e.put(t, b"c", b"1").unwrap();
+        e.delete(t, b"b").unwrap();
+        let mut oracle = StateCommitment::build(&e).unwrap();
+        assert_eq!(inc.root(), oracle.root());
+        assert_eq!(inc.len(), 2);
     }
 
     #[test]

@@ -284,13 +284,14 @@ impl OeChain {
         Ok(result)
     }
 
-    /// Fold block `id`'s write-set into the commitment (if one is built).
+    /// Fold block `id`'s write-set, with the after-images the snapshot
+    /// store kept, into the commitment (if one is built): no row is read.
     /// Must run during apply of `id` itself: the per-shard block logs that
     /// record the write-set are GC'd once the *next* block executes.
     fn fold_commitment(&self, id: BlockId) -> Result<()> {
         let mut guard = self.commitment.lock().expect("commitment lock");
         if let Some(c) = guard.as_mut() {
-            c.apply_writes(&self.engine, &self.snapshots.keys_written_in(id))?;
+            c.fold_writes(&self.engine, &self.snapshots.writes_in(id)?)?;
         }
         Ok(())
     }

@@ -14,7 +14,7 @@ use harmony_crypto::{CryptoCost, Digest, KeyPair, Verifier};
 use harmony_dcc_baselines::{DccEngine, Fabric, FabricConfig, ProtocolBlockResult};
 use harmony_storage::log::{WalRecord, WalWrite};
 use harmony_storage::{StorageConfig, StorageEngine};
-use harmony_txn::{Contract, ContractCodec};
+use harmony_txn::{Contract, ContractCodec, Value};
 
 use crate::block::ChainBlock;
 use crate::commit::StateCommitment;
@@ -91,6 +91,7 @@ impl SovChain {
         // Physical logging: committed write-sets, values read back from
         // the freshly committed state.
         let mut writes = Vec::new();
+        let mut folded = Vec::new();
         let mut seen = HashSet::new();
         for (i, rwset) in result.rwsets.iter().enumerate() {
             if !result.outcomes[i].is_committed() {
@@ -100,6 +101,7 @@ impl SovChain {
             for key in rwset.write_keys() {
                 if seen.insert(key.clone()) {
                     let value = self.engine.get(key.table(), key.row())?;
+                    folded.push((key.clone(), value.clone().map(Value::from)));
                     writes.push(WalWrite {
                         table: key.table(),
                         key: key.row().to_vec(),
@@ -113,13 +115,10 @@ impl SovChain {
             .append(&WalRecord { block: id, writes }.encode())?;
         self.engine.wal().sync()?;
 
-        // Fold the same committed write-set into the state commitment.
-        {
-            let mut guard = self.commitment.lock().expect("commitment lock");
-            if let Some(c) = guard.as_mut() {
-                let keys: Vec<_> = seen.into_iter().collect();
-                c.apply_writes(&self.engine, &keys)?;
-            }
+        // Fold the same committed write-set, by the values just read, into
+        // the state commitment.
+        if let Some(c) = self.commitment.lock().expect("commitment lock").as_mut() {
+            c.fold_writes(&self.engine, &folded)?;
         }
 
         self.height = id;

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use harmony_chain::{ChainConfig, OeChain};
-use harmony_common::{BlockId, DetRng};
+use harmony_common::{BlockId, DetRng, Error};
 use harmony_crypto::Digest;
 use harmony_dcc_baselines::{EngineKind, EngineSpec};
 use harmony_workloads::{Smallbank, SmallbankConfig, Workload, Ycsb, YcsbConfig};
@@ -99,6 +99,44 @@ fn crash_at_every_block_boundary_matches_reference_all_engines() {
                 kind.name()
             );
         }
+    }
+}
+
+/// A recovered node restores the before-images of its sidecar's blocks,
+/// not what those blocks left in their rows. Folding one of them must be a
+/// typed error — never a fold that reads the unknown after-images as
+/// deletes — while the blocks executed after recovery fold as usual.
+#[test]
+fn blocks_restored_from_the_sidecar_cannot_be_folded() {
+    for kind in EngineKind::ALL {
+        let mut f = fixture(EngineSpec::flat(kind, 2), Mix::Smallbank, 3);
+        let mut rng = DetRng::new(0x51DE);
+        for _ in 0..3 {
+            let txns = f.workload.next_block(&mut rng, 12);
+            f.chain.submit_block(txns, f.codec.as_ref()).unwrap();
+        }
+        f.chain.crash_and_recover(f.codec.as_ref()).unwrap();
+        let store = Arc::clone(f.chain.snapshots());
+        let restored: Vec<BlockId> = (1..=3)
+            .map(BlockId)
+            .filter(|&b| !store.keys_written_in(b).is_empty())
+            .collect();
+        assert!(!restored.is_empty(), "{}: nothing restored", kind.name());
+        for block in restored {
+            assert!(
+                matches!(store.writes_in(block), Err(Error::NotFound(_))),
+                "{}: block {block} folded without its after-images",
+                kind.name()
+            );
+        }
+        let txns = f.workload.next_block(&mut rng, 12);
+        f.chain.submit_block(txns, f.codec.as_ref()).unwrap();
+        assert_eq!(
+            f.chain.state_root().unwrap(),
+            harmony_chain::state_root(f.chain.engine()).unwrap(),
+            "{}: the block after recovery",
+            kind.name()
+        );
     }
 }
 

@@ -9,9 +9,16 @@
 //! first-comer claiming under a critical section, we assign the owner
 //! deterministically (the first committed writer in apply order), which
 //! has the same parallelism and makes cost attribution reproducible.
+//!
+//! A coalesced plan touches its key once: the one read serves as both the
+//! input of the folded commands and the before-image the snapshot store
+//! records, and the one write records the after-image the chain folds
+//! into its state commitment. The virtual time of the before-image read
+//! the store used to make is still charged, so every figure keeps its
+//! cost model.
 
 use harmony_common::{BlockId, Error, Result};
-use harmony_txn::{CommandSeq, Key, RwSet};
+use harmony_txn::{CommandSeq, Key, RwSet, Value};
 
 use crate::meta::TxnMeta;
 use crate::reservation::ReservationTable;
@@ -84,7 +91,10 @@ pub fn build_apply_plans(
 ///
 /// With `coalesce = true` the whole plan costs one read and one write
 /// (Figure 5b); with `coalesce = false` every writer's commands pay their
-/// own lookup and page write (Figure 5a).
+/// own lookup and page write (Figure 5a). The value a write's own lookup
+/// returned is the before-image the snapshot store records, so no key is
+/// read twice; the store charges the virtual time of the second read the
+/// model has always counted (see [`SnapshotStore::apply_write_with_before`]).
 ///
 /// Read-modify-write commands hitting a missing record are *no-ops* (SQL
 /// `UPDATE` matching zero rows); the number of skipped commands is
@@ -96,42 +106,40 @@ pub fn apply_key_plan(
     coalesce: bool,
 ) -> Result<u64> {
     let mut noops = 0u64;
-    let last_tid = plan.cmds.last().expect("plan never empty").0;
-    if coalesce {
-        // One read: current value (state after the previous block).
-        let mut cur = store
+    let read = || -> Result<Option<Value>> {
+        Ok(store
             .engine()
             .get(plan.key.table(), plan.key.row())?
-            .map(harmony_txn::Value::from);
-        for (_, _, seq) in &plan.cmds {
-            for cmd in seq.commands() {
-                match cmd.apply(cur.as_ref()) {
-                    Ok(v) => cur = v,
-                    Err(Error::InvalidArgument(_)) => noops += 1,
-                    Err(e) => return Err(e),
-                }
+            .map(Value::from))
+    };
+    let mut run = |cur: &mut Option<Value>, seq: &CommandSeq| -> Result<()> {
+        for cmd in seq.commands() {
+            match cmd.apply(cur.as_ref()) {
+                Ok(v) => *cur = v,
+                Err(Error::InvalidArgument(_)) => noops += 1,
+                Err(e) => return Err(e),
             }
         }
+        Ok(())
+    };
+    if coalesce {
+        // One read: current value (state after the previous block).
+        let before = read()?;
+        let mut cur = before.clone();
+        for (_, _, seq) in &plan.cmds {
+            run(&mut cur, seq)?;
+        }
         // One write (plus the undo record for snapshot readers).
-        store.apply_write(block, last_tid, &plan.key, cur.as_ref())?;
+        let last_tid = plan.cmds.last().expect("plan never empty").0;
+        store.apply_write_with_before(block, last_tid, &plan.key, before, cur.as_ref())?;
     } else {
         // Each writer pays its own round trip, in plan order.
-        let mut first = true;
-        for (tid, _, seq) in &plan.cmds {
-            let mut cur = store
-                .engine()
-                .get(plan.key.table(), plan.key.row())?
-                .map(harmony_txn::Value::from);
-            for cmd in seq.commands() {
-                match cmd.apply(cur.as_ref()) {
-                    Ok(v) => cur = v,
-                    Err(Error::InvalidArgument(_)) => noops += 1,
-                    Err(e) => return Err(e),
-                }
-            }
-            if first {
-                store.apply_write(block, *tid, &plan.key, cur.as_ref())?;
-                first = false;
+        for (i, (tid, _, seq)) in plan.cmds.iter().enumerate() {
+            let before = read()?;
+            let mut cur = before.clone();
+            run(&mut cur, seq)?;
+            if i == 0 {
+                store.apply_write_with_before(block, *tid, &plan.key, before, cur.as_ref())?;
             } else {
                 store.overwrite_in_block(*tid, &plan.key, cur.as_ref())?;
             }
@@ -145,8 +153,8 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use harmony_common::ids::TableId;
-    use harmony_common::TxnId;
-    use harmony_storage::{StorageConfig, StorageEngine};
+    use harmony_common::{vtime, TxnId};
+    use harmony_storage::{StorageConfig, StorageCost, StorageEngine};
     use harmony_txn::UpdateCommand;
     use std::sync::Arc;
 
@@ -335,6 +343,143 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// What `apply_key_plan` did before it kept its own read: the same
+    /// commands, then `apply_write`, which reads the key a second time.
+    fn apply_rereading(store: &SnapshotStore, block: BlockId, plan: &KeyPlan, coalesce: bool) {
+        let read = || {
+            store
+                .engine()
+                .get(plan.key.table(), plan.key.row())
+                .unwrap()
+                .map(Value::from)
+        };
+        let run = |cur: &mut Option<Value>, seq: &CommandSeq| {
+            for cmd in seq.commands() {
+                if let Ok(v) = cmd.apply(cur.as_ref()) {
+                    *cur = v;
+                }
+            }
+        };
+        if coalesce {
+            let mut cur = read();
+            for (_, _, seq) in &plan.cmds {
+                run(&mut cur, seq);
+            }
+            let last_tid = plan.cmds.last().unwrap().0;
+            store
+                .apply_write(block, last_tid, &plan.key, cur.as_ref())
+                .unwrap();
+        } else {
+            for (i, (tid, _, seq)) in plan.cmds.iter().enumerate() {
+                let mut cur = read();
+                run(&mut cur, seq);
+                if i == 0 {
+                    store
+                        .apply_write(block, *tid, &plan.key, cur.as_ref())
+                        .unwrap();
+                } else {
+                    store
+                        .overwrite_in_block(*tid, &plan.key, cur.as_ref())
+                        .unwrap();
+                }
+            }
+        }
+    }
+
+    /// A store under the default cost model holding `rows` rows, at the
+    /// even keys `0, 2, 4, …`, of 100 bytes each.
+    fn costed(rows: u64) -> (Arc<SnapshotStore>, TableId) {
+        let config = StorageConfig {
+            cost: StorageCost::default(),
+            ..StorageConfig::memory()
+        };
+        let engine = Arc::new(StorageEngine::open(&config).unwrap());
+        let t = engine.create_table("t").unwrap();
+        for i in 0..rows {
+            engine.put(t, &(2 * i).to_be_bytes(), &[1; 100]).unwrap();
+        }
+        (Arc::new(SnapshotStore::new(engine)), t)
+    }
+
+    /// Levels of `t`'s tree, from the charge of a re-read.
+    fn height(store: &SnapshotStore, t: TableId) -> u64 {
+        let cost = StorageCost::default();
+        let ((), ns) = vtime::scope(|| store.engine().charge_reread(t).unwrap());
+        (ns - cost.statement_ns) / (cost.buffer_hit_ns + cost.node_search_ns)
+    }
+
+    /// Two writers per key over keys `0..48`: inserts, updates, deletes and
+    /// read-modify-writes, on rows that exist (even keys) and rows that do
+    /// not (odd keys, and even keys past the loaded ones).
+    fn mixed_plans(t: TableId) -> Vec<KeyPlan> {
+        (0..48u64)
+            .map(|k| {
+                let first = match k % 3 {
+                    0 => UpdateCommand::Put(Value::from(vec![k as u8; 200])),
+                    1 => UpdateCommand::AddI64 {
+                        offset: 0,
+                        delta: 5,
+                    },
+                    _ => UpdateCommand::Delete,
+                };
+                let second = match k % 2 {
+                    0 => UpdateCommand::AddI64 {
+                        offset: 8,
+                        delta: -1,
+                    },
+                    _ => UpdateCommand::Put(Value::from(vec![3; 40])),
+                };
+                KeyPlan {
+                    key: Key::from_u64(t, k),
+                    cmds: vec![
+                        (tid(1, 0), 0, CommandSeq::of(first)),
+                        (tid(1, 1), 1, CommandSeq::of(second)),
+                    ],
+                    owner: 0,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn kept_read_is_charged_exactly_as_the_second_read_was() {
+        // Trees of height 1, 2 and 3, and (30 rows) a full root leaf that
+        // the block's inserts split.
+        let mut split_in_block = false;
+        for (rows, levels) in [(10, 1), (30, 1), (300, 2), (12_000, 3)] {
+            for coalesce in [true, false] {
+                let (kept, t) = costed(rows);
+                let (reread, _) = costed(rows);
+                assert_eq!(height(&kept, t), levels, "{rows} rows");
+                for plan in mixed_plans(t) {
+                    let (res, kept_ns) =
+                        vtime::scope(|| apply_key_plan(&kept, BlockId(1), &plan, coalesce));
+                    res.unwrap();
+                    let ((), reread_ns) =
+                        vtime::scope(|| apply_rereading(&reread, BlockId(1), &plan, coalesce));
+                    assert_eq!(
+                        kept_ns, reread_ns,
+                        "{rows} rows, coalesce={coalesce}, key {:?}",
+                        plan.key
+                    );
+                }
+                let rows_of = |store: &SnapshotStore| {
+                    store
+                        .engine()
+                        .scan_collect(t, b"", None, usize::MAX)
+                        .unwrap()
+                };
+                assert_eq!(rows_of(&kept), rows_of(&reread));
+                assert_eq!(
+                    kept.writes_in(BlockId(1)).unwrap(),
+                    reread.writes_in(BlockId(1)).unwrap()
+                );
+                split_in_block |= height(&kept, t) > levels;
+            }
+        }
+        assert!(split_in_block, "no block split its root");
     }
 
     #[test]

@@ -6,13 +6,26 @@
 //! an undo-based multi-version overlay on the storage engine:
 //!
 //! * commits write the engine *in place* (paying the realistic buffer-pool
-//!   / disk costs) while recording per-key before-images tagged with the
-//!   writer block;
+//!   / disk costs) while recording, per key and writer block, an undo node
+//!   holding the key's before-image and the block's after-image;
 //! * `read_at(s, key)` reconstructs the state after block `s` by returning
 //!   the before-image of the oldest writer newer than `s`;
+//! * `writes_in(b)` hands the chain layer block `b`'s write-set with its
+//!   after-images, so folding the state commitment reads no row;
 //! * once no in-flight block can request a snapshot older than `s`,
 //!   [`SnapshotStore::gc`] drops the stale undo entries (pipeline depth is
 //!   2, so the undo chain per key stays ≤ 2 entries).
+//!
+//! # One read per written key
+//!
+//! The before-image is the value the writer already read:
+//! [`SnapshotStore::apply_write_with_before`] takes it from the caller
+//! (Harmony's coalesced read-modify-write reads each key once) and charges
+//! the virtual time of the read it no longer makes, so the cost model is
+//! the same as a second read's. [`SnapshotStore::apply_write`] reads the
+//! before-image itself, for callers that install values they did not read
+//! (the baselines' evaluated write-sets). The after-image is the value
+//! written; [`SnapshotStore::overwrite_in_block`] replaces it.
 //!
 //! # Hot-path layout
 //!
@@ -34,8 +47,8 @@
 //! * **Range-probed scans.** Each shard keeps a per-table ordered index of
 //!   rows with live before-images; `scan_at` range-probes only the scanned
 //!   interval instead of walking every undo chain in every shard, and a
-//!   per-shard block→keys log gives `export_undo_for` and `gc` the exact
-//!   candidate set.
+//!   per-shard block→keys log gives `export_undo_for`, `writes_in` and
+//!   `gc` the exact candidate set.
 //! * **Lock-free empty checks.** Each shard maintains atomic counters of
 //!   live undo entries and resident keys; `read_at`/`version_at` skip the
 //!   shard lock entirely in the common no-overlay case, and `gc` skips
@@ -49,7 +62,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use harmony_common::hash::BuildNoRehash;
 use harmony_common::ids::TableId;
-use harmony_common::{BlockId, Result};
+use harmony_common::{BlockId, Error, Result};
 use harmony_storage::StorageEngine;
 use harmony_txn::{Key, SnapshotView, Value};
 use parking_lot::RwLock;
@@ -59,13 +72,17 @@ const SHARDS: usize = 64;
 /// Sentinel arena index: "no undo node".
 const NIL: u32 = u32::MAX;
 
-/// One before-image in a shard's undo arena. Chains are threaded through
-/// `prev` (newest node first), so pushing a version is O(1) and no per-key
-/// `Vec` is allocated.
+/// One (key, writer block) entry in a shard's undo arena. Chains are
+/// threaded through `prev` (newest node first), so pushing a version is
+/// O(1) and no per-key `Vec` is allocated.
 #[derive(Debug)]
 struct UndoNode {
     writer_block: BlockId,
     before: Option<Value>,
+    /// What the block left in the key (`Some(None)`: deleted). `None` when
+    /// unknown: a node restored by `import_undo_for` carries only the
+    /// before-image.
+    after: Option<Option<Value>>,
     /// Arena index of the next-older entry for the same key, or [`NIL`].
     prev: u32,
 }
@@ -128,10 +145,17 @@ impl Default for ShardCell {
 }
 
 impl ShardCell {
-    /// Record one before-image for `(key, block)` — the single insertion
-    /// path shared by `apply_write` and `import_undo_for`, so the atomic
-    /// counters, row index and block log can never drift apart.
-    fn insert_undo(&self, key: &Key, block: BlockId, tid: u64, before: Option<Value>) {
+    /// Record the undo node of `(key, block)` — the single insertion path
+    /// shared by the writes and `import_undo_for`, so the atomic counters,
+    /// row index and block log can never drift apart.
+    fn insert_undo(
+        &self,
+        key: &Key,
+        block: BlockId,
+        tid: u64,
+        before: Option<Value>,
+        after: Option<Option<Value>>,
+    ) {
         let mut guard = self.shard.write();
         if !guard.map.contains_key(key) {
             guard.map.insert(key.clone(), KeyState::default());
@@ -152,6 +176,7 @@ impl ShardCell {
         let node = UndoNode {
             writer_block: block,
             before,
+            after,
             prev: state.undo_head,
         };
         let first_live = state.undo_head == NIL;
@@ -193,6 +218,19 @@ impl Shard {
         }
         visible
     }
+
+    /// `key`'s undo node for writer block `block`, if it has one.
+    fn node_of(&self, key: &Key, block: BlockId) -> Option<&UndoNode> {
+        let mut idx = self.map.get(key)?.undo_head;
+        while idx != NIL {
+            let node = &self.arena[idx as usize];
+            if node.writer_block <= block {
+                return (node.writer_block == block).then_some(node);
+            }
+            idx = node.prev;
+        }
+        None
+    }
 }
 
 /// Multi-version snapshot overlay over a [`StorageEngine`].
@@ -228,9 +266,11 @@ impl SnapshotStore {
         &self.shards[((key.hash64() >> 32) as usize) % SHARDS]
     }
 
-    /// Apply one committed write on behalf of block `block` / writer `tid`.
-    /// Must be called at most once per (key, block) — Harmony's coalescence
-    /// guarantees that. Records the before-image for snapshot readers.
+    /// Apply one committed write on behalf of block `block` / writer `tid`,
+    /// reading the key's before-image from the engine first. Must be called
+    /// at most once per (key, block) — Harmony's coalescence guarantees
+    /// that. Records the before-image for snapshot readers and `value` as
+    /// the block's after-image.
     ///
     /// GC horizons must not move backwards across calls (the pipeline's
     /// are monotonic), see [`SnapshotStore::gc`].
@@ -242,7 +282,39 @@ impl SnapshotStore {
         value: Option<&Value>,
     ) -> Result<()> {
         let before = self.engine.get(key.table(), key.row())?.map(Value::from);
-        self.cell_for(key).insert_undo(key, block, tid, before);
+        self.install(block, tid, key, before, value)
+    }
+
+    /// [`SnapshotStore::apply_write`] for a writer that has just read the
+    /// key itself: `before` is the value that read returned. Nothing is
+    /// read again; the virtual time of the second read is charged instead
+    /// ([`StorageEngine::charge_reread`]), so the cost model does not move.
+    pub fn apply_write_with_before(
+        &self,
+        block: BlockId,
+        tid: u64,
+        key: &Key,
+        before: Option<Value>,
+        value: Option<&Value>,
+    ) -> Result<()> {
+        self.engine.charge_reread(key.table())?;
+        self.install(block, tid, key, before, value)
+    }
+
+    fn install(
+        &self,
+        block: BlockId,
+        tid: u64,
+        key: &Key,
+        before: Option<Value>,
+        value: Option<&Value>,
+    ) -> Result<()> {
+        self.cell_for(key)
+            .insert_undo(key, block, tid, before, Some(value.cloned()));
+        self.write_engine(key, value)
+    }
+
+    fn write_engine(&self, key: &Key, value: Option<&Value>) -> Result<()> {
         match value {
             Some(v) => self.engine.put(key.table(), key.row(), v)?,
             None => {
@@ -254,7 +326,8 @@ impl SnapshotStore {
 
     /// Overwrite `key` again *within the block that already recorded its
     /// undo entry* (uncoalesced apply path: later writers of the same key
-    /// re-write the record without adding undo entries).
+    /// re-write the record without adding undo entries). The entry's
+    /// after-image becomes `value`.
     ///
     /// Contract: the caller must have issued `apply_write` for this key's
     /// block first. If no version entry exists the engine write still goes
@@ -263,22 +336,18 @@ impl SnapshotStore {
     /// `overwrite_without_prior_version_is_engine_only` test).
     pub fn overwrite_in_block(&self, tid: u64, key: &Key, value: Option<&Value>) -> Result<()> {
         {
-            let mut shard = self.cell_for(key).shard.write();
-            if let Some(last) = shard
-                .map
-                .get_mut(key)
-                .and_then(|state| state.versions.last_mut())
-            {
-                last.1 = tid;
+            let mut guard = self.cell_for(key).shard.write();
+            let Shard { map, arena, .. } = &mut *guard;
+            if let Some(state) = map.get_mut(key) {
+                if let Some(last) = state.versions.last_mut() {
+                    last.1 = tid;
+                }
+                if state.undo_head != NIL {
+                    arena[state.undo_head as usize].after = Some(value.cloned());
+                }
             }
         }
-        match value {
-            Some(v) => self.engine.put(key.table(), key.row(), v)?,
-            None => {
-                let _ = self.engine.delete(key.table(), key.row())?;
-            }
-        }
-        Ok(())
+        self.write_engine(key, value)
     }
 
     /// Read `key` as of the state after block `snapshot`.
@@ -441,8 +510,11 @@ impl SnapshotStore {
                     None => state.undo_head = NIL,
                 }
                 while idx != NIL {
-                    let prev = arena[idx as usize].prev;
-                    arena[idx as usize].before = None; // release the value now
+                    let node = &mut arena[idx as usize];
+                    let prev = node.prev;
+                    // Release the values now, not when the slot is reused.
+                    node.before = None;
+                    node.after = None;
                     free.push(idx);
                     freed += 1;
                     idx = prev;
@@ -489,6 +561,16 @@ impl SnapshotStore {
     #[must_use]
     pub fn export_undo_for(&self, block: BlockId) -> Vec<(Key, Option<Value>)> {
         let mut out = Vec::new();
+        self.for_each_write_in(block, |key, node| {
+            out.push((key.clone(), node.before.clone()));
+        });
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    /// Run `f` on every key block `block` wrote, with the key's undo node
+    /// for the block. Probes only the keys of the block's per-shard logs.
+    fn for_each_write_in(&self, block: BlockId, mut f: impl FnMut(&Key, &UndoNode)) {
         for cell in &self.shards {
             if cell.undo_entries.load(Ordering::Acquire) == 0 {
                 continue;
@@ -498,25 +580,11 @@ impl SnapshotStore {
                 continue;
             };
             for key in keys {
-                let Some(state) = shard.map.get(key) else {
-                    continue;
-                };
-                let mut idx = state.undo_head;
-                while idx != NIL {
-                    let node = &shard.arena[idx as usize];
-                    if node.writer_block < block {
-                        break;
-                    }
-                    if node.writer_block == block {
-                        out.push((key.clone(), node.before.clone()));
-                        break;
-                    }
-                    idx = node.prev;
+                if let Some(node) = shard.node_of(key, block) {
+                    f(key, node);
                 }
             }
         }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
     }
 
     /// The write-set of block `block`: every key it wrote, sorted and
@@ -542,13 +610,42 @@ impl SnapshotStore {
         out
     }
 
+    /// The write-set of block `block` by value: every key it wrote with
+    /// what the block left in it (`None`: deleted), sorted by key. The
+    /// same keys as [`Self::keys_written_in`], with the same lifetime, and
+    /// the values the engine holds for them right after the block — so
+    /// the chain folds its commitment without reading a row.
+    ///
+    /// # Errors
+    /// [`Error::NotFound`] when the block's undo nodes were restored by
+    /// [`Self::import_undo_for`], which knows before-images only: its
+    /// after-images are not known, and guessing would commit a wrong root.
+    pub fn writes_in(&self, block: BlockId) -> Result<Vec<(Key, Option<Value>)>> {
+        let mut out = Vec::new();
+        let mut unknown = None;
+        self.for_each_write_in(block, |key, node| match &node.after {
+            Some(after) => out.push((key.clone(), after.clone())),
+            None => unknown = Some(key.clone()),
+        });
+        if let Some(key) = unknown {
+            return Err(Error::NotFound(format!(
+                "after-image of {key:?} in block {block}: the block's undo entries were \
+                 imported, with before-images only"
+            )));
+        }
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out.dedup_by(|a, b| a.0 == b.0);
+        Ok(out)
+    }
+
     /// Re-install before-images exported by [`Self::export_undo_for`]
     /// (recovery path). Also restores the version history entry for the
-    /// writing block.
+    /// writing block. The block's after-images stay unknown, so
+    /// [`Self::writes_in`] refuses the block.
     pub fn import_undo_for(&self, block: BlockId, entries: &[(Key, Option<Value>)], tid: u64) {
         for (key, before) in entries {
             self.cell_for(key)
-                .insert_undo(key, block, tid, before.clone());
+                .insert_undo(key, block, tid, before.clone(), None);
         }
     }
 
@@ -650,6 +747,54 @@ mod tests {
         s.gc(BlockId(1));
         assert!(s.keys_written_in(BlockId(1)).is_empty());
         assert_eq!(s.keys_written_in(BlockId(2)), vec![key(t, "a")]);
+    }
+
+    #[test]
+    fn writes_in_hands_over_each_blocks_after_images() {
+        let (s, t) = store();
+        s.engine().put(t, b"a", b"a0").unwrap();
+        s.apply_write(BlockId(1), 1, &key(t, "b"), Some(&val("b1")))
+            .unwrap();
+        s.apply_write_with_before(BlockId(1), 2, &key(t, "a"), Some(val("a0")), None)
+            .unwrap();
+        s.apply_write(BlockId(1), 3, &key(t, "c"), Some(&val("c1")))
+            .unwrap();
+        s.overwrite_in_block(4, &key(t, "c"), Some(&val("c1b")))
+            .unwrap();
+        s.apply_write(BlockId(2), 5, &key(t, "b"), None).unwrap();
+        assert_eq!(
+            s.writes_in(BlockId(1)).unwrap(),
+            vec![
+                (key(t, "a"), None),
+                (key(t, "b"), Some(val("b1"))),
+                (key(t, "c"), Some(val("c1b"))),
+            ]
+        );
+        assert_eq!(s.writes_in(BlockId(2)).unwrap(), vec![(key(t, "b"), None)]);
+        assert!(s.writes_in(BlockId(3)).unwrap().is_empty());
+        // The before-image handed in is what snapshot readers see.
+        assert_eq!(
+            s.read_at(BlockId(0), &key(t, "a")).unwrap(),
+            Some(val("a0"))
+        );
+        assert_eq!(s.read_at(BlockId(1), &key(t, "a")).unwrap(), None);
+        s.gc(BlockId(1));
+        assert!(s.writes_in(BlockId(1)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn writes_in_refuses_an_imported_block() {
+        let (s, t) = store();
+        s.import_undo_for(BlockId(4), &[(key(t, "x"), Some(val("x3")))], 9);
+        assert!(matches!(s.writes_in(BlockId(4)), Err(Error::NotFound(_))));
+        // The keys are still known, and later blocks fold as usual.
+        assert_eq!(s.keys_written_in(BlockId(4)), vec![key(t, "x")]);
+        s.apply_write(BlockId(5), 10, &key(t, "x"), Some(&val("x5")))
+            .unwrap();
+        assert_eq!(
+            s.writes_in(BlockId(5)).unwrap(),
+            vec![(key(t, "x"), Some(val("x5")))]
+        );
     }
 
     #[test]

@@ -260,8 +260,8 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Check the configuration before running: sane shape parameters, a
-    /// shard topology a replica can host (≥ 1 shard, ≥ 1 partition, no
+    /// Check the configuration before running: sane shape parameters (≥ 1
+    /// replica, ≥ 1 worker per replica, …), a shard topology a replica can host (≥ 1 shard, ≥ 1 partition, no
     /// more shards than partitions — the rule every reshard target
     /// meets too), and a well-formed fault schedule (indices in range,
     /// windows ordered, non-overlapping crash cycles, an observer left
@@ -271,6 +271,9 @@ impl ClusterConfig {
     pub fn validate(&self) -> Result<()> {
         if self.replicas == 0 {
             return Err(Error::InvalidArgument("cluster needs ≥ 1 replica".into()));
+        }
+        if self.replica.workers == 0 {
+            return Err(Error::InvalidArgument("a replica needs ≥ 1 worker".into()));
         }
         if self.quarantine_quorum == 0 {
             return Err(Error::InvalidArgument(
@@ -341,6 +344,13 @@ mod tests {
         sharded(1, 1).validate().unwrap();
         sharded(16, 16).validate().unwrap();
         ClusterConfig::default().validate().unwrap();
+    }
+
+    #[test]
+    fn zero_workers_are_refused() {
+        let mut cfg = ClusterConfig::default();
+        cfg.replica.workers = 0;
+        assert!(refused(&cfg));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use harmony_chain::{ChainConfig, OeChain};
-use harmony_common::{BlockId, DetRng, Result};
+use harmony_common::{BlockId, DetRng, Error, Result};
 use harmony_consensus::net::LatencyModel;
 use harmony_core::executor::{ExecBlock, TxnOutcome};
 use harmony_core::{BlockStats, SnapshotStore};
@@ -150,6 +150,14 @@ fn hit_rate(io: &harmony_storage::IoSnapshot) -> f64 {
     }
 }
 
+/// Refuse a configuration the run cannot schedule: no worker cores.
+fn check_workers(config: &RunConfig) -> Result<()> {
+    if config.workers == 0 {
+        return Err(Error::InvalidArgument("a run needs ≥ 1 worker".into()));
+    }
+    Ok(())
+}
+
 /// Run one experiment: load the workload, execute `blocks` blocks of
 /// `block_size` transactions, requeue aborts, and aggregate metrics.
 pub fn run_experiment(
@@ -157,6 +165,7 @@ pub fn run_experiment(
     workload: &mut dyn Workload,
     config: &RunConfig,
 ) -> Result<RunMetrics> {
+    check_workers(config)?;
     let engine = Arc::new(StorageEngine::open(&config.storage)?);
     workload.setup(&engine)?;
     let store = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
@@ -250,6 +259,7 @@ pub fn run_sharded_experiment(
     workload: &mut dyn Workload,
     config: &ShardRunConfig,
 ) -> Result<RunMetrics> {
+    check_workers(&config.base)?;
     let router = ShardRouter::new(
         Arc::new(HashPartitioner::new(config.partitions)),
         config.shards,
@@ -425,6 +435,30 @@ mod tests {
             harmony.throughput_tps,
             aria.throughput_tps
         );
+    }
+
+    #[test]
+    fn zero_workers_are_refused_not_a_panic() {
+        let idle = RunConfig {
+            workers: 0,
+            ..quick_config()
+        };
+        let harmony = EngineKind::Harmony(HarmonyConfig::default());
+        let refused = |r: Result<RunMetrics>| matches!(r, Err(Error::InvalidArgument(_)));
+        assert!(refused(run_experiment(
+            harmony,
+            &mut small_ycsb(0.6),
+            &idle
+        )));
+        let sharded = ShardRunConfig {
+            base: idle,
+            ..sharded_config(2, 4, 20)
+        };
+        assert!(refused(run_sharded_experiment(
+            harmony,
+            &mut small_ycsb(0.6),
+            &sharded
+        )));
     }
 
     #[test]

@@ -31,6 +31,10 @@ impl BlockSchedule {
 /// Greedy list-scheduling makespan: tasks assigned in index order to the
 /// least-loaded of `workers` cores. Deterministic; within 2× of optimal
 /// (Graham's bound), which is plenty for shape-level reproduction.
+///
+/// # Panics
+/// If `workers` is 0; `run_experiment` and `run_sharded_experiment` refuse
+/// such a configuration before running a block.
 #[must_use]
 pub fn makespan(tasks: &[u64], workers: usize) -> u64 {
     assert!(workers > 0);

@@ -57,6 +57,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::atomic::{self, AtomicUsize};
 use std::sync::Arc;
 
 use harmony_common::vtime;
@@ -450,6 +451,12 @@ pub struct BTree {
     root: PageId,
     cost: StorageCost,
     len: u64,
+    /// Pages on a root-to-leaf path (every leaf is at the same depth). One
+    /// for a new tree, one more per root split; a tree re-opened from a
+    /// manifest starts at 0 (unknown) and takes the depth of its first
+    /// descent, so opening reads no page. Atomic because lookups descend
+    /// under a shared borrow; `Relaxed`, as it publishes no other data.
+    height: AtomicUsize,
 }
 
 impl BTree {
@@ -463,6 +470,7 @@ impl BTree {
             root,
             cost,
             len: 0,
+            height: AtomicUsize::new(1),
         })
     }
 
@@ -475,6 +483,7 @@ impl BTree {
             root,
             cost,
             len,
+            height: AtomicUsize::new(0),
         }
     }
 
@@ -496,6 +505,23 @@ impl BTree {
         self.len == 0
     }
 
+    /// Pages a point lookup visits: the root, the interior levels and a
+    /// leaf. 0 only on a tree re-opened from a manifest that no operation
+    /// has descended yet.
+    #[must_use]
+    pub fn height(&self) -> usize {
+        self.height.load(atomic::Ordering::Relaxed)
+    }
+
+    /// Note that a descent found a leaf at `depth` (0 = the root). The
+    /// store is skipped when nothing changed, so concurrent readers do not
+    /// write the shared line.
+    fn found_leaf_at(&self, depth: usize) {
+        if self.height() != depth + 1 {
+            self.height.store(depth + 1, atomic::Ordering::Relaxed);
+        }
+    }
+
     /// Fetch a node to search it. A pointer to a page the disk does not
     /// hold is a fault of the page it was read from.
     fn visit(&self, id: PageId) -> Result<Arc<Frame>> {
@@ -515,11 +541,12 @@ impl BTree {
         at_leaf: impl FnOnce(&Arc<Frame>, NodeRef<'_>) -> Result<T>,
     ) -> Result<T> {
         let mut id = self.root;
-        for _ in 0..MAX_DEPTH {
+        for depth in 0..MAX_DEPTH {
             let frame = self.visit(id)?;
             let guard = frame.data.read();
             let node = NodeRef::parse(guard.bytes())?;
             if node.leaf {
+                self.found_leaf_at(depth);
                 return at_leaf(&frame, node);
             }
             id = node.child_for(key)?;
@@ -555,6 +582,7 @@ impl BTree {
                 .push(&separator, &right.0.to_le_bytes())?;
             frame.mark_dirty();
             self.root = new_root;
+            *self.height.get_mut() += 1;
         }
         if !replaced {
             self.len += 1;
@@ -585,6 +613,7 @@ impl BTree {
             }
         };
         let Some(child) = child else {
+            self.found_leaf_at(depth);
             return self.put_into(&frame, key, value);
         };
         // The path is not kept pinned while the subtree is written.
@@ -795,6 +824,36 @@ mod tests {
         assert_eq!(t.get(b"a").unwrap(), Some(b"1".to_vec()));
         assert_eq!(t.get(b"b").unwrap(), None);
         assert_eq!(t.len(), 1);
+    }
+
+    /// Pages from the root down to the leftmost leaf, by walking them.
+    fn walked_height(t: &BTree) -> usize {
+        let mut id = t.root();
+        for height in 1.. {
+            let node = page_of(t, id);
+            let node = NodeRef::parse(&node).unwrap();
+            if node.leaf {
+                return height;
+            }
+            id = node.ptr();
+        }
+        unreachable!()
+    }
+
+    #[test]
+    fn height_follows_root_splits_and_is_learned_after_open() {
+        let mut t = tree();
+        assert_eq!(t.height(), 1);
+        let mut i = 0;
+        while t.height() < 3 {
+            t.put(&key(i), &[7; 300]).unwrap();
+            assert_eq!(t.height(), walked_height(&t), "after {i} puts");
+            i += 1;
+        }
+        let reopened = BTree::open(Arc::clone(&t.pool), t.root(), t.len(), StorageCost::free());
+        assert_eq!(reopened.height(), 0, "opening reads no page");
+        reopened.get(&key(0)).unwrap();
+        assert_eq!(reopened.height(), 3);
     }
 
     #[test]

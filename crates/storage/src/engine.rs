@@ -304,6 +304,22 @@ impl StorageEngine {
         self.with_tree(table, |tree| tree.read().get(key))
     }
 
+    /// Charge the virtual time of a point read of `table` whose path the
+    /// caller has just fetched, without making it: the statement, and a
+    /// buffer hit and a node search per level of the tree. A caller that
+    /// keeps the value of its own read, instead of reading the key again,
+    /// charges this in place of the second read, so the cost model does
+    /// not move; the pool's counters do not see the read it saved.
+    pub fn charge_reread(&self, table: TableId) -> Result<()> {
+        self.with_tree(table, |tree| {
+            let levels = tree.read().height() as u64;
+            harmony_common::vtime::charge(
+                levels * (self.cost.buffer_hit_ns + self.cost.node_search_ns),
+            );
+            Ok(())
+        })
+    }
+
     /// Insert or overwrite.
     pub fn put(&self, table: TableId, key: &[u8], value: &[u8]) -> Result<()> {
         self.with_tree(table, |tree| tree.write().put(key, value).map(drop))
