@@ -9,13 +9,12 @@
 //!   [`OeChain::open`] (a [`harmony_dcc_baselines::EngineSpec`]: Harmony
 //!   gives HarmonyBC, Aria gives AriaBC, etc.), checkpointed every `p`
 //!   blocks, and recoverable by deterministic replay onto that same
-//!   engine.
-//! * [`sov`] — [`SovChain`]: the Simulate-Order-Validate chain (Fabric
-//!   family) with *physical* write-set logging and value replay on
-//!   recovery.
-//! * [`sync`] — [`sync::StateSnapshot`]: the transferable checkpoint
-//!   manifest behind state-sync catch-up (manifest install + block-range
-//!   replay).
+//!   engine. Every engine runs on it, the SOV family included: the chain
+//!   logs input blocks only.
+//! * [`sync`] — [`sync::StateSnapshot`], the transferable checkpoint
+//!   manifest, and [`OeChain::catch_up`], the one way a chain takes a
+//!   peer's part of a sync reply (manifest install, then block-range
+//!   replay) — for a flat replica, every shard and a reshard handover.
 //!
 //! Replica consistency is checked with [`oe::state_root`]: equal inputs ⇒
 //! equal roots on every replica, whatever the thread counts.
@@ -23,11 +22,9 @@
 pub mod block;
 pub mod commit;
 pub mod oe;
-pub mod sov;
 pub mod sync;
 
 pub use block::{BlockHeader, ChainBlock};
 pub use commit::{fold_table_roots, StateCommitment};
 pub use oe::{sharded_state_root, state_root, BlockUndo, ChainConfig, OeChain, RowProof};
-pub use sov::SovChain;
 pub use sync::{StateSnapshot, TableDump};

@@ -37,13 +37,6 @@ pub struct ChainConfig {
     pub storage: StorageConfig,
     /// Checkpoint period `p` in blocks (paper example: 10).
     pub checkpoint_every: u64,
-    /// How many trailing blocks' before-images (and version-history
-    /// entries) the recovery sidecar captures. Must cover the engine's
-    /// farthest-back snapshot read: 2 suffices for Harmony's inter-block
-    /// parallelism; the SOV engines endorse against snapshots up to
-    /// `validation_delay + max_lag` blocks old, so the default of 4
-    /// covers their default profile too.
-    pub sidecar_depth: u64,
     /// Cluster provisioning secret (node authentication).
     pub provision: Vec<u8>,
     /// This orderer's identity.
@@ -57,7 +50,6 @@ impl Default for ChainConfig {
         ChainConfig {
             storage: StorageConfig::default(),
             checkpoint_every: 10,
-            sidecar_depth: 4,
             provision: b"harmonybc-cluster".to_vec(),
             orderer_id: 0,
             crypto: CryptoCost::default(),
@@ -163,6 +155,14 @@ impl OeChain {
             commitment: Mutex::new(None),
             base: (BlockId(0), Digest::ZERO),
         })
+    }
+
+    /// Drop all local state: the chain starts over fresh (height 0, empty
+    /// catalog), opened from its own configuration and engine spec, so it
+    /// keeps its checkpoint period and engine.
+    pub fn reopen(&mut self) -> Result<()> {
+        *self = OeChain::open(self.config.clone(), self.spec)?;
+        Ok(())
     }
 
     /// The storage engine (for workload setup / inspection).
@@ -296,10 +296,10 @@ impl OeChain {
         Ok(())
     }
 
-    /// Replay a verified range of sealed blocks in order — the catch-up
-    /// path of state-sync. Blocks at or below the current height are
-    /// skipped (idempotent), so a peer's full suffix can be handed over
-    /// as-is. Returns the number of blocks actually applied.
+    /// Replay a verified range of sealed blocks in order — the replay
+    /// half of [`OeChain::catch_up`]. Blocks at or below the current
+    /// height are skipped (idempotent), so a peer's full suffix can be
+    /// handed over as-is. Returns the number of blocks actually applied.
     pub fn replay_range(
         &mut self,
         blocks: &[ChainBlock],
@@ -324,7 +324,7 @@ impl OeChain {
         self.engine.checkpoint(self.height)?;
         // Recovery sidecar: chain position + the trailing blocks' undo
         // images / version history + Rule-3 summary + state root.
-        let undo = export_recent_undo(&self.snapshots, self.height, self.config.sidecar_depth);
+        let undo = export_recent_undo(&self.snapshots, self.height);
         let sidecar = encode_sidecar(
             self.height,
             &self.last_hash,
@@ -505,7 +505,7 @@ impl OeChain {
     }
 
     /// Install a state snapshot exported by a peer at some height — the
-    /// manifest-transfer half of state-sync. Only valid on a fresh node:
+    /// manifest half of [`OeChain::catch_up`]. Only valid on a fresh node:
     /// height 0 *and* an empty catalog (installing over pre-loaded
     /// genesis rows would silently merge, keeping local rows the peer
     /// deleted). Afterwards the node continues from `snapshot.height` and
@@ -563,15 +563,19 @@ impl OeChain {
 /// Before-images (and implied version-history entries) of one block.
 pub type BlockUndo = (BlockId, Vec<(Key, Option<Value>)>);
 
-/// Export the undo images of the trailing `depth` blocks ending at
-/// `height`, oldest first — what recovery needs to reconstruct the
+/// How many trailing blocks' before-images (and version-history entries)
+/// the recovery sidecar and a state-sync manifest capture. Must cover the
+/// engine's farthest-back snapshot read: 2 suffices for Harmony's
+/// inter-block parallelism; the SOV engines endorse against snapshots up
+/// to `validation_delay + max_lag` blocks old, so 4 covers their default
+/// profile too.
+const SIDECAR_DEPTH: u64 = 4;
+
+/// Export the undo images of the trailing [`SIDECAR_DEPTH`] blocks ending
+/// at `height`, oldest first — what recovery needs to reconstruct the
 /// snapshots and version comparisons engines read several blocks back.
-pub(crate) fn export_recent_undo(
-    snapshots: &SnapshotStore,
-    height: BlockId,
-    depth: u64,
-) -> Vec<BlockUndo> {
-    let lo = height.0.saturating_sub(depth.max(1) - 1).max(1);
+pub(crate) fn export_recent_undo(snapshots: &SnapshotStore, height: BlockId) -> Vec<BlockUndo> {
+    let lo = height.0.saturating_sub(SIDECAR_DEPTH - 1).max(1);
     (lo..=height.0)
         .map(|b| (BlockId(b), snapshots.export_undo_for(BlockId(b))))
         .collect()

@@ -1,5 +1,6 @@
 //! State-sync: the checkpoint manifest a replica transfers to bootstrap a
-//! lagging (or freshly joined) peer without replaying from genesis.
+//! lagging (or freshly joined) peer without replaying from genesis, and
+//! the rules by which a chain takes a peer's part of a sync reply.
 //!
 //! A [`StateSnapshot`] captures everything a node needs to continue the
 //! chain from height `h`:
@@ -10,16 +11,29 @@
 //!   sidecar the crash path uses, so Harmony's inter-block validation
 //!   replays bit-identically on the synced node.
 //!
-//! The protocol is two phases (driven by `harmony-node`'s `StateSync`):
-//! manifest transfer ([`OeChain::install_snapshot`]) followed by
-//! block-range replay ([`OeChain::replay_range`]) of everything the peer
-//! committed after the snapshot point.
+//! A part of a sync reply is an optional manifest plus a tail of verified
+//! blocks, and [`OeChain::catch_up`] is the one place a chain takes it —
+//! a flat replica's chain, every shard of a sharded one, and each new
+//! shard of a reshard handover:
+//!
+//! 1. a manifest no newer than the chain is skipped (the chain's own
+//!    verified state is at least as new); a fresh chain takes any;
+//! 2. a chain that is not fresh is reopened from its own configuration
+//!    and engine spec ([`OeChain::reopen`]) before the install — the
+//!    manifest is the complete truth, and merging it over local rows
+//!    would keep rows the peer has since deleted;
+//! 3. the manifest is installed ([`OeChain::install_snapshot`]) and the
+//!    tail replayed ([`OeChain::replay_range`], which skips blocks at or
+//!    below the height);
+//! 4. the height gained, measured from before the call, is returned.
 
 use harmony_common::codec::{Reader, Writer};
 use harmony_common::{BlockId, Result};
 use harmony_core::executor::BlockSummary;
 use harmony_crypto::{sha256, Digest};
+use harmony_txn::ContractCodec;
 
+use crate::block::ChainBlock;
 use crate::oe::{
     export_recent_undo, get_block_undo, get_summary, put_block_undo, put_summary, BlockUndo,
     OeChain,
@@ -68,11 +82,7 @@ impl StateSnapshot {
             height: chain.height(),
             last_hash: chain.last_hash(),
             tables,
-            undo: export_recent_undo(
-                chain.snapshots(),
-                chain.height(),
-                chain.config().sidecar_depth,
-            ),
+            undo: export_recent_undo(chain.snapshots(), chain.height()),
             summary: chain.last_summary().cloned(),
         })
     }
@@ -132,6 +142,33 @@ impl StateSnapshot {
     #[must_use]
     pub fn digest(&self) -> Digest {
         sha256(&self.encode())
+    }
+}
+
+impl OeChain {
+    /// Bring this chain to a peer's part of a sync reply: install
+    /// `manifest` if it is newer than the chain (reopening a chain that is
+    /// not fresh first), then replay `tail` through `codec` — the rules in
+    /// the [module docs](self). Returns the height gained, measured from
+    /// before the call.
+    pub fn catch_up(
+        &mut self,
+        manifest: Option<&StateSnapshot>,
+        tail: &[ChainBlock],
+        codec: &dyn ContractCodec,
+    ) -> Result<u64> {
+        let before = self.height();
+        if let Some(manifest) = manifest {
+            let fresh = before == BlockId(0) && self.engine().list_tables().is_empty();
+            if fresh || manifest.height > before {
+                if !fresh {
+                    self.reopen()?;
+                }
+                self.install_snapshot(manifest)?;
+            }
+        }
+        self.replay_range(tail, codec)?;
+        Ok(self.height().0 - before.0)
     }
 }
 
@@ -305,5 +342,87 @@ mod tests {
                 .unwrap(),
             0
         );
+    }
+
+    /// A chain holding `running_chain`'s genesis and nothing else, on
+    /// `checkpoint_every` and `spec`.
+    fn genesis_chain(checkpoint_every: u64, spec: EngineSpec) -> OeChain {
+        let config = ChainConfig {
+            checkpoint_every,
+            ..ChainConfig::in_memory()
+        };
+        let chain = OeChain::open(config, spec).unwrap();
+        Ycsb::new(YcsbConfig {
+            keys: 200,
+            theta: 0.7,
+            ..YcsbConfig::default()
+        })
+        .setup(chain.engine())
+        .unwrap();
+        chain
+    }
+
+    #[test]
+    fn catch_up_on_a_range_skips_blocks_at_or_below_the_height() {
+        let (peer, codec, _, _) = running_chain(8);
+        let blocks = peer.blocks_after(BlockId(0)).unwrap();
+        let mut lagger = genesis_chain(4, EngineSpec::default());
+        assert_eq!(lagger.catch_up(None, &blocks[..3], &codec).unwrap(), 3);
+        // The full suffix: blocks 1–3 are skipped, 4–8 replay.
+        assert_eq!(lagger.catch_up(None, &blocks, &codec).unwrap(), 5);
+        assert_eq!(lagger.height(), BlockId(8));
+        assert_eq!(lagger.state_root().unwrap(), peer.state_root().unwrap());
+        assert_eq!(lagger.catch_up(None, &blocks, &codec).unwrap(), 0);
+    }
+
+    #[test]
+    fn catch_up_reopens_a_chain_that_is_not_fresh_before_installing() {
+        let (mut peer, codec, w, mut rng) = running_chain(6);
+        let snap = peer.export_snapshot().unwrap();
+        for _ in 0..3 {
+            peer.submit_block(w.next_block(&mut rng, 12), &codec)
+                .unwrap();
+        }
+        let blocks = peer.blocks_after(BlockId(0)).unwrap();
+        // Two blocks in, with a table the peer never had, on a checkpoint
+        // period and worker count of its own.
+        let spec = EngineSpec {
+            workers: 2,
+            ..EngineSpec::default()
+        };
+        let mut chain = genesis_chain(3, spec);
+        chain.engine().create_table("local-only").unwrap();
+        chain.catch_up(None, &blocks[..2], &codec).unwrap();
+
+        let gained = chain.catch_up(Some(&snap), &blocks[6..], &codec).unwrap();
+        assert_eq!(gained, 9 - 2, "the height gained since before the call");
+        assert_eq!(chain.height(), BlockId(9));
+        assert_eq!(chain.base(), (snap.height, snap.last_hash));
+        assert_eq!(chain.state_root().unwrap(), peer.state_root().unwrap());
+        let tables = chain.engine().list_tables();
+        assert!(
+            tables.iter().all(|(name, _)| name != "local-only"),
+            "the manifest replaced the local state instead of merging into it"
+        );
+        assert_eq!(chain.config().checkpoint_every, 3);
+        assert_eq!(chain.spec(), spec);
+    }
+
+    #[test]
+    fn catch_up_skips_a_manifest_no_newer_than_the_chain() {
+        let (peer, codec, _, _) = running_chain(4);
+        let snap = peer.export_snapshot().unwrap();
+        for blocks in [4, 6] {
+            let (mut chain, _, _, _) = running_chain(blocks);
+            let (root, base) = (chain.state_root().unwrap(), chain.base());
+            assert_eq!(chain.catch_up(Some(&snap), &[], &codec).unwrap(), 0);
+            assert_eq!(chain.height(), BlockId(blocks as u64));
+            assert_eq!(chain.state_root().unwrap(), root);
+            assert_eq!(chain.base(), base, "at {blocks}: nothing installed");
+        }
+        // A fresh chain takes any manifest.
+        let mut fresh = OeChain::open(ChainConfig::in_memory(), EngineSpec::default()).unwrap();
+        assert_eq!(fresh.catch_up(Some(&snap), &[], &codec).unwrap(), 4);
+        assert_eq!(fresh.state_root().unwrap(), peer.state_root().unwrap());
     }
 }

@@ -1,10 +1,10 @@
-//! End-to-end chain properties: replica consistency, crash recovery
-//! (logical replay for OE, value replay for SOV), and tamper detection.
+//! End-to-end chain properties: replica consistency, crash recovery by
+//! logical replay, and tamper detection.
 
-use harmony_chain::{ChainConfig, OeChain, SovChain};
+use harmony_chain::{ChainConfig, OeChain};
 use harmony_common::{BlockId, DetRng};
 use harmony_core::HarmonyConfig;
-use harmony_dcc_baselines::{EngineKind, EngineSpec, FabricConfig};
+use harmony_dcc_baselines::{EngineKind, EngineSpec};
 use harmony_workloads::{
     Smallbank, SmallbankCodec, SmallbankConfig, Workload, Ycsb, YcsbCodec, YcsbConfig,
 };
@@ -193,45 +193,6 @@ fn smallbank_conservation_across_recovery() {
     let root = chain.state_root().unwrap();
     chain.crash_and_recover(&codec).unwrap();
     assert_eq!(chain.state_root().unwrap(), root);
-}
-
-#[test]
-fn sov_chain_recovers_by_value_replay() {
-    let mut chain = SovChain::in_memory(
-        FabricConfig {
-            workers: 4,
-            ..FabricConfig::default()
-        },
-        4,
-    )
-    .unwrap();
-    let mut workload = Ycsb::new(YcsbConfig {
-        keys: 300,
-        theta: 0.5,
-        ..YcsbConfig::default()
-    });
-    workload.setup(chain.engine()).unwrap();
-    let codec = YcsbCodec {
-        table: workload.table(),
-    };
-    let mut rng = DetRng::new(6);
-    let mut committed = 0usize;
-    for _ in 0..10 {
-        let (_, res) = chain
-            .submit_block(workload.next_block(&mut rng, 12), &codec)
-            .unwrap();
-        committed += res.stats.committed;
-    }
-    assert!(committed > 0);
-    let root = chain.state_root().unwrap();
-    chain.crash_and_recover().unwrap();
-    assert_eq!(chain.height(), BlockId(10));
-    assert_eq!(
-        chain.state_root().unwrap(),
-        root,
-        "WAL value replay must reproduce the pre-crash state"
-    );
-    chain.verify_chain().unwrap();
 }
 
 #[test]

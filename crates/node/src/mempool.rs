@@ -413,13 +413,6 @@ impl Mempool {
         self.queue.len()
     }
 
-    /// Submission time of the oldest queued transaction — drives the
-    /// orderer's partial-batch timeout.
-    #[must_use]
-    pub fn oldest_submitted_ns(&self) -> Option<u64> {
-        self.queue.front().map(|t| t.submitted_ns)
-    }
-
     /// Whether nothing is queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {

@@ -15,6 +15,11 @@
 //! driver: each block's [`BlockSchedule`] extends a pipeline-aware
 //! makespan, so a saturated replica's throughput matches the analytic
 //! DB-layer model it replaces.
+//!
+//! A sync reply reaches the chain through [`OeChain::catch_up`], the
+//! method every shard of a sharded replica uses too; the replica only
+//! books the result — the delivery log, and a fresh pipeline after a
+//! manifest ([`crate::statesync::apply_sync`]).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -55,14 +60,6 @@ impl Default for ReplicaConfig {
             gossip_every: 5,
         }
     }
-}
-
-/// Open a fresh [`OeChain`] running `config.engine` in the flat profile.
-fn open_chain(config: &ReplicaConfig) -> Result<OeChain> {
-    OeChain::open(
-        config.chain.clone(),
-        EngineSpec::flat(config.engine, config.workers),
-    )
 }
 
 /// One block applied by [`ReplicaNode::deliver`].
@@ -417,7 +414,8 @@ impl ReplicaNode {
         config: &ReplicaConfig,
         setup: impl FnOnce(&Arc<StorageEngine>) -> Result<Arc<dyn ContractCodec>>,
     ) -> Result<ReplicaNode> {
-        let chain = open_chain(config)?;
+        let spec = EngineSpec::flat(config.engine, config.workers);
+        let chain = OeChain::open(config.chain.clone(), spec)?;
         let codec = setup(chain.engine())?;
         Ok(ReplicaNode {
             chain,
@@ -515,7 +513,7 @@ impl ReplicaNode {
     /// peer's snapshot lands. After this, a state-sync request advertises
     /// height 0, so the serving peer answers with a full manifest.
     pub fn wipe_for_resync(&mut self) -> Result<()> {
-        self.chain = open_chain(&self.config)?;
+        self.chain.reopen()?;
         self.pipeline.reset();
         // Tip 0: the tracker keeps the gossip frontier it already passed.
         self.front.roots_mut().reset_for_resync(0);
@@ -536,44 +534,32 @@ impl ReplicaNode {
         self.chain.crash_and_recover(codec.as_ref())
     }
 
-    /// Catch up from a peer's verified block range (state-sync phase 2).
-    /// Returns the number of blocks applied, counting any buffered
-    /// deliveries that became applicable.
-    pub fn catch_up_from_blocks(&mut self, blocks: &[ChainBlock]) -> Result<usize> {
-        let codec = Arc::clone(&self.codec);
-        let mut applied = self.chain.replay_range(blocks, codec.as_ref())?;
-        for b in blocks {
-            if b.header.id <= self.height() {
-                self.front.observe_synced(b);
-            }
-        }
-        applied += self.drain_pending()?.len();
-        Ok(applied)
-    }
-
-    /// Bootstrap this replica from a peer's checkpoint manifest, then
-    /// replay the accompanying block range (state-sync phases 1 + 2).
-    /// A replica that already holds any local state — chain history or
-    /// pre-loaded genesis tables — is wiped first: when a peer answers
-    /// with a manifest, the manifest is the complete truth, and merging
-    /// it over local rows would keep rows the peer has since deleted.
-    pub fn bootstrap_from_snapshot(
+    /// Bring the chain to a peer's part of a sync reply
+    /// ([`OeChain::catch_up`]) and book what only a flat replica books: a
+    /// manifest that landed restarts the pipeline charge, and the tail
+    /// joins the delivery log. Returns the height gained; buffered
+    /// deliveries are left for the caller to drain.
+    pub(crate) fn catch_up(
         &mut self,
-        snapshot: &StateSnapshot,
-        blocks: &[ChainBlock],
-    ) -> Result<usize> {
-        if self.chain.height() != BlockId(0) || !self.chain.engine().list_tables().is_empty() {
-            self.chain = open_chain(&self.config)?;
+        manifest: Option<&StateSnapshot>,
+        tail: &[ChainBlock],
+    ) -> Result<u64> {
+        let base = self.chain.base();
+        let gained = self.chain.catch_up(manifest, tail, self.codec.as_ref())?;
+        if self.chain.base() != base {
             self.pipeline.reset();
         }
-        self.chain.install_snapshot(snapshot)?;
-        self.catch_up_from_blocks(blocks)
+        for block in tail.iter().filter(|b| b.header.id <= self.chain.height()) {
+            self.front.observe_synced(block);
+        }
+        Ok(gained)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::statesync::{apply_sync, ShardedSyncResponse, SyncResponse};
     use crate::testkit::{feed, flat_replica, sealed_stream};
 
     /// The first `n` blocks of the shared stream, and the root an
@@ -669,7 +655,7 @@ mod tests {
             for workers in [1, 2, 8] {
                 let mut charge = PipelineCharge::default();
                 // Three pipelines back to back, as after `wipe_for_resync`,
-                // `crash` and `bootstrap_from_snapshot`.
+                // `crash` and a manifest landing.
                 for run in [40, 1, 25] {
                     let mut applied: Vec<BlockSchedule> = Vec::new();
                     for _ in 0..run {
@@ -760,15 +746,15 @@ mod tests {
         r.deliver(Arc::clone(&blocks[5])).unwrap();
         assert_eq!(r.height(), BlockId(1));
         // Peer serves blocks 2–4; the buffered tail drains automatically.
-        let applied = r
-            .catch_up_from_blocks(
-                &blocks[1..4]
-                    .iter()
-                    .map(|b| (**b).clone())
-                    .collect::<Vec<_>>(),
-            )
-            .unwrap();
-        assert_eq!(applied, 5);
+        let range = SyncResponse::Range(blocks[1..4].iter().map(|b| (**b).clone()).collect());
+        let reply = ShardedSyncResponse {
+            height: BlockId(4),
+            global_hash: blocks[3].header.hash(),
+            epoch: 0,
+            parts: vec![range],
+        };
+        let applied = apply_sync(&mut r, &reply).unwrap();
+        assert_eq!(applied.blocks, 5);
         assert_eq!(r.height(), BlockId(6));
         assert_eq!(r.state_root().unwrap(), reference_root);
         assert!(r.front().delivery_log().is_gap_free());

@@ -24,7 +24,9 @@
 //! recovery and state-sync never re-run the cross-shard simulation.
 //! That is what lets a rejoining replica bring one shard back via a
 //! checkpoint-manifest install while another replays a verified block
-//! range ([`crate::statesync::apply_sharded_sync`]). Topology epochs
+//! range ([`crate::statesync::apply_sharded_sync`]): each shard's chain
+//! takes its part through [`OeChain::catch_up`], the method a flat
+//! replica's chain and a reshard handover use too. Topology epochs
 //! (reshard markers, a peer's layout adopted by sync) re-host the group
 //! on new chains.
 //!
@@ -111,23 +113,22 @@ impl Default for ShardedReplicaConfig {
 }
 
 impl ShardedReplicaConfig {
-    /// Open one shard's fresh chain, running `engine` in the sharded
-    /// profile on its staggered checkpoint period.
-    fn open_shard_chain(&self, shard: usize) -> Result<OeChain> {
-        let mut cfg = self.chain.clone();
-        // checkpoint_every = 0 means "never checkpoint" on a flat chain;
-        // preserve that rather than staggering it into "every block".
-        if cfg.checkpoint_every > 0 {
-            cfg.checkpoint_every = cfg
-                .checkpoint_every
-                .saturating_add(shard as u64 * self.checkpoint_stagger);
-        }
-        OeChain::open(cfg, EngineSpec::sharded(self.engine, self.workers))
-    }
-
-    /// `shards` fresh chains, in shard order.
+    /// `shards` fresh chains, in shard order, each running `engine` in the
+    /// sharded profile on its staggered checkpoint period.
     fn open_shard_chains(&self, shards: usize) -> Result<Vec<OeChain>> {
-        (0..shards).map(|s| self.open_shard_chain(s)).collect()
+        let open = |shard: usize| {
+            let mut cfg = self.chain.clone();
+            // checkpoint_every = 0 means "never checkpoint" on a flat
+            // chain; preserve that rather than staggering it into "every
+            // block".
+            if cfg.checkpoint_every > 0 {
+                cfg.checkpoint_every = cfg
+                    .checkpoint_every
+                    .saturating_add(shard as u64 * self.checkpoint_stagger);
+            }
+            OeChain::open(cfg, EngineSpec::sharded(self.engine, self.workers))
+        };
+        (0..shards).map(open).collect()
     }
 }
 
@@ -363,8 +364,9 @@ impl ShardedReplicaNode {
     /// each new shard its partition slice of those manifests, a merge
     /// first re-verifies the folded sub-block logs (verified range
     /// replay, [`OeChain::verify_chain`]) and then folds their slices,
-    /// and each new shard chain comes up via
-    /// [`OeChain::install_snapshot`]. The router swap
+    /// and each new shard chain takes its slice through
+    /// [`OeChain::catch_up`], as a syncing shard takes a peer's manifest.
+    /// The router swap
     /// ([`ShardRouter::resharded`]) is the epoch boundary: partition→key
     /// classification is untouched, so every commit/abort decision stays
     /// shard-count-invariant and the logical state root is bit-identical
@@ -391,11 +393,12 @@ impl ShardedReplicaNode {
         // identical), so table ids resolve against shard 0.
         let catalog = self.group.chain(0).engine().list_tables();
         let (id, hash) = (block.header.id, block.header.hash());
+        let codec = self.group.codec();
         let mut new_chains = self.config.open_shard_chains(new_count)?;
         for (s, chain) in new_chains.iter_mut().enumerate() {
             let anchor = reshard_shard_anchor(&hash, marker.epoch, marker.new_shards, s);
             let snapshot = slice_manifest(&exports, &catalog, &new_router, s, id, anchor);
-            chain.install_snapshot(&snapshot)?;
+            chain.catch_up(Some(&snapshot), &[], codec.as_ref())?;
         }
         self.group.rehost(new_router, new_chains);
         self.epoch = marker.epoch;
@@ -482,42 +485,10 @@ impl ShardedReplicaNode {
         Ok(())
     }
 
-    /// Catch one shard up from a peer's verified sub-block range
-    /// (state-sync, per-shard phase 2). Returns the blocks applied.
-    pub fn catch_up_shard_from_blocks(
-        &mut self,
-        shard: usize,
-        blocks: &[ChainBlock],
-    ) -> Result<usize> {
-        self.group.replay(shard, blocks)
-    }
-
-    /// Bootstrap one shard from a peer's checkpoint manifest, then replay
-    /// the accompanying sub-block tail (per-shard phases 1 + 2). A shard
-    /// holding any local state is wiped first — when a peer answers with a
-    /// manifest, the manifest is the complete truth for that shard's
-    /// partition.
-    pub fn bootstrap_shard_from_snapshot(
-        &mut self,
-        shard: usize,
-        snapshot: &StateSnapshot,
-        blocks: &[ChainBlock],
-    ) -> Result<usize> {
-        let height = self.shard_chain(shard).height();
-        if snapshot.height > BlockId(0) && height >= snapshot.height {
-            // Deliveries that drained while the response was in flight
-            // already carried this shard past the manifest point: its
-            // verified chain state is at least as new, so installing the
-            // older manifest would move backwards.
-            return Ok(0);
-        }
-        if height > BlockId(0) || !self.shard_chain(shard).engine().list_tables().is_empty() {
-            *self.group.chain_mut(shard) = self.config.open_shard_chain(shard)?;
-        }
-        let before = self.shard_chain(shard).height().0;
-        self.group.chain_mut(shard).install_snapshot(snapshot)?;
-        let replayed = self.group.replay(shard, blocks)?;
-        Ok((self.shard_chain(shard).height().0 - before) as usize + replayed)
+    /// The hosted group — where state-sync brings each shard's chain to
+    /// its part of a reply ([`ShardGroup::catch_up`]).
+    pub(crate) fn group_mut(&mut self) -> &mut ShardGroup {
+        &mut self.group
     }
 
     /// Finish a state-sync round: every shard must have landed on one

@@ -5,10 +5,14 @@
 //! one chain and sends one height. The reply ([`ShardedSyncResponse`]) is
 //! the peer's position on the global chain (height, global block hash,
 //! topology epoch) plus one part per chain the peer hosts, and one
-//! function, [`serve`], produces it for both replica kinds. Only
-//! installing a reply differs: a flat replica takes exactly one part into
-//! its chain ([`apply_sync`]), a sharded one takes a part per shard and
-//! re-anchors its in-memory global position ([`apply_sharded_sync`]).
+//! function, [`serve`], produces it for both replica kinds. Installing a
+//! part is one method too: every chain, flat or shard, takes its part
+//! through [`OeChain::catch_up`], which owns the install rules. Only what
+//! surrounds it differs: a flat replica takes exactly one part
+//! ([`apply_sync`]); a sharded one takes a part per shard, reshapes on a
+//! part-count mismatch, adopts the peer's epoch and re-anchors its
+//! in-memory global position ([`apply_sharded_sync`]). Both then drain
+//! their buffered deliveries.
 //!
 //! Each part takes one of two paths, chosen per chain by the serving
 //! peer:
@@ -246,21 +250,45 @@ pub fn serve(
     })
 }
 
+impl SyncResponse {
+    /// The part as [`OeChain::catch_up`] takes it: the manifest, if any,
+    /// and the tail.
+    fn split(&self) -> (Option<&StateSnapshot>, &[ChainBlock]) {
+        match self {
+            SyncResponse::Range(tail) => (None, tail),
+            SyncResponse::Snapshot(manifest, tail) => (Some(manifest), tail),
+        }
+    }
+}
+
 /// What applying a sync reply did at the requester.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardedSyncApplied {
-    /// Blocks applied (snapshot installs count as the height jump).
+    /// Height gained, summed over the chains (a manifest counts as its
+    /// height jump), plus the buffered deliveries that drained after.
     pub blocks: u64,
-    /// Chains brought up via checkpoint-manifest install.
+    /// Chains served a checkpoint manifest.
     pub manifest_shards: u64,
-    /// Chains brought up via block-range replay.
+    /// Chains served a block range.
     pub range_shards: u64,
+}
+
+impl ShardedSyncApplied {
+    /// Book one chain that took `part` and gained `blocks`.
+    fn add(&mut self, part: &SyncResponse, blocks: u64) {
+        self.blocks += blocks;
+        match part {
+            SyncResponse::Range(_) => self.range_shards += 1,
+            SyncResponse::Snapshot(..) => self.manifest_shards += 1,
+        }
+    }
 }
 
 /// Apply a sync reply at a flat replica: its one part goes into the
 /// replica's chain (which carries its own anchor, so the reply's is not
-/// needed). A reply with any other part count came from a peer that is
-/// not a flat replica and cannot be installed.
+/// needed), then buffered deliveries drain. A reply with any other part
+/// count came from a peer that is not a flat replica and cannot be
+/// installed.
 pub fn apply_sync(
     replica: &mut ReplicaNode,
     response: &ShardedSyncResponse,
@@ -271,28 +299,15 @@ pub fn apply_sync(
             response.parts.len()
         )));
     };
-    Ok(match part {
-        SyncResponse::Range(blocks) => ShardedSyncApplied {
-            blocks: replica.catch_up_from_blocks(blocks)? as u64,
-            range_shards: 1,
-            ..ShardedSyncApplied::default()
-        },
-        SyncResponse::Snapshot(snapshot, blocks) => {
-            let before = replica.height().0;
-            replica.bootstrap_from_snapshot(snapshot, blocks)?;
-            ShardedSyncApplied {
-                // Saturating: a peer may serve a manifest older than the
-                // state it replaces.
-                blocks: replica.height().0.saturating_sub(before),
-                manifest_shards: 1,
-                ..ShardedSyncApplied::default()
-            }
-        }
-    })
+    let (manifest, tail) = part.split();
+    let mut applied = ShardedSyncApplied::default();
+    applied.add(part, replica.catch_up(manifest, tail)?);
+    applied.blocks += replica.drain_pending()?.len() as u64;
+    Ok(applied)
 }
 
-/// Apply a sync reply at a sharded replica: every shard takes its served
-/// path, then the replica's global position is re-anchored at the peer's
+/// Apply a sync reply at a sharded replica: every shard's chain takes its
+/// part, then the replica's global position is re-anchored at the peer's
 /// height and buffered deliveries drain. Returns what happened per path
 /// (the crash-rejoin tests assert both paths were actually exercised).
 pub fn apply_sharded_sync(
@@ -314,17 +329,8 @@ pub fn apply_sharded_sync(
     }
     let mut applied = ShardedSyncApplied::default();
     for (s, part) in response.parts.iter().enumerate() {
-        match part {
-            SyncResponse::Range(blocks) => {
-                applied.blocks += replica.catch_up_shard_from_blocks(s, blocks)? as u64;
-                applied.range_shards += 1;
-            }
-            SyncResponse::Snapshot(snapshot, blocks) => {
-                applied.blocks +=
-                    replica.bootstrap_shard_from_snapshot(s, snapshot, blocks)? as u64;
-                applied.manifest_shards += 1;
-            }
-        }
+        let (manifest, tail) = part.split();
+        applied.add(part, replica.group_mut().catch_up(s, manifest, tail)?);
     }
     replica.adopt_epoch(response.epoch);
     let drained = replica.finish_sync(response.height, response.global_hash)?;
@@ -338,7 +344,7 @@ mod tests {
     use harmony_sim::EngineKind;
     use std::sync::Arc;
 
-    use crate::testkit::{feed, flat_replica, sealed_stream};
+    use crate::testkit::{feed, flat_replica, sealed_stream, sharded_config, sharded_replica};
 
     /// A Harmony replica that applied the first `blocks` of the shared
     /// stream, checkpointing every 5.
@@ -545,5 +551,80 @@ mod tests {
             joiner_fresh.state_root().unwrap(),
             peer.state_root().unwrap()
         );
+    }
+
+    #[test]
+    fn a_manifest_no_newer_than_the_replica_changes_nothing() {
+        let blocks = sealed_stream(8, 10);
+        let reply = serve_flat(&replica_at(4), &[BlockId(0)], 8);
+        assert!(matches!(
+            reply.parts.as_slice(),
+            [SyncResponse::Snapshot(..)]
+        ));
+        for at in [4, 6] {
+            // Deliveries carried the replica to (or past) the manifest
+            // while the reply was in flight; block 8 waits in the buffer.
+            let mut r = replica_at(at);
+            r.deliver(Arc::clone(&blocks[7])).unwrap();
+            let root = r.state_root().unwrap();
+            let applied = apply_sync(&mut r, &reply).unwrap();
+            assert_eq!(
+                applied,
+                ShardedSyncApplied {
+                    blocks: 0,
+                    manifest_shards: 1,
+                    range_shards: 0
+                }
+            );
+            assert_eq!(r.height(), BlockId(at as u64), "at {at}");
+            assert_eq!(r.state_root().unwrap(), root, "at {at}");
+            assert_eq!(r.front().pending_gap(), 1, "at {at}");
+        }
+    }
+
+    #[test]
+    fn a_manifest_with_a_tail_counts_each_gained_block_once() {
+        let blocks = sealed_stream(7, 10);
+        let config = sharded_config(EngineKind::Rbc, 2);
+        let mut peer = sharded_replica(&config);
+        for b in &blocks[..4] {
+            peer.deliver(Arc::clone(b)).unwrap();
+        }
+        let manifests: Vec<_> = (peer.chains().iter())
+            .map(|c| c.export_snapshot().unwrap())
+            .collect();
+        for b in &blocks[4..] {
+            peer.deliver(Arc::clone(b)).unwrap();
+        }
+        // Each shard is served its manifest at 4 and the sub-blocks 5–7.
+        let parts = (peer.chains().iter().zip(manifests))
+            .map(|(chain, manifest)| {
+                let tail = chain.blocks_after(BlockId(4)).unwrap();
+                SyncResponse::Snapshot(Box::new(manifest), tail)
+            })
+            .collect();
+        let reply = ShardedSyncResponse {
+            height: peer.height(),
+            global_hash: peer.global_hash().unwrap(),
+            epoch: 0,
+            parts,
+        };
+        // A requester one block in: not fresh, so each shard reopens.
+        let mut joiner = sharded_replica(&config);
+        joiner.deliver(Arc::clone(&blocks[0])).unwrap();
+        assert!(joiner.chains().iter().all(|c| c.height() == BlockId(1)));
+        let applied = apply_sharded_sync(&mut joiner, &reply).unwrap();
+        let gained: u64 = joiner.chains().iter().map(|c| c.height().0 - 1).sum();
+        assert_eq!(gained, 2 * 6);
+        assert_eq!(
+            applied,
+            ShardedSyncApplied {
+                blocks: gained,
+                manifest_shards: 2,
+                range_shards: 0
+            }
+        );
+        assert_eq!(joiner.height(), BlockId(7));
+        assert_eq!(joiner.sharded_root().unwrap(), peer.sharded_root().unwrap());
     }
 }

@@ -53,7 +53,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use harmony_chain::{fold_table_roots, sharded_state_root, ChainBlock, OeChain};
+use harmony_chain::{fold_table_roots, sharded_state_root, ChainBlock, OeChain, StateSnapshot};
 use harmony_common::error::AbortReason;
 use harmony_common::{BlockId, Error, Result};
 use harmony_consensus::net::LatencyModel;
@@ -172,12 +172,6 @@ impl ShardGroup {
     #[must_use]
     pub fn chain(&self, shard: usize) -> &OeChain {
         &self.chains[shard]
-    }
-
-    /// Mutable access to one shard's chain (a manifest install, or its
-    /// replacement by a fresh chain).
-    pub fn chain_mut(&mut self, shard: usize) -> &mut OeChain {
-        &mut self.chains[shard]
     }
 
     /// Every shard chain, in shard order.
@@ -322,10 +316,17 @@ impl ShardGroup {
         Ok(())
     }
 
-    /// Replay a verified sub-block range on one shard; blocks at or below
-    /// its height are skipped. Returns the blocks applied.
-    pub fn replay(&mut self, shard: usize, blocks: &[ChainBlock]) -> Result<usize> {
-        self.chains[shard].replay_range(blocks, self.codec.as_ref())
+    /// Bring one shard's chain to its part of a sync reply — a manifest,
+    /// if any, then a verified sub-block tail — through
+    /// [`OeChain::catch_up`] with the group's codec. Returns the height
+    /// the shard gained.
+    pub fn catch_up(
+        &mut self,
+        shard: usize,
+        manifest: Option<&StateSnapshot>,
+        tail: &[ChainBlock],
+    ) -> Result<u64> {
+        self.chains[shard].catch_up(manifest, tail, self.codec.as_ref())
     }
 
     /// Per-shard state roots and their Merkle fold. The fold commits to

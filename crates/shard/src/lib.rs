@@ -4,7 +4,7 @@
 //! The Harmony protocol makes a single replica group execute an ordered
 //! block deterministically: the committed post-state is a pure function of
 //! (previous state, ordered block). This crate scales that property out by
-//! hash- or range-partitioning the keyspace ([`Partitioner`]) across
+//! hash-partitioning the keyspace ([`Partitioner`]) across
 //! independent execution shards. A [`ShardGroup`] hosts one
 //! `harmony_chain::OeChain` per shard — any of the five systems, in the
 //! sharded profile that [`harmony_dcc_baselines::engines`] defines and
@@ -58,8 +58,7 @@ pub use group::{
 };
 pub use metrics::PlannerMetrics;
 pub use partition::{
-    HashPartitioner, Partitioner, Partitioning, PrefixPartitioner, RangePartitioner,
-    ENTITY_PREFIX_BYTES,
+    HashPartitioner, Partitioner, Partitioning, PrefixPartitioner, ENTITY_PREFIX_BYTES,
 };
 pub use plan::{plan_block, BlockPlan, FragmentCodec, FragmentContract, Slot, FRAGMENT_NAME};
 pub use router::{Placement, ReshardMarker, ShardRouter};

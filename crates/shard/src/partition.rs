@@ -141,59 +141,6 @@ impl Partitioning {
     }
 }
 
-/// Range partitioner: ordered split points over the row bytes. Partition
-/// `i` owns rows in `[bounds[i-1], bounds[i])` (with open ends), so ordered
-/// scans stay shard-local when their range respects the split points.
-#[derive(Clone, Debug)]
-pub struct RangePartitioner {
-    /// Ascending exclusive upper bounds of partitions `0..n-1`; the last
-    /// partition is unbounded above.
-    bounds: Vec<Vec<u8>>,
-}
-
-impl RangePartitioner {
-    /// Build from ascending split points. `n` split points define `n + 1`
-    /// partitions.
-    ///
-    /// # Panics
-    /// Panics if the split points are not strictly ascending.
-    #[must_use]
-    pub fn new(bounds: Vec<Vec<u8>>) -> RangePartitioner {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "split points must be strictly ascending"
-        );
-        RangePartitioner { bounds }
-    }
-
-    /// Even split of a dense `u64` big-endian keyspace `[0, keys)` into
-    /// `partitions` contiguous ranges.
-    ///
-    /// # Panics
-    /// Panics if `partitions == 0`.
-    #[must_use]
-    pub fn u64_uniform(partitions: u32, keys: u64) -> RangePartitioner {
-        assert!(partitions > 0, "need at least one partition");
-        let stride = (keys / u64::from(partitions)).max(1);
-        let bounds = (1..partitions)
-            .map(|i| (u64::from(i) * stride).to_be_bytes().to_vec())
-            .collect();
-        RangePartitioner::new(bounds)
-    }
-}
-
-impl Partitioner for RangePartitioner {
-    fn partitions(&self) -> u32 {
-        self.bounds.len() as u32 + 1
-    }
-
-    fn partition_of(&self, key: &Key) -> u32 {
-        // First split point strictly greater than the row = its partition.
-        self.bounds
-            .partition_point(|b| b.as_slice() <= key.row().as_ref()) as u32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,37 +237,5 @@ mod tests {
         assert_eq!(h.partitions(), 8);
         assert_eq!(p.partitions(), 8);
         assert_eq!(Partitioning::default(), Partitioning::Hash);
-    }
-
-    #[test]
-    fn range_partitioner_respects_bounds() {
-        let p = RangePartitioner::new(vec![
-            10u64.to_be_bytes().to_vec(),
-            20u64.to_be_bytes().to_vec(),
-        ]);
-        assert_eq!(p.partitions(), 3);
-        assert_eq!(p.partition_of(&key(0)), 0);
-        assert_eq!(p.partition_of(&key(9)), 0);
-        assert_eq!(p.partition_of(&key(10)), 1);
-        assert_eq!(p.partition_of(&key(19)), 1);
-        assert_eq!(p.partition_of(&key(20)), 2);
-        assert_eq!(p.partition_of(&key(u64::MAX)), 2);
-    }
-
-    #[test]
-    fn u64_uniform_covers_all_partitions() {
-        let p = RangePartitioner::u64_uniform(4, 100);
-        assert_eq!(p.partitions(), 4);
-        let mut seen = std::collections::HashSet::new();
-        for id in 0..100u64 {
-            seen.insert(p.partition_of(&key(id)));
-        }
-        assert_eq!(seen.len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn range_partitioner_rejects_unsorted_bounds() {
-        let _ = RangePartitioner::new(vec![vec![5], vec![5]]);
     }
 }

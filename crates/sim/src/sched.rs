@@ -76,9 +76,8 @@ pub fn schedule_block(
     }
 }
 
-/// [`schedule_block`] plus the block's group commit: one log write + sync
-/// per block (logical block log for OE, physical write-set log for SOV),
-/// serial after the commit step. What a flat replica and the experiment
+/// [`schedule_block`] plus the block's group commit: one block-log write +
+/// sync per block, serial after the commit step. What a flat replica and the experiment
 /// driver feed to [`pipeline_total_ns`].
 #[must_use]
 pub fn schedule_logged_block(

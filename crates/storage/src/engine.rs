@@ -3,8 +3,8 @@
 //! database layer needs.
 //!
 //! The engine is the reproduction's stand-in for PostgreSQL: disk-resident
-//! tables, DRAM buffer pool, physical WAL (for SOV baselines), logical block
-//! log and fuzzy checkpoints (for OE chains, HarmonyBC's discipline).
+//! tables, DRAM buffer pool, logical block log and fuzzy checkpoints whose
+//! recovery sidecars go to the WAL (HarmonyBC's discipline).
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -96,7 +96,7 @@ pub struct IoSnapshot {
     pub disk_writes: u64,
     /// Device sync barriers.
     pub disk_syncs: u64,
-    /// Records in the physical WAL.
+    /// Records in the WAL (checkpoint sidecars).
     pub wal_records: u64,
     /// Records in the logical block log.
     pub block_records: u64,
@@ -366,7 +366,7 @@ impl StorageEngine {
         Ok(self.table(table)?.tree.read().len())
     }
 
-    /// The physical write-ahead log (SOV baselines).
+    /// The write-ahead log: checkpoint sidecars.
     #[must_use]
     pub fn wal(&self) -> &Arc<dyn LogSink> {
         &self.wal

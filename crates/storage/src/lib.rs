@@ -13,8 +13,8 @@
 //!   with leaf chaining for range scans. Nodes are self-describing slotted
 //!   pages searched and updated in place in the buffer frame; a page that
 //!   fails a bounds check is a typed corruption error.
-//! * [`log`] — append-only logs: a physical write-set WAL (used by the SOV
-//!   baselines) and the logical block log (used by OE chains).
+//! * [`log`] — append-only logs: the logical block log and the WAL that
+//!   carries checkpoint sidecars.
 //! * [`checkpoint`] — double-slot checkpoint manifests for crash recovery.
 //! * [`engine`] — the [`StorageEngine`] facade: a catalog of tables, typed
 //!   get/put/delete/scan, checkpoint/recover, and I/O counters.

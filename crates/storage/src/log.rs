@@ -1,13 +1,14 @@
 //! Append-only logs.
 //!
-//! Two logging disciplines from the paper's Table 1:
+//! A storage engine keeps two, both opaque to this module:
 //!
-//! * **Physical logging** (`WalRecord`): the write-sets of committed
-//!   transactions, as used by the SOV blockchains and RBC. Heavyweight —
-//!   every committed byte is logged.
-//! * **Logical logging** (`BlockRecord`): just the input block (transaction
-//!   commands), as used by deterministic databases and HarmonyBC. Almost
-//!   free at runtime because determinism makes replay sufficient.
+//! * the **block log**: *logical logging* (the paper's Table 1) — just the
+//!   input blocks, as deterministic databases and HarmonyBC log them.
+//!   Almost free at runtime because determinism makes replay sufficient;
+//!   every chain, the SOV engines' included, recovers this way.
+//! * the **WAL**: the recovery sidecar a chain writes at each checkpoint
+//!   (chain position, trailing undo images, Rule-3 summary, state root).
+//!   It never carries write-sets: physical logging is gone.
 //!
 //! Both are framed onto a [`LogSink`]: `[len u32][crc32c u32][payload]`,
 //! with torn-tail detection on recovery.
@@ -16,10 +17,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
 
-use harmony_common::codec::{crc32c, Reader, Writer};
-use harmony_common::ids::TableId;
+use harmony_common::codec::crc32c;
 use harmony_common::vtime;
-use harmony_common::{BlockId, Error, Result};
+use harmony_common::{Error, Result};
 use parking_lot::Mutex;
 
 /// Abstract append-only record log.
@@ -190,67 +190,6 @@ impl LogSink for FileLog {
     }
 }
 
-/// One committed write in a physical WAL record: `None` value = delete.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WalWrite {
-    /// Table the write applies to.
-    pub table: TableId,
-    /// Row key.
-    pub key: Vec<u8>,
-    /// New value, or `None` for a delete.
-    pub value: Option<Vec<u8>>,
-}
-
-/// A physical-log record: all writes committed by one block.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WalRecord {
-    /// Block these writes belong to.
-    pub block: BlockId,
-    /// The write-set.
-    pub writes: Vec<WalWrite>,
-}
-
-impl WalRecord {
-    /// Serialize with the workspace codec.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(64 + self.writes.len() * 32);
-        w.put_u64(self.block.0);
-        w.put_u32(u32::try_from(self.writes.len()).expect("write count"));
-        for wr in &self.writes {
-            w.put_u16(wr.table.0);
-            w.put_bytes(&wr.key);
-            match &wr.value {
-                Some(v) => {
-                    w.put_u8(1);
-                    w.put_bytes(v);
-                }
-                None => w.put_u8(0),
-            }
-        }
-        w.finish().to_vec()
-    }
-
-    /// Parse a record; errors on truncation/corruption.
-    pub fn decode(bytes: &[u8]) -> Result<WalRecord> {
-        let mut r = Reader::new(bytes);
-        let block = BlockId(r.get_u64()?);
-        let n = r.get_count(7)?; // table id + key length + value tag
-        let mut writes = Vec::with_capacity(n);
-        for _ in 0..n {
-            let table = TableId(r.get_u16()?);
-            let key = r.get_bytes()?;
-            let value = match r.get_u8()? {
-                0 => None,
-                1 => Some(r.get_bytes()?),
-                t => return Err(Error::Corruption(format!("bad value tag {t}"))),
-            };
-            writes.push(WalWrite { table, key, value });
-        }
-        Ok(WalRecord { block, writes })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,51 +249,6 @@ mod tests {
         vtime::take();
         log.sync().unwrap();
         assert_eq!(vtime::take(), 5_000);
-    }
-
-    #[test]
-    fn wal_record_roundtrip() {
-        let rec = WalRecord {
-            block: BlockId(12),
-            writes: vec![
-                WalWrite {
-                    table: TableId(1),
-                    key: b"alice".to_vec(),
-                    value: Some(b"100".to_vec()),
-                },
-                WalWrite {
-                    table: TableId(2),
-                    key: b"bob".to_vec(),
-                    value: None,
-                },
-            ],
-        };
-        assert_eq!(WalRecord::decode(&rec.encode()).unwrap(), rec);
-    }
-
-    #[test]
-    fn wal_record_truncation_detected() {
-        let rec = WalRecord {
-            block: BlockId(1),
-            writes: vec![WalWrite {
-                table: TableId(0),
-                key: vec![1; 20],
-                value: Some(vec![2; 20]),
-            }],
-        };
-        let enc = rec.encode();
-        assert!(WalRecord::decode(&enc[..enc.len() - 5]).is_err());
-    }
-
-    #[test]
-    fn wal_record_lying_count_is_refused_before_allocating() {
-        let mut bytes = 1u64.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = WalRecord::decode(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, Error::Corruption(m) if m.contains("count")),
-            "{err}"
-        );
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {

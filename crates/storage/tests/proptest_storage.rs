@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use harmony_storage::btree::{BTree, MAX_ENTRY_SIZE};
 use harmony_storage::checkpoint::{Manifest, TableMeta};
-use harmony_storage::log::{WalRecord, WalWrite};
 use harmony_storage::{BufferPool, EvictionPolicy, MemDisk, PageId, StorageCost, PAGE_SIZE};
 use proptest::prelude::*;
 
@@ -275,30 +274,6 @@ proptest! {
         frame.mark_dirty();
         drop(frame);
         exercise_hostile(&mut tree, &probes);
-    }
-
-    /// WAL records survive encode/decode for arbitrary contents.
-    #[test]
-    fn wal_record_roundtrip(
-        block in any::<u64>(),
-        writes in prop::collection::vec(
-            (any::<u16>(), prop::collection::vec(any::<u8>(), 0..32),
-             prop::option::of(prop::collection::vec(any::<u8>(), 0..32))),
-            0..20
-        )
-    ) {
-        let rec = WalRecord {
-            block: harmony_common::BlockId(block),
-            writes: writes
-                .into_iter()
-                .map(|(t, key, value)| WalWrite {
-                    table: harmony_common::ids::TableId(t),
-                    key,
-                    value,
-                })
-                .collect(),
-        };
-        prop_assert_eq!(WalRecord::decode(&rec.encode()).unwrap(), rec);
     }
 
     /// Checkpoint manifests survive encode/decode, and any single-byte

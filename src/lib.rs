@@ -37,15 +37,13 @@ pub use harmony_workloads as workloads;
 
 /// Convenience re-exports covering the common entry points.
 pub mod prelude {
-    pub use harmony_chain::{ChainConfig, OeChain, SovChain};
+    pub use harmony_chain::{ChainConfig, OeChain};
     pub use harmony_common::{BlockId, TableId, TxnId};
     pub use harmony_core::{BlockExecutor, ChainPipeline, HarmonyConfig, SnapshotStore};
     pub use harmony_dcc_baselines::{DccEngine, EngineKind, EngineSpec, HarmonyEngine};
     pub use harmony_metrics::{Registry, Timeline};
     pub use harmony_node::{Cluster, ClusterConfig, ClusterWorkload, Mempool, ReplicaNode};
-    pub use harmony_shard::{
-        HashPartitioner, Partitioner, RangePartitioner, ShardGroup, ShardRouter,
-    };
+    pub use harmony_shard::{HashPartitioner, Partitioner, ShardGroup, ShardRouter};
     pub use harmony_storage::{DiskProfile, StorageConfig, StorageEngine};
     pub use harmony_txn::{Contract, ContractCodec, Key, TxnCtx, UpdateCommand, Value};
     pub use harmony_workloads::{Smallbank, Tpcc, Workload, Ycsb};
