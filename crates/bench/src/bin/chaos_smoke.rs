@@ -28,7 +28,7 @@ use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
     Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
-    MempoolConfig, OrderingMode, ReplicaConfig, RetryPolicy, SyncPolicy,
+    MempoolConfig, OrderingMode, ReplicaConfig, RetryPolicy,
 };
 use harmony_sim::EngineKind;
 use harmony_storage::StorageConfig;
@@ -74,7 +74,6 @@ fn base_config() -> ClusterConfig {
         block_txns: 24,
         batch_interval_ns: 500_000,
         window: 4,
-        sync: SyncPolicy::default(),
         seed: 0xC4A05,
         ..ClusterConfig::default()
     }

@@ -2,15 +2,16 @@
 //! committed). FastFabric# is excluded, as in the paper — its graph
 //! traversal eliminates false aborts by construction.
 
-use harmony_bench::{false_aborts_in, pct, run_with_inspector, Table, WorkloadKind};
+use harmony_bench::{false_aborts_in, pct, per_block_run, Table, WorkloadKind};
 use harmony_core::HarmonyConfig;
-use harmony_sim::EngineKind;
+use harmony_sim::{run_experiment_inspected, EngineKind};
 
 fn rate(kind: EngineKind, workload: &WorkloadKind) -> (f64, f64) {
     let mut fa = 0u64;
     let mut aborts = 0u64;
     let mut txns = 0u64;
-    run_with_inspector(kind, workload, 20, 25, |res| {
+    let mut w = workload.build();
+    run_experiment_inspected(kind, w.as_mut(), &per_block_run(), |res| {
         let (f, a) = false_aborts_in(res);
         fa += f;
         aborts += a;

@@ -25,7 +25,7 @@ use harmony_crypto::CryptoCost;
 use harmony_dcc_baselines::Architecture;
 use harmony_node::{
     Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
-    MempoolConfig, OrderingMode, ReplicaConfig, SyncPolicy,
+    MempoolConfig, OrderingMode, ReplicaConfig,
 };
 use harmony_sim::{ClusterModel, EngineKind, RunConfig};
 use harmony_storage::StorageConfig;
@@ -75,7 +75,6 @@ fn cluster_config(
         block_txns: BLOCK_TXNS,
         batch_interval_ns: 250_000,
         window: 8,
-        sync: SyncPolicy::default(),
         metrics_every_ns: 5_000_000,
         seed: 0xF123,
         ..ClusterConfig::default()

@@ -29,7 +29,7 @@ use harmony_consensus::net::LatencyModel;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
     Cluster, ClusterConfig, ClusterWorkload, MempoolConfig, OrderingMode, ReplicaConfig,
-    ShardTopology, SyncPolicy,
+    ShardTopology,
 };
 use harmony_sim::{run_sharded_experiment, EngineKind, RunConfig, ShardRunConfig};
 use harmony_storage::StorageConfig;
@@ -90,7 +90,6 @@ fn node_run(engine: EngineKind, shards: usize) -> harmony_node::ClusterReport {
         block_txns: BLOCK_TXNS,
         batch_interval_ns: 250_000,
         window: 8,
-        sync: SyncPolicy::default(),
         faults: Default::default(),
         metrics_every_ns: 5_000_000,
         seed: 0xF124,

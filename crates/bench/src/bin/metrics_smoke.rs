@@ -17,7 +17,7 @@ use harmony_crypto::CryptoCost;
 use harmony_metrics::TIMELINE_SCHEMA;
 use harmony_node::{
     Cluster, ClusterConfig, ClusterWorkload, MempoolConfig, OrderingMode, ReplicaConfig,
-    ShardTopology, SyncPolicy,
+    ShardTopology,
 };
 use harmony_sim::EngineKind;
 use harmony_storage::StorageConfig;
@@ -66,7 +66,6 @@ fn main() {
         block_txns: 24,
         batch_interval_ns: 500_000,
         window: 4,
-        sync: SyncPolicy::default(),
         seed: 0x53CE,
         ..ClusterConfig::default()
     })

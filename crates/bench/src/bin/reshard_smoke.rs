@@ -27,7 +27,6 @@ use harmony_crypto::CryptoCost;
 use harmony_node::{
     Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
     MempoolConfig, OrderingMode, ReplicaConfig, ReshardAt, ReshardSchedule, ShardTopology,
-    SyncPolicy,
 };
 use harmony_sim::EngineKind;
 use harmony_storage::StorageConfig;
@@ -98,7 +97,6 @@ fn run(
         eager_seal: true,
         batch_interval_ns: 1 << 50,
         window: 4,
-        sync: SyncPolicy::default(),
         seed: 0x2E5A,
         ..ClusterConfig::default()
     })

@@ -1,24 +1,14 @@
 //! Table 3: hit rate of the backward dangerous structure per workload.
 
-use harmony_bench::{pct, run_with_inspector, Table, WorkloadKind};
+use harmony_bench::{measure, pct, per_block_run, Table, WorkloadKind};
 use harmony_core::HarmonyConfig;
 use harmony_sim::EngineKind;
 
 fn hit_rate(workload: &WorkloadKind) -> f64 {
-    let mut hits = 0usize;
-    let mut total = 0usize;
-    run_with_inspector(
-        EngineKind::Harmony(HarmonyConfig::default()),
-        workload,
-        20,
-        25,
-        |res| {
-            hits += res.stats.aborted_rule1 + res.stats.aborted_interblock;
-            total += res.stats.txns - res.stats.user_aborted;
-        },
-    )
-    .unwrap();
-    hits as f64 / total.max(1) as f64
+    let harmony = EngineKind::Harmony(HarmonyConfig::default());
+    let stats = measure(harmony, workload, &per_block_run()).unwrap().stats;
+    let hits = stats.aborted_rule1 + stats.aborted_interblock;
+    hits as f64 / (stats.txns - stats.user_aborted).max(1) as f64
 }
 
 fn main() {

@@ -11,12 +11,12 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use harmony_common::{BlockId, DetRng, Result};
-use harmony_core::executor::{ExecBlock, TxnOutcome};
+use harmony_common::Result;
+use harmony_core::executor::TxnOutcome;
 use harmony_core::HarmonyConfig;
-use harmony_dcc_baselines::{EngineSpec, ProtocolBlockResult};
+use harmony_dcc_baselines::ProtocolBlockResult;
 use harmony_sim::{run_experiment, EngineKind, RunConfig, RunMetrics};
-use harmony_storage::{DiskProfile, StorageConfig, StorageEngine};
+use harmony_storage::{DiskProfile, StorageConfig};
 use harmony_txn::Key;
 use harmony_workloads::{Smallbank, SmallbankConfig, Tpcc, TpccConfig, Workload, Ycsb, YcsbConfig};
 
@@ -178,27 +178,16 @@ pub const BLOCK_SIZES: [usize; 5] = [5, 25, 50, 75, 100];
 
 // ── Per-block inspection (false-abort accounting, Figure 13) ────────────
 
-/// Drive an engine block-by-block, calling `inspect` with every result.
-/// No retries (each attempt counted once), as Figure 13 requires.
-pub fn run_with_inspector(
-    kind: EngineKind,
-    workload: &WorkloadKind,
-    blocks: usize,
-    block_size: usize,
-    mut inspect: impl FnMut(&ProtocolBlockResult),
-) -> Result<()> {
-    let mut w = workload.build();
-    let engine = std::sync::Arc::new(StorageEngine::open(&StorageConfig::default())?);
-    w.setup(&engine)?;
-    let store = std::sync::Arc::new(harmony_core::SnapshotStore::new(engine));
-    let dcc = EngineSpec::flat(kind, 8).build(std::sync::Arc::clone(&store));
-    let mut rng = DetRng::new(0xF16);
-    for b in 0..blocks {
-        let block = ExecBlock::new(BlockId(b as u64 + 1), w.next_block(&mut rng, block_size));
-        let result = dcc.execute_block(&block)?;
-        inspect(&result);
+/// The per-block protocol of Figure 13 and Table 3: 20 blocks of 25
+/// transactions and no retries, so each attempt is counted once.
+#[must_use]
+pub fn per_block_run() -> RunConfig {
+    RunConfig {
+        blocks: 20,
+        seed: 0xF16,
+        retry_aborts: false,
+        ..default_run(25)
     }
-    Ok(())
 }
 
 /// Count false aborts in one block result: an abort is *false* if adding
@@ -432,7 +421,7 @@ mod tests {
         let mut rw1 = RwSet::default();
         rw1.record_read(Key::from_u64(t, 1), None);
         let result = ProtocolBlockResult {
-            block: BlockId(1),
+            block: harmony_common::BlockId(1),
             outcomes: vec![
                 TxnOutcome::Committed,
                 TxnOutcome::Aborted(AbortReason::WwConflict),
@@ -460,7 +449,7 @@ mod tests {
         rw1.record_read(Key::from_u64(t, 0), None);
         rw1.record_update(Key::from_u64(t, 1), UpdateCommand::Delete);
         let result = ProtocolBlockResult {
-            block: BlockId(1),
+            block: harmony_common::BlockId(1),
             outcomes: vec![
                 TxnOutcome::Committed,
                 TxnOutcome::Aborted(AbortReason::BackwardDangerousStructure),

@@ -426,32 +426,50 @@ pub struct NetCtx<'a, M> {
     jitter_seed: u64,
     send_count: &'a mut u64,
     /// CPU nanoseconds the handler consumed (extends the node's busy time).
-    pub cpu_ns: u64,
+    cpu_ns: u64,
 }
 
-impl<M> NetCtx<'_, M> {
-    /// Current simulated time (ns).
-    #[must_use]
-    pub fn now(&self) -> u64 {
+/// The transport seam: everything node logic may ask of the network.
+///
+/// Two implementations exist: [`NetCtx`] — the deterministic
+/// discrete-event simulator, where "time" is virtual nanoseconds and a
+/// send is a scheduled future event — and `harmony-transport`'s TCP
+/// context, where "time" is the wall clock and a send is a frame on a
+/// per-peer socket queue. Node logic ([`SimNode`] implementations) is
+/// written once against this trait and runs unchanged on either, which is
+/// what lets a cluster of OS processes execute the *identical*
+/// replica/ordering/state-sync code path the simulator pins
+/// bit-reproducibly.
+pub trait Transport<M> {
+    /// Current time in nanoseconds (virtual in the simulator, wall-clock
+    /// since the process epoch on a real transport).
+    fn now(&self) -> u64;
+    /// This node's index in the cluster layout.
+    fn me(&self) -> usize;
+    /// Send `msg` of modeled size `bytes` to node `to`.
+    fn send(&mut self, to: usize, msg: M, bytes: u64);
+    /// Schedule a timer on this node after `delay_ns`.
+    fn set_timer(&mut self, delay_ns: u64, id: u64);
+    /// Charge CPU time to this node (serializes its event processing in
+    /// the simulator; a no-op hint on a real transport, where CPU time
+    /// spends itself).
+    fn charge_cpu(&mut self, ns: u64);
+}
+
+impl<M: Clone> Transport<M> for NetCtx<'_, M> {
+    fn now(&self) -> u64 {
         self.now
     }
 
-    /// This node's index.
-    #[must_use]
-    pub fn me(&self) -> usize {
+    fn me(&self) -> usize {
         self.node
     }
 
-    /// Send `msg` of `bytes` size to node `to`.
-    ///
     /// The send *always* advances this sender's send counter — even when
     /// an active [`NetFaults`] entry swallows the message — so the jitter
     /// stream of every other message stays exactly where it would be on a
     /// healthy network.
-    pub fn send(&mut self, to: usize, msg: M, bytes: u64)
-    where
-        M: Clone,
-    {
+    fn send(&mut self, to: usize, msg: M, bytes: u64) {
         *self.send_count += 1;
         let jitter = link_jitter_ns(self.jitter_seed, self.node, *self.send_count);
         let at = self.now + self.latency.delay_ns(self.node, to, bytes) + jitter;
@@ -490,64 +508,13 @@ impl<M> NetCtx<'_, M> {
         ));
     }
 
-    /// Schedule a timer on this node after `delay_ns`.
-    pub fn set_timer(&mut self, delay_ns: u64, id: u64) {
+    fn set_timer(&mut self, delay_ns: u64, id: u64) {
         self.out
             .push((self.now + delay_ns, self.node, EventKind::Timer { id }));
     }
 
-    /// Charge CPU time to this node (serializes its event processing).
-    pub fn charge_cpu(&mut self, ns: u64) {
-        self.cpu_ns += ns;
-    }
-}
-
-/// The transport seam: everything node logic may ask of the network.
-///
-/// Two implementations exist: [`NetCtx`] — the deterministic
-/// discrete-event simulator, where "time" is virtual nanoseconds and a
-/// send is a scheduled future event — and `harmony-transport`'s TCP
-/// context, where "time" is the wall clock and a send is a frame on a
-/// per-peer socket queue. Node logic ([`SimNode`] implementations) is
-/// written once against this trait and runs unchanged on either, which is
-/// what lets a cluster of OS processes execute the *identical*
-/// replica/ordering/state-sync code path the simulator pins
-/// bit-reproducibly.
-pub trait Transport<M> {
-    /// Current time in nanoseconds (virtual in the simulator, wall-clock
-    /// since the process epoch on a real transport).
-    fn now(&self) -> u64;
-    /// This node's index in the cluster layout.
-    fn me(&self) -> usize;
-    /// Send `msg` of modeled size `bytes` to node `to`.
-    fn send(&mut self, to: usize, msg: M, bytes: u64);
-    /// Schedule a timer on this node after `delay_ns`.
-    fn set_timer(&mut self, delay_ns: u64, id: u64);
-    /// Charge CPU time to this node (serializes its event processing in
-    /// the simulator; a no-op hint on a real transport, where CPU time
-    /// spends itself).
-    fn charge_cpu(&mut self, ns: u64);
-}
-
-impl<M: Clone> Transport<M> for NetCtx<'_, M> {
-    fn now(&self) -> u64 {
-        NetCtx::now(self)
-    }
-
-    fn me(&self) -> usize {
-        NetCtx::me(self)
-    }
-
-    fn send(&mut self, to: usize, msg: M, bytes: u64) {
-        NetCtx::send(self, to, msg, bytes);
-    }
-
-    fn set_timer(&mut self, delay_ns: u64, id: u64) {
-        NetCtx::set_timer(self, delay_ns, id);
-    }
-
     fn charge_cpu(&mut self, ns: u64) {
-        NetCtx::charge_cpu(self, ns);
+        self.cpu_ns += ns;
     }
 }
 

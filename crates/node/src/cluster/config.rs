@@ -17,7 +17,7 @@ use crate::fault::{FaultSchedule, ReshardSchedule};
 use crate::mempool::MempoolConfig;
 use crate::replica::ReplicaConfig;
 use crate::sharded::check_layout;
-use crate::statesync::{RetryPolicy, SyncPolicy};
+use crate::statesync::RetryPolicy;
 
 /// Workload selector for a cluster run (workload + its contract codec).
 #[derive(Clone, Debug)]
@@ -192,8 +192,6 @@ pub struct ClusterConfig {
     pub eager_seal: bool,
     /// Max unacknowledged blocks in the ordering pipeline.
     pub window: usize,
-    /// State-sync serving policy.
-    pub sync: SyncPolicy,
     /// Fault-injection schedule. Empty = healthy run: none of the chaos
     /// machinery (watchdog timers, sync timeouts, net-fault table) is
     /// armed, so the event schedule is bit-identical to a build without
@@ -212,11 +210,6 @@ pub struct ClusterConfig {
     /// resubmission — rejected transactions are simply lost, the
     /// pre-chaos behavior.
     pub client_retry: Option<RetryPolicy>,
-    /// Peers that must dispute this replica's root at one gossip height
-    /// before it self-quarantines and re-syncs from scratch.
-    pub quarantine_quorum: u32,
-    /// Liveness-watchdog period (virtual ns); armed on fault runs only.
-    pub watchdog_ns: u64,
     /// Metric-timeline snapshot interval (virtual ns). Snapshots are
     /// taken in virtual time, so same-seed runs produce byte-identical
     /// timelines.
@@ -246,13 +239,10 @@ impl Default for ClusterConfig {
             batch_interval_ns: 500_000,
             eager_seal: false,
             window: 4,
-            sync: SyncPolicy::default(),
             faults: FaultSchedule::default(),
             reshards: ReshardSchedule::default(),
             sync_retry: RetryPolicy::default(),
             client_retry: None,
-            quarantine_quorum: 2,
-            watchdog_ns: 5_000_000,
             metrics_every_ns: 5_000_000,
             seed: 0xC10C,
         }
@@ -274,16 +264,6 @@ impl ClusterConfig {
         }
         if self.replica.workers == 0 {
             return Err(Error::InvalidArgument("a replica needs ≥ 1 worker".into()));
-        }
-        if self.quarantine_quorum == 0 {
-            return Err(Error::InvalidArgument(
-                "quarantine quorum must be ≥ 1".into(),
-            ));
-        }
-        if self.watchdog_ns == 0 {
-            return Err(Error::InvalidArgument(
-                "watchdog period must be non-zero".into(),
-            ));
         }
         if let Some(topology) = self.topology {
             check_layout(topology.shards, topology.partitions as usize)?;

@@ -47,14 +47,14 @@
 //! policy-driven: state-sync requests carry an epoch and time out
 //! ([`crate::RetryPolicy`] — bounded retries, exponential backoff with
 //! deterministic jitter, failover around a candidate ring), a liveness
-//! watchdog re-arms catch-up on replicas that went quiet, and a replica
-//! whose gossiped root a quorum of peers dispute self-quarantines,
-//! wipes, and re-syncs from scratch. On the client side, retryable
-//! admission rejects (backpressure, tenant quota, nonce gaps) can be
-//! resubmitted with the same backoff discipline, closing the overload
-//! loop end-to-end. All of it is armed only when faults (or client
-//! retry) are configured — no-fault runs schedule the exact same events
-//! as before the chaos plane existed.
+//! watchdog (`WATCHDOG_NS`) re-arms catch-up on replicas that went quiet,
+//! and a replica whose gossiped root a quorum (`QUARANTINE_QUORUM`) of
+//! peers dispute self-quarantines, wipes, and re-syncs from scratch; both
+//! are constants. On the client side, retryable admission rejects
+//! (backpressure, tenant quota, nonce gaps) can be resubmitted with the
+//! same backoff discipline, closing the overload loop end-to-end. All of
+//! it is armed only when faults (or client retry) are configured — no-fault
+//! runs schedule the exact same events as before the chaos plane existed.
 //!
 //! [`Cluster::run`] returns a [`ClusterReport`] whose `metrics` is a real
 //! [`harmony_sim::RunMetrics`] measured from the replica runtime — the
@@ -82,6 +82,9 @@ pub use replica::ReplicaWrap;
 pub use report::{BlockSummary, ClusterReport, NodeStatus, ReplicaSummary};
 
 use msg::{TIMER_CLIENT, TIMER_METRICS, TIMER_POISON, TIMER_WATCHDOG};
+
+/// Liveness-watchdog period (virtual ns); armed on fault runs only.
+const WATCHDOG_NS: u64 = 5_000_000;
 
 /// The deterministic node-index layout of a cluster deployment, shared
 /// by the simulator harness and the real-transport runtime: index 0 is
@@ -333,7 +336,7 @@ impl Cluster {
             // Liveness watchdog on every replica, staggered so the herd
             // doesn't fire on one instant.
             for (r, &idx) in replica_idx.iter().enumerate() {
-                let at = cfg.watchdog_ns.max(1) + (r as u64 + 1) * 1_000;
+                let at = WATCHDOG_NS + (r as u64 + 1) * 1_000;
                 el.seed_timer(idx, at, TIMER_WATCHDOG);
             }
         }

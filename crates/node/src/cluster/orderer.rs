@@ -20,6 +20,8 @@ use crate::mempool::{Mempool, MempoolMetrics};
 
 /// Per-admission CPU cost at the orderer (signature + nonce check).
 const ADMIT_NS: u64 = 1_000;
+/// Per-byte CPU cost of putting a block on the wire.
+const TX_NS_PER_BYTE: u64 = 1;
 
 struct InFlight {
     block: Arc<ChainBlock>,
@@ -72,7 +74,6 @@ pub struct Orderer {
     /// Seal full blocks immediately on admission (see
     /// [`ClusterConfig::eager_seal`]).
     eager_seal: bool,
-    tx_ns_per_byte: u64,
     timer_armed: bool,
     last_seal_ns: u64,
     pub(super) sealed_blocks: u64,
@@ -119,7 +120,6 @@ impl Orderer {
             window: cfg.window.max(1),
             batch_interval_ns: cfg.batch_interval_ns.max(1),
             eager_seal: cfg.eager_seal,
-            tx_ns_per_byte: 1,
             timer_armed: false,
             last_seal_ns: 0,
             sealed_blocks: 0,
@@ -307,7 +307,7 @@ impl Orderer {
                     self.commit(seq, ctx);
                 } else {
                     for &f in &self.followers.clone() {
-                        ctx.charge_cpu(bytes * self.tx_ns_per_byte);
+                        ctx.charge_cpu(bytes * TX_NS_PER_BYTE);
                         ctx.send(f, Msg::Replicate { seq }, bytes);
                     }
                 }
@@ -315,7 +315,7 @@ impl Orderer {
             OrderingMode::HotStuff => {
                 ctx.charge_cpu(self.crypto.sign_ns);
                 for &r in &self.replicas.clone() {
-                    ctx.charge_cpu(bytes * self.tx_ns_per_byte);
+                    ctx.charge_cpu(bytes * TX_NS_PER_BYTE);
                     ctx.send(r, Msg::Prepare { seq, round: 0 }, bytes);
                 }
             }
@@ -384,7 +384,7 @@ impl Orderer {
         };
         let bytes = entry.bytes;
         for &r in &self.replicas {
-            ctx.charge_cpu(bytes * self.tx_ns_per_byte);
+            ctx.charge_cpu(bytes * TX_NS_PER_BYTE);
             ctx.send(
                 r,
                 Msg::Deliver {

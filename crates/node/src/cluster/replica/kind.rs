@@ -14,7 +14,7 @@ use crate::metrics::{shard_txn_counters, ReplicaMetrics};
 use crate::replica::{Applied, DeliveryFront, ReplicaNode};
 use crate::sharded::{ShardedReplicaConfig, ShardedReplicaNode};
 use crate::statesync::{
-    self, apply_sharded_sync, apply_sync, ShardedSyncApplied, ShardedSyncResponse, SyncPolicy,
+    self, apply_sharded_sync, apply_sync, ShardedSyncApplied, ShardedSyncResponse,
 };
 
 /// A replica is either flat (one chain, Harmony's inter-block pipeline)
@@ -191,22 +191,11 @@ impl NodeKind {
     }
 
     /// Answer a peer's sync request from the hosted chains.
-    pub(super) fn serve_sync(
-        &self,
-        from: &[BlockId],
-        policy: SyncPolicy,
-    ) -> Result<ShardedSyncResponse> {
+    pub(super) fn serve_sync(&self, from: &[BlockId]) -> Result<ShardedSyncResponse> {
         let (anchor, epoch) = self.anchor();
         let global_hash = anchor.ok_or_else(|| {
             Error::InvalidArgument("sync peer has no global anchor (still recovering?)".into())
         })?;
-        statesync::serve(
-            self.height(),
-            global_hash,
-            epoch,
-            self.chains(),
-            from,
-            policy,
-        )
+        statesync::serve(self.height(), global_hash, epoch, self.chains(), from)
     }
 }

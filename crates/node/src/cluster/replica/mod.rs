@@ -22,7 +22,7 @@ use super::report::{BlockSummary, NodeStatus, ReplicaSummary};
 use super::ClusterLayout;
 use crate::metrics::ROOT_FOLD_NS;
 use crate::replica::{Applied, DeliveryFront};
-use crate::statesync::{RetryPolicy, ShardedSyncResponse, SyncPolicy};
+use crate::statesync::{RetryPolicy, ShardedSyncResponse};
 
 mod kind;
 mod metrics;
@@ -33,6 +33,9 @@ const SYNC_SERVE_NS_PER_BLOCK: u64 = 10_000;
 const SYNC_REPLAY_NS_PER_BLOCK: u64 = 300_000;
 /// CPU cost of local checkpoint recovery.
 const RECOVERY_NS: u64 = 1_000_000;
+/// Peers that must dispute this replica's root at one gossip height
+/// before it self-quarantines and re-syncs from scratch.
+const QUARANTINE_QUORUM: u32 = 2;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ReplicaState {
@@ -57,7 +60,6 @@ pub struct ReplicaWrap {
     metrics: WrapMetrics,
     meta: HashMap<u64, (u64, u64)>,
     peers: Vec<usize>,
-    sync_policy: SyncPolicy,
     window: usize,
     /// Whether a fault schedule is active: arms sync timeouts, the
     /// watchdog re-arm, and quarantine checks. Off on healthy runs so
@@ -77,8 +79,6 @@ pub struct ReplicaWrap {
     /// Windows during which this replica refuses to serve sync
     /// ([`crate::FaultEvent::SyncRefusal`]).
     refusals: Vec<(u64, u64)>,
-    quarantine_quorum: u32,
-    watchdog_ns: u64,
     /// Ignore gossip lag below this margin (one gossip period) so the
     /// watchdog doesn't chase roots that are merely in flight.
     frontier_slack: u64,
@@ -114,7 +114,6 @@ impl ReplicaWrap {
             metrics: WrapMetrics::register(registry, r),
             meta: HashMap::new(),
             peers,
-            sync_policy: cfg.sync,
             window: cfg.window.max(1),
             chaos: !cfg.faults.is_empty(),
             retry: cfg.sync_retry,
@@ -124,8 +123,6 @@ impl ReplicaWrap {
             sync_epoch: 0,
             sync_attempt: 0,
             refusals: cfg.faults.refusal_windows(r),
-            quarantine_quorum: cfg.quarantine_quorum,
-            watchdog_ns: cfg.watchdog_ns.max(1),
             frontier_slack: cfg.replica.gossip_every.max(1),
             in_quarantine: false,
             committed_weighted_e2e_ns: 0.0,
@@ -227,7 +224,7 @@ impl ReplicaWrap {
                         self.request_sync(ctx);
                     }
                 }
-                ctx.set_timer(self.watchdog_ns, TIMER_WATCHDOG);
+                ctx.set_timer(super::WATCHDOG_NS, TIMER_WATCHDOG);
             }
             // Sync request timeout — only meaningful if we are still
             // waiting on exactly this epoch.
@@ -324,7 +321,7 @@ impl ReplicaWrap {
         let served = if refusing {
             None
         } else {
-            let served = self.node.serve_sync(heights, self.sync_policy);
+            let served = self.node.serve_sync(heights);
             served.inspect_err(|_| self.metrics.node_errors.inc()).ok()
         };
         let Some(response) = served else {
@@ -423,7 +420,7 @@ impl ReplicaWrap {
     /// gossip height.
     fn disputed(&self) -> bool {
         let roots = self.node.front().roots();
-        roots.quarantine_signal(self.quarantine_quorum).is_some()
+        roots.quarantine_signal(QUARANTINE_QUORUM).is_some()
     }
 
     /// A quorum of peers disputes our root: wipe back to genesis and

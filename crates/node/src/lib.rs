@@ -65,5 +65,5 @@ pub use replica::{Applied, DeliveryFront, ReplicaConfig, ReplicaNode};
 pub use sharded::{ShardedReplicaConfig, ShardedReplicaNode};
 pub use statesync::{
     apply_sharded_sync, apply_sync, RetryPolicy, ShardedSyncApplied, ShardedSyncResponse,
-    SyncPolicy, SyncResponse,
+    SyncResponse,
 };

@@ -11,10 +11,11 @@
 //! `gossip_every` blocks for divergence detection against peers' gossiped
 //! roots.
 //!
-//! Execution cost is charged in virtual time exactly like the experiment
-//! driver: each block's [`BlockSchedule`] extends a pipeline-aware
-//! makespan, so a saturated replica's throughput matches the analytic
-//! DB-layer model it replaces.
+//! Execution cost is charged in virtual time by the one price of a block,
+//! [`BlockCharge::chain_block`], which the experiment driver charges its
+//! own chain's blocks with too: each block extends the chain's
+//! pipeline-aware makespan, so a saturated replica's throughput matches
+//! the analytic DB-layer model it replaces.
 //!
 //! A sync reply reaches the chain through [`OeChain::catch_up`], the
 //! method every shard of a sharded replica uses too; the replica only
@@ -32,7 +33,7 @@ use harmony_core::BlockStats;
 use harmony_crypto::Digest;
 use harmony_dcc_baselines::{EngineKind, EngineSpec};
 use harmony_metrics::Gauge;
-use harmony_sim::{pipeline_total_ns, schedule_logged_block, BlockSchedule};
+use harmony_sim::BlockCharge;
 use harmony_storage::StorageEngine;
 use harmony_txn::ContractCodec;
 
@@ -369,41 +370,12 @@ impl DeliveryFront {
     }
 }
 
-/// The virtual-time charge of each applied block: how much it extends the
-/// pipeline-aware makespan ([`pipeline_total_ns`]) of the blocks applied
-/// since the last reset. That makespan couples a block only to the one
-/// before it, so the previous schedule is all the history kept.
-#[derive(Default)]
-struct PipelineCharge {
-    last: Option<BlockSchedule>,
-}
-
-impl PipelineCharge {
-    /// Append `sched`; returns `pipeline_total_ns` of the blocks so far
-    /// minus that of the blocks before this one.
-    fn charge(&mut self, sched: BlockSchedule, depth: usize, workers: usize) -> u64 {
-        match self.last.replace(sched) {
-            None => pipeline_total_ns(&[sched], depth, workers),
-            Some(prev) => {
-                pipeline_total_ns(&[prev, sched], depth, workers)
-                    - pipeline_total_ns(&[prev], depth, workers)
-            }
-        }
-    }
-
-    /// Forget the pipeline: the next block starts a fresh one.
-    fn reset(&mut self) {
-        self.last = None;
-    }
-}
-
 /// A replica node: ordered delivery over an [`OeChain`].
 pub struct ReplicaNode {
     chain: OeChain,
-    config: ReplicaConfig,
     codec: Arc<dyn ContractCodec>,
     front: DeliveryFront,
-    pipeline: PipelineCharge,
+    charge: BlockCharge,
 }
 
 impl ReplicaNode {
@@ -419,10 +391,9 @@ impl ReplicaNode {
         let codec = setup(chain.engine())?;
         Ok(ReplicaNode {
             chain,
-            config: config.clone(),
             codec,
             front: DeliveryFront::new(config.gossip_every),
-            pipeline: PipelineCharge::default(),
+            charge: BlockCharge::default(),
         })
     }
 
@@ -485,20 +456,7 @@ impl ReplicaNode {
 
     fn apply(&mut self, block: &ChainBlock) -> Result<Applied> {
         let result = self.chain.apply_sealed_block(block, self.codec.as_ref())?;
-
-        // Virtual-time charge: extend the pipeline-aware makespan exactly
-        // as the experiment driver schedules blocks (group-commit log sync
-        // included), and charge only the increment.
-        let workers = self.config.workers;
-        let sched = schedule_logged_block(
-            &result,
-            workers,
-            self.chain.dcc().commit_is_serial(),
-            self.config.chain.storage.log_sync_ns,
-        );
-        let cost_ns = self
-            .pipeline
-            .charge(sched, self.chain.dcc().pipeline_depth(), workers);
+        let cost_ns = self.charge.chain_block(&self.chain, &result);
 
         let header = &block.header;
         self.front
@@ -514,7 +472,7 @@ impl ReplicaNode {
     /// height 0, so the serving peer answers with a full manifest.
     pub fn wipe_for_resync(&mut self) -> Result<()> {
         self.chain.reopen()?;
-        self.pipeline.reset();
+        self.charge.reset();
         // Tip 0: the tracker keeps the gossip frontier it already passed.
         self.front.roots_mut().reset_for_resync(0);
         Ok(())
@@ -524,7 +482,7 @@ impl ReplicaNode {
     /// chain's durable state is recovered separately).
     pub fn crash(&mut self) {
         self.front.crash();
-        self.pipeline.reset();
+        self.charge.reset();
     }
 
     /// Local recovery: reload the last checkpoint and deterministically
@@ -547,7 +505,7 @@ impl ReplicaNode {
         let base = self.chain.base();
         let gained = self.chain.catch_up(manifest, tail, self.codec.as_ref())?;
         if self.chain.base() != base {
-            self.pipeline.reset();
+            self.charge.reset();
         }
         for block in tail.iter().filter(|b| b.header.id <= self.chain.height()) {
             self.front.observe_synced(block);
@@ -632,48 +590,6 @@ mod tests {
             .note_peer(2, Digest([0xCD; 32]));
         feed(&mut early, &blocks[..2]);
         assert_eq!(early.front().roots().alarms(), 1);
-    }
-
-    #[test]
-    fn pipeline_charge_is_the_difference_of_successive_prefix_totals() {
-        let mut rng = harmony_common::DetRng::new(17);
-        let mut random_schedule = || {
-            let mut ns = || rng.next_u64() % 50_000;
-            let (sim_ns, commit_ns, orderer_ns) = (ns(), ns(), ns());
-            // CPU-work is at least the makespan and can be several cores' worth.
-            let (pre_work_ns, commit_work_ns) = (orderer_ns + sim_ns + ns(), commit_ns + ns());
-            BlockSchedule {
-                sim_ns,
-                commit_ns,
-                orderer_ns,
-                work_ns: pre_work_ns + commit_work_ns,
-                pre_work_ns,
-                commit_work_ns,
-            }
-        };
-        for depth in [1, 2] {
-            for workers in [1, 2, 8] {
-                let mut charge = PipelineCharge::default();
-                // Three pipelines back to back, as after `wipe_for_resync`,
-                // `crash` and a manifest landing.
-                for run in [40, 1, 25] {
-                    let mut applied: Vec<BlockSchedule> = Vec::new();
-                    for _ in 0..run {
-                        let before = pipeline_total_ns(&applied, depth, workers);
-                        applied.push(random_schedule());
-                        let after = pipeline_total_ns(&applied, depth, workers);
-                        let sched = *applied.last().unwrap();
-                        assert_eq!(
-                            charge.charge(sched, depth, workers),
-                            after - before,
-                            "depth {depth}, {workers} workers, block {}",
-                            applied.len()
-                        );
-                    }
-                    charge.reset();
-                }
-            }
-        }
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!    shard's sub-block on that shard's chain and applies it — so every
 //!    shard owns a verifiable hash-chained block log (height == global
 //!    height) with its own checkpoints and recovery sidecar,
-//! 3. charge the block's virtual time and, at gossip heights, fold the
+//! 3. charge the block's virtual time through
+//!    [`BlockCharge::group_block`] — the price the experiment driver
+//!    charges its own group's blocks — and, at gossip heights, fold the
 //!    per-shard state roots into the [`harmony_chain::sharded_state_root`]
 //!    gossiped for divergence detection.
 //!
@@ -46,7 +48,7 @@ use harmony_core::BlockStats;
 use harmony_crypto::{sha256, Digest, Verifier};
 use harmony_dcc_baselines::{EngineKind, EngineSpec};
 use harmony_shard::{Partitioning, PlannerMetrics, ReshardMarker, ShardGroup, ShardRouter};
-use harmony_sim::sharded_block_ns;
+use harmony_sim::BlockCharge;
 use harmony_storage::StorageEngine;
 use harmony_txn::{ContractCodec, Key};
 
@@ -169,6 +171,7 @@ pub struct ShardedReplicaNode {
     /// state), restored by the first state-sync response.
     anchor: Option<Digest>,
     front: DeliveryFront,
+    charge: BlockCharge,
     shard_metrics: Vec<TxnCounters>,
 }
 
@@ -199,6 +202,7 @@ impl ShardedReplicaNode {
             epoch: 0,
             anchor: Some(Digest::ZERO),
             front: DeliveryFront::new(config.gossip_every),
+            charge: BlockCharge::default(),
             shard_metrics: (0..config.shards)
                 .map(|_| TxnCounters::detached())
                 .collect(),
@@ -329,15 +333,7 @@ impl ShardedReplicaNode {
         for (counters, shard) in self.shard_metrics.iter().zip(&result.shard_results) {
             counters.observe(&shard.stats);
         }
-
-        // Virtual-time charge, exactly as the experiment driver charges a
-        // sharded block (every shard runs the same engine).
-        let cost_ns = sharded_block_ns(
-            &result,
-            self.config.workers,
-            self.group.chain(0).dcc().commit_is_serial(),
-            self.config.chain.storage.log_sync_ns,
-        );
+        let cost_ns = self.charge.group_block(&self.group, &result);
         self.advance(block, &result.stats, cost_ns)
     }
 

@@ -20,7 +20,7 @@
 //! 1. **Checkpoint manifest transfer** — when the requester is so far
 //!    behind that block-range replay is impossible (it predates the
 //!    peer's own local history) or uneconomical (the gap exceeds
-//!    [`SyncPolicy::snapshot_threshold`]), the peer ships a
+//!    `SNAPSHOT_THRESHOLD` = 64 blocks), the peer ships a
 //!    [`StateSnapshot`] of the chain's state at its current height.
 //! 2. **Block-range replay** — otherwise the peer serves its verified
 //!    block log after the requester's height and the requester replays it
@@ -45,21 +45,9 @@ use harmony_crypto::Digest;
 use crate::replica::ReplicaNode;
 use crate::sharded::ShardedReplicaNode;
 
-/// Serving-side policy for sync requests.
-#[derive(Clone, Copy, Debug)]
-pub struct SyncPolicy {
-    /// Gaps larger than this many blocks are served as a snapshot rather
-    /// than a replay range.
-    pub snapshot_threshold: u64,
-}
-
-impl Default for SyncPolicy {
-    fn default() -> Self {
-        SyncPolicy {
-            snapshot_threshold: 64,
-        }
-    }
-}
+/// Gaps larger than this many blocks are served as a snapshot rather
+/// than a replay range.
+const SNAPSHOT_THRESHOLD: u64 = 64;
 
 /// Requester-side failure policy: how long to wait for a sync reply, how
 /// the wait grows across attempts, and when to stop trying one cycle.
@@ -131,12 +119,12 @@ pub enum SyncResponse {
 /// Modeled size of the reply's anchor header, and of each part's.
 const HEADER_BYTES: u64 = 64;
 
-/// Serve one chain: decide manifest vs range per `policy` and the chain's
+/// Serve one chain: decide manifest vs range by the gap and the chain's
 /// own local history.
-fn serve_chain(chain: &OeChain, from: BlockId, policy: SyncPolicy) -> Result<SyncResponse> {
+fn serve_chain(chain: &OeChain, from: BlockId) -> Result<SyncResponse> {
     let (base, _) = chain.base();
     let gap = chain.height().0.saturating_sub(from.0);
-    if from.0 == 0 || from < base || gap > policy.snapshot_threshold {
+    if from.0 == 0 || from < base || gap > SNAPSHOT_THRESHOLD {
         // A height-0 requester may have lost its genesis state entirely
         // (crash before the first checkpoint), the requester may predate
         // this peer's local history, or the gap is too wide: ship the
@@ -226,7 +214,6 @@ pub fn serve(
     epoch: u64,
     chains: &[OeChain],
     from: &[BlockId],
-    policy: SyncPolicy,
 ) -> Result<ShardedSyncResponse> {
     // A height-count mismatch means the requester sits on the far side of
     // a topology-change (reshard) boundary — or is misconfigured, or
@@ -239,7 +226,7 @@ pub fn serve(
         .enumerate()
         .map(|(s, chain)| {
             let at = if crossed_epoch { BlockId(0) } else { from[s] };
-            serve_chain(chain, at, policy)
+            serve_chain(chain, at)
         })
         .collect::<Result<Vec<_>>>()?;
     Ok(ShardedSyncResponse {
@@ -398,18 +385,13 @@ mod tests {
 
     /// Serve `from` the way a flat replica's wrapper does: one chain, the
     /// chain's own tip as the anchor, topology epoch 0.
-    fn serve_flat(
-        peer: &ReplicaNode,
-        from: &[BlockId],
-        snapshot_threshold: u64,
-    ) -> ShardedSyncResponse {
+    fn serve_flat(peer: &ReplicaNode, from: &[BlockId]) -> ShardedSyncResponse {
         serve(
             peer.height(),
             peer.chain().last_hash(),
             0,
             std::slice::from_ref(peer.chain()),
             from,
-            SyncPolicy { snapshot_threshold },
         )
         .unwrap()
     }
@@ -417,7 +399,7 @@ mod tests {
     #[test]
     fn small_gap_served_as_range_large_gap_as_snapshot() {
         let peer = replica_at(12);
-        let near = serve_flat(&peer, &[BlockId(8)], 8);
+        let near = serve_flat(&peer, &[BlockId(8)]);
         assert_eq!(near.height, BlockId(12));
         assert_eq!(near.global_hash, peer.chain().last_hash());
         assert_eq!(near.epoch, 0);
@@ -425,7 +407,7 @@ mod tests {
             near.parts.as_slice(),
             [SyncResponse::Range(b)] if b.len() == 4
         ));
-        let far = serve_flat(&peer, &[BlockId(0)], 8);
+        let far = serve_flat(&peer, &[BlockId(0)]);
         assert!(matches!(far.parts.as_slice(), [SyncResponse::Snapshot(..)]));
         assert!(far.transfer_bytes() > 0);
     }
@@ -434,14 +416,14 @@ mod tests {
     fn transfer_bytes_split_exactly_by_path() {
         let peer = replica_at(12);
         // Range path: all bytes are range bytes.
-        let range = serve_flat(&peer, &[BlockId(8)], 8);
+        let range = serve_flat(&peer, &[BlockId(8)]);
         let (manifest_bytes, range_bytes) = range.byte_split();
         assert_eq!(manifest_bytes, 0);
         assert_eq!(range_bytes, range.transfer_bytes());
         assert!(range_bytes > 2 * HEADER_BYTES, "blocks plus both headers");
         // Manifest path: the manifest dominates, and the two shares
         // partition the total exactly.
-        let snap = serve_flat(&peer, &[BlockId(0)], 8);
+        let snap = serve_flat(&peer, &[BlockId(0)]);
         let (manifest_bytes, range_bytes) = snap.byte_split();
         assert!(manifest_bytes > range_bytes);
         assert_eq!(range_bytes, HEADER_BYTES, "only the anchor header");
@@ -493,13 +475,13 @@ mod tests {
         // A 2-height request to a flat server (a sharded or hostile
         // requester): its heights mean nothing here, so the one chain is
         // served from scratch — even though both heights are in range.
-        let reply = serve_flat(&peer, &[BlockId(10), BlockId(11)], 8);
+        let reply = serve_flat(&peer, &[BlockId(10), BlockId(11)]);
         assert!(matches!(
             reply.parts.as_slice(),
             [SyncResponse::Snapshot(..)]
         ));
         assert!(matches!(
-            serve_flat(&peer, &[], 8).parts.as_slice(),
+            serve_flat(&peer, &[]).parts.as_slice(),
             [SyncResponse::Snapshot(..)]
         ));
         // A 2-part (or 0-part) reply to a flat requester: refused with a
@@ -525,7 +507,7 @@ mod tests {
     fn snapshot_sync_bootstraps_a_fresh_replica() {
         let blocks = sealed_stream(11, 10);
         let mut peer = replica_at(10);
-        let resp = serve_flat(&peer, &[BlockId(0)], 4);
+        let resp = serve_flat(&peer, &[BlockId(0)]);
         // install_snapshot requires an empty database: the joiner holds
         // no genesis data (state comes entirely from the peer).
         let mut joiner_fresh = flat_replica(EngineKind::Harmony(Default::default()), 5);
@@ -556,7 +538,7 @@ mod tests {
     #[test]
     fn a_manifest_no_newer_than_the_replica_changes_nothing() {
         let blocks = sealed_stream(8, 10);
-        let reply = serve_flat(&replica_at(4), &[BlockId(0)], 8);
+        let reply = serve_flat(&replica_at(4), &[BlockId(0)]);
         assert!(matches!(
             reply.parts.as_slice(),
             [SyncResponse::Snapshot(..)]

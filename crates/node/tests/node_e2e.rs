@@ -9,7 +9,7 @@ use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
     Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
-    MempoolConfig, OrderingMode, ReplicaConfig, SyncPolicy,
+    MempoolConfig, OrderingMode, ReplicaConfig,
 };
 use harmony_sim::EngineKind;
 use harmony_storage::StorageConfig;
@@ -77,7 +77,6 @@ fn config(
         block_txns: 32,
         batch_interval_ns: 500_000,
         window: 4,
-        sync: SyncPolicy::default(),
         seed: 0xE2E,
         ..ClusterConfig::default()
     }

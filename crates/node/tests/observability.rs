@@ -11,7 +11,7 @@ use harmony_crypto::CryptoCost;
 use harmony_metrics::TIMELINE_SCHEMA;
 use harmony_node::{
     Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
-    MempoolConfig, OrderingMode, ReplicaConfig, ShardTopology, SyncPolicy,
+    MempoolConfig, OrderingMode, ReplicaConfig, ShardTopology,
 };
 use harmony_sim::EngineKind;
 use harmony_storage::StorageConfig;
@@ -67,7 +67,6 @@ fn config(crash: Option<FaultEvent>, stagger: u64) -> ClusterConfig {
         block_txns: 24,
         batch_interval_ns: 500_000,
         window: 4,
-        sync: SyncPolicy::default(),
         seed: 0x0B5E,
         ..ClusterConfig::default()
     }

@@ -22,7 +22,6 @@ use harmony_crypto::CryptoCost;
 use harmony_node::{
     Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
     MempoolConfig, OrderingMode, ReplicaConfig, ReshardAt, ReshardSchedule, ShardTopology,
-    SyncPolicy,
 };
 use harmony_sim::EngineKind;
 use harmony_storage::StorageConfig;
@@ -112,7 +111,6 @@ fn run_cluster(
         eager_seal: true,
         batch_interval_ns: 1 << 50,
         window: 4,
-        sync: SyncPolicy::default(),
         seed,
         ..ClusterConfig::default()
     })

@@ -17,7 +17,7 @@ use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
     Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
-    MempoolConfig, OrderingMode, ReplicaConfig, ShardTopology, SyncPolicy,
+    MempoolConfig, OrderingMode, ReplicaConfig, ShardTopology,
 };
 use harmony_sim::EngineKind;
 use harmony_storage::StorageConfig;
@@ -81,7 +81,6 @@ fn run_cluster(
         block_txns: 20,
         batch_interval_ns: 500_000,
         window: 4,
-        sync: SyncPolicy::default(),
         seed,
         ..ClusterConfig::default()
     })

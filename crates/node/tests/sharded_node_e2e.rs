@@ -11,7 +11,7 @@ use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
     Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
-    MempoolConfig, OrderingMode, ReplicaConfig, ShardTopology, SyncPolicy,
+    MempoolConfig, OrderingMode, ReplicaConfig, ShardTopology,
 };
 use harmony_sim::EngineKind;
 use harmony_storage::StorageConfig;
@@ -91,7 +91,6 @@ fn config(
         block_txns: 24,
         batch_interval_ns: 500_000,
         window: 4,
-        sync: SyncPolicy::default(),
         seed: 0x5E2E,
         ..ClusterConfig::default()
     }

@@ -8,7 +8,10 @@
 //! one group with what only a replica has — the global hash chain,
 //! ordered delivery, state-sync and live resharding. Fed the same
 //! transactions, the two hosts seal the same sub-blocks and reach the
-//! same per-shard state roots, because they run this code.
+//! same per-shard state roots, because they run this code; and both
+//! price a block's [`ShardBlockResult`] through one function,
+//! `harmony_sim::BlockCharge::group_block`, so they charge the same
+//! virtual time for it.
 //!
 //! # Block anatomy
 //!

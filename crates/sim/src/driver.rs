@@ -1,22 +1,29 @@
 //! Experiment driver: run (engine × workload) for N blocks with
 //! abort-retry and produce the paper's metrics.
+//!
+//! [`run_experiment`] hosts one [`OeChain`] (the engine's flat profile),
+//! [`run_sharded_experiment`] a [`ShardGroup`]; both run one loop, and
+//! [`BlockCharge`] prices each block as a replica does. The chains never
+//! checkpoint, and their log syncs and seal/verify costs fall outside
+//! every `vtime::scope`: the charge is the only cost.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use harmony_chain::{ChainConfig, OeChain};
-use harmony_common::{BlockId, DetRng, Error, Result};
+use harmony_common::error::AbortReason;
+use harmony_common::{DetRng, Error, Result};
 use harmony_consensus::net::LatencyModel;
-use harmony_core::executor::{ExecBlock, TxnOutcome};
-use harmony_core::{BlockStats, SnapshotStore};
-use harmony_dcc_baselines::{EngineKind, EngineSpec};
+use harmony_core::executor::TxnOutcome;
+use harmony_core::BlockStats;
+use harmony_dcc_baselines::{EngineKind, EngineSpec, ProtocolBlockResult};
 use harmony_shard::{HashPartitioner, ShardGroup, ShardRouter};
-use harmony_storage::{StorageConfig, StorageEngine};
-use harmony_txn::Contract;
+use harmony_storage::{IoSnapshot, StorageConfig};
+use harmony_txn::{Contract, ContractCodec};
 use harmony_workloads::Workload;
 
-use crate::sched::{pipeline_total_ns, schedule_logged_block, sharded_block_ns};
+use crate::sched::BlockCharge;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -76,86 +83,132 @@ pub struct RunMetrics {
     pub wall_ns: u64,
 }
 
-/// Retry queue entry: (contract, block index it first entered).
-type RetryQueue = VecDeque<(Arc<dyn Contract>, usize)>;
-
-/// Fill the next block: drain the retry queue first, then top up with
-/// fresh transactions from the workload. Returns the transactions and the
-/// block index each first entered (latency bookkeeping).
-fn fill_block(
-    retry: &mut RetryQueue,
-    workload: &mut dyn Workload,
-    rng: &mut DetRng,
-    block_size: usize,
-    block: usize,
-) -> (Vec<Arc<dyn Contract>>, Vec<usize>) {
-    let mut txns: Vec<Arc<dyn Contract>> = Vec::with_capacity(block_size);
-    let mut born: Vec<usize> = Vec::with_capacity(block_size);
-    while txns.len() < block_size {
-        if let Some((t, b0)) = retry.pop_front() {
-            txns.push(t);
-            born.push(b0);
-        } else {
-            txns.push(workload.next_txn(rng));
-            born.push(block);
-        }
-    }
-    (txns, born)
-}
-
-/// Record commit spans and requeue retryable (non-user) aborts.
-fn track_outcomes(
-    outcomes: &[TxnOutcome],
-    txns: &[Arc<dyn Contract>],
-    born: &[usize],
-    block: usize,
-    retry_aborts: bool,
-    retry: &mut RetryQueue,
-    committed_block_spans: &mut Vec<(usize, usize)>,
-) {
-    for (i, outcome) in outcomes.iter().enumerate() {
-        match outcome {
-            TxnOutcome::Committed => committed_block_spans.push((born[i], block)),
-            TxnOutcome::Aborted(reason)
-                if retry_aborts && *reason != harmony_common::error::AbortReason::UserAbort =>
-            {
-                retry.push_back((Arc::clone(&txns[i]), born[i]));
-            }
-            TxnOutcome::Aborted(_) => {}
-        }
-    }
-}
-
-/// Mean end-to-end latency (ms) from the blocks-in-flight spans of
-/// committed transactions and the mean per-block wall time.
-fn mean_latency_ms(committed_block_spans: &[(usize, usize)], mean_block_ns: f64) -> f64 {
-    if committed_block_spans.is_empty() {
-        return 0.0;
-    }
-    let mean_span: f64 = committed_block_spans
-        .iter()
-        .map(|(b0, b1)| (b1 - b0 + 1) as f64)
-        .sum::<f64>()
-        / committed_block_spans.len() as f64;
-    mean_span * mean_block_ns / 1e6
-}
-
-/// Buffer pool hit rate of an I/O delta (0 when no lookups happened).
-fn hit_rate(io: &harmony_storage::IoSnapshot) -> f64 {
-    let total = io.pool.hits + io.pool.misses;
-    if total == 0 {
-        0.0
-    } else {
-        io.pool.hits as f64 / total as f64
-    }
-}
-
 /// Refuse a configuration the run cannot schedule: no worker cores.
 fn check_workers(config: &RunConfig) -> Result<()> {
     if config.workers == 0 {
         return Err(Error::InvalidArgument("a run needs ≥ 1 worker".into()));
     }
     Ok(())
+}
+
+/// What a driver executes its blocks on.
+enum Host {
+    /// One chain, the engine in its flat profile.
+    Chain(Box<OeChain>, Arc<dyn ContractCodec>),
+    /// Per-shard chains behind the cross-shard planner.
+    Group(ShardGroup),
+}
+
+impl Host {
+    /// The chains the host runs, in shard order.
+    fn chains(&self) -> &[OeChain] {
+        match self {
+            Host::Chain(chain, _) => std::slice::from_ref(&**chain),
+            Host::Group(group) => group.chains(),
+        }
+    }
+
+    /// Execute and price one block; `inspect` sees each chain's result.
+    fn execute(
+        &mut self,
+        txns: &[Arc<dyn Contract>],
+        charge: &mut BlockCharge,
+        inspect: &mut dyn FnMut(&ProtocolBlockResult),
+    ) -> Result<(Vec<TxnOutcome>, BlockStats)> {
+        match self {
+            Host::Chain(chain, codec) => {
+                let (_, result) = chain.submit_block(txns.to_vec(), codec.as_ref())?;
+                charge.chain_block(chain, &result);
+                inspect(&result);
+                Ok((result.outcomes, result.stats))
+            }
+            Host::Group(group) => {
+                let result = group.execute_block(txns)?;
+                charge.group_block(group, &result);
+                result.shard_results.iter().for_each(inspect);
+                Ok((result.outcomes, result.stats))
+            }
+        }
+    }
+}
+
+/// The chain configuration every host chain opens with: the run's
+/// storage, no checkpoints.
+fn host_chain_config(storage: &StorageConfig) -> ChainConfig {
+    ChainConfig {
+        storage: storage.clone(),
+        checkpoint_every: 0,
+        ..ChainConfig::default()
+    }
+}
+
+/// The one driver loop: `config.blocks` blocks of `config.block_size`
+/// transactions on `host`, aborts requeued, and the run's metrics.
+fn drive(
+    mut host: Host,
+    workload: &mut dyn Workload,
+    config: &RunConfig,
+    system: Cow<'static, str>,
+    inspect: &mut dyn FnMut(&ProtocolBlockResult),
+) -> Result<RunMetrics> {
+    let chains = host.chains().iter();
+    let io_before: Vec<_> = chains.map(|c| c.engine().io_snapshot()).collect();
+    let mut rng = DetRng::new(config.seed);
+    let mut totals = BlockStats::default();
+    let mut charge = BlockCharge::default();
+    // Requeued aborts and committed (first, committing) block spans.
+    let mut retry: VecDeque<(Arc<dyn Contract>, usize)> = VecDeque::new();
+    let mut committed_block_spans: Vec<(usize, usize)> = Vec::new();
+    for b in 0..config.blocks {
+        // The retry queue first, then fresh transactions.
+        let (mut txns, mut born) = (Vec::new(), Vec::new());
+        while txns.len() < config.block_size {
+            let (txn, b0) = retry
+                .pop_front()
+                .unwrap_or_else(|| (workload.next_txn(&mut rng), b));
+            txns.push(txn);
+            born.push(b0);
+        }
+        let (outcomes, stats) = host.execute(&txns, &mut charge, inspect)?;
+        for ((outcome, txn), b0) in outcomes.iter().zip(txns).zip(born) {
+            match outcome {
+                TxnOutcome::Committed => committed_block_spans.push((b0, b)),
+                TxnOutcome::Aborted(reason)
+                    if config.retry_aborts && *reason != AbortReason::UserAbort =>
+                {
+                    retry.push_back((txn, b0));
+                }
+                TxnOutcome::Aborted(_) => {}
+            }
+        }
+        totals.absorb(&stats);
+    }
+
+    let wall_ns = charge.wall_ns().max(1);
+    let mut io = IoSnapshot::default();
+    for (chain, before) in host.chains().iter().zip(&io_before) {
+        io.absorb(&chain.engine().io_snapshot().delta_since(before));
+    }
+    let mean_block_ns = wall_ns as f64 / config.blocks as f64;
+    // Mean end-to-end latency: blocks in flight per committed txn.
+    let spans = committed_block_spans
+        .iter()
+        .map(|(b0, b1)| (b1 - b0 + 1) as f64);
+    let mean_span = spans.sum::<f64>() / committed_block_spans.len().max(1) as f64;
+    let lookups = io.pool.hits + io.pool.misses;
+    let cores = host.chains().len() * config.workers;
+    Ok(RunMetrics {
+        system,
+        throughput_tps: totals.committed as f64 / (wall_ns as f64 / 1e9),
+        latency_ms: mean_span * mean_block_ns / 1e6,
+        abort_rate: totals.abort_rate(),
+        cpu_utilization: charge.work_ns() as f64 / (cores as f64 * wall_ns as f64),
+        stats: totals,
+        disk_reads: io.disk_reads,
+        disk_writes: io.disk_writes,
+        buffer_hit_rate: io.pool.hits as f64 / lookups.max(1) as f64,
+        wall_ns,
+    })
 }
 
 /// Run one experiment: load the workload, execute `blocks` blocks of
@@ -165,62 +218,25 @@ pub fn run_experiment(
     workload: &mut dyn Workload,
     config: &RunConfig,
 ) -> Result<RunMetrics> {
-    check_workers(config)?;
-    let engine = Arc::new(StorageEngine::open(&config.storage)?);
-    workload.setup(&engine)?;
-    let store = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
-    let dcc = EngineSpec::flat(kind, config.workers).build(Arc::clone(&store));
-    let io_before = engine.io_snapshot();
-
-    let mut rng = DetRng::new(config.seed);
-    let mut totals = BlockStats::default();
-    let mut schedules = Vec::with_capacity(config.blocks);
-    let mut retry: RetryQueue = VecDeque::new();
-    // Latency bookkeeping: blocks-in-flight per committed txn.
-    let mut committed_block_spans: Vec<(usize, usize)> = Vec::new();
-
-    for b in 0..config.blocks {
-        let (txns, born) = fill_block(&mut retry, workload, &mut rng, config.block_size, b);
-        let block = ExecBlock::new(BlockId(b as u64 + 1), txns);
-        let result = dcc.execute_block(&block)?;
-        track_outcomes(
-            &result.outcomes,
-            &block.txns,
-            &born,
-            b,
-            config.retry_aborts,
-            &mut retry,
-            &mut committed_block_spans,
-        );
-        totals.absorb(&result.stats);
-        schedules.push(schedule_logged_block(
-            &result,
-            config.workers,
-            dcc.commit_is_serial(),
-            config.storage.log_sync_ns,
-        ));
-    }
-
-    let wall_ns = pipeline_total_ns(&schedules, dcc.pipeline_depth(), config.workers).max(1);
-    let io = engine.io_snapshot().delta_since(&io_before);
-    let mean_block_ns = wall_ns as f64 / config.blocks as f64;
-    let latency_ms = mean_latency_ms(&committed_block_spans, mean_block_ns);
-    let work_ns: u64 = schedules.iter().map(|s| s.work_ns).sum();
-    Ok(RunMetrics {
-        system: Cow::Borrowed(kind.name()),
-        throughput_tps: totals.committed as f64 / (wall_ns as f64 / 1e9),
-        latency_ms,
-        abort_rate: totals.abort_rate(),
-        cpu_utilization: work_ns as f64 / (config.workers as f64 * wall_ns as f64),
-        stats: totals,
-        disk_reads: io.disk_reads,
-        disk_writes: io.disk_writes,
-        buffer_hit_rate: hit_rate(&io),
-        wall_ns,
-    })
+    run_experiment_inspected(kind, workload, config, |_| {})
 }
 
-// ── Sharded run path ─────────────────────────────────────────────────────
+/// [`run_experiment`], handing every executed block's engine result —
+/// outcomes and read-write sets — to `inspect` (Figure 13's false-abort
+/// oracle reads them).
+pub fn run_experiment_inspected(
+    kind: EngineKind,
+    workload: &mut dyn Workload,
+    config: &RunConfig,
+    mut inspect: impl FnMut(&ProtocolBlockResult),
+) -> Result<RunMetrics> {
+    check_workers(config)?;
+    let spec = EngineSpec::flat(kind, config.workers);
+    let chain = OeChain::open(host_chain_config(&config.storage), spec)?;
+    workload.setup(chain.engine())?;
+    let host = Host::Chain(Box::new(chain), workload.codec());
+    drive(host, workload, config, kind.name().into(), &mut inspect)
+}
 
 /// Parameters of a sharded experiment (the Figure 22 axes).
 #[derive(Clone, Debug)]
@@ -264,14 +280,7 @@ pub fn run_sharded_experiment(
         Arc::new(HashPartitioner::new(config.partitions)),
         config.shards,
     );
-    // The shard chains never checkpoint, and their block-log syncs and
-    // seal/verify costs fall outside every `vtime::scope`: the charge
-    // below is execution alone, as the figure defines it.
-    let chain = ChainConfig {
-        storage: config.base.storage.clone(),
-        checkpoint_every: 0,
-        ..ChainConfig::default()
-    };
+    let chain = host_chain_config(&config.base.storage);
     let spec = EngineSpec::sharded(kind, config.base.workers);
     let chains = (0..config.shards)
         .map(|_| OeChain::open(chain.clone(), spec))
@@ -281,64 +290,14 @@ pub fn run_sharded_experiment(
         workload.setup(engine)?;
         Ok(workload.codec())
     })?;
-    let commit_serial = group.chain(0).dcc().commit_is_serial();
-    let io_before: Vec<_> = group
-        .chains()
-        .iter()
-        .map(|c| c.engine().io_snapshot())
-        .collect();
-
-    let mut rng = DetRng::new(config.base.seed);
-    let mut totals = BlockStats::default();
-    let mut retry: RetryQueue = VecDeque::new();
-    let mut committed_block_spans: Vec<(usize, usize)> = Vec::new();
-    let mut wall_ns = 0u64;
-    let mut work_ns = 0u64;
-    for b in 0..config.base.blocks {
-        let (txns, born) = fill_block(&mut retry, workload, &mut rng, config.base.block_size, b);
-        let result = group.execute_block(&txns)?;
-        track_outcomes(
-            &result.outcomes,
-            &txns,
-            &born,
-            b,
-            config.base.retry_aborts,
-            &mut retry,
-            &mut committed_block_spans,
-        );
-        totals.absorb(&result.stats);
-
-        wall_ns += sharded_block_ns(
-            &result,
-            config.base.workers,
-            commit_serial,
-            config.base.storage.log_sync_ns,
-        );
-        work_ns += result.stats.sim_ns_total
-            + result.stats.commit_ns_total
-            + config.base.storage.log_sync_ns * group.shards() as u64;
-    }
-    let wall_ns = wall_ns.max(1);
-
-    let mut io = harmony_storage::IoSnapshot::default();
-    for (chain, before) in group.chains().iter().zip(&io_before) {
-        io.absorb(&chain.engine().io_snapshot().delta_since(before));
-    }
-    let mean_block_ns = wall_ns as f64 / config.base.blocks as f64;
-    let latency_ms = mean_latency_ms(&committed_block_spans, mean_block_ns);
-    Ok(RunMetrics {
-        system: Cow::Owned(format!("{}×{}shards", kind.name(), config.shards)),
-        throughput_tps: totals.committed as f64 / (wall_ns as f64 / 1e9),
-        latency_ms,
-        abort_rate: totals.abort_rate(),
-        cpu_utilization: work_ns as f64
-            / (config.shards as f64 * config.base.workers as f64 * wall_ns as f64),
-        stats: totals,
-        disk_reads: io.disk_reads,
-        disk_writes: io.disk_writes,
-        buffer_hit_rate: hit_rate(&io),
-        wall_ns,
-    })
+    let system = format!("{}×{}shards", kind.name(), config.shards);
+    drive(
+        Host::Group(group),
+        workload,
+        &config.base,
+        system.into(),
+        &mut |_| {},
+    )
 }
 
 #[cfg(test)]

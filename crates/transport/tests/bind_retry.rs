@@ -14,7 +14,6 @@ use harmony_chain::ChainConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
     ClusterConfig, ClusterWorkload, MempoolConfig, OrderingMode, ReplicaConfig, RetryPolicy,
-    SyncPolicy,
 };
 use harmony_sim::EngineKind;
 use harmony_storage::StorageConfig;
@@ -53,7 +52,6 @@ fn cluster() -> ClusterConfig {
         block_txns: 10,
         batch_interval_ns: 500_000,
         window: 4,
-        sync: SyncPolicy::default(),
         seed: 0xB19D,
         ..ClusterConfig::default()
     }

@@ -5,34 +5,30 @@
 //! cargo run --release --example banking
 //! ```
 
-use std::sync::Arc;
-
 use harmonybc::baselines::{EngineKind, EngineSpec};
-use harmonybc::common::{BlockId, DetRng};
-use harmonybc::core::executor::ExecBlock;
-use harmonybc::core::{BlockStats, HarmonyConfig, SnapshotStore};
-use harmonybc::storage::{StorageConfig, StorageEngine};
+use harmonybc::chain::{ChainConfig, OeChain};
+use harmonybc::common::DetRng;
+use harmonybc::core::{BlockStats, HarmonyConfig};
 use harmonybc::workloads::smallbank::{build_txn, Procedure};
 use harmonybc::workloads::{Smallbank, SmallbankConfig, Workload};
 
 fn run(kind: EngineKind) -> harmonybc::common::Result<BlockStats> {
-    let engine = Arc::new(StorageEngine::open(&StorageConfig::memory())?);
+    let mut chain = OeChain::open(ChainConfig::in_memory(), EngineSpec::flat(kind, 8))?;
     let mut bank = Smallbank::new(SmallbankConfig {
         accounts: 1_000,
         theta: 0.0,
         ..SmallbankConfig::default()
     });
-    bank.setup(&engine)?;
+    bank.setup(chain.engine())?;
     let (checking, savings) = bank.tables();
-    let store = Arc::new(SnapshotStore::new(engine));
-    let dcc = EngineSpec::flat(kind, 8).build(store);
+    let codec = bank.codec();
 
     // A payday storm: everyone deposits into a handful of hot merchant
     // accounts — single-statement read-modify-write UPDATEs, the shape
     // Harmony reorders and coalesces while Aria aborts on ww-conflicts.
     let mut rng = DetRng::new(2024);
     let mut totals = BlockStats::default();
-    for b in 1..=20u64 {
+    for _ in 0..20 {
         let txns = (0..30)
             .map(|_| {
                 let hot = rng.gen_range(5); // 5 hot merchant accounts
@@ -47,8 +43,8 @@ fn run(kind: EngineKind) -> harmonybc::common::Result<BlockStats> {
                 )
             })
             .collect();
-        let block = ExecBlock::new(BlockId(b), txns);
-        totals.absorb(&dcc.execute_block(&block)?.stats);
+        let (_, result) = chain.submit_block(txns, codec.as_ref())?;
+        totals.absorb(&result.stats);
     }
     println!(
         "{:>10}: {} committed, {} protocol aborts, abort rate {:.1}%",

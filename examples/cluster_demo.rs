@@ -14,7 +14,7 @@ use harmonybc::chain::ChainConfig;
 use harmonybc::crypto::CryptoCost;
 use harmonybc::node::{
     Cluster, ClusterConfig, ClusterWorkload, FaultEvent, FaultSchedule, MempoolConfig,
-    OrderingMode, ReplicaConfig, SyncPolicy,
+    OrderingMode, ReplicaConfig,
 };
 use harmonybc::storage::StorageConfig;
 use harmonybc::workloads::{OpenLoopConfig, SmallbankConfig};
@@ -62,7 +62,6 @@ fn main() {
         block_txns: 32,
         batch_interval_ns: 500_000,
         window: 4,
-        sync: SyncPolicy::default(),
         latency: harmonybc::consensus::net::LatencyModel::lan_1g(),
         metrics_every_ns: 5_000_000,
         seed: 0xDE30,
