@@ -4,8 +4,7 @@
 
 use harmony_bench::{all_systems, f2, measure_tuned, Table, WorkloadKind, BLOCK_SIZES};
 use harmony_consensus::net::LatencyModel;
-use harmony_dcc_baselines::Architecture;
-use harmony_sim::{ClusterModel, EngineKind};
+use harmony_sim::ClusterModel;
 
 fn main() {
     let mut t = Table::new(
@@ -20,12 +19,8 @@ fn main() {
     let workload = WorkloadKind::Smallbank { theta: 0.6 };
     for kind in all_systems() {
         let (size, db) = measure_tuned(kind, &workload, &BLOCK_SIZES).unwrap();
-        let arch = match kind {
-            EngineKind::Fabric | EngineKind::FastFabric => Architecture::Sov,
-            _ => Architecture::Oe,
-        };
         for replicas in [4usize, 20, 40, 60, 80] {
-            let m = model.compose(&db, arch, replicas, size as u64);
+            let m = model.compose(&db, kind.architecture(), replicas, size as u64);
             t.row(vec![
                 m.system.into(),
                 replicas.to_string(),

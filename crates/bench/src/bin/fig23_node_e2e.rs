@@ -22,7 +22,6 @@ use harmony_bench::{all_systems, f2, measure, results_dir, Table, WorkloadKind};
 use harmony_chain::ChainConfig;
 use harmony_consensus::net::LatencyModel;
 use harmony_crypto::CryptoCost;
-use harmony_dcc_baselines::Architecture;
 use harmony_node::{
     Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
     MempoolConfig, OrderingMode, ReplicaConfig,
@@ -139,10 +138,6 @@ fn main() {
             },
         )
         .unwrap();
-        let arch = match kind {
-            EngineKind::Fabric | EngineKind::FastFabric => Architecture::Sov,
-            _ => Architecture::Oe,
-        };
         for (ordering, model) in [
             (
                 OrderingMode::Kafka { brokers: 3 },
@@ -157,7 +152,7 @@ fn main() {
                 },
             ),
         ] {
-            let analytic = model.compose(&db, arch, REPLICAS, BLOCK_TXNS as u64);
+            let analytic = model.compose(&db, kind.architecture(), REPLICAS, BLOCK_TXNS as u64);
             let report = Cluster::new(cluster_config(
                 kind,
                 node_workload(&workload),

@@ -19,6 +19,8 @@
 //! Replica consistency is checked with [`oe::state_root`]: equal inputs ⇒
 //! equal roots on every replica, whatever the thread counts.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod block;
 pub mod commit;
 pub mod oe;

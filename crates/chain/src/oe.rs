@@ -13,6 +13,13 @@
 //!
 //! Recovery loads the newest checkpoint, verifies the hash chain of the
 //! persisted blocks, and re-executes everything after the checkpoint.
+//!
+//! The chain is the one guard of block order. Engines hold no block id and
+//! execute the block they are handed; the chain refuses a delivered block
+//! that does not follow its height (`InvalidArgument`, before anything is
+//! logged), and [`OeChain::verify_chain`] refuses a gap in the replayed
+//! log (`Corruption`). Apply and replay then share one step, so the
+//! engine is called from one place.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -138,7 +145,7 @@ impl OeChain {
     pub fn open(config: ChainConfig, spec: EngineSpec) -> Result<OeChain> {
         let engine = Arc::new(StorageEngine::open(&config.storage)?);
         let snapshots = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
-        let dcc = spec.build(Arc::clone(&snapshots));
+        let dcc = spec.build(Arc::clone(&snapshots), None);
         let keypair = KeyPair::derive(&config.provision, config.orderer_id, config.crypto);
         let verifier = Verifier::new(&config.provision, config.crypto);
         Ok(OeChain {
@@ -253,8 +260,10 @@ impl OeChain {
         self.apply_block_inner(sealed, txns?)
     }
 
-    /// Shared seal-consumption path: verify, log before execution, execute,
-    /// advance, checkpoint on period.
+    /// Shared seal-consumption path: refuse a block that is not next,
+    /// verify, log before execution, execute and advance, checkpoint on
+    /// period. The id check is the one guard of block order: engines
+    /// execute whatever block they are handed.
     fn apply_block_inner(
         &mut self,
         sealed: &ChainBlock,
@@ -272,15 +281,28 @@ impl OeChain {
         self.engine.block_log().append(&sealed.encode())?;
         self.engine.block_log().sync()?;
 
-        let result = self.dcc.execute_block(&ExecBlock { id, txns })?;
-        self.fold_commitment(id)?;
-        self.height = id;
-        self.last_hash = sealed.header.hash();
-        self.last_summary = result.summary.clone();
-
+        let result = self.execute_and_advance(sealed, txns)?;
         if id.0.is_multiple_of(self.config.checkpoint_every) {
             self.checkpoint()?;
         }
+        Ok(result)
+    }
+
+    /// Execute a verified block on the engine, fold its writes into the
+    /// commitment and advance height, hash and summary past it — the step
+    /// apply and recovery's replay share, and the one place the chain
+    /// calls its engine.
+    fn execute_and_advance(
+        &mut self,
+        block: &ChainBlock,
+        txns: Vec<Arc<dyn Contract>>,
+    ) -> Result<ProtocolBlockResult> {
+        let id = block.header.id;
+        let result = self.dcc.execute_block(&ExecBlock { id, txns })?;
+        self.fold_commitment(id)?;
+        self.height = id;
+        self.last_hash = block.header.hash();
+        self.last_summary = result.summary.clone();
         Ok(result)
     }
 
@@ -433,7 +455,7 @@ impl OeChain {
             self.base = (BlockId(0), Digest::ZERO);
             self.height = BlockId(0);
             self.last_hash = Digest::ZERO;
-            self.dcc = self.spec.build(Arc::clone(&self.snapshots));
+            self.dcc = self.spec.build(Arc::clone(&self.snapshots), None);
             return Ok(());
         };
         let mut checkpoint_hash = None;
@@ -470,12 +492,10 @@ impl OeChain {
         }
         *self.commitment.lock().expect("commitment lock") = Some(commitment);
 
-        // Re-create the DCC engine positioned after the checkpoint.
-        self.dcc = self.spec.build_at(
-            Arc::clone(&self.snapshots),
-            checkpoint.next(),
-            self.last_summary.clone(),
-        );
+        // Re-create the DCC engine on the checkpoint's Rule-3 summary.
+        self.dcc = self
+            .spec
+            .build(Arc::clone(&self.snapshots), self.last_summary.clone());
 
         // Verify and replay the logged blocks after the checkpoint.
         let blocks = self.verify_chain()?;
@@ -486,20 +506,10 @@ impl OeChain {
                 .rfind(|b| b.header.id <= checkpoint)
                 .map_or(self.base.1, |b| b.header.hash())
         });
-        for block in &blocks {
-            if block.header.id <= checkpoint {
-                continue;
-            }
+        for block in blocks.iter().filter(|b| b.header.id > checkpoint) {
             let txns: Result<Vec<Arc<dyn Contract>>> =
                 block.txns.iter().map(|b| codec.decode(b)).collect();
-            let result = self.dcc.execute_block(&ExecBlock {
-                id: block.header.id,
-                txns: txns?,
-            })?;
-            self.fold_commitment(block.header.id)?;
-            self.height = block.header.id;
-            self.last_hash = block.header.hash();
-            self.last_summary = result.summary.clone();
+            self.execute_and_advance(block, txns?)?;
         }
         Ok(())
     }
@@ -540,11 +550,9 @@ impl OeChain {
         // installed tables (and records its root in the sidecar).
         *self.commitment.lock().expect("commitment lock") = None;
         import_recent_undo(&self.snapshots, &snapshot.undo);
-        self.dcc = self.spec.build_at(
-            Arc::clone(&self.snapshots),
-            self.height.next(),
-            self.last_summary.clone(),
-        );
+        self.dcc = self
+            .spec
+            .build(Arc::clone(&self.snapshots), self.last_summary.clone());
         // Persist: the install point becomes this node's first checkpoint,
         // so a later crash recovers from here rather than from genesis.
         self.checkpoint()

@@ -1,10 +1,14 @@
 //! End-to-end chain properties: replica consistency, crash recovery by
 //! logical replay, and tamper detection.
 
-use harmony_chain::{ChainConfig, OeChain};
-use harmony_common::{BlockId, DetRng};
+use std::sync::Arc;
+
+use harmony_chain::{ChainBlock, ChainConfig, OeChain};
+use harmony_common::{BlockId, DetRng, Error};
 use harmony_core::HarmonyConfig;
+use harmony_crypto::KeyPair;
 use harmony_dcc_baselines::{EngineKind, EngineSpec};
+use harmony_txn::{Contract, ContractCodec};
 use harmony_workloads::{
     Smallbank, SmallbankCodec, SmallbankConfig, Workload, Ycsb, YcsbCodec, YcsbConfig,
 };
@@ -213,4 +217,57 @@ fn aria_as_chain_engine() {
         .submit_block(workload.next_block(&mut rng, 10), &codec)
         .unwrap();
     assert!(res.stats.committed > 0, "AriaBC runs on the same framework");
+}
+
+#[test]
+fn chain_refuses_a_block_that_is_not_next() {
+    // Engines hold no block id: the chain's id check is the one guard of
+    // block order, for every engine. Blocks sealed by the chain's own
+    // orderer on its own tip verify, so only the id can refuse them — and
+    // it must do so before the block is logged or executed.
+    for kind in EngineKind::ALL {
+        let config = ChainConfig::in_memory();
+        let orderer = KeyPair::derive(&config.provision, config.orderer_id, config.crypto);
+        let mut chain = OeChain::open(config, EngineSpec::flat(kind, 2)).unwrap();
+        let mut workload = Ycsb::new(YcsbConfig {
+            keys: 200,
+            ..YcsbConfig::default()
+        });
+        workload.setup(chain.engine()).unwrap();
+        let codec = YcsbCodec {
+            table: workload.table(),
+        };
+        let mut rng = DetRng::new(11);
+        for _ in 0..3 {
+            chain
+                .submit_block(workload.next_block(&mut rng, 10), &codec)
+                .unwrap();
+        }
+        let observe = |chain: &OeChain| {
+            (
+                chain.height(),
+                chain.last_hash(),
+                chain.state_root().unwrap(),
+                chain.engine().block_log().read_all().unwrap().len(),
+            )
+        };
+        let before = observe(&chain);
+        let tip = chain.height();
+        let txns: Vec<Arc<dyn Contract>> = workload.next_block(&mut rng, 10);
+        let seal = |id: BlockId| {
+            let encoded = txns.iter().map(|t| codec.encode(t.as_ref())).collect();
+            ChainBlock::seal(id, before.1, encoded, &orderer)
+        };
+        for id in [BlockId(tip.0 + 2), tip] {
+            let err = chain.apply_sealed_block(&seal(id), &codec).unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidArgument(_)),
+                "{}: block {id} on tip {tip}: {err}",
+                kind.name()
+            );
+            assert_eq!(observe(&chain), before, "{}: block {id}", kind.name());
+        }
+        chain.apply_sealed_block(&seal(tip.next()), &codec).unwrap();
+        assert_eq!(chain.height(), tip.next(), "{}", kind.name());
+    }
 }

@@ -86,7 +86,7 @@ fn check(kind: EngineKind, blocks: &[Vec<Vec<Op>>]) {
         engine.put(t, &k.to_be_bytes(), &k.to_le_bytes()).unwrap();
     }
     let store = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
-    let dcc = EngineSpec::flat(kind, 2).build(Arc::clone(&store));
+    let dcc = EngineSpec::flat(kind, 2).build(Arc::clone(&store), None);
     let mut commitment = StateCommitment::build(&engine).unwrap();
     for (b, txns) in blocks.iter().enumerate() {
         let id = BlockId(b as u64 + 1);

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use harmony_common::error::AbortReason;
 use harmony_common::{vtime, BlockId, Result, TxnId};
-use harmony_txn::{Contract, Key, RangePredicate, RwSet, TxnCtx};
+use harmony_txn::{simulate, Contract, Key, RangePredicate, RwSet};
 
 use crate::config::HarmonyConfig;
 use crate::meta::TxnMeta;
@@ -188,27 +188,14 @@ impl BlockExecutor {
             self.config.workers,
             || (self.store.view_at(snapshot), RegisterScratch::default()),
             |(view, scratch), i| {
-                let (outcome, sim_ns) = vtime::scope(|| {
-                    vtime::charge(block.txns[i].think_time_ns());
-                    let mut ctx = TxnCtx::new(&*view);
-                    match block.txns[i].execute(&mut ctx) {
-                        Ok(()) => Ok(ctx.into_rwset()),
-                        Err(user) => Err(user),
-                    }
-                });
-                if let Ok(rwset) = &outcome {
+                let sim = simulate(block.txns[i].as_ref(), &*view);
+                if let Some(rwset) = &sim.0 {
                     table.register_with(i as u32, rwset, scratch);
                 }
-                (outcome, sim_ns)
+                sim
             },
         );
-
-        let mut rwsets = Vec::with_capacity(n);
-        let mut sim_ns = Vec::with_capacity(n);
-        for (outcome, ns) in sims {
-            sim_ns.push(ns);
-            rwsets.push(outcome.ok());
-        }
+        let (rwsets, sim_ns) = sims.into_iter().unzip();
         table.fire_rw_events(&metas);
         SimOutput {
             snapshot,
@@ -382,23 +369,20 @@ impl BlockExecutor {
         }
 
         // ── Stats & results ────────────────────────────────────────────
-        let mut stats = BlockStats {
-            txns: n,
+        let stats = BlockStats {
             apply_noop_commands: noop_total,
-            sim_ns_total: sim_ns.iter().sum(),
-            commit_ns_total: commit_ns.iter().sum(),
-            ..BlockStats::default()
+            ..BlockStats::tally(&outcomes, &sim_ns, &commit_ns)
         };
-        let mut results = Vec::with_capacity(n);
-        for (i, outcome) in outcomes.iter().enumerate() {
-            stats.count(*outcome);
-            results.push(TxnResult {
+        let results = outcomes
+            .iter()
+            .enumerate()
+            .map(|(i, outcome)| TxnResult {
                 tid: TxnId::new(block.id, i as u32),
                 outcome: *outcome,
                 sim_ns: sim_ns[i],
                 commit_ns: commit_ns[i],
-            });
-        }
+            })
+            .collect();
         Ok(BlockResult {
             block: block.id,
             results,

@@ -22,6 +22,8 @@
 //! The protocol toggles (`update_reordering`, `update_coalescence`,
 //! `inter_block_parallelism`) reproduce the paper's ablation (Figure 20).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod config;
 pub mod executor;
 pub mod meta;

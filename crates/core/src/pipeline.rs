@@ -6,6 +6,12 @@
 //! deterministic). The overlap here is real — two thread teams — while the
 //! virtual-time scheduler in `harmony-sim` models the same overlap for the
 //! throughput figures.
+//!
+//! The pipeline does not number blocks: it executes the block it is
+//! handed. Which block is next is the host's decision — `OeChain` refuses
+//! one that does not follow its height — and
+//! [`ChainPipeline::run_blocks`] only checks that its own slice is
+//! consecutive.
 
 use std::sync::Arc;
 
@@ -29,48 +35,32 @@ pub struct PipelineReport {
 pub struct ChainPipeline {
     executor: BlockExecutor,
     prev_summary: Option<BlockSummary>,
-    next_block: BlockId,
 }
 
 impl ChainPipeline {
-    /// New pipeline starting at block 1 over the given store.
+    /// New pipeline over the given store, before its first block.
     #[must_use]
     pub fn new(store: Arc<SnapshotStore>, config: HarmonyConfig) -> ChainPipeline {
-        ChainPipeline::starting_at(store, config, BlockId(1), None)
+        ChainPipeline::starting_at(store, config, None)
     }
 
-    /// Resume a pipeline at an arbitrary block (recovery). `prev_summary`
-    /// must be the summary the immediately preceding block produced in the
-    /// original execution, so Rule 3 replays identically.
+    /// Resume a pipeline after a block (recovery). `prev_summary` must be
+    /// the summary that block produced in the original execution, so
+    /// Rule 3 replays identically.
     #[must_use]
     pub fn starting_at(
         store: Arc<SnapshotStore>,
         config: HarmonyConfig,
-        next_block: BlockId,
-        prev_summary: Option<crate::executor::BlockSummary>,
+        prev_summary: Option<BlockSummary>,
     ) -> ChainPipeline {
         ChainPipeline {
             executor: BlockExecutor::new(store, config),
             prev_summary,
-            next_block,
         }
-    }
-
-    /// The executor (for snapshot/config access).
-    #[must_use]
-    pub fn executor(&self) -> &BlockExecutor {
-        &self.executor
-    }
-
-    /// Id the next submitted block must carry.
-    #[must_use]
-    pub fn next_block(&self) -> BlockId {
-        self.next_block
     }
 
     /// Execute one block (no overlap with a previous call).
     pub fn execute_one(&mut self, block: &ExecBlock) -> Result<BlockResult> {
-        assert_eq!(block.id, self.next_block, "blocks must be consecutive");
         let ibp = self.executor.config().inter_block_parallelism;
         let prev = if ibp {
             self.prev_summary.as_ref()
@@ -90,7 +80,6 @@ impl ChainPipeline {
             .store()
             .gc(BlockId(result.block.0.saturating_sub(1)));
         self.prev_summary = Some(result.summary.clone());
-        self.next_block = result.block.next();
     }
 
     /// Execute a batch of consecutive blocks. Under inter-block
@@ -112,7 +101,6 @@ impl ChainPipeline {
         }
 
         // Pipelined: sim(i+1) ∥ commit(i).
-        assert_eq!(blocks[0].id, self.next_block, "blocks must be consecutive");
         for w in blocks.windows(2) {
             assert_eq!(w[0].id.next(), w[1].id, "blocks must be consecutive");
         }

@@ -102,11 +102,28 @@ impl BlockStats {
         ]
     }
 
+    /// The counters of one executed block: its size, each outcome counted
+    /// by cause, and the two virtual-time totals. Every engine and the
+    /// sharded planner assemble their stats here.
+    #[must_use]
+    pub fn tally(outcomes: &[TxnOutcome], sim_ns: &[u64], commit_ns: &[u64]) -> BlockStats {
+        let mut stats = BlockStats {
+            txns: outcomes.len(),
+            sim_ns_total: sim_ns.iter().sum(),
+            commit_ns_total: commit_ns.iter().sum(),
+            ..BlockStats::default()
+        };
+        for o in outcomes {
+            stats.count(*o);
+        }
+        stats
+    }
+
     /// Count one transaction's outcome in the counter of its cause (`txns`
     /// is the block's size and is not touched). The one mapping from
     /// outcome to counter, exhaustive over [`AbortReason`]: a new reason
     /// cannot be forgotten by one engine.
-    pub fn count(&mut self, outcome: TxnOutcome) {
+    fn count(&mut self, outcome: TxnOutcome) {
         let counter = match outcome {
             TxnOutcome::Committed => &mut self.committed,
             TxnOutcome::Aborted(reason) => match reason {

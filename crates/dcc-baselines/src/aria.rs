@@ -22,12 +22,11 @@ use harmony_common::error::AbortReason;
 use harmony_common::{vtime, BlockId, Result, TxnId};
 use harmony_core::executor::{ExecBlock, TxnOutcome};
 use harmony_core::par::run_indexed;
-use harmony_core::{BlockStats, SnapshotStore};
+use harmony_core::SnapshotStore;
 use harmony_txn::Key;
-use parking_lot::Mutex;
 
 use crate::protocol::{
-    eval_writes, install_writes, simulate_block, Architecture, DccEngine, ProtocolBlockResult,
+    eval_writes, install_writes, simulate_block, DccEngine, ProtocolBlockResult,
 };
 
 /// Aria configuration.
@@ -53,24 +52,13 @@ impl Default for AriaConfig {
 pub struct Aria {
     store: Arc<SnapshotStore>,
     config: AriaConfig,
-    next_block: Mutex<BlockId>,
 }
 
 impl Aria {
-    /// New engine starting at block 1.
+    /// New engine over `store`.
     #[must_use]
     pub fn new(store: Arc<SnapshotStore>, config: AriaConfig) -> Aria {
-        Aria::starting_at(store, config, BlockId(1))
-    }
-
-    /// Resume at an arbitrary block (recovery).
-    #[must_use]
-    pub fn starting_at(store: Arc<SnapshotStore>, config: AriaConfig, next: BlockId) -> Aria {
-        Aria {
-            store,
-            config,
-            next_block: Mutex::new(next),
-        }
+        Aria { store, config }
     }
 }
 
@@ -79,24 +67,11 @@ impl DccEngine for Aria {
         "AriaBC"
     }
 
-    fn architecture(&self) -> Architecture {
-        Architecture::Oe
-    }
-
     fn commit_is_serial(&self) -> bool {
         false
     }
 
-    fn store(&self) -> &Arc<SnapshotStore> {
-        &self.store
-    }
-
     fn execute_block(&self, block: &ExecBlock) -> Result<ProtocolBlockResult> {
-        {
-            let mut next = self.next_block.lock();
-            assert_eq!(block.id, *next, "blocks must be consecutive");
-            *next = next.next();
-        }
         let snapshot = BlockId(block.id.0 - 1);
         let n = block.txns.len();
         let (rwsets, sim_ns) = simulate_block(&self.store, snapshot, block, self.config.workers);
@@ -176,25 +151,9 @@ impl DccEngine for Aria {
         }
 
         self.store.gc(snapshot);
-        let mut stats = BlockStats {
-            txns: n,
-            sim_ns_total: sim_ns.iter().sum(),
-            commit_ns_total: commit_ns.iter().sum(),
-            ..BlockStats::default()
-        };
-        for o in &outcomes {
-            stats.count(*o);
-        }
-        Ok(ProtocolBlockResult {
-            block: block.id,
-            outcomes,
-            rwsets,
-            stats,
-            sim_ns,
-            commit_ns,
-            orderer_ns: 0,
-            summary: None,
-        })
+        Ok(ProtocolBlockResult::new(
+            block.id, outcomes, rwsets, sim_ns, commit_ns, 0,
+        ))
     }
 }
 
@@ -309,13 +268,5 @@ mod tests {
             aria.execute_block(&block).unwrap();
         }
         assert_eq!(read_i64(&store, t, 0), Some(102));
-    }
-
-    #[test]
-    #[should_panic(expected = "consecutive")]
-    fn out_of_order_blocks_panic() {
-        let (aria, t, _) = engine(true);
-        let block = ExecBlock::new(BlockId(5), vec![read_add_txn(t, vec![], vec![0])]);
-        let _ = aria.execute_block(&block);
     }
 }

@@ -1,8 +1,11 @@
 //! Naming an engine and building it: [`EngineKind`] selects one of the
-//! paper's five systems, [`EngineSpec`] adds the worker count and the
-//! profile, and [`EngineSpec::build_at`] is the one place an engine is
-//! constructed — at chain open, crash recovery, snapshot install, and by
-//! the experiment drivers.
+//! paper's five systems (and names its [`Architecture`]), [`EngineSpec`]
+//! adds the worker count and the profile, and [`EngineSpec::build`] is the
+//! one place an engine is constructed. Its only non-test caller is the
+//! chain that hosts the engine — at open, after a crash or a total loss,
+//! and at snapshot install — so the experiment drivers, the replicas and
+//! the examples name an engine and open a chain. No engine takes a block
+//! id: the chain decides which block is next.
 //!
 //! # The sharded profile
 //!
@@ -33,13 +36,12 @@
 use std::str::FromStr;
 use std::sync::Arc;
 
-use harmony_common::BlockId;
 use harmony_core::executor::BlockSummary;
 use harmony_core::{HarmonyConfig, SnapshotStore};
 
 use crate::{
-    Aria, AriaConfig, DccEngine, Fabric, FabricConfig, FastFabric, FastFabricConfig, HarmonyEngine,
-    Rbc,
+    Architecture, Aria, AriaConfig, DccEngine, Fabric, FabricConfig, FastFabric, FastFabricConfig,
+    HarmonyEngine, Rbc,
 };
 
 /// Which engine to instantiate (the paper's five systems).
@@ -77,6 +79,16 @@ impl EngineKind {
             EngineKind::Rbc => "RBC",
             EngineKind::Fabric => "Fabric",
             EngineKind::FastFabric => "FastFabric#",
+        }
+    }
+
+    /// The architecture the cluster network model prices: the Fabric
+    /// family simulates, orders, validates; the rest order, then execute.
+    #[must_use]
+    pub fn architecture(&self) -> Architecture {
+        match self {
+            EngineKind::Fabric | EngineKind::FastFabric => Architecture::Sov,
+            _ => Architecture::Oe,
         }
     }
 }
@@ -151,22 +163,15 @@ impl EngineSpec {
         }
     }
 
-    /// Instantiate over a fresh store, starting at block 1.
+    /// Instantiate over `store`. `prev_summary` is the Rule-3 summary of
+    /// the block the chain stands on (`None` on a fresh chain): it seeds
+    /// Harmony's inter-block validation after recovery or state-sync. The
+    /// other engines' rules are per-block, and Harmony without inter-block
+    /// parallelism (the sharded profile) never consults it.
     #[must_use]
-    pub fn build(&self, store: Arc<SnapshotStore>) -> Arc<dyn DccEngine> {
-        self.build_at(store, BlockId(1), None)
-    }
-
-    /// Instantiate positioned at an arbitrary next block — also the
-    /// recovery / state-sync entry point. `prev_summary` seeds Harmony's
-    /// Rule-3 inter-block validation; the other engines' rules are
-    /// per-block and Harmony without inter-block parallelism (the sharded
-    /// profile) never consults it.
-    #[must_use]
-    pub fn build_at(
+    pub fn build(
         &self,
         store: Arc<SnapshotStore>,
-        next_block: BlockId,
         prev_summary: Option<BlockSummary>,
     ) -> Arc<dyn DccEngine> {
         let workers = self.workers;
@@ -186,26 +191,23 @@ impl EngineSpec {
                     inter_block_parallelism: config.inter_block_parallelism && !self.sharded,
                     ..config
                 },
-                next_block,
                 prev_summary,
             )),
-            EngineKind::Aria => Arc::new(Aria::starting_at(
+            EngineKind::Aria => Arc::new(Aria::new(
                 store,
                 AriaConfig {
                     workers,
                     reordering: true,
                 },
-                next_block,
             )),
-            EngineKind::Rbc => Arc::new(Rbc::starting_at(store, workers, next_block)),
-            EngineKind::Fabric => Arc::new(Fabric::starting_at(store, sov, next_block)),
-            EngineKind::FastFabric => Arc::new(FastFabric::starting_at(
+            EngineKind::Rbc => Arc::new(Rbc::new(store, workers)),
+            EngineKind::Fabric => Arc::new(Fabric::new(store, sov)),
+            EngineKind::FastFabric => Arc::new(FastFabric::new(
                 store,
                 FastFabricConfig {
                     fabric: sov,
                     ..FastFabricConfig::default()
                 },
-                next_block,
             )),
         }
     }
@@ -277,7 +279,7 @@ mod tests {
         for kind in EngineKind::ALL {
             for spec in [EngineSpec::flat(kind, 2), EngineSpec::sharded(kind, 2)] {
                 let engine = Arc::new(StorageEngine::open(&StorageConfig::memory()).unwrap());
-                let dcc = spec.build(Arc::new(SnapshotStore::new(engine)));
+                let dcc = spec.build(Arc::new(SnapshotStore::new(engine)), None);
                 assert_eq!(dcc.name(), kind.name());
             }
         }
@@ -290,9 +292,16 @@ mod tests {
             Arc::new(SnapshotStore::new(engine))
         };
         let kind = EngineKind::Harmony(HarmonyConfig::FULL);
-        assert_eq!(EngineSpec::flat(kind, 2).build(store()).pipeline_depth(), 2);
         assert_eq!(
-            EngineSpec::sharded(kind, 2).build(store()).pipeline_depth(),
+            EngineSpec::flat(kind, 2)
+                .build(store(), None)
+                .pipeline_depth(),
+            2
+        );
+        assert_eq!(
+            EngineSpec::sharded(kind, 2)
+                .build(store(), None)
+                .pipeline_depth(),
             1
         );
     }

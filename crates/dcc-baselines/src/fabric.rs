@@ -28,11 +28,10 @@ use harmony_common::error::AbortReason;
 use harmony_common::{vtime, BlockId, DetRng, Result, TxnId};
 use harmony_core::executor::{ExecBlock, TxnOutcome};
 use harmony_core::par::run_indexed;
-use harmony_core::{BlockStats, SnapshotStore};
-use harmony_txn::{Key, RwSet, TxnCtx, Value};
-use parking_lot::Mutex;
+use harmony_core::SnapshotStore;
+use harmony_txn::{simulate, Key, RwSet};
 
-use crate::protocol::{install_writes, Architecture, DccEngine, ProtocolBlockResult};
+use crate::protocol::{eval_writes, install_writes, DccEngine, ProtocolBlockResult};
 
 /// Fabric configuration.
 #[derive(Clone, Copy, Debug)]
@@ -98,15 +97,7 @@ pub(crate) fn endorse_block(
         let snap_primary = BlockId(base.saturating_sub(lag_primary));
         let snap_secondary = BlockId(base.saturating_sub(lag_secondary));
 
-        let view = store.view_at(snap_primary);
-        let (rwset, sim_ns) = vtime::scope(|| {
-            vtime::charge(block.txns[i].think_time_ns());
-            let mut ctx = TxnCtx::new(&view);
-            match block.txns[i].execute(&mut ctx) {
-                Ok(()) => Some(ctx.into_rwset()),
-                Err(_) => None,
-            }
-        });
+        let (rwset, sim_ns) = simulate(block.txns[i].as_ref(), &store.view_at(snap_primary));
         // Divergence check: would the secondary endorser have observed
         // different versions for any key the primary read?
         let mismatch = rwset.as_ref().is_some_and(|rw| {
@@ -125,45 +116,27 @@ pub(crate) fn endorse_block(
     })
 }
 
-/// Evaluate the writes of an endorsed transaction against its endorsement
-/// snapshot (the values Fabric ships in the write-set).
-pub(crate) fn endorsed_writes(
-    store: &SnapshotStore,
-    endorsement_snapshot: BlockId,
-    rwset: &RwSet,
-) -> Result<Vec<(Key, Option<Value>)>> {
-    crate::protocol::eval_writes(store, endorsement_snapshot, rwset)
-}
-
 /// The Fabric engine.
 pub struct Fabric {
     store: Arc<SnapshotStore>,
     config: FabricConfig,
-    next_block: Mutex<BlockId>,
 }
 
 impl Fabric {
-    /// New engine starting at block 1.
+    /// New engine over `store`.
     #[must_use]
     pub fn new(store: Arc<SnapshotStore>, config: FabricConfig) -> Fabric {
-        Fabric::starting_at(store, config, BlockId(1))
+        Fabric { store, config }
     }
 
-    /// Resume at an arbitrary block (recovery).
-    #[must_use]
-    pub fn starting_at(store: Arc<SnapshotStore>, config: FabricConfig, next: BlockId) -> Fabric {
-        Fabric {
-            store,
-            config,
-            next_block: Mutex::new(next),
-        }
-    }
-
-    pub(crate) fn gc_horizon(&self, block: BlockId) -> BlockId {
+    /// Oldest snapshot an SOV engine under `config` can still read once
+    /// `block` has executed: endorsement ran `validation_delay` blocks
+    /// back, on an endorser up to `max_lag` blocks further behind.
+    pub(crate) fn gc_horizon(config: &FabricConfig, block: BlockId) -> BlockId {
         BlockId(
             block
                 .0
-                .saturating_sub(2 + self.config.validation_delay + self.config.max_lag),
+                .saturating_sub(2 + config.validation_delay + config.max_lag),
         )
     }
 }
@@ -173,24 +146,11 @@ impl DccEngine for Fabric {
         "Fabric"
     }
 
-    fn architecture(&self) -> Architecture {
-        Architecture::Sov
-    }
-
     fn commit_is_serial(&self) -> bool {
         true
     }
 
-    fn store(&self) -> &Arc<SnapshotStore> {
-        &self.store
-    }
-
     fn execute_block(&self, block: &ExecBlock) -> Result<ProtocolBlockResult> {
-        {
-            let mut next = self.next_block.lock();
-            assert_eq!(block.id, *next, "blocks must be consecutive");
-            *next = next.next();
-        }
         let n = block.txns.len();
         let latest = BlockId(block.id.0 - 1);
         let endorsements = endorse_block(&self.store, block, &self.config);
@@ -201,10 +161,6 @@ impl DccEngine for Fabric {
         let mut written_this_block: HashSet<Key> = HashSet::new();
         let mut outcomes = Vec::with_capacity(n);
         let mut commit_ns = vec![0u64; n];
-        let mut stats = BlockStats {
-            txns: n,
-            ..BlockStats::default()
-        };
         for (i, e) in endorsements.iter().enumerate() {
             let Some(rwset) = &e.rwset else {
                 outcomes.push(TxnOutcome::Aborted(AbortReason::UserAbort));
@@ -227,7 +183,7 @@ impl DccEngine for Fabric {
                 if stale {
                     return Ok(TxnOutcome::Aborted(AbortReason::StaleRead));
                 }
-                let writes = endorsed_writes(&self.store, e.endorse_snapshot, rwset)?;
+                let writes = eval_writes(&self.store, e.endorse_snapshot, rwset)?;
                 install_writes(&self.store, block.id, tid, &writes, &mut written_this_block)?;
                 for (key, _) in &writes {
                     in_block_version.insert(key.clone(), tid);
@@ -238,27 +194,14 @@ impl DccEngine for Fabric {
             commit_ns[i] = ns;
             outcomes.push(outcome);
         }
-        for o in &outcomes {
-            stats.count(*o);
-        }
-
-        self.store.gc(self.gc_horizon(block.id));
-        let (rwsets, sim_ns): (Vec<_>, Vec<_>) = endorsements
+        self.store.gc(Fabric::gc_horizon(&self.config, block.id));
+        let (rwsets, sim_ns) = endorsements
             .into_iter()
             .map(|e| (e.rwset, e.sim_ns))
             .unzip();
-        stats.sim_ns_total = sim_ns.iter().sum();
-        stats.commit_ns_total = commit_ns.iter().sum();
-        Ok(ProtocolBlockResult {
-            block: block.id,
-            outcomes,
-            rwsets,
-            stats,
-            sim_ns,
-            commit_ns,
-            orderer_ns: 0,
-            summary: None,
-        })
+        Ok(ProtocolBlockResult::new(
+            block.id, outcomes, rwsets, sim_ns, commit_ns, 0,
+        ))
     }
 }
 

@@ -18,12 +18,11 @@ use std::sync::Arc;
 use harmony_common::error::AbortReason;
 use harmony_common::{vtime, BlockId, Result, TxnId};
 use harmony_core::executor::{ExecBlock, TxnOutcome};
-use harmony_core::{BlockStats, SnapshotStore};
+use harmony_core::SnapshotStore;
 use harmony_txn::Key;
-use parking_lot::Mutex;
 
-use crate::fabric::{endorse_block, endorsed_writes, FabricConfig};
-use crate::protocol::{install_writes, Architecture, DccEngine, ProtocolBlockResult};
+use crate::fabric::{endorse_block, Fabric, FabricConfig};
+use crate::protocol::{eval_writes, install_writes, DccEngine, ProtocolBlockResult};
 
 /// FastFabric# configuration.
 #[derive(Clone, Copy, Debug)]
@@ -46,33 +45,18 @@ impl Default for FastFabricConfig {
     }
 }
 
-/// The FastFabric# engine.
+/// The FastFabric# engine. The dependency graph is per-block, so it keeps
+/// no state across blocks.
 pub struct FastFabric {
     store: Arc<SnapshotStore>,
     config: FastFabricConfig,
-    next_block: Mutex<BlockId>,
 }
 
 impl FastFabric {
-    /// New engine starting at block 1.
+    /// New engine over `store`.
     #[must_use]
     pub fn new(store: Arc<SnapshotStore>, config: FastFabricConfig) -> FastFabric {
-        FastFabric::starting_at(store, config, BlockId(1))
-    }
-
-    /// Resume at an arbitrary block (recovery). The dependency graph is
-    /// per-block, so no cross-block state needs reseeding.
-    #[must_use]
-    pub fn starting_at(
-        store: Arc<SnapshotStore>,
-        config: FastFabricConfig,
-        next: BlockId,
-    ) -> FastFabric {
-        FastFabric {
-            store,
-            config,
-            next_block: Mutex::new(next),
-        }
+        FastFabric { store, config }
     }
 }
 
@@ -128,24 +112,11 @@ impl DccEngine for FastFabric {
         "FastFabric#"
     }
 
-    fn architecture(&self) -> Architecture {
-        Architecture::Sov
-    }
-
     fn commit_is_serial(&self) -> bool {
         true
     }
 
-    fn store(&self) -> &Arc<SnapshotStore> {
-        &self.store
-    }
-
     fn execute_block(&self, block: &ExecBlock) -> Result<ProtocolBlockResult> {
-        {
-            let mut next = self.next_block.lock();
-            assert_eq!(block.id, *next, "blocks must be consecutive");
-            *next = next.next();
-        }
         let n = block.txns.len();
         let latest = BlockId(block.id.0 - 1);
         let endorsements = endorse_block(&self.store, block, &self.config.fabric);
@@ -239,40 +210,22 @@ impl DccEngine for FastFabric {
             let rwset = e.rwset.as_ref().expect("admitted implies rwset");
             let tid = TxnId::new(block.id, idx).0;
             let (res, ns) = vtime::scope(|| -> Result<()> {
-                let writes = endorsed_writes(&self.store, e.endorse_snapshot, rwset)?;
+                let writes = eval_writes(&self.store, e.endorse_snapshot, rwset)?;
                 install_writes(&self.store, block.id, tid, &writes, &mut written_this_block)
             });
             res?;
             commit_ns[i] = ns;
         }
 
-        self.store.gc(BlockId(block.id.0.saturating_sub(
-            2 + self.config.fabric.validation_delay + self.config.fabric.max_lag,
-        )));
-
-        let (rwsets, sim_ns): (Vec<_>, Vec<_>) = endorsements
+        self.store
+            .gc(Fabric::gc_horizon(&self.config.fabric, block.id));
+        let (rwsets, sim_ns) = endorsements
             .into_iter()
             .map(|e| (e.rwset, e.sim_ns))
             .unzip();
-        let mut stats = BlockStats {
-            txns: n,
-            sim_ns_total: sim_ns.iter().sum(),
-            commit_ns_total: commit_ns.iter().sum(),
-            ..BlockStats::default()
-        };
-        for o in &outcomes {
-            stats.count(*o);
-        }
-        Ok(ProtocolBlockResult {
-            block: block.id,
-            outcomes,
-            rwsets,
-            stats,
-            sim_ns,
-            commit_ns,
-            orderer_ns,
-            summary: None,
-        })
+        Ok(ProtocolBlockResult::new(
+            block.id, outcomes, rwsets, sim_ns, commit_ns, orderer_ns,
+        ))
     }
 }
 

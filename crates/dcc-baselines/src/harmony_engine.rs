@@ -4,65 +4,43 @@
 use std::sync::Arc;
 
 use harmony_common::Result;
-use harmony_core::executor::ExecBlock;
+use harmony_core::executor::{BlockSummary, ExecBlock};
 use harmony_core::{ChainPipeline, HarmonyConfig, SnapshotStore};
 use parking_lot::Mutex;
 
-use crate::protocol::{Architecture, DccEngine, ProtocolBlockResult};
+use crate::protocol::{DccEngine, ProtocolBlockResult};
 
 /// Harmony as a [`DccEngine`].
 pub struct HarmonyEngine {
-    store: Arc<SnapshotStore>,
     pipeline: Mutex<ChainPipeline>,
     config: HarmonyConfig,
 }
 
 impl HarmonyEngine {
-    /// New engine starting at block 1.
+    /// New engine over `store`, before its first block.
     #[must_use]
     pub fn new(store: Arc<SnapshotStore>, config: HarmonyConfig) -> HarmonyEngine {
-        HarmonyEngine {
-            pipeline: Mutex::new(ChainPipeline::new(Arc::clone(&store), config)),
-            store,
-            config,
-        }
+        HarmonyEngine::starting_at(store, config, None)
     }
 
-    /// Resume at an arbitrary block (recovery), optionally seeding the
-    /// previous block's summary for Rule 3 continuity.
+    /// Resume after a block (recovery), seeding that block's summary for
+    /// Rule 3 continuity.
     #[must_use]
     pub fn starting_at(
         store: Arc<SnapshotStore>,
         config: HarmonyConfig,
-        next_block: harmony_common::BlockId,
-        prev_summary: Option<harmony_core::executor::BlockSummary>,
+        prev_summary: Option<BlockSummary>,
     ) -> HarmonyEngine {
         HarmonyEngine {
-            pipeline: Mutex::new(ChainPipeline::starting_at(
-                Arc::clone(&store),
-                config,
-                next_block,
-                prev_summary,
-            )),
-            store,
+            pipeline: Mutex::new(ChainPipeline::starting_at(store, config, prev_summary)),
             config,
         }
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> HarmonyConfig {
-        self.config
     }
 }
 
 impl DccEngine for HarmonyEngine {
     fn name(&self) -> &'static str {
         "HarmonyBC"
-    }
-
-    fn architecture(&self) -> Architecture {
-        Architecture::Oe
     }
 
     fn commit_is_serial(&self) -> bool {
@@ -75,10 +53,6 @@ impl DccEngine for HarmonyEngine {
         } else {
             1
         }
-    }
-
-    fn store(&self) -> &Arc<SnapshotStore> {
-        &self.store
     }
 
     fn execute_block(&self, block: &ExecBlock) -> Result<ProtocolBlockResult> {

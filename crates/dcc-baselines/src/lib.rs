@@ -1,7 +1,12 @@
 //! Baseline DCC protocols the paper evaluates HarmonyBC against.
 //!
 //! Every protocol implements [`DccEngine`] over the same snapshot store and
-//! block format as Harmony, so the benchmark harness drives them uniformly:
+//! block format as Harmony, and all five share one block path
+//! ([`protocol`]): each transaction is simulated against a snapshot by
+//! [`harmony_txn::simulate`], a protocol-specific rule decides which
+//! read-write sets commit and how they are applied, and the counters are
+//! tallied once by [`harmony_core::BlockStats::tally`]. No engine numbers
+//! blocks: the chain hosting it refuses a block that is not next.
 //!
 //! * [`aria`] — **AriaBC**: Aria's reservation-based ODCC (abort on
 //!   ww-dependency; with the deterministic-reordering optimization, commit
@@ -18,8 +23,10 @@
 //!   [`DccEngine`] interface.
 //!
 //! [`engines`] names the five and builds them: one selector
-//! ([`EngineKind`]), one constructor ([`EngineSpec::build_at`]) for the
+//! ([`EngineKind`]), one constructor ([`EngineSpec::build`]) for the
 //! flat and the sharded profile.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod aria;
 pub mod engines;

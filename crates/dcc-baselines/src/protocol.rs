@@ -1,12 +1,20 @@
-//! The uniform protocol interface and shared simulation machinery.
+//! The uniform protocol interface and the block path the five engines
+//! share.
+//!
+//! Every engine runs a block the same way: simulate each transaction
+//! against a snapshot through [`harmony_txn::simulate`] ([`simulate_block`]
+//! for the order-execute baselines), decide which read-write sets commit,
+//! apply them, and return a [`ProtocolBlockResult`] whose counters come
+//! from [`BlockStats::tally`]. The engines differ only in the decision
+//! rule and in how the committed sets are applied. None of them numbers
+//! blocks: an engine executes the block it is handed, and the chain that
+//! hosts it is the one guard that the block follows the last.
 
-use std::sync::Arc;
-
-use harmony_common::{vtime, BlockId, Result};
+use harmony_common::{BlockId, Result};
 use harmony_core::executor::{ExecBlock, TxnOutcome};
 use harmony_core::par::run_indexed;
 use harmony_core::{BlockStats, SnapshotStore};
-use harmony_txn::{Key, RwSet, TxnCtx, Value};
+use harmony_txn::{simulate, Key, RwSet, Value};
 
 /// Blockchain architecture (Table 1 of the paper). Drives the cluster
 /// performance model: SOV ships read-write sets and needs client round
@@ -42,13 +50,35 @@ pub struct ProtocolBlockResult {
     pub summary: Option<harmony_core::executor::BlockSummary>,
 }
 
+impl ProtocolBlockResult {
+    /// A baseline's result: the counters are tallied from `outcomes` and
+    /// the per-transaction costs, and there is no Rule-3 summary.
+    #[must_use]
+    pub fn new(
+        block: BlockId,
+        outcomes: Vec<TxnOutcome>,
+        rwsets: Vec<Option<RwSet>>,
+        sim_ns: Vec<u64>,
+        commit_ns: Vec<u64>,
+        orderer_ns: u64,
+    ) -> ProtocolBlockResult {
+        ProtocolBlockResult {
+            block,
+            stats: BlockStats::tally(&outcomes, &sim_ns, &commit_ns),
+            outcomes,
+            rwsets,
+            sim_ns,
+            commit_ns,
+            orderer_ns,
+            summary: None,
+        }
+    }
+}
+
 /// A deterministic concurrency control engine executing whole blocks.
 pub trait DccEngine: Send + Sync {
     /// Display name (matches the paper's system names).
     fn name(&self) -> &'static str;
-
-    /// Architecture for the cluster network model.
-    fn architecture(&self) -> Architecture;
 
     /// Whether the commit step processes transactions one-by-one.
     fn commit_is_serial(&self) -> bool;
@@ -59,11 +89,9 @@ pub trait DccEngine: Send + Sync {
         1
     }
 
-    /// Execute the next block. Blocks must be fed in consecutive order.
+    /// Execute `block`. The host feeds blocks in consecutive order; the
+    /// engine does not check it.
     fn execute_block(&self, block: &ExecBlock) -> Result<ProtocolBlockResult>;
-
-    /// The snapshot store this engine runs over.
-    fn store(&self) -> &Arc<SnapshotStore>;
 }
 
 /// Shared simulation step: run every transaction against `snapshot` in
@@ -75,19 +103,11 @@ pub fn simulate_block(
     block: &ExecBlock,
     workers: usize,
 ) -> (Vec<Option<RwSet>>, Vec<u64>) {
-    let n = block.txns.len();
-    let sims = run_indexed(n, workers, |i| {
-        let view = store.view_at(snapshot);
-        vtime::scope(|| {
-            vtime::charge(block.txns[i].think_time_ns());
-            let mut ctx = TxnCtx::new(&view);
-            match block.txns[i].execute(&mut ctx) {
-                Ok(()) => Some(ctx.into_rwset()),
-                Err(_) => None,
-            }
-        })
-    });
-    sims.into_iter().unzip()
+    run_indexed(block.txns.len(), workers, |i| {
+        simulate(block.txns[i].as_ref(), &store.view_at(snapshot))
+    })
+    .into_iter()
+    .unzip()
 }
 
 /// Evaluate a transaction's write set into concrete values against
@@ -137,7 +157,8 @@ pub(crate) mod testutil {
     use super::*;
     use harmony_common::ids::TableId;
     use harmony_storage::{StorageConfig, StorageEngine};
-    use harmony_txn::{Contract, FnContract, UserAbort};
+    use harmony_txn::{Contract, FnContract, TxnCtx, UserAbort};
+    use std::sync::Arc;
 
     /// Fresh store with `n` i64 records valued 100 in table "t".
     pub fn setup(n_keys: u64) -> (Arc<SnapshotStore>, TableId) {

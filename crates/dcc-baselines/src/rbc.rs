@@ -17,36 +17,24 @@ use std::sync::Arc;
 use harmony_common::error::AbortReason;
 use harmony_common::{vtime, BlockId, Result, TxnId};
 use harmony_core::executor::{ExecBlock, TxnOutcome};
-use harmony_core::{BlockStats, SnapshotStore};
+use harmony_core::SnapshotStore;
 use harmony_txn::Key;
-use parking_lot::Mutex;
 
 use crate::protocol::{
-    eval_writes, install_writes, simulate_block, Architecture, DccEngine, ProtocolBlockResult,
+    eval_writes, install_writes, simulate_block, DccEngine, ProtocolBlockResult,
 };
 
 /// The RBC engine.
 pub struct Rbc {
     store: Arc<SnapshotStore>,
     workers: usize,
-    next_block: Mutex<BlockId>,
 }
 
 impl Rbc {
-    /// New engine starting at block 1.
+    /// New engine over `store`.
     #[must_use]
     pub fn new(store: Arc<SnapshotStore>, workers: usize) -> Rbc {
-        Rbc::starting_at(store, workers, BlockId(1))
-    }
-
-    /// Resume at an arbitrary block (recovery).
-    #[must_use]
-    pub fn starting_at(store: Arc<SnapshotStore>, workers: usize, next: BlockId) -> Rbc {
-        Rbc {
-            store,
-            workers,
-            next_block: Mutex::new(next),
-        }
+        Rbc { store, workers }
     }
 }
 
@@ -55,24 +43,11 @@ impl DccEngine for Rbc {
         "RBC"
     }
 
-    fn architecture(&self) -> Architecture {
-        Architecture::Oe
-    }
-
     fn commit_is_serial(&self) -> bool {
         true
     }
 
-    fn store(&self) -> &Arc<SnapshotStore> {
-        &self.store
-    }
-
     fn execute_block(&self, block: &ExecBlock) -> Result<ProtocolBlockResult> {
-        {
-            let mut next = self.next_block.lock();
-            assert_eq!(block.id, *next, "blocks must be consecutive");
-            *next = next.next();
-        }
         let snapshot = BlockId(block.id.0 - 1);
         let n = block.txns.len();
         let (rwsets, sim_ns) = simulate_block(&self.store, snapshot, block, self.workers);
@@ -83,11 +58,6 @@ impl DccEngine for Rbc {
         let mut written_this_block: HashSet<Key> = HashSet::new();
         let mut outcomes = Vec::with_capacity(n);
         let mut commit_ns = vec![0u64; n];
-        let mut stats = BlockStats {
-            txns: n,
-            sim_ns_total: sim_ns.iter().sum(),
-            ..BlockStats::default()
-        };
         for i in 0..n {
             let Some(rwset) = &rwsets[i] else {
                 outcomes.push(TxnOutcome::Aborted(AbortReason::UserAbort));
@@ -135,20 +105,9 @@ impl DccEngine for Rbc {
         }
 
         self.store.gc(snapshot);
-        for o in &outcomes {
-            stats.count(*o);
-        }
-        stats.commit_ns_total = commit_ns.iter().sum();
-        Ok(ProtocolBlockResult {
-            block: block.id,
-            outcomes,
-            rwsets,
-            stats,
-            sim_ns,
-            commit_ns,
-            orderer_ns: 0,
-            summary: None,
-        })
+        Ok(ProtocolBlockResult::new(
+            block.id, outcomes, rwsets, sim_ns, commit_ns, 0,
+        ))
     }
 }
 

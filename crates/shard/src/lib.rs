@@ -46,6 +46,8 @@
 //! Tamper evidence survives sharding: each shard's state root is folded
 //! into a top-level root via `harmony_chain::sharded_state_root`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod group;
 pub mod metrics;
 pub mod partition;

@@ -27,14 +27,14 @@ use std::sync::Arc;
 
 use harmony_common::codec::{Reader, Writer};
 use harmony_common::ids::TableId;
-use harmony_common::{vtime, BlockId, Error, Result};
+use harmony_common::{BlockId, Error, Result};
 use harmony_consensus::net::LatencyModel;
 use harmony_core::executor::TxnOutcome;
 use harmony_core::par::run_indexed;
 use harmony_core::{BlockStats, SnapshotStore};
 use harmony_dcc_baselines::ProtocolBlockResult;
 use harmony_txn::{
-    split_encoded, CommandSeq, Contract, ContractCodec, Key, RwSet, SnapshotView, TxnCtx,
+    simulate, split_encoded, CommandSeq, Contract, ContractCodec, Key, RwSet, SnapshotView, TxnCtx,
     UserAbort, Value,
 };
 
@@ -120,16 +120,8 @@ pub fn plan_block(
         stores,
         snapshot,
     };
-    let sims: Vec<(Option<RwSet>, u64)> = run_indexed(cross_idx.len(), workers.max(1), |j| {
-        let txn = &txns[cross_idx[j]];
-        vtime::scope(|| {
-            vtime::charge(txn.think_time_ns());
-            let mut ctx = TxnCtx::new(&view);
-            match txn.execute(&mut ctx) {
-                Ok(()) => Some(ctx.into_rwset()),
-                Err(_) => None,
-            }
-        })
+    let sims = run_indexed(cross_idx.len(), workers.max(1), |j| {
+        simulate(txns[cross_idx[j]].as_ref(), &view)
     });
     let (cross_rwsets, cross_sim_ns): (Vec<Option<RwSet>>, Vec<u64>) = sims.into_iter().unzip();
 
@@ -214,18 +206,11 @@ impl BlockPlan {
         outcomes: &[TxnOutcome],
         shard_results: &[ProtocolBlockResult],
     ) -> BlockStats {
-        let mut stats = BlockStats {
-            txns: self.txns,
-            sim_ns_total: self.cross_sim_ns.iter().sum(),
-            ..BlockStats::default()
-        };
+        let mut stats = BlockStats::tally(outcomes, &self.cross_sim_ns, &[]);
         for r in shard_results {
             stats.sim_ns_total += r.stats.sim_ns_total;
             stats.commit_ns_total += r.stats.commit_ns_total;
             stats.apply_noop_commands += r.stats.apply_noop_commands;
-        }
-        for o in outcomes {
-            stats.count(*o);
         }
         stats
     }

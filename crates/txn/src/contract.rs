@@ -11,8 +11,11 @@
 //! correctness — it only lets the shard router place a transaction on a
 //! single shard instead of the conservative multi-partition path.
 
-use crate::ctx::TxnCtx;
+use harmony_common::vtime;
+
+use crate::ctx::{SnapshotView, TxnCtx};
 use crate::key::Key;
+use crate::rwset::RwSet;
 
 /// A transaction aborted by its own logic (business rule), e.g.
 /// "insufficient balance". Distinct from protocol-induced aborts: user
@@ -64,6 +67,18 @@ pub trait Contract: Send + Sync {
     fn declared_keys(&self) -> Option<&[Key]> {
         None
     }
+}
+
+/// Simulate `txn` against `view` — the one simulation step every engine
+/// runs. Inside one virtual-time scope it charges the think time, then
+/// executes; returns the captured read-write set (`None` for a user abort)
+/// and the scope's virtual nanoseconds.
+pub fn simulate(txn: &dyn Contract, view: &dyn SnapshotView) -> (Option<RwSet>, u64) {
+    vtime::scope(|| {
+        vtime::charge(txn.think_time_ns());
+        let mut ctx = TxnCtx::new(view);
+        txn.execute(&mut ctx).ok().map(|()| ctx.into_rwset())
+    })
 }
 
 /// Adapter turning a closure into a [`Contract`].
@@ -142,8 +157,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::SnapshotView;
-    use crate::key::{Key, Value};
+    use crate::key::Value;
     use harmony_common::ids::TableId;
     use harmony_common::Result;
 
@@ -210,6 +224,23 @@ mod tests {
         assert_eq!(c.payload(), vec![9, 9]);
         assert_eq!(c.think_time_ns(), 1234);
         assert!(c.declared_keys().is_none(), "footprint is opt-in");
+    }
+
+    #[test]
+    fn simulate_charges_think_time_in_its_own_scope() {
+        let ok = FnContract::new("ok", |ctx: &mut TxnCtx<'_>| {
+            ctx.put(Key::from_u64(TableId(0), 1), vec![1u8]);
+            Ok(())
+        })
+        .with_think_time(500);
+        let abort = FnContract::new("no", |ctx: &mut TxnCtx<'_>| ctx.user_abort("no funds"))
+            .with_think_time(70);
+        let _ = vtime::take();
+        vtime::charge(9);
+        let (rwset, ns) = simulate(&ok, &EmptyView);
+        assert_eq!((rwset.map(|rw| rw.updates.len()), ns), (Some(1), 500));
+        assert_eq!(simulate(&abort, &EmptyView), (None, 70));
+        assert_eq!(vtime::take(), 9, "the caller's accumulator is untouched");
     }
 
     #[test]

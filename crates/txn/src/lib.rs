@@ -10,8 +10,12 @@
 //! * [`ctx`] — [`TxnCtx`], the execution context handed to smart contracts:
 //!   reads-own-writes, predicate reads, user aborts.
 //! * [`contract`] — the [`Contract`] trait: stored procedures with
-//!   data-dependent branches (the workloads that defeat static analysis).
+//!   data-dependent branches (the workloads that defeat static analysis),
+//!   and [`simulate`], the one step every engine runs a transaction
+//!   through.
 //! * [`row`] — fixed-width row codec helpers used by the workloads.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod codec;
 pub mod contract;
@@ -22,7 +26,7 @@ pub mod rwset;
 pub mod update;
 
 pub use codec::{encode_contract, split_encoded, ContractCodec, MultiCodec};
-pub use contract::{Contract, FnContract, UserAbort};
+pub use contract::{simulate, Contract, FnContract, UserAbort};
 pub use ctx::{SnapshotView, TxnCtx};
 pub use key::{Key, Value};
 pub use rwset::{RangePredicate, ReadRecord, RwSet};
