@@ -35,7 +35,7 @@ impl BlockHeader {
         w.put_u64(id.0);
         w.put_raw(&prev.0);
         w.put_raw(&root.0);
-        w.finish().to_vec()
+        w.finish()
     }
 
     /// The block's own hash: SHA-256 over the header contents.
@@ -51,6 +51,10 @@ impl BlockHeader {
         h.finalize()
     }
 }
+
+/// Bytes [`ChainBlock::encode`] writes before the transactions: id, two
+/// digests, sealer, signer, MAC and the transaction count.
+const ENCODED_HEADER_LEN: usize = 8 + 32 + 32 + 8 + 8 + 32 + 4;
 
 /// A sealed block: header + serialized transactions.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -118,10 +122,17 @@ impl ChainBlock {
         Ok(())
     }
 
+    /// Length of [`ChainBlock::encode`]'s output, from the field lengths
+    /// alone: what a sender charges for a block without encoding it.
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        ENCODED_HEADER_LEN + self.txns.iter().map(|t| 4 + t.len()).sum::<usize>()
+    }
+
     /// Serialize for the block log.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(128 + self.txns.iter().map(Vec::len).sum::<usize>());
+        let mut w = Writer::with_capacity(self.encoded_len());
         w.put_u64(self.header.id.0);
         w.put_raw(&self.header.prev_hash.0);
         w.put_raw(&self.header.txn_root.0);
@@ -132,7 +143,7 @@ impl ChainBlock {
         for t in &self.txns {
             w.put_bytes(t);
         }
-        w.finish().to_vec()
+        w.finish()
     }
 
     /// Deserialize from the block log.

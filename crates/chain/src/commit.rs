@@ -126,10 +126,7 @@ impl StateCommitment {
     pub fn apply_writes(&mut self, engine: &StorageEngine, keys: &[Key]) -> Result<()> {
         let writes = keys
             .iter()
-            .map(|key| {
-                let value = engine.get(key.table(), key.row())?;
-                Ok((key.clone(), value.map(Value::from)))
-            })
+            .map(|key| Ok((key.clone(), engine.get_as(key.table(), key.row())?)))
             .collect::<Result<Vec<_>>>()?;
         self.fold_writes(engine, &writes)
     }

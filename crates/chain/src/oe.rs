@@ -761,7 +761,7 @@ fn encode_sidecar(
         }
         None => w.put_u8(0),
     }
-    w.finish().to_vec()
+    w.finish()
 }
 
 type Sidecar = (

@@ -104,7 +104,7 @@ impl StateSnapshot {
         }
         put_block_undo(&mut w, &self.undo);
         put_summary(&mut w, self.summary.as_ref());
-        w.finish().to_vec()
+        w.finish()
     }
 
     /// Deserialize a transferred manifest.

@@ -5,14 +5,14 @@
 //! layout is explicit, versioned and independent of any serialization
 //! framework.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
 
 use crate::error::{Error, Result};
 
 /// Writer over a growable buffer.
 #[derive(Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
@@ -20,7 +20,7 @@ impl Writer {
     #[must_use]
     pub fn with_capacity(cap: usize) -> Writer {
         Writer {
-            buf: BytesMut::with_capacity(cap),
+            buf: Vec::with_capacity(cap),
         }
     }
 
@@ -82,10 +82,10 @@ impl Writer {
         self.buf.is_empty()
     }
 
-    /// Freeze into an immutable buffer.
+    /// The encoded bytes, in the buffer they were written to.
     #[must_use]
-    pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+    pub fn finish(self) -> Vec<u8> {
+        self.buf
     }
 }
 

@@ -106,12 +106,8 @@ pub fn apply_key_plan(
     coalesce: bool,
 ) -> Result<u64> {
     let mut noops = 0u64;
-    let read = || -> Result<Option<Value>> {
-        Ok(store
-            .engine()
-            .get(plan.key.table(), plan.key.row())?
-            .map(Value::from))
-    };
+    let read =
+        || -> Result<Option<Value>> { store.engine().get_as(plan.key.table(), plan.key.row()) };
     let mut run = |cur: &mut Option<Value>, seq: &CommandSeq| -> Result<()> {
         for cmd in seq.commands() {
             match cmd.apply(cur.as_ref()) {

@@ -281,7 +281,7 @@ impl SnapshotStore {
         key: &Key,
         value: Option<&Value>,
     ) -> Result<()> {
-        let before = self.engine.get(key.table(), key.row())?.map(Value::from);
+        let before = self.engine.get_as(key.table(), key.row())?;
         self.install(block, tid, key, before, value)
     }
 
@@ -363,7 +363,7 @@ impl SnapshotStore {
                 }
             }
         }
-        Ok(self.engine.get(key.table(), key.row())?.map(Value::from))
+        self.engine.get_as(key.table(), key.row())
     }
 
     /// Ordered scan of `[start, end)` in `table` as of the state after

@@ -289,7 +289,7 @@ impl Orderer {
         self.prev_hash = sealed.header.hash();
         self.sealed_blocks += 1;
         let seq = sealed.header.id.0;
-        let bytes = sealed.encode().len() as u64;
+        let bytes = sealed.encoded_len() as u64;
         self.in_flight.insert(
             seq,
             InFlight {
@@ -406,5 +406,28 @@ pub(super) fn follower_on_message(from: usize, msg: Msg, ctx: &mut dyn Transport
     if let Msg::Replicate { seq } = msg {
         ctx.charge_cpu(50_000);
         ctx.send(from, Msg::Ack { seq }, 64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use harmony_chain::ChainBlock;
+    use harmony_common::BlockId;
+    use harmony_crypto::{CryptoCost, Digest, KeyPair};
+    use harmony_shard::ReshardMarker;
+
+    /// The size a sealed block is charged at is the size of its encoding.
+    #[test]
+    fn a_blocks_encoded_len_is_the_length_of_its_encoding() {
+        let key = KeyPair::derive(b"orderer-secret", 1, CryptoCost::free());
+        let marker = ReshardMarker {
+            new_shards: 4,
+            epoch: 1,
+        };
+        let txns: Vec<Vec<u8>> = (0..100).map(|i| vec![i as u8; 7 + 3 * i]).collect();
+        for payload in [vec![], vec![marker.encode()], txns] {
+            let block = ChainBlock::seal(BlockId(1), Digest::ZERO, payload, &key);
+            assert_eq!(block.encoded_len(), block.encode().len());
+        }
     }
 }

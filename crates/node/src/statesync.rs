@@ -181,7 +181,7 @@ impl ShardedSyncResponse {
                     blocks
                 }
             };
-            range += blocks.iter().map(|b| b.encode().len() as u64).sum::<u64>();
+            range += blocks.iter().map(|b| b.encoded_len() as u64).sum::<u64>();
         }
         (manifest, range)
     }

@@ -361,7 +361,7 @@ impl Contract for FragmentContract {
             put_key(&mut w, key);
             seq.encode_into(&mut w);
         }
-        w.finish().to_vec()
+        w.finish()
     }
 }
 

@@ -54,6 +54,35 @@
 //! [`crate::engine::StorageEngine`]) wrap each table in an `RwLock`.
 //! Deletion removes entries without rebalancing (underfull pages are
 //! tolerated), a standard simplification that preserves search correctness.
+//!
+//! # Lookups
+//!
+//! For 8-byte keys — every `u64` row id — a search reads no cell until
+//! it has found its slot: each cached frame carries a `KeyHeads` array,
+//! the big-endian `u64` of every key in slot order, and a probe is one
+//! integer compare in a few cache lines instead of a checked cell read
+//! and a `memcmp`. The slot found, a leaf reads its value and an interior
+//! node its child pointer. The array is derived from the page, never the
+//! other way round:
+//!
+//! * it is built from the page's checked cells on the page's second
+//!   search since the frame was filled (a page read by a miss and evicted
+//!   before it is searched again never builds one), and only when every
+//!   key is 8 bytes; any other page, or a search for a key of any other
+//!   length, reads cells as before;
+//! * a value overwrite, growing, shrinking or rebuilt in place, keeps it
+//!   (the keys and their order do not change); an insert shifts it in
+//!   place, a delete shifts it back; a split rebuilds it for both halves;
+//!   an insert of a key of another length leaves the page without one;
+//! * a write that bypasses the tree ([`crate::page::PageBuf::bytes_mut`])
+//!   drops it, and eviction drops it with the frame.
+//!
+//! It lives beside the page in the frame and is never written to disk,
+//! so page bytes, split points, heights, the pool's counters and every
+//! virtual-time charge are what they were without it: a search charges
+//! one node search per level however it finds the slot. On a damaged page
+//! it can do no worse than the checked search: a slot it names is read
+//! with the same checks.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -65,7 +94,7 @@ use harmony_common::{Error, Result};
 
 use crate::buffer::{BufferPool, Frame};
 use crate::cost::StorageCost;
-use crate::page::{PageId, PAGE_SIZE};
+use crate::page::{KeyHeads, PageId, PAGE_SIZE};
 
 /// Maximum combined key+value size accepted by the tree. Chosen so that a
 /// page can always hold at least four entries, keeping splits productive.
@@ -122,9 +151,43 @@ fn cell_len(key: &[u8], val: &[u8]) -> usize {
     CELL_HEADER_LEN + key.len() + val.len()
 }
 
+/// An 8-byte key as the `u64` whose order is the bytes' order.
+fn key_head(key: &[u8]) -> Option<u64> {
+    key.try_into().ok().map(u64::from_be_bytes)
+}
+
+/// Slot `i` now holds `key`, the slots from `i` on having moved up one.
+fn head_inserted(heads: &mut KeyHeads, i: usize, key: &[u8]) {
+    if let Some(built) = heads.built_mut() {
+        match (built.as_mut(), key_head(key)) {
+            (Some(array), Some(head)) => array.insert(i, head),
+            // No array before, or a key that cannot have one: none after.
+            _ => *built = None,
+        }
+    }
+}
+
+/// Slot `i` is gone, the slots after it having moved down one.
+fn head_removed(heads: &mut KeyHeads, i: usize) {
+    match heads.built_mut() {
+        Some(Some(array)) => {
+            array.remove(i);
+        }
+        // The key that kept the page from having an array may be the one
+        // removed: derive it afresh.
+        Some(None) => heads.clear(),
+        None => {}
+    }
+}
+
+/// The array a page that was just written whole calls for.
+fn derived_heads(page: &Page) -> Option<Vec<u64>> {
+    NodeRef::parse(page).ok()?.derive_heads()
+}
+
 /// Read-only view of one node page, borrowed from the buffer frame. The
 /// header is checked once, here; slots and cells are checked as they are
-/// read.
+/// read. A view of a cached frame also holds the frame's key heads.
 #[derive(Clone, Copy)]
 struct NodeRef<'a> {
     page: &'a Page,
@@ -132,6 +195,7 @@ struct NodeRef<'a> {
     n: usize,
     low: usize,
     dead: usize,
+    heads: Option<&'a KeyHeads>,
 }
 
 impl<'a> NodeRef<'a> {
@@ -159,7 +223,25 @@ impl<'a> NodeRef<'a> {
             n,
             low,
             dead,
+            heads: None,
         })
+    }
+
+    /// The same view, searching through `heads`, the cache of this page.
+    fn with_heads(self, heads: &'a KeyHeads) -> NodeRef<'a> {
+        NodeRef {
+            heads: Some(heads),
+            ..self
+        }
+    }
+
+    /// The heads of every key in slot order, or `None` when a key is not
+    /// 8 bytes or a cell fails its checks (searches then read cells, and
+    /// report the fault).
+    fn derive_heads(&self) -> Option<Vec<u64>> {
+        (0..self.n)
+            .map(|i| self.cell(i).ok().and_then(|(key, _)| key_head(key)))
+            .collect()
     }
 
     /// Next leaf (leaf) or `child0` (interior).
@@ -197,8 +279,15 @@ impl<'a> NodeRef<'a> {
     }
 
     /// `Ok(i)` when slot `i` holds `key`, else `Err(i)` with the slot it
-    /// would be inserted before.
+    /// would be inserted before. An 8-byte key is looked up in the key
+    /// heads when the page has them; any other search reads cells.
     fn search(&self, key: &[u8]) -> Result<std::result::Result<usize, usize>> {
+        if let (Some(head), Some(cache)) = (key_head(key), self.heads) {
+            match cache.for_search(|| self.derive_heads()) {
+                Some(heads) if heads.len() == self.n => return Ok(heads.binary_search(&head)),
+                _ => {}
+            }
+        }
         let (mut lo, mut hi) = (0, self.n);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -544,7 +633,7 @@ impl BTree {
         for depth in 0..MAX_DEPTH {
             let frame = self.visit(id)?;
             let guard = frame.data.read();
-            let node = NodeRef::parse(guard.bytes())?;
+            let node = NodeRef::parse(guard.bytes())?.with_heads(guard.heads());
             if node.leaf {
                 self.found_leaf_at(depth);
                 return at_leaf(&frame, node);
@@ -556,9 +645,15 @@ impl BTree {
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.get_as(key)
+    }
+
+    /// Point lookup into any owner of bytes built from a slice (a `Vec`,
+    /// a shared buffer): the value's one copy out of the page.
+    pub fn get_as<V: for<'v> From<&'v [u8]>>(&self, key: &[u8]) -> Result<Option<V>> {
         self.descend(key, |_, leaf| {
             Ok(match leaf.search(key)? {
-                Ok(i) => Some(leaf.cell(i)?.1.to_vec()),
+                Ok(i) => Some(V::from(leaf.cell(i)?.1)),
                 Err(_) => None,
             })
         })
@@ -605,7 +700,7 @@ impl BTree {
         let frame = self.visit(id)?;
         let child = {
             let guard = frame.data.read();
-            let node = NodeRef::parse(guard.bytes())?;
+            let node = NodeRef::parse(guard.bytes())?.with_heads(guard.heads());
             if node.leaf {
                 None
             } else {
@@ -632,23 +727,28 @@ impl BTree {
     fn put_into(&mut self, frame: &Frame, key: &[u8], val: &[u8]) -> Result<(bool, Option<Split>)> {
         vtime::charge(self.cost.node_write_ns);
         let mut guard = frame.data.write();
-        let page = guard.bytes_mut();
-        let pos = NodeRef::parse(page)?.search(key)?;
+        let (page, heads) = guard.bytes_and_heads_mut();
+        let pos = NodeRef::parse(page)?.with_heads(heads).search(key)?;
         let replaced = pos.is_ok();
         if let Placed::Done = put_in_page(page, pos, key, val)? {
+            // An overwrite keeps the keys, moved cells or not.
+            if let Err(i) = pos {
+                head_inserted(heads, i, key);
+            }
             frame.mark_dirty();
             return Ok((replaced, None));
         }
         let (right, right_frame) = self.pool.allocate()?;
         vtime::charge(self.cost.node_write_ns);
-        let separator = split_page(
-            page,
-            right_frame.data.write().bytes_mut(),
-            right,
-            pos,
-            key,
-            val,
-        )?;
+        let mut right_guard = right_frame.data.write();
+        let (right_page, right_heads) = right_guard.bytes_and_heads_mut();
+        let separator = split_page(page, right_page, right, pos, key, val)?;
+        // Both halves of a page that had an array get theirs.
+        if heads.built().is_some() {
+            heads.set(derived_heads(page));
+            right_heads.set(derived_heads(right_page));
+        }
+        drop(right_guard);
         right_frame.mark_dirty();
         frame.mark_dirty();
         Ok((replaced, Some((separator, right))))
@@ -658,12 +758,13 @@ impl BTree {
     pub fn delete(&mut self, key: &[u8]) -> Result<bool> {
         let frame = self.descend(key, |frame, _| Ok(Arc::clone(frame)))?;
         let mut guard = frame.data.write();
-        let page = guard.bytes_mut();
-        let Ok(i) = NodeRef::parse(page)?.search(key)? else {
+        let (page, heads) = guard.bytes_and_heads_mut();
+        let Ok(i) = NodeRef::parse(page)?.with_heads(heads).search(key)? else {
             return Ok(false);
         };
         vtime::charge(self.cost.node_write_ns);
         remove_from_page(page, i)?;
+        head_removed(heads, i);
         frame.mark_dirty();
         // Saturating: a corrupt page can hold a key the catalog never counted.
         self.len = self.len.saturating_sub(1);
@@ -727,7 +828,9 @@ impl BTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::EvictionPolicy;
     use crate::disk::{DiskBackend, MemDisk};
+    use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     fn tree() -> BTree {
@@ -1112,7 +1215,6 @@ mod tests {
     /// evicted on the way: what page-shipping checkpoints will rely on.
     #[test]
     fn page_bytes_are_a_function_of_the_operations() {
-        use crate::buffer::EvictionPolicy;
         let build = |capacity, policy| {
             let disk = Arc::new(MemDisk::new());
             let pool = Arc::new(BufferPool::with_policy(
@@ -1235,5 +1337,175 @@ mod tests {
         }
         patch(&t, root, |p| *p = good);
         assert_eq!(t.get(&key(0)).unwrap(), Some(b"value".to_vec()));
+    }
+
+    /// Every cached frame's key heads, if held, are what its page bytes
+    /// call for now.
+    fn check_heads(pool: &BufferPool) -> usize {
+        let mut arrays = 0;
+        for frame in pool.frames() {
+            let guard = frame.data.read();
+            if let Some(built) = guard.heads().built() {
+                let derived = derived_heads(guard.bytes());
+                assert_eq!(
+                    built,
+                    derived.as_deref(),
+                    "stale heads on {:?}",
+                    frame.page_id
+                );
+                arrays += usize::from(built.is_some());
+            }
+        }
+        arrays
+    }
+
+    #[test]
+    fn heads_are_built_on_a_pages_second_search_and_kept_by_writes() {
+        let mut t = tree();
+        let root_heads = |t: &BTree| {
+            let frame = t.pool.fetch(t.root()).unwrap();
+            let guard = frame.data.read();
+            guard
+                .heads()
+                .built()
+                .map(|built| built.map(<[u64]>::to_vec))
+        };
+        assert_eq!(root_heads(&t), None);
+        t.get(&4u64.to_be_bytes()).unwrap();
+        assert_eq!(root_heads(&t), None, "first search");
+        t.put(&4u64.to_be_bytes(), b"v").unwrap();
+        assert_eq!(root_heads(&t), Some(Some(vec![4])), "second search");
+        for i in 0..50u64 {
+            t.put(&(i * 2).to_be_bytes(), b"v").unwrap();
+        }
+        // Inserted, overwritten (same length, longer, shorter), removed:
+        // the array follows the keys without being rebuilt.
+        t.put(&3u64.to_be_bytes(), b"w").unwrap();
+        t.put(&4u64.to_be_bytes(), b"x").unwrap();
+        t.put(&6u64.to_be_bytes(), &[1; 64]).unwrap();
+        t.put(&8u64.to_be_bytes(), b"").unwrap();
+        t.delete(&0u64.to_be_bytes()).unwrap();
+        assert_eq!(check_heads(&t.pool), 1);
+        let heads = root_heads(&t).unwrap().unwrap();
+        assert_eq!(heads.len(), 50);
+        assert_eq!(heads[..3], [2, 3, 4]);
+        // A key of another length leaves the page without an array.
+        t.put(b"odd", b"v").unwrap();
+        assert_eq!(root_heads(&t), Some(None));
+        assert_eq!(t.get(b"odd").unwrap(), Some(b"v".to_vec()));
+        assert_eq!(t.get(&3u64.to_be_bytes()).unwrap(), Some(b"w".to_vec()));
+        check_tree(&t);
+    }
+
+    /// What the key-head property does to a tree.
+    #[derive(Clone, Debug)]
+    enum HeadOp {
+        Get(u16),
+        /// Put a value of this length.
+        Put(u16, u16),
+        /// Overwrite with the present value's length plus this (0: the
+        /// same length).
+        Resize(u16, i16),
+        Delete(u16),
+        Scan(u16, u16),
+    }
+
+    /// 8-byte keys, or (mixed) keys of 2, 7, 8 and 9 bytes whose heads
+    /// collide: a 7-byte key's head is an 8-byte key's with a zero tail.
+    fn head_key(k: u16, mixed: bool) -> Vec<u8> {
+        let full = u64::from(k).to_be_bytes();
+        match (mixed, k % 4) {
+            (true, 0) => full[6..].to_vec(),
+            (true, 1) => full[..7].to_vec(),
+            (true, 2) => [&full[..], &[k as u8]].concat(),
+            _ => full.to_vec(),
+        }
+    }
+
+    fn head_op() -> impl Strategy<Value = HeadOp> {
+        let key = || 0u16..300;
+        prop_oneof![
+            key().prop_map(HeadOp::Get),
+            key().prop_map(HeadOp::Get),
+            (key(), 0u16..500).prop_map(|(k, len)| HeadOp::Put(k, len)),
+            (key(), 0u16..500).prop_map(|(k, len)| HeadOp::Put(k, len)),
+            (key(), -40i16..41).prop_map(|(k, d)| HeadOp::Resize(k, d)),
+            (key(), Just(0i16)).prop_map(|(k, d)| HeadOp::Resize(k, d)),
+            key().prop_map(HeadOp::Delete),
+            (key(), key()).prop_map(|(a, b)| HeadOp::Scan(a.min(b), a.max(b))),
+        ]
+    }
+
+    /// Run `ops` on a tree and a `BTreeMap`; after every one the answers
+    /// agree and no cached frame holds stale heads.
+    fn heads_follow_the_keys(ops: &[HeadOp], mixed: bool, capacity: usize, policy: EvictionPolicy) {
+        let pool = Arc::new(BufferPool::with_policy(
+            Arc::new(MemDisk::new()),
+            capacity,
+            StorageCost::free(),
+            policy,
+        ));
+        let mut t = BTree::create(Arc::clone(&pool), StorageCost::free()).unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        for (step, op) in ops.iter().enumerate() {
+            let fill = step as u8;
+            match *op {
+                HeadOp::Get(k) => {
+                    let k = head_key(k, mixed);
+                    assert_eq!(t.get(&k).unwrap(), model.get(&k).cloned());
+                }
+                HeadOp::Put(k, len) => {
+                    let (k, v) = (head_key(k, mixed), vec![fill; usize::from(len)]);
+                    assert_eq!(t.put(&k, &v).unwrap(), model.insert(k, v).is_some());
+                }
+                HeadOp::Resize(k, delta) => {
+                    let k = head_key(k, mixed);
+                    let old = model.get(&k).map_or(10, Vec::len);
+                    let len = old.saturating_add_signed(isize::from(delta)).min(600);
+                    let v = vec![fill; len];
+                    assert_eq!(t.put(&k, &v).unwrap(), model.insert(k, v).is_some());
+                }
+                HeadOp::Delete(k) => {
+                    let k = head_key(k, mixed);
+                    assert_eq!(t.delete(&k).unwrap(), model.remove(&k).is_some());
+                }
+                HeadOp::Scan(a, b) => {
+                    let (a, b) = (head_key(a, mixed), head_key(b, mixed));
+                    let mut got = Vec::new();
+                    t.scan(&a, Some(&b), |k, v| {
+                        got.push((k.to_vec(), v.to_vec()));
+                        true
+                    })
+                    .unwrap();
+                    let expect: Vec<_> = if a < b {
+                        model
+                            .range(a..b)
+                            .map(|(k, v)| (k.clone(), v.clone()))
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    assert_eq!(got, expect);
+                }
+            }
+            check_heads(&pool);
+        }
+        check_tree(&t);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Key heads never go stale: whatever mix of reads, overwrites
+        /// (same length, growing, shrinking), inserts, deletes and scans,
+        /// under eviction or not, every cached array equals the one its
+        /// page bytes call for, and every answer equals the model's.
+        #[test]
+        fn key_heads_never_go_stale(ops in prop::collection::vec(head_op(), 1..400)) {
+            for mixed in [false, true] {
+                heads_follow_the_keys(&ops, mixed, 4, EvictionPolicy::Steal);
+                heads_follow_the_keys(&ops, mixed, 1024, EvictionPolicy::NoSteal);
+            }
+        }
     }
 }

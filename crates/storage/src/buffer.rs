@@ -22,11 +22,14 @@ use crate::disk::DiskBackend;
 use crate::page::{PageBuf, PageId};
 
 /// A cached page frame. The data lock serializes readers/writers of the
-/// page content; `dirty` is flipped by writers and cleared by flushes.
+/// page content and of the key heads the B+Tree derives from it (see
+/// [`crate::btree`]'s "Lookups"), which live and die with the frame: an
+/// evicted page comes back without them. `dirty` is flipped by writers
+/// and cleared by flushes; only the page bytes are ever written back.
 pub struct Frame {
     /// Which page this frame caches.
     pub page_id: PageId,
-    /// Page content.
+    /// Page content, and its key heads.
     pub data: RwLock<PageBuf>,
     dirty: AtomicBool,
     last_used: AtomicU64,
@@ -277,6 +280,12 @@ impl BufferPool {
     #[must_use]
     pub fn cached_frames(&self) -> usize {
         self.inner.lock().frames.len()
+    }
+
+    /// Every cached frame (tests inspect what the frames hold).
+    #[cfg(test)]
+    pub(crate) fn frames(&self) -> Vec<Arc<Frame>> {
+        self.inner.lock().frames.values().cloned().collect()
     }
 
     /// Snapshot of hit/miss counters.

@@ -57,7 +57,7 @@ impl Manifest {
             w.put_u64(t.root.0);
             w.put_u64(t.len);
         }
-        let body = w.finish().to_vec();
+        let body = w.finish();
         let mut out = body.clone();
         out.extend_from_slice(&crc32c(&body).to_le_bytes());
         out

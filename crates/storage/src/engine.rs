@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use harmony_common::hash::BuildNoRehash;
 use harmony_common::ids::TableId;
 use harmony_common::{BlockId, Error, Result};
 use parking_lot::{Mutex, RwLock};
@@ -143,8 +144,10 @@ pub struct StorageEngine {
     pool: Arc<BufferPool>,
     /// The catalog is these two maps. Whoever holds both takes `tables`
     /// first, then `names` — one order everywhere, so a checkpoint and a
-    /// `create_table` cannot wait on each other.
-    tables: RwLock<HashMap<TableId, TableHandle>>,
+    /// `create_table` cannot wait on each other. Every statement probes
+    /// `tables`, by an id the program chose: FNV over two bytes, not
+    /// SipHash.
+    tables: RwLock<HashMap<TableId, TableHandle, BuildNoRehash>>,
     names: RwLock<HashMap<String, TableId>>,
     next_table: Mutex<u16>,
     manifest_store: Arc<dyn ManifestStore>,
@@ -190,7 +193,7 @@ impl StorageEngine {
         ));
         let engine = StorageEngine {
             pool,
-            tables: RwLock::new(HashMap::new()),
+            tables: RwLock::new(HashMap::default()),
             names: RwLock::new(HashMap::new()),
             next_table: Mutex::new(0),
             manifest_store,
@@ -301,7 +304,17 @@ impl StorageEngine {
 
     /// Point read.
     pub fn get(&self, table: TableId, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.with_tree(table, |tree| tree.read().get(key))
+        self.get_as(table, key)
+    }
+
+    /// Point read into any owner of bytes built from a slice — a shared
+    /// row value as well as a `Vec` — copied once, out of the page.
+    pub fn get_as<V: for<'v> From<&'v [u8]>>(
+        &self,
+        table: TableId,
+        key: &[u8],
+    ) -> Result<Option<V>> {
+        self.with_tree(table, |tree| tree.read().get_as(key))
     }
 
     /// Charge the virtual time of a point read of `table` whose path the

@@ -6,7 +6,8 @@
 //! * [`disk`] — pluggable disk backends: an in-memory disk, a latency-model
 //!   disk (`SimDisk`, parameterized by a [`DiskProfile`] such as
 //!   SSD/RAMDisk), and a real file-backed disk.
-//! * [`page`] — 4 KiB pages and page ids.
+//! * [`page`] — 4 KiB pages, page ids, and the key heads a cached frame
+//!   keeps beside its page for the B+Tree's searches.
 //! * [`buffer`] — a buffer pool with LRU eviction, pinning and dirty
 //!   tracking; every hit/miss charges calibrated virtual-time costs.
 //! * [`btree`] — a B+Tree keyed by arbitrary byte strings, one per table,

@@ -1,6 +1,15 @@
 //! Pages and page identifiers.
+//!
+//! A [`PageBuf`] is the page's bytes and, beside them, a crate-private
+//! `KeyHeads`: a lookup cache the B+Tree derives from those bytes (see
+//! [`crate::btree`]'s "Lookups"). The cache never reaches the disk. Only
+//! the B+Tree may write the bytes and keep the cache, editing it as it
+//! edits the keys; the one public write path, [`PageBuf::bytes_mut`],
+//! drops it, so it can only be as new as the bytes it was derived from.
 
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 /// Size of one page in bytes. 4 KiB matches common SSD sector granularity
 /// and the paper's PostgreSQL substrate.
@@ -34,6 +43,7 @@ impl fmt::Debug for PageId {
 /// A heap-allocated page buffer.
 pub struct PageBuf {
     data: Box<[u8; PAGE_SIZE]>,
+    heads: KeyHeads,
 }
 
 impl PageBuf {
@@ -45,6 +55,7 @@ impl PageBuf {
                 .into_boxed_slice()
                 .try_into()
                 .expect("exact size"),
+            heads: KeyHeads::default(),
         }
     }
 
@@ -66,9 +77,23 @@ impl PageBuf {
         &self.data
     }
 
-    /// Write view.
+    /// Write view. Drops the key-head cache: whatever is written, no
+    /// array derived from the old bytes survives it.
     pub fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        self.heads.clear();
         &mut self.data
+    }
+
+    /// The key-head cache, for a search under a shared borrow.
+    #[must_use]
+    pub(crate) fn heads(&self) -> &KeyHeads {
+        &self.heads
+    }
+
+    /// Write view that keeps the key-head cache: the caller changes the
+    /// array exactly as it changes the keys (the B+Tree's writes).
+    pub(crate) fn bytes_and_heads_mut(&mut self) -> (&mut [u8; PAGE_SIZE], &mut KeyHeads) {
+        (&mut self.data, &mut self.heads)
     }
 }
 
@@ -76,7 +101,71 @@ impl Clone for PageBuf {
     fn clone(&self) -> Self {
         PageBuf {
             data: self.data.clone(),
+            heads: KeyHeads::default(),
         }
+    }
+}
+
+/// The 8-byte big-endian heads of a node page's keys, in slot order, kept
+/// beside the page in its frame so a search compares `u64`s instead of
+/// reading cells. What a head means, and how the array is derived and
+/// kept up to date, is the B+Tree's business; this type holds the array
+/// and its life cycle:
+///
+/// * a page starts without one (fresh from the disk or just allocated);
+/// * its first search only notes that it was searched, and the second
+///   builds the array — so a page read by a miss and evicted before it
+///   is searched again never pays for one (on a pool far smaller than
+///   the tree, close to half the pages a miss loads are evicted after a
+///   single search, and building on the first search cost such a
+///   workload about a tenth of its throughput on a 2-vCPU host);
+/// * a writer holding the page exclusively edits the array in place
+///   ([`KeyHeads::built_mut`]) or drops it ([`KeyHeads::clear`]).
+///
+/// The built value is `None` for a page whose keys have no array (a key
+/// that is not 8 bytes, or a cell that fails its checks); searches of
+/// such a page read cells.
+#[derive(Default)]
+pub(crate) struct KeyHeads {
+    searched: AtomicBool,
+    built: OnceLock<Option<Vec<u64>>>,
+}
+
+impl KeyHeads {
+    /// The array for a search: built already, built now by `derive` on
+    /// the page's second search since it was dropped, or `None`.
+    pub(crate) fn for_search(&self, derive: impl FnOnce() -> Option<Vec<u64>>) -> Option<&[u64]> {
+        if let Some(built) = self.built.get() {
+            return built.as_deref();
+        }
+        if !self.searched.load(Ordering::Relaxed) {
+            self.searched.store(true, Ordering::Relaxed);
+            return None;
+        }
+        self.built.get_or_init(derive).as_deref()
+    }
+
+    /// The built value, to edit in place; `None` when nothing is built.
+    pub(crate) fn built_mut(&mut self) -> Option<&mut Option<Vec<u64>>> {
+        self.built.get_mut()
+    }
+
+    /// What is held: nothing, the finding that the page has no array
+    /// (`Some(None)`), or the array.
+    #[must_use]
+    pub(crate) fn built(&self) -> Option<Option<&[u64]>> {
+        self.built.get().map(Option::as_deref)
+    }
+
+    /// Replace what is held with `built`, the page's rewritten keys.
+    pub(crate) fn set(&mut self, built: Option<Vec<u64>>) {
+        self.built = OnceLock::from(built);
+    }
+
+    /// Drop the array: the next search but one builds it again.
+    pub(crate) fn clear(&mut self) {
+        self.built.take();
+        *self.searched.get_mut() = false;
     }
 }
 
@@ -116,6 +205,32 @@ mod tests {
     #[should_panic(expected = "PAGE_SIZE")]
     fn from_bytes_wrong_len_panics() {
         let _ = PageBuf::from_bytes(&[0u8; 100]);
+    }
+
+    #[test]
+    fn heads_are_built_on_the_second_search_and_dropped_by_a_raw_write() {
+        let mut p = PageBuf::zeroed();
+        let derive = || Some(vec![1, 2, 3]);
+        assert_eq!(p.heads().for_search(derive), None, "first search");
+        assert_eq!(p.heads().for_search(derive), Some(&[1, 2, 3][..]));
+        assert_eq!(
+            p.heads().for_search(|| unreachable!()),
+            Some(&[1, 2, 3][..])
+        );
+        if let Some(Some(heads)) = p.bytes_and_heads_mut().1.built_mut() {
+            heads.push(4);
+        }
+        assert_eq!(
+            p.heads().for_search(|| unreachable!()),
+            Some(&[1, 2, 3, 4][..])
+        );
+        p.bytes_mut()[0] = 1;
+        assert_eq!(p.heads().built(), None);
+        assert_eq!(p.heads().for_search(derive), None, "first search again");
+        assert!(
+            p.clone().heads().for_search(derive).is_none(),
+            "a copy starts cold"
+        );
     }
 
     #[test]

@@ -94,23 +94,21 @@ fn corrupt(what: &str) -> Error {
     Error::Corruption(format!("wire: {what}"))
 }
 
+/// A frame under construction: room for the length prefix, then the
+/// body's version and tag. [`frame`] fills the prefix in.
 fn body_writer(tag: u8, cap: usize) -> Writer {
-    let mut w = Writer::with_capacity(cap + 2);
+    let mut w = Writer::with_capacity(4 + 2 + cap);
+    w.put_u32(0);
     w.put_u8(WIRE_VERSION);
     w.put_u8(tag);
     w
 }
 
-/// Prefix a finished body with its u32 LE length.
+/// Patch the u32 LE body length into the prefix [`body_writer`] reserved.
 fn frame(w: Writer) -> Vec<u8> {
-    let body = w.finish();
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(
-        &u32::try_from(body.len())
-            .expect("frame length")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&body);
+    let mut out = w.finish();
+    let len = u32::try_from(out.len() - 4).expect("frame length");
+    out[..4].copy_from_slice(&len.to_le_bytes());
     out
 }
 

@@ -41,10 +41,11 @@ impl Key {
     }
 
     /// Convenience constructor from a `u64` row id (big-endian so byte
-    /// order matches numeric order in the B+Tree).
+    /// order matches numeric order in the B+Tree). The 8 bytes are kept
+    /// inline: building the key allocates nothing.
     #[must_use]
     pub fn from_u64(table: TableId, id: u64) -> Key {
-        Key::new(table, id.to_be_bytes().to_vec())
+        Key::new(table, id.to_be_bytes())
     }
 
     /// Table the row lives in.

@@ -537,7 +537,7 @@ mod tests {
         seq.push(UpdateCommand::Delete);
         let mut w = Writer::with_capacity(64);
         seq.encode_into(&mut w);
-        let bytes = w.finish().to_vec();
+        let bytes = w.finish();
         let mut r = Reader::new(&bytes);
         let decoded = CommandSeq::decode_from(&mut r).unwrap();
         assert_eq!(decoded, seq);

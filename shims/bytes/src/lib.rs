@@ -5,18 +5,28 @@
 //! (a growable builder that freezes into [`Bytes`]), and the [`Buf`] /
 //! [`BufMut`] traits with the little-endian accessors the codec needs.
 //!
-//! `Bytes` holds either an `Arc<Vec<u8>>` or a `&'static [u8]` (mirroring
-//! the real crate's representation): clones are O(1), freezing a
-//! `BytesMut` or converting from a `Vec<u8>` is a move rather than a copy,
-//! `from_static` is zero-copy, and the buffer is shared — the properties
-//! the transaction substrate relies on when values flow through read
-//! sets, write sets and snapshots.
+//! `Bytes` is 24 bytes and holds its contents one of three ways:
+//!
+//! * **inline**, up to [`INLINE_CAP`] (22) bytes inside the value itself:
+//!   building, cloning and dropping one allocates nothing — row keys and
+//!   small row values, the bulk of what flows through read sets, write
+//!   sets and snapshots;
+//! * **shared**, in one `Arc<[u8]>` allocation (count and bytes together):
+//!   clones are O(1) and the buffer is shared;
+//! * **static**, borrowing a `&'static [u8]` (`from_static`, zero-copy).
+//!
+//! Building a longer buffer from a `Vec<u8>` (`From<Vec<u8>>`,
+//! [`BytesMut::freeze`]) therefore copies it once into the shared
+//! allocation; code that only needs the bytes back should keep its `Vec`.
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
+
+/// The longest contents a [`Bytes`] keeps inline, without allocating.
+pub const INLINE_CAP: usize = 22;
 
 /// A cheaply clonable, immutable byte buffer.
 #[derive(Clone)]
@@ -26,7 +36,12 @@ pub struct Bytes {
 
 #[derive(Clone)]
 enum Repr {
-    Shared(Arc<Vec<u8>>),
+    /// `data[..len]`; `len <= INLINE_CAP`.
+    Inline {
+        len: u8,
+        data: [u8; INLINE_CAP],
+    },
+    Shared(Arc<[u8]>),
     Static(&'static [u8]),
 }
 
@@ -45,14 +60,26 @@ impl Bytes {
         }
     }
 
-    /// Copy a slice into a new buffer.
+    /// Copy a slice into a new buffer: inline up to [`INLINE_CAP`] bytes,
+    /// else one allocation.
     #[must_use]
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes::from(data.to_vec())
+        let repr = if data.len() <= INLINE_CAP {
+            let mut inline = [0; INLINE_CAP];
+            inline[..data.len()].copy_from_slice(data);
+            Repr::Inline {
+                len: data.len() as u8,
+                data: inline,
+            }
+        } else {
+            Repr::Shared(Arc::from(data))
+        };
+        Bytes { repr }
     }
 
     fn as_slice(&self) -> &[u8] {
         match &self.repr {
+            Repr::Inline { len, data } => &data[..usize::from(*len)],
             Repr::Shared(data) => data,
             Repr::Static(data) => data,
         }
@@ -103,10 +130,10 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Inline up to [`INLINE_CAP`] bytes, else one copy into a shared
+    /// allocation.
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes {
-            repr: Repr::Shared(Arc::new(v)),
-        }
+        Bytes::copy_from_slice(&v)
     }
 }
 
@@ -130,13 +157,13 @@ impl From<&str> for Bytes {
 
 impl From<String> for Bytes {
     fn from(v: String) -> Bytes {
-        Bytes::from(v.into_bytes())
+        Bytes::copy_from_slice(v.as_bytes())
     }
 }
 
 impl From<Box<[u8]>> for Bytes {
     fn from(v: Box<[u8]>) -> Bytes {
-        Bytes::from(Vec::from(v))
+        Bytes::copy_from_slice(&v)
     }
 }
 
@@ -247,10 +274,11 @@ impl BytesMut {
         self.data.is_empty()
     }
 
-    /// Freeze into an immutable, cheaply clonable buffer.
+    /// Freeze into an immutable, cheaply clonable buffer (a copy above
+    /// [`INLINE_CAP`] bytes, see [`Bytes`]).
     #[must_use]
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
+        Bytes::copy_from_slice(&self.data)
     }
 }
 
@@ -395,6 +423,69 @@ mod tests {
         assert_eq!(r.get_u16_le(), 513);
         assert_eq!(r.get_u64_le(), u64::MAX - 1);
         assert_eq!(r.get_i64_le(), -9);
+    }
+
+    /// Every way of building a `Bytes`, at lengths on both sides of the
+    /// inline limit.
+    fn built_every_way(len: usize) -> [Bytes; 4] {
+        let data: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+        let leaked: &'static [u8] = Box::leak(data.clone().into_boxed_slice());
+        let mut m = BytesMut::with_capacity(len);
+        m.put_slice(&data);
+        [
+            Bytes::from_static(leaked),
+            Bytes::copy_from_slice(&data),
+            Bytes::from(data),
+            m.freeze(),
+        ]
+    }
+
+    #[test]
+    fn every_representation_agrees_on_eq_ord_and_hash() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::collections::HashMap;
+        let hash = |b: &Bytes| {
+            let mut h = DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        };
+        let lens = [0, 1, INLINE_CAP, INLINE_CAP + 1, 64, 4_096];
+        let mut map: HashMap<Bytes, usize> = HashMap::new();
+        for &len in &lens {
+            let all = built_every_way(len);
+            for b in &all {
+                assert_eq!(b.len(), len);
+                assert_eq!(b, &all[0]);
+                assert_eq!(b.cmp(&all[0]), std::cmp::Ordering::Equal);
+                assert_eq!(hash(b), hash(&all[0]));
+                assert_eq!(b.clone(), *b);
+                assert_eq!(b.to_vec(), all[0].to_vec());
+            }
+            map.insert(all[1].clone(), len);
+        }
+        assert_eq!(map.len(), lens.len());
+        for &len in &lens {
+            for b in built_every_way(len) {
+                let slice: &[u8] = &b;
+                assert_eq!(map.get(slice), Some(&len), "length {len}");
+            }
+        }
+        // Order is the slices' order, whatever each side's representation.
+        for (i, &a) in lens.iter().enumerate() {
+            for &b in &lens[i..] {
+                for x in built_every_way(a) {
+                    for y in built_every_way(b) {
+                        assert_eq!(x.cmp(&y), x[..].cmp(&y[..]), "{a} vs {b}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bytes_is_three_words() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 24);
+        assert_eq!(std::mem::size_of::<Option<Bytes>>(), 24);
     }
 
     #[test]
