@@ -47,7 +47,7 @@ fn bench_block_execution(c: &mut Criterion) {
                 },
                 |(dcc, txns)| {
                     let block = ExecBlock::new(harmony_common::BlockId(1), txns);
-                    dcc.execute_block(&block).unwrap()
+                    dcc.execute_block(&block, None).unwrap()
                 },
                 BatchSize::SmallInput,
             );

@@ -18,9 +18,11 @@ fn main() {
         ]);
     }
     // Memory DB layer (Aria on a zero-latency engine).
-    let mem = harmony_bench::storage_with_profile(harmony_storage::DiskProfile::memory());
     let mut config = harmony_bench::default_run(75);
-    config.storage = mem;
+    config.storage = harmony_storage::StorageConfig {
+        disk_profile: harmony_storage::DiskProfile::memory(),
+        ..harmony_storage::StorageConfig::default()
+    };
     let m = harmony_bench::measure(EngineKind::Aria, &workload, &config).unwrap();
     table.row(vec![
         "memory DB".into(),

@@ -1,11 +1,11 @@
 //! Figure 21: is Harmony still useful without disk overheads? SSD vs
 //! RAMDisk vs a pure memory engine, with the consensus ceiling shown.
 
-use harmony_bench::{default_run, f2, measure, storage_with_profile, Table, WorkloadKind};
+use harmony_bench::{default_run, f2, measure, Table, WorkloadKind};
 use harmony_consensus::{KafkaConfig, KafkaSim};
 use harmony_core::HarmonyConfig;
 use harmony_sim::EngineKind;
-use harmony_storage::{DiskProfile, StorageCost};
+use harmony_storage::{DiskProfile, StorageConfig, StorageCost};
 
 fn main() {
     let mut t = Table::new(
@@ -31,7 +31,10 @@ fn main() {
                 EngineKind::Harmony(HarmonyConfig::default()),
             ] {
                 let mut config = default_run(25);
-                config.storage = storage_with_profile(profile);
+                config.storage = StorageConfig {
+                    disk_profile: profile,
+                    ..StorageConfig::default()
+                };
                 if free_cpu {
                     config.storage.cost = StorageCost {
                         buffer_hit_ns: 50,

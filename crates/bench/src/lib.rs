@@ -16,7 +16,7 @@ use harmony_core::executor::TxnOutcome;
 use harmony_core::HarmonyConfig;
 use harmony_dcc_baselines::ProtocolBlockResult;
 use harmony_sim::{run_experiment, EngineKind, RunConfig, RunMetrics};
-use harmony_storage::{DiskProfile, StorageConfig};
+use harmony_storage::StorageConfig;
 use harmony_txn::Key;
 use harmony_workloads::{Smallbank, SmallbankConfig, Tpcc, TpccConfig, Workload, Ycsb, YcsbConfig};
 
@@ -384,16 +384,6 @@ pub fn f2(x: f64) -> String {
 #[must_use]
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
-}
-
-/// Storage configuration for a disk profile (Figure 21 axis).
-#[must_use]
-pub fn storage_with_profile(profile: DiskProfile) -> StorageConfig {
-    StorageConfig {
-        disk_profile: profile,
-        log_sync_ns: profile.sync_ns,
-        ..StorageConfig::default()
-    }
 }
 
 #[cfg(test)]

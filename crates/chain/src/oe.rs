@@ -109,13 +109,17 @@ pub fn sharded_state_root(shard_roots: &[Digest]) -> Digest {
 pub type RowProof = (MapProof, Vec<(String, Digest)>);
 
 /// An Order-Execute private blockchain node.
+///
+/// Its last summary ([`OeChain::last_summary`]) is the one holder of the
+/// Rule-3 summary: recorded in every checkpoint sidecar and sync manifest,
+/// and handed to the engine with every block, so no engine keeps a copy.
 pub struct OeChain {
     config: ChainConfig,
     engine: Arc<StorageEngine>,
     snapshots: Arc<SnapshotStore>,
     dcc: Arc<dyn DccEngine>,
-    /// What `dcc` was built from, and is rebuilt from after a crash, a
-    /// total loss and a snapshot install.
+    /// What `dcc` was built from, and is rebuilt from after a crash (the
+    /// checkpointed and the total-loss kind alike).
     spec: EngineSpec,
     keypair: KeyPair,
     verifier: Verifier,
@@ -139,13 +143,13 @@ impl OeChain {
     /// Open a node that executes blocks with `spec`'s engine — HarmonyBC,
     /// or AriaBC, RBC and the SOV engines on the same chain framework, as
     /// the paper does. The chain keeps `spec` and rebuilds the engine from
-    /// it wherever it has to (crash recovery, total loss, snapshot
-    /// install), so it always recovers onto the engine it ran. For recovery
-    /// with re-execution use [`OeChain::crash_and_recover`].
+    /// it when a crash replaces the snapshot store the engine reads, so it
+    /// always recovers onto the engine it ran. For recovery with
+    /// re-execution use [`OeChain::crash_and_recover`].
     pub fn open(config: ChainConfig, spec: EngineSpec) -> Result<OeChain> {
         let engine = Arc::new(StorageEngine::open(&config.storage)?);
         let snapshots = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
-        let dcc = spec.build(Arc::clone(&snapshots), None);
+        let dcc = spec.build(Arc::clone(&snapshots));
         let keypair = KeyPair::derive(&config.provision, config.orderer_id, config.crypto);
         let verifier = Verifier::new(&config.provision, config.crypto);
         Ok(OeChain {
@@ -215,7 +219,8 @@ impl OeChain {
         self.base
     }
 
-    /// The Rule-3 summary of the last executed block (Harmony only).
+    /// The Rule-3 summary of the last executed block (Harmony only) —
+    /// what the next block is validated against.
     #[must_use]
     pub fn last_summary(&self) -> Option<&BlockSummary> {
         self.last_summary.as_ref()
@@ -288,21 +293,24 @@ impl OeChain {
         Ok(result)
     }
 
-    /// Execute a verified block on the engine, fold its writes into the
-    /// commitment and advance height, hash and summary past it — the step
-    /// apply and recovery's replay share, and the one place the chain
-    /// calls its engine.
+    /// Execute a verified block on the engine against the last block's
+    /// summary, fold its writes into the commitment and advance height,
+    /// hash and summary past it — the step apply and recovery's replay
+    /// share, and the one place the chain calls its engine. The block's
+    /// summary moves out of the result into `last_summary`.
     fn execute_and_advance(
         &mut self,
         block: &ChainBlock,
         txns: Vec<Arc<dyn Contract>>,
     ) -> Result<ProtocolBlockResult> {
         let id = block.header.id;
-        let result = self.dcc.execute_block(&ExecBlock { id, txns })?;
+        let mut result = self
+            .dcc
+            .execute_block(&ExecBlock { id, txns }, self.last_summary.as_ref())?;
         self.fold_commitment(id)?;
         self.height = id;
         self.last_hash = block.header.hash();
-        self.last_summary = result.summary.clone();
+        self.last_summary = result.summary.take();
         Ok(result)
     }
 
@@ -429,9 +437,10 @@ impl OeChain {
 
     /// Crash this node (drop caches and unsynced state) and recover:
     /// reload the checkpoint, then deterministically re-execute every
-    /// logged block after it. The DCC engine is rebuilt from the spec the
-    /// chain was opened with, so AriaBC/RBC/Fabric chains recover onto
-    /// their own engine kind.
+    /// logged block after it. The DCC engine is rebuilt over the new
+    /// snapshot store from the spec the chain was opened with, so
+    /// AriaBC/RBC/Fabric chains recover onto their own engine kind; the
+    /// Rule-3 summary comes back from the checkpoint's sidecar.
     ///
     /// A node that never checkpointed has lost its entire database (the
     /// genesis load included), so there is no base state to replay onto:
@@ -442,8 +451,10 @@ impl OeChain {
         self.engine.crash_and_recover()?;
         let checkpoint = self.engine.last_checkpoint();
 
-        // Rebuild the snapshot overlay and Rule-3 state from the sidecar.
+        // Rebuild the snapshot overlay, and the engine that reads it; the
+        // overlay and the Rule-3 summary then come from the sidecar.
         self.snapshots = Arc::new(SnapshotStore::new(Arc::clone(&self.engine)));
+        self.dcc = self.spec.build(Arc::clone(&self.snapshots));
         self.last_summary = None;
         *self.commitment.lock().expect("commitment lock") = None;
         let Some(checkpoint) = checkpoint else {
@@ -455,7 +466,6 @@ impl OeChain {
             self.base = (BlockId(0), Digest::ZERO);
             self.height = BlockId(0);
             self.last_hash = Digest::ZERO;
-            self.dcc = self.spec.build(Arc::clone(&self.snapshots), None);
             return Ok(());
         };
         let mut checkpoint_hash = None;
@@ -491,11 +501,6 @@ impl OeChain {
             }
         }
         *self.commitment.lock().expect("commitment lock") = Some(commitment);
-
-        // Re-create the DCC engine on the checkpoint's Rule-3 summary.
-        self.dcc = self
-            .spec
-            .build(Arc::clone(&self.snapshots), self.last_summary.clone());
 
         // Verify and replay the logged blocks after the checkpoint.
         let blocks = self.verify_chain()?;
@@ -550,9 +555,6 @@ impl OeChain {
         // installed tables (and records its root in the sidecar).
         *self.commitment.lock().expect("commitment lock") = None;
         import_recent_undo(&self.snapshots, &snapshot.undo);
-        self.dcc = self
-            .spec
-            .build(Arc::clone(&self.snapshots), self.last_summary.clone());
         // Persist: the install point becomes this node's first checkpoint,
         // so a later crash recovers from here rather than from genesis.
         self.checkpoint()

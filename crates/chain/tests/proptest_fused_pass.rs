@@ -86,13 +86,17 @@ fn check(kind: EngineKind, blocks: &[Vec<Vec<Op>>]) {
         engine.put(t, &k.to_be_bytes(), &k.to_le_bytes()).unwrap();
     }
     let store = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
-    let dcc = EngineSpec::flat(kind, 2).build(Arc::clone(&store), None);
+    let dcc = EngineSpec::flat(kind, 2).build(Arc::clone(&store));
     let mut commitment = StateCommitment::build(&engine).unwrap();
+    let mut prev = None;
     for (b, txns) in blocks.iter().enumerate() {
         let id = BlockId(b as u64 + 1);
         let before = rows(&engine, t);
         let txns = txns.iter().map(|ops| contract(t, ops.clone())).collect();
-        dcc.execute_block(&ExecBlock::new(id, txns)).unwrap();
+        prev = dcc
+            .execute_block(&ExecBlock::new(id, txns), prev.as_ref())
+            .unwrap()
+            .summary;
 
         let writes = store.writes_in(id).unwrap();
         let keys: Vec<Key> = writes.iter().map(|(key, _)| key.clone()).collect();

@@ -5,15 +5,19 @@
 //! recovering (checkpoint reload + deterministic replay on a rebuilt
 //! engine) must reproduce the exact state root and chain hash of a
 //! reference node that never crashed, for every engine kind — and every
-//! site that rebuilds the engine rebuilds the one the chain was opened with.
+//! site that rebuilds the engine rebuilds the one the chain was opened with,
+//! and every site that restores a chain restores its Rule-3 summary.
 
 use std::sync::Arc;
 
 use harmony_chain::{ChainConfig, OeChain};
+use harmony_common::error::AbortReason;
 use harmony_common::{BlockId, DetRng, Error};
+use harmony_core::executor::TxnOutcome;
+use harmony_core::HarmonyConfig;
 use harmony_crypto::Digest;
 use harmony_dcc_baselines::{EngineKind, EngineSpec};
-use harmony_workloads::{Smallbank, SmallbankConfig, Workload, Ycsb, YcsbConfig};
+use harmony_workloads::{ycsb, Smallbank, SmallbankConfig, Workload, Ycsb, YcsbCodec, YcsbConfig};
 use proptest::prelude::*;
 
 #[derive(Clone, Copy, Debug)]
@@ -204,6 +208,71 @@ fn every_rebuild_site_rebuilds_the_engine_the_chain_was_opened_with() {
                 "{spec:?}: recovered and installed nodes diverged"
             );
         }
+    }
+}
+
+/// Block `h + 1` aborts a transaction only because of block `h`: a write
+/// skew across the two blocks, as in the core protocol tests. Under
+/// inter-block parallelism block `h + 1` reads the state before block `h`,
+/// and only block `h`'s Rule-3 summary says what it missed. The block must
+/// be decided the same way, to the same state root, on the chain that ran
+/// on, after `crash_and_recover` from the checkpoint at `h`, and on a
+/// fresh chain that took the manifest at `h` through `catch_up`.
+#[test]
+fn the_rule3_summary_survives_every_rebuild_site() {
+    const H: u64 = 3;
+    let spec = EngineSpec::flat(EngineKind::Harmony(HarmonyConfig::default()), 2);
+    let config = ChainConfig {
+        checkpoint_every: H,
+        ..ChainConfig::in_memory()
+    };
+    let mut workload = Ycsb::new(YcsbConfig {
+        keys: 16,
+        ..YcsbConfig::default()
+    });
+    let genesis = |workload: &mut Ycsb| {
+        let chain = OeChain::open(config.clone(), spec).unwrap();
+        workload.setup(chain.engine()).unwrap();
+        chain
+    };
+    let mut ran_on = genesis(&mut workload);
+    let mut crashed = genesis(&mut workload);
+    let codec = YcsbCodec {
+        table: workload.table(),
+    };
+    // `(key, 0, 0)` reads a key, `(key, 2, 1)` adds 1 to it.
+    let txn = |ops: Vec<(u64, u8, i64)>| ycsb::build_txn(codec.table, ops);
+    for b in 1..=H {
+        let mut txns = vec![txn(vec![(8 + b, 2, 1)])];
+        if b == H {
+            txns.push(txn(vec![(0, 0, 0), (1, 2, 1)])); // reads 0, writes 1
+        }
+        let (sealed, _) = ran_on.submit_block(txns, &codec).unwrap();
+        crashed.apply_sealed_block(&sealed, &codec).unwrap();
+    }
+    crashed.crash_and_recover(&codec).unwrap();
+    let mut synced = OeChain::open(config.clone(), spec).unwrap();
+    let manifest = ran_on.export_snapshot().unwrap();
+    assert_eq!(synced.catch_up(Some(&manifest), &[], &codec).unwrap(), H);
+
+    // Reads 1 (before block H wrote it) and writes 0 (which block H read).
+    let skewed = vec![txn(vec![(1, 0, 0), (0, 2, 1)]), txn(vec![(12, 2, 1)])];
+    let (sealed, expected) = ran_on.submit_block(skewed, &codec).unwrap();
+    assert_eq!(
+        expected.outcomes,
+        [
+            TxnOutcome::Aborted(AbortReason::BackwardDangerousStructure),
+            TxnOutcome::Committed
+        ],
+        "block {} must abort the write skew across it and block {H}",
+        H + 1
+    );
+    let root = ran_on.state_root().unwrap();
+    for (site, mut chain) in [("crash_and_recover", crashed), ("catch_up", synced)] {
+        assert_eq!(chain.height(), BlockId(H), "{site}");
+        let result = chain.apply_sealed_block(&sealed, &codec).unwrap();
+        assert_eq!(result.outcomes, expected.outcomes, "{site}: outcomes");
+        assert_eq!(chain.state_root().unwrap(), root, "{site}: state root");
     }
 }
 

@@ -11,6 +11,28 @@
 //! a deterministic owner — so the committed state is a pure function of
 //! (snapshot, block contents, config), independent of thread count and
 //! interleaving.
+//!
+//! # Inter-block parallelism (§3.4)
+//!
+//! Blocks run strictly one after another: [`BlockExecutor::execute`]
+//! simulates a block, commits it and garbage-collects the undo entries no
+//! later block can read, and only then is the next block handed over. The
+//! commit steps therefore run in block order, which is what keeps Rule 3
+//! deterministic.
+//!
+//! What inter-block parallelism changes is the snapshot. Block `i`
+//! simulates against the state after block `i − 2`
+//! ([`BlockExecutor::snapshot_for`]), which the snapshot store rebuilds
+//! from the before-images block `i − 1` recorded, so its simulation could
+//! have overlapped block `i − 1`'s commit. The virtual-time cost model in
+//! `harmony-sim` charges exactly that overlap (`pipeline_total_ns` at
+//! depth 2). Block `i`'s reads are then one block stale, and Rule 3
+//! validates them against the [`BlockSummary`] of block `i − 1`.
+//!
+//! The executor keeps no summary between blocks. Its host hands each block
+//! its predecessor's summary: `OeChain` holds the last one, records it in
+//! every checkpoint sidecar and sync manifest, and passes it to the next
+//! block through `DccEngine::execute_block`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -392,9 +414,20 @@ impl BlockExecutor {
         })
     }
 
-    /// Convenience: simulate + commit in one call (no pipeline overlap).
+    /// Execute `block`: simulate, commit, then drop the undo entries no
+    /// later block can read. `prev` is the summary of the block before it
+    /// (`None` before the first block). It is consulted only under
+    /// inter-block parallelism: otherwise block `i` simulates against
+    /// block `i − 1`'s state, so none of its reads is stale.
     pub fn execute(&self, block: &ExecBlock, prev: Option<&BlockSummary>) -> Result<BlockResult> {
+        let prev = prev.filter(|_| self.config.inter_block_parallelism);
         let sim = self.simulate(block);
-        self.commit(block, sim, prev)
+        let result = self.commit(block, sim, prev)?;
+        // After committing block i, the oldest snapshot a later block can
+        // still request is i − 1 (block i + 1 simulates against it under
+        // inter-block parallelism), so undo entries for writers ≤ i − 1
+        // are dead.
+        self.store.gc(BlockId(block.id.0.saturating_sub(1)));
+        Ok(result)
     }
 }

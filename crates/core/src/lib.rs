@@ -17,7 +17,7 @@
 //! 4. **Inter-block parallelism** (Rule 3): block `i` simulates against the
 //!    snapshot of block `i−2` while block `i−1` commits; an enhanced abort
 //!    policy keeps the outcome deterministic under network asynchrony
-//!    ([`pipeline`]).
+//!    ([`executor`]).
 //!
 //! The protocol toggles (`update_reordering`, `update_coalescence`,
 //! `inter_block_parallelism`) reproduce the paper's ablation (Figure 20).
@@ -28,7 +28,6 @@ pub mod config;
 pub mod executor;
 pub mod meta;
 pub mod par;
-pub mod pipeline;
 pub mod reorder;
 pub mod reservation;
 pub mod snapshot;
@@ -36,6 +35,5 @@ pub mod stats;
 
 pub use config::HarmonyConfig;
 pub use executor::{BlockExecutor, ExecBlock, TxnOutcome, TxnResult};
-pub use pipeline::{ChainPipeline, PipelineReport};
 pub use snapshot::{SnapshotStore, SnapshotViewAt};
 pub use stats::BlockStats;

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use harmony_common::ids::TableId;
 use harmony_common::BlockId;
 use harmony_core::executor::ExecBlock;
-use harmony_core::{ChainPipeline, HarmonyConfig, SnapshotStore};
+use harmony_core::{BlockExecutor, HarmonyConfig, SnapshotStore};
 use harmony_storage::{StorageConfig, StorageEngine};
 use harmony_txn::{Contract, FnContract, Key, TxnCtx, UserAbort};
 use proptest::prelude::*;
@@ -81,12 +81,13 @@ fn run(specs: &[Vec<TxnSpec>], workers: usize, ibp: bool) -> (BTreeMap<u64, i64>
         inter_block_parallelism: ibp,
         ..HarmonyConfig::default()
     };
-    let mut pipeline = ChainPipeline::new(store, config);
+    let exec = BlockExecutor::new(store, config);
     let mut committed = Vec::new();
+    let mut prev = None;
     for (b, block_specs) in specs.iter().enumerate() {
         let txns: Vec<_> = block_specs.iter().map(|s| build(t, s)).collect();
-        let result = pipeline
-            .execute_one(&ExecBlock::new(BlockId(b as u64 + 1), txns))
+        let result = exec
+            .execute(&ExecBlock::new(BlockId(b as u64 + 1), txns), prev.as_ref())
             .unwrap();
         committed.push(
             result
@@ -95,6 +96,7 @@ fn run(specs: &[Vec<TxnSpec>], workers: usize, ibp: bool) -> (BTreeMap<u64, i64>
                 .map(|r| r.outcome.is_committed())
                 .collect(),
         );
+        prev = Some(result.summary);
     }
     (final_state(&engine, t), committed)
 }

@@ -1,7 +1,7 @@
-//! Protocol-level tests for the Harmony executor and pipeline:
-//! dangerous-structure aborts, reordering semantics, determinism under
-//! parallelism, inter-block behaviour, and a serializability oracle over
-//! randomized workloads.
+//! Protocol-level tests for the Harmony executor: dangerous-structure
+//! aborts, reordering semantics, determinism under parallelism,
+//! inter-block behaviour, and a serializability oracle over randomized
+//! workloads.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -10,7 +10,7 @@ use harmony_common::error::AbortReason;
 use harmony_common::ids::TableId;
 use harmony_common::{BlockId, DetRng};
 use harmony_core::executor::{BlockExecutor, ExecBlock, TxnOutcome};
-use harmony_core::{ChainPipeline, HarmonyConfig, SnapshotStore};
+use harmony_core::{BlockStats, HarmonyConfig, SnapshotStore};
 use harmony_storage::{StorageConfig, StorageEngine};
 use harmony_txn::{Contract, FnContract, Key, TxnCtx, UserAbort};
 
@@ -48,6 +48,19 @@ fn read_add_txn(t: TableId, reads: Vec<u64>, writes: Vec<u64>) -> Arc<dyn Contra
         }
         Ok(())
     }))
+}
+
+/// Execute consecutive blocks as a chain does: each one is handed the
+/// Rule-3 summary of the block before it. Returns the summed counters.
+fn run_blocks(exec: &BlockExecutor, blocks: &[ExecBlock]) -> BlockStats {
+    let mut totals = BlockStats::default();
+    let mut prev = None;
+    for block in blocks {
+        let result = exec.execute(block, prev.as_ref()).unwrap();
+        totals.absorb(&result.stats);
+        prev = Some(result.summary);
+    }
+    totals
 }
 
 /// A blind overwrite transaction.
@@ -187,7 +200,7 @@ fn determinism_across_worker_counts() {
             workers,
             ..HarmonyConfig::default()
         };
-        let mut pipeline = ChainPipeline::new(Arc::clone(&store), config);
+        let exec = BlockExecutor::new(Arc::clone(&store), config);
         let mut rng = DetRng::new(777);
         let mut blocks = Vec::new();
         for b in 1..=10u64 {
@@ -200,7 +213,7 @@ fn determinism_across_worker_counts() {
                 .collect();
             blocks.push(ExecBlock::new(BlockId(b), txns));
         }
-        pipeline.run_blocks(&blocks).unwrap();
+        run_blocks(&exec, &blocks);
         (0..32)
             .map(|i| (i, read_i64(&store, t, i).unwrap()))
             .collect()
@@ -222,14 +235,14 @@ fn interblock_write_skew_across_blocks_aborts() {
         inter_block_parallelism: true,
         ..HarmonyConfig::default()
     };
-    let mut pipeline = ChainPipeline::new(Arc::clone(&store), config);
+    let exec = BlockExecutor::new(Arc::clone(&store), config);
     let blocks = vec![
         ExecBlock::new(BlockId(1), vec![read_add_txn(t, vec![0], vec![1])]),
         ExecBlock::new(BlockId(2), vec![read_add_txn(t, vec![1], vec![0])]),
     ];
-    let report = pipeline.run_blocks(&blocks).unwrap();
-    let total_commits = report.totals.committed;
-    let total_aborts = report.totals.protocol_aborts();
+    let totals = run_blocks(&exec, &blocks);
+    let total_commits = totals.committed;
+    let total_aborts = totals.protocol_aborts();
     // One of the two must abort; committing both would be unserializable
     // (each read the other's before-image).
     assert_eq!(total_commits, 1, "aborts={total_aborts}");
@@ -240,7 +253,7 @@ fn interblock_write_skew_across_blocks_aborts() {
 fn interblock_snapshot_is_two_blocks_back() {
     let (store, t) = setup(1);
     let config = HarmonyConfig::default(); // IBP on
-    let mut pipeline = ChainPipeline::new(Arc::clone(&store), config);
+    let exec = BlockExecutor::new(Arc::clone(&store), config);
     // Block 1 sets x=1; block 2 sets x=2; block 3 reads x.
     let seen = Arc::new(parking_lot::Mutex::new(None));
     let seen2 = Arc::clone(&seen);
@@ -257,7 +270,7 @@ fn interblock_snapshot_is_two_blocks_back() {
         ExecBlock::new(BlockId(2), vec![put_txn(t, 0, 2)]),
         ExecBlock::new(BlockId(3), vec![reader]),
     ];
-    pipeline.run_blocks(&blocks).unwrap();
+    run_blocks(&exec, &blocks);
     // Block 3 simulates against the snapshot of block 1 (i − 2).
     assert_eq!(*seen.lock(), Some(1));
 }
@@ -265,11 +278,11 @@ fn interblock_snapshot_is_two_blocks_back() {
 #[test]
 fn pipeline_gc_bounds_undo_memory() {
     let (store, t) = setup(4);
-    let mut pipeline = ChainPipeline::new(Arc::clone(&store), HarmonyConfig::default());
+    let exec = BlockExecutor::new(Arc::clone(&store), HarmonyConfig::default());
     let blocks: Vec<_> = (1..=50u64)
         .map(|b| ExecBlock::new(BlockId(b), vec![read_add_txn(t, vec![], vec![b % 4])]))
         .collect();
-    pipeline.run_blocks(&blocks).unwrap();
+    run_blocks(&exec, &blocks);
     assert!(
         store.undo_keys() <= 8,
         "undo chains must be GC'd, saw {}",
@@ -321,7 +334,7 @@ fn phantom_scan_vs_insert_is_detected() {
 #[test]
 fn additive_workload_commits_are_exact() {
     let (store, t) = setup(8);
-    let mut pipeline = ChainPipeline::new(Arc::clone(&store), HarmonyConfig::default());
+    let exec = BlockExecutor::new(Arc::clone(&store), HarmonyConfig::default());
     let mut rng = DetRng::new(42);
     let mut expected = [0i64; 8];
     let mut blocks = Vec::new();
@@ -335,9 +348,9 @@ fn additive_workload_commits_are_exact() {
         }
         blocks.push(ExecBlock::new(BlockId(b), txns));
     }
-    let report = pipeline.run_blocks(&blocks).unwrap();
+    let totals = run_blocks(&exec, &blocks);
     // Blind adds never create rw-dependencies => nothing may abort.
-    assert_eq!(report.totals.protocol_aborts(), 0);
+    assert_eq!(totals.protocol_aborts(), 0);
     let mut idx = 0;
     for plan in &planned {
         let _b = plan[0];

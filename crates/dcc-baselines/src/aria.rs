@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use harmony_common::error::AbortReason;
 use harmony_common::{vtime, BlockId, Result, TxnId};
-use harmony_core::executor::{ExecBlock, TxnOutcome};
+use harmony_core::executor::{BlockSummary, ExecBlock, TxnOutcome};
 use harmony_core::par::run_indexed;
 use harmony_core::SnapshotStore;
 use harmony_txn::Key;
@@ -71,7 +71,11 @@ impl DccEngine for Aria {
         false
     }
 
-    fn execute_block(&self, block: &ExecBlock) -> Result<ProtocolBlockResult> {
+    fn execute_block(
+        &self,
+        block: &ExecBlock,
+        _prev: Option<&BlockSummary>,
+    ) -> Result<ProtocolBlockResult> {
         let snapshot = BlockId(block.id.0 - 1);
         let n = block.txns.len();
         let (rwsets, sim_ns) = simulate_block(&self.store, snapshot, block, self.config.workers);
@@ -186,7 +190,7 @@ mod tests {
                 .map(|i| read_add_txn(t, vec![i], vec![i + 8]))
                 .collect(),
         );
-        let res = aria.execute_block(&block).unwrap();
+        let res = aria.execute_block(&block, None).unwrap();
         assert_eq!(res.stats.committed, 4);
         assert_eq!(read_i64(&store, t, 8), Some(101));
     }
@@ -203,7 +207,7 @@ mod tests {
                 read_add_txn(t, vec![], vec![0]),
             ],
         );
-        let res = aria.execute_block(&block).unwrap();
+        let res = aria.execute_block(&block, None).unwrap();
         assert_eq!(res.stats.committed, 1);
         assert_eq!(res.stats.aborted_ww, 1);
         assert_eq!(res.outcomes[0], TxnOutcome::Committed);
@@ -222,7 +226,7 @@ mod tests {
                 read_add_txn(t, vec![0], vec![1]),
             ],
         );
-        let res = aria.execute_block(&block).unwrap();
+        let res = aria.execute_block(&block, None).unwrap();
         assert_eq!(res.stats.committed, 2, "raw-only must commit");
     }
 
@@ -236,7 +240,7 @@ mod tests {
                 read_add_txn(t, vec![0], vec![1]),
             ],
         );
-        let res = aria.execute_block(&block).unwrap();
+        let res = aria.execute_block(&block, None).unwrap();
         assert_eq!(res.stats.committed, 1);
         assert_eq!(res.stats.aborted_stale, 1);
     }
@@ -253,7 +257,7 @@ mod tests {
                 read_add_txn(t, vec![0], vec![1]),
             ],
         );
-        let res = aria.execute_block(&block).unwrap();
+        let res = aria.execute_block(&block, None).unwrap();
         assert_eq!(res.stats.committed, 1);
         assert_eq!(res.outcomes[1], TxnOutcome::Aborted(AbortReason::StaleRead));
     }
@@ -265,7 +269,7 @@ mod tests {
         // respective previous-block snapshots.
         for b in 1..=2u64 {
             let block = ExecBlock::new(BlockId(b), vec![read_add_txn(t, vec![], vec![0])]);
-            aria.execute_block(&block).unwrap();
+            aria.execute_block(&block, None).unwrap();
         }
         assert_eq!(read_i64(&store, t, 0), Some(102));
     }

@@ -2,10 +2,11 @@
 //! paper's five systems (and names its [`Architecture`]), [`EngineSpec`]
 //! adds the worker count and the profile, and [`EngineSpec::build`] is the
 //! one place an engine is constructed. Its only non-test caller is the
-//! chain that hosts the engine — at open, after a crash or a total loss,
-//! and at snapshot install — so the experiment drivers, the replicas and
-//! the examples name an engine and open a chain. No engine takes a block
-//! id: the chain decides which block is next.
+//! chain that hosts the engine — at open, and after a crash, which opens
+//! a new snapshot store — so the experiment drivers, the replicas and the
+//! examples name an engine and open a chain. No engine takes a block id or
+//! keeps a Rule-3 summary: the chain decides which block is next and
+//! hands it its predecessor's summary.
 //!
 //! # The sharded profile
 //!
@@ -36,7 +37,6 @@
 use std::str::FromStr;
 use std::sync::Arc;
 
-use harmony_core::executor::BlockSummary;
 use harmony_core::{HarmonyConfig, SnapshotStore};
 
 use crate::{
@@ -163,17 +163,13 @@ impl EngineSpec {
         }
     }
 
-    /// Instantiate over `store`. `prev_summary` is the Rule-3 summary of
-    /// the block the chain stands on (`None` on a fresh chain): it seeds
-    /// Harmony's inter-block validation after recovery or state-sync. The
-    /// other engines' rules are per-block, and Harmony without inter-block
-    /// parallelism (the sharded profile) never consults it.
+    /// Instantiate over `store`. The engine keeps no Rule-3 summary: the
+    /// chain's `last_summary` is its one holder. The chain records it in
+    /// every checkpoint sidecar and sync manifest and hands it to every
+    /// block through [`DccEngine::execute_block`], so an engine built
+    /// after a crash needs nothing but the store it reads.
     #[must_use]
-    pub fn build(
-        &self,
-        store: Arc<SnapshotStore>,
-        prev_summary: Option<BlockSummary>,
-    ) -> Arc<dyn DccEngine> {
+    pub fn build(&self, store: Arc<SnapshotStore>) -> Arc<dyn DccEngine> {
         let workers = self.workers;
         let mut sov = FabricConfig {
             workers,
@@ -184,14 +180,13 @@ impl EngineSpec {
             sov.validation_delay = 0;
         }
         match self.kind {
-            EngineKind::Harmony(config) => Arc::new(HarmonyEngine::starting_at(
+            EngineKind::Harmony(config) => Arc::new(HarmonyEngine::new(
                 store,
                 HarmonyConfig {
                     workers,
                     inter_block_parallelism: config.inter_block_parallelism && !self.sharded,
                     ..config
                 },
-                prev_summary,
             )),
             EngineKind::Aria => Arc::new(Aria::new(
                 store,
@@ -279,7 +274,7 @@ mod tests {
         for kind in EngineKind::ALL {
             for spec in [EngineSpec::flat(kind, 2), EngineSpec::sharded(kind, 2)] {
                 let engine = Arc::new(StorageEngine::open(&StorageConfig::memory()).unwrap());
-                let dcc = spec.build(Arc::new(SnapshotStore::new(engine)), None);
+                let dcc = spec.build(Arc::new(SnapshotStore::new(engine)));
                 assert_eq!(dcc.name(), kind.name());
             }
         }
@@ -292,16 +287,9 @@ mod tests {
             Arc::new(SnapshotStore::new(engine))
         };
         let kind = EngineKind::Harmony(HarmonyConfig::FULL);
+        assert_eq!(EngineSpec::flat(kind, 2).build(store()).pipeline_depth(), 2);
         assert_eq!(
-            EngineSpec::flat(kind, 2)
-                .build(store(), None)
-                .pipeline_depth(),
-            2
-        );
-        assert_eq!(
-            EngineSpec::sharded(kind, 2)
-                .build(store(), None)
-                .pipeline_depth(),
+            EngineSpec::sharded(kind, 2).build(store()).pipeline_depth(),
             1
         );
     }

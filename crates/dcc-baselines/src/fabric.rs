@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use harmony_common::error::AbortReason;
 use harmony_common::{vtime, BlockId, DetRng, Result, TxnId};
-use harmony_core::executor::{ExecBlock, TxnOutcome};
+use harmony_core::executor::{BlockSummary, ExecBlock, TxnOutcome};
 use harmony_core::par::run_indexed;
 use harmony_core::SnapshotStore;
 use harmony_txn::{simulate, Key, RwSet};
@@ -150,7 +150,11 @@ impl DccEngine for Fabric {
         true
     }
 
-    fn execute_block(&self, block: &ExecBlock) -> Result<ProtocolBlockResult> {
+    fn execute_block(
+        &self,
+        block: &ExecBlock,
+        _prev: Option<&BlockSummary>,
+    ) -> Result<ProtocolBlockResult> {
         let n = block.txns.len();
         let latest = BlockId(block.id.0 - 1);
         let endorsements = endorse_block(&self.store, block, &self.config);
@@ -229,7 +233,7 @@ mod tests {
                 .map(|i| read_add_txn(t, vec![i], vec![i + 8]))
                 .collect(),
         );
-        let res = fabric.execute_block(&block).unwrap();
+        let res = fabric.execute_block(&block, None).unwrap();
         assert_eq!(res.stats.committed, 4);
         assert_eq!(read_i64(&store, t, 9), Some(101));
     }
@@ -248,7 +252,7 @@ mod tests {
                 read_add_txn(t, vec![0], vec![1]),
             ],
         );
-        let res = fabric.execute_block(&block).unwrap();
+        let res = fabric.execute_block(&block, None).unwrap();
         assert_eq!(res.stats.committed, 1);
         assert_eq!(res.stats.aborted_stale, 1);
         assert_eq!(res.outcomes[1], TxnOutcome::Aborted(AbortReason::StaleRead));
@@ -269,11 +273,11 @@ mod tests {
         // Block 1: write key 0 (endorsed at snapshot 0; no prior writes —
         // commits).
         let b1 = ExecBlock::new(BlockId(1), vec![read_add_txn(t, vec![], vec![0])]);
-        assert_eq!(fabric.execute_block(&b1).unwrap().stats.committed, 1);
+        assert_eq!(fabric.execute_block(&b1, None).unwrap().stats.committed, 1);
         // Block 2: reads key 0, endorsed against snapshot 0 (stale: block 1
         // updated it).
         let b2 = ExecBlock::new(BlockId(2), vec![read_add_txn(t, vec![0], vec![1])]);
-        let res = fabric.execute_block(&b2).unwrap();
+        let res = fabric.execute_block(&b2, None).unwrap();
         assert_eq!(res.stats.aborted_stale, 1);
     }
 
@@ -291,15 +295,15 @@ mod tests {
         };
         let fabric = Fabric::new(Arc::clone(&store), config);
         let b1 = ExecBlock::new(BlockId(1), vec![read_add_txn(t, vec![], vec![0])]);
-        fabric.execute_block(&b1).unwrap();
+        fabric.execute_block(&b1, None).unwrap();
         // Block 2 reads key 0: primary endorser sees block 1's write,
         // lagged secondary does not → divergent read-write sets.
         let b2 = ExecBlock::new(BlockId(2), vec![read_add_txn(t, vec![0], vec![1])]);
-        let res = fabric.execute_block(&b2).unwrap();
+        let res = fabric.execute_block(&b2, None).unwrap();
         assert_eq!(res.stats.aborted_endorsement, 1);
         // A read of a never-written key cannot mismatch.
         let b3 = ExecBlock::new(BlockId(3), vec![read_add_txn(t, vec![3], vec![2])]);
-        let res = fabric.execute_block(&b3).unwrap();
+        let res = fabric.execute_block(&b3, None).unwrap();
         assert_eq!(res.stats.committed, 1);
     }
 
@@ -320,7 +324,7 @@ mod tests {
                         .map(|i| read_add_txn(t, vec![i % 8], vec![(i + 1) % 8]))
                         .collect(),
                 );
-                committed += fabric.execute_block(&block).unwrap().stats.committed;
+                committed += fabric.execute_block(&block, None).unwrap().stats.committed;
             }
             (
                 committed,

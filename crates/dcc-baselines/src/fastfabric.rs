@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use harmony_common::error::AbortReason;
 use harmony_common::{vtime, BlockId, Result, TxnId};
-use harmony_core::executor::{ExecBlock, TxnOutcome};
+use harmony_core::executor::{BlockSummary, ExecBlock, TxnOutcome};
 use harmony_core::SnapshotStore;
 use harmony_txn::Key;
 
@@ -116,7 +116,11 @@ impl DccEngine for FastFabric {
         true
     }
 
-    fn execute_block(&self, block: &ExecBlock) -> Result<ProtocolBlockResult> {
+    fn execute_block(
+        &self,
+        block: &ExecBlock,
+        _prev: Option<&BlockSummary>,
+    ) -> Result<ProtocolBlockResult> {
         let n = block.txns.len();
         let latest = BlockId(block.id.0 - 1);
         let endorsements = endorse_block(&self.store, block, &self.config.fabric);
@@ -256,7 +260,7 @@ mod tests {
                 .map(|i| read_add_txn(t, vec![i], vec![i + 8]))
                 .collect(),
         );
-        let res = ff.execute_block(&block).unwrap();
+        let res = ff.execute_block(&block, None).unwrap();
         assert_eq!(res.stats.committed, 4);
     }
 
@@ -273,7 +277,7 @@ mod tests {
                 read_add_txn(t, vec![0], vec![1]),
             ],
         );
-        let res = ff.execute_block(&block).unwrap();
+        let res = ff.execute_block(&block, None).unwrap();
         assert_eq!(res.stats.committed, 2);
         assert!(res.orderer_ns > 0, "graph traversal must be charged");
     }
@@ -290,7 +294,7 @@ mod tests {
                 read_add_txn(t, vec![0], vec![1]),
             ],
         );
-        let res = ff.execute_block(&block).unwrap();
+        let res = ff.execute_block(&block, None).unwrap();
         assert_eq!(res.stats.committed, 1);
         assert_eq!(res.stats.aborted_graph, 1);
     }
@@ -307,7 +311,7 @@ mod tests {
             BlockId(1),
             (0..12).map(|_| read_add_txn(t, vec![0], vec![1])).collect(),
         );
-        let res = ff.execute_block(&block).unwrap();
+        let res = ff.execute_block(&block, None).unwrap();
         assert!(res.stats.aborted_graph > 0, "cap must drop transactions");
     }
 
@@ -326,7 +330,7 @@ mod tests {
                 })
                 .collect();
             let block = ExecBlock::new(BlockId(1), txns);
-            ff.execute_block(&block).unwrap().orderer_ns
+            ff.execute_block(&block, None).unwrap().orderer_ns
         };
         assert!(
             cost_at(true) > cost_at(false),

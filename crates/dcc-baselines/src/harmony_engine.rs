@@ -1,39 +1,30 @@
 //! Adapter exposing Harmony through the uniform [`DccEngine`] interface,
 //! so the benchmark harness can drive all five systems identically.
+//!
+//! The adapter is a [`BlockExecutor`] plus the conversion of its result.
+//! It keeps nothing between blocks: the chain hands each block the Rule-3
+//! summary of its predecessor, and the executor garbage-collects the
+//! snapshot store after each commit.
 
 use std::sync::Arc;
 
 use harmony_common::Result;
 use harmony_core::executor::{BlockSummary, ExecBlock};
-use harmony_core::{ChainPipeline, HarmonyConfig, SnapshotStore};
-use parking_lot::Mutex;
+use harmony_core::{BlockExecutor, HarmonyConfig, SnapshotStore};
 
 use crate::protocol::{DccEngine, ProtocolBlockResult};
 
 /// Harmony as a [`DccEngine`].
 pub struct HarmonyEngine {
-    pipeline: Mutex<ChainPipeline>,
-    config: HarmonyConfig,
+    executor: BlockExecutor,
 }
 
 impl HarmonyEngine {
-    /// New engine over `store`, before its first block.
+    /// New engine over `store`.
     #[must_use]
     pub fn new(store: Arc<SnapshotStore>, config: HarmonyConfig) -> HarmonyEngine {
-        HarmonyEngine::starting_at(store, config, None)
-    }
-
-    /// Resume after a block (recovery), seeding that block's summary for
-    /// Rule 3 continuity.
-    #[must_use]
-    pub fn starting_at(
-        store: Arc<SnapshotStore>,
-        config: HarmonyConfig,
-        prev_summary: Option<BlockSummary>,
-    ) -> HarmonyEngine {
         HarmonyEngine {
-            pipeline: Mutex::new(ChainPipeline::starting_at(store, config, prev_summary)),
-            config,
+            executor: BlockExecutor::new(store, config),
         }
     }
 }
@@ -48,15 +39,19 @@ impl DccEngine for HarmonyEngine {
     }
 
     fn pipeline_depth(&self) -> usize {
-        if self.config.inter_block_parallelism {
+        if self.executor.config().inter_block_parallelism {
             2
         } else {
             1
         }
     }
 
-    fn execute_block(&self, block: &ExecBlock) -> Result<ProtocolBlockResult> {
-        let result = self.pipeline.lock().execute_one(block)?;
+    fn execute_block(
+        &self,
+        block: &ExecBlock,
+        prev: Option<&BlockSummary>,
+    ) -> Result<ProtocolBlockResult> {
+        let result = self.executor.execute(block, prev)?;
         let (outcomes, costs): (Vec<_>, Vec<(u64, u64)>) = result
             .results
             .iter()
@@ -89,6 +84,7 @@ mod tests {
         assert_eq!(engine.name(), "HarmonyBC");
         assert_eq!(engine.pipeline_depth(), 2);
         assert!(!engine.commit_is_serial());
+        let mut prev = None;
         for b in 1..=3u64 {
             // Blind contended adds: no rw edges, so reordering must commit
             // every transaction across all three pipelined blocks.
@@ -98,9 +94,10 @@ mod tests {
                     .map(|i| read_add_txn(t, vec![], vec![i % 3]))
                     .collect(),
             );
-            let res = engine.execute_block(&block).unwrap();
+            let res = engine.execute_block(&block, prev.as_ref()).unwrap();
             assert_eq!(res.stats.txns, 6);
             assert_eq!(res.stats.committed, 6);
+            prev = res.summary;
         }
         let total: i64 = (0..8).map(|i| read_i64(&store, t, i).unwrap() - 100).sum();
         assert_eq!(total, 18, "every add must be applied exactly once");

@@ -11,7 +11,7 @@
 //! hosts it is the one guard that the block follows the last.
 
 use harmony_common::{BlockId, Result};
-use harmony_core::executor::{ExecBlock, TxnOutcome};
+use harmony_core::executor::{BlockSummary, ExecBlock, TxnOutcome};
 use harmony_core::par::run_indexed;
 use harmony_core::{BlockStats, SnapshotStore};
 use harmony_txn::{simulate, Key, RwSet, Value};
@@ -47,7 +47,9 @@ pub struct ProtocolBlockResult {
     /// FastFabric#'s dependency-graph traversal.
     pub orderer_ns: u64,
     /// Rule-3 digest for the next block (Harmony only; `None` elsewhere).
-    pub summary: Option<harmony_core::executor::BlockSummary>,
+    /// A chain moves it into its own last summary, so a result an
+    /// `OeChain` returns carries `None`.
+    pub summary: Option<BlockSummary>,
 }
 
 impl ProtocolBlockResult {
@@ -91,7 +93,17 @@ pub trait DccEngine: Send + Sync {
 
     /// Execute `block`. The host feeds blocks in consecutive order; the
     /// engine does not check it.
-    fn execute_block(&self, block: &ExecBlock) -> Result<ProtocolBlockResult>;
+    ///
+    /// `prev` is the Rule-3 summary of the block before `block` (`None`
+    /// before the first): no engine keeps one between blocks, so the host
+    /// hands it over. Harmony validates against it under inter-block
+    /// parallelism; the other engines' rules are per-block, and they
+    /// ignore it.
+    fn execute_block(
+        &self,
+        block: &ExecBlock,
+        prev: Option<&BlockSummary>,
+    ) -> Result<ProtocolBlockResult>;
 }
 
 /// Shared simulation step: run every transaction against `snapshot` in

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use harmony_common::error::AbortReason;
 use harmony_common::{vtime, BlockId, Result, TxnId};
-use harmony_core::executor::{ExecBlock, TxnOutcome};
+use harmony_core::executor::{BlockSummary, ExecBlock, TxnOutcome};
 use harmony_core::SnapshotStore;
 use harmony_txn::Key;
 
@@ -47,7 +47,11 @@ impl DccEngine for Rbc {
         true
     }
 
-    fn execute_block(&self, block: &ExecBlock) -> Result<ProtocolBlockResult> {
+    fn execute_block(
+        &self,
+        block: &ExecBlock,
+        _prev: Option<&BlockSummary>,
+    ) -> Result<ProtocolBlockResult> {
         let snapshot = BlockId(block.id.0 - 1);
         let n = block.txns.len();
         let (rwsets, sim_ns) = simulate_block(&self.store, snapshot, block, self.workers);
@@ -130,7 +134,7 @@ mod tests {
                 .map(|i| read_add_txn(t, vec![i], vec![i + 8]))
                 .collect(),
         );
-        let res = rbc.execute_block(&block).unwrap();
+        let res = rbc.execute_block(&block, None).unwrap();
         assert_eq!(res.stats.committed, 4);
         assert_eq!(read_i64(&store, t, 10), Some(101));
     }
@@ -146,7 +150,7 @@ mod tests {
                 read_add_txn(t, vec![], vec![0]),
             ],
         );
-        let res = rbc.execute_block(&block).unwrap();
+        let res = rbc.execute_block(&block, None).unwrap();
         assert_eq!(res.stats.committed, 1);
         assert_eq!(res.stats.aborted_ww, 2);
         assert_eq!(read_i64(&store, t, 0), Some(101));
@@ -164,7 +168,7 @@ mod tests {
                 read_add_txn(t, vec![0], vec![1]),
             ],
         );
-        let res = rbc.execute_block(&block).unwrap();
+        let res = rbc.execute_block(&block, None).unwrap();
         assert_eq!(res.stats.committed, 2);
     }
 
@@ -181,7 +185,7 @@ mod tests {
                 read_add_txn(t, vec![0], vec![1]),
             ],
         );
-        let res = rbc.execute_block(&block).unwrap();
+        let res = rbc.execute_block(&block, None).unwrap();
         assert_eq!(res.stats.committed, 1);
         assert_eq!(res.stats.aborted_ssi, 1);
         assert_eq!(
@@ -212,7 +216,7 @@ mod tests {
             BlockId(1),
             (0..6).map(|i| read_add_txn(t, vec![], vec![i])).collect(),
         );
-        let res = rbc.execute_block(&block).unwrap();
+        let res = rbc.execute_block(&block, None).unwrap();
         assert!(rbc.commit_is_serial());
         assert!(
             res.commit_ns.iter().filter(|&&c| c > 0).count() >= 6,

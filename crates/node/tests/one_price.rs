@@ -35,7 +35,10 @@ fn run() -> RunConfig {
         block_size: 16,
         workers: 4,
         storage: StorageConfig {
-            log_sync_ns: 9_000,
+            disk_profile: harmony_storage::DiskProfile {
+                sync_ns: 9_000,
+                ..harmony_storage::DiskProfile::ssd()
+            },
             ..StorageConfig::default()
         },
         seed: 0x0C05,

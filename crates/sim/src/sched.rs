@@ -85,7 +85,7 @@ pub fn schedule_block(
 fn logged_schedule(chain: &OeChain, result: &ProtocolBlockResult) -> BlockSchedule {
     let serial = chain.dcc().commit_is_serial();
     let mut sched = schedule_block(result, chain.spec().workers, serial);
-    let log_sync_ns = chain.config().storage.log_sync_ns;
+    let log_sync_ns = chain.config().storage.disk_profile.sync_ns;
     sched.commit_ns += log_sync_ns;
     sched.commit_work_ns += log_sync_ns;
     sched.work_ns += log_sync_ns;
@@ -168,7 +168,9 @@ impl BlockCharge {
             .unwrap_or(0);
         let cross_ns =
             result.exchange_ns + makespan(&result.cross_sim_ns, chains[0].spec().workers);
-        let log_sync_ns: u64 = chains.iter().map(|c| c.config().storage.log_sync_ns).sum();
+        let log_sync_ns: u64 = (chains.iter())
+            .map(|c| c.config().storage.disk_profile.sync_ns)
+            .sum();
         let work_ns = result.stats.sim_ns_total + result.stats.commit_ns_total + log_sync_ns;
         self.add(cross_ns + slowest, work_ns)
     }
@@ -320,13 +322,16 @@ mod tests {
         use harmony_consensus::net::LatencyModel;
         use harmony_dcc_baselines::{EngineKind, EngineSpec};
         use harmony_shard::{HashPartitioner, ShardRouter};
-        use harmony_storage::StorageConfig;
+        use harmony_storage::{DiskProfile, StorageConfig};
         use harmony_workloads::{Smallbank, SmallbankConfig, Workload};
 
         let workers = 2;
         let config = ChainConfig {
             storage: StorageConfig {
-                log_sync_ns: 7_000,
+                disk_profile: DiskProfile {
+                    sync_ns: 7_000,
+                    ..DiskProfile::memory()
+                },
                 ..StorageConfig::memory()
             },
             checkpoint_every: 0,

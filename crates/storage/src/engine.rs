@@ -27,7 +27,8 @@ use crate::log::{FileLog, LogSink, MemLog};
 pub struct StorageConfig {
     /// Buffer pool capacity in pages (4 KiB each).
     pub buffer_pages: usize,
-    /// Latency profile applied to the (simulated) disk. Ignored for
+    /// Latency profile applied to the (simulated) disk and its logs: a
+    /// page read or write, and a page or log sync (`sync_ns`). Ignored for
     /// file-backed engines, which pay real I/O latency.
     pub disk_profile: DiskProfile,
     /// CPU cost constants for storage operations.
@@ -35,8 +36,6 @@ pub struct StorageConfig {
     /// When `Some`, the engine persists to files under this directory;
     /// when `None`, it runs on a simulated in-memory disk.
     pub data_dir: Option<PathBuf>,
-    /// Virtual-time cost of a log sync on the simulated log device.
-    pub log_sync_ns: u64,
     /// Buffer-pool eviction policy.
     pub eviction: EvictionPolicy,
 }
@@ -48,7 +47,6 @@ impl Default for StorageConfig {
             disk_profile: DiskProfile::ssd(),
             cost: StorageCost::default(),
             data_dir: None,
-            log_sync_ns: DiskProfile::ssd().sync_ns,
             eviction: EvictionPolicy::NoSteal,
         }
     }
@@ -63,7 +61,6 @@ impl StorageConfig {
             disk_profile: DiskProfile::memory(),
             cost: StorageCost::free(),
             data_dir: None,
-            log_sync_ns: 0,
             eviction: EvictionPolicy::NoSteal,
         }
     }
@@ -181,8 +178,8 @@ impl StorageEngine {
             None => (
                 Arc::new(SimDisk::wrap(MemDisk::new(), config.disk_profile)),
                 Arc::new(MemManifestStore::new()),
-                Arc::new(MemLog::new(config.log_sync_ns)),
-                Arc::new(MemLog::new(config.log_sync_ns)),
+                Arc::new(MemLog::new(config.disk_profile.sync_ns)),
+                Arc::new(MemLog::new(config.disk_profile.sync_ns)),
             ),
         };
         let pool = Arc::new(BufferPool::with_policy(

@@ -774,7 +774,7 @@ impl Workload for Tpcc {
 mod tests {
     use super::*;
     use harmony_core::executor::ExecBlock;
-    use harmony_core::{ChainPipeline, HarmonyConfig, SnapshotStore};
+    use harmony_core::{BlockExecutor, HarmonyConfig, SnapshotStore};
     use harmony_storage::StorageConfig;
 
     fn tiny_config() -> TpccConfig {
@@ -814,18 +814,20 @@ mod tests {
     fn full_mix_runs_under_harmony() {
         let (engine, w) = setup_tpcc(tiny_config());
         let store = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
-        let mut pipeline = ChainPipeline::new(Arc::clone(&store), HarmonyConfig::default());
+        let exec = BlockExecutor::new(Arc::clone(&store), HarmonyConfig::default());
         let mut rng = DetRng::new(7);
         let mut totals = harmony_core::BlockStats::default();
         let mut names = std::collections::HashSet::new();
+        let mut prev = None;
         for b in 1..=8u64 {
             let txns = w.next_block(&mut rng, 15);
             for t in &txns {
                 names.insert(t.name().to_string());
             }
             let block = ExecBlock::new(harmony_common::BlockId(b), txns);
-            let res = pipeline.execute_one(&block).unwrap();
+            let res = exec.execute(&block, prev.as_ref()).unwrap();
             totals.absorb(&res.stats);
+            prev = Some(res.summary);
         }
         assert_eq!(totals.txns, 120);
         assert!(
@@ -849,15 +851,17 @@ mod tests {
             read_i64(&row, dist::NEXT_O_ID).unwrap()
         };
         let store = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
-        let mut pipeline = ChainPipeline::new(Arc::clone(&store), HarmonyConfig::default());
+        let exec = BlockExecutor::new(Arc::clone(&store), HarmonyConfig::default());
         // Run enough NewOrders that district (0,0) is hit.
         let mut rng = DetRng::new(1);
         let mut committed_neworders = 0usize;
+        let mut prev = None;
         for b in 1..=6u64 {
             let txns: Vec<_> = (0..10).map(|_| w.new_order_txn(&mut rng)).collect();
             let block = ExecBlock::new(harmony_common::BlockId(b), txns);
-            let res = pipeline.execute_one(&block).unwrap();
+            let res = exec.execute(&block, prev.as_ref()).unwrap();
             committed_neworders += res.stats.committed;
+            prev = Some(res.summary);
         }
         let after = {
             let row = engine.get(t.district, &k_dist(0, 0)).unwrap().unwrap();
@@ -879,13 +883,16 @@ mod tests {
             ..TpccConfig::default()
         });
         let store = Arc::new(SnapshotStore::new(engine));
-        let mut pipeline = ChainPipeline::new(Arc::clone(&store), HarmonyConfig::default());
+        let exec = BlockExecutor::new(Arc::clone(&store), HarmonyConfig::default());
         let mut rng = DetRng::new(3);
         let mut totals = harmony_core::BlockStats::default();
+        let mut prev = None;
         for b in 1..=5u64 {
             let txns: Vec<_> = (0..30).map(|_| w.new_order_txn(&mut rng)).collect();
             let block = ExecBlock::new(harmony_common::BlockId(b), txns);
-            totals.absorb(&pipeline.execute_one(&block).unwrap().stats);
+            let res = exec.execute(&block, prev.as_ref()).unwrap();
+            totals.absorb(&res.stats);
+            prev = Some(res.summary);
         }
         assert!(
             totals.protocol_aborts() > 10,
@@ -915,13 +922,19 @@ mod tests {
         assert_eq!(decoded.payload(), orig.payload());
         let store_a = Arc::new(SnapshotStore::new(Arc::clone(&engine_a)));
         let store_b = Arc::new(SnapshotStore::new(Arc::clone(&engine_b)));
-        let mut pa = ChainPipeline::new(store_a, HarmonyConfig::default());
-        let mut pb = ChainPipeline::new(store_b, HarmonyConfig::default());
-        let ra = pa
-            .execute_one(&ExecBlock::new(harmony_common::BlockId(1), vec![orig]))
+        let ea = BlockExecutor::new(store_a, HarmonyConfig::default());
+        let eb = BlockExecutor::new(store_b, HarmonyConfig::default());
+        let ra = ea
+            .execute(
+                &ExecBlock::new(harmony_common::BlockId(1), vec![orig]),
+                None,
+            )
             .unwrap();
-        let rb = pb
-            .execute_one(&ExecBlock::new(harmony_common::BlockId(1), vec![decoded]))
+        let rb = eb
+            .execute(
+                &ExecBlock::new(harmony_common::BlockId(1), vec![decoded]),
+                None,
+            )
             .unwrap();
         assert_eq!(
             ra.results.iter().map(|r| r.outcome).collect::<Vec<_>>(),

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use harmonybc::common::{BlockId, DetRng};
 use harmonybc::core::executor::ExecBlock;
-use harmonybc::core::{ChainPipeline, HarmonyConfig, SnapshotStore};
+use harmonybc::core::{BlockExecutor, HarmonyConfig, SnapshotStore};
 use harmonybc::storage::{StorageConfig, StorageEngine};
 use harmonybc::txn::row::read_i64;
 use harmonybc::workloads::tpcc::{dist, DISTRICTS};
@@ -28,16 +28,20 @@ fn main() -> harmonybc::common::Result<()> {
     let tables = tpcc.tables();
 
     let store = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
-    let mut pipeline = ChainPipeline::new(Arc::clone(&store), HarmonyConfig::default());
+    let executor = BlockExecutor::new(Arc::clone(&store), HarmonyConfig::default());
 
+    // Each block is validated against the Rule-3 summary of the one before
+    // it (inter-block parallelism): the caller keeps it, as a chain does.
     let mut rng = DetRng::new(7);
     let mut committed = 0usize;
     let mut attempts = 0usize;
+    let mut prev = None;
     for b in 1..=15u64 {
         let block = ExecBlock::new(BlockId(b), tpcc.next_block(&mut rng, 20));
-        let result = pipeline.execute_one(&block)?;
+        let result = executor.execute(&block, prev.as_ref())?;
         committed += result.stats.committed;
         attempts += result.stats.txns;
+        prev = Some(result.summary);
     }
     println!("{committed}/{attempts} transactions committed across 15 blocks");
 

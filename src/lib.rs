@@ -39,7 +39,7 @@ pub use harmony_workloads as workloads;
 pub mod prelude {
     pub use harmony_chain::{ChainConfig, OeChain};
     pub use harmony_common::{BlockId, TableId, TxnId};
-    pub use harmony_core::{BlockExecutor, ChainPipeline, HarmonyConfig, SnapshotStore};
+    pub use harmony_core::{BlockExecutor, HarmonyConfig, SnapshotStore};
     pub use harmony_dcc_baselines::{DccEngine, EngineKind, EngineSpec, HarmonyEngine};
     pub use harmony_metrics::{Registry, Timeline};
     pub use harmony_node::{Cluster, ClusterConfig, ClusterWorkload, Mempool, ReplicaNode};

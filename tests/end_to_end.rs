@@ -64,9 +64,9 @@ fn smallbank_send_payments_conserve_money() {
     bank.setup(&engine).unwrap();
     let (checking, savings) = bank.tables();
     let store = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
-    let mut pipeline =
-        harmonybc::core::ChainPipeline::new(Arc::clone(&store), HarmonyConfig::default());
+    let exec = harmonybc::core::BlockExecutor::new(Arc::clone(&store), HarmonyConfig::default());
     let mut rng = DetRng::new(31);
+    let mut prev = None;
     for b in 1..=15u64 {
         let txns = (0..20)
             .map(|_| {
@@ -76,9 +76,10 @@ fn smallbank_send_payments_conserve_money() {
                 build_txn(checking, savings, Procedure::SendPayment, a0, a1, amount)
             })
             .collect();
-        pipeline
-            .execute_one(&ExecBlock::new(BlockId(b), txns))
+        let result = exec
+            .execute(&ExecBlock::new(BlockId(b), txns), prev.as_ref())
             .unwrap();
+        prev = Some(result.summary);
     }
     let mut total = 0i64;
     for table in [checking, savings] {
@@ -115,9 +116,12 @@ fn tpcc_runs_on_rbc_and_harmony_with_same_inputs() {
         };
         let mut rng = DetRng::new(77);
         let mut totals = BlockStats::default();
+        let mut prev = None;
         for b in 1..=6u64 {
             let block = ExecBlock::new(BlockId(b), tpcc.next_block(&mut rng, 15));
-            totals.absorb(&dcc.execute_block(&block).unwrap().stats);
+            let result = dcc.execute_block(&block, prev.as_ref()).unwrap();
+            totals.absorb(&result.stats);
+            prev = result.summary;
         }
         totals
     };
