@@ -1,0 +1,3 @@
+fn simulate(txn: &dyn Contract) {
+    vtime::charge(txn.think_time_ns());
+}

@@ -52,7 +52,6 @@ fn main() {
                     },
                     shards,
                     partitions: PARTITIONS,
-                    ..ShardRunConfig::default()
                 };
                 let m = run_sharded_experiment(kind, &mut w, &config).unwrap();
                 t.row(vec![

@@ -115,7 +115,6 @@ fn single_process_run(engine: EngineKind, shards: usize) -> harmony_sim::RunMetr
             },
             shards,
             partitions: PARTITIONS,
-            latency: LatencyModel::lan_1g(),
         },
     )
     .expect("single-process sharded run")

@@ -44,16 +44,6 @@ impl Writer {
         self.buf.put_u64_le(v);
     }
 
-    /// Append an `i64` (LE).
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.put_i64_le(v);
-    }
-
-    /// Append an `f64` as its IEEE-754 bit pattern (LE).
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_u64_le(v.to_bits());
-    }
-
     /// Append a length-prefixed byte slice (u32 length).
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(u32::try_from(v.len()).expect("slice longer than u32::MAX"));
@@ -134,17 +124,6 @@ impl<'a> Reader<'a> {
     pub fn get_u64(&mut self) -> Result<u64> {
         self.need(8)?;
         Ok(self.buf.get_u64_le())
-    }
-
-    /// Read an `i64` (LE).
-    pub fn get_i64(&mut self) -> Result<i64> {
-        self.need(8)?;
-        Ok(self.buf.get_i64_le())
-    }
-
-    /// Read an `f64` from its IEEE-754 bit pattern (LE).
-    pub fn get_f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Read the `u32` element count of a sequence whose every element
@@ -235,16 +214,12 @@ mod tests {
         w.put_u16(1234);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 3);
-        w.put_i64(-42);
-        w.put_f64(3.5);
         let buf = w.finish();
         let mut r = Reader::new(&buf);
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_u16().unwrap(), 1234);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.get_i64().unwrap(), -42);
-        assert_eq!(r.get_f64().unwrap(), 3.5);
         assert_eq!(r.remaining(), 0);
     }
 

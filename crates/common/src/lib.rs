@@ -10,15 +10,13 @@
 //! * a deterministic, seedable random number generator and the Zipfian /
 //!   workload distributions built on it ([`rng`], [`zipf`]),
 //! * thread-local virtual-time cost accounting used by the benchmark
-//!   scheduler ([`vtime`]),
-//! * small statistics helpers for latency/throughput reporting ([`stats`]).
+//!   scheduler ([`vtime`]).
 
 pub mod codec;
 pub mod error;
 pub mod hash;
 pub mod ids;
 pub mod rng;
-pub mod stats;
 pub mod vtime;
 pub mod zipf;
 

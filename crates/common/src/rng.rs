@@ -34,13 +34,6 @@ impl DetRng {
         }
     }
 
-    /// Derive an independent child stream; used to give each replica /
-    /// worker / block its own generator without correlation.
-    #[must_use]
-    pub fn fork(&mut self, tag: u64) -> DetRng {
-        DetRng::new(self.next_u64() ^ tag.wrapping_mul(0xA24B_AED4_963E_E407))
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -81,15 +74,6 @@ impl DetRng {
         for i in (1..xs.len()).rev() {
             let j = self.gen_range(i as u64 + 1) as usize;
             xs.swap(i, j);
-        }
-    }
-
-    /// Pick a uniformly random element, or `None` if the slice is empty.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.gen_range(xs.len() as u64) as usize])
         }
     }
 
@@ -169,15 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = DetRng::new(5);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        let same = (0..32).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert!(same < 4);
-    }
-
-    #[test]
     fn shuffle_is_permutation() {
         let mut r = DetRng::new(13);
         let mut xs: Vec<u32> = (0..50).collect();
@@ -197,12 +172,5 @@ mod tests {
         assert!(counts[2] > counts[1] && counts[1] > counts[0]);
         let frac2 = f64::from(counts[2]) / 30_000.0;
         assert!((frac2 - 0.7).abs() < 0.03);
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut r = DetRng::new(1);
-        let empty: [u8; 0] = [];
-        assert!(r.choose(&empty).is_none());
     }
 }

@@ -75,16 +75,6 @@ impl MerkleTree {
         self.levels.last().expect("non-empty levels")[0]
     }
 
-    /// Number of leaves.
-    #[must_use]
-    pub fn leaf_count(&self) -> usize {
-        if self.levels.len() == 1 && self.levels[0].len() == 1 && self.levels[0][0] == sha256(b"") {
-            0
-        } else {
-            self.levels[0].len()
-        }
-    }
-
     /// Produce an inclusion proof for the leaf at `index`.
     #[must_use]
     pub fn prove(&self, index: usize) -> Option<Vec<ProofStep>> {
@@ -136,14 +126,12 @@ mod tests {
     fn empty_tree_has_conventional_root() {
         let t = MerkleTree::build::<&[u8]>(&[]);
         assert_eq!(t.root(), sha256(b""));
-        assert_eq!(t.leaf_count(), 0);
     }
 
     #[test]
     fn single_leaf_root_is_tagged_leaf_hash() {
         let t = MerkleTree::build(&[b"only".as_slice()]);
         assert_eq!(t.root(), hash_leaf(b"only"));
-        assert_eq!(t.leaf_count(), 1);
     }
 
     #[test]

@@ -61,21 +61,6 @@ impl Digest {
         }
         s
     }
-
-    /// Parse from a 64-char hex string.
-    #[must_use]
-    pub fn from_hex(s: &str) -> Option<Digest> {
-        if s.len() != 64 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        for (i, chunk) in s.as_bytes().chunks(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16)?;
-            let lo = (chunk[1] as char).to_digit(16)?;
-            out[i] = ((hi << 4) | lo) as u8;
-        }
-        Some(Digest(out))
-    }
 }
 
 impl fmt::Debug for Digest {
@@ -486,14 +471,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn hex_roundtrip() {
-        let d = sha256(b"roundtrip");
-        assert_eq!(Digest::from_hex(&d.to_hex()), Some(d));
-        assert_eq!(Digest::from_hex("zz"), None);
-        assert_eq!(Digest::from_hex(&"g".repeat(64)), None);
     }
 
     #[test]

@@ -45,9 +45,10 @@ pub struct FabricConfig {
     /// Blocks elapsing between endorsement and validation (client →
     /// orderer → block formation round trips).
     pub validation_delay: u64,
-    /// Seed for the deterministic lag sampling.
-    pub seed: u64,
 }
+
+/// Seed for the deterministic lag sampling.
+const LAG_SEED: u64 = 0xFAB0_51C5;
 
 impl Default for FabricConfig {
     fn default() -> Self {
@@ -56,7 +57,6 @@ impl Default for FabricConfig {
             endorser_lag_prob: 0.15,
             max_lag: 2,
             validation_delay: 1,
-            seed: 0xFAB0_51C5,
         }
     }
 }
@@ -80,8 +80,7 @@ pub(crate) fn endorse_block(
     run_indexed(block.txns.len(), config.workers, |i| {
         // Deterministic per-(block, txn) lag stream.
         let mut rng = DetRng::new(
-            config
-                .seed
+            LAG_SEED
                 .wrapping_add(block.id.0.wrapping_mul(0x9E37_79B9))
                 .wrapping_add(i as u64),
         );
@@ -291,7 +290,6 @@ mod tests {
             endorser_lag_prob: 1.0,
             max_lag: 1,
             validation_delay: 0,
-            ..FabricConfig::default()
         };
         let fabric = Fabric::new(Arc::clone(&store), config);
         let b1 = ExecBlock::new(BlockId(1), vec![read_add_txn(t, vec![], vec![0])]);

@@ -31,16 +31,16 @@ pub struct FastFabricConfig {
     pub fabric: FabricConfig,
     /// Edge cap: beyond this the orderer drops transactions outright.
     pub max_graph_edges: usize,
-    /// Virtual cost per node+edge visited during each cycle check.
-    pub traversal_ns_per_edge: u64,
 }
+
+/// Virtual cost per node+edge visited during each cycle check.
+const TRAVERSAL_NS_PER_EDGE: u64 = 120;
 
 impl Default for FastFabricConfig {
     fn default() -> Self {
         FastFabricConfig {
             fabric: FabricConfig::default(),
             max_graph_edges: 4_096,
-            traversal_ns_per_edge: 120,
         }
     }
 }
@@ -186,8 +186,7 @@ impl DccEngine for FastFabric {
                 graph.add_edge(from, to);
             }
             let (cycle, steps) = graph.has_cycle_through(idx);
-            orderer_ns +=
-                self.config.traversal_ns_per_edge * (steps as u64 + new_edges.len() as u64 + 1);
+            orderer_ns += TRAVERSAL_NS_PER_EDGE * (steps as u64 + new_edges.len() as u64 + 1);
             if cycle {
                 for &(from, to) in &new_edges {
                     graph.remove_edge(from, to);

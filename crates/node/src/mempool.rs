@@ -186,15 +186,18 @@ pub struct MempoolMetrics {
     pub rejected: [Counter; 4],
     /// `harmony_mempool_tenant_sealed_total{tenant=...}` — transactions
     /// drained into blocks, per tenant (the admission-plane goodput the
-    /// overload figure plots). Empty when multi-tenancy is off.
+    /// overload figure plots). With multi-tenancy off, the one tenant's
+    /// counter is kept off the registry.
     pub tenant_sealed: Vec<Counter>,
 }
 
 impl MempoolMetrics {
-    /// Register the mempool metric family in `registry`. `tenants` > 1
-    /// additionally registers one per-tenant sealed counter.
+    /// Register the mempool metric family in `registry`, with one sealed
+    /// counter per tenant; `tenants` > 1 registers those too.
     #[must_use]
     pub fn register(registry: &Registry, tenants: usize) -> MempoolMetrics {
+        let scratch = Registry::new();
+        let sealed_in = if tenants > 1 { registry } else { &scratch };
         MempoolMetrics {
             depth: registry.gauge(
                 "harmony_mempool_depth",
@@ -215,37 +218,15 @@ impl MempoolMetrics {
                     &[("cause", cause)],
                 )
             }),
-            tenant_sealed: if tenants > 1 {
-                (0..tenants)
-                    .map(|t| {
-                        registry.counter_with(
-                            "harmony_mempool_tenant_sealed_total",
-                            "Transactions sealed into blocks, per admission tenant.",
-                            &[("tenant", &t.to_string())],
-                        )
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            },
-        }
-    }
-
-    /// Metric handles not attached to any registry (counting still
-    /// works — used when no observability plane is wired up).
-    #[must_use]
-    pub fn detached() -> MempoolMetrics {
-        MempoolMetrics {
-            depth: Gauge::detached(),
-            admitted: Counter::detached(),
-            reordered: Counter::detached(),
-            rejected: [
-                Counter::detached(),
-                Counter::detached(),
-                Counter::detached(),
-                Counter::detached(),
-            ],
-            tenant_sealed: Vec::new(),
+            tenant_sealed: (0..tenants.max(1))
+                .map(|t| {
+                    sealed_in.counter_with(
+                        "harmony_mempool_tenant_sealed_total",
+                        "Transactions sealed into blocks, per admission tenant.",
+                        &[("tenant", &t.to_string())],
+                    )
+                })
+                .collect(),
         }
     }
 
@@ -275,21 +256,18 @@ pub struct Mempool {
 }
 
 impl Mempool {
-    /// Build an empty mempool with detached (registry-less) metrics.
+    /// Build an empty mempool whose metrics go to a scratch registry.
     #[must_use]
     pub fn new(config: MempoolConfig) -> Mempool {
-        Mempool::with_metrics(config, MempoolMetrics::detached())
+        let metrics = MempoolMetrics::register(&Registry::new(), config.tenants);
+        Mempool::with_metrics(config, metrics)
     }
 
-    /// Build an empty mempool reporting into the given metric handles.
+    /// Build an empty mempool reporting into the given metric handles,
+    /// registered for `config.tenants`.
     #[must_use]
-    pub fn with_metrics(config: MempoolConfig, mut metrics: MempoolMetrics) -> Mempool {
+    pub fn with_metrics(config: MempoolConfig, metrics: MempoolMetrics) -> Mempool {
         let tenants = config.tenants.max(1);
-        // Pad the per-tenant counters so sealed accounting works even
-        // with detached metrics.
-        while metrics.tenant_sealed.len() < tenants {
-            metrics.tenant_sealed.push(Counter::detached());
-        }
         Mempool {
             config,
             queue: VecDeque::new(),

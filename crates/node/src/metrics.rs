@@ -3,9 +3,10 @@
 //! One [`ReplicaMetrics`] per replica (committed/aborted transaction
 //! counters with abort-reason labels, block-cost histogram, and the
 //! delivery front's root-tracker buffer high-water marks), plus one
-//! [`TxnCounters`] per hosted shard on a sharded replica. All handles
-//! default to detached cells, so a node built without an observability
-//! plane pays the same single relaxed atomic per event and nothing else.
+//! [`TxnCounters`] per hosted shard on a sharded replica. A node built
+//! without an observability plane registers them in a scratch
+//! [`Registry`], so it pays the same single relaxed atomic per event and
+//! nothing else.
 
 use harmony_core::BlockStats;
 use harmony_metrics::{doubling_buckets, Counter, Gauge, Histogram, Registry};
@@ -48,15 +49,6 @@ impl TxnCounters {
             registry.counter_with(aborted_name, aborted_help, &labels)
         });
         TxnCounters { committed, aborted }
-    }
-
-    /// Counters not attached to any registry.
-    #[must_use]
-    pub fn detached() -> TxnCounters {
-        TxnCounters {
-            committed: Counter::detached(),
-            aborted: BlockStats::ABORT_REASONS.map(|_| Counter::detached()),
-        }
     }
 
     /// Accumulate one block's statistics.
@@ -141,20 +133,6 @@ impl ReplicaMetrics {
                 "Shard count currently hosted by this replica.",
                 &labels,
             ),
-        }
-    }
-
-    /// Handles not attached to any registry.
-    #[must_use]
-    pub fn detached() -> ReplicaMetrics {
-        ReplicaMetrics {
-            txns: TxnCounters::detached(),
-            block_cost_ns: Histogram::detached(&doubling_buckets(10_000, 16)),
-            root_fold_ns: Histogram::detached(&doubling_buckets(10_000, 8)),
-            root_own_hwm: Gauge::detached(),
-            root_peer_hwm: Gauge::detached(),
-            reshards: Counter::detached(),
-            hosted_shards: Gauge::detached(),
         }
     }
 }

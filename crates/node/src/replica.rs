@@ -32,7 +32,7 @@ use harmony_consensus::net::DeliveryLog;
 use harmony_core::BlockStats;
 use harmony_crypto::Digest;
 use harmony_dcc_baselines::{EngineKind, EngineSpec};
-use harmony_metrics::Gauge;
+use harmony_metrics::{Gauge, Registry};
 use harmony_sim::BlockCharge;
 use harmony_storage::StorageEngine;
 use harmony_txn::ContractCodec;
@@ -245,12 +245,12 @@ impl DeliveryFront {
             roots: RootTracker::default(),
             gossip_every: gossip_every.max(1),
             poison_next_gossip: false,
-            metrics: ReplicaMetrics::detached(),
+            metrics: ReplicaMetrics::register(&Registry::new(), 0),
         }
     }
 
-    /// Report into the given metric handles (the default handles are
-    /// detached). Also wires the root tracker's buffer gauges.
+    /// Report into the given metric handles (the default handles sit in a
+    /// scratch registry). Also wires the root tracker's buffer gauges.
     pub(crate) fn set_metrics(&mut self, metrics: ReplicaMetrics) {
         self.roots
             .set_metrics(metrics.root_own_hwm.clone(), metrics.root_peer_hwm.clone());
@@ -397,8 +397,8 @@ impl ReplicaNode {
         })
     }
 
-    /// Report into the given metric handles (the default handles are
-    /// detached).
+    /// Report into the given metric handles (the default handles sit in a
+    /// scratch registry).
     pub fn set_metrics(&mut self, metrics: ReplicaMetrics) {
         self.front.set_metrics(metrics);
     }

@@ -47,12 +47,13 @@ use harmony_consensus::net::LatencyModel;
 use harmony_core::BlockStats;
 use harmony_crypto::{sha256, Digest, Verifier};
 use harmony_dcc_baselines::{EngineKind, EngineSpec};
+use harmony_metrics::Registry;
 use harmony_shard::{Partitioning, PlannerMetrics, ReshardMarker, ShardGroup, ShardRouter};
 use harmony_sim::BlockCharge;
 use harmony_storage::StorageEngine;
 use harmony_txn::{ContractCodec, Key};
 
-use crate::metrics::{ReplicaMetrics, TxnCounters};
+use crate::metrics::{shard_txn_counters, ReplicaMetrics, TxnCounters};
 use crate::replica::{Applied, DeliveryFront};
 
 /// Sharded replica configuration.
@@ -155,6 +156,12 @@ pub(crate) fn check_layout(shards: usize, partitions: usize) -> Result<()> {
     Ok(())
 }
 
+/// One shard's committed/aborted counters in a scratch registry of its
+/// own: the defaults before `set_metrics`, and for shards a reshard adds.
+fn scratch_shard_counters() -> TxnCounters {
+    shard_txn_counters(&Registry::new(), 0, 0)
+}
+
 /// A replica hosting M shards behind one ordered global block stream.
 pub struct ShardedReplicaNode {
     /// What every shard chain opens from; the live shard count is the
@@ -204,7 +211,7 @@ impl ShardedReplicaNode {
             front: DeliveryFront::new(config.gossip_every),
             charge: BlockCharge::default(),
             shard_metrics: (0..config.shards)
-                .map(|_| TxnCounters::detached())
+                .map(|_| scratch_shard_counters())
                 .collect(),
         })
     }
@@ -212,7 +219,7 @@ impl ShardedReplicaNode {
     /// Report into the given metric handles: replica-level counters and
     /// histograms, one committed/aborted counter pair per hosted shard
     /// (`per_shard`, in shard order), and the planner's classification
-    /// metrics. The defaults are detached handles.
+    /// metrics. The defaults sit in scratch registries.
     pub fn set_metrics(
         &mut self,
         metrics: ReplicaMetrics,
@@ -399,7 +406,7 @@ impl ShardedReplicaNode {
         self.group.rehost(new_router, new_chains);
         self.epoch = marker.epoch;
         self.shard_metrics
-            .resize_with(new_count, TxnCounters::detached);
+            .resize_with(new_count, scratch_shard_counters);
         self.front.metrics.reshards.inc();
         self.front.metrics.hosted_shards.set(new_count as i64);
 
@@ -437,7 +444,7 @@ impl ShardedReplicaNode {
         self.group
             .rehost(router, self.config.open_shard_chains(new_count)?);
         self.shard_metrics
-            .resize_with(new_count, TxnCounters::detached);
+            .resize_with(new_count, scratch_shard_counters);
         self.front.metrics.hosted_shards.set(new_count as i64);
         self.height = BlockId(0);
         self.anchor = None;

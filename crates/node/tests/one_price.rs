@@ -115,7 +115,6 @@ fn a_sharded_replica_charges_what_the_driver_charges() {
         base: run(),
         shards: 2,
         partitions: 8,
-        ..ShardRunConfig::default()
     };
     for engine in EngineKind::ALL {
         let metrics = run_sharded_experiment(engine, &mut bank(), &run).unwrap();
@@ -125,7 +124,6 @@ fn a_sharded_replica_charges_what_the_driver_charges() {
             workers: run.base.workers,
             shards: run.shards,
             partitions: run.partitions,
-            latency: run.latency.clone(),
             ..ShardedReplicaConfig::default()
         };
         let mut w = bank();

@@ -65,6 +65,7 @@ use harmony_core::par::run_indexed;
 use harmony_core::{BlockStats, SnapshotStore};
 use harmony_crypto::{AuthMap, Digest};
 use harmony_dcc_baselines::ProtocolBlockResult;
+use harmony_metrics::Registry;
 use harmony_storage::StorageEngine;
 use harmony_txn::{Contract, ContractCodec, Key, MultiCodec, RangePredicate, RwSet};
 
@@ -149,12 +150,12 @@ impl ShardGroup {
             chains,
             codec: Arc::new(FragmentCodec),
             latency,
-            metrics: PlannerMetrics::detached(),
+            metrics: PlannerMetrics::register(&Registry::new(), &[]),
         }
     }
 
     /// Report planner decisions into the given metric handles (the
-    /// default handles are detached — counting but unregistered).
+    /// default handles count in a scratch registry).
     pub fn set_metrics(&mut self, metrics: PlannerMetrics) {
         self.metrics = metrics;
     }

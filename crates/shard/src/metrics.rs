@@ -70,18 +70,6 @@ impl PlannerMetrics {
         }
     }
 
-    /// Handles not attached to any registry.
-    #[must_use]
-    pub fn detached() -> PlannerMetrics {
-        PlannerMetrics {
-            cross_txns: Counter::detached(),
-            single_txns: Counter::detached(),
-            survivors: Counter::detached(),
-            reservation_conflicts: Counter::detached(),
-            survivor_set_size: Histogram::detached(&SURVIVOR_SET_BOUNDS),
-        }
-    }
-
     /// Record one planned block.
     pub fn observe(&self, plan: &BlockPlan) {
         let cross = plan.cross_idx.len();

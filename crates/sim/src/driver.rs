@@ -251,25 +251,12 @@ pub struct ShardRunConfig {
     /// classification never changes; must be ≥ the largest shard count
     /// under comparison).
     pub partitions: u32,
-    /// Network model for the cross-shard read-fragment exchange.
-    pub latency: LatencyModel,
-}
-
-impl Default for ShardRunConfig {
-    fn default() -> Self {
-        ShardRunConfig {
-            base: RunConfig::default(),
-            shards: 4,
-            partitions: 64,
-            latency: LatencyModel::lan_1g(),
-        }
-    }
 }
 
 /// Run one sharded experiment: the workload's global transaction stream is
 /// routed across `shards` engine instances; single-shard sub-blocks run in
 /// parallel across shards, multi-partition transactions pay the modeled
-/// fragment-exchange round plus a re-simulation stage.
+/// fragment-exchange round, over a 1 Gb LAN, plus a re-simulation stage.
 pub fn run_sharded_experiment(
     kind: EngineKind,
     workload: &mut dyn Workload,
@@ -285,7 +272,7 @@ pub fn run_sharded_experiment(
     let chains = (0..config.shards)
         .map(|_| OeChain::open(chain.clone(), spec))
         .collect::<Result<_>>()?;
-    let mut group = ShardGroup::new(router, chains, config.latency.clone());
+    let mut group = ShardGroup::new(router, chains, LatencyModel::lan_1g());
     group.setup_with(&[], |engine| {
         workload.setup(engine)?;
         Ok(workload.codec())
@@ -442,7 +429,6 @@ mod tests {
             },
             shards,
             partitions: 16,
-            ..ShardRunConfig::default()
         }
     }
 

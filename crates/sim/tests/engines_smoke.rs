@@ -275,7 +275,6 @@ fn engine_decisions_and_costs_are_pinned_in_both_profiles() {
                 base: pin_run(),
                 shards: 2,
                 partitions: 8,
-                ..ShardRunConfig::default()
             };
             run_sharded_experiment(pin.kind, &mut workload, &config)
         } else {

@@ -167,17 +167,6 @@ pub struct SimDisk<D: DiskBackend> {
     profile: DiskProfile,
 }
 
-impl SimDisk<MemDisk> {
-    /// Fresh in-memory-backed simulated disk with the given profile.
-    #[must_use]
-    pub fn with_profile(profile: DiskProfile) -> SimDisk<MemDisk> {
-        SimDisk {
-            inner: MemDisk::new(),
-            profile,
-        }
-    }
-}
-
 impl<D: DiskBackend> SimDisk<D> {
     /// Wrap an existing backend.
     pub fn wrap(inner: D, profile: DiskProfile) -> SimDisk<D> {
@@ -349,7 +338,7 @@ mod tests {
 
     #[test]
     fn simdisk_charges_latency() {
-        let d = SimDisk::with_profile(DiskProfile::ssd());
+        let d = SimDisk::wrap(MemDisk::new(), DiskProfile::ssd());
         let id = d.allocate();
         vtime::take();
         d.write_page(id, &page_with(1)).unwrap();

@@ -59,18 +59,6 @@ impl PageBuf {
         }
     }
 
-    /// Build from raw bytes (must be exactly [`PAGE_SIZE`] long).
-    ///
-    /// # Panics
-    /// Panics if `bytes.len() != PAGE_SIZE`.
-    #[must_use]
-    pub fn from_bytes(bytes: &[u8]) -> PageBuf {
-        assert_eq!(bytes.len(), PAGE_SIZE, "page must be exactly PAGE_SIZE");
-        let mut p = PageBuf::zeroed();
-        p.data.copy_from_slice(bytes);
-        p
-    }
-
     /// Read view.
     #[must_use]
     pub fn bytes(&self) -> &[u8; PAGE_SIZE] {
@@ -189,22 +177,6 @@ mod tests {
     fn zeroed_is_zero() {
         let p = PageBuf::zeroed();
         assert!(p.bytes().iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn from_bytes_roundtrip() {
-        let mut raw = vec![0u8; PAGE_SIZE];
-        raw[0] = 0xAA;
-        raw[PAGE_SIZE - 1] = 0xBB;
-        let p = PageBuf::from_bytes(&raw);
-        assert_eq!(p.bytes()[0], 0xAA);
-        assert_eq!(p.bytes()[PAGE_SIZE - 1], 0xBB);
-    }
-
-    #[test]
-    #[should_panic(expected = "PAGE_SIZE")]
-    fn from_bytes_wrong_len_panics() {
-        let _ = PageBuf::from_bytes(&[0u8; 100]);
     }
 
     #[test]

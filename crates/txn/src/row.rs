@@ -14,16 +14,6 @@ pub fn read_i64(v: &[u8], offset: usize) -> Result<i64> {
     field(v, offset).map(|b| i64::from_le_bytes(b.try_into().expect("8 bytes")))
 }
 
-/// Read a little-endian `f64` field.
-pub fn read_f64(v: &[u8], offset: usize) -> Result<f64> {
-    field(v, offset).map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes")))
-}
-
-/// Read a little-endian `u64` field.
-pub fn read_u64(v: &[u8], offset: usize) -> Result<u64> {
-    field(v, offset).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-}
-
 fn field(v: &[u8], offset: usize) -> Result<&[u8]> {
     v.get(offset..offset + 8).ok_or_else(|| {
         Error::InvalidArgument(format!(
@@ -48,20 +38,6 @@ impl RowBuilder {
 
     /// Append an `i64`; returns its offset.
     pub fn push_i64(&mut self, v: i64) -> usize {
-        let off = self.buf.len();
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        off
-    }
-
-    /// Append an `f64`; returns its offset.
-    pub fn push_f64(&mut self, v: f64) -> usize {
-        let off = self.buf.len();
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        off
-    }
-
-    /// Append a `u64`; returns its offset.
-    pub fn push_u64(&mut self, v: u64) -> usize {
         let off = self.buf.len();
         self.buf.extend_from_slice(&v.to_le_bytes());
         off
@@ -102,15 +78,15 @@ mod tests {
     fn builder_offsets_and_reads() {
         let mut b = RowBuilder::new();
         let o1 = b.push_i64(-5);
-        let o2 = b.push_f64(2.5);
-        let o3 = b.push_u64(77);
+        let o2 = b.push_i64(2);
+        let o3 = b.push_i64(77);
         let o4 = b.push_pad(10, 0xAA);
         assert_eq!((o1, o2, o3, o4), (0, 8, 16, 24));
         let row = b.finish();
         assert_eq!(row.len(), 34);
         assert_eq!(read_i64(&row, o1).unwrap(), -5);
-        assert_eq!(read_f64(&row, o2).unwrap(), 2.5);
-        assert_eq!(read_u64(&row, o3).unwrap(), 77);
+        assert_eq!(read_i64(&row, o2).unwrap(), 2);
+        assert_eq!(read_i64(&row, o3).unwrap(), 77);
         assert_eq!(row[o4], 0xAA);
     }
 

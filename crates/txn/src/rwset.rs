@@ -109,12 +109,6 @@ impl RwSet {
         self.reads.iter().map(|r| &r.key)
     }
 
-    /// Whether `key` is covered by any point read or scan predicate.
-    #[must_use]
-    pub fn reads_cover(&self, key: &Key) -> bool {
-        self.reads.iter().any(|r| r.key == *key) || self.scans.iter().any(|s| s.covers(key))
-    }
-
     /// Total number of operations captured (for cost accounting).
     #[must_use]
     pub fn op_count(&self) -> usize {
@@ -181,20 +175,6 @@ mod tests {
             end: None,
         };
         assert!(unbounded.covers(&key(1, "zzz")));
-    }
-
-    #[test]
-    fn reads_cover_includes_scans() {
-        let mut rw = RwSet::default();
-        rw.record_read(key(0, "p"), None);
-        rw.record_scan(RangePredicate {
-            table: TableId(1),
-            start: Bytes::from_static(b"a"),
-            end: Some(Bytes::from_static(b"f")),
-        });
-        assert!(rw.reads_cover(&key(0, "p")));
-        assert!(rw.reads_cover(&key(1, "b")), "phantom coverage via scan");
-        assert!(!rw.reads_cover(&key(1, "g")));
     }
 
     #[test]

@@ -27,6 +27,9 @@ use crate::workload::Workload;
 /// Districts per warehouse (spec value).
 pub const DISTRICTS: u64 = 10;
 
+/// Probability an order line supplies from a remote warehouse (spec value).
+const REMOTE_SUPPLY_PROB: f64 = 0.01;
+
 /// TPC-C configuration.
 #[derive(Clone, Debug)]
 pub struct TpccConfig {
@@ -34,8 +37,6 @@ pub struct TpccConfig {
     pub warehouses: u64,
     /// Cardinality scale factor vs. the spec (1.0 = full size).
     pub scale: f64,
-    /// Probability an order line supplies from a remote warehouse.
-    pub remote_prob: f64,
     /// Probability a NewOrder carries an invalid item (1 % rollback rule).
     pub invalid_item_prob: f64,
 }
@@ -45,7 +46,6 @@ impl Default for TpccConfig {
         TpccConfig {
             warehouses: 1,
             scale: 0.05,
-            remote_prob: 0.01,
             invalid_item_prob: 0.01,
         }
     }
@@ -246,7 +246,7 @@ impl Tpcc {
                 } else {
                     rng.gen_range(cfg.items())
                 };
-                let supply_w = if cfg.warehouses > 1 && rng.gen_bool(cfg.remote_prob) {
+                let supply_w = if cfg.warehouses > 1 && rng.gen_bool(REMOTE_SUPPLY_PROB) {
                     rng.gen_range(cfg.warehouses)
                 } else {
                     w
@@ -843,7 +843,6 @@ mod tests {
             warehouses: 1,
             scale: 0.01,
             invalid_item_prob: 0.0,
-            ..TpccConfig::default()
         });
         let t = w.tables();
         let before = {
@@ -880,7 +879,6 @@ mod tests {
             warehouses: 1,
             scale: 0.01,
             invalid_item_prob: 0.0,
-            ..TpccConfig::default()
         });
         let store = Arc::new(SnapshotStore::new(engine));
         let exec = BlockExecutor::new(Arc::clone(&store), HarmonyConfig::default());
