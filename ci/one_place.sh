@@ -83,13 +83,14 @@ rule 'a block is charged in one place' \
     'blocks may be scheduled only in crates/sim/src (charge through BlockCharge)'
 
 # A transaction is simulated in one place: `harmony_txn::simulate` opens the
-# virtual-time scope, charges think time and executes. The executor, the
-# order-execute baselines, Fabric's endorsers and the cross-shard planner
-# all call it, so no other non-test code reads a contract's think time.
+# virtual-time scope, builds the transaction context and executes. The
+# executor, the order-execute baselines, Fabric's endorsers and the
+# cross-shard planner all call it, so no other non-test code builds a
+# `TxnCtx`.
 rule 'a transaction is simulated in one place' \
-    '\.think_time_ns\(\)' '' \
+    'TxnCtx::new\(' '' \
     'crates/*/src src examples' 'crates/txn/src/*' \
-    '.think_time_ns() may be called only in crates/txn/src (simulate through harmony_txn::simulate)'
+    'TxnCtx::new( may be called only in crates/txn/src (simulate through harmony_txn::simulate)'
 
 # The Rule-3 summary has one holder: `OeChain`'s `last_summary`, recorded in
 # every checkpoint sidecar and sync manifest and handed to each block

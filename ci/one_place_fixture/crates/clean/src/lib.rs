@@ -10,7 +10,7 @@ mod tests {
         chain.install_snapshot(&snapshot);
         spec.build(store);
         schedule_block(&costs, workers);
-        txn.think_time_ns();
+        TxnCtx::new(&view);
         ChainPipeline::new();
     }
 }

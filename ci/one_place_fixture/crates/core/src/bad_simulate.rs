@@ -1,0 +1,3 @@
+fn run(txn: &dyn Contract, view: &dyn SnapshotView) {
+    let mut ctx = TxnCtx::new(view);
+}

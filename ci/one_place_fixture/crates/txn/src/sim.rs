@@ -1,3 +1,3 @@
-fn simulate(txn: &dyn Contract) {
-    vtime::charge(txn.think_time_ns());
+fn simulate(txn: &dyn Contract, view: &dyn SnapshotView) {
+    let mut ctx = TxnCtx::new(view);
 }

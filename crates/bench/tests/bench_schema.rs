@@ -1,11 +1,12 @@
-//! Schema check for the committed `BENCH_PR*.json` perf-trajectory files.
+//! Schema checks for the JSON artifacts that the bench-smoke binaries
+//! write under `EXPERIMENTS-results/`.
 //!
 //! The workspace has no JSON dependency (offline build), so this uses a
-//! small purpose-built scanner: enough to verify the files are
-//! well-formed, carry the expected schema tag and required benches, and
-//! that the committed speedups back the PR's acceptance floor. CI runs
-//! this as part of the test suite *and* the bench-smoke job, so a drifted
-//! or hand-mangled benchmark file fails fast.
+//! small purpose-built scanner: enough to verify each artifact is
+//! well-formed, carries the expected schema tag and reports the figure's
+//! acceptance shape. The CI bench-smoke job deletes the artifacts, runs
+//! the binaries that write them, then runs this file, so a binary that
+//! stops writing its artifact or drifts from its schema fails there.
 
 use std::path::Path;
 
@@ -262,97 +263,5 @@ fn metrics_timeline_json_matches_schema_when_present() {
             "non-integer sample value near byte {entry}"
         );
         from = entry + "\"value\":".len();
-    }
-}
-
-#[test]
-fn bench_pr3_json_matches_schema_and_floors() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR3.json");
-    let text = std::fs::read_to_string(&path).expect("BENCH_PR3.json committed at the repo root");
-    check_balanced(&text);
-    assert!(
-        text.contains("\"schema\": \"harmonybc-bench/v1\""),
-        "schema tag"
-    );
-    assert!(text.contains("\"suite\": \"hotpath\""), "suite tag");
-    assert!(text.contains("\"benches\""), "benches array");
-
-    // Every bench entry must carry before/after/speedup, and the speedup
-    // must match before/after within rounding.
-    let mut checked = 0;
-    let mut from = 0;
-    while let Some(at) = text[from..].find("\"before_ns\":") {
-        let entry = from + at;
-        let before = number_after(&text, entry, "before_ns");
-        let after = number_after(&text, entry, "after_ns");
-        let speedup = number_after(&text, entry, "speedup");
-        assert!(before > 0.0 && after > 0.0, "positive timings");
-        let actual = before / after;
-        assert!(
-            (actual - speedup).abs() / actual < 0.05,
-            "speedup field {speedup} inconsistent with {before}/{after} = {actual:.2}"
-        );
-        checked += 1;
-        from = entry + "\"before_ns\":".len();
-    }
-    assert!(checked >= 6, "expected >= 6 bench entries, found {checked}");
-
-    // PR3 acceptance floor: >= 1.5x on the two named microbenches.
-    for name in ["reservation/register", "snapshot/read_hot"] {
-        let at = text
-            .find(&format!("\"{name}\""))
-            .unwrap_or_else(|| panic!("missing required bench {name}"));
-        let speedup = number_after(&text, at, "speedup");
-        assert!(
-            speedup >= 1.5,
-            "{name} speedup {speedup} below the 1.5x floor"
-        );
-    }
-}
-
-#[test]
-fn bench_pr6_json_matches_schema_and_floors() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR6.json");
-    let text = std::fs::read_to_string(&path).expect("BENCH_PR6.json committed at the repo root");
-    check_balanced(&text);
-    assert!(
-        text.contains("\"schema\": \"harmonybc-bench/v1\""),
-        "schema tag"
-    );
-    assert!(text.contains("\"suite\": \"state_root\""), "suite tag");
-    assert!(text.contains("\"benches\""), "benches array");
-
-    let mut checked = 0;
-    let mut from = 0;
-    while let Some(at) = text[from..].find("\"before_ns\":") {
-        let entry = from + at;
-        let before = number_after(&text, entry, "before_ns");
-        let after = number_after(&text, entry, "after_ns");
-        let speedup = number_after(&text, entry, "speedup");
-        assert!(before > 0.0 && after > 0.0, "positive timings");
-        let actual = before / after;
-        assert!(
-            (actual - speedup).abs() / actual < 0.05,
-            "speedup field {speedup} inconsistent with {before}/{after} = {actual:.2}"
-        );
-        checked += 1;
-        from = entry + "\"before_ns\":".len();
-    }
-    assert!(checked >= 3, "expected >= 3 bench entries, found {checked}");
-
-    // PR6 acceptance floor: >= 10x on root-after-block at 100k keys (the
-    // measured fold is ~300x; the floor leaves room for slower hosts).
-    for name in [
-        "state_root/root_after_block_100k_delta100",
-        "state_root/warm_root_query_100k",
-    ] {
-        let at = text
-            .find(&format!("\"{name}\""))
-            .unwrap_or_else(|| panic!("missing required bench {name}"));
-        let speedup = number_after(&text, at, "speedup");
-        assert!(
-            speedup >= 10.0,
-            "{name} speedup {speedup} below the 10x floor"
-        );
     }
 }

@@ -6,11 +6,10 @@ use harmony_chain::{ChainBlock, OeChain};
 use harmony_common::{BlockId, Error, Result};
 use harmony_crypto::Digest;
 use harmony_metrics::Registry;
-use harmony_shard::PlannerMetrics;
 use harmony_storage::IoSnapshot;
 
 use crate::cluster::config::ClusterConfig;
-use crate::metrics::{shard_txn_counters, ReplicaMetrics};
+use crate::metrics::ReplicaMetrics;
 use crate::replica::{Applied, DeliveryFront, ReplicaNode};
 use crate::sharded::{ShardedReplicaConfig, ShardedReplicaNode};
 use crate::statesync::{
@@ -31,7 +30,7 @@ pub(super) enum NodeKind {
 impl NodeKind {
     /// Replica `r` of `cfg`: flat, or sharded when a topology is
     /// configured. Its metric handles go in `registry`.
-    pub(super) fn new(cfg: &ClusterConfig, registry: &Registry, r: usize) -> Result<NodeKind> {
+    pub(super) fn new(cfg: &ClusterConfig, registry: &Arc<Registry>, r: usize) -> Result<NodeKind> {
         let Some(topology) = cfg.topology else {
             let mut n = ReplicaNode::new(&cfg.replica, |engine| cfg.workload.setup_node(engine))?;
             n.set_metrics(ReplicaMetrics::register(registry, r));
@@ -53,14 +52,7 @@ impl NodeKind {
         };
         let mut n =
             ShardedReplicaNode::new(&sharded_cfg, |engine| cfg.workload.setup_node(engine))?;
-        let id = r.to_string();
-        n.set_metrics(
-            ReplicaMetrics::register(registry, r),
-            (0..topology.shards)
-                .map(|s| shard_txn_counters(registry, r, s))
-                .collect(),
-            PlannerMetrics::register(registry, &[("replica", id.as_str())]),
-        );
+        n.set_metrics(registry, r);
         Ok(NodeKind::Sharded(Box::new(n)))
     }
 

@@ -95,7 +95,11 @@ pub struct ReplicaWrap {
 impl ReplicaWrap {
     /// Replica `r` of `cfg` (flat, or sharded when a topology is
     /// configured), its metric handles in `registry`.
-    pub(super) fn new(cfg: &ClusterConfig, registry: &Registry, r: usize) -> Result<ReplicaWrap> {
+    pub(super) fn new(
+        cfg: &ClusterConfig,
+        registry: &Arc<Registry>,
+        r: usize,
+    ) -> Result<ReplicaWrap> {
         let layout = ClusterLayout::of(cfg);
         let peers: Vec<usize> = (0..cfg.replicas)
             .filter(|&p| p != r)
@@ -568,7 +572,8 @@ mod tests {
 
     #[test]
     fn two_status_calls_with_nothing_applied_between_do_one_merge() {
-        let mut w = ReplicaWrap::new(&ClusterConfig::default(), &Registry::new(), 0).unwrap();
+        let mut w =
+            ReplicaWrap::new(&ClusterConfig::default(), &Arc::new(Registry::new()), 0).unwrap();
         let mut s = NodeStatus::default();
         w.fill_status(&mut s);
         assert_eq!(

@@ -156,12 +156,6 @@ pub(crate) fn check_layout(shards: usize, partitions: usize) -> Result<()> {
     Ok(())
 }
 
-/// One shard's committed/aborted counters in a scratch registry of its
-/// own: the defaults before `set_metrics`, and for shards a reshard adds.
-fn scratch_shard_counters() -> TxnCounters {
-    shard_txn_counters(&Registry::new(), 0, 0)
-}
-
 /// A replica hosting M shards behind one ordered global block stream.
 pub struct ShardedReplicaNode {
     /// What every shard chain opens from; the live shard count is the
@@ -179,6 +173,11 @@ pub struct ShardedReplicaNode {
     anchor: Option<Digest>,
     front: DeliveryFront,
     charge: BlockCharge,
+    /// Where the per-shard counters are registered, and as which replica
+    /// (a scratch registry until [`Self::set_metrics`]), so that they
+    /// follow every change of the shard count.
+    registry: Arc<Registry>,
+    replica: usize,
     shard_metrics: Vec<TxnCounters>,
 }
 
@@ -201,7 +200,7 @@ impl ShardedReplicaNode {
         let chains = config.open_shard_chains(config.shards)?;
         let mut group = ShardGroup::new(router, chains, config.latency.clone());
         group.setup_with(&config.replicated_tables, setup)?;
-        Ok(ShardedReplicaNode {
+        let mut node = ShardedReplicaNode {
             config: config.clone(),
             group,
             verifier: Verifier::new(&config.chain.provision, config.chain.crypto),
@@ -210,27 +209,42 @@ impl ShardedReplicaNode {
             anchor: Some(Digest::ZERO),
             front: DeliveryFront::new(config.gossip_every),
             charge: BlockCharge::default(),
-            shard_metrics: (0..config.shards)
-                .map(|_| scratch_shard_counters())
-                .collect(),
-        })
+            registry: Arc::new(Registry::new()),
+            replica: 0,
+            shard_metrics: Vec::new(),
+        };
+        node.report_layout();
+        Ok(node)
     }
 
-    /// Report into the given metric handles: replica-level counters and
-    /// histograms, one committed/aborted counter pair per hosted shard
-    /// (`per_shard`, in shard order), and the planner's classification
-    /// metrics. The defaults sit in scratch registries.
-    pub fn set_metrics(
-        &mut self,
-        metrics: ReplicaMetrics,
-        per_shard: Vec<TxnCounters>,
-        planner: PlannerMetrics,
-    ) {
-        assert_eq!(per_shard.len(), self.shards(), "one counter pair per shard");
-        metrics.hosted_shards.set(self.shards() as i64);
-        self.front.set_metrics(metrics);
-        self.shard_metrics = per_shard;
-        self.group.set_metrics(planner);
+    /// Report into `registry` as replica `replica`: the replica-level
+    /// counters and histograms, the planner's classification metrics, and
+    /// one committed/aborted counter pair per hosted shard, re-registered
+    /// whenever the shard count changes. The defaults sit in scratch
+    /// registries.
+    pub fn set_metrics(&mut self, registry: &Arc<Registry>, replica: usize) {
+        self.front
+            .set_metrics(ReplicaMetrics::register(registry, replica));
+        let id = replica.to_string();
+        self.group.set_metrics(PlannerMetrics::register(
+            registry,
+            &[("replica", id.as_str())],
+        ));
+        self.registry = Arc::clone(registry);
+        self.replica = replica;
+        self.report_layout();
+    }
+
+    /// Follow the current shard count: set the hosted-shards gauge and
+    /// register one counter pair per hosted shard. Registering a
+    /// `(replica, shard)` pair again returns the same cells, so a shard
+    /// index that a merge dropped and a later split brings back keeps
+    /// counting where it was.
+    fn report_layout(&mut self) {
+        self.front.metrics.hosted_shards.set(self.shards() as i64);
+        self.shard_metrics = (0..self.shards())
+            .map(|s| shard_txn_counters(&self.registry, self.replica, s))
+            .collect();
     }
 
     /// Number of shards hosted.
@@ -405,10 +419,8 @@ impl ShardedReplicaNode {
         }
         self.group.rehost(new_router, new_chains);
         self.epoch = marker.epoch;
-        self.shard_metrics
-            .resize_with(new_count, scratch_shard_counters);
+        self.report_layout();
         self.front.metrics.reshards.inc();
-        self.front.metrics.hosted_shards.set(new_count as i64);
 
         // The handover is charged like a sync serve/install round over
         // every shard manifest that moved. A marker commits nothing.
@@ -443,9 +455,7 @@ impl ShardedReplicaNode {
         let router = self.group.router().resharded(new_count);
         self.group
             .rehost(router, self.config.open_shard_chains(new_count)?);
-        self.shard_metrics
-            .resize_with(new_count, scratch_shard_counters);
-        self.front.metrics.hosted_shards.set(new_count as i64);
+        self.report_layout();
         self.height = BlockId(0);
         self.anchor = None;
         self.front.roots_mut().reset_for_resync(passed);

@@ -16,6 +16,8 @@
 //! whether or not marker blocks interleave — the same eager-seal trick
 //! the TCP runtime uses to match simulator roots.
 
+use std::collections::BTreeMap;
+
 use harmony_chain::ChainConfig;
 use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
@@ -189,6 +191,72 @@ proptest! {
                 "recovered replica's tables diverged: {}",
                 &label
             );
+        }
+    }
+}
+
+/// Replica `replica`'s `harmony_shard_committed_txns_total` samples, by
+/// shard index.
+fn shard_committed(exposition: &str, replica: usize) -> BTreeMap<usize, u64> {
+    let prefix = format!("harmony_shard_committed_txns_total{{replica=\"{replica}\",shard=\"");
+    exposition
+        .lines()
+        .filter_map(|l| l.strip_prefix(prefix.as_str()))
+        .map(|rest| {
+            let (shard, value) = rest.split_once("\"} ").expect("sample line");
+            (shard.parse().unwrap(), value.parse().unwrap())
+        })
+        .collect()
+}
+
+fn replica_committed(exposition: &str, replica: usize) -> u64 {
+    let prefix = format!("harmony_replica_committed_txns_total{{replica=\"{replica}\"}} ");
+    let line = exposition
+        .lines()
+        .find_map(|l| l.strip_prefix(prefix.as_str()))
+        .unwrap_or_else(|| panic!("replica {replica} has no committed sample"));
+    line.parse().unwrap()
+}
+
+/// Shards that a reshard adds report into the cluster's registry like the
+/// genesis ones. After 1→2→4→2, a replica that stayed up exposes a
+/// committed counter for each of shards 0–3; replica 1, down from before
+/// the first split until after the merge, rejoins through
+/// `reshape_for_sync` onto 2 shards and exposes shards 0–1. On every
+/// replica the shard counters cover the replica total (a cross-shard txn
+/// commits on every participating shard, so their sum can exceed it,
+/// never fall short).
+#[test]
+fn resharded_shards_report_into_the_cluster_registry() {
+    let engine = EngineKind::Harmony(HarmonyConfig::default());
+    let crash = FaultEvent::Crash {
+        replica: 1,
+        at_ns: 2_000_000,
+        recover_at_ns: 6_000_000,
+    };
+    for crash in [None, Some(crash)] {
+        let report = run_cluster(engine, 1, 0x5EED, split_merge_schedule(), crash);
+        assert_internally_consistent(&report, &format!("1→2→4→2 crash={crash:?}"));
+        let exp = &report.exposition;
+        for r in &report.replicas {
+            let reached = if r.recoveries > 0 { 2 } else { 4 };
+            let per_shard = shard_committed(exp, r.replica);
+            assert_eq!(
+                per_shard.keys().copied().collect::<Vec<_>>(),
+                (0..reached).collect::<Vec<_>>(),
+                "replica {} (crash={crash:?}): a shard it hosted has no counter",
+                r.replica
+            );
+            let committed = replica_committed(exp, r.replica);
+            let sum: u64 = per_shard.values().sum();
+            assert!(
+                sum >= committed,
+                "replica {} (crash={crash:?}): shard counters {sum} < replica total {committed}",
+                r.replica
+            );
+        }
+        if crash.is_some() {
+            assert_eq!(report.replicas[1].recoveries, 1, "replica 1 never rejoined");
         }
     }
 }

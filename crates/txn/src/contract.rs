@@ -52,12 +52,6 @@ pub trait Contract: Send + Sync {
         self.name().as_bytes().to_vec()
     }
 
-    /// Extra simulated compute this transaction performs besides data
-    /// access (straggler modelling for inter-block-parallelism tests).
-    fn think_time_ns(&self) -> u64 {
-        0
-    }
-
     /// The complete set of point keys this transaction may touch, if the
     /// submitter can declare it a priori (Calvin-style). Used by the shard
     /// router to place transactions without a reconnaissance run: a
@@ -70,12 +64,11 @@ pub trait Contract: Send + Sync {
 }
 
 /// Simulate `txn` against `view` — the one simulation step every engine
-/// runs. Inside one virtual-time scope it charges the think time, then
-/// executes; returns the captured read-write set (`None` for a user abort)
-/// and the scope's virtual nanoseconds.
+/// runs. It executes inside one virtual-time scope and returns the
+/// captured read-write set (`None` for a user abort) and the scope's
+/// virtual nanoseconds.
 pub fn simulate(txn: &dyn Contract, view: &dyn SnapshotView) -> (Option<RwSet>, u64) {
     vtime::scope(|| {
-        vtime::charge(txn.think_time_ns());
         let mut ctx = TxnCtx::new(view);
         txn.execute(&mut ctx).ok().map(|()| ctx.into_rwset())
     })
@@ -85,7 +78,6 @@ pub fn simulate(txn: &dyn Contract, view: &dyn SnapshotView) -> (Option<RwSet>, 
 pub struct FnContract<F> {
     name: String,
     payload: Vec<u8>,
-    think_ns: u64,
     footprint: Option<Vec<Key>>,
     f: F,
 }
@@ -100,7 +92,6 @@ where
         FnContract {
             payload: name.as_bytes().to_vec(),
             name,
-            think_ns: 0,
             footprint: None,
             f,
         }
@@ -110,13 +101,6 @@ where
     #[must_use]
     pub fn with_payload(mut self, payload: Vec<u8>) -> Self {
         self.payload = payload;
-        self
-    }
-
-    /// Attach simulated extra compute.
-    #[must_use]
-    pub fn with_think_time(mut self, ns: u64) -> Self {
-        self.think_ns = ns;
         self
     }
 
@@ -143,10 +127,6 @@ where
 
     fn payload(&self) -> Vec<u8> {
         self.payload.clone()
-    }
-
-    fn think_time_ns(&self) -> u64 {
-        self.think_ns
     }
 
     fn declared_keys(&self) -> Option<&[Key]> {
@@ -218,23 +198,22 @@ mod tests {
 
     #[test]
     fn builder_options() {
-        let c = FnContract::new("x", |_: &mut TxnCtx<'_>| Ok(()))
-            .with_payload(vec![9, 9])
-            .with_think_time(1234);
+        let c = FnContract::new("x", |_: &mut TxnCtx<'_>| Ok(())).with_payload(vec![9, 9]);
         assert_eq!(c.payload(), vec![9, 9]);
-        assert_eq!(c.think_time_ns(), 1234);
         assert!(c.declared_keys().is_none(), "footprint is opt-in");
     }
 
     #[test]
     fn simulate_charges_think_time_in_its_own_scope() {
         let ok = FnContract::new("ok", |ctx: &mut TxnCtx<'_>| {
+            vtime::charge(500);
             ctx.put(Key::from_u64(TableId(0), 1), vec![1u8]);
             Ok(())
-        })
-        .with_think_time(500);
-        let abort = FnContract::new("no", |ctx: &mut TxnCtx<'_>| ctx.user_abort("no funds"))
-            .with_think_time(70);
+        });
+        let abort = FnContract::new("no", |ctx: &mut TxnCtx<'_>| {
+            vtime::charge(70);
+            ctx.user_abort("no funds")
+        });
         let _ = vtime::take();
         vtime::charge(9);
         let (rwset, ns) = simulate(&ok, &EmptyView);
