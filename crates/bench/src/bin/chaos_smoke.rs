@@ -163,7 +163,6 @@ fn overload_sweep() -> Vec<OverloadPoint> {
             capacity: 1_024,
             tenants: TENANTS,
             tenant_quota: Some(1_024 / TENANTS),
-            ..MempoolConfig::default()
         };
         // 12 cold clients — three per tenant by `client % tenants` — plus
         // the hot client 0, which concentrates 40% of all arrivals on

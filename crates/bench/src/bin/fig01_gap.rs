@@ -43,7 +43,6 @@ fn main() {
         let report = HotStuffSim::new(HotStuffConfig {
             nodes,
             block_txns: batch,
-            timeout_ns: 8_000_000_000,
             latency,
             ..HotStuffConfig::default()
         })

@@ -24,6 +24,7 @@ use harmony_storage::StorageConfig;
 use harmony_workloads::{OpenLoopConfig, SmallbankConfig};
 
 const PARTITIONS: u32 = 16;
+const GOSSIP_EVERY: u64 = 5;
 
 fn main() {
     let report = Cluster::new(ClusterConfig {
@@ -37,7 +38,7 @@ fn main() {
             },
             engine: EngineKind::Harmony(HarmonyConfig::default()),
             workers: 2,
-            gossip_every: 5,
+            gossip_every: GOSSIP_EVERY,
         },
         topology: Some(ShardTopology {
             shards: 2,
@@ -82,12 +83,22 @@ fn main() {
         "harmony_replica_committed_txns_total",
         "harmony_replica_aborted_txns_total",
         "harmony_replica_commit_latency_ns_bucket",
-        "harmony_replica_root_fold_ns",
+        "harmony_replica_gossip_roots_total",
         "harmony_shard_committed_txns_total",
         "harmony_xshard_cross_txns_total",
         "harmony_statesync_transfer_bytes_total",
     ] {
         assert!(exp.contains(family), "exposition missing family {family}");
+    }
+    // A fault-free replica folds one root per gossip height it applied.
+    for r in &report.replicas {
+        let sample = format!(
+            "harmony_replica_gossip_roots_total{{replica=\"{}\"}} ",
+            r.replica
+        );
+        let folds = exp.lines().find_map(|l| l.strip_prefix(sample.as_str()));
+        let heights = (r.height.0 / GOSSIP_EVERY).to_string();
+        assert_eq!(folds, Some(heights.as_str()), "{sample}vs gossip heights");
     }
     assert!(
         report.timeline.contains(TIMELINE_SCHEMA),

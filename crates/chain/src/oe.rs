@@ -577,8 +577,9 @@ pub type BlockUndo = (BlockId, Vec<(Key, Option<Value>)>);
 /// the recovery sidecar and a state-sync manifest capture. Must cover the
 /// engine's farthest-back snapshot read: 2 suffices for Harmony's
 /// inter-block parallelism; the SOV engines endorse against snapshots up
-/// to `validation_delay + max_lag` blocks old, so 4 covers their default
-/// profile too.
+/// to `validation_delay` +
+/// [`MAX_LAG`](harmony_dcc_baselines::fabric::MAX_LAG) blocks old, so 4
+/// covers their default profile (1 + 2) too.
 const SIDECAR_DEPTH: u64 = 4;
 
 /// Export the undo images of the trailing [`SIDECAR_DEPTH`] blocks ending

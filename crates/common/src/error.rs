@@ -45,8 +45,9 @@ pub enum AbortReason {
     InterBlockDangerousStructure,
     /// Aria / RBC first-committer-wins: a ww-dependency on a smaller TID.
     WwConflict,
-    /// Aria without reordering / Fabric: read an item overwritten by a
-    /// smaller-TID transaction (stale read / raw-dependency).
+    /// Aria / Fabric: read an item overwritten by a smaller-TID
+    /// transaction (stale read / raw-dependency; Aria aborts it only
+    /// with a war-dependency too).
     StaleRead,
     /// RBC / SSI dangerous structure (pivot with in- and out-conflict).
     SsiDangerousStructure,

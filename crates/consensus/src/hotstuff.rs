@@ -5,10 +5,11 @@
 //! leader, quorum certificates, and the 3-chain commit rule. Crypto costs
 //! (vote signing, share verification) consume node CPU in the event loop,
 //! which is what bounds throughput at large `n` — the paper's explanation
-//! for the small BFT throughput dip in Figures 17/18. A view-change path
-//! (timeouts + new-view quorum) handles faulty leaders.
+//! for the small BFT throughput dip in Figures 17/18. Every node is
+//! honest and always busy, so no run needs a pacemaker or view change
+//! (the node crate's cluster orderer is a separate HotStuff).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use harmony_crypto::{CryptoCost, Digest};
 
@@ -23,16 +24,10 @@ pub struct HotStuffConfig {
     pub block_txns: u64,
     /// Serialized transaction size in bytes.
     pub txn_bytes: u64,
-    /// Crypto cost model.
-    pub crypto: CryptoCost,
     /// Per-byte NIC serialization cost charged to the sender (ns/B).
     pub tx_ns_per_byte: u64,
-    /// View timeout (ns) before replicas initiate a view change.
-    pub timeout_ns: u64,
     /// Network model.
     pub latency: LatencyModel,
-    /// Nodes that silently drop everything (Byzantine-silent).
-    pub faulty: HashSet<usize>,
 }
 
 impl Default for HotStuffConfig {
@@ -41,15 +36,8 @@ impl Default for HotStuffConfig {
             nodes: 4,
             block_txns: 250,
             txn_bytes: 128,
-            crypto: CryptoCost {
-                sign_ns: 50_000,
-                verify_ns: 130_000,
-                hash_ns: 1_000,
-            },
             tx_ns_per_byte: 1,
-            timeout_ns: 2_000_000_000,
             latency: LatencyModel::lan_1g(),
-            faulty: HashSet::new(),
         }
     }
 }
@@ -84,27 +72,16 @@ pub enum HsMsg {
         /// Voted view.
         view: u64,
     },
-    /// View-change message carrying the sender's highest QC view.
-    NewView {
-        /// View being entered.
-        view: u64,
-        /// Highest QC the sender knows.
-        high_qc: u64,
-    },
 }
-
-const TIMER_PACEMAKER: u64 = 1;
 
 /// A HotStuff node.
 pub struct HsNode {
     id: usize,
     config: HotStuffConfig,
+    crypto: CryptoCost,
     view: u64,
-    high_qc: u64,
     votes: HashMap<u64, usize>,
-    new_views: HashMap<u64, usize>,
     proposal_born: HashMap<u64, u64>,
-    last_event: u64,
     /// Committed blocks: (view, commit latency ns). Recorded only at the
     /// node that formed the committing QC (for latency measurement).
     pub committed: Vec<(u64, u64)>,
@@ -127,26 +104,20 @@ impl HsNode {
         HsNode {
             id,
             config,
+            crypto: CryptoCost::default(),
             view: 0,
-            high_qc: 0,
             votes: HashMap::new(),
-            new_views: HashMap::new(),
             proposal_born: HashMap::new(),
-            last_event: 0,
             committed: Vec::new(),
             delivery_log: DeliveryLog::default(),
         }
-    }
-
-    fn is_faulty(&self) -> bool {
-        self.config.faulty.contains(&self.id)
     }
 
     fn propose(&mut self, view: u64, ctx: &mut dyn Transport<HsMsg>) {
         let bytes = self.config.block_bytes();
         self.proposal_born.insert(view, ctx.now());
         // Leader signs the proposal and serializes it to every replica.
-        ctx.charge_cpu(self.config.crypto.sign_ns + self.config.crypto.hash_ns);
+        ctx.charge_cpu(self.crypto.sign_ns + self.crypto.hash_ns);
         for peer in 0..self.config.nodes {
             ctx.charge_cpu(bytes * self.config.tx_ns_per_byte);
             if peer != self.id {
@@ -172,12 +143,11 @@ impl HsNode {
 
     fn on_vote(&mut self, view: u64, ctx: &mut dyn Transport<HsMsg>) {
         // Verify the vote share (threshold-signature share verification).
-        ctx.charge_cpu(self.config.crypto.verify_ns / 16);
+        ctx.charge_cpu(self.crypto.verify_ns / 16);
         let votes = self.votes.entry(view).or_insert(0);
         *votes += 1;
         if *votes == self.config.quorum() {
             // QC formed for `view`; 3-chain commits view − 2.
-            self.high_qc = self.high_qc.max(view);
             if view >= 2 {
                 let committed_view = view - 2;
                 let latency = ctx.now().saturating_sub(
@@ -201,10 +171,6 @@ impl HsNode {
 
 impl SimNode<HsMsg> for HsNode {
     fn on_message(&mut self, _from: usize, msg: HsMsg, ctx: &mut dyn Transport<HsMsg>) {
-        if self.is_faulty() {
-            return;
-        }
-        self.last_event = ctx.now();
         match msg {
             HsMsg::Proposal {
                 view,
@@ -224,62 +190,23 @@ impl SimNode<HsMsg> for HsNode {
                 self.view = view;
                 self.proposal_born.entry(view).or_insert(born_at);
                 // Verify the proposal's QC + sign a vote.
-                ctx.charge_cpu(self.config.crypto.verify_ns + self.config.crypto.sign_ns);
+                ctx.charge_cpu(self.crypto.verify_ns + self.crypto.sign_ns);
                 let next_leader = self.config.leader_of(view + 1);
                 if next_leader == self.id {
                     self.on_vote(view, ctx);
                 } else {
                     ctx.send(next_leader, HsMsg::Vote { view }, 128);
                 }
-                // Arm the pacemaker for the next view.
-                ctx.set_timer(self.config.timeout_ns, TIMER_PACEMAKER);
             }
             HsMsg::Vote { view } => self.on_vote(view, ctx),
-            HsMsg::NewView { view, high_qc } => {
-                self.high_qc = self.high_qc.max(high_qc);
-                let n = self.new_views.entry(view).or_insert(0);
-                *n += 1;
-                if *n == self.config.quorum() && self.config.leader_of(view) == self.id {
-                    self.view = view;
-                    self.propose(view, ctx);
-                }
-            }
         }
     }
 
-    fn on_timer(&mut self, id: u64, ctx: &mut dyn Transport<HsMsg>) {
-        if self.is_faulty() {
-            return;
-        }
-        match id {
-            0
-                // Bootstrap: node 0 proposes view 1.
-                if self.id == self.config.leader_of(1) => {
-                    self.view = 1;
-                    self.propose(1, ctx);
-                }
-            TIMER_PACEMAKER
-                // No progress since the timer was armed? Move to view
-                // change.
-                if ctx.now().saturating_sub(self.last_event) >= self.config.timeout_ns => {
-                    let next = self.view + 1;
-                    let leader = self.config.leader_of(next);
-                    let msg = HsMsg::NewView {
-                        view: next,
-                        high_qc: self.high_qc,
-                    };
-                    if leader == self.id {
-                        let me = self.id;
-                        let _ = me;
-                        self.on_message(self.id, msg, ctx);
-                    } else {
-                        ctx.send(leader, msg, 160);
-                    }
-                    self.view = next;
-                    ctx.set_timer(self.config.timeout_ns, TIMER_PACEMAKER);
-                }
-            _ => {}
-        }
+    /// The one timer, seeded at the leader of view 1, bootstraps the
+    /// chain.
+    fn on_timer(&mut self, _id: u64, ctx: &mut dyn Transport<HsMsg>) {
+        self.view = 1;
+        self.propose(1, ctx);
     }
 }
 
@@ -296,22 +223,18 @@ impl HotStuffSim {
     }
 
     /// Run for `duration_ns` of simulated time and report consensus
-    /// throughput/latency (measured at node 0, or the first honest node).
+    /// throughput/latency.
     #[must_use]
     pub fn run(&self, duration_ns: u64) -> ConsensusReport {
         let nodes: Vec<HsNode> = (0..self.config.nodes)
             .map(|i| HsNode::new(i, self.config.clone()))
             .collect();
         let mut el = EventLoop::new(nodes, self.config.latency.clone(), 0xB0B);
-        for i in 0..self.config.nodes {
-            el.seed_timer(i, 0, 0);
-            el.seed_timer(i, self.config.timeout_ns, TIMER_PACEMAKER);
-        }
+        el.seed_timer(self.config.leader_of(1), 0, 0);
         el.run_until(duration_ns);
         // Each commit is recorded exactly once, at the leader that formed
-        // the committing QC — aggregate across honest nodes.
+        // the committing QC — aggregate across nodes.
         let committed: Vec<(u64, u64)> = (0..self.config.nodes)
-            .filter(|i| !self.config.faulty.contains(i))
             .flat_map(|i| el.node(i).committed.iter().copied())
             .collect();
         let blocks = committed.len() as u64;
@@ -373,23 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn view_change_survives_silent_leader() {
-        // Node 1 leads view 1... make node 1 faulty; the pacemaker must
-        // route around it and still commit blocks.
-        let mut config = HotStuffConfig {
-            nodes: 4,
-            timeout_ns: 200_000_000,
-            ..HotStuffConfig::default()
-        };
-        config.faulty.insert(1);
-        let report = HotStuffSim::new(config).run(10_000_000_000);
-        assert!(
-            report.committed_blocks > 0,
-            "view change must restore progress: {report:?}"
-        );
-    }
-
-    #[test]
     fn honest_nodes_agree_on_delivery_logs() {
         let config = HotStuffConfig {
             nodes: 4,
@@ -399,10 +305,7 @@ mod tests {
             .map(|i| HsNode::new(i, config.clone()))
             .collect();
         let mut el = EventLoop::new(nodes, LatencyModel::lan_1g(), 0xB0B);
-        for i in 0..config.nodes {
-            el.seed_timer(i, 0, 0);
-            el.seed_timer(i, config.timeout_ns, TIMER_PACEMAKER);
-        }
+        el.seed_timer(config.leader_of(1), 0, 0);
         el.run_until(3_000_000_000);
         let reference = &el.node(0).delivery_log;
         assert!(reference.len() > 100, "{}", reference.len());

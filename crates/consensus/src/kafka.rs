@@ -3,7 +3,8 @@
 //!
 //! A leader broker batches transactions, replicates each batch to its
 //! followers, commits on majority ack, and delivers the sealed block to
-//! every chain replica. Pipelined with a bounded in-flight window.
+//! every chain replica. Three brokers, and a pipelining window of four
+//! batches in flight.
 
 use std::collections::HashMap;
 
@@ -11,11 +12,15 @@ use harmony_crypto::Digest;
 
 use crate::net::{ConsensusReport, DeliveryLog, EventLoop, LatencyModel, SimNode, Transport};
 
+/// Replication factor (leader + followers).
+const BROKERS: usize = 3;
+
+/// Max batches in flight (pipelining window).
+const WINDOW: usize = 4;
+
 /// Kafka orderer configuration.
 #[derive(Clone, Debug)]
 pub struct KafkaConfig {
-    /// Replication factor (leader + followers).
-    pub brokers: usize,
     /// Chain replicas receiving sealed blocks.
     pub replicas: usize,
     /// Transactions per block.
@@ -24,8 +29,6 @@ pub struct KafkaConfig {
     pub txn_bytes: u64,
     /// Per-byte NIC serialization cost charged to the sender (ns/B).
     pub tx_ns_per_byte: u64,
-    /// Max batches in flight (pipelining window).
-    pub window: usize,
     /// Network model.
     pub latency: LatencyModel,
 }
@@ -33,12 +36,10 @@ pub struct KafkaConfig {
 impl Default for KafkaConfig {
     fn default() -> Self {
         KafkaConfig {
-            brokers: 3,
             replicas: 4,
             block_txns: 250,
             txn_bytes: 128,
             tx_ns_per_byte: 1,
-            window: 4,
             latency: LatencyModel::lan_1g(),
         }
     }
@@ -47,9 +48,6 @@ impl Default for KafkaConfig {
 impl KafkaConfig {
     fn block_bytes(&self) -> u64 {
         self.block_txns * self.txn_bytes + 128
-    }
-    fn majority(&self) -> usize {
-        self.brokers / 2 + 1
     }
 }
 
@@ -79,7 +77,7 @@ pub enum KMsg {
     },
 }
 
-/// Broker / replica node. Node 0 is the leader; nodes `1..brokers` are
+/// Broker / replica node. Node 0 is the leader; nodes `1..BROKERS` are
 /// follower brokers; the rest are chain replicas.
 pub struct KNode {
     id: usize,
@@ -123,7 +121,7 @@ impl KNode {
         self.next_seq += 1;
         self.in_flight += 1;
         self.acks.insert(seq, 1); // the leader's own log append
-        for follower in 1..self.config.brokers {
+        for follower in 1..BROKERS {
             ctx.charge_cpu(bytes * self.config.tx_ns_per_byte);
             ctx.send(
                 follower,
@@ -138,8 +136,7 @@ impl KNode {
 }
 
 impl SimNode<KMsg> for KNode {
-    fn on_message(&mut self, from: usize, msg: KMsg, ctx: &mut dyn Transport<KMsg>) {
-        let _ = from;
+    fn on_message(&mut self, _from: usize, msg: KMsg, ctx: &mut dyn Transport<KMsg>) {
         match msg {
             KMsg::Replicate { seq, born_at } => {
                 // Follower appends to its log (disk write cost folded into
@@ -150,19 +147,20 @@ impl SimNode<KMsg> for KNode {
             KMsg::Ack { seq, born_at } => {
                 let acks = self.acks.entry(seq).or_insert(0);
                 *acks += 1;
-                if *acks == self.config.majority() {
+                // Committed on a majority of the brokers.
+                if *acks == BROKERS / 2 + 1 {
                     self.committed
                         .push((seq, ctx.now().saturating_sub(born_at)));
                     // Deliver the sealed block to every chain replica.
                     let bytes = self.config.block_bytes();
                     let digest = batch_digest(seq);
                     for r in 0..self.config.replicas {
-                        let node = self.config.brokers + r;
+                        let node = BROKERS + r;
                         ctx.charge_cpu(bytes * self.config.tx_ns_per_byte);
                         ctx.send(node, KMsg::Deliver { seq, digest }, bytes);
                     }
                     self.in_flight -= 1;
-                    while self.in_flight < self.config.window {
+                    while self.in_flight < WINDOW {
                         self.launch_batch(ctx);
                     }
                 }
@@ -178,7 +176,7 @@ impl SimNode<KMsg> for KNode {
 
     fn on_timer(&mut self, _id: u64, ctx: &mut dyn Transport<KMsg>) {
         if self.id == 0 && self.next_seq == 0 {
-            while self.in_flight < self.config.window {
+            while self.in_flight < WINDOW {
                 self.launch_batch(ctx);
             }
         }
@@ -200,7 +198,7 @@ impl KafkaSim {
     /// Run for `duration_ns` of simulated time.
     #[must_use]
     pub fn run(&self, duration_ns: u64) -> ConsensusReport {
-        let total = self.config.brokers + self.config.replicas;
+        let total = BROKERS + self.config.replicas;
         let nodes: Vec<KNode> = (0..total)
             .map(|i| KNode::new(i, self.config.clone()))
             .collect();
@@ -276,15 +274,15 @@ mod tests {
             replicas: 3,
             ..KafkaConfig::default()
         };
-        let total = config.brokers + config.replicas;
+        let total = BROKERS + config.replicas;
         let nodes: Vec<KNode> = (0..total).map(|i| KNode::new(i, config.clone())).collect();
         let mut el = EventLoop::new(nodes, LatencyModel::lan_1g(), 1);
         el.seed_timer(0, 0, 0);
         el.run_until(1_000_000_000);
-        let reference = &el.node(config.brokers).delivery_log;
+        let reference = &el.node(BROKERS).delivery_log;
         assert!(reference.len() > 100, "{}", reference.len());
         for r in 0..3 {
-            let log = &el.node(config.brokers + r).delivery_log;
+            let log = &el.node(BROKERS + r).delivery_log;
             assert!(log.is_gap_free(), "replica {r} has delivery gaps");
             assert_eq!(log.mismatches(), 0);
             // Identical sequences, modulo the last delivery that may still

@@ -6,8 +6,8 @@
 //!   per-link latency models (LAN, 4-continent WAN) and per-node CPU
 //!   accounting (crypto costs consume node time).
 //! * [`hotstuff`] — chained (pipelined) HotStuff BFT: rotating leaders,
-//!   quorum certificates, the 3-chain commit rule, view changes on
-//!   timeout.
+//!   quorum certificates and the 3-chain commit rule, run to saturation
+//!   with every node honest.
 //! * [`kafka`] — a crash-fault-tolerant leader-based ordering service in
 //!   the style of Fabric's Kafka orderer: batch, replicate to followers,
 //!   ack on majority, deliver.

@@ -6,10 +6,11 @@
 //!
 //! * `T_j` has a **waw**-dependency (an earlier transaction writes a key
 //!   `T_j` writes) — always an abort (Figure 2 of the HarmonyBC paper), or
-//! * without the reordering optimization: `T_j` has a **raw**-dependency
-//!   (it read a key an earlier transaction writes);
-//! * with the reordering optimization: `T_j` has both a **raw**- and a
-//!   **war**-dependency.
+//! * `T_j` has both a **raw**-dependency (it read a key an earlier
+//!   transaction writes) and a **war**-dependency (an earlier transaction
+//!   read a key `T_j` writes). This is Aria's deterministic reordering
+//!   optimization, always on: a raw-only transaction commits as if it
+//!   ran before its writers.
 //!
 //! Surviving transactions have disjoint write sets, so the commit step is
 //! fully parallel — Aria's strength, bought with a high abort rate under
@@ -29,36 +30,18 @@ use crate::protocol::{
     eval_writes, install_writes, simulate_block, DccEngine, ProtocolBlockResult,
 };
 
-/// Aria configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct AriaConfig {
-    /// Worker threads.
-    pub workers: usize,
-    /// Aria's deterministic reordering optimization (commit raw-only
-    /// transactions by logically reordering them before their writers).
-    pub reordering: bool,
-}
-
-impl Default for AriaConfig {
-    fn default() -> Self {
-        AriaConfig {
-            workers: 8,
-            reordering: true,
-        }
-    }
-}
-
 /// The Aria engine.
 pub struct Aria {
     store: Arc<SnapshotStore>,
-    config: AriaConfig,
+    workers: usize,
 }
 
 impl Aria {
-    /// New engine over `store`.
+    /// New engine over `store`, simulating and committing on `workers`
+    /// threads.
     #[must_use]
-    pub fn new(store: Arc<SnapshotStore>, config: AriaConfig) -> Aria {
-        Aria { store, config }
+    pub fn new(store: Arc<SnapshotStore>, workers: usize) -> Aria {
+        Aria { store, workers }
     }
 }
 
@@ -78,7 +61,7 @@ impl DccEngine for Aria {
     ) -> Result<ProtocolBlockResult> {
         let snapshot = BlockId(block.id.0 - 1);
         let n = block.txns.len();
-        let (rwsets, sim_ns) = simulate_block(&self.store, snapshot, block, self.config.workers);
+        let (rwsets, sim_ns) = simulate_block(&self.store, snapshot, block, self.workers);
 
         // Reservation phase: smallest reader/writer TID per key.
         let mut min_writer: HashMap<&Key, u64> = HashMap::new();
@@ -119,13 +102,7 @@ impl DccEngine for Aria {
                 .any(|k| min_reader.get(k).copied().unwrap_or(u64::MAX) < tid);
             let outcome = if waw {
                 TxnOutcome::Aborted(AbortReason::WwConflict)
-            } else if self.config.reordering {
-                if raw && war {
-                    TxnOutcome::Aborted(AbortReason::StaleRead)
-                } else {
-                    TxnOutcome::Committed
-                }
-            } else if raw {
+            } else if raw && war {
                 TxnOutcome::Aborted(AbortReason::StaleRead)
             } else {
                 TxnOutcome::Committed
@@ -136,7 +113,7 @@ impl DccEngine for Aria {
         // Parallel commit: committed write sets are disjoint by
         // construction (any overlap implies a waw on the larger TID).
         let store = &self.store;
-        let commit_out = run_indexed(n, self.config.workers, |i| {
+        let commit_out = run_indexed(n, self.workers, |i| {
             vtime::scope(|| -> Result<()> {
                 if outcomes[i] != TxnOutcome::Committed {
                     return Ok(());
@@ -166,24 +143,14 @@ mod tests {
     use super::*;
     use crate::protocol::testutil::*;
 
-    fn engine(reordering: bool) -> (Aria, harmony_common::ids::TableId, Arc<SnapshotStore>) {
+    fn engine() -> (Aria, harmony_common::ids::TableId, Arc<SnapshotStore>) {
         let (store, t) = setup(16);
-        (
-            Aria::new(
-                Arc::clone(&store),
-                AriaConfig {
-                    workers: 2,
-                    reordering,
-                },
-            ),
-            t,
-            store,
-        )
+        (Aria::new(Arc::clone(&store), 2), t, store)
     }
 
     #[test]
     fn disjoint_txns_commit() {
-        let (aria, t, store) = engine(true);
+        let (aria, t, store) = engine();
         let block = ExecBlock::new(
             BlockId(1),
             (0..4)
@@ -199,7 +166,7 @@ mod tests {
     fn ww_aborts_larger_tid() {
         // Two writers of one key: Aria aborts the larger TID — the
         // motivating difference from Harmony (Figure 2).
-        let (aria, t, store) = engine(true);
+        let (aria, t, store) = engine();
         let block = ExecBlock::new(
             BlockId(1),
             vec![
@@ -218,7 +185,7 @@ mod tests {
     fn raw_only_commits_with_reordering() {
         // T0 writes x; T1 reads x (raw) but nothing reads T1's writes (no
         // war): the reordering optimization commits T1 "before" T0.
-        let (aria, t, _) = engine(true);
+        let (aria, t, _) = engine();
         let block = ExecBlock::new(
             BlockId(1),
             vec![
@@ -231,25 +198,10 @@ mod tests {
     }
 
     #[test]
-    fn raw_aborts_without_reordering() {
-        let (aria, t, _) = engine(false);
-        let block = ExecBlock::new(
-            BlockId(1),
-            vec![
-                read_add_txn(t, vec![], vec![0]),
-                read_add_txn(t, vec![0], vec![1]),
-            ],
-        );
-        let res = aria.execute_block(&block, None).unwrap();
-        assert_eq!(res.stats.committed, 1);
-        assert_eq!(res.stats.aborted_stale, 1);
-    }
-
-    #[test]
     fn raw_and_war_aborts_even_with_reordering() {
         // T0 writes x reads y... construct: T1 reads x (raw vs T0) and
         // writes y which T0 reads (war vs T0) => T1 aborts.
-        let (aria, t, _) = engine(true);
+        let (aria, t, _) = engine();
         let block = ExecBlock::new(
             BlockId(1),
             vec![
@@ -264,7 +216,7 @@ mod tests {
 
     #[test]
     fn snapshot_semantics_across_blocks() {
-        let (aria, t, store) = engine(true);
+        let (aria, t, store) = engine();
         // Block 1 adds 1 to key 0; block 2 adds 1 again: both read their
         // respective previous-block snapshots.
         for b in 1..=2u64 {

@@ -39,10 +39,7 @@ use std::sync::Arc;
 
 use harmony_core::{HarmonyConfig, SnapshotStore};
 
-use crate::{
-    Architecture, Aria, AriaConfig, DccEngine, Fabric, FabricConfig, FastFabric, FastFabricConfig,
-    HarmonyEngine, Rbc,
-};
+use crate::{Architecture, Aria, DccEngine, Fabric, FabricConfig, FastFabric, HarmonyEngine, Rbc};
 
 /// Which engine to instantiate (the paper's five systems).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -188,22 +185,10 @@ impl EngineSpec {
                     ..config
                 },
             )),
-            EngineKind::Aria => Arc::new(Aria::new(
-                store,
-                AriaConfig {
-                    workers,
-                    reordering: true,
-                },
-            )),
+            EngineKind::Aria => Arc::new(Aria::new(store, workers)),
             EngineKind::Rbc => Arc::new(Rbc::new(store, workers)),
             EngineKind::Fabric => Arc::new(Fabric::new(store, sov)),
-            EngineKind::FastFabric => Arc::new(FastFabric::new(
-                store,
-                FastFabricConfig {
-                    fabric: sov,
-                    ..FastFabricConfig::default()
-                },
-            )),
+            EngineKind::FastFabric => Arc::new(FastFabric::new(store, sov)),
         }
     }
 }

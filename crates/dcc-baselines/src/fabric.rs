@@ -38,10 +38,9 @@ use crate::protocol::{eval_writes, install_writes, DccEngine, ProtocolBlockResul
 pub struct FabricConfig {
     /// Worker threads for the endorsement simulations.
     pub workers: usize,
-    /// Probability that the second endorser lags behind the first.
+    /// Probability that the second endorser lags behind the first (by
+    /// 1 to [`MAX_LAG`] blocks).
     pub endorser_lag_prob: f64,
-    /// Maximum endorser lag in blocks.
-    pub max_lag: u64,
     /// Blocks elapsing between endorsement and validation (client →
     /// orderer → block formation round trips).
     pub validation_delay: u64,
@@ -50,12 +49,14 @@ pub struct FabricConfig {
 /// Seed for the deterministic lag sampling.
 const LAG_SEED: u64 = 0xFAB0_51C5;
 
+/// Maximum endorser lag in blocks.
+pub const MAX_LAG: u64 = 2;
+
 impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig {
             workers: 8,
             endorser_lag_prob: 0.15,
-            max_lag: 2,
             validation_delay: 1,
         }
     }
@@ -86,7 +87,7 @@ pub(crate) fn endorse_block(
         );
         let lag_primary = 0u64; // the endorser whose rwset the client picks
         let lag_secondary = if rng.gen_bool(config.endorser_lag_prob) {
-            1 + rng.gen_range(config.max_lag)
+            1 + rng.gen_range(MAX_LAG)
         } else {
             0
         };
@@ -130,12 +131,12 @@ impl Fabric {
 
     /// Oldest snapshot an SOV engine under `config` can still read once
     /// `block` has executed: endorsement ran `validation_delay` blocks
-    /// back, on an endorser up to `max_lag` blocks further behind.
+    /// back, on an endorser up to [`MAX_LAG`] blocks further behind.
     pub(crate) fn gc_horizon(config: &FabricConfig, block: BlockId) -> BlockId {
         BlockId(
             block
                 .0
-                .saturating_sub(2 + config.validation_delay + config.max_lag),
+                .saturating_sub(2 + config.validation_delay + MAX_LAG),
         )
     }
 }
@@ -218,7 +219,6 @@ mod tests {
             workers,
             endorser_lag_prob: 0.0,
             validation_delay: 0,
-            ..FabricConfig::default()
         }
     }
 
@@ -266,7 +266,6 @@ mod tests {
             workers: 1,
             endorser_lag_prob: 0.0,
             validation_delay: 1,
-            ..FabricConfig::default()
         };
         let fabric = Fabric::new(Arc::clone(&store), config);
         // Block 1: write key 0 (endorsed at snapshot 0; no prior writes —
@@ -288,7 +287,6 @@ mod tests {
         let config = FabricConfig {
             workers: 1,
             endorser_lag_prob: 1.0,
-            max_lag: 1,
             validation_delay: 0,
         };
         let fabric = Fabric::new(Arc::clone(&store), config);

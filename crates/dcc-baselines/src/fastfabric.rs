@@ -9,8 +9,8 @@
 //! every admitted transaction triggers a DFS over the accumulated graph,
 //! and the cost is charged to the centralized `orderer_ns` budget. To
 //! bound the graph, the orderer drops transactions once the edge count
-//! exceeds a cap — the extra aborts FastFabric# shows at zero skew
-//! (Figure 12).
+//! reaches [`MAX_GRAPH_EDGES`] — the extra aborts FastFabric# shows at
+//! zero skew (Figure 12).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -24,38 +24,25 @@ use harmony_txn::Key;
 use crate::fabric::{endorse_block, Fabric, FabricConfig};
 use crate::protocol::{eval_writes, install_writes, DccEngine, ProtocolBlockResult};
 
-/// FastFabric# configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct FastFabricConfig {
-    /// The underlying SOV/endorsement parameters.
-    pub fabric: FabricConfig,
-    /// Edge cap: beyond this the orderer drops transactions outright.
-    pub max_graph_edges: usize,
-}
+/// Edge cap: once the graph holds this many edges the orderer drops
+/// every further transaction outright.
+pub const MAX_GRAPH_EDGES: usize = 4_096;
 
 /// Virtual cost per node+edge visited during each cycle check.
 const TRAVERSAL_NS_PER_EDGE: u64 = 120;
-
-impl Default for FastFabricConfig {
-    fn default() -> Self {
-        FastFabricConfig {
-            fabric: FabricConfig::default(),
-            max_graph_edges: 4_096,
-        }
-    }
-}
 
 /// The FastFabric# engine. The dependency graph is per-block, so it keeps
 /// no state across blocks.
 pub struct FastFabric {
     store: Arc<SnapshotStore>,
-    config: FastFabricConfig,
+    config: FabricConfig,
 }
 
 impl FastFabric {
-    /// New engine over `store`.
+    /// New engine over `store`, endorsing under the SOV parameters
+    /// `config`.
     #[must_use]
-    pub fn new(store: Arc<SnapshotStore>, config: FastFabricConfig) -> FastFabric {
+    pub fn new(store: Arc<SnapshotStore>, config: FabricConfig) -> FastFabric {
         FastFabric { store, config }
     }
 }
@@ -123,7 +110,7 @@ impl DccEngine for FastFabric {
     ) -> Result<ProtocolBlockResult> {
         let n = block.txns.len();
         let latest = BlockId(block.id.0 - 1);
-        let endorsements = endorse_block(&self.store, block, &self.config.fabric);
+        let endorsements = endorse_block(&self.store, block, &self.config);
 
         // ── Orderer: early validation over the dependency graph ────────
         let mut orderer_ns = 0u64;
@@ -153,7 +140,7 @@ impl DccEngine for FastFabric {
                 outcomes.push(TxnOutcome::Aborted(AbortReason::StaleRead));
                 continue;
             }
-            if graph.edges >= self.config.max_graph_edges {
+            if graph.edges >= MAX_GRAPH_EDGES {
                 // Graph too large: drop to bound traversal cost.
                 outcomes.push(TxnOutcome::Aborted(AbortReason::GraphCycle));
                 continue;
@@ -220,8 +207,7 @@ impl DccEngine for FastFabric {
             commit_ns[i] = ns;
         }
 
-        self.store
-            .gc(Fabric::gc_horizon(&self.config.fabric, block.id));
+        self.store.gc(Fabric::gc_horizon(&self.config, block.id));
         let (rwsets, sim_ns) = endorsements
             .into_iter()
             .map(|e| (e.rwset, e.sim_ns))
@@ -237,15 +223,11 @@ mod tests {
     use super::*;
     use crate::protocol::testutil::*;
 
-    fn config(workers: usize) -> FastFabricConfig {
-        FastFabricConfig {
-            fabric: FabricConfig {
-                workers,
-                endorser_lag_prob: 0.0,
-                validation_delay: 0,
-                ..FabricConfig::default()
-            },
-            ..FastFabricConfig::default()
+    fn config(workers: usize) -> FabricConfig {
+        FabricConfig {
+            workers,
+            endorser_lag_prob: 0.0,
+            validation_delay: 0,
         }
     }
 
@@ -301,14 +283,14 @@ mod tests {
     #[test]
     fn graph_cap_drops_excess_txns() {
         let (store, t) = setup(2);
-        let mut cfg = config(2);
-        cfg.max_graph_edges = 3;
-        let ff = FastFabric::new(Arc::clone(&store), cfg);
-        // Many txns all touching the same two keys -> explodes the edge
-        // count immediately.
+        let ff = FastFabric::new(Arc::clone(&store), config(2));
+        // Every txn writes the same key, so the k-th admitted txn adds k
+        // ww edges: the first 92 admissions reach `MAX_GRAPH_EDGES`.
         let block = ExecBlock::new(
             BlockId(1),
-            (0..12).map(|_| read_add_txn(t, vec![0], vec![1])).collect(),
+            (0..120)
+                .map(|_| read_add_txn(t, vec![0], vec![1]))
+                .collect(),
         );
         let res = ff.execute_block(&block, None).unwrap();
         assert!(res.stats.aborted_graph > 0, "cap must drop transactions");

@@ -16,7 +16,8 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 use harmony_common::{Error, Result};
 use harmony_node::submission_trace;
@@ -145,8 +146,13 @@ impl Flags {
     }
 }
 
-/// Allocate ports, write the spec, and launch one OS process per
-/// non-client node (re-invoking this same binary's `node` subcommand).
+/// How long `spawn` waits for its nodes to answer a status request.
+const SPAWN_READY_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Allocate ports, write the spec, launch one OS process per non-client
+/// node (re-invoking this same binary's `node` subcommand), and return
+/// once every one answers a status request, so a `submit` right after
+/// finds the orderer listening.
 fn spawn(flags: &Flags) -> Result<()> {
     let dir = flags.dir()?;
     let spec = ClusterSpec::allocate(flags.net_options()?)?;
@@ -156,9 +162,10 @@ fn spawn(flags: &Flags) -> Result<()> {
         Some(path) => PathBuf::from(path),
         None => std::env::current_exe().map_err(Error::Io)?,
     };
+    let mut children = Vec::new();
     for index in 1..layout.total() {
-        let log =
-            std::fs::File::create(dir.join(format!("node-{index}.log"))).map_err(Error::Io)?;
+        let log_path = dir.join(format!("node-{index}.log"));
+        let log = std::fs::File::create(&log_path).map_err(Error::Io)?;
         let child = Command::new(&binary)
             .arg("node")
             .arg("--dir")
@@ -177,8 +184,38 @@ fn spawn(flags: &Flags) -> Result<()> {
             addr = spec.node_addr(index)?,
             http = spec.http_addr(index)?,
         );
+        children.push((index, child, log_path));
     }
+    await_listening(&spec, children)?;
     println!("spec {}", ClusterSpec::path(&dir).display());
+    Ok(())
+}
+
+/// Poll each spawned node with a status request until all answer. Fails
+/// as soon as a node exits first, or after [`SPAWN_READY_TIMEOUT`],
+/// naming the node and its log.
+fn await_listening(spec: &ClusterSpec, mut children: Vec<(usize, Child, PathBuf)>) -> Result<()> {
+    let started = Instant::now();
+    while !children.is_empty() {
+        for (index, child, log) in &mut children {
+            let exited = child.try_wait().map_err(Error::Io)?;
+            if exited.is_some() || started.elapsed() >= SPAWN_READY_TIMEOUT {
+                let why = exited.map_or(
+                    format!("did not answer within {SPAWN_READY_TIMEOUT:?}"),
+                    |e| format!("exited ({e}) before it listened"),
+                );
+                let msg = format!("node {index} {why}; see {}", log.display());
+                return Err(Error::Io(std::io::Error::other(msg)));
+            }
+        }
+        children.retain(|(index, _, _)| {
+            spec.node_addr(*index)
+                .and_then(CtlClient::connect)
+                .and_then(|mut c| c.status())
+                .is_err()
+        });
+        std::thread::sleep(Duration::from_millis(20));
+    }
     Ok(())
 }
 

@@ -238,3 +238,25 @@ fn net_smoke_kafka_followers_ycsb() {
         false,
     );
 }
+
+#[test]
+fn spawn_fails_when_a_node_exits_before_listening() {
+    let dir = std::env::temp_dir().join(format!("hbc-net-smoke-{}-dead", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let output = Command::new(BIN)
+        .args(["spawn", "--dir"])
+        .arg(&dir)
+        .args(["--binary", "/bin/false"])
+        .output()
+        .expect("run harmonyctl");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        !output.status.success(),
+        "spawn must fail when its nodes never listen"
+    );
+    assert!(
+        stderr.contains("node 1 exited") && stderr.contains("node-1.log"),
+        "the error names the node and its log: {stderr}"
+    );
+}

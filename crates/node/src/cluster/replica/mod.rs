@@ -20,7 +20,6 @@ use super::config::ClusterConfig;
 use super::msg::{Msg, TIMER_CRASH, TIMER_POISON, TIMER_RECOVER, TIMER_SYNC_BASE, TIMER_WATCHDOG};
 use super::report::{BlockSummary, NodeStatus, ReplicaSummary};
 use super::ClusterLayout;
-use crate::metrics::ROOT_FOLD_NS;
 use crate::replica::{Applied, DeliveryFront};
 use crate::statesync::{RetryPolicy, ShardedSyncResponse};
 
@@ -33,6 +32,9 @@ const SYNC_SERVE_NS_PER_BLOCK: u64 = 10_000;
 const SYNC_REPLAY_NS_PER_BLOCK: u64 = 300_000;
 /// CPU cost of local checkpoint recovery.
 const RECOVERY_NS: u64 = 1_000_000;
+/// CPU cost of one state-root fold (computing and gossiping the
+/// authenticated root at a gossip height).
+const ROOT_FOLD_NS: u64 = 100_000;
 /// Peers that must dispute this replica's root at one gossip height
 /// before it self-quarantines and re-syncs from scratch.
 const QUARANTINE_QUORUM: u32 = 2;

@@ -60,7 +60,7 @@ pub use cluster::{
 };
 pub use fault::{FaultEvent, FaultSchedule, ReshardAt, ReshardSchedule};
 pub use mempool::{AdmitError, Mempool, MempoolConfig, MempoolMetrics, MempoolStats, PendingTxn};
-pub use metrics::{shard_txn_counters, ReplicaMetrics, TxnCounters, ROOT_FOLD_NS};
+pub use metrics::{shard_txn_counters, ReplicaMetrics, TxnCounters};
 pub use replica::{Applied, DeliveryFront, ReplicaConfig, ReplicaNode};
 pub use sharded::{ShardedReplicaConfig, ShardedReplicaNode};
 pub use statesync::{

@@ -23,13 +23,16 @@ use std::sync::Arc;
 use harmony_metrics::{Counter, Gauge, Registry};
 use harmony_txn::Contract;
 
+/// Per-session hold-back window for out-of-order nonces: a nonce up to
+/// this far past the session's watermark is held, one further is a
+/// [`AdmitError::NonceGap`].
+const REORDER_WINDOW: usize = 64;
+
 /// Mempool configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct MempoolConfig {
     /// Maximum queued transactions before backpressure rejects.
     pub capacity: usize,
-    /// Per-session hold-back window for out-of-order nonces.
-    pub reorder_window: usize,
     /// Number of admission tenants. Client sessions map to tenants by
     /// `client % tenants`; 1 (the default) disables multi-tenancy.
     pub tenants: usize,
@@ -47,7 +50,6 @@ impl Default for MempoolConfig {
     fn default() -> Self {
         MempoolConfig {
             capacity: 4_096,
-            reorder_window: 64,
             tenants: 1,
             tenant_quota: None,
         }
@@ -317,8 +319,8 @@ impl Mempool {
         };
         if nonce > session.next_nonce {
             // Out of order (network reordering): hold within the window.
-            if session.held.len() >= self.config.reorder_window
-                || nonce - session.next_nonce > self.config.reorder_window as u64
+            if session.held.len() >= REORDER_WINDOW
+                || nonce - session.next_nonce > REORDER_WINDOW as u64
             {
                 let expected = session.next_nonce;
                 return Err(self.reject(AdmitError::NonceGap {
@@ -336,7 +338,7 @@ impl Mempool {
         // strand the remaining held transactions forever (nothing
         // re-triggers the drain, and a resubmission of a held nonce is a
         // duplicate). Held transactions were admitted under capacity, so
-        // the queue can overshoot by at most `reorder_window`.
+        // the queue can overshoot by at most `REORDER_WINDOW`.
         session.next_nonce = nonce + 1;
         self.queue.push_back(txn);
         self.tenant_queued[tenant as usize] += 1;
@@ -430,7 +432,6 @@ mod tests {
     fn pool(capacity: usize) -> Mempool {
         Mempool::new(MempoolConfig {
             capacity,
-            reorder_window: 4,
             ..MempoolConfig::default()
         })
     }
@@ -484,13 +485,14 @@ mod tests {
                 nonce: 3
             })
         );
-        // Beyond the reorder window (4): rejected.
+        // Beyond the reorder window: rejected.
+        let past = 2 + REORDER_WINDOW as u64 + 1;
         assert_eq!(
-            m.submit(7, 9, 0, nop()),
+            m.submit(7, past, 0, nop()),
             Err(AdmitError::NonceGap {
                 client: 7,
                 expected: 2,
-                got: 9
+                got: past
             })
         );
         // Independent sessions do not interfere.
@@ -532,44 +534,46 @@ mod tests {
 
     #[test]
     fn nonce_exactly_at_window_edge_is_held_one_past_is_dropped() {
-        // Window 4, watermark 0: nonce 4 sits exactly at the edge
-        // (gap == window) and must be HELD; nonce 5 is one past and must
-        // take the window-overflow drop path.
-        let mut m = pool(10);
-        m.submit(1, 4, 0, nop()).unwrap();
+        // Watermark 0: nonce W sits exactly at the edge (gap == window)
+        // and must be HELD; nonce W + 1 is one past and must take the
+        // window-overflow drop path.
+        let w = REORDER_WINDOW as u64;
+        let mut m = pool(2 * REORDER_WINDOW);
+        m.submit(1, w, 0, nop()).unwrap();
         assert_eq!(m.stats().reordered, 1);
         assert_eq!(m.stats().rejected_gap, 0);
         assert_eq!(
-            m.submit(1, 5, 0, nop()),
+            m.submit(1, w + 1, 0, nop()),
             Err(AdmitError::NonceGap {
                 client: 1,
                 expected: 0,
-                got: 5
+                got: w + 1
             })
         );
         assert_eq!(m.stats().rejected_gap, 1);
         // The edge nonce is not lost: filling the run drains through it.
-        for n in [0, 1, 2, 3] {
+        for n in 0..w {
             m.submit(1, n, 0, nop()).unwrap();
         }
-        let batch = m.next_batch(10);
+        let batch = m.next_batch(2 * REORDER_WINDOW);
         assert_eq!(
             batch.iter().map(|t| t.nonce).collect::<Vec<_>>(),
-            [0, 1, 2, 3, 4]
+            (0..=w).collect::<Vec<_>>()
         );
         // After the watermark advanced past the drop, the session
-        // continues: 5 is now in-order.
-        m.submit(1, 5, 0, nop()).unwrap();
+        // continues: W + 1 is now in-order.
+        m.submit(1, w + 1, 0, nop()).unwrap();
         assert_eq!(m.next_batch(10).len(), 1);
     }
 
     #[test]
     fn full_hold_back_window_admits_only_the_in_order_nonce() {
-        // All four hold slots occupied (nonces 1–4 held, window 4): every
-        // in-window nonce is now either a duplicate or the in-order nonce
-        // 0 — the hold-back buffer can never exceed the window.
+        // Every hold slot occupied (nonces 1..=W held): every in-window
+        // nonce is now either a duplicate or the in-order nonce 0 — the
+        // hold-back buffer can never exceed the window.
+        let w = REORDER_WINDOW as u64;
         let mut m = pool(10);
-        for n in [1, 2, 3, 4] {
+        for n in 1..=w {
             m.submit(9, n, 0, nop()).unwrap();
         }
         assert!(m.is_empty(), "all held, none batchable");
@@ -578,11 +582,15 @@ mod tests {
             Err(AdmitError::Duplicate { .. })
         ));
         assert!(matches!(
-            m.submit(9, 5, 0, nop()),
+            m.submit(9, w + 1, 0, nop()),
             Err(AdmitError::NonceGap { .. })
         ));
         m.submit(9, 0, 0, nop()).unwrap();
-        assert_eq!(m.len(), 5, "nonce 0 drains the whole window");
+        assert_eq!(
+            m.len(),
+            REORDER_WINDOW + 1,
+            "nonce 0 drains the whole window"
+        );
     }
 
     #[test]
@@ -654,7 +662,6 @@ mod tests {
     fn tenant_pool(capacity: usize, tenants: usize, quota: usize) -> Mempool {
         Mempool::new(MempoolConfig {
             capacity,
-            reorder_window: 4,
             tenants,
             tenant_quota: Some(quota),
         })

@@ -11,13 +11,6 @@
 use harmony_core::BlockStats;
 use harmony_metrics::{doubling_buckets, Counter, Gauge, Histogram, Registry};
 
-/// Virtual nanoseconds modeled for one state-root fold (computing and
-/// gossiping the authenticated root at a gossip height). The cluster
-/// charges this on the event loop and the observability plane records it
-/// in `harmony_replica_root_fold_ns`; sharing the constant keeps the two
-/// in agreement.
-pub const ROOT_FOLD_NS: u64 = 100_000;
-
 /// Committed/aborted transaction counters over one label scope (a
 /// replica, or one shard of a replica), with abort-reason labels derived
 /// from [`BlockStats::ABORT_REASONS`].
@@ -69,9 +62,9 @@ pub struct ReplicaMetrics {
     /// `harmony_replica_block_cost_ns{replica}` — virtual execution cost
     /// charged per applied block.
     pub block_cost_ns: Histogram,
-    /// `harmony_replica_root_fold_ns{replica}` — state-root fold cost at
-    /// gossip heights.
-    pub root_fold_ns: Histogram,
+    /// `harmony_replica_gossip_roots_total{replica}` — state roots this
+    /// replica folded and gossiped (one per gossip height it applied).
+    pub gossip_roots: Counter,
     /// `harmony_replica_root_own_buffer_hwm{replica}` — high-water mark
     /// of the root tracker's own-root window.
     pub root_own_hwm: Gauge,
@@ -107,10 +100,9 @@ impl ReplicaMetrics {
                 &doubling_buckets(10_000, 16),
                 &labels,
             ),
-            root_fold_ns: registry.histogram_with(
-                "harmony_replica_root_fold_ns",
-                "State-root fold cost at gossip heights (virtual ns).",
-                &doubling_buckets(10_000, 8),
+            gossip_roots: registry.counter_with(
+                "harmony_replica_gossip_roots_total",
+                "State roots folded and gossiped by this replica (one per gossip height).",
                 &labels,
             ),
             root_own_hwm: registry.gauge_with(

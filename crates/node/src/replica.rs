@@ -37,7 +37,7 @@ use harmony_sim::BlockCharge;
 use harmony_storage::StorageEngine;
 use harmony_txn::ContractCodec;
 
-use crate::metrics::{ReplicaMetrics, ROOT_FOLD_NS};
+use crate::metrics::ReplicaMetrics;
 
 /// Replica configuration.
 #[derive(Clone, Debug)]
@@ -306,7 +306,7 @@ impl DeliveryFront {
                 self.poison_next_gossip = false;
             }
             self.roots.note_own(id.0, root);
-            self.metrics.root_fold_ns.observe(ROOT_FOLD_NS);
+            self.metrics.gossip_roots.inc();
             Some(root)
         } else {
             None

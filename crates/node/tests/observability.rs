@@ -20,6 +20,7 @@ use harmony_workloads::{OpenLoopConfig, SmallbankConfig};
 const PARTITIONS: u32 = 16;
 const LOAD_NS: u64 = 15_000_000;
 const DRAIN_NS: u64 = 600_000_000;
+const GOSSIP_EVERY: u64 = 5;
 
 fn smallbank() -> ClusterWorkload {
     ClusterWorkload::Smallbank(SmallbankConfig {
@@ -42,7 +43,7 @@ fn config(crash: Option<FaultEvent>, stagger: u64) -> ClusterConfig {
             },
             engine: EngineKind::Harmony(HarmonyConfig::default()),
             workers: 2,
-            gossip_every: 5,
+            gossip_every: GOSSIP_EVERY,
         },
         topology: Some(ShardTopology {
             shards: 4,
@@ -137,8 +138,8 @@ fn exposition_covers_the_metric_catalog_and_agrees_with_the_report() {
         "exposition and MempoolStats must agree"
     );
 
-    // Replica plane: txn outcomes (with abort reasons), latency and
-    // root-fold histograms, root-tracker buffer gauges.
+    // Replica plane: txn outcomes (with abort reasons), latency
+    // histograms, gossiped-root counters, root-tracker buffer gauges.
     for r in 0..4 {
         assert!(exp.contains(&format!(
             "harmony_replica_committed_txns_total{{replica=\"{r}\"}}"
@@ -152,7 +153,21 @@ fn exposition_covers_the_metric_catalog_and_agrees_with_the_report() {
     }
     assert!(exp.contains("harmony_replica_aborted_txns_total{replica=\"0\",reason=\"ww\"}"));
     assert!(exp.contains("# TYPE harmony_replica_block_cost_ns histogram"));
-    assert!(exp.contains("harmony_replica_root_fold_ns_count{replica=\"0\"}"));
+    // A crash-free replica folds one root per gossip height it applied.
+    for r in &report.replicas {
+        assert_eq!(
+            metric_value(
+                exp,
+                &format!(
+                    "harmony_replica_gossip_roots_total{{replica=\"{}\"}}",
+                    r.replica
+                )
+            ),
+            r.height.0 / GOSSIP_EVERY,
+            "replica {}",
+            r.replica
+        );
+    }
     assert!(exp.contains("harmony_replica_root_own_buffer_hwm{replica=\"0\"}"));
     assert!(exp.contains("harmony_replica_root_peer_buffer_hwm{replica=\"0\"}"));
 

@@ -80,7 +80,6 @@ impl ClusterModel {
                 txn_bytes,
                 tx_ns_per_byte,
                 latency: latency.clone(),
-                ..KafkaConfig::default()
             })
             .run(duration),
             ClusterModel::HotStuff { latency } => HotStuffSim::new(HotStuffConfig {
@@ -88,9 +87,7 @@ impl ClusterModel {
                 block_txns: consensus_batch,
                 txn_bytes,
                 tx_ns_per_byte,
-                timeout_ns: 8_000_000_000,
                 latency: latency.clone(),
-                ..HotStuffConfig::default()
             })
             .run(duration),
         };

@@ -509,6 +509,11 @@ fn a_stalled_peer_costs_a_bounded_backlog_then_counted_drops() {
     wait_until("the extra blocks to seal", || {
         rig.sealed() == submitted + 100
     });
+    // The orderer counts a block sealed before it sends (and drops) the
+    // block's frame: wait for the drop count, then check it is exact.
+    wait_until("the extra drops to be counted", || {
+        rig.dropped() >= lost + 100
+    });
     assert_eq!(rig.dropped(), lost + 100);
 }
 
