@@ -93,13 +93,23 @@ rule 'a transaction is simulated in one place' \
     'TxnCtx::new( may be called only in crates/txn/src (simulate through harmony_txn::simulate)'
 
 # The Rule-3 summary has one holder: `OeChain`'s `last_summary`, recorded in
-# every checkpoint sidecar and sync manifest and handed to each block
-# through `DccEngine::execute_block`. No engine keeps a copy, so no non-test
+# the chain position of every checkpoint and sync manifest and handed to
+# each block through `DccEngine::execute_block`. No engine keeps a copy, so no non-test
 # code names the pipeline that held one, its field, or the constructors
 # that seeded it.
 rule 'the Rule-3 summary has one holder' \
     'ChainPipeline|prev_summary|starting_at\(' '' \
     'crates/*/src src examples' '' \
     'the Rule-3 summary is held by OeChain alone (no ChainPipeline, prev_summary or starting_at)'
+
+# A chain position is encoded in one place: `ChainPosition`'s codec in
+# crates/chain/src/position.rs. A checkpoint records the position in the
+# storage manifest and a sync manifest carries it, so no other non-test code
+# calls the summary or undo encoders, and no code names the WAL that
+# checkpoint sidecars used to be appended to.
+rule 'a chain position is encoded in one place' \
+    '(put|get)_(summary|undo|block_undo)\(|\.wal\(\)' '' \
+    'crates/*/src src examples' 'crates/chain/src/position.rs' \
+    'summaries and undo images are encoded only by ChainPosition (crates/chain/src/position.rs), and no code calls a WAL accessor'
 
 exit "$failed"

@@ -12,5 +12,6 @@ mod tests {
         schedule_block(&costs, workers);
         TxnCtx::new(&view);
         ChainPipeline::new();
+        put_summary(&mut w, None);
     }
 }

@@ -11,6 +11,9 @@
 //!   blocks, and recoverable by deterministic replay onto that same
 //!   engine. Every engine runs on it, the SOV family included: the chain
 //!   logs input blocks only.
+//! * [`position`] — [`ChainPosition`], where a chain stands besides its
+//!   tables (hash, trailing undo images, Rule-3 summary), with the one
+//!   codec that checkpoints and sync manifests share.
 //! * [`sync`] — [`sync::StateSnapshot`], the transferable checkpoint
 //!   manifest, and [`OeChain::catch_up`], the one way a chain takes a
 //!   peer's part of a sync reply (manifest install, then block-range
@@ -24,9 +27,11 @@
 pub mod block;
 pub mod commit;
 pub mod oe;
+pub mod position;
 pub mod sync;
 
 pub use block::{BlockHeader, ChainBlock};
 pub use commit::{fold_table_roots, StateCommitment};
-pub use oe::{sharded_state_root, state_root, BlockUndo, ChainConfig, OeChain, RowProof};
+pub use oe::{sharded_state_root, state_root, ChainConfig, OeChain, RowProof};
+pub use position::{BlockUndo, ChainPosition};
 pub use sync::{StateSnapshot, TableDump};

@@ -6,12 +6,14 @@
 //! 2. **Logical logging**: persist the sealed input block *before*
 //!    execution — determinism makes replay sufficient for recovery.
 //! 3. Execute through the [`DccEngine`] the chain was opened with.
-//! 4. Every `p` blocks: checkpoint (flush dirty pages, write the manifest,
-//!    and persist the *recovery sidecar*: the last block's undo images and
-//!    Rule-3 summary, so replay under inter-block parallelism reproduces
-//!    the original snapshots and aborts bit-for-bit).
+//! 4. Every `p` blocks: checkpoint — flush dirty pages and write one
+//!    manifest that also carries the chain's [`ChainPosition`] (hash, the
+//!    trailing blocks' undo images and the Rule-3 summary, so replay under
+//!    inter-block parallelism reproduces the original snapshots and aborts
+//!    bit-for-bit) and the state root.
 //!
-//! Recovery loads the newest checkpoint, verifies the hash chain of the
+//! Recovery loads the newest checkpoint, restores its position, checks the
+//! rebuilt state against its root, verifies the hash chain of the
 //! persisted blocks, and re-executes everything after the checkpoint.
 //!
 //! The chain is the one guard of block order. Engines hold no block id and
@@ -21,20 +23,21 @@
 //! log (`Corruption`). Apply and replay then share one step, so the
 //! engine is called from one place.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use harmony_common::codec::{Reader, Writer};
-use harmony_common::{BlockId, Error, Result};
-use harmony_core::executor::{BlockSummary, ExecBlock, WriterInfo};
+use harmony_common::{BlockId, Error, Result, TxnId};
+use harmony_core::executor::{BlockSummary, ExecBlock};
 use harmony_core::SnapshotStore;
 use harmony_crypto::{CryptoCost, Digest, KeyPair, MapProof, MerkleTree, Verifier};
 use harmony_dcc_baselines::{DccEngine, EngineSpec, ProtocolBlockResult};
 use harmony_storage::{StorageConfig, StorageEngine};
-use harmony_txn::{Contract, ContractCodec, Key, RangePredicate, Value};
+use harmony_txn::{Contract, ContractCodec};
 
 use crate::block::ChainBlock;
 use crate::commit::StateCommitment;
+use crate::position::{ChainPosition, UNDO_DEPTH};
+use crate::sync::{StateSnapshot, TableDump};
 
 /// Chain configuration. Which engine executes the blocks is not part of
 /// it: that is the second argument of [`OeChain::open`].
@@ -111,8 +114,9 @@ pub type RowProof = (MapProof, Vec<(String, Digest)>);
 /// An Order-Execute private blockchain node.
 ///
 /// Its last summary ([`OeChain::last_summary`]) is the one holder of the
-/// Rule-3 summary: recorded in every checkpoint sidecar and sync manifest,
-/// and handed to the engine with every block, so no engine keeps a copy.
+/// Rule-3 summary: recorded in its [`ChainPosition`] at every checkpoint
+/// and sync manifest, and handed to the engine with every block, so no
+/// engine keeps a copy.
 pub struct OeChain {
     config: ChainConfig,
     engine: Arc<StorageEngine>,
@@ -346,25 +350,43 @@ impl OeChain {
         Ok(applied)
     }
 
-    /// Force a checkpoint now. Also the point where the commitment is
-    /// first materialized: a checkpointed chain always records its state
-    /// root in the sidecar, so recovery can verify the rebuilt state.
+    /// Force a checkpoint now: one manifest holding the pages' catalog,
+    /// the chain's position and its state root, so recovery can verify
+    /// the rebuilt state. Also the point where the commitment is first
+    /// materialized.
     pub fn checkpoint(&mut self) -> Result<()> {
         let root = self.state_root()?;
-        self.engine.checkpoint(self.height)?;
-        // Recovery sidecar: chain position + the trailing blocks' undo
-        // images / version history + Rule-3 summary + state root.
-        let undo = export_recent_undo(&self.snapshots, self.height);
-        let sidecar = encode_sidecar(
-            self.height,
-            &self.last_hash,
-            &undo,
-            self.last_summary.as_ref(),
-            Some(&root),
-        );
-        self.engine.wal().append(&sidecar)?;
-        self.engine.wal().sync()?;
-        Ok(())
+        let sidecar = checkpoint_sidecar(&self.position(), &root);
+        self.engine.checkpoint_with(self.height, sidecar)
+    }
+
+    /// Where this chain stands: its height and hash, the undo images of
+    /// the trailing [`UNDO_DEPTH`](crate::position) blocks (what engines
+    /// read several blocks back) and its Rule-3 summary.
+    fn position(&self) -> ChainPosition {
+        let lo = self.height.0.saturating_sub(UNDO_DEPTH - 1).max(1);
+        ChainPosition {
+            height: self.height,
+            last_hash: self.last_hash,
+            undo: (lo..=self.height.0)
+                .map(|b| (BlockId(b), self.snapshots.export_undo_for(BlockId(b))))
+                .collect(),
+            summary: self.last_summary.clone(),
+        }
+    }
+
+    /// Continue from `position`, for recovery and a snapshot install
+    /// alike. Undo images go back oldest block first, under per-block
+    /// synthetic writer TIDs: the SOV staleness checks compare versions
+    /// (same block ⇔ same version).
+    fn resume_at(&mut self, position: &ChainPosition) {
+        for (block, entries) in &position.undo {
+            self.snapshots
+                .import_undo_for(*block, entries, TxnId::new(*block, 0).0);
+        }
+        self.height = position.height;
+        self.last_hash = position.last_hash;
+        self.last_summary = position.summary.clone();
     }
 
     /// Hash of the full database state — the cached root of the
@@ -436,11 +458,15 @@ impl OeChain {
     }
 
     /// Crash this node (drop caches and unsynced state) and recover:
-    /// reload the checkpoint, then deterministically re-execute every
-    /// logged block after it. The DCC engine is rebuilt over the new
+    /// reload the checkpoint, restore the position it recorded, check the
+    /// reloaded state against its root, then deterministically re-execute
+    /// every logged block after it. The DCC engine is rebuilt over the new
     /// snapshot store from the spec the chain was opened with, so
-    /// AriaBC/RBC/Fabric chains recover onto their own engine kind; the
-    /// Rule-3 summary comes back from the checkpoint's sidecar.
+    /// AriaBC/RBC/Fabric chains recover onto their own engine kind.
+    ///
+    /// A checkpoint above height 0 that records no position (a manifest
+    /// written past the chain) is [`Error::Corruption`]: replaying without
+    /// its hash, undo images and summary would land on a wrong root.
     ///
     /// A node that never checkpointed has lost its entire database (the
     /// genesis load included), so there is no base state to replay onto:
@@ -449,69 +475,53 @@ impl OeChain {
     /// replay logged blocks onto the wiped state and claim success.
     pub fn crash_and_recover(&mut self, codec: &dyn ContractCodec) -> Result<()> {
         self.engine.crash_and_recover()?;
-        let checkpoint = self.engine.last_checkpoint();
-
         // Rebuild the snapshot overlay, and the engine that reads it; the
-        // overlay and the Rule-3 summary then come from the sidecar.
+        // overlay and the Rule-3 summary then come from the position.
         self.snapshots = Arc::new(SnapshotStore::new(Arc::clone(&self.engine)));
         self.dcc = self.spec.build(Arc::clone(&self.snapshots));
-        self.last_summary = None;
         *self.commitment.lock().expect("commitment lock") = None;
-        let Some(checkpoint) = checkpoint else {
+        let Some((checkpoint, sidecar)) = self.engine.last_checkpoint() else {
             // Total loss: no manifest survived the crash, so the catalog
             // (genesis load included) is gone. Drop the stale block log —
             // its blocks are unreplayable without base state — and reset
             // to an empty genesis, ready for a state-sync bootstrap.
             self.engine.block_log().truncate()?;
             self.base = (BlockId(0), Digest::ZERO);
-            self.height = BlockId(0);
-            self.last_hash = Digest::ZERO;
+            self.resume_at(&ChainPosition::default());
             return Ok(());
         };
-        let mut checkpoint_hash = None;
-        let mut checkpoint_root = None;
-        if checkpoint.0 > 0 {
-            let sidecars = self.engine.wal().read_all()?;
-            let latest = sidecars.iter().rev().find_map(|s| {
-                decode_sidecar(s)
-                    .ok()
-                    .filter(|(b, _, _, _, _)| *b == checkpoint)
-            });
-            if let Some((_, hash, undo, summary, root)) = latest {
-                import_recent_undo(&self.snapshots, &undo);
-                self.last_summary = summary;
-                checkpoint_hash = Some(hash);
-                checkpoint_root = root;
+        let (position, root) = match read_checkpoint_sidecar(&sidecar)? {
+            Some((position, root)) => (position, Some(root)),
+            None if checkpoint.0 == 0 => (ChainPosition::default(), None),
+            None => {
+                return Err(Error::Corruption(format!(
+                    "checkpoint at {checkpoint} records no chain position"
+                )))
             }
-        }
+        };
+        self.resume_at(&position);
 
         // Rebuild the state commitment over the recovered checkpoint state
-        // and verify it against the root the sidecar recorded: a mismatch
-        // means the recovered pages do not hold the state the checkpoint
-        // committed to.
+        // and verify it against the root the checkpoint recorded: a
+        // mismatch means the recovered pages do not hold the state the
+        // checkpoint committed to.
         let mut commitment = StateCommitment::build(&self.engine)?;
-        if let Some(expected) = checkpoint_root {
-            let rebuilt = commitment.root();
-            if rebuilt != expected {
-                return Err(Error::Corruption(format!(
-                    "recovered state root {} != checkpointed {}",
-                    rebuilt.to_hex(),
-                    expected.to_hex()
-                )));
-            }
+        let rebuilt = commitment.root();
+        if let Some(expected) = root.filter(|&r| r != rebuilt) {
+            return Err(Error::Corruption(format!(
+                "recovered state root {} != checkpointed {}",
+                rebuilt.to_hex(),
+                expected.to_hex()
+            )));
         }
         *self.commitment.lock().expect("commitment lock") = Some(commitment);
 
         // Verify and replay the logged blocks after the checkpoint.
-        let blocks = self.verify_chain()?;
-        self.height = checkpoint;
-        self.last_hash = checkpoint_hash.unwrap_or_else(|| {
-            blocks
-                .iter()
-                .rfind(|b| b.header.id <= checkpoint)
-                .map_or(self.base.1, |b| b.header.hash())
-        });
-        for block in blocks.iter().filter(|b| b.header.id > checkpoint) {
+        for block in self
+            .verify_chain()?
+            .iter()
+            .filter(|b| b.header.id > checkpoint)
+        {
             let txns: Result<Vec<Arc<dyn Contract>>> =
                 block.txns.iter().map(|b| codec.decode(b)).collect();
             self.execute_and_advance(block, txns?)?;
@@ -523,19 +533,15 @@ impl OeChain {
     /// manifest half of [`OeChain::catch_up`]. Only valid on a fresh node:
     /// height 0 *and* an empty catalog (installing over pre-loaded
     /// genesis rows would silently merge, keeping local rows the peer
-    /// deleted). Afterwards the node continues from `snapshot.height` and
-    /// its local history starts there.
-    pub fn install_snapshot(&mut self, snapshot: &crate::sync::StateSnapshot) -> Result<()> {
-        if self.height != BlockId(0) {
+    /// deleted). Afterwards the node continues from the snapshot's
+    /// position and its local history starts there.
+    pub fn install_snapshot(&mut self, snapshot: &StateSnapshot) -> Result<()> {
+        if !self.is_fresh() {
             return Err(Error::InvalidArgument(format!(
-                "snapshot install requires a fresh node (height {})",
-                self.height
+                "snapshot install requires a fresh node (height {}, {} tables)",
+                self.height,
+                self.engine.list_tables().len()
             )));
-        }
-        if !self.engine.list_tables().is_empty() {
-            return Err(Error::InvalidArgument(
-                "snapshot install requires an empty database (local tables exist)".into(),
-            ));
         }
         // Drop any stale local history (a crashed, checkpoint-less node
         // may hold logged blocks it can no longer replay): after install,
@@ -547,258 +553,76 @@ impl OeChain {
                 self.engine.put(id, key, value)?;
             }
         }
-        self.height = snapshot.height;
-        self.last_hash = snapshot.last_hash;
-        self.base = (snapshot.height, snapshot.last_hash);
-        self.last_summary = snapshot.summary.clone();
+        let position = &snapshot.position;
+        self.base = (position.height, position.last_hash);
+        self.resume_at(position);
         // The trailing checkpoint() rebuilds the commitment over the
-        // installed tables (and records its root in the sidecar).
+        // installed tables (and records its root with the position).
         *self.commitment.lock().expect("commitment lock") = None;
-        import_recent_undo(&self.snapshots, &snapshot.undo);
         // Persist: the install point becomes this node's first checkpoint,
         // so a later crash recovers from here rather than from genesis.
         self.checkpoint()
     }
 
+    /// Height 0 and an empty catalog: a snapshot may be installed here.
+    pub(crate) fn is_fresh(&self) -> bool {
+        self.height == BlockId(0) && self.engine.list_tables().is_empty()
+    }
+
     /// Export this node's full state at its current height for a lagging
     /// peer — the manifest the state-sync protocol transfers.
-    pub fn export_snapshot(&self) -> Result<crate::sync::StateSnapshot> {
-        crate::sync::StateSnapshot::export(self)
-    }
-}
-
-// ── Recovery sidecar ─────────────────────────────────────────────────────
-// (key / undo / summary encoders shared with crate::sync's state snapshot)
-
-/// Before-images (and implied version-history entries) of one block.
-pub type BlockUndo = (BlockId, Vec<(Key, Option<Value>)>);
-
-/// How many trailing blocks' before-images (and version-history entries)
-/// the recovery sidecar and a state-sync manifest capture. Must cover the
-/// engine's farthest-back snapshot read: 2 suffices for Harmony's
-/// inter-block parallelism; the SOV engines endorse against snapshots up
-/// to `validation_delay` +
-/// [`MAX_LAG`](harmony_dcc_baselines::fabric::MAX_LAG) blocks old, so 4
-/// covers their default profile (1 + 2) too.
-const SIDECAR_DEPTH: u64 = 4;
-
-/// Export the undo images of the trailing [`SIDECAR_DEPTH`] blocks ending
-/// at `height`, oldest first — what recovery needs to reconstruct the
-/// snapshots and version comparisons engines read several blocks back.
-pub(crate) fn export_recent_undo(snapshots: &SnapshotStore, height: BlockId) -> Vec<BlockUndo> {
-    let lo = height.0.saturating_sub(SIDECAR_DEPTH - 1).max(1);
-    (lo..=height.0)
-        .map(|b| (BlockId(b), snapshots.export_undo_for(BlockId(b))))
-        .collect()
-}
-
-/// Re-install exported undo images, oldest block first (undo chains and
-/// version lists grow strictly newer). Per-block synthetic writer TIDs
-/// preserve the version-equality structure the SOV staleness checks
-/// compare (same block ⇔ same version).
-pub(crate) fn import_recent_undo(snapshots: &SnapshotStore, undo: &[BlockUndo]) {
-    for (block, entries) in undo {
-        let tid = harmony_common::TxnId::new(*block, 0).0;
-        snapshots.import_undo_for(*block, entries, tid);
-    }
-}
-
-pub(crate) fn put_key(w: &mut Writer, key: &Key) {
-    w.put_u16(key.table().0);
-    w.put_bytes(key.row());
-}
-
-pub(crate) fn get_key(r: &mut Reader<'_>) -> Result<Key> {
-    let table = harmony_common::ids::TableId(r.get_u16()?);
-    let row = r.get_bytes()?;
-    Ok(Key::new(table, row))
-}
-
-pub(crate) fn put_undo(w: &mut Writer, undo: &[(Key, Option<Value>)]) {
-    w.put_u32(u32::try_from(undo.len()).expect("undo count"));
-    for (key, before) in undo {
-        put_key(w, key);
-        match before {
-            Some(v) => {
-                w.put_u8(1);
-                w.put_bytes(v);
-            }
-            None => w.put_u8(0),
+    pub fn export_snapshot(&self) -> Result<StateSnapshot> {
+        let mut tables = Vec::new();
+        for (name, id) in self.engine.list_tables() {
+            let mut rows = Vec::new();
+            self.engine.scan(id, b"", None, |k, v| {
+                rows.push((k.to_vec(), v.to_vec()));
+                true
+            })?;
+            tables.push(TableDump { name, rows });
         }
+        Ok(StateSnapshot {
+            position: self.position(),
+            tables,
+        })
     }
 }
 
-pub(crate) fn get_undo(r: &mut Reader<'_>) -> Result<Vec<(Key, Option<Value>)>> {
-    let n = r.get_count(7)?; // table id + row length + before-image tag
-    let mut undo = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = get_key(r)?;
-        let before = match r.get_u8()? {
-            0 => None,
-            1 => Some(Value::from(r.get_bytes()?)),
-            t => return Err(Error::Corruption(format!("bad undo tag {t}"))),
-        };
-        undo.push((key, before));
-    }
-    Ok(undo)
-}
-
-pub(crate) fn put_summary(w: &mut Writer, summary: Option<&BlockSummary>) {
-    match summary {
-        None => w.put_u8(0),
-        Some(s) => {
-            w.put_u8(1);
-            w.put_u64(s.block.0);
-            w.put_u32(u32::try_from(s.committed_writes.len()).expect("writes"));
-            let mut writes: Vec<_> = s.committed_writes.iter().collect();
-            writes.sort_by(|a, b| a.0.cmp(b.0));
-            for (key, info) in writes {
-                put_key(w, key);
-                w.put_u64(info.min_tid);
-                w.put_u8(u8::from(info.backward_out));
-            }
-            w.put_u32(u32::try_from(s.committed_reads.len()).expect("reads"));
-            let mut reads: Vec<_> = s.committed_reads.iter().collect();
-            reads.sort_by(|a, b| a.0.cmp(b.0));
-            for (key, tid) in reads {
-                put_key(w, key);
-                w.put_u64(*tid);
-            }
-            w.put_u32(u32::try_from(s.committed_read_preds.len()).expect("preds"));
-            for (tid, pred) in &s.committed_read_preds {
-                w.put_u64(*tid);
-                w.put_u16(pred.table.0);
-                w.put_bytes(&pred.start);
-                match &pred.end {
-                    Some(e) => {
-                        w.put_u8(1);
-                        w.put_bytes(e);
-                    }
-                    None => w.put_u8(0),
-                }
-            }
-        }
-    }
-}
-
-pub(crate) fn get_summary(r: &mut Reader<'_>) -> Result<Option<BlockSummary>> {
-    match r.get_u8()? {
-        0 => Ok(None),
-        1 => {
-            let sblock = BlockId(r.get_u64()?);
-            let mut committed_writes = HashMap::new();
-            for _ in 0..r.get_u32()? {
-                let key = get_key(r)?;
-                let min_tid = r.get_u64()?;
-                let backward_out = r.get_u8()? == 1;
-                committed_writes.insert(
-                    key,
-                    WriterInfo {
-                        min_tid,
-                        backward_out,
-                    },
-                );
-            }
-            let mut committed_reads = HashMap::new();
-            for _ in 0..r.get_u32()? {
-                let key = get_key(r)?;
-                committed_reads.insert(key, r.get_u64()?);
-            }
-            let mut committed_read_preds = Vec::new();
-            for _ in 0..r.get_u32()? {
-                let tid = r.get_u64()?;
-                let table = harmony_common::ids::TableId(r.get_u16()?);
-                let start = bytes::Bytes::from(r.get_bytes()?);
-                let end = match r.get_u8()? {
-                    0 => None,
-                    1 => Some(bytes::Bytes::from(r.get_bytes()?)),
-                    t => return Err(Error::Corruption(format!("bad pred tag {t}"))),
-                };
-                committed_read_preds.push((tid, RangePredicate { table, start, end }));
-            }
-            Ok(Some(BlockSummary {
-                block: sblock,
-                committed_writes,
-                committed_reads,
-                committed_read_preds,
-            }))
-        }
-        t => Err(Error::Corruption(format!("bad summary tag {t}"))),
-    }
-}
-
-pub(crate) fn put_block_undo(w: &mut Writer, undo: &[BlockUndo]) {
-    w.put_u32(u32::try_from(undo.len()).expect("block count"));
-    for (block, entries) in undo {
-        w.put_u64(block.0);
-        put_undo(w, entries);
-    }
-}
-
-pub(crate) fn get_block_undo(r: &mut Reader<'_>) -> Result<Vec<BlockUndo>> {
-    let n = r.get_count(12)?; // block id + undo count
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let block = BlockId(r.get_u64()?);
-        out.push((block, get_undo(r)?));
-    }
-    Ok(out)
-}
-
-fn encode_sidecar(
-    block: BlockId,
-    last_hash: &Digest,
-    undo: &[BlockUndo],
-    summary: Option<&BlockSummary>,
-    state_root: Option<&Digest>,
-) -> Vec<u8> {
+/// The sidecar a checkpoint writes into its manifest: the chain's position,
+/// then the state root it commits to.
+fn checkpoint_sidecar(position: &ChainPosition, root: &Digest) -> Vec<u8> {
     let mut w = Writer::with_capacity(256);
-    w.put_u64(block.0);
-    w.put_raw(&last_hash.0);
-    put_block_undo(&mut w, undo);
-    put_summary(&mut w, summary);
-    match state_root {
-        Some(root) => {
-            w.put_u8(1);
-            w.put_raw(&root.0);
-        }
-        None => w.put_u8(0),
-    }
+    position.encode_into(&mut w);
+    w.put_raw(&root.0);
     w.finish()
 }
 
-type Sidecar = (
-    BlockId,
-    Digest,
-    Vec<BlockUndo>,
-    Option<BlockSummary>,
-    Option<Digest>,
-);
-
-fn decode_sidecar(bytes: &[u8]) -> Result<Sidecar> {
+/// Read a checkpoint's sidecar; `None` when the manifest carries none.
+fn read_checkpoint_sidecar(bytes: &[u8]) -> Result<Option<(ChainPosition, Digest)>> {
+    if bytes.is_empty() {
+        return Ok(None);
+    }
     let mut r = Reader::new(bytes);
-    let block = BlockId(r.get_u64()?);
-    let last_hash = Digest(r.get_raw(32)?.try_into().expect("32 bytes"));
-    let undo = get_block_undo(&mut r)?;
-    let summary = get_summary(&mut r)?;
-    let state_root = match r.get_u8()? {
-        0 => None,
-        1 => Some(Digest(r.get_raw(32)?.try_into().expect("32 bytes"))),
-        t => return Err(Error::Corruption(format!("bad root tag {t}"))),
-    };
-    Ok((block, last_hash, undo, summary, state_root))
+    let position = ChainPosition::decode_from(&mut r)?;
+    let root = Digest(r.get_raw(32)?.try_into().expect("32 bytes"));
+    Ok(Some((position, root)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmony_common::ids::TableId;
+    use harmony_common::DetRng;
+    use harmony_core::executor::WriterInfo;
+    use harmony_txn::{Key, RangePredicate, Value};
+    use harmony_workloads::{Smallbank, SmallbankConfig, Workload};
 
     #[test]
     fn sidecar_roundtrip() {
-        let key = Key::from_u64(harmony_common::ids::TableId(2), 9);
+        let key = Key::from_u64(TableId(2), 9);
         let undo: Vec<(Key, Option<Value>)> = vec![
             (key.clone(), Some(Value::from_static(b"before"))),
-            (Key::from_u64(harmony_common::ids::TableId(2), 10), None),
+            (Key::from_u64(TableId(2), 10), None),
         ];
         let mut summary = BlockSummary {
             block: BlockId(7),
@@ -815,21 +639,25 @@ mod tests {
         summary.committed_read_preds.push((
             789,
             RangePredicate {
-                table: harmony_common::ids::TableId(3),
+                table: TableId(3),
                 start: bytes::Bytes::from_static(b"a"),
                 end: Some(bytes::Bytes::from_static(b"z")),
             },
         ));
-        let hash = Digest([9; 32]);
+        let position = ChainPosition {
+            height: BlockId(7),
+            last_hash: Digest([9; 32]),
+            undo: vec![(BlockId(6), Vec::new()), (BlockId(7), undo)],
+            summary: Some(summary),
+        };
         let root = Digest([5; 32]);
-        let undo = vec![(BlockId(6), Vec::new()), (BlockId(7), undo)];
-        let enc = encode_sidecar(BlockId(7), &hash, &undo, Some(&summary), Some(&root));
-        let (block, hash2, undo2, summary2, root2) = decode_sidecar(&enc).unwrap();
-        assert_eq!(block, BlockId(7));
-        assert_eq!(hash2, hash);
-        assert_eq!(undo2, undo);
-        assert_eq!(root2, Some(root));
-        let s2 = summary2.unwrap();
+        let enc = checkpoint_sidecar(&position, &root);
+        let (decoded, root2) = read_checkpoint_sidecar(&enc).unwrap().unwrap();
+        assert_eq!(decoded.height, BlockId(7));
+        assert_eq!(decoded.last_hash, position.last_hash);
+        assert_eq!(decoded.undo, position.undo);
+        assert_eq!(root2, root);
+        let s2 = decoded.summary.unwrap();
         assert_eq!(s2.block, BlockId(7));
         assert_eq!(s2.committed_writes.len(), 1);
         assert_eq!(s2.committed_reads.len(), 1);
@@ -852,12 +680,55 @@ mod tests {
 
     #[test]
     fn sidecar_without_summary() {
-        let enc = encode_sidecar(BlockId(3), &Digest::ZERO, &[], None, None);
-        let (block, hash, undo, summary, root) = decode_sidecar(&enc).unwrap();
-        assert_eq!(block, BlockId(3));
-        assert_eq!(hash, Digest::ZERO);
-        assert!(undo.is_empty());
-        assert!(summary.is_none());
-        assert!(root.is_none());
+        let position = ChainPosition {
+            height: BlockId(3),
+            ..ChainPosition::default()
+        };
+        let enc = checkpoint_sidecar(&position, &Digest::ZERO);
+        let (decoded, root) = read_checkpoint_sidecar(&enc).unwrap().unwrap();
+        assert_eq!(decoded.height, BlockId(3));
+        assert_eq!(decoded.last_hash, Digest::ZERO);
+        assert!(decoded.undo.is_empty());
+        assert!(decoded.summary.is_none());
+        assert_eq!(root, Digest::ZERO);
+        assert!(read_checkpoint_sidecar(&[]).unwrap().is_none());
+        // A cut sidecar is an error, never a shorter position.
+        assert!(matches!(
+            read_checkpoint_sidecar(&enc[..enc.len() - 1]),
+            Err(Error::Corruption(_))
+        ));
+    }
+
+    /// A storage checkpoint written past the chain records no position.
+    /// Recovering from it used to replay onto the manifest's pages with a
+    /// hash taken from the block log and no undo images or summary, and
+    /// return `Ok` on a root the chain never had.
+    #[test]
+    fn a_checkpoint_without_a_position_is_corruption() {
+        let config = ChainConfig {
+            checkpoint_every: 1_000,
+            ..ChainConfig::in_memory()
+        };
+        let mut chain = OeChain::open(config, EngineSpec::default()).unwrap();
+        let mut workload = Smallbank::new(SmallbankConfig {
+            accounts: 200,
+            ..SmallbankConfig::default()
+        });
+        workload.setup(chain.engine()).unwrap();
+        let codec = workload.codec();
+        chain.checkpoint().unwrap();
+        let mut rng = DetRng::new(0xC4EC);
+        for block in 1..=12 {
+            let txns = workload.next_block(&mut rng, 20);
+            chain.submit_block(txns, codec.as_ref()).unwrap();
+            if block == 6 {
+                chain.engine().checkpoint(chain.height()).unwrap();
+            }
+        }
+        let err = chain.crash_and_recover(codec.as_ref()).unwrap_err();
+        assert!(
+            matches!(&err, Error::Corruption(m) if m.contains("no chain position")),
+            "{err}"
+        );
     }
 }

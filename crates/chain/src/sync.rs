@@ -5,11 +5,12 @@
 //! A [`StateSnapshot`] captures everything a node needs to continue the
 //! chain from height `h`:
 //!
-//! * the full table contents at `h` (the checkpoint manifest proper),
-//! * the hash of block `h` (so the hash chain continues verifiably),
-//! * the last block's undo images and Rule-3 summary — the same recovery
-//!   sidecar the crash path uses, so Harmony's inter-block validation
-//!   replays bit-identically on the synced node.
+//! * the chain's [`ChainPosition`] at `h` — the hash of block `h` (so the
+//!   hash chain continues verifiably), the trailing blocks' undo images and
+//!   the Rule-3 summary. It is the position a checkpoint records, in the
+//!   same encoding, so Harmony's inter-block validation replays
+//!   bit-identically on the synced node;
+//! * the full table contents at `h`.
 //!
 //! A part of a sync reply is an optional manifest plus a tail of verified
 //! blocks, and [`OeChain::catch_up`] is the one place a chain takes it —
@@ -28,16 +29,12 @@
 //! 4. the height gained, measured from before the call, is returned.
 
 use harmony_common::codec::{Reader, Writer};
-use harmony_common::{BlockId, Result};
-use harmony_core::executor::BlockSummary;
-use harmony_crypto::{sha256, Digest};
+use harmony_common::Result;
 use harmony_txn::ContractCodec;
 
 use crate::block::ChainBlock;
-use crate::oe::{
-    export_recent_undo, get_block_undo, get_summary, put_block_undo, put_summary, BlockUndo,
-    OeChain,
-};
+use crate::oe::OeChain;
+use crate::position::ChainPosition;
 
 /// One table's full contents at the snapshot height.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,99 +46,49 @@ pub struct TableDump {
 }
 
 /// A transferable checkpoint manifest: the chain position plus the full
-/// database state and recovery sidecar at that position.
+/// database state at that position.
 #[derive(Clone, Debug)]
 pub struct StateSnapshot {
-    /// Height the snapshot was taken at.
-    pub height: BlockId,
-    /// Hash of the block at `height` (hash-chain continuation point).
-    pub last_hash: Digest,
+    /// Where the chain stood when the snapshot was taken.
+    pub position: ChainPosition,
     /// Every table's contents, in catalog order.
     pub tables: Vec<TableDump>,
-    /// Undo images of the trailing blocks, oldest first (snapshot-overlay
-    /// and version-history reseed — same depth as the recovery sidecar).
-    pub undo: Vec<BlockUndo>,
-    /// Rule-3 summary of the last executed block (Harmony continuity).
-    pub summary: Option<BlockSummary>,
 }
 
 impl StateSnapshot {
-    /// Capture `chain`'s state at its current height.
-    pub fn export(chain: &OeChain) -> Result<StateSnapshot> {
-        let engine = chain.engine();
-        let mut tables = Vec::new();
-        for (name, id) in engine.list_tables() {
-            let mut rows = Vec::new();
-            engine.scan(id, b"", None, |k, v| {
-                rows.push((k.to_vec(), v.to_vec()));
-                true
-            })?;
-            tables.push(TableDump { name, rows });
-        }
-        Ok(StateSnapshot {
-            height: chain.height(),
-            last_hash: chain.last_hash(),
-            tables,
-            undo: export_recent_undo(chain.snapshots(), chain.height()),
-            summary: chain.last_summary().cloned(),
-        })
-    }
-
-    /// Serialize for transfer.
+    /// Serialize for transfer: the position, then the tables.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(1024);
-        w.put_u64(self.height.0);
-        w.put_raw(&self.last_hash.0);
+        self.position.encode_into(&mut w);
         w.put_u32(u32::try_from(self.tables.len()).expect("table count"));
         for t in &self.tables {
-            w.put_bytes(t.name.as_bytes());
+            w.put_str(&t.name);
             w.put_u32(u32::try_from(t.rows.len()).expect("row count"));
             for (k, v) in &t.rows {
                 w.put_bytes(k);
                 w.put_bytes(v);
             }
         }
-        put_block_undo(&mut w, &self.undo);
-        put_summary(&mut w, self.summary.as_ref());
         w.finish()
     }
 
     /// Deserialize a transferred manifest.
     pub fn decode(bytes: &[u8]) -> Result<StateSnapshot> {
         let mut r = Reader::new(bytes);
-        let height = BlockId(r.get_u64()?);
-        let last_hash = Digest(r.get_raw(32)?.try_into().expect("32 bytes"));
+        let position = ChainPosition::decode_from(&mut r)?;
         let n_tables = r.get_count(8)?; // name length + row count
         let mut tables = Vec::with_capacity(n_tables);
         for _ in 0..n_tables {
-            let name = String::from_utf8(r.get_bytes()?)
-                .map_err(|e| harmony_common::Error::Corruption(format!("table name: {e}")))?;
+            let name = r.get_str()?;
             let n_rows = r.get_count(8)?; // key length + value length
             let mut rows = Vec::with_capacity(n_rows);
             for _ in 0..n_rows {
-                let k = r.get_bytes()?;
-                let v = r.get_bytes()?;
-                rows.push((k, v));
+                rows.push((r.get_bytes()?, r.get_bytes()?));
             }
             tables.push(TableDump { name, rows });
         }
-        let undo = get_block_undo(&mut r)?;
-        let summary = get_summary(&mut r)?;
-        Ok(StateSnapshot {
-            height,
-            last_hash,
-            tables,
-            undo,
-            summary,
-        })
-    }
-
-    /// Content digest of the manifest — what a paranoid receiver compares
-    /// against an out-of-band commitment before installing.
-    #[must_use]
-    pub fn digest(&self) -> Digest {
-        sha256(&self.encode())
+        Ok(StateSnapshot { position, tables })
     }
 }
 
@@ -159,8 +106,8 @@ impl OeChain {
     ) -> Result<u64> {
         let before = self.height();
         if let Some(manifest) = manifest {
-            let fresh = before == BlockId(0) && self.engine().list_tables().is_empty();
-            if fresh || manifest.height > before {
+            let fresh = self.is_fresh();
+            if fresh || manifest.position.height > before {
                 if !fresh {
                     self.reopen()?;
                 }
@@ -176,6 +123,7 @@ impl OeChain {
 mod tests {
     use super::*;
     use crate::ChainConfig;
+    use harmony_common::BlockId;
     use harmony_common::DetRng;
     use harmony_dcc_baselines::EngineSpec;
     use harmony_workloads::{Workload, Ycsb, YcsbCodec, YcsbConfig};
@@ -209,18 +157,18 @@ mod tests {
         let (chain, _, _, _) = running_chain(6);
         let snap = chain.export_snapshot().unwrap();
         let decoded = StateSnapshot::decode(&snap.encode()).unwrap();
-        assert_eq!(decoded.height, snap.height);
-        assert_eq!(decoded.last_hash, snap.last_hash);
+        assert_eq!(decoded.position.height, snap.position.height);
+        assert_eq!(decoded.position.last_hash, snap.position.last_hash);
         assert_eq!(decoded.tables, snap.tables);
-        assert_eq!(decoded.undo, snap.undo);
-        assert_eq!(decoded.digest(), snap.digest());
+        assert_eq!(decoded.position.undo, snap.position.undo);
+        assert_eq!(decoded.encode(), snap.encode());
     }
 
     #[test]
     fn lying_counts_are_refused_before_allocating() {
         use harmony_common::codec::Writer;
-        // One frame per count field of the manifest format (tables, rows,
-        // undo blocks, undo entries), each cut off right after a count of
+        // One frame per count field of the manifest format (undo blocks,
+        // undo entries, tables, rows), each cut off right after a count of
         // `u32::MAX`: the reader must refuse the count itself.
         let head = |w: &mut Writer| {
             w.put_u64(7);
@@ -230,13 +178,17 @@ mod tests {
             &|_| {},
             &|w| {
                 w.put_u32(1);
-                w.put_bytes(b"t");
+                w.put_u64(6);
             },
-            &|w| w.put_u32(0),
             &|w| {
                 w.put_u32(0);
+                w.put_u8(0);
+            },
+            &|w| {
+                w.put_u32(0);
+                w.put_u8(0);
                 w.put_u32(1);
-                w.put_u64(6);
+                w.put_bytes(b"t");
             },
         ];
         for (i, before_count) in fields.iter().enumerate() {
@@ -397,7 +349,10 @@ mod tests {
         let gained = chain.catch_up(Some(&snap), &blocks[6..], &codec).unwrap();
         assert_eq!(gained, 9 - 2, "the height gained since before the call");
         assert_eq!(chain.height(), BlockId(9));
-        assert_eq!(chain.base(), (snap.height, snap.last_hash));
+        assert_eq!(
+            chain.base(),
+            (snap.position.height, snap.position.last_hash)
+        );
         assert_eq!(chain.state_root().unwrap(), peer.state_root().unwrap());
         let tables = chain.engine().list_tables();
         assert!(

@@ -13,7 +13,14 @@ pub struct DetRng {
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+    mix64(*state)
+}
+
+/// The splitmix64 finalizer: a bijective avalanche of `z`. The pure
+/// per-event draws (network jitter, fault rolls, retry backoff) mix their
+/// inputs through it, so each is a function of its arguments alone.
+#[must_use]
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -9,6 +9,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
+use harmony_common::rng::mix64;
 use harmony_crypto::Digest;
 use harmony_metrics::Counter;
 
@@ -225,15 +226,10 @@ impl<M> Ord for Pending<M> {
 /// stream — bit-identical to a no-crash run. The determinism test
 /// battery pins exactly that equivalence.
 fn link_jitter_ns(seed: u64, sender: usize, count: u64) -> u64 {
-    let mut x = seed
+    let x = seed
         ^ (sender as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ count.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x % 50_000 // ≤50 µs
+    mix64(x) % 50_000 // ≤50 µs
 }
 
 /// Per-mille fate roll for fault injection: a pure function of (seed,
@@ -243,17 +239,12 @@ fn link_jitter_ns(seed: u64, sender: usize, count: u64) -> u64 {
 /// timing of traffic between unrelated nodes — and a run whose fault
 /// table is empty is bit-identical to a run on a fault-free network.
 fn fault_roll(seed: u64, sender: usize, count: u64, fault_idx: u64) -> u64 {
-    let mut x = seed
+    let x = seed
         ^ 0xC2B2_AE3D_27D4_EB4F
         ^ (sender as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ count.wrapping_mul(0xBF58_476D_1CE4_E5B9)
         ^ fault_idx.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x % 1000
+    mix64(x) % 1000
 }
 
 /// What a matching [`LinkFault`] does to a message.

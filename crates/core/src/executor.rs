@@ -31,7 +31,7 @@
 //!
 //! The executor keeps no summary between blocks. Its host hands each block
 //! its predecessor's summary: `OeChain` holds the last one, records it in
-//! every checkpoint sidecar and sync manifest, and passes it to the next
+//! the position of every checkpoint and sync manifest, and passes it to the next
 //! block through `DccEngine::execute_block`.
 
 use std::collections::HashMap;

@@ -162,7 +162,7 @@ impl EngineSpec {
 
     /// Instantiate over `store`. The engine keeps no Rule-3 summary: the
     /// chain's `last_summary` is its one holder. The chain records it in
-    /// every checkpoint sidecar and sync manifest and hands it to every
+    /// the position of every checkpoint and sync manifest and hands it to every
     /// block through [`DccEngine::execute_block`], so an engine built
     /// after a crash needs nothing but the store it reads.
     #[must_use]

@@ -6,7 +6,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-use harmony_common::Result;
+use harmony_common::{DetRng, Result};
 use harmony_consensus::net::Transport;
 use harmony_metrics::{Counter, Registry};
 use harmony_txn::{encode_contract, Contract};
@@ -24,7 +24,7 @@ use crate::statesync::RetryPolicy;
 pub struct ClientBank {
     stream: OpenLoopClients,
     generator: Box<dyn Workload>,
-    rng: harmony_common::DetRng,
+    rng: DetRng,
     pending: Option<harmony_workloads::Arrival>,
     load_ns: u64,
     orderer: usize,
@@ -49,7 +49,7 @@ impl ClientBank {
     /// arrival is drawn but not yet scheduled (see
     /// [`ClientBank::first_arrival_ns`]).
     pub(super) fn new(cfg: &ClusterConfig, registry: &Registry, orderer: usize) -> Result<Self> {
-        let mut stream = OpenLoopClients::new(cfg.open_loop, cfg.seed ^ 0xA11);
+        let (mut stream, rng) = submission_streams(cfg.open_loop, cfg.seed);
         let first = stream.next_arrival();
         let (retries, retry_drops) = if cfg.client_retry.is_some() {
             (
@@ -68,7 +68,7 @@ impl ClientBank {
         Ok(ClientBank {
             stream,
             generator: cfg.workload.generator()?,
-            rng: harmony_common::DetRng::new(cfg.seed ^ 0x7C5),
+            rng,
             pending: Some(first),
             load_ns: cfg.load_ns,
             orderer,
@@ -192,6 +192,15 @@ impl ClientBank {
     }
 }
 
+/// The arrivals and contract draws of the client bank for `seed`: the
+/// bank, its replay and the load sizing all start here.
+fn submission_streams(open_loop: OpenLoopConfig, seed: u64) -> (OpenLoopClients, DetRng) {
+    (
+        OpenLoopClients::new(open_loop, seed ^ 0xA11),
+        DetRng::new(seed ^ 0x7C5),
+    )
+}
+
 /// One entry of the client bank's deterministic submission stream.
 pub struct Submission {
     /// Submitting client session.
@@ -211,9 +220,8 @@ pub struct Submission {
 /// a TCP run be compared root-for-root against a simulator run of the
 /// same configuration.
 pub fn submission_trace(cfg: &ClusterConfig, n: usize) -> Result<Vec<Submission>> {
-    let mut stream = OpenLoopClients::new(cfg.open_loop, cfg.seed ^ 0xA11);
+    let (mut stream, mut rng) = submission_streams(cfg.open_loop, cfg.seed);
     let generator = cfg.workload.generator()?;
-    let mut rng = harmony_common::DetRng::new(cfg.seed ^ 0x7C5);
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let arrival = stream.next_arrival();
@@ -234,7 +242,7 @@ pub fn submission_trace(cfg: &ClusterConfig, n: usize) -> Result<Vec<Submission>
 /// run with this `load_ns` fires arrivals 1..=n and no more.
 #[must_use]
 pub fn load_ns_for_txns(open_loop: OpenLoopConfig, seed: u64, n: usize) -> u64 {
-    let mut stream = OpenLoopClients::new(open_loop, seed ^ 0xA11);
+    let (mut stream, _) = submission_streams(open_loop, seed);
     let mut at = 0;
     for _ in 0..n {
         at = stream.next_arrival().at_ns;

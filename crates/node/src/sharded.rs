@@ -14,7 +14,7 @@
 //! 2. hand the transactions to the group, which plans them, seals each
 //!    shard's sub-block on that shard's chain and applies it — so every
 //!    shard owns a verifiable hash-chained block log (height == global
-//!    height) with its own checkpoints and recovery sidecar,
+//!    height) with its own checkpoints, each recording its position,
 //! 3. charge the block's virtual time through
 //!    [`BlockCharge::group_block`] — the price the experiment driver
 //!    charges its own group's blocks — and, at gossip heights, fold the
@@ -41,6 +41,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use harmony_chain::sync::{StateSnapshot, TableDump};
+use harmony_chain::ChainPosition;
 use harmony_chain::{sharded_state_root, state_root, ChainBlock, ChainConfig, OeChain};
 use harmony_common::{BlockId, Error, Result};
 use harmony_consensus::net::LatencyModel;
@@ -560,9 +561,9 @@ fn reshard_shard_anchor(global: &Digest, epoch: u64, new_shards: u32, shard: usi
 /// partition set new shard `shard` owns under `router` — the reshard
 /// handover's per-shard manifest. Partitioned tables take the union of
 /// every old shard's owned rows, re-merged in key order; tables the
-/// router replicates are carried in full. The recovery sidecar (undo
-/// images) is sliced by the same ownership rule, so the installed shard
-/// recovers and re-simulates exactly like a shard that always existed.
+/// router replicates are carried in full. The position's undo images are
+/// sliced by the same ownership rule, so the installed shard recovers and
+/// re-simulates exactly like a shard that always existed.
 fn slice_manifest(
     exports: &[StateSnapshot],
     catalog: &[(String, harmony_common::ids::TableId)],
@@ -596,20 +597,22 @@ fn slice_manifest(
             rows,
         }
     });
-    // Merge the undo sidecars block by block.
+    // Merge the undo images block by block.
     let mut undo: BTreeMap<u64, Vec<_>> = BTreeMap::new();
     for (old, export) in exports.iter().enumerate() {
-        for (block, entries) in &export.undo {
+        for (block, entries) in &export.position.undo {
             let own = undo.entry(block.0).or_default();
             own.extend(entries.iter().filter(|e| keep(old, &e.0)).cloned());
         }
     }
     StateSnapshot {
-        height,
-        last_hash,
+        position: ChainPosition {
+            height,
+            last_hash,
+            undo: undo.into_iter().map(|(b, e)| (BlockId(b), e)).collect(),
+            summary: None,
+        },
         tables: tables.collect(),
-        undo: undo.into_iter().map(|(b, e)| (BlockId(b), e)).collect(),
-        summary: None,
     }
 }
 

@@ -39,6 +39,7 @@
 
 use harmony_chain::sync::StateSnapshot;
 use harmony_chain::{ChainBlock, OeChain};
+use harmony_common::rng::mix64;
 use harmony_common::{BlockId, Error, Result};
 use harmony_crypto::Digest;
 
@@ -93,16 +94,12 @@ impl RetryPolicy {
             .base_timeout_ns
             .saturating_mul(1u64 << exp)
             .min(self.max_backoff_ns.max(self.base_timeout_ns));
-        // splitmix64-style mixing, same family as the net layer's jitter.
-        let mut x = seed
-            ^ 0xA076_1D64_78BD_642F
-            ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
+        // splitmix64 mixing, like the net layer's jitter.
+        let x = mix64(
+            seed ^ 0xA076_1D64_78BD_642F
+                ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9),
+        );
         grown + x % (grown / 4).max(1)
     }
 }
@@ -438,11 +435,8 @@ mod tests {
         // `manifest + range == transfer_bytes` must hold on every reply a
         // node can decode, well-formed or not.
         let hollow = StateSnapshot {
-            height: BlockId(0),
-            last_hash: Digest::ZERO,
+            position: harmony_chain::ChainPosition::default(),
             tables: Vec::new(),
-            undo: Vec::new(),
-            summary: None,
         };
         let reply = |parts| ShardedSyncResponse {
             height: BlockId(7),

@@ -321,17 +321,6 @@ impl FragmentContract {
     }
 }
 
-fn put_key(w: &mut Writer, key: &Key) {
-    w.put_u16(key.table().0);
-    w.put_bytes(key.row());
-}
-
-fn get_key(r: &mut Reader<'_>) -> Result<Key> {
-    let table = TableId(r.get_u16()?);
-    let row = r.get_bytes()?;
-    Ok(Key::new(table, row))
-}
-
 impl Contract for FragmentContract {
     fn execute(&self, ctx: &mut TxnCtx<'_>) -> Result<(), UserAbort> {
         for key in &self.reads {
@@ -354,11 +343,11 @@ impl Contract for FragmentContract {
         w.put_u64(self.global as u64);
         w.put_u32(u32::try_from(self.reads.len()).expect("read count"));
         for key in &self.reads {
-            put_key(&mut w, key);
+            key.encode_into(&mut w);
         }
         w.put_u32(u32::try_from(self.updates.len()).expect("update count"));
         for (key, seq) in &self.updates {
-            put_key(&mut w, key);
+            key.encode_into(&mut w);
             seq.encode_into(&mut w);
         }
         w.finish()
@@ -386,12 +375,12 @@ impl ContractCodec for FragmentCodec {
         let n_reads = r.get_u32()? as usize;
         let mut reads = Vec::new();
         for _ in 0..n_reads {
-            reads.push(get_key(&mut r)?);
+            reads.push(Key::decode_from(&mut r)?);
         }
         let n_updates = r.get_u32()? as usize;
         let mut updates = Vec::new();
         for _ in 0..n_updates {
-            let key = get_key(&mut r)?;
+            let key = Key::decode_from(&mut r)?;
             let seq = CommandSeq::decode_from(&mut r)?;
             updates.push((key, seq));
         }

@@ -1,12 +1,15 @@
 //! Checkpoint manifests.
 //!
 //! HarmonyBC checkpoints every `p` blocks: flush dirty pages, then persist a
-//! manifest recording the checkpointed block id and each table's B+Tree
-//! root. Manifests are written to *alternating slots* so that a crash during
+//! manifest recording the checkpointed block id, each table's B+Tree root
+//! and the caller's *sidecar*: opaque bytes (a chain stores its position
+//! there) that one CRC covers with the rest, so a checkpoint is one record.
+//! Manifests are written to *alternating slots* so that a crash during
 //! checkpointing still leaves the previous manifest intact (the paper relies
 //! on PostgreSQL's multi-versioned storage for the same guarantee).
 
-use std::fs;
+use std::fs::{self, File};
+use std::io::Write;
 use std::path::PathBuf;
 
 use harmony_common::codec::{crc32c, Reader, Writer};
@@ -40,13 +43,15 @@ pub struct Manifest {
     pub block: BlockId,
     /// Table catalog.
     pub tables: Vec<TableMeta>,
+    /// What the caller recorded with the checkpoint; empty when nothing.
+    pub sidecar: Vec<u8>,
 }
 
 impl Manifest {
     /// Serialize with magic + CRC trailer.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(64 + self.tables.len() * 48);
+        let mut w = Writer::with_capacity(64 + self.tables.len() * 48 + self.sidecar.len());
         w.put_u32(MANIFEST_MAGIC);
         w.put_u64(self.epoch);
         w.put_u64(self.block.0);
@@ -57,9 +62,10 @@ impl Manifest {
             w.put_u64(t.root.0);
             w.put_u64(t.len);
         }
-        let body = w.finish();
-        let mut out = body.clone();
-        out.extend_from_slice(&crc32c(&body).to_le_bytes());
+        w.put_bytes(&self.sidecar);
+        let mut out = w.finish();
+        let crc = crc32c(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
         out
     }
 
@@ -97,16 +103,29 @@ impl Manifest {
             epoch,
             block,
             tables,
+            sidecar: r.get_bytes()?,
         })
     }
 }
 
-/// Double-slot manifest storage.
+/// Double-slot manifest storage. A store reads and replaces whole slots;
+/// which slot a manifest goes to, and which one is read back, is decided
+/// here, the same for every store.
 pub trait ManifestStore: Send + Sync {
+    /// The bytes in slot `i` (0 or 1), if it holds any.
+    fn read_slot(&self, i: usize) -> Option<Vec<u8>>;
+    /// Replace slot `i` with `bytes`, whole or not at all.
+    fn write_slot(&self, i: usize, bytes: &[u8]) -> Result<()>;
+
     /// Persist `m` to the slot *not* holding the current latest manifest.
-    fn write(&self, m: &Manifest) -> Result<()>;
+    fn write(&self, m: &Manifest) -> Result<()> {
+        self.write_slot(pick_write_slot(&intact_slots(self)), &m.encode())
+    }
+
     /// Load the manifest with the highest epoch among intact slots.
-    fn read_latest(&self) -> Result<Option<Manifest>>;
+    fn read_latest(&self) -> Result<Option<Manifest>> {
+        Ok(latest_of(intact_slots(self)))
+    }
 }
 
 /// In-memory double-slot store (the "device" survives crash simulations).
@@ -134,27 +153,19 @@ impl MemManifestStore {
 }
 
 impl ManifestStore for MemManifestStore {
-    fn write(&self, m: &Manifest) -> Result<()> {
-        let mut slots = self.slots.lock();
-        let target = pick_write_slot(&[
-            slots[0].as_deref().and_then(|b| Manifest::decode(b).ok()),
-            slots[1].as_deref().and_then(|b| Manifest::decode(b).ok()),
-        ]);
-        slots[target] = Some(m.encode());
-        Ok(())
+    fn read_slot(&self, i: usize) -> Option<Vec<u8>> {
+        self.slots.lock()[i].clone()
     }
 
-    fn read_latest(&self) -> Result<Option<Manifest>> {
-        let slots = self.slots.lock();
-        Ok(latest_of(&[
-            slots[0].as_deref().and_then(|b| Manifest::decode(b).ok()),
-            slots[1].as_deref().and_then(|b| Manifest::decode(b).ok()),
-        ]))
+    fn write_slot(&self, i: usize, bytes: &[u8]) -> Result<()> {
+        self.slots.lock()[i] = Some(bytes.to_vec());
+        Ok(())
     }
 }
 
 /// File-backed double-slot store: `manifest.0` / `manifest.1`.
 pub struct FileManifestStore {
+    dir: PathBuf,
     paths: [PathBuf; 2],
 }
 
@@ -163,54 +174,49 @@ impl FileManifestStore {
     #[must_use]
     pub fn new(dir: &std::path::Path) -> FileManifestStore {
         FileManifestStore {
+            dir: dir.to_path_buf(),
             paths: [dir.join("manifest.0"), dir.join("manifest.1")],
         }
-    }
-
-    fn load_slot(&self, i: usize) -> Option<Manifest> {
-        fs::read(&self.paths[i])
-            .ok()
-            .and_then(|b| Manifest::decode(&b).ok())
     }
 }
 
 impl ManifestStore for FileManifestStore {
-    fn write(&self, m: &Manifest) -> Result<()> {
-        let target = pick_write_slot(&[self.load_slot(0), self.load_slot(1)]);
-        let tmp = self.paths[target].with_extension("tmp");
-        fs::write(&tmp, m.encode())?;
-        fs::rename(&tmp, &self.paths[target])?;
-        Ok(())
+    fn read_slot(&self, i: usize) -> Option<Vec<u8>> {
+        fs::read(&self.paths[i]).ok()
     }
 
-    fn read_latest(&self) -> Result<Option<Manifest>> {
-        Ok(latest_of(&[self.load_slot(0), self.load_slot(1)]))
+    /// The slot is whole or absent after a power cut: the temp file's
+    /// bytes are durable before the rename, the rename before return.
+    fn write_slot(&self, i: usize, bytes: &[u8]) -> Result<()> {
+        let tmp = self.paths[i].with_extension("tmp");
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        fs::rename(&tmp, &self.paths[i])?;
+        File::open(&self.dir)?.sync_all()?;
+        Ok(())
     }
 }
 
-fn epoch_of(m: &Option<Manifest>) -> Option<u64> {
-    m.as_ref().map(|m| m.epoch)
+/// The manifest of each slot, `None` where a slot is empty or torn.
+fn intact_slots<S: ManifestStore + ?Sized>(store: &S) -> [Option<Manifest>; 2] {
+    [0, 1].map(|i| store.read_slot(i).and_then(|b| Manifest::decode(&b).ok()))
 }
 
 /// Write over the slot with the older (or missing) manifest.
 fn pick_write_slot(slots: &[Option<Manifest>; 2]) -> usize {
-    match (epoch_of(&slots[0]), epoch_of(&slots[1])) {
-        (None, _) => 0,
-        (_, None) => 1,
-        (Some(a), Some(b)) => usize::from(a >= b),
+    match slots {
+        [None, _] => 0,
+        [_, None] => 1,
+        [Some(a), Some(b)] => usize::from(a.epoch >= b.epoch),
     }
 }
 
-fn latest_of(slots: &[Option<Manifest>; 2]) -> Option<Manifest> {
-    match (&slots[0], &slots[1]) {
-        (Some(a), Some(b)) => Some(if a.epoch >= b.epoch {
-            a.clone()
-        } else {
-            b.clone()
-        }),
-        (Some(a), None) => Some(a.clone()),
-        (None, Some(b)) => Some(b.clone()),
-        (None, None) => None,
+/// The newer of the two manifests (slot 0 on a tie).
+fn latest_of(slots: [Option<Manifest>; 2]) -> Option<Manifest> {
+    match slots {
+        [Some(a), Some(b)] if b.epoch > a.epoch => Some(b),
+        [a, b] => a.or(b),
     }
 }
 
@@ -228,6 +234,7 @@ mod tests {
                 root: PageId(17),
                 len: 10_000,
             }],
+            sidecar: format!("position at {block}").into_bytes(),
         }
     }
 
@@ -250,10 +257,12 @@ mod tests {
         // checksum, or a hostile file) but whose table count lies.
         let empty = Manifest {
             tables: Vec::new(),
+            sidecar: Vec::new(),
             ..manifest(1, 0)
         };
         let mut body = empty.encode();
-        body.truncate(body.len() - 8); // drop the CRC and the zero count
+        // Drop the CRC, the empty sidecar's length and the zero count.
+        body.truncate(body.len() - 12);
         body.extend_from_slice(&u32::MAX.to_le_bytes());
         let crc = crc32c(&body);
         body.extend_from_slice(&crc.to_le_bytes());

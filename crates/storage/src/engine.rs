@@ -1,10 +1,12 @@
 //! The [`StorageEngine`] facade: a catalog of B+Tree tables behind one
-//! buffer pool, plus the logs and checkpoint machinery a blockchain's
+//! buffer pool, plus the block log and checkpoint machinery a blockchain's
 //! database layer needs.
 //!
 //! The engine is the reproduction's stand-in for PostgreSQL: disk-resident
-//! tables, DRAM buffer pool, logical block log and fuzzy checkpoints whose
-//! recovery sidecars go to the WAL (HarmonyBC's discipline).
+//! tables, DRAM buffer pool, logical block log and checkpoints that each
+//! write one manifest, carrying the caller's recovery sidecar (HarmonyBC's
+//! discipline). A file-backed engine keeps `pages.db`, `blocks.log` and
+//! the two manifest slots, nothing else.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -94,8 +96,6 @@ pub struct IoSnapshot {
     pub disk_writes: u64,
     /// Device sync barriers.
     pub disk_syncs: u64,
-    /// Records in the WAL (checkpoint sidecars).
-    pub wal_records: u64,
     /// Records in the logical block log.
     pub block_records: u64,
 }
@@ -113,7 +113,6 @@ impl IoSnapshot {
         self.disk_reads += other.disk_reads;
         self.disk_writes += other.disk_writes;
         self.disk_syncs += other.disk_syncs;
-        self.wal_records += other.wal_records;
         self.block_records += other.block_records;
     }
 
@@ -130,7 +129,6 @@ impl IoSnapshot {
             disk_reads: self.disk_reads - earlier.disk_reads,
             disk_writes: self.disk_writes - earlier.disk_writes,
             disk_syncs: self.disk_syncs - earlier.disk_syncs,
-            wal_records: self.wal_records - earlier.wal_records,
             block_records: self.block_records - earlier.block_records,
         }
     }
@@ -148,22 +146,20 @@ pub struct StorageEngine {
     names: RwLock<HashMap<String, TableId>>,
     next_table: Mutex<u16>,
     manifest_store: Arc<dyn ManifestStore>,
-    wal: Arc<dyn LogSink>,
     block_log: Arc<dyn LogSink>,
     cost: StorageCost,
     epoch: Mutex<u64>,
-    last_checkpoint: Mutex<Option<BlockId>>,
+    /// Block and sidecar of the manifest last written or loaded.
+    last_checkpoint: Mutex<Option<(BlockId, Vec<u8>)>>,
 }
 
 impl StorageEngine {
     /// Open an engine per `config`, loading the latest checkpoint manifest
     /// if one exists.
     pub fn open(config: &StorageConfig) -> Result<StorageEngine> {
-        #[allow(clippy::type_complexity)]
-        let (disk, manifest_store, wal, block_log): (
+        let (disk, manifest_store, block_log): (
             Arc<dyn DiskBackend>,
             Arc<dyn ManifestStore>,
-            Arc<dyn LogSink>,
             Arc<dyn LogSink>,
         ) = match &config.data_dir {
             Some(dir) => {
@@ -171,14 +167,12 @@ impl StorageEngine {
                 (
                     Arc::new(FileDisk::open(&dir.join("pages.db"))?),
                     Arc::new(FileManifestStore::new(dir)),
-                    Arc::new(FileLog::open(&dir.join("wal.log"))?),
                     Arc::new(FileLog::open(&dir.join("blocks.log"))?),
                 )
             }
             None => (
                 Arc::new(SimDisk::wrap(MemDisk::new(), config.disk_profile)),
                 Arc::new(MemManifestStore::new()),
-                Arc::new(MemLog::new(config.disk_profile.sync_ns)),
                 Arc::new(MemLog::new(config.disk_profile.sync_ns)),
             ),
         };
@@ -194,7 +188,6 @@ impl StorageEngine {
             names: RwLock::new(HashMap::new()),
             next_table: Mutex::new(0),
             manifest_store,
-            wal,
             block_log,
             cost: config.cost,
             epoch: Mutex::new(0),
@@ -204,16 +197,16 @@ impl StorageEngine {
         Ok(engine)
     }
 
+    /// Replace the catalog with the latest manifest's (an empty one when
+    /// there is none).
     fn load_latest_manifest(&self) -> Result<()> {
-        let Some(manifest) = self.manifest_store.read_latest()? else {
-            return Ok(());
-        };
+        let manifest = self.manifest_store.read_latest()?;
         let mut tables = self.tables.write();
         let mut names = self.names.write();
         tables.clear();
         names.clear();
         let mut max_id = 0u16;
-        for meta in &manifest.tables {
+        for meta in manifest.iter().flat_map(|m| &m.tables) {
             let tree = BTree::open(Arc::clone(&self.pool), meta.root, meta.len, self.cost);
             tables.insert(
                 meta.id,
@@ -226,8 +219,8 @@ impl StorageEngine {
             max_id = max_id.max(meta.id.0 + 1);
         }
         *self.next_table.lock() = max_id;
-        *self.epoch.lock() = manifest.epoch;
-        *self.last_checkpoint.lock() = Some(manifest.block);
+        *self.epoch.lock() = manifest.as_ref().map_or(0, |m| m.epoch);
+        *self.last_checkpoint.lock() = manifest.map(|m| (m.block, m.sidecar));
         Ok(())
     }
 
@@ -376,21 +369,24 @@ impl StorageEngine {
         Ok(self.table(table)?.tree.read().len())
     }
 
-    /// The write-ahead log: checkpoint sidecars.
-    #[must_use]
-    pub fn wal(&self) -> &Arc<dyn LogSink> {
-        &self.wal
-    }
-
     /// The logical block log (OE chains).
     #[must_use]
     pub fn block_log(&self) -> &Arc<dyn LogSink> {
         &self.block_log
     }
 
-    /// Checkpoint: flush all dirty pages, then persist a manifest declaring
-    /// `block` as fully durable. Crash-safe via double-slot manifests.
+    /// Checkpoint with no sidecar: [`StorageEngine::checkpoint_with`] an
+    /// empty one.
     pub fn checkpoint(&self, block: BlockId) -> Result<()> {
+        self.checkpoint_with(block, Vec::new())
+    }
+
+    /// Checkpoint: flush all dirty pages, then persist one manifest
+    /// declaring `block` as fully durable and carrying `sidecar`, the
+    /// caller's record of that point. Crash-safe via double-slot
+    /// manifests: the pages, catalog and sidecar of one checkpoint are
+    /// replaced together or not at all.
+    pub fn checkpoint_with(&self, block: BlockId, sidecar: Vec<u8>) -> Result<()> {
         self.pool.flush_all()?;
         let tables = self.tables.read();
         let names = self.names.read();
@@ -406,24 +402,27 @@ impl StorageEngine {
             });
         }
         metas.sort_by_key(|a| a.id);
-        let epoch = {
-            let mut e = self.epoch.lock();
-            *e += 1;
-            *e
-        };
-        self.manifest_store.write(&Manifest {
-            epoch,
+        // Held through the write: checkpoints take their epochs and slots
+        // in one order.
+        let mut epoch = self.epoch.lock();
+        *epoch += 1;
+        let manifest = Manifest {
+            epoch: *epoch,
             block,
             tables: metas,
-        })?;
-        *self.last_checkpoint.lock() = Some(block);
+            sidecar,
+        };
+        self.manifest_store.write(&manifest)?;
+        *self.last_checkpoint.lock() = Some((block, manifest.sidecar));
         Ok(())
     }
 
-    /// Block id of the latest completed checkpoint.
+    /// Block id and sidecar of the latest completed checkpoint: the
+    /// manifest this engine last wrote, or loaded when it opened or
+    /// recovered.
     #[must_use]
-    pub fn last_checkpoint(&self) -> Option<BlockId> {
-        *self.last_checkpoint.lock()
+    pub fn last_checkpoint(&self) -> Option<(BlockId, Vec<u8>)> {
+        self.last_checkpoint.lock().clone()
     }
 
     /// Simulate a crash for in-memory engines: the buffer cache (and with
@@ -432,12 +431,7 @@ impl StorageEngine {
     /// after a real restart on a file-backed engine.
     pub fn crash_and_recover(&self) -> Result<()> {
         self.pool.clear_cache_discarding_dirty();
-        self.tables.write().clear();
-        self.names.write().clear();
-        *self.next_table.lock() = 0;
-        *self.last_checkpoint.lock() = None;
-        self.load_latest_manifest()?;
-        Ok(())
+        self.load_latest_manifest()
     }
 
     /// Current I/O counters.
@@ -449,7 +443,6 @@ impl StorageEngine {
             disk_reads,
             disk_writes,
             disk_syncs,
-            wal_records: self.wal.record_count(),
             block_records: self.block_log.record_count(),
         }
     }
@@ -527,7 +520,7 @@ mod tests {
         }
         e.put(t, b"new-key", b"x").unwrap();
         e.crash_and_recover().unwrap();
-        assert_eq!(e.last_checkpoint(), Some(BlockId(10)));
+        assert_eq!(e.last_checkpoint(), Some((BlockId(10), Vec::new())));
         assert_eq!(
             e.get(t, &7u64.to_be_bytes()).unwrap(),
             Some(b"pre-checkpoint".to_vec())
@@ -557,7 +550,7 @@ mod tests {
         e.checkpoint(BlockId(2)).unwrap();
         e.crash_and_recover().unwrap();
         assert_eq!(e.get(t, b"k").unwrap(), Some(b"v2".to_vec()));
-        assert_eq!(e.last_checkpoint(), Some(BlockId(2)));
+        assert_eq!(e.last_checkpoint(), Some((BlockId(2), Vec::new())));
     }
 
     #[test]
@@ -597,12 +590,27 @@ mod tests {
             for i in 0..200u64 {
                 e.put(t, &i.to_be_bytes(), &i.to_le_bytes()).unwrap();
             }
-            e.checkpoint(BlockId(5)).unwrap();
+            e.checkpoint(BlockId(4)).unwrap();
+            e.checkpoint_with(BlockId(5), b"position".to_vec()).unwrap();
             t
         };
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(
+            files,
+            ["blocks.log", "manifest.0", "manifest.1", "pages.db"],
+            "a checkpoint is one record: no other file"
+        );
         let e = StorageEngine::open(&config).unwrap();
         assert_eq!(e.table_id("persist"), Some(t));
-        assert_eq!(e.last_checkpoint(), Some(BlockId(5)));
+        assert_eq!(
+            e.last_checkpoint(),
+            Some((BlockId(5), b"position".to_vec())),
+            "the sidecar comes back with the manifest it was written in"
+        );
         assert_eq!(
             e.get(t, &42u64.to_be_bytes()).unwrap(),
             Some(42u64.to_le_bytes().to_vec())

@@ -14,9 +14,9 @@
 //!   with leaf chaining for range scans. Nodes are self-describing slotted
 //!   pages searched and updated in place in the buffer frame; a page that
 //!   fails a bounds check is a typed corruption error.
-//! * [`log`] — append-only logs: the logical block log and the WAL that
-//!   carries checkpoint sidecars.
-//! * [`checkpoint`] — double-slot checkpoint manifests for crash recovery.
+//! * [`log`] — the append-only logical block log.
+//! * [`checkpoint`] — double-slot checkpoint manifests for crash recovery,
+//!   each carrying its caller's sidecar under the same CRC.
 //! * [`engine`] — the [`StorageEngine`] facade: a catalog of tables, typed
 //!   get/put/delete/scan, checkpoint/recover, and I/O counters.
 

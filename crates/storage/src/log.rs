@@ -1,16 +1,15 @@
 //! Append-only logs.
 //!
-//! A storage engine keeps two, both opaque to this module:
+//! A storage engine keeps one, opaque to this module: the **block log**,
+//! *logical logging* (the paper's Table 1) — just the input blocks, as
+//! deterministic databases and HarmonyBC log them. Almost free at runtime
+//! because determinism makes replay sufficient; every chain, the SOV
+//! engines' included, recovers this way. It never carries write-sets:
+//! physical logging is gone, and what replay needs besides the blocks (the
+//! chain's position) rides in the checkpoint manifest
+//! ([`crate::checkpoint`]).
 //!
-//! * the **block log**: *logical logging* (the paper's Table 1) — just the
-//!   input blocks, as deterministic databases and HarmonyBC log them.
-//!   Almost free at runtime because determinism makes replay sufficient;
-//!   every chain, the SOV engines' included, recovers this way.
-//! * the **WAL**: the recovery sidecar a chain writes at each checkpoint
-//!   (chain position, trailing undo images, Rule-3 summary, state root).
-//!   It never carries write-sets: physical logging is gone.
-//!
-//! Both are framed onto a [`LogSink`]: `[len u32][crc32c u32][payload]`,
+//! Records are framed onto a [`LogSink`]: `[len u32][crc32c u32][payload]`,
 //! with torn-tail detection on recovery.
 
 use std::fs::{File, OpenOptions};

@@ -276,13 +276,14 @@ proptest! {
         exercise_hostile(&mut tree, &probes);
     }
 
-    /// Checkpoint manifests survive encode/decode, and any single-byte
-    /// corruption is detected.
+    /// Checkpoint manifests, their sidecar included, survive encode/decode,
+    /// and any single-byte corruption is detected.
     #[test]
     fn manifest_roundtrip_and_corruption(
         epoch in any::<u64>(),
         block in any::<u64>(),
         tables in prop::collection::vec((any::<u16>(), "[a-z]{1,12}", any::<u64>(), any::<u64>()), 0..8),
+        sidecar in prop::collection::vec(any::<u8>(), 0..64),
         flip in any::<prop::sample::Index>()
     ) {
         let m = Manifest {
@@ -297,6 +298,7 @@ proptest! {
                     len,
                 })
                 .collect(),
+            sidecar,
         };
         let enc = m.encode();
         prop_assert_eq!(Manifest::decode(&enc).unwrap(), m);

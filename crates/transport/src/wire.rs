@@ -36,8 +36,9 @@ use harmony_txn::{encode_contract, ContractCodec};
 
 /// Wire-format version carried in every frame body, and the only one
 /// decoded. Version 2 added the topology-change (reshard) tags; version 3
-/// gave the state-sync frames one shape for both replica kinds.
-pub const WIRE_VERSION: u8 = 3;
+/// gave the state-sync frames one shape for both replica kinds; version 4
+/// puts a sync manifest's chain position ahead of its tables.
+pub const WIRE_VERSION: u8 = 4;
 
 /// Upper bound on a frame body; a longer length prefix is refused. Below
 /// it the prefix still sizes nothing by itself: see [`FrameBuf`] and

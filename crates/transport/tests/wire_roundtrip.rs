@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use harmony_chain::{ChainBlock, StateSnapshot, TableDump};
+use harmony_chain::{ChainBlock, ChainPosition, StateSnapshot, TableDump};
 use harmony_common::BlockId;
 use harmony_crypto::{CryptoCost, Digest, KeyPair};
 use harmony_node::cluster::Msg;
@@ -66,8 +66,11 @@ fn block(id: u64, txns: Vec<Vec<u8>>, sealer_seed: u64) -> ChainBlock {
 
 fn snapshot(height: u64, tables: usize) -> StateSnapshot {
     StateSnapshot {
-        height: BlockId(height),
-        last_hash: digest(0xA5),
+        position: ChainPosition {
+            height: BlockId(height),
+            last_hash: digest(0xA5),
+            ..ChainPosition::default()
+        },
         tables: (0..tables)
             .map(|t| TableDump {
                 name: format!("table-{t}"),
@@ -76,8 +79,6 @@ fn snapshot(height: u64, tables: usize) -> StateSnapshot {
                     .collect(),
             })
             .collect(),
-        undo: Vec::new(),
-        summary: None,
     }
 }
 
@@ -306,7 +307,7 @@ fn a_frame_of_any_other_version_is_corruption() {
         sync_reply(5, vec![SyncResponse::Range(Vec::new())]),
     ];
     let ctls = [CtlMsg::StatusReq, CtlMsg::Reshard { new_shards: 2 }];
-    for version in [0, 1, 2, WIRE_VERSION + 1, u8::MAX] {
+    for version in [0, 1, 2, 3, WIRE_VERSION + 1, u8::MAX] {
         for msg in &msgs {
             let mut body = fx.codec.encode_msg(msg)[4..].to_vec();
             assert_eq!(body[0], WIRE_VERSION);

@@ -4,8 +4,10 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use bytes::Bytes;
+use harmony_common::codec::{Reader, Writer};
 use harmony_common::hash::{fnv1a64, fnv1a64_seeded};
 use harmony_common::ids::TableId;
+use harmony_common::Result;
 
 /// A row value. `Bytes` keeps clones cheap: values flow through read sets,
 /// update commands and undo records.
@@ -74,6 +76,19 @@ impl Key {
     #[must_use]
     pub fn hash64(&self) -> u64 {
         self.hash
+    }
+
+    /// Append the key's encoding: the table id, then the length-prefixed
+    /// row bytes. Every persisted or transferred key uses it.
+    pub fn encode_into(&self, w: &mut Writer) {
+        w.put_u16(self.table.0);
+        w.put_bytes(&self.row);
+    }
+
+    /// Read a key written by [`Key::encode_into`].
+    pub fn decode_from(r: &mut Reader<'_>) -> Result<Key> {
+        let table = TableId(r.get_u16()?);
+        Ok(Key::new(table, r.get_bytes()?))
     }
 }
 
