@@ -112,4 +112,14 @@ rule 'a chain position is encoded in one place' \
     'crates/*/src src examples' 'crates/chain/src/position.rs' \
     'summaries and undo images are encoded only by ChainPosition (crates/chain/src/position.rs), and no code calls a WAL accessor'
 
+# A map node is hashed in one place: `harmony_crypto::AuthMap` computes the
+# leaf and node digests of the state map, in crates/crypto/src. Other code
+# folds rows through the map (`apply_sorted`, `AuthMapBuilder`) and checks
+# a row with `AuthMap::verify`, so no other non-test code lays out a map
+# digest itself.
+rule 'a map node is hashed in one place' \
+    '(node_digest|leaf_digest)\(' '' \
+    'crates/*/src src examples' 'crates/crypto/src/*' \
+    'node_digest( / leaf_digest( may be called only in crates/crypto/src (fold rows through AuthMap)'
+
 exit "$failed"

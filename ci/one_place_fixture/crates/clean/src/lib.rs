@@ -13,5 +13,6 @@ mod tests {
         TxnCtx::new(&view);
         ChainPipeline::new();
         put_summary(&mut w, None);
+        leaf_digest(b"k", b"v");
     }
 }

@@ -8,7 +8,7 @@
 
 use harmony_common::codec::{Reader, Writer};
 use harmony_common::{BlockId, Error, Result};
-use harmony_crypto::{KeyPair, MerkleTree, Sha256, Signature, Verifier};
+use harmony_crypto::{merkle_root, KeyPair, Sha256, Signature, Verifier};
 
 /// Block header.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,7 +74,7 @@ impl ChainBlock {
         txns: Vec<Vec<u8>>,
         sealer: &KeyPair,
     ) -> ChainBlock {
-        let txn_root = MerkleTree::build(&txns).root();
+        let txn_root = merkle_root(&txns);
         let signature = sealer.sign(&BlockHeader::signing_bytes(id, &prev_hash, &txn_root));
         ChainBlock {
             header: BlockHeader {
@@ -101,7 +101,7 @@ impl ChainBlock {
                 self.header.id
             )));
         }
-        let root = MerkleTree::build(&self.txns).root();
+        let root = merkle_root(&self.txns);
         if root != self.header.txn_root {
             return Err(Error::Corruption(format!(
                 "block {} transaction root mismatch",

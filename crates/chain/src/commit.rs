@@ -5,21 +5,25 @@
 //! full database. Rescanning every table per check is O(n) and was the
 //! single hottest non-execution path; instead the chain keeps one
 //! [`AuthMap`] per table and folds each block's write-set into it at apply
-//! time, as one [`AuthMap::batch`] per touched table: O(Δ·log n) descents
-//! but each touched tree node hashed once per block — the upper levels a
-//! block's keys share are not rehashed per key — and O(1) to read the root.
+//! time: the write-set comes sorted by `(table, row)`, so each table's run
+//! goes to [`AuthMap::apply_sorted`] whole — one descent per touched
+//! subtree, each touched tree node hashed once per block (the upper levels
+//! a block's keys share are not rehashed per key) — and the root is O(1)
+//! to read.
 //!
 //! The fold takes the write-set *by value* ([`StateCommitment::fold_writes`]):
 //! the chain hands it the after-images its snapshot store kept from the
-//! block's own writes, so folding reads no row of the database.
+//! block's own writes, already sorted and deduplicated, so folding reads no
+//! row of the database and sorts nothing.
 //! [`StateCommitment::apply_writes`] is the same fold for callers holding
-//! only keys: it reads each key's post-state first.
+//! only keys: it sorts them and reads each key's post-state first.
 //!
 //! The commitment is **history independent** (the treap shape is a pure
 //! function of the key set), so the same structure serves both paths:
-//! [`StateCommitment::build`] from a full scan (one batch per table, O(n)
-//! hashes) is the audit oracle, and the incrementally folded instance a
-//! replica maintains must equal it bit for bit. Table names enter the
+//! [`StateCommitment::build`] from a full scan is the audit oracle, and the
+//! incrementally folded instance a replica maintains must equal it bit for
+//! bit. The scan yields each table in key order, so the build is O(n): an
+//! [`AuthMapBuilder`] links and hashes each row once. Table names enter the
 //! top-level fold length-prefixed — fixing the boundary ambiguity the old
 //! flat digest had — and each table's root is an [`AuthMap`] root, so any
 //! row has an O(log n) inclusion proof against its table root plus the
@@ -28,7 +32,7 @@
 
 use harmony_common::ids::TableId;
 use harmony_common::Result;
-use harmony_crypto::{AuthMap, Digest, MapProof, Sha256};
+use harmony_crypto::{AuthMap, AuthMapBuilder, Digest, MapProof, Sha256};
 use harmony_storage::StorageEngine;
 use harmony_txn::{Key, Value};
 
@@ -69,33 +73,52 @@ impl StateCommitment {
         };
         c.refresh_catalog(engine);
         for table in &mut c.tables {
-            let mut batch = table.map.batch();
+            let rows = usize::try_from(engine.table_len(table.id)?).unwrap_or(0);
+            let mut builder = AuthMapBuilder::with_capacity(rows);
             engine.scan(table.id, b"", None, |k, v| {
-                batch.upsert(k, v);
+                builder.push(k, v);
                 true
             })?;
+            table.map = builder.finish();
         }
         Ok(c)
     }
 
     /// Fold one block's write-set by value: upsert each `(key, Some(value))`
-    /// and remove each `(key, None)`, one batch per touched table. Reads no
-    /// row (only the catalog, for a table created since the last fold).
-    /// `writes` may come in any order; a key listed twice ends at its later
-    /// entry. O(Δ·log n).
+    /// and remove each `(key, None)`, one sorted run per touched table.
+    /// Reads no row (only the catalog, for a table created since the last
+    /// fold). `writes` sorted by key without repeats — what
+    /// `SnapshotStore::writes_in` hands over — is folded as it is; any
+    /// other order is sorted first, and a key listed twice ends at its
+    /// later entry. O(Δ·log n).
     pub fn fold_writes(
         &mut self,
         engine: &StorageEngine,
         writes: &[(Key, Option<Value>)],
     ) -> Result<()> {
-        if !writes.is_empty() {
-            self.root = None;
+        if writes.is_empty() {
+            return Ok(());
         }
-        let mut by_table: Vec<&(Key, Option<Value>)> = writes.iter().collect();
-        // Stable: a repeated key keeps its order within its table.
-        by_table.sort_by_key(|(key, _)| key.table());
-        for group in by_table.chunk_by(|a, b| a.0.table() == b.0.table()) {
-            let table = group[0].0.table();
+        self.root = None;
+        let sorted;
+        let writes = if writes.is_sorted_by(|a, b| a.0 < b.0) {
+            writes
+        } else {
+            // Stable, so of two entries for a key the later one is kept.
+            let mut by_key = writes.to_vec();
+            by_key.sort_by(|a, b| a.0.cmp(&b.0));
+            by_key.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    std::mem::swap(later, kept);
+                }
+                same
+            });
+            sorted = by_key;
+            &sorted
+        };
+        for run in writes.chunk_by(|a, b| a.0.table() == b.0.table()) {
+            let table = run[0].0.table();
             let idx = match self.table_index(table) {
                 Some(idx) => idx,
                 None => {
@@ -108,25 +131,27 @@ impl StateCommitment {
                     })?
                 }
             };
-            let mut batch = self.tables[idx].map.batch();
-            for (key, value) in group {
-                match value {
-                    Some(value) => batch.upsert(key.row(), value),
-                    None => batch.remove(key.row()),
-                };
-            }
+            self.tables[idx].map.apply_sorted(
+                run.iter()
+                    .map(|(key, value)| (&key.row()[..], value.as_deref())),
+            );
         }
         Ok(())
     }
 
-    /// Fold one block's write-set given by key: read each key's post-state
-    /// from the engine, then [`Self::fold_writes`]. `keys` may come in any
-    /// order and repeat: every entry lands on the key's post-state, so the
-    /// result is the same. O(Δ·log n).
+    /// Fold one block's write-set given by key: sort the keys, read each
+    /// one's post-state from the engine, then [`Self::fold_writes`]. `keys`
+    /// may come in any order and repeat. O(Δ·log n).
     pub fn apply_writes(&mut self, engine: &StorageEngine, keys: &[Key]) -> Result<()> {
+        let mut keys = keys.to_vec();
+        keys.sort_unstable();
+        keys.dedup();
         let writes = keys
-            .iter()
-            .map(|key| Ok((key.clone(), engine.get_as(key.table(), key.row())?)))
+            .into_iter()
+            .map(|key| {
+                let value = engine.get_as(key.table(), key.row())?;
+                Ok((key, value))
+            })
             .collect::<Result<Vec<_>>>()?;
         self.fold_writes(engine, &writes)
     }

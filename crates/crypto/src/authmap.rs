@@ -16,32 +16,46 @@
 //! by block, and the full-scan oracle it is audited against, are the same
 //! tree bit for bit.
 //!
-//! # Batches and the stale mark
+//! # Rows
 //!
-//! Every mutation goes through an [`AuthMapBatch`] ([`AuthMap::upsert`] and
-//! [`AuthMap::remove`] are batches of one). Inside a batch a mutation
-//! changes structure and leaf digests at once but hashes no interior node:
-//! it only *marks* as stale each node whose subtree digest is now out of
-//! date — the descent path, both ends of a rotation, every node a merge
-//! re-links. Closing the batch (drop, or [`AuthMapBatch::finish`]) runs one
-//! children-first pass from the root that recomputes each marked node.
+//! A row is one 96-byte node in the map's arena: two `u32` child links, the
+//! key's first eight bytes as a big-endian integer (its *head*), the
+//! priority, the leaf and subtree digests, the key length and, for a key
+//! longer than eight bytes, where the rest of it (its *tail*) starts in a
+//! per-map byte arena. A descent compares heads first: one integer
+//! comparison decides a step unless two keys share their first eight
+//! bytes. Keys of up to eight bytes (Smallbank's and YCSB's) need no
+//! allocation at all; a removed row's node slot and tail span are reused
+//! by later inserts.
 //!
-//! * **A marked node's ancestors are all marked** — marks are set while the
-//!   recursion unwinds towards the root, so the closing pass finds every
-//!   marked node by descending through marked nodes only, and an unmarked
-//!   node heads a subtree with no mark in it.
-//! * **No mark survives a batch** — the batch mutably borrows the map, so
-//!   nothing can read a digest before the closing pass has run: between
-//!   calls on the map every digest is valid, exactly as when each mutation
-//!   rehashed its own spine.
+//! # One pass per write-set
 //!
-//! Cost: one leaf hash per mutation, one key hash per node *allocated* (its
-//! priority; an overwrite needs none), and one node hash per touched node
-//! **per batch** — the upper levels, shared by every key of a block's
-//! write-set, are hashed once a block instead of once a key, and filling an
-//! empty map with n rows costs O(n) hashes, not O(n log n).
+//! Every mutation goes through [`AuthMap::apply_sorted`] ([`AuthMap::upsert`]
+//! and [`AuthMap::remove`] are runs of one). A run is sorted by key, so one
+//! recursive descent splits it at each node it visits: the keys below go
+//! left, the keys above go right, and a key equal to the node's updates its
+//! leaf digest or removes it. A run that reaches an empty subtree is built
+//! there in O(k) as a Cartesian tree. On the way back up each node is
+//! re-linked and hashed once, after its children: when no child outranks it
+//! (the common case) that is one node digest, and an insert or remove that
+//! does reshape the treap joins the two subtrees and the node along their
+//! inner spines, rehashing only what it re-links.
+//!
+//! [`AuthMapBuilder`] builds a whole map from rows in key order the same
+//! way: the right spine on a stack, each node hashed once when it leaves
+//! it, O(n) in all.
+//!
+//! Cost: one leaf hash per written key, one key hash per node *allocated*
+//! (its priority; an overwrite needs none), and one node hash per touched
+//! node per run — the upper levels, shared by every key of a block's
+//! write-set, are hashed once a block instead of once a key. Every digest
+//! is a one-shot [`sha256_concat`] (a node is 97 bytes: one compression
+//! call over two blocks).
 
-use crate::sha256::{sha256, Digest, Sha256};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+
+use crate::sha256::{sha256, sha256_concat, Digest};
 
 /// Domain-separation prefixes, disjoint from the transaction Merkle tree's
 /// `0x00`/`0x01` so a map node can never be replayed as a tx-tree node.
@@ -51,17 +65,18 @@ const MAP_NODE_TAG: u8 = 0x03;
 /// Sentinel "no child" arena index.
 const NIL: u32 = u32::MAX;
 
+/// Key bytes a node holds inline, as its head.
+const HEAD: usize = 8;
+
+fn len_le(bytes: &[u8]) -> [u8; 4] {
+    u32::try_from(bytes.len()).unwrap_or(u32::MAX).to_le_bytes()
+}
+
 /// Digest of a key/value pair: `H(0x02 ‖ len(k) ‖ k ‖ len(v) ‖ v)` with
 /// little-endian `u32` length prefixes (no boundary ambiguity).
 #[must_use]
 pub fn leaf_digest(key: &[u8], value: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&[MAP_LEAF_TAG]);
-    h.update(&u32::try_from(key.len()).unwrap_or(u32::MAX).to_le_bytes());
-    h.update(key);
-    h.update(&u32::try_from(value.len()).unwrap_or(u32::MAX).to_le_bytes());
-    h.update(value);
-    h.finalize()
+    sha256_concat(&[&[MAP_LEAF_TAG], &len_le(key), key, &len_le(value), value])
 }
 
 /// Digest of an interior node: `H(0x03 ‖ left ‖ leaf ‖ right)` where absent
@@ -69,12 +84,7 @@ pub fn leaf_digest(key: &[u8], value: &[u8]) -> Digest {
 /// the node digest binds its own leaf *and* both subtrees.
 #[must_use]
 pub fn node_digest(left: &Digest, leaf: &Digest, right: &Digest) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&[MAP_NODE_TAG]);
-    h.update(&left.0);
-    h.update(&leaf.0);
-    h.update(&right.0);
-    h.finalize()
+    sha256_concat(&[&[MAP_NODE_TAG], &left.0, &leaf.0, &right.0])
 }
 
 /// The conventional root of an empty map (same convention as the empty
@@ -84,16 +94,57 @@ pub fn empty_root() -> Digest {
     sha256(b"")
 }
 
+/// A key's first eight bytes, zero-padded, as a big-endian integer. Heads
+/// order like the keys whenever they differ: a shorter key that pads with
+/// zeros is a prefix of the other.
+fn head_of(key: &[u8]) -> u64 {
+    let mut bytes = [0u8; HEAD];
+    let n = key.len().min(HEAD);
+    bytes[..n].copy_from_slice(&key[..n]);
+    u64::from_be_bytes(bytes)
+}
+
+/// Byte order of two keys given as (head, bytes past the head, length).
+/// Equal heads leave the tails to decide, and equal tails the lengths (two
+/// keys of up to eight bytes whose padded heads agree).
+fn key_order(a: (u64, &[u8], usize), b: (u64, &[u8], usize)) -> Ordering {
+    a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)).then(a.2.cmp(&b.2))
+}
+
+/// One row of the map: 96 bytes, the key included (see the module doc).
 struct Node {
-    key: Box<[u8]>,
-    prio: u64,
-    leaf: Digest,
-    /// Subtree digest; out of date while `stale`.
-    digest: Digest,
     left: u32,
     right: u32,
-    /// Set inside a batch when this subtree changed; see the module doc.
-    stale: bool,
+    head: u64,
+    prio: u64,
+    leaf: Digest,
+    /// Subtree digest: `node_digest(left's, leaf, right's)`.
+    digest: Digest,
+    /// Key length in bytes.
+    len: u32,
+    /// Offset of the key's bytes past the head in [`AuthMap::tails`];
+    /// unused for keys of up to eight bytes.
+    tail: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 96);
+
+/// One write of a sorted run: the key with its head, and the new leaf
+/// digest (`None` removes the key).
+struct Write<'a> {
+    key: &'a [u8],
+    head: u64,
+    leaf: Option<Digest>,
+}
+
+impl<'a> Write<'a> {
+    fn new(key: &'a [u8], value: Option<&[u8]>) -> Write<'a> {
+        Write {
+            key,
+            head: head_of(key),
+            leaf: value.map(|value| leaf_digest(key, value)),
+        }
+    }
 }
 
 /// One step of an inclusion proof, bottom-up from the proven node's parent:
@@ -126,45 +177,72 @@ pub struct MapProof {
 pub struct AuthMap {
     nodes: Vec<Node>,
     free: Vec<u32>,
+    /// Bytes past the head of every key longer than eight bytes.
+    tails: Vec<u8>,
+    /// Freed tail spans, by length, for the next tail of that length.
+    free_tails: BTreeMap<u32, Vec<u32>>,
     root: u32,
     len: usize,
 }
 
-/// A run of mutations whose interior digests are recomputed once, when the
-/// batch is dropped (or [`finish`](AuthMapBatch::finish)ed). It holds the
-/// map's only mutable borrow, so no reader can observe a stale digest.
-pub struct AuthMapBatch<'a> {
-    map: &'a mut AuthMap,
+/// Builds an [`AuthMap`] from rows pushed in strictly increasing key order,
+/// in O(n): the treap's right spine waits on a stack, and each node is
+/// linked and hashed once, when a hotter key (or [`finish`]) pops it and
+/// its subtree can no longer change. By history independence the map is
+/// the one the same rows upserted in any order give.
+///
+/// [`finish`]: AuthMapBuilder::finish
+pub struct AuthMapBuilder {
+    map: AuthMap,
+    spine: Vec<u32>,
 }
 
-impl AuthMapBatch<'_> {
-    /// Insert or update a pair; returns true if the key was new. A key
-    /// written twice in one batch keeps its last value.
-    pub fn upsert(&mut self, key: &[u8], value: &[u8]) -> bool {
-        let map = &mut *self.map;
-        let mut inserted = false;
-        map.root = map.upsert_at(map.root, key, leaf_digest(key, value), &mut inserted);
-        map.len += usize::from(inserted);
-        inserted
+impl Default for AuthMapBuilder {
+    fn default() -> AuthMapBuilder {
+        AuthMapBuilder::new()
     }
-
-    /// Remove a key; returns true if it was present.
-    pub fn remove(&mut self, key: &[u8]) -> bool {
-        let map = &mut *self.map;
-        let mut removed = false;
-        map.root = map.remove_at(map.root, key, &mut removed);
-        map.len -= usize::from(removed);
-        removed
-    }
-
-    /// Close the batch: rehash every node it marked. Dropping it does the
-    /// same; this spells the point out at a call site.
-    pub fn finish(self) {}
 }
 
-impl Drop for AuthMapBatch<'_> {
-    fn drop(&mut self) {
-        self.map.rehash(self.map.root);
+impl AuthMapBuilder {
+    /// An empty builder.
+    #[must_use]
+    pub fn new() -> AuthMapBuilder {
+        AuthMapBuilder::with_capacity(0)
+    }
+
+    /// An empty builder with room for `rows` rows: a map built from a
+    /// table of known size allocates its nodes once, with no slack.
+    #[must_use]
+    pub fn with_capacity(rows: usize) -> AuthMapBuilder {
+        let mut map = AuthMap::new();
+        map.nodes.reserve_exact(rows);
+        AuthMapBuilder {
+            map,
+            spine: Vec::new(),
+        }
+    }
+
+    /// Add the next row.
+    ///
+    /// # Panics
+    ///
+    /// If `key` does not come after the previous row's key.
+    pub fn push(&mut self, key: &[u8], value: &[u8]) {
+        let write = Write::new(key, Some(value));
+        if let Some(&last) = self.spine.last() {
+            assert!(
+                self.map.order(&write, last) == Ordering::Greater,
+                "AuthMapBuilder: rows must come in strictly increasing key order"
+            );
+        }
+        self.map.push_spine(&mut self.spine, &write);
+    }
+
+    /// The finished map.
+    #[must_use]
+    pub fn finish(mut self) -> AuthMap {
+        self.map.root = self.map.pop_spine(&mut self.spine, 0);
+        self.map
     }
 }
 
@@ -181,6 +259,8 @@ impl AuthMap {
         AuthMap {
             nodes: Vec::new(),
             free: Vec::new(),
+            tails: Vec::new(),
+            free_tails: BTreeMap::new(),
             root: NIL,
             len: 0,
         }
@@ -199,7 +279,7 @@ impl AuthMap {
     }
 
     /// Root commitment over the full contents. O(1): every digest is valid
-    /// whenever no batch is open.
+    /// between calls.
     #[must_use]
     pub fn root(&self) -> Digest {
         if self.root == NIL {
@@ -209,33 +289,50 @@ impl AuthMap {
         }
     }
 
-    /// Open a batch of mutations: hashes each touched interior node once,
-    /// when the batch closes, however many of its keys pass through it.
-    pub fn batch(&mut self) -> AuthMapBatch<'_> {
-        AuthMapBatch { map: self }
+    /// Apply a run of writes sorted by key: `Some(value)` upserts, `None`
+    /// removes (an absent key is left alone). One descent for the whole
+    /// run, each touched node hashed once (see the module doc).
+    ///
+    /// # Panics
+    ///
+    /// If the keys do not strictly increase.
+    pub fn apply_sorted<'a>(
+        &mut self,
+        run: impl IntoIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
+    ) {
+        let writes: Vec<Write<'a>> = run
+            .into_iter()
+            .map(|(key, value)| Write::new(key, value))
+            .collect();
+        self.apply(&writes);
     }
 
-    /// Insert or update a pair; returns true if the key was new. A batch of
+    /// Insert or update a pair; returns true if the key was new. A run of
     /// one: touches the expected O(log n) spine only.
     pub fn upsert(&mut self, key: &[u8], value: &[u8]) -> bool {
-        self.batch().upsert(key, value)
+        let before = self.len;
+        self.apply(&[Write::new(key, Some(value))]);
+        self.len > before
     }
 
-    /// Remove a key; returns true if it was present. A batch of one.
+    /// Remove a key; returns true if it was present. A run of one.
     pub fn remove(&mut self, key: &[u8]) -> bool {
-        self.batch().remove(key)
+        let before = self.len;
+        self.apply(&[Write::new(key, None)]);
+        self.len < before
     }
 
     /// True if `key` is present.
     #[must_use]
     pub fn contains(&self, key: &[u8]) -> bool {
+        let probe = Write::new(key, None);
         let mut at = self.root;
         while at != NIL {
             let node = &self.nodes[at as usize];
-            at = match key.cmp(&node.key) {
-                std::cmp::Ordering::Equal => return true,
-                std::cmp::Ordering::Less => node.left,
-                std::cmp::Ordering::Greater => node.right,
+            at = match self.order(&probe, at) {
+                Ordering::Equal => return true,
+                Ordering::Less => node.left,
+                Ordering::Greater => node.right,
             };
         }
         false
@@ -244,6 +341,7 @@ impl AuthMap {
     /// Inclusion proof for `key`, or None if absent.
     #[must_use]
     pub fn prove(&self, key: &[u8]) -> Option<MapProof> {
+        let probe = Write::new(key, None);
         // Path of (node, went_left) from root to the target.
         let mut path: Vec<(u32, bool)> = Vec::new();
         let mut at = self.root;
@@ -252,13 +350,13 @@ impl AuthMap {
                 return None;
             }
             let node = &self.nodes[at as usize];
-            match key.cmp(&node.key) {
-                std::cmp::Ordering::Equal => break at,
-                std::cmp::Ordering::Less => {
+            match self.order(&probe, at) {
+                Ordering::Equal => break at,
+                Ordering::Less => {
                     path.push((at, true));
                     at = node.left;
                 }
-                std::cmp::Ordering::Greater => {
+                Ordering::Greater => {
                     path.push((at, false));
                     at = node.right;
                 }
@@ -311,11 +409,40 @@ impl AuthMap {
         u64::from_le_bytes(d.0[..8].try_into().expect("8 bytes"))
     }
 
+    /// The key bytes of node `idx` past its head.
+    fn tail(&self, idx: u32) -> &[u8] {
+        let node = &self.nodes[idx as usize];
+        let len = (node.len as usize).saturating_sub(HEAD);
+        if len == 0 {
+            return &[];
+        }
+        let at = node.tail as usize;
+        &self.tails[at..at + len]
+    }
+
+    /// Byte order of a written key against node `idx`'s key.
+    fn order(&self, write: &Write<'_>, idx: u32) -> Ordering {
+        let node = &self.nodes[idx as usize];
+        key_order(
+            (
+                write.head,
+                write.key.get(HEAD..).unwrap_or(&[]),
+                write.key.len(),
+            ),
+            (node.head, self.tail(idx), node.len as usize),
+        )
+    }
+
     /// Strict heap order: does `a` belong above `b`? Lexicographic on
     /// (priority, key); keys are unique so this is a total order.
     fn hotter(&self, a: u32, b: u32) -> bool {
         let (na, nb) = (&self.nodes[a as usize], &self.nodes[b as usize]);
-        na.prio > nb.prio || (na.prio == nb.prio && na.key > nb.key)
+        na.prio > nb.prio
+            || (na.prio == nb.prio
+                && key_order(
+                    (na.head, self.tail(a), na.len as usize),
+                    (nb.head, self.tail(b), nb.len as usize),
+                ) == Ordering::Greater)
     }
 
     fn subtree(&self, idx: u32) -> Digest {
@@ -326,44 +453,143 @@ impl AuthMap {
         }
     }
 
-    /// The batch-closing pass: recompute the digest of every stale node
-    /// under `at`, children first, and clear its mark. Stops at unmarked
-    /// nodes — nothing below one is marked.
-    fn rehash(&mut self, at: u32) {
-        if at == NIL || !self.nodes[at as usize].stale {
-            return;
+    /// Recompute node `idx`'s digest from its children's.
+    fn rehash(&mut self, idx: u32) {
+        let node = &self.nodes[idx as usize];
+        let digest = node_digest(
+            &self.subtree(node.left),
+            &node.leaf,
+            &self.subtree(node.right),
+        );
+        self.nodes[idx as usize].digest = digest;
+    }
+
+    /// Apply sorted writes from the root, checking the order first.
+    fn apply(&mut self, writes: &[Write<'_>]) {
+        assert!(
+            writes.windows(2).all(|w| w[0].key < w[1].key),
+            "AuthMap::apply_sorted: keys must strictly increase"
+        );
+        self.root = self.apply_at(self.root, writes);
+    }
+
+    /// Apply `writes` (sorted, all inside this subtree's key range) to the
+    /// subtree at `at`; returns its new root, every digest under it valid.
+    fn apply_at(&mut self, at: u32, writes: &[Write<'_>]) -> u32 {
+        if writes.is_empty() {
+            return at;
         }
+        if at == NIL {
+            let mut spine = Vec::new();
+            for write in writes.iter().filter(|w| w.leaf.is_some()) {
+                self.push_spine(&mut spine, write);
+            }
+            return self.pop_spine(&mut spine, 0);
+        }
+        let lo = writes.partition_point(|w| self.order(w, at) == Ordering::Less);
+        let hi = lo
+            + usize::from(
+                writes
+                    .get(lo)
+                    .is_some_and(|w| self.order(w, at) == Ordering::Equal),
+            );
         let (left, right) = {
             let node = &self.nodes[at as usize];
             (node.left, node.right)
         };
-        self.rehash(left);
-        self.rehash(right);
-        let digest = node_digest(
-            &self.subtree(left),
-            &self.nodes[at as usize].leaf,
-            &self.subtree(right),
-        );
-        let node = &mut self.nodes[at as usize];
-        node.digest = digest;
-        node.stale = false;
+        let left = self.apply_at(left, &writes[..lo]);
+        let right = self.apply_at(right, &writes[hi..]);
+        let mid = match writes[lo..hi] {
+            [Write { leaf: None, .. }] => {
+                self.release(at);
+                NIL
+            }
+            [Write {
+                leaf: Some(leaf), ..
+            }] => {
+                self.nodes[at as usize].leaf = leaf;
+                at
+            }
+            _ => at,
+        };
+        self.join(left, mid, right)
     }
 
-    fn mark(&mut self, idx: u32) {
-        self.nodes[idx as usize].stale = true;
+    /// The treap of `l`'s keys, then node `mid`'s (if not NIL), then
+    /// `r`'s: the hottest of the three roots goes on top, and the two
+    /// inner spines are joined below it. Each node whose children are set
+    /// is hashed after them; when `mid` outranks both subtrees (an update,
+    /// or a pass-through) that is `mid` alone.
+    fn join(&mut self, l: u32, mid: u32, r: u32) -> u32 {
+        let mut top = mid;
+        for side in [l, r] {
+            if side != NIL && (top == NIL || self.hotter(side, top)) {
+                top = side;
+            }
+        }
+        if top == NIL {
+            return NIL;
+        }
+        if top == mid {
+            let node = &mut self.nodes[mid as usize];
+            (node.left, node.right) = (l, r);
+        } else if top == l {
+            let inner = self.nodes[l as usize].right;
+            let joined = self.join(inner, mid, r);
+            self.nodes[l as usize].right = joined;
+        } else {
+            let inner = self.nodes[r as usize].left;
+            let joined = self.join(l, mid, inner);
+            self.nodes[r as usize].left = joined;
+        }
+        self.rehash(top);
+        top
     }
 
-    /// A fresh, marked leaf node. The only place a priority is computed.
-    fn alloc(&mut self, key: &[u8], leaf: Digest) -> u32 {
+    /// Allocate a node for `write` (an upsert) and push it on `spine`, the
+    /// right spine of a treap being built in key order: nodes the new one
+    /// outranks leave the spine, linked and hashed, as its left subtree.
+    fn push_spine(&mut self, spine: &mut Vec<u32>, write: &Write<'_>) {
+        let idx = self.alloc(write);
+        let below = spine
+            .iter()
+            .rposition(|&s| self.hotter(s, idx))
+            .map_or(0, |p| p + 1);
+        let left = self.pop_spine(spine, below);
+        self.nodes[idx as usize].left = left;
+        spine.push(idx);
+    }
+
+    /// Pop `spine` down to length `keep`, deepest first, linking each node
+    /// to the one popped before it as its right child and hashing it;
+    /// returns the last node popped (NIL if none).
+    fn pop_spine(&mut self, spine: &mut Vec<u32>, keep: usize) -> u32 {
+        let mut below = NIL;
+        while spine.len() > keep {
+            let idx = spine.pop().expect("longer than keep");
+            self.nodes[idx as usize].right = below;
+            self.rehash(idx);
+            below = idx;
+        }
+        below
+    }
+
+    /// A fresh node for `write` (an upsert), children NIL, digest unset.
+    /// The only place a priority is computed.
+    fn alloc(&mut self, write: &Write<'_>) -> u32 {
+        let len = u32::try_from(write.key.len()).expect("key < 4 GiB");
+        let tail = self.store_tail(write.key.get(HEAD..).unwrap_or(&[]));
         let node = Node {
-            key: key.into(),
-            prio: Self::priority(key),
-            leaf,
-            digest: Digest::ZERO,
             left: NIL,
             right: NIL,
-            stale: true,
+            head: write.head,
+            prio: Self::priority(write.key),
+            leaf: write.leaf.expect("an upsert"),
+            digest: Digest::ZERO,
+            len,
+            tail,
         };
+        self.len += 1;
         if let Some(idx) = self.free.pop() {
             self.nodes[idx as usize] = node;
             idx
@@ -374,110 +600,32 @@ impl AuthMap {
         }
     }
 
-    fn upsert_at(&mut self, at: u32, key: &[u8], leaf: Digest, inserted: &mut bool) -> u32 {
-        if at == NIL {
-            *inserted = true;
-            return self.alloc(key, leaf);
+    /// Put a key's tail in the arena, in a freed span of its length if
+    /// there is one; returns its offset (0 for an empty tail).
+    fn store_tail(&mut self, tail: &[u8]) -> u32 {
+        if tail.is_empty() {
+            return 0;
         }
-        match key.cmp(&self.nodes[at as usize].key) {
-            std::cmp::Ordering::Equal => {
-                self.nodes[at as usize].leaf = leaf;
+        let len = u32::try_from(tail.len()).expect("key < 4 GiB");
+        let at = match self.free_tails.get_mut(&len).and_then(Vec::pop) {
+            Some(at) => at as usize,
+            None => {
+                self.tails.extend_from_slice(tail);
+                self.tails.len() - tail.len()
             }
-            std::cmp::Ordering::Less => {
-                let left = self.nodes[at as usize].left;
-                let child = self.upsert_at(left, key, leaf, inserted);
-                self.nodes[at as usize].left = child;
-                if self.hotter(child, at) {
-                    return self.rotate_right(at);
-                }
-            }
-            std::cmp::Ordering::Greater => {
-                let right = self.nodes[at as usize].right;
-                let child = self.upsert_at(right, key, leaf, inserted);
-                self.nodes[at as usize].right = child;
-                if self.hotter(child, at) {
-                    return self.rotate_left(at);
-                }
-            }
-        }
-        self.mark(at);
-        at
+        };
+        self.tails[at..at + tail.len()].copy_from_slice(tail);
+        u32::try_from(at).expect("tail arena < 4 GiB")
     }
 
-    fn remove_at(&mut self, at: u32, key: &[u8], removed: &mut bool) -> u32 {
-        if at == NIL {
-            return NIL;
+    /// Free node `idx` (already unlinked) and its tail span.
+    fn release(&mut self, idx: u32) {
+        let node = &self.nodes[idx as usize];
+        if let Some(len) = node.len.checked_sub(HEAD as u32).filter(|&l| l > 0) {
+            self.free_tails.entry(len).or_default().push(node.tail);
         }
-        match key.cmp(&self.nodes[at as usize].key) {
-            std::cmp::Ordering::Less => {
-                let left = self.nodes[at as usize].left;
-                let child = self.remove_at(left, key, removed);
-                self.nodes[at as usize].left = child;
-            }
-            std::cmp::Ordering::Greater => {
-                let right = self.nodes[at as usize].right;
-                let child = self.remove_at(right, key, removed);
-                self.nodes[at as usize].right = child;
-            }
-            std::cmp::Ordering::Equal => {
-                *removed = true;
-                let (left, right) = {
-                    let node = &self.nodes[at as usize];
-                    (node.left, node.right)
-                };
-                self.free.push(at);
-                return self.merge(left, right);
-            }
-        }
-        // An absent key changed nothing below.
-        if *removed {
-            self.mark(at);
-        }
-        at
-    }
-
-    /// Merge two treaps where every key in `a` precedes every key in `b`.
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        if self.hotter(a, b) {
-            let right = self.nodes[a as usize].right;
-            let merged = self.merge(right, b);
-            self.nodes[a as usize].right = merged;
-            self.mark(a);
-            a
-        } else {
-            let left = self.nodes[b as usize].left;
-            let merged = self.merge(a, left);
-            self.nodes[b as usize].left = merged;
-            self.mark(b);
-            b
-        }
-    }
-
-    /// Rotate `at`'s left child up; returns the new subtree root. Marks
-    /// both touched nodes.
-    fn rotate_right(&mut self, at: u32) -> u32 {
-        let x = self.nodes[at as usize].left;
-        self.nodes[at as usize].left = self.nodes[x as usize].right;
-        self.nodes[x as usize].right = at;
-        self.mark(at);
-        self.mark(x);
-        x
-    }
-
-    /// Rotate `at`'s right child up; returns the new subtree root.
-    fn rotate_left(&mut self, at: u32) -> u32 {
-        let x = self.nodes[at as usize].right;
-        self.nodes[at as usize].right = self.nodes[x as usize].left;
-        self.nodes[x as usize].left = at;
-        self.mark(at);
-        self.mark(x);
-        x
+        self.free.push(idx);
+        self.len -= 1;
     }
 }
 
@@ -617,6 +765,110 @@ mod tests {
         m.upsert(b"payload", b"");
         let t = crate::MerkleTree::build(&[b"payload".as_slice()]);
         assert_ne!(m.root(), t.root());
+    }
+
+    #[test]
+    fn one_shot_digests_equal_streaming() {
+        use crate::sha256::Sha256;
+        let bytes: Vec<u8> = (0..340u32).map(|i| (i * 131 % 251) as u8).collect();
+        let stream = |parts: &[&[u8]]| {
+            let mut h = Sha256::new();
+            for part in parts {
+                h.update(part);
+            }
+            h.finalize()
+        };
+        for klen in 0..=40 {
+            let key = &bytes[..klen];
+            assert_eq!(
+                AuthMap::priority(key),
+                u64::from_le_bytes(stream(&[key]).0[..8].try_into().unwrap())
+            );
+            for vlen in 0..=300 {
+                let value = &bytes[40..40 + vlen];
+                let klen_le = (klen as u32).to_le_bytes();
+                let vlen_le = (vlen as u32).to_le_bytes();
+                assert_eq!(
+                    leaf_digest(key, value),
+                    stream(&[&[MAP_LEAF_TAG], &klen_le, key, &vlen_le, value]),
+                    "key {klen} value {vlen}"
+                );
+            }
+        }
+        let [a, b, c] = [1u8, 2, 3].map(|byte| Digest([byte; 32]));
+        assert_eq!(
+            node_digest(&a, &b, &c),
+            stream(&[&[MAP_NODE_TAG], &a.0, &b.0, &c.0])
+        );
+    }
+
+    #[test]
+    fn long_keys_order_by_bytes_and_reuse_their_tail_spans() {
+        // Keys sharing their eight-byte head, one a prefix of another, and
+        // short keys padding to the same head: byte order throughout.
+        let keys: Vec<Vec<u8>> = vec![
+            b"abcdefgh".to_vec(),
+            b"abcdefgh\0".to_vec(),
+            b"abcdefghij".to_vec(),
+            b"abcdefghijklmnopqrstuvwx".to_vec(),
+            b"abc".to_vec(),
+            b"abc\0".to_vec(),
+            b"abc\0\0\0\0\0\0".to_vec(),
+            Vec::new(),
+        ];
+        let mut sorted = keys.clone();
+        sorted.sort();
+        let mut m = AuthMap::new();
+        m.apply_sorted(sorted.iter().map(|k| (k.as_slice(), Some(k.as_slice()))));
+        let mut one_by_one = AuthMap::new();
+        for k in &keys {
+            assert!(one_by_one.upsert(k, k));
+        }
+        assert_eq!(m.root(), one_by_one.root());
+        for k in &keys {
+            assert!(m.contains(k));
+            let proof = m.prove(k).expect("present");
+            assert!(AuthMap::verify(&m.root(), k, k, &proof));
+        }
+        assert!(!m.contains(b"abcdefghi"));
+        // Replacing long keys by others of the same length reuses spans.
+        let arena = m.tails.len();
+        for round in 0..20u8 {
+            let long = [b"0123456789-", &[round][..]].concat();
+            m.upsert(&long, b"v");
+            assert!(m.remove(&long));
+        }
+        assert_eq!(m.tails.len(), arena + 4, "one 4-byte span, reused");
+        assert_eq!(m.root(), one_by_one.root());
+    }
+
+    #[test]
+    fn sorted_build_equals_upserts() {
+        let mut ps = pairs(500);
+        ps.sort();
+        let mut builder = AuthMapBuilder::with_capacity(ps.len());
+        for (k, v) in &ps {
+            builder.push(k, v);
+        }
+        let built = builder.finish();
+        assert_eq!(built.root(), build(&ps).root());
+        assert_eq!(built.len(), 500);
+        assert_eq!(AuthMapBuilder::new().finish().root(), empty_root());
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn builder_refuses_rows_out_of_order() {
+        let mut builder = AuthMapBuilder::new();
+        builder.push(b"b", b"");
+        builder.push(b"a", b"");
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increase")]
+    fn sorted_run_refuses_a_repeated_key() {
+        let mut m = AuthMap::new();
+        m.apply_sorted([(&b"a"[..], Some(&b"1"[..])), (&b"a"[..], None)]);
     }
 
     #[test]

@@ -16,8 +16,11 @@
 //!   every block hash, Merkle root, MAC, vote digest and state root inherits
 //!   it. The one `unsafe` block of the workspace lives there, behind that
 //!   check (its soundness argument is in the [`mod@sha256`] module doc).
-//! * [`AuthMap`] mutations run in batches ([`AuthMap::batch`]) that hash
-//!   each touched tree node once when the batch closes, not once per key.
+//! * Every digest of a map row, a Merkle node or a short message is one
+//!   compression call over a stack buffer ([`sha256_concat`]), and
+//!   [`AuthMap`] folds a sorted write-set in one descent
+//!   ([`AuthMap::apply_sorted`]) that hashes each touched row once, in
+//!   96 bytes a row.
 //!
 //! [`CryptoCost`] is the *virtual* cost of crypto in the paper's evaluation
 //! (a 2016 Xeon) and is deliberately independent of both.
@@ -29,9 +32,9 @@ pub mod merkle;
 pub mod sha256;
 pub mod signer;
 
-pub use authmap::{AuthMap, AuthMapBatch, MapProof, MapProofStep};
+pub use authmap::{AuthMap, AuthMapBuilder, MapProof, MapProofStep};
 pub use cost::CryptoCost;
 pub use hmac::hmac_sha256;
-pub use merkle::MerkleTree;
-pub use sha256::{sha256, Digest, Sha256};
+pub use merkle::{merkle_root, MerkleTree};
+pub use sha256::{sha256, sha256_concat, Digest, Sha256};
 pub use signer::{KeyPair, Signature, Verifier};

@@ -4,7 +4,7 @@
 //! also supports inclusion proofs so a light client can verify that a
 //! transaction belongs to a block without the full payload.
 
-use crate::sha256::{sha256, Digest, Sha256};
+use crate::sha256::{sha256, sha256_concat, Digest};
 
 /// Domain-separation prefixes (prevents a leaf being reinterpreted as an
 /// interior node — the classic CVE-2012-2459 style ambiguity).
@@ -12,18 +12,34 @@ const LEAF_TAG: u8 = 0x00;
 const NODE_TAG: u8 = 0x01;
 
 fn hash_leaf(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&[LEAF_TAG]);
-    h.update(data);
-    h.finalize()
+    sha256_concat(&[&[LEAF_TAG], data])
 }
 
 fn hash_node(left: &Digest, right: &Digest) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&[NODE_TAG]);
-    h.update(&left.0);
-    h.update(&right.0);
-    h.finalize()
+    sha256_concat(&[&[NODE_TAG], &left.0, &right.0])
+}
+
+/// The root [`MerkleTree::build`] would give `leaves`, without keeping
+/// its levels: each level overwrites the front of the one below it in a
+/// single buffer. What sealing and verifying a block need; only a proof
+/// needs the whole tree.
+#[must_use]
+pub fn merkle_root<T: AsRef<[u8]>>(leaves: &[T]) -> Digest {
+    if leaves.is_empty() {
+        return sha256(b"");
+    }
+    let mut level: Vec<Digest> = leaves.iter().map(|l| hash_leaf(l.as_ref())).collect();
+    while level.len() > 1 {
+        let parents = level.len().div_ceil(2);
+        for i in 0..parents {
+            // Odd node is paired with itself, as in `build`.
+            let left = level[2 * i];
+            let right = level.get(2 * i + 1).copied().unwrap_or(left);
+            level[i] = hash_node(&left, &right);
+        }
+        level.truncate(parents);
+    }
+    level[0]
 }
 
 /// A fully materialized Merkle tree (levels bottom-up; level 0 = leaves).
@@ -146,6 +162,14 @@ mod tests {
                     "n={n} leaf {i} failed"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn root_alone_equals_built_root() {
+        for n in 0..=33 {
+            let ps = payloads(n);
+            assert_eq!(merkle_root(&ps), MerkleTree::build(&ps).root(), "n={n}");
         }
     }
 

@@ -23,6 +23,20 @@
 //! not through the dispatch, so the scalar one stays tested on a
 //! SHA-capable host.
 //!
+//! # One-shot digests
+//!
+//! The state map, the Merkle tree and [`sha256()`] hash short messages of a
+//! fixed layout: a map node is `0x03 ‖ three digests` (97 bytes), a map
+//! leaf `0x02 ‖ len ‖ key ‖ len ‖ value`, a Merkle node `0x01 ‖ two
+//! digests`. [`sha256_concat`] takes such a message as its parts, writes
+//! them and the padding into one stack buffer and makes a single
+//! `compress_blocks` call over every block, instead of a [`Sha256`]'s
+//! buffered updates and its finalize (each compression call repeats the
+//! CPU-feature test and a state round-trip). A message too long for the
+//! buffer streams through [`Sha256`]. The tests check the one-shot path
+//! against the streaming one on both compression bodies, at every key
+//! length from 0 to 40 bytes and value length from 0 to 300 bytes.
+//!
 //! # The one `unsafe` block
 //!
 //! The workspace denies `unsafe_code`; the private `sha_ni` module carries
@@ -173,12 +187,59 @@ impl Sha256 {
         }
         self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         compress(&mut self.state, &self.buf);
-        let mut out = [0u8; 32];
-        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
-            bytes.copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+        digest_of(self.state)
     }
+}
+
+/// The digest a final state spells, word by word, big-endian.
+fn digest_of(state: [u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    Digest(out)
+}
+
+/// Longest padded message the one-shot path lays out on the stack: four
+/// blocks, so any message of up to 247 bytes.
+const ONE_SHOT_BYTES: usize = 256;
+
+/// SHA-256 of the concatenation of `parts`, without a [`Sha256`]: when
+/// the message and its padding fit [`ONE_SHOT_BYTES`], they are written
+/// into one stack buffer and compressed by a single `compress_blocks` call
+/// (one CPU-feature test, one state load and store). Longer messages
+/// stream. Same digest as hashing the parts one after another.
+#[must_use]
+#[inline]
+pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
+    concat_with(parts, compress_blocks)
+}
+
+/// [`sha256_concat`] over a given compression function.
+#[inline]
+fn concat_with(parts: &[&[u8]], compress: impl Fn(&mut [u32; 8], &[u8])) -> Digest {
+    let len: usize = parts.iter().map(|part| part.len()).sum();
+    if len + 9 > ONE_SHOT_BYTES {
+        let mut h = Sha256::new();
+        for part in parts {
+            h.update_with(part, &compress);
+        }
+        return h.finalize_with(compress);
+    }
+    let mut buf = [0u8; ONE_SHOT_BYTES];
+    let mut at = 0;
+    for part in parts {
+        buf[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    // Padding: `0x80`, zeros, and the bit length in the last eight bytes
+    // of the last block the message and those nine bytes need.
+    buf[len] = 0x80;
+    let end = (len + 9).next_multiple_of(64);
+    buf[end - 8..end].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+    let mut state = H0;
+    compress(&mut state, &buf[..end]);
+    digest_of(state)
 }
 
 /// Compress a run of whole 64-byte blocks into `state`: with the CPU's SHA
@@ -340,12 +401,11 @@ mod sha_ni {
     }
 }
 
-/// One-shot SHA-256.
+/// One-shot SHA-256: one compression call for a message of up to 247
+/// bytes (see [`sha256_concat`]).
 #[must_use]
 pub fn sha256(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    sha256_concat(&[data])
 }
 
 #[cfg(test)]
@@ -470,6 +530,43 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn one_shot_equals_streaming_on_every_layout() {
+        // The layouts the state map and the Merkle tree hash, on each path:
+        // a map leaf for every key length 0..=40 and value length 0..=300
+        // (every padding edge, and past the stack buffer into the
+        // streaming fallback), a priority per key, a Merkle leaf per
+        // payload length, and the two fixed-size interior nodes.
+        let mut rng = harmony_common::DetRng::new(0x1e);
+        let data: Vec<u8> = (0..340).map(|_| rng.next_u64() as u8).collect();
+        let (keys, values) = data.split_at(40);
+        let [a, b, c] = [0x11u8, 0x22, 0x33].map(|byte| [byte; 32]);
+        for (path, compress) in paths() {
+            let check = |parts: &[&[u8]], what: &str| {
+                assert_eq!(
+                    concat_with(parts, compress),
+                    digest_on(compress_blocks_scalar, parts),
+                    "{path} {what}"
+                );
+            };
+            for klen in 0..=40 {
+                let key = &keys[..klen];
+                check(&[key], &format!("priority, key {klen}"));
+                let klen_le = (klen as u32).to_le_bytes();
+                for vlen in 0..=300 {
+                    let vlen_le = (vlen as u32).to_le_bytes();
+                    let leaf: [&[u8]; 5] = [&[0x02], &klen_le, key, &vlen_le, &values[..vlen]];
+                    check(&leaf, &format!("map leaf, key {klen} value {vlen}"));
+                }
+            }
+            for len in 0..=300 {
+                check(&[&[0x00], &data[..len]], &format!("merkle leaf {len}"));
+            }
+            check(&[&[0x03], &a, &b, &c], "map node");
+            check(&[&[0x01], &a, &b], "merkle node");
         }
     }
 

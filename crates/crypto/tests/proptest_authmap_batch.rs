@@ -1,13 +1,16 @@
-//! Batched mutation of the authenticated map is only a cheaper way to the
-//! same tree: after every batch the root equals that of the same operations
-//! applied one at a time and that of a fresh map built from the resulting
-//! contents in a shuffled order, and every digest a reader can reach is
-//! valid (each live key proves against the root).
+//! A sorted run is only a cheaper way to the same tree: after every batch
+//! the root of a map that took it as one [`AuthMap::apply_sorted`] equals
+//! that of the same operations applied one at a time, that of a fresh map
+//! upserted from the resulting contents in a shuffled order and that of an
+//! [`AuthMapBuilder`] fed them in key order; and every digest a reader can
+//! reach is valid (each live key proves against the root). Keys run from 7
+//! to 24 bytes, and several share their first eight bytes, so runs cross
+//! both the inline-key and the arena-tail paths.
 
 use std::collections::BTreeMap;
 
 use harmony_common::DetRng;
-use harmony_crypto::AuthMap;
+use harmony_crypto::{AuthMap, AuthMapBuilder};
 use proptest::prelude::*;
 
 /// Keys come from a small universe so overwrites, removes of present keys
@@ -20,8 +23,25 @@ enum Op {
     Remove(u8),
 }
 
+/// Key `id`: an 8-byte integer, a 7-byte name, that name's neighbour plus
+/// a zero and 0 to 16 more bytes (the same head, so the tail or the length
+/// decides), or a 12- to 24-byte key whose first eight bytes every such key
+/// shares.
 fn key(id: u8) -> Vec<u8> {
-    format!("row-{id:03}").into_bytes()
+    match id % 4 {
+        0 => u64::from(id).to_be_bytes().to_vec(),
+        1 => format!("row-{id:03}").into_bytes(),
+        2 => {
+            let mut k = format!("row-{:03}\0", id - 1).into_bytes();
+            k.resize(8 + usize::from(id % 17), b'x');
+            k
+        }
+        _ => {
+            let mut k = format!("long-key-{id:03}").into_bytes();
+            k.resize(12 + usize::from(id % 13), 0xEE);
+            k
+        }
+    }
 }
 
 fn value(v: u8) -> Vec<u8> {
@@ -71,35 +91,41 @@ proptest! {
         let mut single = AuthMap::new();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         for (n, ops) in batches.iter().enumerate() {
-            let mut open = batched.batch();
+            // The batch as one sorted run: each key's last write wins.
+            let mut run: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
             for op in ops {
-                // Same answer about "was new" / "was present" on both maps
-                // and the model, mid-batch included.
+                // Same answer about "was new" / "was present" on the
+                // one-at-a-time map and the model.
                 match op {
                     Op::Upsert(k, v) => {
                         let new = model.insert(key(*k), value(*v)).is_none();
-                        prop_assert_eq!(open.upsert(&key(*k), &value(*v)), new);
                         prop_assert_eq!(single.upsert(&key(*k), &value(*v)), new);
+                        run.insert(key(*k), Some(value(*v)));
                     }
                     Op::Remove(k) => {
                         let present = model.remove(&key(*k)).is_some();
-                        prop_assert_eq!(open.remove(&key(*k)), present);
                         prop_assert_eq!(single.remove(&key(*k)), present);
+                        run.insert(key(*k), None);
                     }
                 }
             }
-            open.finish();
+            batched.apply_sorted(run.iter().map(|(k, v)| (k.as_slice(), v.as_deref())));
 
             let mut fresh = AuthMap::new();
-            let mut build = fresh.batch();
             for (k, v) in shuffled(&model, seed ^ n as u64) {
-                build.upsert(k, v);
+                fresh.upsert(k, v);
             }
-            drop(build);
+            let mut builder = AuthMapBuilder::new();
+            for (k, v) in &model {
+                builder.push(k, v);
+            }
+            let built = builder.finish();
 
             let root = batched.root();
             prop_assert_eq!(root, single.root(), "batch {} vs one at a time", n);
-            prop_assert_eq!(root, fresh.root(), "batch {} vs fresh build", n);
+            prop_assert_eq!(root, fresh.root(), "batch {} vs fresh upserts", n);
+            prop_assert_eq!(root, built.root(), "batch {} vs sorted build", n);
+            prop_assert_eq!(built.len(), model.len());
             prop_assert_eq!(batched.len(), model.len());
             prop_assert_eq!(single.len(), model.len());
             prop_assert_eq!(batched.is_empty(), model.is_empty());

@@ -402,6 +402,9 @@ pub fn logical_state_root<'a>(
     Ok(fold_table_roots(&logical_table_heads(engines)?))
 }
 
+/// Rows of one shard's table folded into the merged map per sorted run.
+const MERGE_RUN: usize = 4096;
+
 /// Per-table digests of the logical database hosted by a set of shard
 /// engines — the table-granular decomposition of [`logical_state_root`].
 /// Shard-count-invariant for the same reason the folded root is; the
@@ -417,17 +420,26 @@ pub fn logical_table_heads<'a>(
         // The authenticated map is history independent, so upserting the
         // disjoint shard partitions in any order commits to exactly the
         // merged table — the same digest `harmony_chain::state_root` gives
-        // a 1-shard deployment of the same logical database. One batch:
-        // each node of the merged tree is hashed once.
+        // a 1-shard deployment of the same logical database. Each shard's
+        // scan is in key order, so it goes in as sorted runs of at most
+        // `MERGE_RUN` rows: one descent per run, and no more than a run's
+        // rows copied at a time.
         let mut merged = AuthMap::new();
-        let mut batch = merged.batch();
+        let mut run: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(MERGE_RUN);
+        let fold = |merged: &mut AuthMap, run: &mut Vec<(Vec<u8>, Vec<u8>)>| {
+            merged.apply_sorted(run.iter().map(|(k, v)| (k.as_slice(), Some(v.as_slice()))));
+            run.clear();
+        };
         for engine in &engines {
             engine.scan(id, b"", None, |k, v| {
-                batch.upsert(k, v);
+                run.push((k.to_vec(), v.to_vec()));
+                if run.len() == MERGE_RUN {
+                    fold(&mut merged, &mut run);
+                }
                 true
             })?;
+            fold(&mut merged, &mut run);
         }
-        batch.finish();
         heads.push((name, merged.root()));
     }
     Ok(heads)
