@@ -715,6 +715,51 @@ mod tests {
         ));
     }
 
+    /// `submit_block` skips re-verifying the block it sealed, yet charges
+    /// what sealing and then verifying it as a delivered block charges, and
+    /// ends on the same chain.
+    #[test]
+    fn a_submitted_block_costs_what_a_delivered_one_does() {
+        let config = ChainConfig {
+            crypto: CryptoCost::default(),
+            ..ChainConfig::in_memory()
+        };
+        let open = || {
+            let chain = OeChain::open(config.clone(), EngineSpec::default()).unwrap();
+            let mut workload = Smallbank::new(SmallbankConfig {
+                accounts: 200,
+                ..SmallbankConfig::default()
+            });
+            workload.setup(chain.engine()).unwrap();
+            (chain, workload)
+        };
+        let (mut submitted, workload) = open();
+        let (mut delivered, _) = open();
+        let codec = workload.codec();
+        let mut rng = DetRng::new(0x5EA1);
+        for _ in 0..4 {
+            let txns = workload.next_block(&mut rng, 20);
+            let ((sealed, _), submit_ns) = harmony_common::vtime::scope(|| {
+                submitted
+                    .submit_block(txns.clone(), codec.as_ref())
+                    .unwrap()
+            });
+            let (_, deliver_ns) = harmony_common::vtime::scope(|| {
+                let resealed = delivered.seal_block(&txns, codec.as_ref());
+                assert_eq!(resealed, sealed);
+                delivered
+                    .apply_sealed_block(&sealed, codec.as_ref())
+                    .unwrap()
+            });
+            assert_eq!(submit_ns, deliver_ns);
+            assert!(submit_ns >= CryptoCost::default().verify_ns);
+        }
+        assert_eq!(
+            submitted.state_root().unwrap(),
+            delivered.state_root().unwrap()
+        );
+    }
+
     /// A storage checkpoint written past the chain records no position.
     /// Recovering from it used to replay onto the manifest's pages with a
     /// hash taken from the block log and no undo images or summary, and

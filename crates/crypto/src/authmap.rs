@@ -49,7 +49,7 @@
 //! (its priority; an overwrite needs none), and one node hash per touched
 //! node per run — the upper levels, shared by every key of a block's
 //! write-set, are hashed once a block instead of once a key. Every digest
-//! is a one-shot [`sha256_concat`] (a node is 97 bytes: one compression
+//! is a one-shot `sha256_concat` (a node is 97 bytes: one compression
 //! call over two blocks).
 
 use std::cmp::Ordering;
@@ -104,10 +104,13 @@ fn head_of(key: &[u8]) -> u64 {
     u64::from_be_bytes(bytes)
 }
 
-/// Byte order of two keys given as (head, bytes past the head, length).
-/// Equal heads leave the tails to decide, and equal tails the lengths (two
-/// keys of up to eight bytes whose padded heads agree).
-fn key_order(a: (u64, &[u8], usize), b: (u64, &[u8], usize)) -> Ordering {
+/// A key as a descent compares it: (head, bytes past the head, length).
+type KeyParts<'a> = (u64, &'a [u8], usize);
+
+/// Byte order of two keys. Equal heads leave the tails to decide, and
+/// equal tails the lengths (two keys of up to eight bytes whose padded
+/// heads agree).
+fn key_order(a: KeyParts<'_>, b: KeyParts<'_>) -> Ordering {
     a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)).then(a.2.cmp(&b.2))
 }
 
@@ -144,6 +147,14 @@ impl<'a> Write<'a> {
             head: head_of(key),
             leaf: value.map(|value| leaf_digest(key, value)),
         }
+    }
+
+    fn parts(&self) -> KeyParts<'a> {
+        (
+            self.head,
+            self.key.get(HEAD..).unwrap_or(&[]),
+            self.key.len(),
+        )
     }
 }
 
@@ -409,40 +420,28 @@ impl AuthMap {
         u64::from_le_bytes(d.0[..8].try_into().expect("8 bytes"))
     }
 
-    /// The key bytes of node `idx` past its head.
-    fn tail(&self, idx: u32) -> &[u8] {
+    /// Node `idx`'s key as [`key_order`] compares it; its bytes past the
+    /// head are in the tail arena.
+    fn key_parts(&self, idx: u32) -> KeyParts<'_> {
         let node = &self.nodes[idx as usize];
-        let len = (node.len as usize).saturating_sub(HEAD);
-        if len == 0 {
-            return &[];
-        }
-        let at = node.tail as usize;
-        &self.tails[at..at + len]
+        let (at, len) = (node.tail as usize, node.len as usize);
+        (
+            node.head,
+            &self.tails[at..at + len.saturating_sub(HEAD)],
+            len,
+        )
     }
 
     /// Byte order of a written key against node `idx`'s key.
     fn order(&self, write: &Write<'_>, idx: u32) -> Ordering {
-        let node = &self.nodes[idx as usize];
-        key_order(
-            (
-                write.head,
-                write.key.get(HEAD..).unwrap_or(&[]),
-                write.key.len(),
-            ),
-            (node.head, self.tail(idx), node.len as usize),
-        )
+        key_order(write.parts(), self.key_parts(idx))
     }
 
     /// Strict heap order: does `a` belong above `b`? Lexicographic on
     /// (priority, key); keys are unique so this is a total order.
     fn hotter(&self, a: u32, b: u32) -> bool {
-        let (na, nb) = (&self.nodes[a as usize], &self.nodes[b as usize]);
-        na.prio > nb.prio
-            || (na.prio == nb.prio
-                && key_order(
-                    (na.head, self.tail(a), na.len as usize),
-                    (nb.head, self.tail(b), nb.len as usize),
-                ) == Ordering::Greater)
+        let (pa, pb) = (self.nodes[a as usize].prio, self.nodes[b as usize].prio);
+        pa > pb || (pa == pb && key_order(self.key_parts(a), self.key_parts(b)).is_gt())
     }
 
     fn subtree(&self, idx: u32) -> Digest {
@@ -607,15 +606,13 @@ impl AuthMap {
             return 0;
         }
         let len = u32::try_from(tail.len()).expect("key < 4 GiB");
-        let at = match self.free_tails.get_mut(&len).and_then(Vec::pop) {
-            Some(at) => at as usize,
-            None => {
-                self.tails.extend_from_slice(tail);
-                self.tails.len() - tail.len()
-            }
-        };
-        self.tails[at..at + tail.len()].copy_from_slice(tail);
-        u32::try_from(at).expect("tail arena < 4 GiB")
+        if let Some(at) = self.free_tails.get_mut(&len).and_then(Vec::pop) {
+            self.tails[at as usize..][..tail.len()].copy_from_slice(tail);
+            return at;
+        }
+        let at = u32::try_from(self.tails.len()).expect("tail arena < 4 GiB");
+        self.tails.extend_from_slice(tail);
+        at
     }
 
     /// Free node `idx` (already unlinked) and its tail span.
@@ -768,41 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_digests_equal_streaming() {
-        use crate::sha256::Sha256;
-        let bytes: Vec<u8> = (0..340u32).map(|i| (i * 131 % 251) as u8).collect();
-        let stream = |parts: &[&[u8]]| {
-            let mut h = Sha256::new();
-            for part in parts {
-                h.update(part);
-            }
-            h.finalize()
-        };
-        for klen in 0..=40 {
-            let key = &bytes[..klen];
-            assert_eq!(
-                AuthMap::priority(key),
-                u64::from_le_bytes(stream(&[key]).0[..8].try_into().unwrap())
-            );
-            for vlen in 0..=300 {
-                let value = &bytes[40..40 + vlen];
-                let klen_le = (klen as u32).to_le_bytes();
-                let vlen_le = (vlen as u32).to_le_bytes();
-                assert_eq!(
-                    leaf_digest(key, value),
-                    stream(&[&[MAP_LEAF_TAG], &klen_le, key, &vlen_le, value]),
-                    "key {klen} value {vlen}"
-                );
-            }
-        }
-        let [a, b, c] = [1u8, 2, 3].map(|byte| Digest([byte; 32]));
-        assert_eq!(
-            node_digest(&a, &b, &c),
-            stream(&[&[MAP_NODE_TAG], &a.0, &b.0, &c.0])
-        );
-    }
-
-    #[test]
     fn long_keys_order_by_bytes_and_reuse_their_tail_spans() {
         // Keys sharing their eight-byte head, one a prefix of another, and
         // short keys padding to the same head: byte order throughout.
@@ -840,20 +802,6 @@ mod tests {
         }
         assert_eq!(m.tails.len(), arena + 4, "one 4-byte span, reused");
         assert_eq!(m.root(), one_by_one.root());
-    }
-
-    #[test]
-    fn sorted_build_equals_upserts() {
-        let mut ps = pairs(500);
-        ps.sort();
-        let mut builder = AuthMapBuilder::with_capacity(ps.len());
-        for (k, v) in &ps {
-            builder.push(k, v);
-        }
-        let built = builder.finish();
-        assert_eq!(built.root(), build(&ps).root());
-        assert_eq!(built.len(), 500);
-        assert_eq!(AuthMapBuilder::new().finish().root(), empty_root());
     }
 
     #[test]

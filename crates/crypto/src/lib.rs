@@ -17,7 +17,7 @@
 //!   it. The one `unsafe` block of the workspace lives there, behind that
 //!   check (its soundness argument is in the [`mod@sha256`] module doc).
 //! * Every digest of a map row, a Merkle node or a short message is one
-//!   compression call over a stack buffer ([`sha256_concat`]), and
+//!   compression call over a stack buffer, and
 //!   [`AuthMap`] folds a sorted write-set in one descent
 //!   ([`AuthMap::apply_sorted`]) that hashes each touched row once, in
 //!   96 bytes a row.
@@ -36,5 +36,5 @@ pub use authmap::{AuthMap, AuthMapBuilder, MapProof, MapProofStep};
 pub use cost::CryptoCost;
 pub use hmac::hmac_sha256;
 pub use merkle::{merkle_root, MerkleTree};
-pub use sha256::{sha256, sha256_concat, Digest, Sha256};
+pub use sha256::{sha256, Digest, Sha256};
 pub use signer::{KeyPair, Signature, Verifier};

@@ -32,14 +32,19 @@ pub fn merkle_root<T: AsRef<[u8]>>(leaves: &[T]) -> Digest {
     while level.len() > 1 {
         let parents = level.len().div_ceil(2);
         for i in 0..parents {
-            // Odd node is paired with itself, as in `build`.
-            let left = level[2 * i];
-            let right = level.get(2 * i + 1).copied().unwrap_or(left);
-            level[i] = hash_node(&left, &right);
+            level[i] = parent(&level, i);
         }
         level.truncate(parents);
     }
     level[0]
+}
+
+/// Node `i` of the level above `level`: the hash of children `2i` and
+/// `2i + 1`, an odd last node paired with itself (Bitcoin-style
+/// duplication).
+fn parent(level: &[Digest], i: usize) -> Digest {
+    let left = &level[2 * i];
+    hash_node(left, level.get(2 * i + 1).unwrap_or(left))
 }
 
 /// A fully materialized Merkle tree (levels bottom-up; level 0 = leaves).
@@ -75,11 +80,7 @@ impl MerkleTree {
             if cur.len() == 1 {
                 break;
             }
-            // Odd node is paired with itself (Bitcoin-style duplication).
-            let next = cur
-                .chunks(2)
-                .map(|pair| hash_node(&pair[0], pair.get(1).unwrap_or(&pair[0])))
-                .collect();
+            let next = (0..cur.len().div_ceil(2)).map(|i| parent(cur, i)).collect();
             levels.push(next);
         }
         MerkleTree { levels }

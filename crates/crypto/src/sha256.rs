@@ -28,7 +28,7 @@
 //! The state map, the Merkle tree and [`sha256()`] hash short messages of a
 //! fixed layout: a map node is `0x03 ‖ three digests` (97 bytes), a map
 //! leaf `0x02 ‖ len ‖ key ‖ len ‖ value`, a Merkle node `0x01 ‖ two
-//! digests`. [`sha256_concat`] takes such a message as its parts, writes
+//! digests`. `sha256_concat` takes such a message as its parts, writes
 //! them and the padding into one stack buffer and makes a single
 //! `compress_blocks` call over every block, instead of a [`Sha256`]'s
 //! buffered updates and its finalize (each compression call repeats the
@@ -211,7 +211,7 @@ const ONE_SHOT_BYTES: usize = 256;
 /// stream. Same digest as hashing the parts one after another.
 #[must_use]
 #[inline]
-pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
+pub(crate) fn sha256_concat(parts: &[&[u8]]) -> Digest {
     concat_with(parts, compress_blocks)
 }
 
@@ -402,7 +402,7 @@ mod sha_ni {
 }
 
 /// One-shot SHA-256: one compression call for a message of up to 247
-/// bytes (see [`sha256_concat`]).
+/// bytes (see `sha256_concat`).
 #[must_use]
 pub fn sha256(data: &[u8]) -> Digest {
     sha256_concat(&[data])
