@@ -35,7 +35,9 @@
 //! CPU-feature test and a state round-trip). A message too long for the
 //! buffer streams through [`Sha256`]. The tests check the one-shot path
 //! against the streaming one on both compression bodies, at every key
-//! length from 0 to 40 bytes and value length from 0 to 300 bytes.
+//! length from 0 to 40 bytes and value length from 0 to 300 bytes. It is
+//! safe code over the same `compress_blocks`, so the block below is still
+//! the only `unsafe` one.
 //!
 //! # The one `unsafe` block
 //!
