@@ -22,8 +22,8 @@
 
 use std::fmt::Write as _;
 
-use harmony_bench::{f2, results_dir};
 use harmony_chain::ChainConfig;
+use harmony_common::Result;
 use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
@@ -33,6 +33,8 @@ use harmony_node::{
 use harmony_sim::EngineKind;
 use harmony_storage::StorageConfig;
 use harmony_workloads::{OpenLoopConfig, SmallbankConfig};
+
+use crate::{f2, write_artifact};
 
 const PARTITIONS: u32 = 16;
 const TENANTS: usize = 4;
@@ -80,8 +82,8 @@ fn base_config() -> ClusterConfig {
 }
 
 /// Leg 1: the fixed chaos schedule must converge on the no-fault roots.
-fn chaos_leg() -> (ClusterReport, bool) {
-    let reference = Cluster::new(base_config()).run().expect("reference run");
+fn chaos_leg() -> Result<(ClusterReport, bool)> {
+    let reference = Cluster::new(base_config()).run()?;
     assert!(reference.consistent, "reference run diverged");
 
     let mut cfg = base_config();
@@ -117,7 +119,7 @@ fn chaos_leg() -> (ClusterReport, bool) {
             at_ns: 12 * MS,
         },
     ]);
-    let chaos = Cluster::new(cfg).run().expect("chaos run");
+    let chaos = Cluster::new(cfg).run()?;
 
     assert!(
         chaos.metrics.stats.committed > 0,
@@ -145,7 +147,7 @@ fn chaos_leg() -> (ClusterReport, bool) {
         .iter()
         .zip(&reference.replicas)
         .all(|(c, r)| c.root == r.root);
-    (chaos, roots_identical)
+    Ok((chaos, roots_identical))
 }
 
 struct OverloadPoint {
@@ -155,7 +157,7 @@ struct OverloadPoint {
 
 /// Leg 2: offered-load sweep past saturation with a hot tenant, quotas,
 /// and client retry enabled.
-fn overload_sweep() -> Vec<OverloadPoint> {
+fn overload_sweep() -> Result<Vec<OverloadPoint>> {
     let mut points = Vec::new();
     for offered in [20_000.0, 40_000.0, 80_000.0, 160_000.0, 320_000.0] {
         let mut cfg = base_config();
@@ -181,7 +183,7 @@ fn overload_sweep() -> Vec<OverloadPoint> {
             max_backoff_ns: 2_000_000,
             max_retries: 3,
         });
-        let report = Cluster::new(cfg).run().expect("overload run");
+        let report = Cluster::new(cfg).run()?;
         assert!(report.consistent, "overload run diverged at {offered} tps");
         points.push(OverloadPoint {
             offered_tps: offered,
@@ -224,11 +226,13 @@ fn overload_sweep() -> Vec<OverloadPoint> {
             dev * 100.0
         );
     }
-    points
+    Ok(points)
 }
 
-fn main() {
-    let (chaos, roots_identical) = chaos_leg();
+/// Run both legs. The artifact keeps its figure name,
+/// `fig25_overload.json`, which the schema test reads.
+pub(crate) fn chaos_smoke(_name: &str) -> Result<()> {
+    let (chaos, roots_identical) = chaos_leg()?;
     println!(
         "chaos leg OK: roots identical, observer committed {}, \
          recoveries {}, quarantines {}, sync retries {}, alarms {}",
@@ -239,7 +243,7 @@ fn main() {
         chaos.divergence_alarms,
     );
 
-    let points = overload_sweep();
+    let points = overload_sweep()?;
     println!("\noffered_tps goodput_tps latency_ms quota_rejects retries tenant_sealed");
     for p in &points {
         println!(
@@ -294,10 +298,7 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-    let path = results_dir().join("fig25_overload.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("\nwrote {}", path.display());
-    }
+    let path = write_artifact("fig25_overload.json", &json)?;
+    println!("\nwrote {}", path.display());
+    Ok(())
 }

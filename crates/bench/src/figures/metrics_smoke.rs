@@ -10,8 +10,8 @@
 //!   (`harmonybc-timeline/v1`).
 //! * `EXPERIMENTS-results/metrics_exposition.prom` — the final scrape.
 
-use harmony_bench::results_dir;
 use harmony_chain::ChainConfig;
+use harmony_common::Result;
 use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_metrics::TIMELINE_SCHEMA;
@@ -23,10 +23,14 @@ use harmony_sim::EngineKind;
 use harmony_storage::StorageConfig;
 use harmony_workloads::{OpenLoopConfig, SmallbankConfig};
 
+use crate::write_artifact;
+
 const PARTITIONS: u32 = 16;
 const GOSSIP_EVERY: u64 = 5;
 
-fn main() {
+/// Run the smoke. Its artifacts keep their fixed names, which the schema
+/// test reads.
+pub(crate) fn metrics_smoke(_name: &str) -> Result<()> {
     let report = Cluster::new(ClusterConfig {
         replicas: 4,
         replica: ReplicaConfig {
@@ -70,8 +74,7 @@ fn main() {
         seed: 0x53CE,
         ..ClusterConfig::default()
     })
-    .run()
-    .expect("smoke cluster run");
+    .run()?;
 
     assert!(report.consistent, "replicas diverged");
     let exp = &report.exposition;
@@ -107,14 +110,11 @@ fn main() {
     let snapshots = report.timeline.matches("\"t_ns\":").count();
     assert!(snapshots >= 2, "timeline too short: {snapshots} snapshots");
 
-    let dir = results_dir();
-    for (name, text) in [
+    for (file, text) in [
         ("metrics_timeline.json", report.timeline.as_str()),
         ("metrics_exposition.prom", exp.as_str()),
     ] {
-        let path = dir.join(name);
-        std::fs::write(&path, text).expect("write artifact");
-        println!("wrote {}", path.display());
+        println!("wrote {}", write_artifact(file, text)?.display());
     }
     println!(
         "metrics smoke OK: {} exposition lines, {snapshots} timeline snapshots, \
@@ -122,4 +122,5 @@ fn main() {
         exp.lines().count(),
         report.metrics.stats.committed
     );
+    Ok(())
 }

@@ -18,8 +18,8 @@
 
 use std::fmt::Write as _;
 
-use harmony_bench::{all_systems, f2, measure, results_dir, Table, WorkloadKind};
 use harmony_chain::ChainConfig;
+use harmony_common::Result;
 use harmony_consensus::net::LatencyModel;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
@@ -29,6 +29,8 @@ use harmony_node::{
 use harmony_sim::{ClusterModel, EngineKind, RunConfig};
 use harmony_storage::StorageConfig;
 use harmony_workloads::{OpenLoopConfig, SmallbankConfig, YcsbConfig};
+
+use crate::{all_systems, f2, measure, write_artifact, Table, WorkloadKind};
 
 const REPLICAS: usize = 4;
 const WORKERS: usize = 4;
@@ -106,9 +108,10 @@ struct Point {
     crash_sync_blocks: u64,
 }
 
-fn main() {
+/// Run the figure; `name` is the stem of its CSV and JSON artifacts.
+pub(crate) fn fig23_node_e2e(name: &str) -> Result<()> {
     let mut table = Table::new(
-        "fig23_node_e2e",
+        name,
         &[
             "system",
             "ordering",
@@ -136,8 +139,7 @@ fn main() {
                 seed: 0xF123,
                 retry_aborts: true,
             },
-        )
-        .unwrap();
+        )?;
         for (ordering, model) in [
             (
                 OrderingMode::Kafka { brokers: 3 },
@@ -159,8 +161,7 @@ fn main() {
                 ordering,
                 None,
             ))
-            .run()
-            .unwrap();
+            .run()?;
             let ordering_name = match ordering {
                 OrderingMode::Kafka { .. } => "kafka",
                 OrderingMode::HotStuff => "hotstuff",
@@ -179,8 +180,7 @@ fn main() {
                             recover_at_ns: 40_000_000,
                         }),
                     ))
-                    .run()
-                    .unwrap(),
+                    .run()?,
                 ),
                 OrderingMode::HotStuff => None,
             };
@@ -234,7 +234,7 @@ fn main() {
             ]);
         }
     }
-    table.emit();
+    table.emit()?;
 
     // JSON artifact for CI (schema: harmonybc-fig23/v1).
     let mut json = String::from("{\n  \"schema\": \"harmonybc-fig23/v1\",\n  \"points\": [\n");
@@ -259,10 +259,7 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-    let path = results_dir().join("fig23_node_e2e.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("\nwrote {}", path.display());
-    }
+    let path = write_artifact(&format!("{name}.json"), &json)?;
+    println!("\nwrote {}", path.display());
+    Ok(())
 }

@@ -20,8 +20,8 @@
 
 use std::fmt::Write as _;
 
-use harmony_bench::results_dir;
 use harmony_chain::ChainConfig;
+use harmony_common::Result;
 use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
@@ -31,6 +31,8 @@ use harmony_node::{
 use harmony_sim::EngineKind;
 use harmony_storage::StorageConfig;
 use harmony_workloads::{OpenLoopConfig, SmallbankConfig};
+
+use crate::write_artifact;
 
 const PARTITIONS: u32 = 16;
 const MS: u64 = 1_000_000;
@@ -54,7 +56,7 @@ fn run(
     shards: usize,
     reshards: ReshardSchedule,
     crash: Option<FaultEvent>,
-) -> ClusterReport {
+) -> Result<ClusterReport> {
     Cluster::new(ClusterConfig {
         replicas: 4,
         replica: ReplicaConfig {
@@ -101,7 +103,6 @@ fn run(
         ..ClusterConfig::default()
     })
     .run()
-    .expect("cluster run")
 }
 
 struct Leg1Point {
@@ -112,7 +113,8 @@ struct Leg1Point {
     heads_identical: bool,
 }
 
-fn main() {
+/// Run both legs; `name` is the stem of the JSON artifact.
+pub(crate) fn reshard_smoke(name: &str) -> Result<()> {
     // Leg 1: streaming split vs fixed-count reference, every engine.
     let engines: [(&'static str, EngineKind); 5] = [
         ("harmony", EngineKind::Harmony(HarmonyConfig::default())),
@@ -124,9 +126,9 @@ fn main() {
     let mut points = Vec::new();
     println!("engine      committed sealed logical_identical heads_identical");
     for (name, engine) in engines {
-        let fixed = run(engine, 4, ReshardSchedule::default(), None);
+        let fixed = run(engine, 4, ReshardSchedule::default(), None)?;
         assert!(fixed.consistent, "{name}: fixed run diverged");
-        let elastic = run(engine, 1, split_schedule(), None);
+        let elastic = run(engine, 1, split_schedule(), None)?;
         assert!(elastic.consistent, "{name}: elastic run diverged");
         assert!(
             elastic.metrics.stats.committed > 0,
@@ -164,7 +166,7 @@ fn main() {
 
     // Leg 2: a crash across the handover window must not change a bit.
     let engine = EngineKind::Harmony(HarmonyConfig::default());
-    let elastic = run(engine, 1, split_schedule(), None);
+    let elastic = run(engine, 1, split_schedule(), None)?;
     let crashed = run(
         engine,
         1,
@@ -174,7 +176,7 @@ fn main() {
             at_ns: 4 * MS,
             recover_at_ns: 10 * MS,
         }),
-    );
+    )?;
     assert!(crashed.consistent, "crash leg diverged");
     assert_eq!(crashed.replicas[2].recoveries, 1, "no recovery ran");
     let crash_roots_identical = crashed
@@ -222,10 +224,7 @@ fn main() {
         crashed.replicas[2].reshards,
     );
     json.push_str("}\n");
-    let path = results_dir().join("reshard_smoke.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("wrote {}", path.display());
-    }
+    let path = write_artifact(&format!("{name}.json"), &json)?;
+    println!("wrote {}", path.display());
+    Ok(())
 }

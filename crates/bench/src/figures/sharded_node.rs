@@ -23,8 +23,8 @@
 
 use std::fmt::Write as _;
 
-use harmony_bench::{all_systems, f2, results_dir, Table};
 use harmony_chain::ChainConfig;
+use harmony_common::Result;
 use harmony_consensus::net::LatencyModel;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
@@ -34,6 +34,8 @@ use harmony_node::{
 use harmony_sim::{run_sharded_experiment, EngineKind, RunConfig, ShardRunConfig};
 use harmony_storage::StorageConfig;
 use harmony_workloads::{OpenLoopConfig, Smallbank, SmallbankConfig};
+
+use crate::{all_systems, f2, write_artifact, Table};
 
 const REPLICAS: usize = 4;
 const WORKERS: usize = 2;
@@ -51,7 +53,7 @@ fn workload_config() -> SmallbankConfig {
     }
 }
 
-fn node_run(engine: EngineKind, shards: usize) -> harmony_node::ClusterReport {
+fn node_run(engine: EngineKind, shards: usize) -> Result<harmony_node::ClusterReport> {
     Cluster::new(ClusterConfig {
         replicas: REPLICAS,
         replica: ReplicaConfig {
@@ -96,10 +98,9 @@ fn node_run(engine: EngineKind, shards: usize) -> harmony_node::ClusterReport {
         ..ClusterConfig::default()
     })
     .run()
-    .expect("sharded cluster run")
 }
 
-fn single_process_run(engine: EngineKind, shards: usize) -> harmony_sim::RunMetrics {
+fn single_process_run(engine: EngineKind, shards: usize) -> Result<harmony_sim::RunMetrics> {
     let mut w = Smallbank::new(workload_config());
     run_sharded_experiment(
         engine,
@@ -117,7 +118,6 @@ fn single_process_run(engine: EngineKind, shards: usize) -> harmony_sim::RunMetr
             partitions: PARTITIONS,
         },
     )
-    .expect("single-process sharded run")
 }
 
 struct Point {
@@ -131,9 +131,10 @@ struct Point {
     consistent: bool,
 }
 
-fn main() {
+/// Run the figure; `name` is the stem of its CSV and JSON artifacts.
+pub(crate) fn fig24_sharded_node(name: &str) -> Result<()> {
     let mut table = Table::new(
-        "fig24_sharded_node",
+        name,
         &[
             "system",
             "shards",
@@ -151,13 +152,13 @@ fn main() {
         let mut node_base = 0.0f64;
         let mut sp_base = 0.0f64;
         for shards in SHARD_COUNTS {
-            let report = node_run(kind, shards);
+            let report = node_run(kind, shards)?;
             assert!(
                 report.consistent,
                 "{}×{shards}: replicas diverged",
                 kind.name()
             );
-            let sp = single_process_run(kind, shards);
+            let sp = single_process_run(kind, shards)?;
             if shards == 1 {
                 node_base = report.metrics.throughput_tps;
                 sp_base = sp.throughput_tps;
@@ -209,7 +210,7 @@ fn main() {
             four.node_speedup
         );
     }
-    table.emit();
+    table.emit()?;
 
     // JSON artifact for CI (schema: harmonybc-fig24/v1).
     let mut json = String::from("{\n  \"schema\": \"harmonybc-fig24/v1\",\n  \"points\": [\n");
@@ -231,10 +232,7 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-    let path = results_dir().join("fig24_sharded_node.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("\nwrote {}", path.display());
-    }
+    let path = write_artifact(&format!("{name}.json"), &json)?;
+    println!("\nwrote {}", path.display());
+    Ok(())
 }

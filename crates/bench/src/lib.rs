@@ -1,7 +1,8 @@
 //! Benchmark harness: regenerates every table and figure of the paper's
-//! evaluation (§5). Each `src/bin/figXX_*` binary prints the same
-//! rows/series the paper reports and appends CSV files under
-//! `EXPERIMENTS-results/`.
+//! evaluation (§5). Each entry of [`figures::FIGURES`] prints the same
+//! rows/series the paper reports and writes CSV files under
+//! `EXPERIMENTS-results/`; the one `harmony-bench` binary runs them by
+//! name (`cargo run --release -p harmony-bench -- fig01_gap`, or `all`).
 //!
 //! Absolute numbers come from the virtual-time model (see DESIGN.md); the
 //! *shapes* — who wins, by what factor, where crossovers fall — are the
@@ -9,9 +10,10 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
-use harmony_common::Result;
+use harmony_common::{Error, Result};
 use harmony_core::executor::TxnOutcome;
 use harmony_core::HarmonyConfig;
 use harmony_dcc_baselines::ProtocolBlockResult;
@@ -19,6 +21,8 @@ use harmony_sim::{run_experiment, EngineKind, RunConfig, RunMetrics};
 use harmony_storage::StorageConfig;
 use harmony_txn::Key;
 use harmony_workloads::{Smallbank, SmallbankConfig, Tpcc, TpccConfig, Workload, Ycsb, YcsbConfig};
+
+pub mod figures;
 
 /// Parse a comma-separated engine list (the `HARMONY_ENGINES` format).
 /// Unknown names abort loudly — a silently empty figure is worse than a
@@ -293,14 +297,23 @@ fn has_cycle(succ: &std::collections::HashMap<usize, Vec<usize>>, nodes: &[usize
 
 // ── Output helpers ───────────────────────────────────────────────────────
 
-/// Results directory (created on demand).
-#[must_use]
-pub fn results_dir() -> PathBuf {
+/// Write `EXPERIMENTS-results/<file>`, creating the directory, and
+/// return its path; an error names the path it failed on.
+pub(crate) fn write_artifact(file: &str, contents: &str) -> Result<PathBuf> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("EXPERIMENTS-results");
-    let _ = fs::create_dir_all(&dir);
-    dir
+    fs::create_dir_all(&dir).map_err(|e| path_error("create", &dir, &e))?;
+    let path = dir.join(file);
+    fs::write(&path, contents).map_err(|e| path_error("write", &path, &e))?;
+    Ok(path)
+}
+
+fn path_error(action: &str, path: &Path, e: &io::Error) -> Error {
+    Error::Io(io::Error::new(
+        e.kind(),
+        format!("could not {action} {}: {e}", path.display()),
+    ))
 }
 
 /// A printable/CSV-able result table.
@@ -359,7 +372,7 @@ impl Table {
     }
 
     /// Print to stdout and write `EXPERIMENTS-results/<name>.csv`.
-    pub fn emit(&self) {
+    pub fn emit(&self) -> Result<()> {
         println!("\n== {} ==", self.name);
         print!("{}", self.render());
         let mut csv = self.header.join(",") + "\n";
@@ -367,10 +380,7 @@ impl Table {
             csv.push_str(&row.join(","));
             csv.push('\n');
         }
-        let path = results_dir().join(format!("{}.csv", self.name));
-        if let Err(e) = fs::write(&path, csv) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
+        write_artifact(&format!("{}.csv", self.name), &csv).map(drop)
     }
 }
 

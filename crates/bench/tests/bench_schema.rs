@@ -1,11 +1,11 @@
-//! Schema checks for the JSON artifacts that the bench-smoke binaries
-//! write under `EXPERIMENTS-results/`.
+//! Schema checks for the JSON artifacts that the bench-smoke figures of
+//! `harmony-bench` write under `EXPERIMENTS-results/`.
 //!
 //! The workspace has no JSON dependency (offline build), so this uses a
 //! small purpose-built scanner: enough to verify each artifact is
 //! well-formed, carries the expected schema tag and reports the figure's
 //! acceptance shape. The CI bench-smoke job deletes the artifacts, runs
-//! the binaries that write them, then runs this file, so a binary that
+//! the figures that write them, then runs this file, so a figure that
 //! stops writing its artifact or drifts from its schema fails there.
 
 use std::path::Path;

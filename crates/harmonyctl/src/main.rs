@@ -191,32 +191,55 @@ fn spawn(flags: &Flags) -> Result<()> {
     Ok(())
 }
 
-/// Poll each spawned node with a status request until all answer. Fails
-/// as soon as a node exits first, or after [`SPAWN_READY_TIMEOUT`],
-/// naming the node and its log.
+/// Poll each spawned node with a status request until every one has
+/// answered, exited, or run out [`SPAWN_READY_TIMEOUT`]. If any failed,
+/// kill and reap every node still running and name each failed node, in
+/// index order, with its log.
 fn await_listening(spec: &ClusterSpec, mut children: Vec<(usize, Child, PathBuf)>) -> Result<()> {
     let started = Instant::now();
-    while !children.is_empty() {
-        for (index, child, log) in &mut children {
-            let exited = child.try_wait().map_err(Error::Io)?;
-            if exited.is_some() || started.elapsed() >= SPAWN_READY_TIMEOUT {
-                let why = exited.map_or(
-                    format!("did not answer within {SPAWN_READY_TIMEOUT:?}"),
-                    |e| format!("exited ({e}) before it listened"),
-                );
-                let msg = format!("node {index} {why}; see {}", log.display());
-                return Err(Error::Io(std::io::Error::other(msg)));
+    // Per node: `None` until it answers (`Ok`) or fails (`Err(why)`).
+    let mut outcome: Vec<Option<std::result::Result<(), String>>> = vec![None; children.len()];
+    loop {
+        for ((index, child, _), slot) in children.iter_mut().zip(&mut outcome) {
+            if slot.is_some() {
+                continue;
             }
-        }
-        children.retain(|(index, _, _)| {
-            spec.node_addr(*index)
+            if let Some(exit) = child.try_wait().map_err(Error::Io)? {
+                *slot = Some(Err(format!("exited ({exit}) before it listened")));
+            } else if spec
+                .node_addr(*index)
                 .and_then(CtlClient::connect)
                 .and_then(|mut c| c.status())
-                .is_err()
-        });
+                .is_ok()
+            {
+                *slot = Some(Ok(()));
+            } else if started.elapsed() >= SPAWN_READY_TIMEOUT {
+                *slot = Some(Err(format!(
+                    "did not answer within {SPAWN_READY_TIMEOUT:?}"
+                )));
+            }
+        }
+        if outcome.iter().all(Option::is_some) {
+            break;
+        }
         std::thread::sleep(Duration::from_millis(20));
     }
-    Ok(())
+    let failures: Vec<String> = children
+        .iter()
+        .zip(&outcome)
+        .filter_map(|((index, _, log), slot)| {
+            let why = slot.as_ref()?.as_ref().err()?;
+            Some(format!("node {index} {why}; see {}", log.display()))
+        })
+        .collect();
+    if failures.is_empty() {
+        return Ok(());
+    }
+    for (_, child, _) in &mut children {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+    Err(Error::Io(std::io::Error::other(failures.join("\n"))))
 }
 
 /// Run one node process in the foreground until a control-plane

@@ -5,6 +5,7 @@
 //! live metrics scrapes.
 
 use std::net::TcpStream;
+use std::os::unix::fs::PermissionsExt;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -258,5 +259,52 @@ fn spawn_fails_when_a_node_exits_before_listening() {
     assert!(
         stderr.contains("node 1 exited") && stderr.contains("node-1.log"),
         "the error names the node and its log: {stderr}"
+    );
+}
+
+#[test]
+fn spawn_kills_every_node_when_one_fails_at_start_up() {
+    let dir = std::env::temp_dir().join(format!("hbc-net-smoke-{}-half", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    // Node 1 fails at start-up; every other node is a real one.
+    let script = dir.join("node.sh");
+    std::fs::write(
+        &script,
+        format!("#!/bin/sh\n[ \"$5\" = 1 ] && exit 1\nexec '{BIN}' \"$@\"\n"),
+    )
+    .expect("write script");
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+    let output = Command::new(BIN)
+        .args(["spawn", "--dir"])
+        .arg(&dir)
+        .arg("--binary")
+        .arg(&script)
+        .output()
+        .expect("run harmonyctl");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let pids: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split_whitespace().skip_while(|w| *w != "pid").nth(1))
+        .collect();
+    let survivors: Vec<&str> = pids
+        .iter()
+        .copied()
+        .filter(|pid| Path::new("/proc").join(pid).exists())
+        .collect();
+    for pid in &survivors {
+        let _ = Command::new("kill").args(["-9", pid]).status();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "spawn must fail: {stdout}");
+    assert!(
+        stderr.contains("node 1 exited") && stderr.contains("node-1.log"),
+        "the error names node 1 and its log: {stderr}"
+    );
+    assert!(pids.len() >= 3, "spawn printed every node's pid: {stdout}");
+    assert!(
+        survivors.is_empty(),
+        "spawn left nodes {survivors:?} of {pids:?} running"
     );
 }
