@@ -10,7 +10,12 @@
 //! accumulators), apply order is `(min_out, tid)`-sorted, and each key has
 //! a deterministic owner — so the committed state is a pure function of
 //! (snapshot, block contents, config), independent of thread count and
-//! interleaving.
+//! interleaving. The install is serial: the calling thread applies the
+//! block's key plans one at a time, in key order, each inside its own
+//! `vtime::scope` whose charge goes to the plan's owner. So the pages the
+//! block leaves, and which transaction pays for a leaf split, a buffer
+//! miss or an eviction, follow from the block too. Only the simulation
+//! step runs on the worker team.
 //!
 //! # Inter-block parallelism (§3.4)
 //!
@@ -43,7 +48,7 @@ use harmony_txn::{simulate, Contract, Key, RangePredicate, RwSet};
 
 use crate::config::HarmonyConfig;
 use crate::meta::TxnMeta;
-use crate::par::{run_indexed, run_indexed_with};
+use crate::par::run_indexed_with;
 use crate::reorder::{apply_key_plan, build_apply_plans};
 use crate::reservation::{RegisterScratch, ReservationTable};
 use crate::snapshot::SnapshotStore;
@@ -201,7 +206,7 @@ impl BlockExecutor {
         let metas: Vec<TxnMeta> = (0..n)
             .map(|i| TxnMeta::new(TxnId::new(block.id, i as u32).0))
             .collect();
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(n);
 
         // Each worker keeps one snapshot view and one reservation scratch
         // for its whole run — no per-transaction allocations for either.
@@ -325,27 +330,17 @@ impl BlockExecutor {
             &committed,
             self.config.update_reordering,
         );
-        let mut plans_by_owner: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (pi, plan) in plans.iter().enumerate() {
-            plans_by_owner[plan.owner as usize].push(pi);
-        }
-        let coalesce = self.config.update_coalescence;
-        let store = &self.store;
-        let apply_out = run_indexed(n, self.config.workers, |i| {
-            vtime::scope(|| {
-                let mut noops = 0u64;
-                for &pi in &plans_by_owner[i] {
-                    noops += apply_key_plan(store, block.id, &plans[pi], coalesce)?;
-                }
-                Ok::<u64, harmony_common::Error>(noops)
-            })
-        });
-
+        // One plan at a time, in key order, on this thread: which
+        // transaction pays for a split, a miss or an eviction, and the
+        // pages the block leaves, follow from the block alone.
         let mut commit_ns = vec![0u64; n];
         let mut noop_total = 0u64;
-        for (i, (res, ns)) in apply_out.into_iter().enumerate() {
-            commit_ns[i] = ns;
-            noop_total += res?;
+        for plan in &plans {
+            let (noops, ns) = vtime::scope(|| {
+                apply_key_plan(&self.store, block.id, plan, self.config.update_coalescence)
+            });
+            noop_total += noops?;
+            commit_ns[plan.owner as usize] += ns;
         }
 
         // ── Summary for the next block (Rule 3 bookkeeping) ────────────

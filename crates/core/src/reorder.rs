@@ -5,16 +5,16 @@
 //! a topological order of the rw-subgraph once Rule 1 eliminated all
 //! backward dangerous structures, Theorem 2), and folded into one
 //! *coalesced* read-modify-write per key. Exactly one transaction — the
-//! plan's deterministic owner — applies each key's plan; the paper uses
+//! plan's deterministic owner — pays for each key's plan; the paper uses
 //! first-comer claiming under a critical section, we assign the owner
 //! deterministically (the first committed writer in apply order), which
-//! has the same parallelism and makes cost attribution reproducible.
+//! makes cost attribution reproducible.
 //!
-//! A coalesced plan touches its key once: the one read serves as both the
-//! input of the folded commands and the before-image the snapshot store
-//! records, and the one write records the after-image the chain folds
-//! into its state commitment. The virtual time of the before-image read
-//! the store used to make is still charged, so every figure keeps its
+//! A coalesced plan finds its key once: one read-modify-write of the row
+//! hands the folded commands their input, which is also the before-image
+//! the snapshot store records, and writes the after-image the chain folds
+//! into its state commitment. The virtual time of the second read and of
+//! the write's own descent is still charged, so every figure keeps its
 //! cost model.
 
 use harmony_common::{BlockId, Error, Result};
@@ -82,7 +82,7 @@ pub fn build_apply_plans(
             owner,
         });
     });
-    // Deterministic plan order (parallel apply iterates per owner anyway).
+    // Key order: the order the commit step installs the plans in.
     plans.sort_by(|a, b| a.key.cmp(&b.key));
     plans
 }
@@ -91,10 +91,12 @@ pub fn build_apply_plans(
 ///
 /// With `coalesce = true` the whole plan costs one read and one write
 /// (Figure 5b); with `coalesce = false` every writer's commands pay their
-/// own lookup and page write (Figure 5a). The value a write's own lookup
-/// returned is the before-image the snapshot store records, so no key is
-/// read twice; the store charges the virtual time of the second read the
-/// model has always counted (see [`SnapshotStore::apply_write_with_before`]).
+/// own lookup and page write (Figure 5a). The plan's first write is one
+/// read-modify-write of the row ([`SnapshotStore::apply_write`]): the
+/// commands fold over the value it finds, which is also the before-image
+/// the store records, so no key is read twice. The virtual time of the
+/// second read the model has always counted is charged instead
+/// ([`harmony_storage::StorageEngine::charge_reread`]).
 ///
 /// Read-modify-write commands hitting a missing record are *no-ops* (SQL
 /// `UPDATE` matching zero rows); the number of skipped commands is
@@ -106,42 +108,42 @@ pub fn apply_key_plan(
     coalesce: bool,
 ) -> Result<u64> {
     let mut noops = 0u64;
-    let read =
-        || -> Result<Option<Value>> { store.engine().get_as(plan.key.table(), plan.key.row()) };
-    let mut run = |cur: &mut Option<Value>, seq: &CommandSeq| -> Result<()> {
-        for cmd in seq.commands() {
-            match cmd.apply(cur.as_ref()) {
-                Ok(v) => *cur = v,
-                Err(Error::InvalidArgument(_)) => noops += 1,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    };
-    if coalesce {
-        // One read: current value (state after the previous block).
-        let before = read()?;
-        let mut cur = before.clone();
-        for (_, _, seq) in &plan.cmds {
-            run(&mut cur, seq)?;
-        }
-        // One write (plus the undo record for snapshot readers).
-        let last_tid = plan.cmds.last().expect("plan never empty").0;
-        store.apply_write_with_before(block, last_tid, &plan.key, before, cur.as_ref())?;
-    } else {
-        // Each writer pays its own round trip, in plan order.
-        for (i, (tid, _, seq)) in plan.cmds.iter().enumerate() {
-            let before = read()?;
-            let mut cur = before.clone();
-            run(&mut cur, seq)?;
-            if i == 0 {
-                store.apply_write_with_before(block, *tid, &plan.key, before, cur.as_ref())?;
-            } else {
-                store.overwrite_in_block(*tid, &plan.key, cur.as_ref())?;
-            }
+    let (table, row) = (plan.key.table(), plan.key.row());
+    // Coalesced: one group of every writer. Otherwise one group each, in
+    // plan order, each paying its own round trip.
+    let group = if coalesce { plan.cmds.len() } else { 1 };
+    for (i, cmds) in plan.cmds.chunks(group).enumerate() {
+        let tid = cmds.last().expect("plan never empty").0;
+        if i == 0 {
+            store.apply_write(block, tid, &plan.key, |before| {
+                let mut cur = before.cloned();
+                run_commands(&mut cur, cmds, &mut noops)?;
+                Ok(cur)
+            })?;
+            store.engine().charge_reread(table)?;
+        } else {
+            let mut cur = store.engine().get_as(table, row)?;
+            run_commands(&mut cur, cmds, &mut noops)?;
+            store.overwrite_in_block(tid, &plan.key, cur.as_ref())?;
         }
     }
     Ok(noops)
+}
+
+/// Fold `cmds`' commands over `cur`, counting those that match no row.
+fn run_commands(
+    cur: &mut Option<Value>,
+    cmds: &[(u64, u32, CommandSeq)],
+    noops: &mut u64,
+) -> Result<()> {
+    for cmd in cmds.iter().flat_map(|(_, _, seq)| seq.commands()) {
+        match cmd.apply(cur.as_ref()) {
+            Ok(v) => *cur = v,
+            Err(Error::InvalidArgument(_)) => *noops += 1,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -182,7 +184,7 @@ mod tests {
         store.engine().put(t, b"x", &10f64.to_le_bytes()).unwrap();
         let key = Key::new(t, &b"x"[..]);
 
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(2);
         let t1 = tid(1, 0);
         let t2 = tid(1, 1);
         let metas = vec![TxnMeta::new(t1), TxnMeta::new(t2)];
@@ -226,7 +228,7 @@ mod tests {
         let (store, t) = setup();
         store.engine().put(t, b"x", &10f64.to_le_bytes()).unwrap();
         let key = Key::new(t, &b"x"[..]);
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(2);
         let metas = vec![TxnMeta::new(tid(1, 0)), TxnMeta::new(tid(1, 1))];
         metas[1].note_out_edge(tid(1, 0));
         let mut rw1 = RwSet::default();
@@ -260,7 +262,7 @@ mod tests {
         let (store, t) = setup();
         store.engine().put(t, b"x", &f64v(1.0)).unwrap();
         let key = Key::new(t, &b"x"[..]);
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(2);
         let metas = vec![TxnMeta::new(tid(1, 0)), TxnMeta::new(tid(1, 1))];
         let mut rw1 = RwSet::default();
         rw1.record_update(
@@ -293,7 +295,7 @@ mod tests {
     fn all_writers_aborted_no_plan() {
         let (_store, t) = setup();
         let key = Key::new(t, &b"x"[..]);
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(2);
         let metas = vec![TxnMeta::new(tid(1, 0))];
         let mut rw = RwSet::default();
         rw.record_update(key, UpdateCommand::Delete);
@@ -308,7 +310,7 @@ mod tests {
             let (store, t) = setup();
             store.engine().put(t, b"hot", &f64v(5.0)).unwrap();
             let key = Key::new(t, &b"hot"[..]);
-            let table = ReservationTable::new();
+            let table = ReservationTable::new(2);
             let n = 8u32;
             let metas: Vec<TxnMeta> = (0..n).map(|i| TxnMeta::new(tid(1, i))).collect();
             let mut rwsets = Vec::new();
@@ -341,8 +343,10 @@ mod tests {
         }
     }
 
-    /// What `apply_key_plan` did before it kept its own read: the same
-    /// commands, then `apply_write`, which reads the key a second time.
+    /// What `apply_key_plan` did before it kept its own read: read the key,
+    /// run the commands, then read it again for the before-image and write
+    /// it (an `apply_write` that ignores the value it finds charges that
+    /// read and that write).
     fn apply_rereading(store: &SnapshotStore, block: BlockId, plan: &KeyPlan, coalesce: bool) {
         let read = || {
             store
@@ -365,7 +369,7 @@ mod tests {
             }
             let last_tid = plan.cmds.last().unwrap().0;
             store
-                .apply_write(block, last_tid, &plan.key, cur.as_ref())
+                .apply_write(block, last_tid, &plan.key, |_| Ok(cur))
                 .unwrap();
         } else {
             for (i, (tid, _, seq)) in plan.cmds.iter().enumerate() {
@@ -373,7 +377,7 @@ mod tests {
                 run(&mut cur, seq);
                 if i == 0 {
                     store
-                        .apply_write(block, *tid, &plan.key, cur.as_ref())
+                        .apply_write(block, *tid, &plan.key, |_| Ok(cur))
                         .unwrap();
                 } else {
                     store
@@ -482,7 +486,7 @@ mod tests {
     fn rmw_on_missing_record_is_noop() {
         let (store, t) = setup();
         let key = Key::new(t, &b"ghost"[..]);
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(2);
         let metas = vec![TxnMeta::new(tid(1, 0))];
         let mut rw = RwSet::default();
         rw.record_update(
@@ -506,7 +510,7 @@ mod tests {
         let (store, t) = setup();
         store.engine().put(t, b"x", &f64v(9.0)).unwrap();
         let key = Key::new(t, &b"x"[..]);
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(2);
         let metas = vec![TxnMeta::new(tid(1, 0)), TxnMeta::new(tid(1, 1))];
         let mut rw1 = RwSet::default();
         rw1.record_update(key.clone(), UpdateCommand::Delete);

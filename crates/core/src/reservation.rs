@@ -27,7 +27,15 @@ use parking_lot::Mutex;
 
 use crate::meta::TxnMeta;
 
-const SHARDS: usize = 32;
+/// Most shards a table has: enough that a block's registering workers
+/// seldom meet on one lock.
+const MAX_SHARDS: usize = 32;
+
+/// Transactions per shard, and keys per transaction, a table is sized
+/// for: a Smallbank transaction touches two to four keys, a YCSB one up
+/// to ten. A larger block grows the maps; a smaller one allocates less.
+const TXNS_PER_SHARD: usize = 8;
+const KEYS_PER_TXN: usize = 4;
 
 /// Inline capacity of an [`IdxList`]. In a typical block almost every key
 /// sees at most a couple of readers/writers, so the common case costs no
@@ -86,11 +94,6 @@ struct KeyEntry {
 
 type KeyShard = HashMap<Key, KeyEntry, BuildNoRehash>;
 
-/// Pre-sized per-shard map capacity: a block's keys spread over [`SHARDS`]
-/// shards, so a handful of buckets per shard absorbs typical blocks
-/// without rehash-and-move cycles during registration.
-const SHARD_CAPACITY: usize = 32;
-
 /// Reusable per-worker scratch for [`ReservationTable::register_with`]:
 /// holds the shard-grouped `(shard, op)` pairs of one transaction so the
 /// grouping buffer is allocated once per worker, not once per transaction.
@@ -107,21 +110,20 @@ pub struct ReservationTable {
     preds: Mutex<Vec<(u32, RangePredicate)>>,
 }
 
-impl Default for ReservationTable {
-    fn default() -> Self {
-        ReservationTable::new()
-    }
-}
-
 impl ReservationTable {
-    /// Empty table.
+    /// Empty table for a block of `txns` transactions: a shard per eight
+    /// of them (at least one, at most 32), each map pre-sized for its share
+    /// of the block's keys, so a typical block registers without
+    /// rehash-and-move cycles and a small one does not pay for 32 maps.
     #[must_use]
-    pub fn new() -> ReservationTable {
+    pub fn new(txns: usize) -> ReservationTable {
+        let shards = txns.div_ceil(TXNS_PER_SHARD).clamp(1, MAX_SHARDS);
+        let capacity = (txns * KEYS_PER_TXN).div_ceil(shards);
         ReservationTable {
-            shards: (0..SHARDS)
+            shards: (0..shards)
                 .map(|_| {
                     Mutex::new(KeyShard::with_capacity_and_hasher(
-                        SHARD_CAPACITY,
+                        capacity,
                         BuildNoRehash::default(),
                     ))
                 })
@@ -130,7 +132,7 @@ impl ReservationTable {
         }
     }
 
-    fn shard_index(key: &Key) -> u32 {
+    fn shard_index(&self, key: &Key) -> u32 {
         // Cached FNV-1a digest: stable across releases and never re-walks
         // the row bytes. The *high* half picks the shard — the in-shard
         // map indexes buckets with the low bits of the same digest, so
@@ -138,7 +140,7 @@ impl ReservationTable {
         // the same buckets.
         #[allow(clippy::cast_possible_truncation)]
         {
-            ((key.hash64() >> 32) % SHARDS as u64) as u32
+            ((key.hash64() >> 32) % self.shards.len() as u64) as u32
         }
     }
 
@@ -158,10 +160,10 @@ impl ReservationTable {
         let ops = &mut scratch.ops;
         ops.clear();
         for (i, r) in rwset.reads.iter().enumerate() {
-            ops.push((Self::shard_index(&r.key), i as u32));
+            ops.push((self.shard_index(&r.key), i as u32));
         }
         for (i, (key, _)) in rwset.updates.iter().enumerate() {
-            ops.push((Self::shard_index(key), reads + i as u32));
+            ops.push((self.shard_index(key), reads + i as u32));
         }
         // Group by shard (ties keep op order: reads before writes).
         ops.sort_unstable();
@@ -287,7 +289,7 @@ mod tests {
 
     #[test]
     fn reader_writer_pair_fires_both_edges() {
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(4);
         // T1 writes x; T2 reads x.
         table.register(0, &rw(&[], &["x"]));
         table.register(1, &rw(&["x"], &[]));
@@ -301,7 +303,7 @@ mod tests {
     #[test]
     fn figure_3a_two_txn_cycle_detected() {
         // T1 reads y writes x; T2 reads x writes y.
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(4);
         table.register(0, &rw(&["y"], &["x"]));
         table.register(1, &rw(&["x"], &["y"]));
         let m = metas(&[1, 2]);
@@ -318,7 +320,7 @@ mod tests {
 
     #[test]
     fn ww_only_conflict_fires_no_rw_events() {
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(4);
         table.register(0, &rw(&[], &["x"]));
         table.register(1, &rw(&[], &["x"]));
         let m = metas(&[1, 2]);
@@ -332,7 +334,7 @@ mod tests {
 
     #[test]
     fn self_read_write_not_an_edge() {
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(4);
         table.register(0, &rw(&["x"], &["x"]));
         let m = metas(&[1]);
         table.fire_rw_events(&m);
@@ -343,7 +345,7 @@ mod tests {
     #[test]
     fn predicate_read_covers_insert() {
         // T2 scans [a, m); T1 inserts "g" — a phantom. Edge T1 ←rw T2.
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(4);
         table.register(0, &rw(&[], &["g"]));
         let mut scanner = RwSet::default();
         scanner.record_scan(RangePredicate {
@@ -360,7 +362,7 @@ mod tests {
 
     #[test]
     fn predicate_outside_range_no_edge() {
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(4);
         table.register(0, &rw(&[], &["z"]));
         let mut scanner = RwSet::default();
         scanner.record_scan(RangePredicate {
@@ -377,7 +379,7 @@ mod tests {
     #[test]
     fn multi_writer_multi_reader_hotspot() {
         // Writers T1..T3 and readers T4, T5 on one hot key.
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(4);
         for i in 0..3 {
             table.register(i, &rw(&[], &["hot"]));
         }
@@ -413,7 +415,7 @@ mod tests {
     fn hotspot_key_tracks_many_readers_and_writers() {
         // More readers/writers on one key than the inline capacity: the
         // spill path must keep every index.
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(4);
         for i in 0..10 {
             table.register(i, &rw(&["hot"], &["hot"]));
         }
@@ -427,8 +429,8 @@ mod tests {
 
     #[test]
     fn register_with_reused_scratch_matches_register() {
-        let fresh = ReservationTable::new();
-        let reused = ReservationTable::new();
+        let fresh = ReservationTable::new(4);
+        let reused = ReservationTable::new(4);
         let mut scratch = RegisterScratch::default();
         let sets = [
             rw(&["a", "b"], &["x"]),
@@ -452,7 +454,7 @@ mod tests {
 
     #[test]
     fn for_each_written_key_visits_all() {
-        let table = ReservationTable::new();
+        let table = ReservationTable::new(4);
         table.register(0, &rw(&[], &["a", "b"]));
         table.register(1, &rw(&[], &["b"]));
         let mut seen: Vec<(String, usize)> = Vec::new();

@@ -16,16 +16,17 @@
 //!   [`SnapshotStore::gc`] drops the stale undo entries (pipeline depth is
 //!   2, so the undo chain per key stays ≤ 2 entries).
 //!
-//! # One read per written key
+//! # One descent per written key
 //!
-//! The before-image is the value the writer already read:
-//! [`SnapshotStore::apply_write_with_before`] takes it from the caller
-//! (Harmony's coalesced read-modify-write reads each key once) and charges
-//! the virtual time of the read it no longer makes, so the cost model is
-//! the same as a second read's. [`SnapshotStore::apply_write`] reads the
-//! before-image itself, for callers that install values they did not read
-//! (the baselines' evaluated write-sets). The after-image is the value
-//! written; [`SnapshotStore::overwrite_in_block`] replaces it.
+//! [`SnapshotStore::apply_write`] hands the writer the key's current value
+//! and records what the writer makes of it, in one read-modify-write of
+//! the engine ([`StorageEngine::update_with`]): the value handed over is
+//! the before-image, the value returned the after-image, and the row is
+//! found once for both. Harmony's coalesced plans fold their commands over
+//! that value; the baselines install values they evaluated earlier and
+//! ignore it. The engine charges the virtual time of a read followed by a
+//! write, so the cost model is that of the two calls it replaces.
+//! [`SnapshotStore::overwrite_in_block`] replaces a block's after-image.
 //!
 //! # Hot-path layout
 //!
@@ -266,11 +267,12 @@ impl SnapshotStore {
         &self.shards[((key.hash64() >> 32) as usize) % SHARDS]
     }
 
-    /// Apply one committed write on behalf of block `block` / writer `tid`,
-    /// reading the key's before-image from the engine first. Must be called
-    /// at most once per (key, block) — Harmony's coalescence guarantees
-    /// that. Records the before-image for snapshot readers and `value` as
-    /// the block's after-image.
+    /// Apply one committed write on behalf of block `block` / writer `tid`:
+    /// `f` maps the key's current value, its before-image, to what the
+    /// block leaves in it (`None`: deleted). The engine makes it as one
+    /// read-modify-write ([`StorageEngine::update_with`]), and the undo
+    /// entry records both images before the row changes. Must be called at
+    /// most once per (key, block) — Harmony's coalescence guarantees that.
     ///
     /// GC horizons must not move backwards across calls (the pipeline's
     /// are monotonic), see [`SnapshotStore::gc`].
@@ -279,39 +281,21 @@ impl SnapshotStore {
         block: BlockId,
         tid: u64,
         key: &Key,
-        value: Option<&Value>,
+        f: impl FnOnce(Option<&Value>) -> Result<Option<Value>>,
     ) -> Result<()> {
-        let before = self.engine.get_as(key.table(), key.row())?;
-        self.install(block, tid, key, before, value)
-    }
-
-    /// [`SnapshotStore::apply_write`] for a writer that has just read the
-    /// key itself: `before` is the value that read returned. Nothing is
-    /// read again; the virtual time of the second read is charged instead
-    /// ([`StorageEngine::charge_reread`]), so the cost model does not move.
-    pub fn apply_write_with_before(
-        &self,
-        block: BlockId,
-        tid: u64,
-        key: &Key,
-        before: Option<Value>,
-        value: Option<&Value>,
-    ) -> Result<()> {
-        self.engine.charge_reread(key.table())?;
-        self.install(block, tid, key, before, value)
-    }
-
-    fn install(
-        &self,
-        block: BlockId,
-        tid: u64,
-        key: &Key,
-        before: Option<Value>,
-        value: Option<&Value>,
-    ) -> Result<()> {
-        self.cell_for(key)
-            .insert_undo(key, block, tid, before, Some(value.cloned()));
-        self.write_engine(key, value)
+        self.engine
+            .update_with(key.table(), key.row(), |before: Option<&Value>| {
+                let after = f(before)?;
+                self.cell_for(key).insert_undo(
+                    key,
+                    block,
+                    tid,
+                    before.cloned(),
+                    Some(after.clone()),
+                );
+                Ok(after)
+            })?;
+        Ok(())
     }
 
     fn write_engine(&self, key: &Key, value: Option<&Value>) -> Result<()> {
@@ -701,14 +685,17 @@ mod tests {
         Value::copy_from_slice(s.as_bytes())
     }
 
+    /// Write `value` into `key` in `block`, whatever the key held.
+    fn write(s: &SnapshotStore, block: BlockId, tid: u64, key: &Key, value: Option<Value>) {
+        s.apply_write(block, tid, key, |_| Ok(value)).unwrap();
+    }
+
     #[test]
     fn snapshot_isolation_across_blocks() {
         let (s, t) = store();
         s.engine().put(t, b"x", b"v0").unwrap(); // genesis state
-        s.apply_write(BlockId(1), 100, &key(t, "x"), Some(&val("v1")))
-            .unwrap();
-        s.apply_write(BlockId(2), 200, &key(t, "x"), Some(&val("v2")))
-            .unwrap();
+        write(&s, BlockId(1), 100, &key(t, "x"), Some(val("v1")));
+        write(&s, BlockId(2), 200, &key(t, "x"), Some(val("v2")));
         assert_eq!(
             s.read_at(BlockId(0), &key(t, "x")).unwrap(),
             Some(val("v0"))
@@ -730,13 +717,10 @@ mod tests {
     #[test]
     fn keys_written_in_exports_sorted_per_block_write_set() {
         let (s, t) = store();
-        s.apply_write(BlockId(1), 1, &key(t, "b"), Some(&val("b1")))
-            .unwrap();
-        s.apply_write(BlockId(1), 2, &key(t, "a"), Some(&val("a1")))
-            .unwrap();
-        s.apply_write(BlockId(1), 3, &key(t, "c"), None).unwrap(); // delete counts
-        s.apply_write(BlockId(2), 4, &key(t, "a"), Some(&val("a2")))
-            .unwrap();
+        write(&s, BlockId(1), 1, &key(t, "b"), Some(val("b1")));
+        write(&s, BlockId(1), 2, &key(t, "a"), Some(val("a1")));
+        write(&s, BlockId(1), 3, &key(t, "c"), None); // delete counts
+        write(&s, BlockId(2), 4, &key(t, "a"), Some(val("a2")));
         assert_eq!(
             s.keys_written_in(BlockId(1)),
             vec![key(t, "a"), key(t, "b"), key(t, "c")]
@@ -753,15 +737,20 @@ mod tests {
     fn writes_in_hands_over_each_blocks_after_images() {
         let (s, t) = store();
         s.engine().put(t, b"a", b"a0").unwrap();
-        s.apply_write(BlockId(1), 1, &key(t, "b"), Some(&val("b1")))
-            .unwrap();
-        s.apply_write_with_before(BlockId(1), 2, &key(t, "a"), Some(val("a0")), None)
-            .unwrap();
-        s.apply_write(BlockId(1), 3, &key(t, "c"), Some(&val("c1")))
-            .unwrap();
+        write(&s, BlockId(1), 1, &key(t, "b"), Some(val("b1")));
+        s.apply_write(BlockId(1), 2, &key(t, "a"), |before| {
+            assert_eq!(
+                before,
+                Some(&val("a0")),
+                "the row's value is handed to the write"
+            );
+            Ok(None)
+        })
+        .unwrap();
+        write(&s, BlockId(1), 3, &key(t, "c"), Some(val("c1")));
         s.overwrite_in_block(4, &key(t, "c"), Some(&val("c1b")))
             .unwrap();
-        s.apply_write(BlockId(2), 5, &key(t, "b"), None).unwrap();
+        write(&s, BlockId(2), 5, &key(t, "b"), None);
         assert_eq!(
             s.writes_in(BlockId(1)).unwrap(),
             vec![
@@ -789,8 +778,7 @@ mod tests {
         assert!(matches!(s.writes_in(BlockId(4)), Err(Error::NotFound(_))));
         // The keys are still known, and later blocks fold as usual.
         assert_eq!(s.keys_written_in(BlockId(4)), vec![key(t, "x")]);
-        s.apply_write(BlockId(5), 10, &key(t, "x"), Some(&val("x5")))
-            .unwrap();
+        write(&s, BlockId(5), 10, &key(t, "x"), Some(val("x5")));
         assert_eq!(
             s.writes_in(BlockId(5)).unwrap(),
             vec![(key(t, "x"), Some(val("x5")))]
@@ -801,9 +789,8 @@ mod tests {
     fn snapshot_hides_insert_and_restores_delete() {
         let (s, t) = store();
         s.engine().put(t, b"old", b"o").unwrap();
-        s.apply_write(BlockId(1), 1, &key(t, "new"), Some(&val("n")))
-            .unwrap();
-        s.apply_write(BlockId(1), 2, &key(t, "old"), None).unwrap();
+        write(&s, BlockId(1), 1, &key(t, "new"), Some(val("n")));
+        write(&s, BlockId(1), 2, &key(t, "old"), None);
         // At snapshot 0: "new" invisible, "old" still present.
         assert_eq!(s.read_at(BlockId(0), &key(t, "new")).unwrap(), None);
         assert_eq!(
@@ -823,11 +810,9 @@ mod tests {
         let (s, t) = store();
         s.engine().put(t, b"a", b"a0").unwrap();
         s.engine().put(t, b"c", b"c0").unwrap();
-        s.apply_write(BlockId(1), 1, &key(t, "b"), Some(&val("b1")))
-            .unwrap(); // insert
-        s.apply_write(BlockId(1), 2, &key(t, "c"), None).unwrap(); // delete
-        s.apply_write(BlockId(1), 3, &key(t, "a"), Some(&val("a1")))
-            .unwrap(); // update
+        write(&s, BlockId(1), 1, &key(t, "b"), Some(val("b1"))); // insert
+        write(&s, BlockId(1), 2, &key(t, "c"), None); // delete
+        write(&s, BlockId(1), 3, &key(t, "a"), Some(val("a1"))); // update
 
         let collect = |snap: u64| {
             let mut rows = Vec::new();
@@ -857,8 +842,7 @@ mod tests {
             s.engine().put(t, &i.to_be_bytes(), b"base").unwrap();
         }
         for i in 0..100u64 {
-            s.apply_write(BlockId(1), i, &Key::from_u64(t, i), Some(&val("new")))
-                .unwrap();
+            write(&s, BlockId(1), i, &Key::from_u64(t, i), Some(val("new")));
         }
         let mut rows = Vec::new();
         s.scan_at(
@@ -880,11 +864,9 @@ mod tests {
     fn versions_track_last_writer() {
         let (s, t) = store();
         assert_eq!(s.version_of(&key(t, "x")), None);
-        s.apply_write(BlockId(1), 111, &key(t, "x"), Some(&val("v")))
-            .unwrap();
+        write(&s, BlockId(1), 111, &key(t, "x"), Some(val("v")));
         assert_eq!(s.version_of(&key(t, "x")), Some(111));
-        s.apply_write(BlockId(2), 222, &key(t, "x"), Some(&val("w")))
-            .unwrap();
+        write(&s, BlockId(2), 222, &key(t, "x"), Some(val("w")));
         assert_eq!(s.version_of(&key(t, "x")), Some(222));
     }
 
@@ -892,10 +874,8 @@ mod tests {
     fn gc_drops_only_stale_entries() {
         let (s, t) = store();
         s.engine().put(t, b"x", b"v0").unwrap();
-        s.apply_write(BlockId(1), 1, &key(t, "x"), Some(&val("v1")))
-            .unwrap();
-        s.apply_write(BlockId(2), 2, &key(t, "x"), Some(&val("v2")))
-            .unwrap();
+        write(&s, BlockId(1), 1, &key(t, "x"), Some(val("v1")));
+        write(&s, BlockId(2), 2, &key(t, "x"), Some(val("v2")));
         assert_eq!(s.undo_keys(), 1);
         s.gc(BlockId(1));
         // Snapshot 1 must still be reconstructible.
@@ -917,10 +897,8 @@ mod tests {
         let (s, t) = store();
         // Nothing written: no shard is swept.
         assert_eq!(s.gc(BlockId(5)), 0);
-        s.apply_write(BlockId(1), 1, &key(t, "a"), Some(&val("v")))
-            .unwrap();
-        s.apply_write(BlockId(1), 2, &key(t, "b"), Some(&val("v")))
-            .unwrap();
+        write(&s, BlockId(1), 1, &key(t, "a"), Some(val("v")));
+        write(&s, BlockId(1), 2, &key(t, "b"), Some(val("v")));
         // Undo entries exist but are newer than the horizon: nothing swept.
         assert_eq!(s.gc(BlockId(0)), 0);
         assert_eq!(s.undo_keys(), 2);
@@ -939,8 +917,7 @@ mod tests {
         // Steady-state pipeline: one write + one gc per block. The arena
         // must not grow with the number of blocks.
         for b in 1..=100u64 {
-            s.apply_write(BlockId(b), b, &key(t, "x"), Some(&val("v")))
-                .unwrap();
+            write(&s, BlockId(b), b, &key(t, "x"), Some(val("v")));
             s.gc(BlockId(b.saturating_sub(1)));
         }
         let cell = s.cell_for(&key(t, "x"));
@@ -970,8 +947,7 @@ mod tests {
     fn overwrite_after_apply_write_updates_last_writer() {
         let (s, t) = store();
         s.engine().put(t, b"x", b"v0").unwrap();
-        s.apply_write(BlockId(1), 10, &key(t, "x"), Some(&val("v1")))
-            .unwrap();
+        write(&s, BlockId(1), 10, &key(t, "x"), Some(val("v1")));
         s.overwrite_in_block(11, &key(t, "x"), Some(&val("v1b")))
             .unwrap();
         assert_eq!(s.version_of(&key(t, "x")), Some(11));
@@ -994,9 +970,7 @@ mod tests {
         }
         let writer = |store: &SnapshotStore| {
             for i in 0..200u64 {
-                store
-                    .apply_write(BlockId(2), i, &Key::from_u64(t, i), Some(&val("v2")))
-                    .unwrap();
+                write(store, BlockId(2), i, &Key::from_u64(t, i), Some(val("v2")));
             }
         };
         std::thread::scope(|scope| {
@@ -1034,12 +1008,9 @@ mod tests {
     fn export_import_roundtrip_restores_snapshots() {
         let (s, t) = store();
         s.engine().put(t, b"x", b"v0").unwrap();
-        s.apply_write(BlockId(1), 1, &key(t, "x"), Some(&val("v1")))
-            .unwrap();
-        s.apply_write(BlockId(2), 2, &key(t, "x"), Some(&val("v2")))
-            .unwrap();
-        s.apply_write(BlockId(2), 3, &key(t, "y"), Some(&val("y2")))
-            .unwrap();
+        write(&s, BlockId(1), 1, &key(t, "x"), Some(val("v1")));
+        write(&s, BlockId(2), 2, &key(t, "x"), Some(val("v2")));
+        write(&s, BlockId(2), 3, &key(t, "y"), Some(val("y2")));
         let undo2 = s.export_undo_for(BlockId(2));
         assert_eq!(undo2.len(), 2, "block 2 wrote x and y");
         // Fresh store at the post-block-2 state.
@@ -1060,8 +1031,7 @@ mod tests {
     fn view_adapter_implements_snapshot_view() {
         let (s, t) = store();
         s.engine().put(t, b"k", b"v").unwrap();
-        s.apply_write(BlockId(3), 1, &key(t, "k"), Some(&val("w")))
-            .unwrap();
+        write(&s, BlockId(3), 1, &key(t, "k"), Some(val("w")));
         let v0 = s.view_at(BlockId(0));
         assert_eq!(v0.get(&key(t, "k")).unwrap(), Some(val("v")));
         let v3 = s.view_at(BlockId(3));

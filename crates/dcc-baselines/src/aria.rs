@@ -13,8 +13,9 @@
 //!   ran before its writers.
 //!
 //! Surviving transactions have disjoint write sets, so the commit step is
-//! fully parallel — Aria's strength, bought with a high abort rate under
-//! write contention, which is exactly the axis Harmony improves on.
+//! fully parallel in the cost model — Aria's strength, bought with a high
+//! abort rate under write contention, which is exactly the axis Harmony
+//! improves on.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -22,7 +23,6 @@ use std::sync::Arc;
 use harmony_common::error::AbortReason;
 use harmony_common::{vtime, BlockId, Result, TxnId};
 use harmony_core::executor::{BlockSummary, ExecBlock, TxnOutcome};
-use harmony_core::par::run_indexed;
 use harmony_core::SnapshotStore;
 use harmony_txn::Key;
 
@@ -37,8 +37,8 @@ pub struct Aria {
 }
 
 impl Aria {
-    /// New engine over `store`, simulating and committing on `workers`
-    /// threads.
+    /// New engine over `store`, simulating on `workers` threads (the
+    /// cost model also spreads the commit step over that many).
     #[must_use]
     pub fn new(store: Arc<SnapshotStore>, workers: usize) -> Aria {
         Aria { store, workers }
@@ -110,23 +110,21 @@ impl DccEngine for Aria {
             outcomes.push(outcome);
         }
 
-        // Parallel commit: committed write sets are disjoint by
-        // construction (any overlap implies a waw on the larger TID).
-        let store = &self.store;
-        let commit_out = run_indexed(n, self.workers, |i| {
-            vtime::scope(|| -> Result<()> {
-                if outcomes[i] != TxnOutcome::Committed {
-                    return Ok(());
-                }
-                let rwset = rwsets[i].as_ref().expect("committed implies rwset");
-                let tid = TxnId::new(block.id, i as u32).0;
-                let writes = eval_writes(store, snapshot, rwset)?;
-                let mut seen = HashSet::new();
-                install_writes(store, block.id, tid, &writes, &mut seen)
-            })
-        });
+        // Committed write sets are disjoint by construction (any overlap
+        // implies a waw on the larger TID). They are installed on this
+        // thread in TID order, each in its own scope, so the pages and
+        // every transaction's charge follow from the block.
         let mut commit_ns = vec![0u64; n];
-        for (i, (res, ns)) in commit_out.into_iter().enumerate() {
+        for (i, outcome) in outcomes.iter().enumerate() {
+            if *outcome != TxnOutcome::Committed {
+                continue;
+            }
+            let rwset = rwsets[i].as_ref().expect("committed implies rwset");
+            let tid = TxnId::new(block.id, i as u32).0;
+            let (res, ns) = vtime::scope(|| -> Result<()> {
+                let writes = eval_writes(&self.store, snapshot, rwset)?;
+                install_writes(&self.store, block.id, tid, &writes, &mut HashSet::new())
+            });
             res?;
             commit_ns[i] = ns;
         }

@@ -146,7 +146,9 @@ pub fn eval_writes(
 }
 
 /// Install evaluated writes for one committed transaction, respecting the
-/// one-undo-entry-per-(key, block) discipline via `written_this_block`.
+/// one-undo-entry-per-(key, block) discipline via `written_this_block`. A
+/// key's first write in the block is one read-modify-write that ignores
+/// the value it finds ([`SnapshotStore::apply_write`]).
 pub fn install_writes(
     store: &SnapshotStore,
     block: BlockId,
@@ -156,7 +158,7 @@ pub fn install_writes(
 ) -> Result<()> {
     for (key, value) in writes {
         if written_this_block.insert(key.clone()) {
-            store.apply_write(block, tid, key, value.as_ref())?;
+            store.apply_write(block, tid, key, |_| Ok(value.clone()))?;
         } else {
             store.overwrite_in_block(tid, key, value.as_ref())?;
         }

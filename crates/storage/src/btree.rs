@@ -45,6 +45,15 @@
 //! The bytes of a page are a pure function of the operations applied to
 //! the tree, whatever the buffer pool evicted in between.
 //!
+//! A read-modify-write ([`BTree::update_with`]) descends once and searches
+//! its leaf once: the value found and the value written meet under the
+//! leaf's write guard, and only a write that must split, or a row that
+//! goes away, walks the tree again. So the write path searches a leaf once
+//! per written key, and a leaf a miss has just read is searched once by
+//! its write instead of twice: a miss followed by a write no longer builds
+//! the leaf's key-head array (see "Lookups"). The virtual time charged is
+//! still that of a read followed by a write.
+//!
 //! Nothing read from a page is trusted: every header field, slot offset
 //! and cell length is checked against the page before use, descents and
 //! leaf-chain walks are bounded, and a page that fails a check is an
@@ -149,6 +158,16 @@ fn page_id(bytes: &[u8]) -> Result<PageId> {
 
 fn cell_len(key: &[u8], val: &[u8]) -> usize {
     CELL_HEADER_LEN + key.len() + val.len()
+}
+
+fn check_entry_size(key: &[u8], val: &[u8]) -> Result<()> {
+    if key.len() + val.len() > MAX_ENTRY_SIZE {
+        return Err(Error::InvalidArgument(format!(
+            "entry of {} bytes exceeds MAX_ENTRY_SIZE={MAX_ENTRY_SIZE}",
+            key.len() + val.len()
+        )));
+    }
+    Ok(())
 }
 
 /// An 8-byte key as the `u64` whose order is the bytes' order.
@@ -546,6 +565,10 @@ pub struct BTree {
     /// descent, so opening reads no page. Atomic because lookups descend
     /// under a shared borrow; `Relaxed`, as it publishes no other data.
     height: AtomicUsize,
+    /// Pages the last descent walked: `height`, except after a root split
+    /// and before the next descent, when the path is one page longer than
+    /// the walk that split it.
+    walked: AtomicUsize,
 }
 
 impl BTree {
@@ -560,6 +583,7 @@ impl BTree {
             cost,
             len: 0,
             height: AtomicUsize::new(1),
+            walked: AtomicUsize::new(1),
         })
     }
 
@@ -573,6 +597,7 @@ impl BTree {
             cost,
             len,
             height: AtomicUsize::new(0),
+            walked: AtomicUsize::new(0),
         }
     }
 
@@ -602,12 +627,22 @@ impl BTree {
         self.height.load(atomic::Ordering::Relaxed)
     }
 
+    /// Pages the last descent fetched: what reading its path again would
+    /// fetch, even if the write at its end has since split the root. 0
+    /// only before the first descent of a re-opened tree.
+    #[must_use]
+    pub fn walked(&self) -> usize {
+        self.walked.load(atomic::Ordering::Relaxed)
+    }
+
     /// Note that a descent found a leaf at `depth` (0 = the root). The
-    /// store is skipped when nothing changed, so concurrent readers do not
-    /// write the shared line.
+    /// stores are skipped when nothing changed, so concurrent readers do
+    /// not write the shared line.
     fn found_leaf_at(&self, depth: usize) {
-        if self.height() != depth + 1 {
-            self.height.store(depth + 1, atomic::Ordering::Relaxed);
+        for levels in [&self.height, &self.walked] {
+            if levels.load(atomic::Ordering::Relaxed) != depth + 1 {
+                levels.store(depth + 1, atomic::Ordering::Relaxed);
+            }
         }
     }
 
@@ -661,12 +696,7 @@ impl BTree {
 
     /// Insert or overwrite. Returns `true` if the key already existed.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<bool> {
-        if key.len() + value.len() > MAX_ENTRY_SIZE {
-            return Err(Error::InvalidArgument(format!(
-                "entry of {} bytes exceeds MAX_ENTRY_SIZE={MAX_ENTRY_SIZE}",
-                key.len() + value.len()
-            )));
-        }
+        check_entry_size(key, value)?;
         let (replaced, split) = self.insert_rec(self.root, key, value, 0)?;
         if let Some((separator, right)) = split {
             // Grow a new root.
@@ -752,6 +782,68 @@ impl BTree {
         right_frame.mark_dirty();
         frame.mark_dirty();
         Ok((replaced, Some((separator, right))))
+    }
+
+    /// Read-modify-write `key` in one descent: `f` maps the current value
+    /// (`None`: no row) to the new one (`None`: delete), which is written
+    /// in place under the leaf's write guard. Returns the old and the new
+    /// value. A value that does not fit its leaf, and a row that goes away,
+    /// take [`BTree::put`] or [`BTree::delete`] instead.
+    ///
+    /// The virtual time is that of [`BTree::get_as`] followed by the write:
+    /// the read's fetches and searches are made, and the write's all-hit
+    /// walk down the same path is charged without being made (a buffer hit
+    /// and a node search per level, then the node write). The pool's
+    /// counters do not see that walk, and it would only re-touch the frames
+    /// the read has just touched, in the same order, so the LRU order is
+    /// the one the two calls leave. A fallback makes its own walk, so
+    /// nothing is charged twice.
+    pub fn update_with<V>(
+        &mut self,
+        key: &[u8],
+        f: impl FnOnce(Option<&V>) -> Result<Option<V>>,
+    ) -> Result<(Option<V>, Option<V>)>
+    where
+        V: for<'v> From<&'v [u8]> + AsRef<[u8]>,
+    {
+        let frame = self.descend(key, |frame, _| Ok(Arc::clone(frame)))?;
+        let mut guard = frame.data.write();
+        let (page, heads) = guard.bytes_and_heads_mut();
+        let node = NodeRef::parse(page)?.with_heads(heads);
+        let pos = node.search(key)?;
+        let before = match pos {
+            Ok(i) => Some(V::from(node.cell(i)?.1)),
+            Err(_) => None,
+        };
+        let after = f(before.as_ref())?;
+        let written = match &after {
+            Some(value) => {
+                check_entry_size(key, value.as_ref())?;
+                matches!(put_in_page(page, pos, key, value.as_ref())?, Placed::Done)
+            }
+            None => false,
+        };
+        if written {
+            if let Err(i) = pos {
+                head_inserted(heads, i, key);
+                self.len += 1;
+            }
+            frame.mark_dirty();
+        }
+        drop(guard);
+        drop(frame);
+        if written {
+            let levels = self.walked() as u64;
+            vtime::charge(
+                levels * (self.cost.buffer_hit_ns + self.cost.node_search_ns)
+                    + self.cost.node_write_ns,
+            );
+        } else if let Some(value) = &after {
+            self.put(key, value.as_ref())?;
+        } else {
+            self.delete(key)?;
+        }
+        Ok((before, after))
     }
 
     /// Remove a key. Returns `true` if it existed. Pages are never merged.
@@ -1395,6 +1487,70 @@ mod tests {
         assert_eq!(t.get(b"odd").unwrap(), Some(b"v".to_vec()));
         assert_eq!(t.get(&3u64.to_be_bytes()).unwrap(), Some(b"w".to_vec()));
         check_tree(&t);
+    }
+
+    #[test]
+    fn a_buffer_reused_from_an_evicted_leaf_serves_the_page_read_into_it() {
+        let pool = Arc::new(BufferPool::with_policy(
+            Arc::new(MemDisk::new()),
+            4,
+            StorageCost::free(),
+            EvictionPolicy::Steal,
+        ));
+        let mut t = BTree::create(Arc::clone(&pool), StorageCost::free()).unwrap();
+        let value = |i: u64| vec![i as u8; 100];
+        for i in 0..2_000u64 {
+            t.put(&i.to_be_bytes(), &value(i)).unwrap();
+        }
+        let frame_of = |id: PageId| pool.frames().into_iter().find(|f| f.page_id == id);
+        // Leaf A, searched twice since it was read: its frame has heads.
+        let leaf_a = t
+            .descend(&0u64.to_be_bytes(), |f, _| Ok(f.page_id))
+            .unwrap();
+        t.get(&0u64.to_be_bytes()).unwrap();
+        t.get(&0u64.to_be_bytes()).unwrap();
+        let held = {
+            let frame = frame_of(leaf_a).unwrap();
+            let guard = frame.data.read();
+            assert!(matches!(guard.heads().built(), Some(Some(_))));
+            guard.bytes().as_ptr()
+        };
+        // Read leaves far from A until a miss reads a page into its buffer.
+        let reused = (100..2_000u64)
+            .step_by(37)
+            .find_map(|i| {
+                t.get(&i.to_be_bytes()).unwrap();
+                pool.frames()
+                    .into_iter()
+                    .find(|f| f.page_id != leaf_a && f.data.read().bytes().as_ptr() == held)
+            })
+            .expect("a miss reuses the evicted leaf's buffer");
+        let leaf_b = reused.page_id;
+        assert!(frame_of(leaf_a).is_none(), "A was evicted");
+        assert_eq!(reused.data.read().heads().built(), None, "A's heads went");
+        let keys: Vec<Vec<u8>> = {
+            let guard = reused.data.read();
+            let node = NodeRef::parse(guard.bytes()).unwrap();
+            assert!(node.leaf);
+            (0..node.n)
+                .map(|i| node.cell(i).unwrap().0.to_vec())
+                .collect()
+        };
+        drop(reused);
+        // Twice over, so the second pass searches through B's own heads.
+        for _ in 0..2 {
+            for key in &keys {
+                let i = u64::from_be_bytes(key.as_slice().try_into().unwrap());
+                assert_eq!(t.get(key).unwrap(), Some(value(i)));
+                assert_eq!(t.get(&(i + 2_000).to_be_bytes()).unwrap(), None);
+                assert_eq!(frame_of(leaf_b).map(|f| f.page_id), Some(leaf_b));
+            }
+        }
+        assert!(matches!(
+            frame_of(leaf_b).unwrap().data.read().heads().built(),
+            Some(Some(_))
+        ));
+        check_heads(&pool);
     }
 
     /// What the key-head property does to a tree.

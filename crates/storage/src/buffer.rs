@@ -85,11 +85,18 @@ impl Hasher for PageIdHasher {
     }
 }
 
+/// Buffers of evicted frames kept for the next misses, at most.
+const SPARE_PAGES: usize = 4;
+
 struct PoolInner {
     frames: HashMap<PageId, Arc<Frame>, BuildHasherDefault<PageIdHasher>>,
     tick: u64,
     /// Counted under the lock the hit path already holds.
     hits: u64,
+    /// Page buffers of evicted frames: a miss reads into one of these
+    /// instead of allocating and zeroing a page. The disk read overwrites
+    /// every byte, and drops the key heads the buffer held.
+    spare: Vec<PageBuf>,
 }
 
 /// What the pool may do with dirty pages under memory pressure.
@@ -146,6 +153,7 @@ impl BufferPool {
                 frames: HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
                 tick: 0,
                 hits: 0,
+                spare: Vec::with_capacity(SPARE_PAGES),
             }),
             disk,
             capacity,
@@ -185,7 +193,7 @@ impl BufferPool {
     /// is pinned for as long as the `Arc` lives.
     pub fn fetch(&self, id: PageId) -> Result<Arc<Frame>> {
         // Fast path: hit.
-        {
+        let spare = {
             let mut inner = self.inner.lock();
             inner.tick += 1;
             let tick = inner.tick;
@@ -196,12 +204,13 @@ impl BufferPool {
                 vtime::charge(self.cost.buffer_hit_ns);
                 return Ok(f);
             }
-        }
+            inner.spare.pop()
+        };
         // Miss: read outside the pool lock, then insert (another thread may
         // have raced us; prefer the existing frame in that case).
         self.misses.fetch_add(1, Ordering::Relaxed);
         vtime::charge(self.cost.buffer_miss_cpu_ns);
-        let mut buf = PageBuf::zeroed();
+        let mut buf = spare.unwrap_or_default();
         self.disk.read_page(id, &mut buf)?;
         let frame = Arc::new(Frame {
             page_id: id,
@@ -243,9 +252,14 @@ impl BufferPool {
             let frame = inner.frames.remove(&victim).expect("victim present");
             if frame.is_dirty() {
                 self.evict_writebacks.fetch_add(1, Ordering::Relaxed);
-                let data = frame.data.read();
-                self.disk.write_page(victim, &data)?;
+                self.disk.write_page(victim, &frame.data.read())?;
                 frame.dirty.store(false, Ordering::Release);
+            }
+            // Unpinned, and out of the map: nobody else can hold it.
+            if inner.spare.len() < SPARE_PAGES {
+                if let Ok(frame) = Arc::try_unwrap(frame) {
+                    inner.spare.push(frame.data.into_inner());
+                }
             }
         }
         Ok(())

@@ -134,7 +134,11 @@ impl DiskBackend for MemDisk {
         if pages.len() <= idx {
             pages.resize_with(idx + 1, || None);
         }
-        pages[idx] = Some(data.clone());
+        match &mut pages[idx] {
+            // A page written before is overwritten where it lies.
+            Some(page) => page.bytes_mut().copy_from_slice(data.bytes()),
+            empty => *empty = Some(data.clone()),
+        }
         Ok(())
     }
 
@@ -325,6 +329,24 @@ mod tests {
         d.read_page(id, &mut out).unwrap();
         d.sync().unwrap();
         assert_eq!(d.io_counts(), (1, 1, 1));
+    }
+
+    #[test]
+    fn memdisk_overwrites_a_page_in_place() {
+        let d = MemDisk::new();
+        let id = d.allocate();
+        d.write_page(id, &page_with(1)).unwrap();
+        let held = d.pages.read()[0].as_ref().unwrap().bytes().as_ptr();
+        d.write_page(id, &page_with(2)).unwrap();
+        assert_eq!(
+            d.pages.read()[0].as_ref().unwrap().bytes().as_ptr(),
+            held,
+            "the second write reuses the page"
+        );
+        let mut out = PageBuf::zeroed();
+        d.read_page(id, &mut out).unwrap();
+        assert_eq!(out.bytes()[0], 2);
+        assert_eq!(d.io_counts(), (1, 2, 0), "an overwrite counts one write");
     }
 
     #[test]

@@ -309,13 +309,16 @@ impl StorageEngine {
 
     /// Charge the virtual time of a point read of `table` whose path the
     /// caller has just fetched, without making it: the statement, and a
-    /// buffer hit and a node search per level of the tree. A caller that
+    /// buffer hit and a node search per page of that path. A caller that
     /// keeps the value of its own read, instead of reading the key again,
     /// charges this in place of the second read, so the cost model does
-    /// not move; the pool's counters do not see the read it saved.
+    /// not move; the pool's counters do not see the read it saved. The
+    /// path is the one the last descent walked ([`BTree::walked`]), so a
+    /// caller may charge it after its own write, even one that split the
+    /// root.
     pub fn charge_reread(&self, table: TableId) -> Result<()> {
         self.with_tree(table, |tree| {
-            let levels = tree.read().height() as u64;
+            let levels = tree.read().walked() as u64;
             harmony_common::vtime::charge(
                 levels * (self.cost.buffer_hit_ns + self.cost.node_search_ns),
             );
@@ -326,6 +329,27 @@ impl StorageEngine {
     /// Insert or overwrite.
     pub fn put(&self, table: TableId, key: &[u8], value: &[u8]) -> Result<()> {
         self.with_tree(table, |tree| tree.write().put(key, value).map(drop))
+    }
+
+    /// Read-modify-write one row: `f` maps the current value (`None`: no
+    /// row) to the new one (`None`: delete it). Returns the old and the
+    /// new value. One descent of the table's tree ([`BTree::update_with`])
+    /// in place of [`StorageEngine::get_as`] and then [`StorageEngine::put`]
+    /// or [`StorageEngine::delete`], charging the virtual time of the two,
+    /// both statements included.
+    pub fn update_with<V>(
+        &self,
+        table: TableId,
+        key: &[u8],
+        f: impl FnOnce(Option<&V>) -> Result<Option<V>>,
+    ) -> Result<(Option<V>, Option<V>)>
+    where
+        V: for<'v> From<&'v [u8]> + AsRef<[u8]>,
+    {
+        self.with_tree(table, |tree| {
+            harmony_common::vtime::charge(self.cost.statement_ns);
+            tree.write().update_with(key, f)
+        })
     }
 
     /// Delete; returns whether the key existed.
@@ -457,6 +481,10 @@ impl StorageEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::btree::MAX_ENTRY_SIZE;
+    use crate::page::{PageBuf, PageId};
+    use harmony_common::vtime;
+    use proptest::prelude::*;
 
     fn engine() -> StorageEngine {
         StorageEngine::open(&StorageConfig::memory()).unwrap()
@@ -684,6 +712,142 @@ mod tests {
                 t.join().unwrap();
             }
             assert_eq!(e.list_tables().len(), PER_ROUND as usize);
+        }
+    }
+
+    /// What a read-modify-write makes of the row it finds.
+    #[derive(Clone, Debug)]
+    enum Rmw {
+        /// Write a value of this length: an overwrite, or an insert where
+        /// no row is (past `MAX_ENTRY_SIZE`: refused).
+        Write(u16, u16),
+        /// Keep the row as it is, or leave it missing.
+        Keep(u16),
+        /// Delete the row, or leave it missing.
+        Delete(u16),
+    }
+
+    fn rmw() -> impl Strategy<Value = Rmw> {
+        // Keys up to 400 over 250 loaded rows: a share of them is missing.
+        let key = || 0u16..400;
+        prop_oneof![
+            (key(), 0u16..300).prop_map(|(k, len)| Rmw::Write(k, len)),
+            (key(), 0u16..300).prop_map(|(k, len)| Rmw::Write(k, len)),
+            (key(), 300u16..880).prop_map(|(k, len)| Rmw::Write(k, len)),
+            (key(), 880u16..1_000).prop_map(|(k, len)| Rmw::Write(k, len)),
+            key().prop_map(Rmw::Keep),
+            key().prop_map(Rmw::Delete),
+        ]
+    }
+
+    /// The pool's cached page ids, its counters other than hits, the
+    /// disk's reads and writes, and the bytes of every page as a read
+    /// would see them (the frame's, else the disk's).
+    #[derive(PartialEq)]
+    struct PoolState {
+        cached: Vec<PageId>,
+        counts: [u64; 3],
+        io: (u64, u64),
+        pages: Vec<Vec<u8>>,
+    }
+
+    fn pool_state(e: &StorageEngine) -> PoolState {
+        let pool = e.pool();
+        let mut frames = pool.frames();
+        frames.sort_by_key(|f| f.page_id);
+        let stats = pool.stats();
+        let counts = [stats.misses, stats.evict_writebacks, stats.flush_writebacks];
+        let io = pool.disk().io_counts();
+        let io = (io.0, io.1);
+        let pages = (0..pool.disk().page_count())
+            .map(|id| match frames.iter().find(|f| f.page_id == PageId(id)) {
+                Some(f) => f.data.read().bytes().to_vec(),
+                None => {
+                    let mut buf = PageBuf::zeroed();
+                    pool.disk().read_page(PageId(id), &mut buf).unwrap();
+                    buf.bytes().to_vec()
+                }
+            })
+            .collect();
+        PoolState {
+            cached: frames.iter().map(|f| f.page_id).collect(),
+            counts,
+            io,
+            pages,
+        }
+    }
+
+    /// Run `ops` on two engines loaded alike, as `update_with` on one and
+    /// as `get` then `put` or `delete` on the other: after each, the same
+    /// old value, the same virtual time, the same pool state and pages.
+    fn update_with_is_get_then_put(ops: &[Rmw], buffer_pages: usize, eviction: EvictionPolicy) {
+        let config = StorageConfig {
+            buffer_pages,
+            disk_profile: DiskProfile::ssd(),
+            cost: StorageCost::default(),
+            data_dir: None,
+            eviction,
+        };
+        let open = || {
+            let e = StorageEngine::open(&config).unwrap();
+            let t = e.create_table("t").unwrap();
+            for k in (0..500u64).step_by(2) {
+                e.put(t, &k.to_be_bytes(), &[k as u8; 120]).unwrap();
+            }
+            (e, t)
+        };
+        let ((rmw, t), (twin, _)) = (open(), open());
+        for (step, op) in ops.iter().enumerate() {
+            let (k, after) = match *op {
+                Rmw::Write(k, len) => (k, Some(vec![step as u8; usize::from(len)])),
+                Rmw::Keep(k) => (k, None),
+                Rmw::Delete(k) => (k, None),
+            };
+            let keep = matches!(op, Rmw::Keep(_));
+            let key = u64::from(k).to_be_bytes();
+            let new = |old: Option<&Vec<u8>>| if keep { old.cloned() } else { after.clone() };
+            // Both sides read their pages alike, so their disk counts agree.
+            let before_op = [pool_state(&rmw), pool_state(&twin)];
+            let (got, rmw_ns) =
+                vtime::scope(|| rmw.update_with(t, &key, |old: Option<&Vec<u8>>| Ok(new(old))));
+            let (want, twin_ns) = vtime::scope(|| {
+                let old = twin.get(t, &key)?;
+                let value = new(old.as_ref());
+                match &value {
+                    Some(v) => twin.put(t, &key, v)?,
+                    None => drop(twin.delete(t, &key)?),
+                }
+                Ok((old, value))
+            });
+            let after_op = [pool_state(&rmw), pool_state(&twin)];
+            match (got, want) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want, "step {step}: {op:?}"),
+                (Err(Error::InvalidArgument(_)), Err(Error::InvalidArgument(_))) => {
+                    assert!(after.as_ref().is_some_and(|v| v.len() + 8 > MAX_ENTRY_SIZE));
+                    assert!(
+                        after_op[0].pages == before_op[0].pages,
+                        "step {step}: a refused write wrote"
+                    );
+                }
+                (got, want) => panic!("step {step}: {op:?}: {got:?} against {want:?}"),
+            }
+            assert_eq!(rmw_ns, twin_ns, "step {step}: {op:?}");
+            assert!(after_op[0] == after_op[1], "step {step}: {op:?}");
+            assert_eq!(rmw.table_len(t).unwrap(), twin.table_len(t).unwrap());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// One descent charges, answers and writes what a read and then a
+        /// write did: overwrites that grow and shrink, inserts that split
+        /// pages, deletes, missing rows and refused values, on a pool that
+        /// steals from a tree many times its size and on one that holds it.
+        #[test]
+        fn update_with_matches_get_then_put(ops in prop::collection::vec(rmw(), 1..250)) {
+            update_with_is_get_then_put(&ops, 6, EvictionPolicy::Steal);
+            update_with_is_get_then_put(&ops, 4096, EvictionPolicy::NoSteal);
         }
     }
 }

@@ -871,6 +871,66 @@ mod tests {
         assert!(after >= before, "next_o_id never decreases");
     }
 
+    /// The commit step is a function of the block: NewOrder blocks whose
+    /// inserts split leaves, committed by one worker and by four on fresh
+    /// stores under the default cost model, charge every transaction alike
+    /// and leave the same page bytes. The pool holds the whole state, so
+    /// the simulation step's reads, made on the worker team, hit.
+    #[test]
+    fn a_new_order_block_commits_alike_on_any_worker_count() {
+        let commit = |workers: usize| {
+            let engine = Arc::new(
+                StorageEngine::open(&StorageConfig {
+                    cost: harmony_storage::StorageCost::default(),
+                    ..StorageConfig::default()
+                })
+                .unwrap(),
+            );
+            let mut w = Tpcc::new(TpccConfig {
+                warehouses: 4,
+                scale: 0.01,
+                invalid_item_prob: 0.0,
+            });
+            w.setup(&engine).unwrap();
+            let pages_loaded = engine.pool().disk().page_count();
+            let store = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
+            let config = HarmonyConfig {
+                workers,
+                ..HarmonyConfig::default()
+            };
+            let exec = BlockExecutor::new(store, config);
+            let mut rng = DetRng::new(11);
+            let (mut charges, mut committed, mut prev) = (Vec::new(), 0, None);
+            for b in 1..=6u64 {
+                let txns: Vec<_> = (0..60).map(|_| w.new_order_txn(&mut rng)).collect();
+                let block = ExecBlock::new(harmony_common::BlockId(b), txns);
+                let res = exec.execute(&block, prev.as_ref()).unwrap();
+                charges.extend(res.results.iter().map(|r| r.commit_ns));
+                committed += res.stats.committed;
+                prev = Some(res.summary);
+            }
+            assert!(
+                engine.pool().disk().page_count() > pages_loaded,
+                "the blocks' inserts must split leaves"
+            );
+            engine.pool().flush_all().unwrap();
+            let disk = engine.pool().disk();
+            let pages: Vec<Vec<u8>> = (0..disk.page_count())
+                .map(|id| {
+                    let mut buf = harmony_storage::PageBuf::zeroed();
+                    disk.read_page(harmony_storage::PageId(id), &mut buf)
+                        .unwrap();
+                    buf.bytes().to_vec()
+                })
+                .collect();
+            (committed, charges, pages)
+        };
+        let (one, four) = (commit(1), commit(4));
+        assert!(one.0 > 60, "too few NewOrders commit: {}", one.0);
+        assert_eq!(one.1, four.1, "per-transaction commit charges");
+        assert!(one.2 == four.2, "page bytes differ");
+    }
+
     #[test]
     fn single_warehouse_is_contended() {
         // W=1: concurrent NewOrders on one district conflict via the
