@@ -122,4 +122,14 @@ rule 'a map node is hashed in one place' \
     'crates/*/src src examples' 'crates/crypto/src/*' \
     'node_digest( / leaf_digest( may be called only in crates/crypto/src (fold rows through AuthMap)'
 
+# A fault schedule reaches the network in one place: `Cluster::run` in
+# crates/node/src/cluster/mod.rs lowers the schedule's link faults
+# (`FaultSchedule::link_faults`) into the event loop's fault table. No
+# other non-test code builds a `NetFaults`, so a link fault has one
+# vocabulary (`LinkFault`) and one route onto the wire.
+rule 'a fault schedule reaches the network in one place' \
+    'NetFaults::(new|default)\(' '' \
+    'crates/*/src src examples' 'crates/consensus/src/* crates/node/src/cluster/mod.rs' \
+    'NetFaults may be built only in crates/consensus/src and crates/node/src/cluster/mod.rs (schedule a FaultEvent::Link)'
+
 exit "$failed"

@@ -14,5 +14,6 @@ mod tests {
         ChainPipeline::new();
         put_summary(&mut w, None);
         leaf_digest(b"k", b"v");
+        NetFaults::default();
     }
 }

@@ -27,8 +27,8 @@ use harmony_common::Result;
 use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
-    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
-    MempoolConfig, OrderingMode, ReplicaConfig, RetryPolicy,
+    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEffect, FaultEvent, FaultSchedule,
+    FaultScope, LinkFault, MempoolConfig, OrderingMode, ReplicaConfig, RetryPolicy,
 };
 use harmony_sim::EngineKind;
 use harmony_storage::StorageConfig;
@@ -93,18 +93,20 @@ fn chaos_leg() -> Result<(ClusterReport, bool)> {
             at_ns: 4 * MS,
             recover_at_ns: 10 * MS,
         },
-        FaultEvent::Partition {
-            replica: 1,
+        // Replica 1 partitioned.
+        FaultEvent::Link(LinkFault {
             from_ns: 3 * MS,
             until_ns: 6 * MS,
-        },
-        FaultEvent::LinkDrop {
-            from: 0,
-            to: 3,
+            scope: FaultScope::Node(1),
+            effect: FaultEffect::Drop { per_mille: 1000 },
+        }),
+        // A lossy link 0 → 3.
+        FaultEvent::Link(LinkFault {
             from_ns: 2 * MS,
             until_ns: 7 * MS,
-            per_mille: 600,
-        },
+            scope: FaultScope::Directed { from: 0, to: 3 },
+            effect: FaultEffect::Drop { per_mille: 600 },
+        }),
         // Replica 0 refuses to serve sync while the poisoned replica
         // re-syncs, so the quarantine recovery has to fail over.
         FaultEvent::SyncRefusal {

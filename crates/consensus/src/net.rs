@@ -272,6 +272,11 @@ pub enum FaultEffect {
 }
 
 /// Which traffic a [`LinkFault`] applies to.
+///
+/// The indices are event-loop node ids once the fault is in a
+/// [`NetFaults`] table. A cluster's fault schedule names *replica*
+/// indices instead, and lowers each scope through [`FaultScope::map`]
+/// when it builds the table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultScope {
     /// Every message sent *or* received by this node (a partitioned /
@@ -287,6 +292,18 @@ pub enum FaultScope {
 }
 
 impl FaultScope {
+    /// The same scope with every index passed through `f`.
+    #[must_use]
+    pub fn map(self, f: impl Fn(usize) -> usize) -> FaultScope {
+        match self {
+            FaultScope::Node(n) => FaultScope::Node(f(n)),
+            FaultScope::Directed { from, to } => FaultScope::Directed {
+                from: f(from),
+                to: f(to),
+            },
+        }
+    }
+
     fn matches(self, from: usize, to: usize) -> bool {
         match self {
             FaultScope::Node(n) => from == n || to == n,
@@ -297,7 +314,12 @@ impl FaultScope {
 
 /// One scheduled network fault: an effect applied to matching traffic
 /// during `[from_ns, until_ns)` of virtual time.
-#[derive(Clone, Copy, Debug)]
+///
+/// Every link fault a cluster can be given is one of these: a scope
+/// (one node's traffic or one direction of one link) times an effect
+/// (drop, duplicate or delay) times a window. A partition is a
+/// node-scope drop at 1000‰, a delay spike a node-scope delay.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinkFault {
     /// Window start (inclusive), virtual ns.
     pub from_ns: u64,
@@ -339,11 +361,6 @@ impl NetFaults {
             faults,
             ..NetFaults::default()
         }
-    }
-
-    /// Add one fault to the table.
-    pub fn push(&mut self, fault: LinkFault) {
-        self.faults.push(fault);
     }
 
     /// Whether the table has no faults (the fast path: zero per-send cost).

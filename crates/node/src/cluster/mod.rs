@@ -41,10 +41,10 @@
 //! # Scenario hooks
 //!
 //! A [`crate::FaultSchedule`] (see [`crate::fault`]) injects typed faults
-//! mid-run — crash/rejoin cycles, partition windows, per-link
-//! drop/duplication/delay faults lowered onto the deterministic net
-//! model, sync-serve refusals, and root poisoning. Recovery is
-//! policy-driven: state-sync requests carry an epoch and time out
+//! mid-run — crash/rejoin cycles, link faults (partitions, drops,
+//! duplicates and delays, each a [`crate::LinkFault`] lowered onto the
+//! deterministic net model), sync-serve refusals, and root poisoning.
+//! Recovery is policy-driven: state-sync requests carry an epoch and time out
 //! ([`crate::RetryPolicy`] — bounded retries, exponential backoff with
 //! deterministic jitter, failover around a candidate ring), a liveness
 //! watchdog (`WATCHDOG_NS`) re-arms catch-up on replicas that went quiet,
@@ -64,7 +64,7 @@
 use std::sync::Arc;
 
 use harmony_common::{Error, Result};
-use harmony_consensus::net::{EventLoop, SimNode, Transport};
+use harmony_consensus::net::{EventLoop, NetFaults, SimNode, Transport};
 use harmony_metrics::Registry;
 
 pub mod client;
@@ -316,7 +316,7 @@ impl Cluster {
         if !cfg.faults.is_empty() {
             // Lower the link-visible faults onto the net model, with
             // injection counters in the shared registry.
-            let mut table = cfg.faults.net_faults(|r| replica_idx[r]);
+            let mut table = NetFaults::new(cfg.faults.link_faults(|r| replica_idx[r]));
             let kind = |k: &str| {
                 registry.counter_with(
                     "harmony_net_faults_injected_total",

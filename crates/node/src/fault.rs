@@ -1,13 +1,17 @@
 //! The chaos plane: typed, schedulable fault injection for the cluster
 //! harness.
 //!
-//! A [`FaultSchedule`] generalizes the original single crash/rejoin plan
-//! into a list of typed [`FaultEvent`]s: multiple crash cycles on
-//! multiple replicas, partition windows, per-link drop / duplication /
-//! delay faults lowered onto the deterministic network model
-//! ([`harmony_consensus::net::NetFaults`]), sync-serve refusals, and
-//! root poisoning (which exercises the divergence-quarantine path
-//! without corrupting state).
+//! A [`FaultSchedule`] is a list of [`FaultEvent`]s: crash cycles on any
+//! number of replicas, link faults, sync-serve refusals, and root
+//! poisoning (which exercises the divergence-quarantine path without
+//! corrupting state). A link fault is the network model's own
+//! [`LinkFault`] — a scope (one replica's traffic, or one direction of
+//! one replica link) times an effect (drop, duplicate or delay) times a
+//! window — so a partition is a node-scope drop at 1000‰ and a delay
+//! spike a node-scope delay, with no event type of their own.
+//! [`FaultSchedule::link_faults`] lowers them, in schedule order, onto
+//! the deterministic network model
+//! ([`harmony_consensus::net::NetFaults`]).
 //!
 //! **Scoping invariant:** every event targets *replica* indices, and the
 //! lowered network faults only ever touch replica-side links (ordering
@@ -21,7 +25,7 @@
 use std::collections::BTreeSet;
 
 use harmony_common::{Error, Result};
-use harmony_consensus::net::{FaultEffect, FaultScope, LinkFault, NetFaults};
+pub use harmony_consensus::net::{FaultEffect, FaultScope, LinkFault};
 
 use crate::sharded::check_layout;
 
@@ -39,60 +43,12 @@ pub enum FaultEvent {
         /// Recovery time, virtual ns (must be after `at_ns`).
         recover_at_ns: u64,
     },
-    /// The replica is cut off from *all* traffic (deliveries, gossip,
-    /// sync — in and out) during the window. The replica itself keeps
-    /// running; it heals via state-sync after the window closes.
-    Partition {
-        /// Target replica.
-        replica: usize,
-        /// Window start (inclusive), virtual ns.
-        from_ns: u64,
-        /// Window end (exclusive), virtual ns.
-        until_ns: u64,
-    },
-    /// Messages on the replica→replica link `from → to` are dropped with
-    /// probability `per_mille`/1000 during the window.
-    LinkDrop {
-        /// Sending replica.
-        from: usize,
-        /// Receiving replica.
-        to: usize,
-        /// Window start (inclusive), virtual ns.
-        from_ns: u64,
-        /// Window end (exclusive), virtual ns.
-        until_ns: u64,
-        /// Drop probability in per-mille (0..=1000).
-        per_mille: u16,
-    },
-    /// Messages on the replica→replica link `from → to` are additionally
-    /// delivered a second time `echo_delay_ns` later with probability
-    /// `per_mille`/1000 during the window.
-    LinkDuplicate {
-        /// Sending replica.
-        from: usize,
-        /// Receiving replica.
-        to: usize,
-        /// Window start (inclusive), virtual ns.
-        from_ns: u64,
-        /// Window end (exclusive), virtual ns.
-        until_ns: u64,
-        /// Duplication probability in per-mille (0..=1000).
-        per_mille: u16,
-        /// Extra delay of the duplicate copy.
-        echo_delay_ns: u64,
-    },
-    /// All traffic to/from the replica gains `extra_ns` of one-way
-    /// latency during the window (a congestion spike).
-    DelaySpike {
-        /// Target replica.
-        replica: usize,
-        /// Window start (inclusive), virtual ns.
-        from_ns: u64,
-        /// Window end (exclusive), virtual ns.
-        until_ns: u64,
-        /// Extra one-way delay in ns.
-        extra_ns: u64,
-    },
+    /// A network fault on replica-side traffic during its window; its
+    /// scope names replica indices. A node-scope `Drop` perturbs that
+    /// replica's health (at 1000‰ it is a partition: the replica keeps
+    /// running and heals via state-sync after the window); every other
+    /// link fault perturbs only traffic.
+    Link(LinkFault),
     /// The replica answers state-sync requests with an explicit refusal
     /// during the window (an overloaded or snapshotting peer shedding
     /// serve work) — requesters fail over to their next candidate.
@@ -117,17 +73,19 @@ pub enum FaultEvent {
 }
 
 impl FaultEvent {
-    /// The replica whose *health* this event perturbs (link faults
-    /// perturb a link, not a replica's health — they return `None`).
+    /// The replica whose *health* this event perturbs: a crash, a
+    /// poisoning, or a drop of the replica's own traffic. Other link
+    /// faults and refusals return `None`.
     fn health_target(&self) -> Option<usize> {
         match *self {
             FaultEvent::Crash { replica, .. }
-            | FaultEvent::Partition { replica, .. }
-            | FaultEvent::PoisonRoot { replica, .. } => Some(replica),
-            FaultEvent::LinkDrop { .. }
-            | FaultEvent::LinkDuplicate { .. }
-            | FaultEvent::DelaySpike { .. }
-            | FaultEvent::SyncRefusal { .. } => None,
+            | FaultEvent::PoisonRoot { replica, .. }
+            | FaultEvent::Link(LinkFault {
+                scope: FaultScope::Node(replica),
+                effect: FaultEffect::Drop { .. },
+                ..
+            }) => Some(replica),
+            FaultEvent::Link(_) | FaultEvent::SyncRefusal { .. } => None,
         }
     }
 }
@@ -135,7 +93,9 @@ impl FaultEvent {
 /// A validated, ordered set of fault events for one cluster run.
 #[derive(Clone, Debug, Default)]
 pub struct FaultSchedule {
-    /// The scheduled events (order is irrelevant; times are absolute).
+    /// The scheduled events. Times are absolute; the order of the link
+    /// faults is the order of the lowered table, which keys every fault
+    /// roll.
     pub events: Vec<FaultEvent>,
 }
 
@@ -155,10 +115,11 @@ impl FaultSchedule {
     }
 
     /// Check the schedule against a cluster of `replicas` replicas:
-    /// indices in range, windows well-formed, per-replica crash cycles
-    /// non-overlapping, probabilities ≤ 1000‰, and at least one replica
-    /// whose health is never perturbed (the observer every liveness
-    /// assertion and sync failover chain needs).
+    /// indices in range, no link from a replica to itself, windows
+    /// well-formed, per-replica crash cycles non-overlapping,
+    /// probabilities ≤ 1000‰, and at least one replica whose health is
+    /// never perturbed (the observer every liveness assertion and sync
+    /// failover chain needs).
     pub fn validate(&self, replicas: usize) -> Result<()> {
         let bad = |msg: String| Err(Error::InvalidArgument(msg));
         let check_replica = |r: usize, what: &str| -> Result<()> {
@@ -170,12 +131,6 @@ impl FaultSchedule {
         let check_window = |from: u64, until: u64, what: &str| -> Result<()> {
             if from >= until {
                 return bad(format!("{what} window [{from}, {until}) is empty"));
-            }
-            Ok(())
-        };
-        let check_per_mille = |p: u16, what: &str| -> Result<()> {
-            if p > 1000 {
-                return bad(format!("{what} probability {p}‰ exceeds 1000‰"));
             }
             Ok(())
         };
@@ -191,53 +146,32 @@ impl FaultSchedule {
                     check_window(at_ns, recover_at_ns, "crash")?;
                     crashes.push((replica, at_ns, recover_at_ns));
                 }
-                FaultEvent::Partition {
-                    replica,
+                FaultEvent::Link(LinkFault {
                     from_ns,
                     until_ns,
-                } => {
-                    check_replica(replica, "partition")?;
-                    check_window(from_ns, until_ns, "partition")?;
-                }
-                FaultEvent::LinkDrop {
-                    from,
-                    to,
-                    from_ns,
-                    until_ns,
-                    per_mille,
-                } => {
-                    check_replica(from, "link-drop")?;
-                    check_replica(to, "link-drop")?;
-                    if from == to {
-                        return bad(format!("link-drop from replica {from} to itself"));
+                    scope,
+                    effect,
+                }) => {
+                    match scope {
+                        FaultScope::Node(r) => check_replica(r, "link fault")?,
+                        FaultScope::Directed { from, to } => {
+                            check_replica(from, "link fault")?;
+                            check_replica(to, "link fault")?;
+                            if from == to {
+                                return bad(format!("link fault from replica {from} to itself"));
+                            }
+                        }
                     }
-                    check_window(from_ns, until_ns, "link-drop")?;
-                    check_per_mille(per_mille, "link-drop")?;
-                }
-                FaultEvent::LinkDuplicate {
-                    from,
-                    to,
-                    from_ns,
-                    until_ns,
-                    per_mille,
-                    ..
-                } => {
-                    check_replica(from, "link-duplicate")?;
-                    check_replica(to, "link-duplicate")?;
-                    if from == to {
-                        return bad(format!("link-duplicate from replica {from} to itself"));
+                    check_window(from_ns, until_ns, "link fault")?;
+                    if let FaultEffect::Drop { per_mille }
+                    | FaultEffect::Duplicate { per_mille, .. } = effect
+                    {
+                        if per_mille > 1000 {
+                            return bad(format!(
+                                "link fault probability {per_mille}‰ exceeds 1000‰"
+                            ));
+                        }
                     }
-                    check_window(from_ns, until_ns, "link-duplicate")?;
-                    check_per_mille(per_mille, "link-duplicate")?;
-                }
-                FaultEvent::DelaySpike {
-                    replica,
-                    from_ns,
-                    until_ns,
-                    ..
-                } => {
-                    check_replica(replica, "delay-spike")?;
-                    check_window(from_ns, until_ns, "delay-spike")?;
                 }
                 FaultEvent::SyncRefusal {
                     replica,
@@ -264,7 +198,7 @@ impl FaultSchedule {
         }
         if !self.is_empty() && self.healthy_replica(replicas).is_none() {
             return bad(format!(
-                "no observer: every one of the {replicas} replicas is crash/partition/poison-targeted"
+                "no observer: every one of the {replicas} replicas is crash/node-drop/poison-targeted"
             ));
         }
         Ok(())
@@ -326,75 +260,21 @@ impl FaultSchedule {
             .collect()
     }
 
-    /// Lower the network-visible events (partitions, link drops/dups,
-    /// delay spikes) onto the event-loop fault table. `node_of` maps a
-    /// replica index to its event-loop node id.
+    /// The link faults, in schedule order, with each scope's replica
+    /// indices mapped to event-loop node ids by `node_of` — the table
+    /// the network model applies.
     #[must_use]
-    pub fn net_faults(&self, node_of: impl Fn(usize) -> usize) -> NetFaults {
-        let mut table = NetFaults::default();
-        for ev in &self.events {
-            match *ev {
-                FaultEvent::Partition {
-                    replica,
-                    from_ns,
-                    until_ns,
-                } => table.push(LinkFault {
-                    from_ns,
-                    until_ns,
-                    scope: FaultScope::Node(node_of(replica)),
-                    effect: FaultEffect::Drop { per_mille: 1000 },
+    pub fn link_faults(&self, node_of: impl Fn(usize) -> usize) -> Vec<LinkFault> {
+        self.events
+            .iter()
+            .filter_map(|ev| match *ev {
+                FaultEvent::Link(fault) => Some(LinkFault {
+                    scope: fault.scope.map(&node_of),
+                    ..fault
                 }),
-                FaultEvent::LinkDrop {
-                    from,
-                    to,
-                    from_ns,
-                    until_ns,
-                    per_mille,
-                } => table.push(LinkFault {
-                    from_ns,
-                    until_ns,
-                    scope: FaultScope::Directed {
-                        from: node_of(from),
-                        to: node_of(to),
-                    },
-                    effect: FaultEffect::Drop { per_mille },
-                }),
-                FaultEvent::LinkDuplicate {
-                    from,
-                    to,
-                    from_ns,
-                    until_ns,
-                    per_mille,
-                    echo_delay_ns,
-                } => table.push(LinkFault {
-                    from_ns,
-                    until_ns,
-                    scope: FaultScope::Directed {
-                        from: node_of(from),
-                        to: node_of(to),
-                    },
-                    effect: FaultEffect::Duplicate {
-                        per_mille,
-                        echo_delay_ns,
-                    },
-                }),
-                FaultEvent::DelaySpike {
-                    replica,
-                    from_ns,
-                    until_ns,
-                    extra_ns,
-                } => table.push(LinkFault {
-                    from_ns,
-                    until_ns,
-                    scope: FaultScope::Node(node_of(replica)),
-                    effect: FaultEffect::Delay { extra_ns },
-                }),
-                FaultEvent::Crash { .. }
-                | FaultEvent::SyncRefusal { .. }
-                | FaultEvent::PoisonRoot { .. } => {}
-            }
-        }
-        table
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -515,8 +395,21 @@ mod tests {
         let s = FaultSchedule::default();
         assert!(s.is_empty());
         s.validate(4).unwrap();
-        assert!(s.net_faults(|r| r + 2).is_empty());
+        assert!(s.link_faults(|r| r + 2).is_empty());
     }
+
+    fn link(from_ns: u64, until_ns: u64, scope: FaultScope, effect: FaultEffect) -> FaultEvent {
+        FaultEvent::Link(LinkFault {
+            from_ns,
+            until_ns,
+            scope,
+            effect,
+        })
+    }
+
+    const PARTITION: FaultEffect = FaultEffect::Drop { per_mille: 1000 };
+    const SELF_LINK: FaultScope = FaultScope::Directed { from: 1, to: 1 };
+    const LINK_0_1: FaultScope = FaultScope::Directed { from: 0, to: 1 };
 
     #[test]
     fn validation_catches_bad_scenarios() {
@@ -533,22 +426,20 @@ mod tests {
             recover_at_ns: 5
         })
         .is_err());
-        assert!(v(FaultEvent::LinkDrop {
-            from: 1,
-            to: 1,
-            from_ns: 0,
-            until_ns: 1,
-            per_mille: 100
-        })
-        .is_err());
-        assert!(v(FaultEvent::LinkDrop {
-            from: 0,
-            to: 1,
-            from_ns: 0,
-            until_ns: 1,
-            per_mille: 1001
-        })
-        .is_err());
+        assert!(v(link(0, 1, SELF_LINK, FaultEffect::Drop { per_mille: 100 })).is_err());
+        assert!(v(link(0, 1, LINK_0_1, FaultEffect::Drop { per_mille: 1001 })).is_err());
+        let dup = |per_mille| FaultEffect::Duplicate {
+            per_mille,
+            echo_delay_ns: 10,
+        };
+        assert!(v(link(0, 1, LINK_0_1, dup(1001))).is_err());
+        v(link(0, 1, LINK_0_1, dup(1000))).unwrap();
+        let delay = FaultEffect::Delay { extra_ns: 5 };
+        assert!(v(link(0, 1, FaultScope::Node(4), delay)).is_err());
+        assert!(v(link(0, 1, FaultScope::Directed { from: 0, to: 4 }, delay)).is_err());
+        assert!(v(link(7, 7, FaultScope::Node(1), delay)).is_err());
+        assert!(v(link(0, 1, SELF_LINK, delay)).is_err());
+        v(link(0, 1, FaultScope::Node(3), delay)).unwrap();
         // Overlapping crash cycles on one replica.
         assert!(FaultSchedule::new(vec![
             FaultEvent::Crash {
@@ -586,11 +477,7 @@ mod tests {
                 at_ns: 0,
                 recover_at_ns: 1
             },
-            FaultEvent::Partition {
-                replica: 1,
-                from_ns: 0,
-                until_ns: 1
-            },
+            link(0, 1, FaultScope::Node(1), PARTITION),
         ])
         .validate(2)
         .is_err());
@@ -598,7 +485,7 @@ mod tests {
 
     #[test]
     fn healthy_replica_skips_faulted_ones() {
-        let s = FaultSchedule::new(vec![
+        let mut s = FaultSchedule::new(vec![
             FaultEvent::Crash {
                 replica: 0,
                 at_ns: 0,
@@ -608,7 +495,7 @@ mod tests {
                 replica: 1,
                 at_ns: 5,
             },
-            // Link faults and refusals do not disqualify an observer.
+            // Refusals do not disqualify an observer.
             FaultEvent::SyncRefusal {
                 replica: 2,
                 from_ns: 0,
@@ -617,32 +504,63 @@ mod tests {
         ]);
         assert_eq!(s.healthy_replica(4), Some(2));
         s.validate(4).unwrap();
+
+        // A drop of a replica's own traffic, even a partial one,
+        // disqualifies it as observer.
+        let lossy = FaultEffect::Drop { per_mille: 300 };
+        s.events.push(link(0, 1, FaultScope::Node(2), lossy));
+        assert_eq!(s.healthy_replica(4), Some(3));
+        // A node-scope delay and a directed drop perturb links only.
+        let spike = FaultEffect::Delay { extra_ns: 1_000 };
+        s.events.push(link(0, 1, FaultScope::Node(3), spike));
+        let cut = FaultScope::Directed { from: 3, to: 0 };
+        s.events.push(link(0, 1, cut, PARTITION));
+        assert_eq!(s.healthy_replica(4), Some(3));
+        s.validate(4).unwrap();
     }
 
     #[test]
     fn lowering_maps_replica_indices_to_node_ids() {
+        let drop = FaultEffect::Drop { per_mille: 250 };
+        let dup = FaultEffect::Duplicate {
+            per_mille: 500,
+            echo_delay_ns: 40,
+        };
+        let spike = FaultEffect::Delay { extra_ns: 900 };
         let s = FaultSchedule::new(vec![
-            FaultEvent::Partition {
-                replica: 1,
-                from_ns: 10,
-                until_ns: 20,
-            },
-            FaultEvent::LinkDrop {
-                from: 0,
-                to: 2,
-                from_ns: 0,
-                until_ns: 5,
-                per_mille: 250,
-            },
+            link(10, 20, FaultScope::Node(1), PARTITION),
             FaultEvent::Crash {
                 replica: 3,
                 at_ns: 1,
                 recover_at_ns: 2,
             },
+            link(0, 5, FaultScope::Directed { from: 0, to: 2 }, drop),
+            FaultEvent::SyncRefusal {
+                replica: 0,
+                from_ns: 3,
+                until_ns: 4,
+            },
+            link(6, 9, FaultScope::Directed { from: 3, to: 1 }, dup),
+            link(2, 8, FaultScope::Node(2), spike),
         ]);
-        let table = s.net_faults(|r| 100 + r);
-        // Crash is not a net fault; the two link-visible events are.
-        assert!(!table.is_empty());
+        s.validate(4).unwrap();
+        let lowered = |from_ns, until_ns, scope, effect| LinkFault {
+            from_ns,
+            until_ns,
+            scope,
+            effect,
+        };
+        // Crash and refusal are not link faults; the other four keep
+        // their schedule order with every index remapped.
+        assert_eq!(
+            s.link_faults(|r| 100 + r),
+            vec![
+                lowered(10, 20, FaultScope::Node(101), PARTITION),
+                lowered(0, 5, FaultScope::Directed { from: 100, to: 102 }, drop),
+                lowered(6, 9, FaultScope::Directed { from: 103, to: 101 }, dup),
+                lowered(2, 8, FaultScope::Node(102), spike),
+            ]
+        );
         assert_eq!(s.crash_cycles(), vec![(3, 1, 2)]);
     }
 }

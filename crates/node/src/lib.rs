@@ -58,7 +58,9 @@ pub use cluster::{
     ClusterLayout, ClusterNode, ClusterReport, ClusterWorkload, Msg, NodeStatus, OrderingMode,
     ReplicaSummary, ShardTopology, Submission, TIMER_CRASH, TIMER_RECOVER,
 };
-pub use fault::{FaultEvent, FaultSchedule, ReshardAt, ReshardSchedule};
+pub use fault::{
+    FaultEffect, FaultEvent, FaultSchedule, FaultScope, LinkFault, ReshardAt, ReshardSchedule,
+};
 pub use mempool::{AdmitError, Mempool, MempoolConfig, MempoolMetrics, MempoolStats, PendingTxn};
 pub use metrics::{shard_txn_counters, ReplicaMetrics, TxnCounters};
 pub use replica::{Applied, DeliveryFront, ReplicaConfig, ReplicaNode};

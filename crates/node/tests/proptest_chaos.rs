@@ -2,11 +2,12 @@
 //! cluster, flat and sharded, across engines.
 //!
 //! Fault scopes are restricted to replica-side behavior (crash cycles,
-//! partitions, replica-link drop/duplication/delay windows, sync-serve
-//! refusals, root poisoning) under **Kafka** ordering, where replicas
-//! never feed back into sealing. The sealed block stream of a faulted
-//! run is therefore identical to the no-fault run on the same seed, and
-//! two properties must hold however nasty the schedule:
+//! link faults of every scope × effect pair — partitions and lossy
+//! hosts, node-wide and one-way drop/duplication/delay windows —
+//! sync-serve refusals, root poisoning) under **Kafka** ordering, where
+//! replicas never feed back into sealing. The sealed block stream of a
+//! faulted run is therefore identical to the no-fault run on the same
+//! seed, and two properties must hold however nasty the schedule:
 //!
 //! * **Safety** — after recovery, every replica's final root is
 //!   bit-identical to the no-fault reference run's.
@@ -20,8 +21,8 @@ use harmony_chain::ChainConfig;
 use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
-    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
-    MempoolConfig, OrderingMode, ReplicaConfig, ShardTopology,
+    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEffect, FaultEvent, FaultSchedule,
+    FaultScope, LinkFault, MempoolConfig, OrderingMode, ReplicaConfig, ShardTopology,
 };
 use harmony_sim::EngineKind;
 use harmony_storage::StorageConfig;
@@ -91,15 +92,37 @@ fn run_cluster(
     .unwrap()
 }
 
+fn link(at_ms: u64, dur_ms: u64, scope: FaultScope, effect: FaultEffect) -> FaultEvent {
+    FaultEvent::Link(LinkFault {
+        from_ns: at_ms * MS,
+        until_ns: (at_ms + dur_ms) * MS,
+        scope,
+        effect,
+    })
+}
+
+/// The directed link from replica `a` to the replica `d` places after
+/// it (`d` in 1..4), so never a self-link.
+fn directed(a: usize, d: usize) -> FaultScope {
+    FaultScope::Directed {
+        from: a,
+        to: (a + d) % 4,
+    }
+}
+
 /// One random fault schedule, valid for 4 replicas by construction:
 /// replica 0 is kept health-fault-free (the observer every liveness
-/// assertion leans on), the two optional crash cycles land on distinct
-/// replicas (so they cannot overlap), and links are never self-links.
-/// Link faults may touch any replica pair, including the observer's.
+/// assertion leans on), so crashes, poisoning and node-scope drops
+/// (a full partition or a lossy host) land on replicas 1–3; the two
+/// optional crash cycles land on distinct replicas (so they cannot
+/// overlap), and links are never self-links. Every other scope × effect
+/// pair — a node-scope duplicate or delay, and a directed drop,
+/// duplicate or delay — may touch any replica, the observer included.
 fn schedule_strategy() -> impl Strategy<Value = FaultSchedule> {
     let crash_a = prop::option::of((1usize..3, 2u64..8, 2u64..6));
     let crash_b = prop::option::of((2u64..8, 2u64..6));
     let partition = prop::option::of((1usize..4, 2u64..8, 2u64..5));
+    let lossy_node = prop::option::of((1usize..4, 1u64..8, 1u64..5, 200u16..1001));
     let drops = prop::option::of((0usize..4, 1usize..4, 1u64..8, 1u64..5, 200u16..1001));
     let dup = prop::option::of((
         0usize..4,
@@ -109,17 +132,23 @@ fn schedule_strategy() -> impl Strategy<Value = FaultSchedule> {
         200u16..1001,
         50u64..500,
     ));
-    let delay = prop::option::of((1usize..4, 1u64..8, 1u64..5, 100u64..2_000));
+    let node_dup = prop::option::of((0usize..4, 1u64..8, 1u64..5, 200u16..1001, 50u64..500));
+    let delay = prop::option::of((0usize..4, 1u64..8, 1u64..5, 100u64..2_000));
+    let link_delay = prop::option::of((0usize..4, 1usize..4, 1u64..8, 1u64..5, 100u64..2_000));
     let refusal = prop::option::of((0usize..4, 1u64..8, 2u64..20));
     let poison = prop::option::of((1usize..4, 3u64..8));
 
     (
-        (crash_a, crash_b, partition),
-        (drops, dup, delay),
+        (crash_a, crash_b, partition, lossy_node),
+        (drops, dup, node_dup, delay, link_delay),
         (refusal, poison),
     )
         .prop_map(
-            |((crash_a, crash_b, partition), (drops, dup, delay), (refusal, poison))| {
+            |(
+                (crash_a, crash_b, partition, lossy_node),
+                (drops, dup, node_dup, delay, link_delay),
+                (refusal, poison),
+            )| {
                 let mut events = Vec::new();
                 if let Some((r, at_ms, down_ms)) = crash_a {
                     events.push(FaultEvent::Crash {
@@ -136,38 +165,42 @@ fn schedule_strategy() -> impl Strategy<Value = FaultSchedule> {
                     });
                 }
                 if let Some((r, at_ms, dur_ms)) = partition {
-                    events.push(FaultEvent::Partition {
-                        replica: r,
-                        from_ns: at_ms * MS,
-                        until_ns: (at_ms + dur_ms) * MS,
-                    });
+                    let effect = FaultEffect::Drop { per_mille: 1000 };
+                    events.push(link(at_ms, dur_ms, FaultScope::Node(r), effect));
+                }
+                if let Some((r, at_ms, dur_ms, per_mille)) = lossy_node {
+                    let effect = FaultEffect::Drop { per_mille };
+                    events.push(link(at_ms, dur_ms, FaultScope::Node(r), effect));
                 }
                 if let Some((a, d, at_ms, dur_ms, per_mille)) = drops {
-                    events.push(FaultEvent::LinkDrop {
-                        from: a,
-                        to: (a + d) % 4,
-                        from_ns: at_ms * MS,
-                        until_ns: (at_ms + dur_ms) * MS,
-                        per_mille,
-                    });
+                    let effect = FaultEffect::Drop { per_mille };
+                    events.push(link(at_ms, dur_ms, directed(a, d), effect));
                 }
                 if let Some((a, d, at_ms, dur_ms, per_mille, echo_us)) = dup {
-                    events.push(FaultEvent::LinkDuplicate {
-                        from: a,
-                        to: (a + d) % 4,
-                        from_ns: at_ms * MS,
-                        until_ns: (at_ms + dur_ms) * MS,
+                    let effect = FaultEffect::Duplicate {
                         per_mille,
                         echo_delay_ns: echo_us * 1_000,
-                    });
+                    };
+                    events.push(link(at_ms, dur_ms, directed(a, d), effect));
+                }
+                if let Some((r, at_ms, dur_ms, per_mille, echo_us)) = node_dup {
+                    let effect = FaultEffect::Duplicate {
+                        per_mille,
+                        echo_delay_ns: echo_us * 1_000,
+                    };
+                    events.push(link(at_ms, dur_ms, FaultScope::Node(r), effect));
                 }
                 if let Some((r, at_ms, dur_ms, extra_us)) = delay {
-                    events.push(FaultEvent::DelaySpike {
-                        replica: r,
-                        from_ns: at_ms * MS,
-                        until_ns: (at_ms + dur_ms) * MS,
+                    let effect = FaultEffect::Delay {
                         extra_ns: extra_us * 1_000,
-                    });
+                    };
+                    events.push(link(at_ms, dur_ms, FaultScope::Node(r), effect));
+                }
+                if let Some((a, d, at_ms, dur_ms, extra_us)) = link_delay {
+                    let effect = FaultEffect::Delay {
+                        extra_ns: extra_us * 1_000,
+                    };
+                    events.push(link(at_ms, dur_ms, directed(a, d), effect));
                 }
                 if let Some((r, at_ms, dur_ms)) = refusal {
                     events.push(FaultEvent::SyncRefusal {

@@ -493,7 +493,7 @@ pub fn decide_cross(rwsets: &[Option<RwSet>]) -> Vec<TxnOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::HashPartitioner;
+    use crate::partition::Partitioning;
     use harmony_chain::{state_root, ChainConfig};
     use harmony_common::ids::TableId;
     use harmony_core::HarmonyConfig;
@@ -515,7 +515,7 @@ mod tests {
         replicated: &[&str],
         mut load: impl FnMut(&StorageEngine) -> Result<()>,
     ) -> ShardGroup {
-        let router = ShardRouter::new(Arc::new(HashPartitioner::new(8)), shards);
+        let router = ShardRouter::new(Partitioning::Hash.build(8), shards);
         let spec = EngineSpec::sharded(EngineKind::Harmony(HarmonyConfig::default()), 2);
         let chains = (0..shards)
             .map(|_| OeChain::open(ChainConfig::in_memory(), spec).unwrap())

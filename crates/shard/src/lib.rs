@@ -59,8 +59,6 @@ pub use group::{
     ShardGroup, ShardedRoot,
 };
 pub use metrics::PlannerMetrics;
-pub use partition::{
-    HashPartitioner, Partitioner, Partitioning, PrefixPartitioner, ENTITY_PREFIX_BYTES,
-};
+pub use partition::{Partitioner, Partitioning, ENTITY_PREFIX_BYTES};
 pub use plan::{plan_block, BlockPlan, FragmentCodec, FragmentContract, Slot, FRAGMENT_NAME};
 pub use router::{Placement, ReshardMarker, ShardRouter};

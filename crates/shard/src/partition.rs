@@ -12,132 +12,88 @@
 //! table: an entity keyed identically across tables (e.g. a Smallbank
 //! customer's `checking` and `savings` rows) co-locates on one partition.
 
-use std::sync::Arc;
-
 use harmony_common::hash::fnv1a64;
 use harmony_txn::Key;
 
-/// Assigns every key to one of a fixed number of logical partitions.
-///
-/// Implementations must be pure functions of the key bytes: every replica
-/// and every shard derives the same placement with no coordination.
-pub trait Partitioner: Send + Sync {
-    /// Number of logical partitions (≥ 1).
-    fn partitions(&self) -> u32;
-
-    /// The partition owning `key`.
-    fn partition_of(&self, key: &Key) -> u32;
-}
-
-/// Hash partitioner: stable FNV-1a over the row bytes, modulo the partition
-/// count. The same function the partition-aware workload generators use, so
-/// their `multi_partition_ratio` knob translates exactly into cross-shard
-/// transactions.
-#[derive(Clone, Debug)]
-pub struct HashPartitioner {
-    partitions: u32,
-}
-
-impl HashPartitioner {
-    /// Build with `partitions` logical partitions.
-    ///
-    /// # Panics
-    /// Panics if `partitions == 0`.
-    #[must_use]
-    pub fn new(partitions: u32) -> HashPartitioner {
-        assert!(partitions > 0, "need at least one partition");
-        HashPartitioner { partitions }
-    }
-}
-
-impl Partitioner for HashPartitioner {
-    fn partitions(&self) -> u32 {
-        self.partitions
-    }
-
-    fn partition_of(&self, key: &Key) -> u32 {
-        (fnv1a64(key.row()) % u64::from(self.partitions)) as u32
-    }
-}
-
-/// Bytes of the row prefix [`PrefixPartitioner`] hashes: one big-endian
-/// `u64` entity id.
+/// Bytes of the row prefix [`Partitioning::Prefix`] hashes: one
+/// big-endian `u64` entity id.
 pub const ENTITY_PREFIX_BYTES: usize = 8;
-
-/// Entity-prefix partitioner: hashes only the first
-/// [`ENTITY_PREFIX_BYTES`] bytes of the row (the whole row when
-/// shorter), so every key sharing an 8-byte entity prefix lands on one
-/// partition.
-///
-/// This is the partitioner for workloads whose composite keys embed a
-/// leading owning-entity id — TPC-C, where district/customer/stock/
-/// orders/order-line/history keys all start with the big-endian
-/// warehouse id. Under it, a contract whose whole footprint hangs off
-/// one warehouse is single-partition even when some of its keys (the
-/// order id handed out by the district row at execution time) cannot be
-/// named in advance: any key that *will* share a declared key's prefix
-/// is guaranteed the same placement.
-///
-/// For keys of exactly 8 bytes this is bit-identical to
-/// [`HashPartitioner`] — `Key::from_u64` workloads (Smallbank, YCSB)
-/// place identically under either, so switching a deployment's
-/// [`Partitioning`] never moves their rows.
-#[derive(Clone, Debug)]
-pub struct PrefixPartitioner {
-    partitions: u32,
-}
-
-impl PrefixPartitioner {
-    /// Build with `partitions` logical partitions.
-    ///
-    /// # Panics
-    /// Panics if `partitions == 0`.
-    #[must_use]
-    pub fn new(partitions: u32) -> PrefixPartitioner {
-        assert!(partitions > 0, "need at least one partition");
-        PrefixPartitioner { partitions }
-    }
-}
-
-impl Partitioner for PrefixPartitioner {
-    fn partitions(&self) -> u32 {
-        self.partitions
-    }
-
-    fn partition_of(&self, key: &Key) -> u32 {
-        let row = key.row();
-        let prefix = &row[..row.len().min(ENTITY_PREFIX_BYTES)];
-        (fnv1a64(prefix) % u64::from(self.partitions)) as u32
-    }
-}
 
 /// Deployment knob selecting the partitioning function of a sharded
 /// replica — a pure function of the key bytes, so it must be identical
 /// on every replica of a chain.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Partitioning {
-    /// [`HashPartitioner`] over the whole row: best spread, right for
-    /// single-segment keys (Smallbank, YCSB).
+    /// Stable FNV-1a over the whole row, modulo the partition count:
+    /// best spread, right for single-segment keys (Smallbank, YCSB). The
+    /// same function the partition-aware workload generators use, so
+    /// their `multi_partition_ratio` knob translates exactly into
+    /// cross-shard transactions.
     #[default]
     Hash,
-    /// [`PrefixPartitioner`] over the leading 8 row bytes: co-locates
-    /// composite keys with their owning entity (TPC-C warehouses),
-    /// which is what lets warehouse-local NewOrder/Payment run
-    /// single-shard.
+    /// FNV-1a over only the first [`ENTITY_PREFIX_BYTES`] bytes of the
+    /// row (the whole row when shorter), so every key sharing an 8-byte
+    /// entity prefix lands on one partition.
+    ///
+    /// This is the partitioning for workloads whose composite keys embed
+    /// a leading owning-entity id — TPC-C, where district/customer/stock/
+    /// orders/order-line/history keys all start with the big-endian
+    /// warehouse id. Under it, a contract whose whole footprint hangs off
+    /// one warehouse is single-partition (which is what lets
+    /// warehouse-local NewOrder/Payment run single-shard) even when some
+    /// of its keys (the order id handed out by the district row at
+    /// execution time) cannot be named in advance: any key that *will*
+    /// share a declared key's prefix is guaranteed the same placement.
+    ///
+    /// For keys of exactly 8 bytes this is bit-identical to
+    /// [`Partitioning::Hash`] — `Key::from_u64` workloads (Smallbank,
+    /// YCSB) place identically under either, so switching a deployment's
+    /// partitioning never moves their rows.
     Prefix,
 }
 
 impl Partitioning {
-    /// Instantiate the partitioner for `partitions` logical partitions.
+    /// The partitioner of this kind over `partitions` logical partitions.
     ///
     /// # Panics
     /// Panics if `partitions == 0`.
     #[must_use]
-    pub fn build(self, partitions: u32) -> Arc<dyn Partitioner> {
-        match self {
-            Partitioning::Hash => Arc::new(HashPartitioner::new(partitions)),
-            Partitioning::Prefix => Arc::new(PrefixPartitioner::new(partitions)),
+    pub fn build(self, partitions: u32) -> Partitioner {
+        assert!(partitions > 0, "need at least one partition");
+        Partitioner {
+            by: self,
+            partitions,
         }
+    }
+}
+
+/// Assigns every key to one of a fixed number of logical partitions.
+///
+/// A pure function of the key bytes: every replica and every shard
+/// derives the same placement with no coordination. Built by
+/// [`Partitioning::build`].
+#[derive(Clone, Copy, Debug)]
+pub struct Partitioner {
+    by: Partitioning,
+    partitions: u32,
+}
+
+impl Partitioner {
+    /// Number of logical partitions (≥ 1).
+    #[must_use]
+    pub fn partitions(&self) -> u32 {
+        self.partitions
+    }
+
+    /// The partition owning `key`.
+    #[must_use]
+    pub fn partition_of(&self, key: &Key) -> u32 {
+        let row = key.row();
+        let hashed = match self.by {
+            Partitioning::Hash => row,
+            Partitioning::Prefix => &row[..row.len().min(ENTITY_PREFIX_BYTES)],
+        };
+        (fnv1a64(hashed) % u64::from(self.partitions)) as u32
     }
 }
 
@@ -152,7 +108,7 @@ mod tests {
 
     #[test]
     fn hash_partitioner_is_table_blind_and_stable() {
-        let p = HashPartitioner::new(8);
+        let p = Partitioning::Hash.build(8);
         for id in 0..200u64 {
             let a = Key::from_u64(TableId(0), id);
             let b = Key::from_u64(TableId(5), id);
@@ -166,9 +122,9 @@ mod tests {
     fn hash_partitioner_agrees_with_canonical_u64_partitioning() {
         // The partition-aware workload generators steer keys using
         // `harmony_common::hash::partition_of_u64`; the router places keys
-        // with `HashPartitioner`. The two must agree or the workloads'
+        // with `Partitioning::Hash`. The two must agree or the workloads'
         // multi_partition_ratio knob stops meaning "cross-shard".
-        let p = HashPartitioner::new(8);
+        let p = Partitioning::Hash.build(8);
         for id in 0..500u64 {
             assert_eq!(
                 u64::from(p.partition_of(&key(id))),
@@ -180,7 +136,7 @@ mod tests {
 
     #[test]
     fn hash_partitioner_spreads() {
-        let p = HashPartitioner::new(4);
+        let p = Partitioning::Hash.build(4);
         let mut counts = [0u32; 4];
         for id in 0..1000u64 {
             counts[p.partition_of(&key(id)) as usize] += 1;
@@ -192,8 +148,8 @@ mod tests {
     fn prefix_partitioner_matches_hash_on_u64_keys() {
         // Smallbank/YCSB keys are exactly 8 bytes, so a deployment may
         // switch Hash ↔ Prefix without moving any of their rows.
-        let h = HashPartitioner::new(16);
-        let p = PrefixPartitioner::new(16);
+        let h = Partitioning::Hash.build(16);
+        let p = Partitioning::Prefix.build(16);
         for id in 0..500u64 {
             assert_eq!(h.partition_of(&key(id)), p.partition_of(&key(id)));
         }
@@ -203,7 +159,7 @@ mod tests {
     fn prefix_partitioner_colocates_composite_keys_with_their_entity() {
         // TPC-C-style composite keys: warehouse id, then district /
         // customer / order suffixes of various lengths.
-        let p = PrefixPartitioner::new(16);
+        let p = Partitioning::Prefix.build(16);
         for w in 0..50u64 {
             let entity = p.partition_of(&key(w));
             for suffix_len in 1..16usize {
@@ -220,7 +176,7 @@ mod tests {
 
     #[test]
     fn prefix_partitioner_hashes_short_rows_whole() {
-        let p = PrefixPartitioner::new(16);
+        let p = Partitioning::Prefix.build(16);
         let short = Key::new(TableId(0), vec![1, 2, 3, 4]);
         assert!(p.partition_of(&short) < 16);
         // Stable: same 4-byte row, same partition, regardless of table.

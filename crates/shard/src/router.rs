@@ -8,8 +8,6 @@
 //! multi-partition) therefore depends only on the partitioner, which keeps
 //! every commit/abort decision shard-count-invariant.
 
-use std::sync::Arc;
-
 use harmony_common::ids::TableId;
 use harmony_txn::{Contract, Key};
 
@@ -36,7 +34,7 @@ pub enum Placement {
 /// transactions.
 #[derive(Clone)]
 pub struct ShardRouter {
-    partitioner: Arc<dyn Partitioner>,
+    partitioner: Partitioner,
     shards: usize,
     /// Tables whose rows every shard keeps in full (read-only dimension
     /// tables, e.g. TPC-C `item`). Their keys are invisible to
@@ -51,7 +49,7 @@ impl ShardRouter {
     /// # Panics
     /// Panics if `shards == 0`.
     #[must_use]
-    pub fn new(partitioner: Arc<dyn Partitioner>, shards: usize) -> ShardRouter {
+    pub fn new(partitioner: Partitioner, shards: usize) -> ShardRouter {
         assert!(shards > 0, "need at least one shard");
         ShardRouter {
             partitioner,
@@ -122,7 +120,7 @@ impl ShardRouter {
     pub fn resharded(&self, new_shards: usize) -> ShardRouter {
         assert!(new_shards > 0, "need at least one shard");
         ShardRouter {
-            partitioner: Arc::clone(&self.partitioner),
+            partitioner: self.partitioner,
             shards: new_shards,
             replicated: self.replicated.clone(),
         }
@@ -226,12 +224,12 @@ impl ReshardMarker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::HashPartitioner;
+    use crate::partition::Partitioning;
     use harmony_common::ids::TableId;
     use harmony_txn::{FnContract, TxnCtx};
 
     fn router(partitions: u32, shards: usize) -> ShardRouter {
-        ShardRouter::new(Arc::new(HashPartitioner::new(partitions)), shards)
+        ShardRouter::new(Partitioning::Hash.build(partitions), shards)
     }
 
     fn txn_with_keys(

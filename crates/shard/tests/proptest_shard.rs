@@ -12,7 +12,7 @@ use harmony_consensus::net::LatencyModel;
 use harmony_core::executor::TxnOutcome;
 use harmony_core::HarmonyConfig;
 use harmony_dcc_baselines::{EngineKind, EngineSpec};
-use harmony_shard::{HashPartitioner, ShardGroup, ShardRouter};
+use harmony_shard::{Partitioning, ShardGroup, ShardRouter};
 use harmony_workloads::{Smallbank, SmallbankConfig, Workload, Ycsb, YcsbConfig};
 use proptest::prelude::*;
 
@@ -61,7 +61,7 @@ fn run_stream(
     blocks: usize,
     block_size: usize,
 ) -> StreamResult {
-    let router = ShardRouter::new(Arc::new(HashPartitioner::new(PARTITIONS)), shards);
+    let router = ShardRouter::new(Partitioning::Hash.build(PARTITIONS), shards);
     let spec = EngineSpec::sharded(engine, 2);
     let chains = (0..shards)
         .map(|_| OeChain::open(ChainConfig::in_memory(), spec).unwrap())

@@ -18,7 +18,7 @@ use harmony_consensus::net::LatencyModel;
 use harmony_core::executor::TxnOutcome;
 use harmony_core::BlockStats;
 use harmony_dcc_baselines::{EngineKind, EngineSpec, ProtocolBlockResult};
-use harmony_shard::{HashPartitioner, ShardGroup, ShardRouter};
+use harmony_shard::{Partitioning, ShardGroup, ShardRouter};
 use harmony_storage::{IoSnapshot, StorageConfig};
 use harmony_txn::{Contract, ContractCodec};
 use harmony_workloads::Workload;
@@ -263,10 +263,7 @@ pub fn run_sharded_experiment(
     config: &ShardRunConfig,
 ) -> Result<RunMetrics> {
     check_workers(&config.base)?;
-    let router = ShardRouter::new(
-        Arc::new(HashPartitioner::new(config.partitions)),
-        config.shards,
-    );
+    let router = ShardRouter::new(Partitioning::Hash.build(config.partitions), config.shards);
     let chain = host_chain_config(&config.base.storage);
     let spec = EngineSpec::sharded(kind, config.base.workers);
     let chains = (0..config.shards)

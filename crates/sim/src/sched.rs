@@ -315,13 +315,11 @@ mod tests {
     /// and the charges are the differences of the running total.
     #[test]
     fn group_charge_is_the_cross_stage_before_the_slowest_chain_charge() {
-        use std::sync::Arc;
-
         use harmony_chain::ChainConfig;
         use harmony_common::DetRng;
         use harmony_consensus::net::LatencyModel;
         use harmony_dcc_baselines::{EngineKind, EngineSpec};
-        use harmony_shard::{HashPartitioner, ShardRouter};
+        use harmony_shard::{Partitioning, ShardRouter};
         use harmony_storage::{DiskProfile, StorageConfig};
         use harmony_workloads::{Smallbank, SmallbankConfig, Workload};
 
@@ -342,7 +340,7 @@ mod tests {
             let chains = (0..2)
                 .map(|_| OeChain::open(config.clone(), spec).unwrap())
                 .collect();
-            let router = ShardRouter::new(Arc::new(HashPartitioner::new(8)), 2);
+            let router = ShardRouter::new(Partitioning::Hash.build(8), 2);
             let mut group = ShardGroup::new(router, chains, LatencyModel::lan_1g());
             let mut w = Smallbank::new(SmallbankConfig {
                 accounts: 200,

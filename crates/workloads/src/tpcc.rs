@@ -332,7 +332,7 @@ fn read_u64s<const N: usize>(payload: &[u8]) -> Result<[u64; N]> {
 /// orders/new-order/order-line keys cannot be named in advance — but
 /// every one of them starts with the home warehouse's 8 bytes, and the
 /// declared set carries an order-id-zero guard key per order table with
-/// that same prefix. Under `harmony_shard::PrefixPartitioner` (the
+/// that same prefix. Under `harmony_shard::Partitioning::Prefix` (the
 /// recommended TPC-C partitioning) the guards pin exactly the partitions
 /// the real keys will land on, so an all-local order runs single-shard;
 /// under whole-row hashing the guards scatter and the order keeps

@@ -5,14 +5,12 @@
 //! cargo run --release --example sharded_payments
 //! ```
 
-use std::sync::Arc;
-
 use harmonybc::baselines::{EngineKind, EngineSpec};
 use harmonybc::chain::{ChainConfig, OeChain};
 use harmonybc::common::DetRng;
 use harmonybc::consensus::net::LatencyModel;
 use harmonybc::core::HarmonyConfig;
-use harmonybc::shard::{HashPartitioner, ShardGroup, ShardRouter};
+use harmonybc::shard::{Partitioning, ShardGroup, ShardRouter};
 use harmonybc::workloads::{Smallbank, SmallbankConfig, Workload};
 
 const SHARDS: usize = 4;
@@ -30,7 +28,7 @@ fn main() -> harmonybc::common::Result<()> {
         multi_partition_ratio: 0.10,
     });
 
-    let router = ShardRouter::new(Arc::new(HashPartitioner::new(PARTITIONS)), SHARDS);
+    let router = ShardRouter::new(Partitioning::Hash.build(PARTITIONS), SHARDS);
     // One hash-chained HarmonyBC chain per shard (sharded profile, 4 cores).
     let spec = EngineSpec::sharded(EngineKind::Harmony(HarmonyConfig::default()), 4);
     let chains = (0..SHARDS)

@@ -43,7 +43,7 @@ pub mod prelude {
     pub use harmony_dcc_baselines::{DccEngine, EngineKind, EngineSpec, HarmonyEngine};
     pub use harmony_metrics::{Registry, Timeline};
     pub use harmony_node::{Cluster, ClusterConfig, ClusterWorkload, Mempool, ReplicaNode};
-    pub use harmony_shard::{HashPartitioner, Partitioner, ShardGroup, ShardRouter};
+    pub use harmony_shard::{Partitioner, Partitioning, ShardGroup, ShardRouter};
     pub use harmony_storage::{DiskProfile, StorageConfig, StorageEngine};
     pub use harmony_txn::{Contract, ContractCodec, Key, TxnCtx, UpdateCommand, Value};
     pub use harmony_workloads::{Smallbank, Tpcc, Workload, Ycsb};
