@@ -132,4 +132,14 @@ rule 'a fault schedule reaches the network in one place' \
     'crates/*/src src examples' 'crates/consensus/src/* crates/node/src/cluster/mod.rs' \
     'NetFaults may be built only in crates/consensus/src and crates/node/src/cluster/mod.rs (schedule a FaultEvent::Link)'
 
+# A workload is built in one place: `ClusterWorkload::instantiate` in
+# crates/node/src/cluster/config.rs. The cluster, the node runtime and
+# every figure of the harness name a workload by its `ClusterWorkload`
+# and turn it into a generator there, so no other non-test code outside
+# the workloads crate constructs a Smallbank, YCSB or TPC-C generator.
+rule 'workloads are built in one place' \
+    '(Smallbank|Ycsb|Tpcc)::new\(' '' \
+    'crates/*/src src' 'crates/node/src/cluster/config.rs crates/workloads/src/*' \
+    'workloads may be constructed only in crates/node/src/cluster/config.rs (name one by ClusterWorkload and instantiate it)'
+
 exit "$failed"

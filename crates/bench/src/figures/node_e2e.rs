@@ -28,9 +28,10 @@ use harmony_node::{
 };
 use harmony_sim::{ClusterModel, EngineKind, RunConfig};
 use harmony_storage::StorageConfig;
-use harmony_workloads::{OpenLoopConfig, SmallbankConfig, YcsbConfig};
+use harmony_workloads::OpenLoopConfig;
 
-use crate::{all_systems, f2, measure, write_artifact, Table, WorkloadKind};
+use super::paper::smallbank;
+use crate::{all_systems, f2, measure, write_artifact, Table};
 
 const REPLICAS: usize = 4;
 const WORKERS: usize = 4;
@@ -82,19 +83,6 @@ fn cluster_config(
     }
 }
 
-fn node_workload(kind: &WorkloadKind) -> ClusterWorkload {
-    match kind {
-        WorkloadKind::Smallbank { theta } => ClusterWorkload::Smallbank(SmallbankConfig {
-            theta: *theta,
-            ..SmallbankConfig::default()
-        }),
-        _ => ClusterWorkload::Ycsb(YcsbConfig {
-            theta: 0.6,
-            ..YcsbConfig::default()
-        }),
-    }
-}
-
 struct Point {
     system: String,
     ordering: &'static str,
@@ -124,7 +112,7 @@ pub(crate) fn fig23_node_e2e(name: &str) -> Result<()> {
             "crash_rejoin_ok",
         ],
     );
-    let workload = WorkloadKind::Smallbank { theta: 0.6 };
+    let workload = smallbank(0.6);
     let mut points: Vec<Point> = Vec::new();
 
     for kind in all_systems() {
@@ -138,6 +126,7 @@ pub(crate) fn fig23_node_e2e(name: &str) -> Result<()> {
                 storage: StorageConfig::default(),
                 seed: 0xF123,
                 retry_aborts: true,
+                shards: None,
             },
         )?;
         for (ordering, model) in [
@@ -155,13 +144,8 @@ pub(crate) fn fig23_node_e2e(name: &str) -> Result<()> {
             ),
         ] {
             let analytic = model.compose(&db, kind.architecture(), REPLICAS, BLOCK_TXNS as u64);
-            let report = Cluster::new(cluster_config(
-                kind,
-                node_workload(&workload),
-                ordering,
-                None,
-            ))
-            .run()?;
+            let report =
+                Cluster::new(cluster_config(kind, workload.clone(), ordering, None)).run()?;
             let ordering_name = match ordering {
                 OrderingMode::Kafka { .. } => "kafka",
                 OrderingMode::HotStuff => "hotstuff",
@@ -172,7 +156,7 @@ pub(crate) fn fig23_node_e2e(name: &str) -> Result<()> {
                 OrderingMode::Kafka { .. } => Some(
                     Cluster::new(cluster_config(
                         kind,
-                        node_workload(&workload),
+                        workload.clone(),
                         ordering,
                         Some(FaultEvent::Crash {
                             replica: 2,

@@ -8,29 +8,42 @@ use harmony_consensus::net::LatencyModel;
 use harmony_consensus::{HotStuffConfig, HotStuffSim, KafkaConfig, KafkaSim};
 use harmony_core::HarmonyConfig;
 use harmony_dcc_baselines::Architecture;
-use harmony_sim::{
-    run_experiment_inspected, run_sharded_experiment, ClusterModel, EngineKind, RunConfig,
-    ShardRunConfig,
-};
+use harmony_node::ClusterWorkload;
+use harmony_sim::{run_experiment, ClusterModel, EngineKind, RunConfig, ShardLayout};
 use harmony_storage::{DiskProfile, StorageConfig, StorageCost};
-use harmony_workloads::{Smallbank, SmallbankConfig};
+use harmony_workloads::{SmallbankConfig, TpccConfig, YcsbConfig};
 
 use crate::{
     all_systems, default_run, f2, false_aborts_in, measure, measure_tuned, pct, per_block_run,
-    relational_systems, Table, WorkloadKind, BLOCK_SIZES,
+    relational_systems, Table, BLOCK_SIZES,
 };
 
 /// A skewed workload as a function of its Zipfian theta.
-pub(crate) type Skewed = fn(f64) -> WorkloadKind;
+pub(crate) type Skewed = fn(f64) -> ClusterWorkload;
 
 /// Smallbank at the given skew.
-pub(crate) fn smallbank(theta: f64) -> WorkloadKind {
-    WorkloadKind::Smallbank { theta }
+pub(crate) fn smallbank(theta: f64) -> ClusterWorkload {
+    ClusterWorkload::Smallbank(SmallbankConfig {
+        theta,
+        ..SmallbankConfig::default()
+    })
 }
 
 /// YCSB at the given skew.
-pub(crate) fn ycsb(theta: f64) -> WorkloadKind {
-    WorkloadKind::Ycsb { theta }
+pub(crate) fn ycsb(theta: f64) -> ClusterWorkload {
+    ClusterWorkload::Ycsb(YcsbConfig {
+        theta,
+        ..YcsbConfig::default()
+    })
+}
+
+/// TPC-C with the given warehouse count, at the harness's 2 % scale.
+fn tpcc(warehouses: u64) -> ClusterWorkload {
+    ClusterWorkload::Tpcc(TpccConfig {
+        warehouses,
+        scale: 0.02,
+        ..TpccConfig::default()
+    })
 }
 
 /// Figure 1: the database layer is the bottleneck of disk-based private
@@ -87,7 +100,7 @@ pub(crate) fn fig01_gap(name: &str) -> Result<()> {
 
 /// Table 3: hit rate of the backward dangerous structure per workload.
 pub(crate) fn table03_hitrate(name: &str) -> Result<()> {
-    fn hit_rate(workload: &WorkloadKind) -> Result<f64> {
+    fn hit_rate(workload: &ClusterWorkload) -> Result<f64> {
         let harmony = EngineKind::Harmony(HarmonyConfig::default());
         let stats = measure(harmony, workload, &per_block_run())?.stats;
         let hits = stats.aborted_rule1 + stats.aborted_interblock;
@@ -107,7 +120,7 @@ pub(crate) fn table03_hitrate(name: &str) -> Result<()> {
         t.row(vec![
             "TPC-C".into(),
             format!("warehouses={w}"),
-            pct(hit_rate(&WorkloadKind::Tpcc { warehouses: w })?),
+            pct(hit_rate(&tpcc(w))?),
         ]);
     }
     t.emit()
@@ -181,12 +194,12 @@ pub(crate) fn contention(name: &str, workload: Skewed) -> Result<()> {
 /// committed). FastFabric# is excluded, as in the paper — its graph
 /// traversal eliminates false aborts by construction.
 pub(crate) fn fig13_false_aborts(name: &str) -> Result<()> {
-    fn rate(kind: EngineKind, workload: &WorkloadKind) -> Result<(f64, f64)> {
+    fn rate(kind: EngineKind, workload: &ClusterWorkload) -> Result<(f64, f64)> {
         let mut fa = 0u64;
         let mut aborts = 0u64;
         let mut txns = 0u64;
-        let mut w = workload.build();
-        run_experiment_inspected(kind, w.as_mut(), &per_block_run(), |res| {
+        let mut w = workload.instantiate();
+        run_experiment(kind, w.as_mut(), &per_block_run(), |res| {
             let (f, a) = false_aborts_in(res);
             fa += f;
             aborts += a;
@@ -239,11 +252,8 @@ pub(crate) fn fig14_hotspot(name: &str) -> Result<()> {
     );
     for kind in relational_systems() {
         for hot in [0.0, 0.2, 0.4, 0.6, 0.8, 1.0] {
-            let m = measure(
-                kind,
-                &WorkloadKind::YcsbHotspot { hot_prob: hot },
-                &default_run(25),
-            )?;
+            let workload = ClusterWorkload::Ycsb(YcsbConfig::hotspot(hot));
+            let m = measure(kind, &workload, &default_run(25))?;
             t.row(vec![
                 m.system.into(),
                 hot.to_string(),
@@ -344,7 +354,7 @@ pub(crate) fn fig19_tpcc(name: &str) -> Result<()> {
     );
     for kind in relational_systems() {
         for warehouses in [1u64, 20, 40, 60, 80] {
-            let m = measure(kind, &WorkloadKind::Tpcc { warehouses }, &default_run(25))?;
+            let m = measure(kind, &tpcc(warehouses), &default_run(25))?;
             t.row(vec![
                 m.system.into(),
                 warehouses.to_string(),
@@ -382,8 +392,8 @@ pub(crate) fn fig20_ablation(name: &str) -> Result<()> {
         ("YCSB", "high", ycsb(0.99)),
         ("Smallbank", "low", smallbank(0.0)),
         ("Smallbank", "high", smallbank(0.99)),
-        ("TPC-C", "low", WorkloadKind::Tpcc { warehouses: 40 }),
-        ("TPC-C", "high", WorkloadKind::Tpcc { warehouses: 1 }),
+        ("TPC-C", "low", tpcc(40)),
+        ("TPC-C", "high", tpcc(1)),
     ];
     for (wl, contention, workload) in &cases {
         for (label, config) in tiers {
@@ -408,7 +418,7 @@ pub(crate) fn fig21_storage_media(name: &str) -> Result<()> {
     let workloads = [
         ("YCSB", ycsb(0.6)),
         ("Smallbank", smallbank(0.6)),
-        ("TPC-C", WorkloadKind::Tpcc { warehouses: 20 }),
+        ("TPC-C", tpcc(20)),
     ];
     for (wl_name, workload) in &workloads {
         for (medium, profile, free_cpu) in [
@@ -497,21 +507,21 @@ pub(crate) fn fig22_shard_scaling(name: &str) -> Result<()> {
     for kind in all_systems() {
         for ratio in [0.0, 0.05, 0.20] {
             for shards in [1usize, 2, 4, 8, 16] {
-                let mut w = Smallbank::new(SmallbankConfig {
+                let workload = ClusterWorkload::Smallbank(SmallbankConfig {
                     partitions: u64::from(PARTITIONS),
                     multi_partition_ratio: (ratio / TWO_ACCOUNT_SHARE).min(1.0),
                     ..SmallbankConfig::default()
                 });
-                let config = ShardRunConfig {
-                    base: RunConfig {
-                        blocks: 8,
-                        block_size: 480,
-                        ..RunConfig::default()
-                    },
-                    shards,
-                    partitions: PARTITIONS,
+                let config = RunConfig {
+                    blocks: 8,
+                    block_size: 480,
+                    shards: Some(ShardLayout {
+                        shards,
+                        partitions: PARTITIONS,
+                    }),
+                    ..RunConfig::default()
                 };
-                let m = run_sharded_experiment(kind, &mut w, &config)?;
+                let m = measure(kind, &workload, &config)?;
                 t.row(vec![
                     format!("{}@{:.0}%", kind.name(), ratio * 100.0),
                     shards.to_string(),

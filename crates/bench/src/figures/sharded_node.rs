@@ -5,8 +5,8 @@
 //! For each engine and M ∈ {1, 2, 4}, a 4-replica cluster runs every
 //! replica as a [`harmony_node::ShardedReplicaNode`] (ordered global
 //! blocks → cross-shard planning → per-shard sub-block chains), and the
-//! same (workload, M) point runs through `run_sharded_experiment` (the
-//! fig22 path). Both hosts execute through the same
+//! same (workload, M) point runs through `harmony_sim::run_experiment`
+//! on a sharded run (the fig22 path). Both hosts execute through the same
 //! `harmony_shard::ShardGroup` — per-shard chains that seal and log every
 //! sub-block — so the two curves differ only in what the virtual-time
 //! model charges: fig22 charges execution alone, the node runtime adds
@@ -31,11 +31,11 @@ use harmony_node::{
     Cluster, ClusterConfig, ClusterWorkload, MempoolConfig, OrderingMode, ReplicaConfig,
     ShardTopology,
 };
-use harmony_sim::{run_sharded_experiment, EngineKind, RunConfig, ShardRunConfig};
+use harmony_sim::{EngineKind, RunConfig, ShardLayout};
 use harmony_storage::StorageConfig;
-use harmony_workloads::{OpenLoopConfig, Smallbank, SmallbankConfig};
+use harmony_workloads::{OpenLoopConfig, SmallbankConfig};
 
-use crate::{all_systems, f2, write_artifact, Table};
+use crate::{all_systems, f2, measure, write_artifact, Table};
 
 const REPLICAS: usize = 4;
 const WORKERS: usize = 2;
@@ -44,13 +44,13 @@ const PARTITIONS: u32 = 16;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const CROSS_RATIO: f64 = 0.05;
 
-fn workload_config() -> SmallbankConfig {
-    SmallbankConfig {
+fn workload() -> ClusterWorkload {
+    ClusterWorkload::Smallbank(SmallbankConfig {
         accounts: 2_000,
         theta: 0.4,
         partitions: u64::from(PARTITIONS),
         multi_partition_ratio: CROSS_RATIO,
-    }
+    })
 }
 
 fn node_run(engine: EngineKind, shards: usize) -> Result<harmony_node::ClusterReport> {
@@ -73,7 +73,7 @@ fn node_run(engine: EngineKind, shards: usize) -> Result<harmony_node::ClusterRe
             partitioning: None,
             checkpoint_stagger: 0,
         }),
-        workload: ClusterWorkload::Smallbank(workload_config()),
+        workload: workload(),
         ordering: OrderingMode::Kafka { brokers: 3 },
         latency: LatencyModel::lan_1g(),
         mempool: MempoolConfig {
@@ -101,21 +101,20 @@ fn node_run(engine: EngineKind, shards: usize) -> Result<harmony_node::ClusterRe
 }
 
 fn single_process_run(engine: EngineKind, shards: usize) -> Result<harmony_sim::RunMetrics> {
-    let mut w = Smallbank::new(workload_config());
-    run_sharded_experiment(
+    measure(
         engine,
-        &mut w,
-        &ShardRunConfig {
-            base: RunConfig {
-                blocks: 30,
-                block_size: BLOCK_TXNS,
-                workers: WORKERS,
-                storage: StorageConfig::default(),
-                seed: 0xF124,
-                retry_aborts: true,
-            },
-            shards,
-            partitions: PARTITIONS,
+        &workload(),
+        &RunConfig {
+            blocks: 30,
+            block_size: BLOCK_TXNS,
+            workers: WORKERS,
+            storage: StorageConfig::default(),
+            seed: 0xF124,
+            retry_aborts: true,
+            shards: Some(ShardLayout {
+                shards,
+                partitions: PARTITIONS,
+            }),
         },
     )
 }

@@ -17,10 +17,10 @@ use harmony_common::{Error, Result};
 use harmony_core::executor::TxnOutcome;
 use harmony_core::HarmonyConfig;
 use harmony_dcc_baselines::ProtocolBlockResult;
+use harmony_node::ClusterWorkload;
 use harmony_sim::{run_experiment, EngineKind, RunConfig, RunMetrics};
 use harmony_storage::StorageConfig;
 use harmony_txn::Key;
-use harmony_workloads::{Smallbank, SmallbankConfig, Tpcc, TpccConfig, Workload, Ycsb, YcsbConfig};
 
 pub mod figures;
 
@@ -84,55 +84,6 @@ pub fn relational_systems() -> Vec<EngineKind> {
         .collect()
 }
 
-/// Workload factories at paper scale.
-pub enum WorkloadKind {
-    /// YCSB with the given skew.
-    Ycsb {
-        /// Zipfian theta.
-        theta: f64,
-    },
-    /// YCSB hotspot variant (Figure 14).
-    YcsbHotspot {
-        /// Per-statement hot probability.
-        hot_prob: f64,
-    },
-    /// Smallbank with the given skew.
-    Smallbank {
-        /// Zipfian theta.
-        theta: f64,
-    },
-    /// TPC-C with the given warehouse count.
-    Tpcc {
-        /// Warehouses.
-        warehouses: u64,
-    },
-}
-
-impl WorkloadKind {
-    /// Instantiate the workload.
-    #[must_use]
-    pub fn build(&self) -> Box<dyn Workload> {
-        match self {
-            WorkloadKind::Ycsb { theta } => Box::new(Ycsb::new(YcsbConfig {
-                theta: *theta,
-                ..YcsbConfig::default()
-            })),
-            WorkloadKind::YcsbHotspot { hot_prob } => {
-                Box::new(Ycsb::new(YcsbConfig::hotspot(*hot_prob)))
-            }
-            WorkloadKind::Smallbank { theta } => Box::new(Smallbank::new(SmallbankConfig {
-                theta: *theta,
-                ..SmallbankConfig::default()
-            })),
-            WorkloadKind::Tpcc { warehouses } => Box::new(Tpcc::new(TpccConfig {
-                warehouses: *warehouses,
-                scale: 0.02,
-                ..TpccConfig::default()
-            })),
-        }
-    }
-}
-
 /// Default experiment scale: enough blocks for stable rates, small enough
 /// for laptop runs.
 #[must_use]
@@ -144,24 +95,24 @@ pub fn default_run(block_size: usize) -> RunConfig {
         storage: StorageConfig::default(),
         seed: 0x5EED,
         retry_aborts: true,
+        shards: None,
     }
 }
 
 /// Run one (system × workload) point.
 pub fn measure(
     kind: EngineKind,
-    workload: &WorkloadKind,
+    workload: &ClusterWorkload,
     config: &RunConfig,
 ) -> Result<RunMetrics> {
-    let mut w = workload.build();
-    run_experiment(kind, w.as_mut(), config)
+    run_experiment(kind, workload.instantiate().as_mut(), config, |_| {})
 }
 
 /// Run a block-size sweep and return `(best_block_size, best_metrics)` by
 /// throughput — the paper's "block size tuned to optimal per system".
 pub fn measure_tuned(
     kind: EngineKind,
-    workload: &WorkloadKind,
+    workload: &ClusterWorkload,
     sizes: &[usize],
 ) -> Result<(usize, RunMetrics)> {
     let mut best: Option<(usize, RunMetrics)> = None;
@@ -483,6 +434,8 @@ mod tests {
 
     #[test]
     fn quick_measure_smoke() {
+        use harmony_workloads::SmallbankConfig;
+
         let config = RunConfig {
             blocks: 4,
             block_size: 10,
@@ -490,7 +443,10 @@ mod tests {
         };
         let m = measure(
             EngineKind::Harmony(HarmonyConfig::default()),
-            &WorkloadKind::Smallbank { theta: 0.4 },
+            &ClusterWorkload::Smallbank(SmallbankConfig {
+                theta: 0.4,
+                ..SmallbankConfig::default()
+            }),
             &config,
         )
         .unwrap();

@@ -42,8 +42,9 @@ impl ClusterWorkload {
     }
 
     /// A fresh instance of the workload (no table ids recorded yet) — the
-    /// one place the selector is turned into a workload.
-    fn instantiate(&self) -> Box<dyn Workload> {
+    /// one place any workload is constructed.
+    #[must_use]
+    pub fn instantiate(&self) -> Box<dyn Workload> {
         match self {
             ClusterWorkload::Smallbank(c) => Box::new(Smallbank::new(c.clone())),
             ClusterWorkload::Ycsb(c) => Box::new(Ycsb::new(c.clone())),

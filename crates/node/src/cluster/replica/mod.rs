@@ -60,6 +60,10 @@ pub struct ReplicaWrap {
     logical_root: Option<Digest>,
     state: ReplicaState,
     metrics: WrapMetrics,
+    /// Ordering and submit times of each delivered block above the tip,
+    /// read when the block is applied. A block at or below the tip never
+    /// is, so it has no entry: a duplicate delivery adds none, and a sync
+    /// reply drops those it carried the replica past.
     meta: HashMap<u64, (u64, u64)>,
     peers: Vec<usize>,
     window: usize,
@@ -251,8 +255,10 @@ impl ReplicaWrap {
         mean_submit_ns: u64,
         ctx: &mut dyn Transport<Msg>,
     ) {
-        self.meta
-            .insert(block.header.id.0, (born_ns, mean_submit_ns));
+        if block.header.id > self.node.height() {
+            self.meta
+                .insert(block.header.id.0, (born_ns, mean_submit_ns));
+        }
         let applied = match self.node_mut().deliver(block) {
             Ok(applied) => applied,
             Err(_) => {
@@ -365,6 +371,8 @@ impl ReplicaWrap {
         self.metrics.sync_bytes[1].add(range_bytes);
         ctx.charge_cpu(SYNC_REPLAY_NS_PER_BLOCK * applied.blocks);
         self.sync_blocks += applied.blocks;
+        let height = self.node.height().0;
+        self.meta.retain(|&id, _| id > height);
         self.last_apply_ns = self.last_apply_ns.max(ctx.now());
         if self.node.front().pending_gap() == 0 {
             self.sync_complete();
@@ -570,7 +578,59 @@ impl ReplicaWrap {
 
 #[cfg(test)]
 mod tests {
+    use harmony_chain::ChainConfig;
+
     use super::*;
+    use crate::testkit::{sealed_stream, workload};
+    use crate::ReplicaConfig;
+
+    /// A transport at time 0 that drops what it is given.
+    struct Quiet;
+
+    impl Transport<Msg> for Quiet {
+        fn now(&self) -> u64 {
+            0
+        }
+        fn me(&self) -> usize {
+            0
+        }
+        fn send(&mut self, _to: usize, _msg: Msg, _bytes: u64) {}
+        fn set_timer(&mut self, _delay_ns: u64, _id: u64) {}
+        fn charge_cpu(&mut self, _ns: u64) {}
+    }
+
+    #[test]
+    fn no_latency_entry_stays_at_or_below_the_height() {
+        let cfg = ClusterConfig {
+            replicas: 2,
+            workload: workload(),
+            replica: ReplicaConfig {
+                chain: ChainConfig::in_memory(),
+                ..ReplicaConfig::default()
+            },
+            ..ClusterConfig::default()
+        };
+        let wrap = |r| ReplicaWrap::new(&cfg, &Arc::new(Registry::new()), r).unwrap();
+        let (mut peer, mut w) = (wrap(0), wrap(1));
+        let blocks = sealed_stream(4, 8);
+        for b in &blocks {
+            peer.on_deliver(Arc::clone(b), 0, 0, &mut Quiet);
+        }
+        // Block 1 twice: the second delivery applies nothing.
+        w.on_deliver(Arc::clone(&blocks[0]), 0, 0, &mut Quiet);
+        w.on_deliver(Arc::clone(&blocks[0]), 0, 0, &mut Quiet);
+        assert_eq!(w.node.height(), BlockId(1));
+        assert!(w.meta.is_empty(), "{:?}", w.meta);
+        // Block 3 waits behind the gap at 2, until a sync reply carries
+        // the replica past it.
+        w.on_deliver(Arc::clone(&blocks[2]), 0, 0, &mut Quiet);
+        assert!(w.meta.contains_key(&3));
+        let from: Vec<BlockId> = w.node.chains().iter().map(OeChain::height).collect();
+        let response = peer.node.serve_sync(&from).unwrap();
+        w.on_sync_reply(&response, &mut Quiet);
+        assert_eq!(w.node.height(), BlockId(4));
+        assert!(w.meta.is_empty(), "{:?}", w.meta);
+    }
 
     #[test]
     fn two_status_calls_with_nothing_applied_between_do_one_merge() {

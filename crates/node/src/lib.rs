@@ -50,8 +50,6 @@ pub mod metrics;
 pub mod replica;
 pub mod sharded;
 pub mod statesync;
-#[cfg(test)]
-mod testkit;
 
 pub use cluster::{
     build_node, load_ns_for_txns, submission_trace, BlockSummary, Cluster, ClusterConfig,
@@ -69,3 +67,6 @@ pub use statesync::{
     apply_sharded_sync, apply_sync, RetryPolicy, ShardedSyncApplied, ShardedSyncResponse,
     SyncResponse,
 };
+
+#[cfg(test)]
+mod testkit;

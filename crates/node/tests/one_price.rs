@@ -12,9 +12,7 @@ use harmony_chain::{ChainBlock, ChainConfig};
 use harmony_common::{BlockId, DetRng};
 use harmony_crypto::{Digest, KeyPair};
 use harmony_node::{Applied, ReplicaConfig, ReplicaNode, ShardedReplicaConfig, ShardedReplicaNode};
-use harmony_sim::{
-    run_experiment, run_sharded_experiment, EngineKind, RunConfig, RunMetrics, ShardRunConfig,
-};
+use harmony_sim::{run_experiment, EngineKind, RunConfig, RunMetrics, ShardLayout};
 use harmony_storage::StorageConfig;
 use harmony_workloads::{Smallbank, SmallbankConfig, Workload};
 
@@ -43,6 +41,7 @@ fn run() -> RunConfig {
         },
         seed: 0x0C05,
         retry_aborts: false,
+        shards: None,
     }
 }
 
@@ -90,7 +89,7 @@ fn assert_same_price(host: &str, engine: EngineKind, cost_ns: u64, metrics: &Run
 fn a_flat_replica_charges_what_the_driver_charges() {
     let run = run();
     for engine in EngineKind::ALL {
-        let metrics = run_experiment(engine, &mut bank(), &run).unwrap();
+        let metrics = run_experiment(engine, &mut bank(), &run, |_| {}).unwrap();
         let config = ReplicaConfig {
             chain: chain(&run),
             engine,
@@ -111,19 +110,22 @@ fn a_flat_replica_charges_what_the_driver_charges() {
 
 #[test]
 fn a_sharded_replica_charges_what_the_driver_charges() {
-    let run = ShardRunConfig {
-        base: run(),
+    let layout = ShardLayout {
         shards: 2,
         partitions: 8,
     };
+    let run = RunConfig {
+        shards: Some(layout),
+        ..run()
+    };
     for engine in EngineKind::ALL {
-        let metrics = run_sharded_experiment(engine, &mut bank(), &run).unwrap();
+        let metrics = run_experiment(engine, &mut bank(), &run, |_| {}).unwrap();
         let config = ShardedReplicaConfig {
-            chain: chain(&run.base),
+            chain: chain(&run),
             engine,
-            workers: run.base.workers,
-            shards: run.shards,
-            partitions: run.partitions,
+            workers: run.workers,
+            shards: layout.shards,
+            partitions: layout.partitions,
             ..ShardedReplicaConfig::default()
         };
         let mut w = bank();
@@ -132,7 +134,7 @@ fn a_sharded_replica_charges_what_the_driver_charges() {
             Ok(w.codec())
         })
         .unwrap();
-        let cost_ns = deliver_run(&w, &run.base, |b| replica.deliver(b).unwrap());
+        let cost_ns = deliver_run(&w, &run, |b| replica.deliver(b).unwrap());
         assert_same_price("sharded", engine, cost_ns, &metrics);
         assert_eq!(
             replica.stats(),

@@ -3,12 +3,12 @@
 //! deterministic cross-shard commit protocol.
 //!
 //! Two hosts drive it and neither carries a copy of it: the experiment
-//! driver (`harmony_sim::run_sharded_experiment`, fig22) feeds it blocks
-//! straight from a workload, and `harmony-node`'s sharded replica wraps
-//! one group with what only a replica has — the global hash chain,
-//! ordered delivery, state-sync and live resharding. Fed the same
-//! transactions, the two hosts seal the same sub-blocks and reach the
-//! same per-shard state roots, because they run this code; and both
+//! driver (`harmony_sim::run_experiment` on a sharded run, fig22) feeds
+//! it blocks straight from a workload, and `harmony-node`'s sharded
+//! replica wraps one group with what only a replica has — the global
+//! hash chain, ordered delivery, state-sync and live resharding. Fed the
+//! same transactions, the two hosts seal the same sub-blocks and reach
+//! the same per-shard state roots, because they run this code; and both
 //! price a block's [`ShardBlockResult`] through one function,
 //! `harmony_sim::BlockCharge::group_block`, so they charge the same
 //! virtual time for it.

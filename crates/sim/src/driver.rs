@@ -1,8 +1,8 @@
 //! Experiment driver: run (engine × workload) for N blocks with
 //! abort-retry and produce the paper's metrics.
 //!
-//! [`run_experiment`] hosts one [`OeChain`] (the engine's flat profile),
-//! [`run_sharded_experiment`] a [`ShardGroup`]; both run one loop, and
+//! [`run_experiment`] hosts one [`OeChain`] (the engine's flat profile)
+//! or, given a [`ShardLayout`], a [`ShardGroup`]; both run one loop, and
 //! [`BlockCharge`] prices each block as a replica does. The chains never
 //! checkpoint, and their log syncs and seal/verify costs fall outside
 //! every `vtime::scope`: the charge is the only cost.
@@ -30,9 +30,12 @@ use crate::sched::BlockCharge;
 pub struct RunConfig {
     /// Number of blocks to execute.
     pub blocks: usize,
-    /// Transactions per block (also the concurrency degree, §5.2).
+    /// Transactions per block (also the concurrency degree, §5.2); on a
+    /// sharded run the *global* block size, split across shards by the
+    /// router.
     pub block_size: usize,
-    /// Worker cores per replica.
+    /// Worker cores per replica; on a sharded run per shard — shards add
+    /// hardware, like replicas do.
     pub workers: usize,
     /// Storage configuration (disk profile = the Figure 21 axis).
     pub storage: StorageConfig,
@@ -40,6 +43,20 @@ pub struct RunConfig {
     pub seed: u64,
     /// Requeue protocol-aborted transactions into the next block.
     pub retry_aborts: bool,
+    /// Shard the run (the Figure 22 axes); `None` runs the engine's flat
+    /// profile on one chain.
+    pub shards: Option<ShardLayout>,
+}
+
+/// The shard layout of a sharded run.
+#[derive(Clone, Copy, Debug)]
+pub struct ShardLayout {
+    /// Physical shard count.
+    pub shards: usize,
+    /// Logical partition count (fixed across shard counts so transaction
+    /// classification never changes; must be ≥ the largest shard count
+    /// under comparison).
+    pub partitions: u32,
 }
 
 impl Default for RunConfig {
@@ -51,6 +68,7 @@ impl Default for RunConfig {
             storage: StorageConfig::default(),
             seed: 0x5EED,
             retry_aborts: true,
+            shards: None,
         }
     }
 }
@@ -81,14 +99,6 @@ pub struct RunMetrics {
     pub buffer_hit_rate: f64,
     /// Virtual wall time of the run (ns).
     pub wall_ns: u64,
-}
-
-/// Refuse a configuration the run cannot schedule: no worker cores.
-fn check_workers(config: &RunConfig) -> Result<()> {
-    if config.workers == 0 {
-        return Err(Error::InvalidArgument("a run needs ≥ 1 worker".into()));
-    }
-    Ok(())
 }
 
 /// What a driver executes its blocks on.
@@ -129,16 +139,6 @@ impl Host {
                 Ok((result.outcomes, result.stats))
             }
         }
-    }
-}
-
-/// The chain configuration every host chain opens with: the run's
-/// storage, no checkpoints.
-fn host_chain_config(storage: &StorageConfig) -> ChainConfig {
-    ChainConfig {
-        storage: storage.clone(),
-        checkpoint_every: 0,
-        ..ChainConfig::default()
     }
 }
 
@@ -211,77 +211,54 @@ fn drive(
     })
 }
 
-/// Run one experiment: load the workload, execute `blocks` blocks of
-/// `block_size` transactions, requeue aborts, and aggregate metrics.
+/// Run one experiment: load the workload, execute `config.blocks` blocks
+/// of `config.block_size` transactions, requeue aborts, and aggregate
+/// metrics. Without a [`RunConfig::shards`] layout one chain hosts the
+/// engine's flat profile; with one the workload's global transaction
+/// stream is routed across per-shard chains: single-shard sub-blocks run in
+/// parallel across shards, multi-partition transactions pay the modeled
+/// fragment-exchange round, over a 1 Gb LAN, plus a re-simulation stage.
+/// Every executed chain block's engine result — outcomes and read-write
+/// sets — is handed to `inspect` (Figure 13's false-abort oracle reads
+/// them).
 pub fn run_experiment(
-    kind: EngineKind,
-    workload: &mut dyn Workload,
-    config: &RunConfig,
-) -> Result<RunMetrics> {
-    run_experiment_inspected(kind, workload, config, |_| {})
-}
-
-/// [`run_experiment`], handing every executed block's engine result —
-/// outcomes and read-write sets — to `inspect` (Figure 13's false-abort
-/// oracle reads them).
-pub fn run_experiment_inspected(
     kind: EngineKind,
     workload: &mut dyn Workload,
     config: &RunConfig,
     mut inspect: impl FnMut(&ProtocolBlockResult),
 ) -> Result<RunMetrics> {
-    check_workers(config)?;
-    let spec = EngineSpec::flat(kind, config.workers);
-    let chain = OeChain::open(host_chain_config(&config.storage), spec)?;
-    workload.setup(chain.engine())?;
-    let host = Host::Chain(Box::new(chain), workload.codec());
-    drive(host, workload, config, kind.name().into(), &mut inspect)
-}
-
-/// Parameters of a sharded experiment (the Figure 22 axes).
-#[derive(Clone, Debug)]
-pub struct ShardRunConfig {
-    /// Per-shard parameters: `block_size` is the *global* block size
-    /// (split across shards by the router); `workers` are per shard —
-    /// shards add hardware, like replicas do.
-    pub base: RunConfig,
-    /// Physical shard count.
-    pub shards: usize,
-    /// Logical partition count (fixed across shard counts so transaction
-    /// classification never changes; must be ≥ the largest shard count
-    /// under comparison).
-    pub partitions: u32,
-}
-
-/// Run one sharded experiment: the workload's global transaction stream is
-/// routed across `shards` engine instances; single-shard sub-blocks run in
-/// parallel across shards, multi-partition transactions pay the modeled
-/// fragment-exchange round, over a 1 Gb LAN, plus a re-simulation stage.
-pub fn run_sharded_experiment(
-    kind: EngineKind,
-    workload: &mut dyn Workload,
-    config: &ShardRunConfig,
-) -> Result<RunMetrics> {
-    check_workers(&config.base)?;
-    let router = ShardRouter::new(Partitioning::Hash.build(config.partitions), config.shards);
-    let chain = host_chain_config(&config.base.storage);
-    let spec = EngineSpec::sharded(kind, config.base.workers);
-    let chains = (0..config.shards)
-        .map(|_| OeChain::open(chain.clone(), spec))
-        .collect::<Result<_>>()?;
-    let mut group = ShardGroup::new(router, chains, LatencyModel::lan_1g());
-    group.setup_with(&[], |engine| {
-        workload.setup(engine)?;
-        Ok(workload.codec())
-    })?;
-    let system = format!("{}×{}shards", kind.name(), config.shards);
-    drive(
-        Host::Group(group),
-        workload,
-        &config.base,
-        system.into(),
-        &mut |_| {},
-    )
+    if config.workers == 0 {
+        return Err(Error::InvalidArgument("a run needs ≥ 1 worker".into()));
+    }
+    // Every host chain opens with the run's storage and never checkpoints.
+    let chain = ChainConfig {
+        storage: config.storage.clone(),
+        checkpoint_every: 0,
+        ..ChainConfig::default()
+    };
+    let (host, system) = match config.shards {
+        None => {
+            let chain = OeChain::open(chain, EngineSpec::flat(kind, config.workers))?;
+            workload.setup(chain.engine())?;
+            let host = Host::Chain(Box::new(chain), workload.codec());
+            (host, kind.name().into())
+        }
+        Some(ShardLayout { shards, partitions }) => {
+            let router = ShardRouter::new(Partitioning::Hash.build(partitions), shards);
+            let spec = EngineSpec::sharded(kind, config.workers);
+            let chains = (0..shards)
+                .map(|_| OeChain::open(chain.clone(), spec))
+                .collect::<Result<_>>()?;
+            let mut group = ShardGroup::new(router, chains, LatencyModel::lan_1g());
+            group.setup_with(&[], |engine| {
+                workload.setup(engine)?;
+                Ok(workload.codec())
+            })?;
+            let system = format!("{}×{shards}shards", kind.name());
+            (Host::Group(group), system.into())
+        }
+    };
+    drive(host, workload, config, system, &mut inspect)
 }
 
 #[cfg(test)]
@@ -298,6 +275,7 @@ mod tests {
             storage: StorageConfig::default(),
             seed: 1,
             retry_aborts: true,
+            shards: None,
         }
     }
 
@@ -316,6 +294,7 @@ mod tests {
             EngineKind::Harmony(HarmonyConfig::default()),
             &mut w,
             &quick_config(),
+            |_| {},
         )
         .unwrap();
         assert!(m.throughput_tps > 0.0, "{m:?}");
@@ -329,7 +308,7 @@ mod tests {
     fn all_engines_run_ycsb() {
         for kind in EngineKind::ALL {
             let mut w = small_ycsb(0.6);
-            let m = run_experiment(kind, &mut w, &quick_config()).unwrap();
+            let m = run_experiment(kind, &mut w, &quick_config(), |_| {}).unwrap();
             assert!(
                 m.stats.committed > 0,
                 "{} committed nothing: {:?}",
@@ -354,13 +333,14 @@ mod tests {
             EngineKind::Harmony(HarmonyConfig::default()),
             &mut w1,
             &config,
+            |_| {},
         )
         .unwrap();
         let mut w2 = Ycsb::new(YcsbConfig {
             keys: 1_000,
             ..YcsbConfig::hotspot(0.8)
         });
-        let aria = run_experiment(EngineKind::Aria, &mut w2, &config).unwrap();
+        let aria = run_experiment(EngineKind::Aria, &mut w2, &config, |_| {}).unwrap();
         assert!(
             harmony.abort_rate < 0.05,
             "Harmony must be hotspot-resilient: {:?}",
@@ -391,16 +371,18 @@ mod tests {
         assert!(refused(run_experiment(
             harmony,
             &mut small_ycsb(0.6),
-            &idle
+            &idle,
+            |_| {}
         )));
-        let sharded = ShardRunConfig {
-            base: idle,
+        let sharded = RunConfig {
+            workers: 0,
             ..sharded_config(2, 4, 20)
         };
-        assert!(refused(run_sharded_experiment(
+        assert!(refused(run_experiment(
             harmony,
             &mut small_ycsb(0.6),
-            &sharded
+            &sharded,
+            |_| {}
         )));
     }
 
@@ -411,21 +393,21 @@ mod tests {
             theta: 0.95,
             ..SmallbankConfig::default()
         });
-        let m = run_experiment(EngineKind::Aria, &mut w, &quick_config()).unwrap();
+        let m = run_experiment(EngineKind::Aria, &mut w, &quick_config(), |_| {}).unwrap();
         // With retries, attempts exceed blocks × size.
         assert!(m.stats.txns >= 12 * 20);
     }
 
-    fn sharded_config(shards: usize, blocks: usize, block_size: usize) -> ShardRunConfig {
-        ShardRunConfig {
-            base: RunConfig {
-                blocks,
-                block_size,
-                workers: 4,
-                ..RunConfig::default()
-            },
-            shards,
-            partitions: 16,
+    fn sharded_config(shards: usize, blocks: usize, block_size: usize) -> RunConfig {
+        RunConfig {
+            blocks,
+            block_size,
+            workers: 4,
+            shards: Some(ShardLayout {
+                shards,
+                partitions: 16,
+            }),
+            ..RunConfig::default()
         }
     }
 
@@ -441,10 +423,11 @@ mod tests {
     #[test]
     fn sharded_run_produces_labelled_metrics() {
         let mut w = partitioned_smallbank(0.1);
-        let m = run_sharded_experiment(
+        let m = run_experiment(
             EngineKind::Harmony(HarmonyConfig::default()),
             &mut w,
             &sharded_config(8, 8, 40),
+            |_| {},
         )
         .unwrap();
         assert_eq!(m.system, "HarmonyBC×8shards");
@@ -459,10 +442,11 @@ mod tests {
         // sharding (the Figure 22 headline shape).
         let run = |shards| {
             let mut w = partitioned_smallbank(0.0);
-            run_sharded_experiment(
+            run_experiment(
                 EngineKind::Harmony(HarmonyConfig::default()),
                 &mut w,
                 &sharded_config(shards, 10, 64),
+                |_| {},
             )
             .unwrap()
             .throughput_tps
@@ -479,10 +463,11 @@ mod tests {
     fn cross_shard_ratio_degrades_gracefully() {
         let run = |ratio| {
             let mut w = partitioned_smallbank(ratio);
-            run_sharded_experiment(
+            run_experiment(
                 EngineKind::Harmony(HarmonyConfig::default()),
                 &mut w,
                 &sharded_config(4, 8, 40),
+                |_| {},
             )
             .unwrap()
             .throughput_tps
@@ -508,6 +493,7 @@ mod tests {
                 EngineKind::Harmony(HarmonyConfig::default()),
                 &mut w,
                 &quick_config(),
+                |_| {},
             )
             .unwrap()
         };

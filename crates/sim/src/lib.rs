@@ -10,10 +10,10 @@
 //!   onto `W` worker cores, serial-commit stages, centralized orderer
 //!   stages, the 2-deep pipeline overlap of inter-block parallelism, and
 //!   [`BlockCharge`], the one price of an executed block.
-//! * [`driver`] — runs (engine × workload) for N blocks on a chain or a
-//!   shard group with abort-retry requeueing and produces the paper's
-//!   metrics (throughput, latency, abort rate, CPU utilization, I/O
-//!   counters).
+//! * [`driver`] — one call, [`run_experiment`], runs (engine × workload)
+//!   for N blocks on a chain or a shard group with abort-retry requeueing
+//!   and produces the paper's metrics (throughput, latency, abort rate,
+//!   CPU utilization, I/O counters).
 //! * [`cluster`] — composes DB-layer metrics with the consensus layer's
 //!   throughput/latency envelopes for the replica-count and BFT figures.
 
@@ -22,10 +22,7 @@ pub mod driver;
 pub mod sched;
 
 pub use cluster::{ClusterMetrics, ClusterModel};
-pub use driver::{
-    run_experiment, run_experiment_inspected, run_sharded_experiment, RunConfig, RunMetrics,
-    ShardRunConfig,
-};
+pub use driver::{run_experiment, RunConfig, RunMetrics, ShardLayout};
 /// The engine selector lives with the engines; re-exported because every
 /// experiment names its system through this crate.
 pub use harmony_dcc_baselines::EngineKind;

@@ -36,8 +36,8 @@ impl BlockSchedule {
 /// (Graham's bound), which is plenty for shape-level reproduction.
 ///
 /// # Panics
-/// If `workers` is 0; `run_experiment` and `run_sharded_experiment` refuse
-/// such a configuration before running a block.
+/// If `workers` is 0; `run_experiment` refuses such a configuration,
+/// flat or sharded, before running a block.
 #[must_use]
 pub fn makespan(tasks: &[u64], workers: usize) -> u64 {
     assert!(workers > 0);

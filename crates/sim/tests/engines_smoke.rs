@@ -4,7 +4,7 @@
 //! engine decides and costs in the flat and in the sharded profile.
 
 use harmony_core::{BlockStats, HarmonyConfig};
-use harmony_sim::{run_experiment, run_sharded_experiment, EngineKind, RunConfig, ShardRunConfig};
+use harmony_sim::{run_experiment, EngineKind, RunConfig, ShardLayout};
 use harmony_storage::StorageConfig;
 use harmony_workloads::{Smallbank, SmallbankConfig, Ycsb, YcsbConfig};
 
@@ -16,6 +16,7 @@ fn tiny_run() -> RunConfig {
         storage: StorageConfig::memory(),
         seed: 0xC0FFEE,
         retry_aborts: true,
+        shards: None,
     }
 }
 
@@ -32,7 +33,7 @@ fn every_engine_commits_on_tiny_ycsb() {
     for kind in EngineKind::ALL {
         let name = kind.name();
         let mut workload = tiny_ycsb();
-        let metrics = run_experiment(kind, &mut workload, &tiny_run())
+        let metrics = run_experiment(kind, &mut workload, &tiny_run(), |_| {})
             .unwrap_or_else(|e| panic!("{name}: run_experiment failed: {e}"));
         assert!(
             metrics.stats.committed > 0,
@@ -56,8 +57,8 @@ struct Pin {
 
 /// Recorded at the parent commit of the change that merged the engine
 /// selectors (408a9a8), through the constructors that commit still had
-/// apart: the flat rows via `run_experiment`, the sharded rows via
-/// `run_sharded_experiment`. A profile rule lost since — Fabric's endorser
+/// apart: the flat rows on one chain, the sharded rows on a two-shard
+/// group. A profile rule lost since — Fabric's endorser
 /// lag left on under sharding (its row has no endorsement aborts),
 /// Harmony's toggles dropped (the `raw()` rows, every ablation toggle off,
 /// would equal the `FULL` ones) — fails here by name.
@@ -253,6 +254,7 @@ fn pin_run() -> RunConfig {
         storage: StorageConfig::default(),
         seed: 0xC0FFEE,
         retry_aborts: true,
+        shards: None,
     }
 }
 
@@ -270,17 +272,15 @@ fn engine_decisions_and_costs_are_pinned_in_both_profiles() {
     for pin in pins() {
         let what = format!("{:?} sharded={}", pin.kind, pin.sharded);
         let mut workload = pin_smallbank();
-        let metrics = if pin.sharded {
-            let config = ShardRunConfig {
-                base: pin_run(),
+        let config = RunConfig {
+            shards: pin.sharded.then_some(ShardLayout {
                 shards: 2,
                 partitions: 8,
-            };
-            run_sharded_experiment(pin.kind, &mut workload, &config)
-        } else {
-            run_experiment(pin.kind, &mut workload, &pin_run())
-        }
-        .unwrap_or_else(|e| panic!("{what}: {e}"));
+            }),
+            ..pin_run()
+        };
+        let metrics = run_experiment(pin.kind, &mut workload, &config, |_| {})
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(metrics.stats, pin.stats, "{what}: counters");
         assert_eq!(metrics.wall_ns, pin.wall_ns, "{what}: virtual time");
     }

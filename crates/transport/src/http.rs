@@ -14,23 +14,25 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use harmony_common::{Error, Result};
 use harmony_metrics::{Registry, Timeline};
 use parking_lot::Mutex;
 
-/// Spawn the observability server; returns the bound address.
+/// Spawn the observability server; returns the bound address and the
+/// accept thread, which exits on the first connection it takes once
+/// `shutdown` is set.
 pub(crate) fn spawn_http(
     addr: SocketAddr,
     registry: Arc<Registry>,
     timeline: Arc<Mutex<Timeline>>,
     shutdown: Arc<AtomicBool>,
-) -> Result<SocketAddr> {
+) -> Result<(SocketAddr, JoinHandle<()>)> {
     let listener = TcpListener::bind(addr).map_err(Error::Io)?;
     let bound = listener.local_addr().map_err(Error::Io)?;
-    let _ = thread::Builder::new()
+    let thread = thread::Builder::new()
         .name("harmony-http".into())
         .spawn(move || {
             for stream in listener.incoming() {
@@ -44,8 +46,9 @@ pub(crate) fn spawn_http(
                     .name("harmony-http-conn".into())
                     .spawn(move || serve_conn(stream, &registry, &timeline));
             }
-        });
-    Ok(bound)
+        })
+        .map_err(Error::Io)?;
+    Ok((bound, thread))
 }
 
 fn serve_conn(stream: TcpStream, registry: &Registry, timeline: &Mutex<Timeline>) {

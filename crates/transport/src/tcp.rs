@@ -472,6 +472,8 @@ struct Runtime {
     shutdown: Arc<AtomicBool>,
     conns: parking_lot::Mutex<Conns>,
     listen_addr: SocketAddr,
+    /// The HTTP endpoint's bound address, if one was configured.
+    http_addr: Option<SocketAddr>,
 }
 
 impl Runtime {
@@ -569,8 +571,10 @@ impl Runtime {
                 let _ = stream.shutdown(Shutdown::Both);
             }
         }
-        // One last self-connect pops the listener out of accept().
-        let _ = TcpStream::connect(self.listen_addr);
+        // One last self-connect pops each listener out of accept().
+        for addr in std::iter::once(self.listen_addr).chain(self.http_addr) {
+            let _ = TcpStream::connect(addr);
+        }
         for thread in threads {
             let _ = thread.join();
         }
@@ -582,7 +586,6 @@ impl Runtime {
 pub struct NodeRuntime {
     timer: JoinHandle<()>,
     rt: Arc<Runtime>,
-    http_addr: Option<SocketAddr>,
 }
 
 impl NodeRuntime {
@@ -620,6 +623,21 @@ impl NodeRuntime {
             .map(|(to, addr)| addr.is_some() && to != cfg.index)
             .collect();
         let shutdown = Arc::new(AtomicBool::new(false));
+        let every_ns = cfg.cluster.metrics_every_ns.max(1);
+        let timeline = Arc::new(parking_lot::Mutex::new(Timeline::new(
+            &format!("tcp·node{}", cfg.index),
+            cfg.cluster.seed,
+            every_ns,
+        )));
+        let (http_addr, http_thread) = match cfg.http {
+            Some(addr) => {
+                let timeline = Arc::clone(&timeline);
+                let registry = Arc::clone(&registry);
+                let (bound, thread) = spawn_http(addr, registry, timeline, Arc::clone(&shutdown))?;
+                (Some(bound), Some(thread))
+            }
+            None => (None, None),
+        };
         let rt = Arc::new(Runtime {
             me: cfg.index,
             epoch: Instant::now(),
@@ -646,27 +664,18 @@ impl NodeRuntime {
             metrics,
             registry: Arc::clone(&registry),
             configured,
-            shutdown: Arc::clone(&shutdown),
+            shutdown,
             conns: parking_lot::Mutex::new(Conns::default()),
             listen_addr,
+            http_addr,
         });
 
-        let every_ns = cfg.cluster.metrics_every_ns.max(1);
-        let timeline = Arc::new(parking_lot::Mutex::new(Timeline::new(
-            &format!("tcp·node{}", cfg.index),
-            cfg.cluster.seed,
-            every_ns,
-        )));
-        let http_addr = match cfg.http {
-            Some(addr) => Some(spawn_http(addr, registry, Arc::clone(&timeline), shutdown)?),
-            None => None,
-        };
-
         // Connectors and the listener first: the timer thread, which ends
-        // the runtime, takes their handles with it.
+        // the runtime, takes their handles with it, and the HTTP
+        // endpoint's.
         let spawn_all = || -> io::Result<JoinHandle<()>> {
             let named = |name: String| thread::Builder::new().name(name);
-            let mut threads = Vec::new();
+            let mut threads: Vec<_> = http_thread.into_iter().collect();
             for (to, addr) in cfg.peers.iter().enumerate() {
                 if let (Some(addr), true) = (*addr, rt.configured[to]) {
                     let (rt, retry, seed) =
@@ -687,11 +696,7 @@ impl NodeRuntime {
                 .spawn(move || run_timers(&rt, &timeline, every_ns, threads))
         };
         match spawn_all() {
-            Ok(timer) => Ok(NodeRuntime {
-                timer,
-                rt,
-                http_addr,
-            }),
+            Ok(timer) => Ok(NodeRuntime { timer, rt }),
             Err(e) => {
                 // Whatever did start exits on the flag, unjoined.
                 rt.shut_down(Vec::new());
@@ -709,7 +714,7 @@ impl NodeRuntime {
     /// The bound HTTP endpoint address, if one was configured.
     #[must_use]
     pub fn http_addr(&self) -> Option<SocketAddr> {
-        self.http_addr
+        self.rt.http_addr
     }
 
     /// Ask the runtime to exit (same as a control-plane `Shutdown`).
@@ -718,8 +723,7 @@ impl NodeRuntime {
     }
 
     /// Block until the runtime has stopped (control-plane `Shutdown` or
-    /// [`NodeRuntime::stop`]) and every thread it started, the HTTP
-    /// endpoint's aside, has exited.
+    /// [`NodeRuntime::stop`]) and every thread it started has exited.
     pub fn join(self) {
         let _ = self.timer.join();
     }

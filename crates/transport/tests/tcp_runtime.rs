@@ -776,3 +776,30 @@ fn a_client_that_never_reads_its_rejects_does_not_hold_up_sealing() {
         assert_eq!(next_deliver_id(&mut delivered, &rig.codec), id);
     }
 }
+
+// ── (j) the HTTP endpoint stops with the runtime ────────────────────────
+
+#[test]
+fn stop_and_join_end_the_http_endpoint_and_give_its_port_back() {
+    let _turn = serial();
+    // A reader an earlier test's runtime let go of may still be exiting.
+    wait_until("earlier runtimes' threads to exit", || {
+        runtime_threads().is_empty()
+    });
+    let cfg = cluster(small_ycsb(), 1, 10);
+    let layout = ClusterLayout::of(&cfg);
+    let mut peers = vec![None; layout.total()];
+    peers[layout.orderer()] = any_port();
+    let runtime = NodeRuntime::start(NodeRuntimeConfig {
+        cluster: cfg,
+        index: layout.orderer(),
+        peers,
+        http: any_port(),
+    })
+    .expect("start runtime");
+    let http = runtime.http_addr().expect("an HTTP endpoint");
+    runtime.stop();
+    runtime.join();
+    assert_eq!(runtime_threads(), Vec::<String>::new());
+    TcpListener::bind(http).expect("the HTTP port binds again");
+}
