@@ -142,4 +142,14 @@ rule 'workloads are built in one place' \
     'crates/*/src src' 'crates/node/src/cluster/config.rs crates/workloads/src/*' \
     'workloads may be constructed only in crates/node/src/cluster/config.rs (name one by ClusterWorkload and instantiate it)'
 
+# The runtime spawns its threads in one place: `NodeRuntime` in
+# crates/transport/src/tcp.rs starts the timer thread, the connectors, both
+# listeners and every connection's reader, and its shutdown joins each of
+# them. No other non-test code of the transport starts a thread, so none
+# can outlive `NodeRuntime::join`.
+rule 'the runtime spawns its threads in one place' \
+    'thread::(spawn|Builder)' '' \
+    'crates/transport/src' 'crates/transport/src/tcp.rs' \
+    'threads of the transport may be started only in crates/transport/src/tcp.rs (where shutdown joins them)'
+
 exit "$failed"

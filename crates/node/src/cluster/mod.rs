@@ -204,6 +204,21 @@ impl ClusterNode {
         }
     }
 
+    /// An operator's request to change the cluster's shard count. The
+    /// orderer queues a topology-change marker at the next sealable
+    /// height (and drops a count out of range, or any count on a flat
+    /// cluster); every other role refuses it. Returns whether this node
+    /// is the orderer.
+    pub fn reshard(&mut self, new_shards: u32, ctx: &mut dyn Transport<Msg>) -> bool {
+        match self {
+            ClusterNode::Orderer(o) => {
+                o.schedule_reshard(new_shards, ctx);
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// A point-in-time status snapshot (the control plane serves this).
     /// `&mut`: a replica remembers the logical root it computes for the
     /// snapshot until its hosted state next changes.

@@ -95,16 +95,6 @@ pub enum Msg {
         /// Echo of the request's epoch.
         epoch: u64,
     },
-    /// Operator/control plane → orderer: change the cluster's shard
-    /// count. The orderer seals a topology-change marker block at the
-    /// next sealable height; replicas apply it as an epoch boundary
-    /// (drain, state handover, router swap). Ignored on flat clusters
-    /// and when `new_shards` is out of range — flat replicas cannot
-    /// apply a marker.
-    Reshard {
-        /// Requested shard count.
-        new_shards: u32,
-    },
     /// Orderer → client bank: a retryable admission reject (cause in
     /// [`crate::mempool::AdmitError::cause_label`] terms). Carries the
     /// contract so the client can resubmit after backoff with its

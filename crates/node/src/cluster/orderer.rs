@@ -175,7 +175,6 @@ impl Orderer {
                 ctx.charge_cpu(self.crypto.verify_ns / 16);
                 self.on_ack(seq, Some(round), ctx);
             }
-            Msg::Reshard { new_shards } => self.schedule_reshard(new_shards, ctx),
             _ => {}
         }
     }
@@ -342,11 +341,11 @@ impl Orderer {
         true
     }
 
-    /// Operator-driven topology change ([`Msg::Reshard`]): queue a
-    /// marker at the next sealable height after anything already
+    /// Operator-driven topology change ([`super::ClusterNode::reshard`]):
+    /// queue a marker at the next sealable height after anything already
     /// scheduled, then try to seal immediately. Refused (silently
     /// dropped) on flat clusters and for out-of-range shard counts.
-    fn schedule_reshard(&mut self, new_shards: u32, ctx: &mut dyn Transport<Msg>) {
+    pub(super) fn schedule_reshard(&mut self, new_shards: u32, ctx: &mut dyn Transport<Msg>) {
         if new_shards == 0 || new_shards > self.reshard_max {
             return;
         }

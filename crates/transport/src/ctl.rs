@@ -16,11 +16,13 @@ use harmony_node::cluster::Msg;
 use harmony_node::{BlockSummary, NodeStatus, Submission};
 use harmony_txn::ContractCodec;
 
-use crate::wire::{decode_ctl, encode_ctl, read_frame, write_frame, CtlMsg, WireCodec};
+use crate::wire::{decode_ctl, encode_ctl, CtlMsg, FrameBuf, WireCodec};
 
 /// Request/reply client for a node's control plane.
 pub struct CtlClient {
     stream: TcpStream,
+    /// Every reply is read through this one buffer.
+    frames: FrameBuf,
 }
 
 impl CtlClient {
@@ -34,7 +36,8 @@ impl CtlClient {
             .set_read_timeout(Some(Duration::from_secs(30)))
             .map_err(Error::Io)?;
         stream.set_nodelay(true).map_err(Error::Io)?;
-        Ok(CtlClient { stream })
+        let frames = FrameBuf::new();
+        Ok(CtlClient { stream, frames })
     }
 
     /// Send one control request and block for its reply.
@@ -43,13 +46,26 @@ impl CtlClient {
     /// Socket errors, a closed connection, an undecodable reply, or an
     /// explicit `Err` reply from the node.
     pub fn request(&mut self, msg: &CtlMsg) -> Result<CtlMsg> {
-        write_frame(&mut self.stream, &encode_ctl(msg)).map_err(Error::Io)?;
-        let body = read_frame(&mut self.stream)
-            .map_err(Error::Io)?
-            .ok_or_else(|| Error::Corruption("connection closed before control reply".into()))?;
-        match decode_ctl(&body)? {
-            CtlMsg::Err(e) => Err(Error::InvalidArgument(e)),
-            reply => Ok(reply),
+        self.stream.write_all(&encode_ctl(msg)).map_err(Error::Io)?;
+        loop {
+            if let Some(body) = self.frames.next_frame().map_err(Error::Io)? {
+                return match decode_ctl(body)? {
+                    CtlMsg::Err(e) => Err(Error::InvalidArgument(e)),
+                    reply => Ok(reply),
+                };
+            }
+            if self.frames.fill(&mut self.stream).map_err(Error::Io)? == 0 {
+                let closed = "connection closed before control reply";
+                return Err(Error::Corruption(closed.into()));
+            }
+        }
+    }
+
+    /// Send a request whose one good reply is `Ok`.
+    fn request_ok(&mut self, msg: &CtlMsg) -> Result<()> {
+        match self.request(msg)? {
+            CtlMsg::Ok => Ok(()),
+            other => Err(unexpected("Ok", &other)),
         }
     }
 
@@ -81,10 +97,7 @@ impl CtlClient {
     /// # Errors
     /// Transport errors or an unexpected reply kind.
     pub fn crash(&mut self) -> Result<()> {
-        match self.request(&CtlMsg::Crash)? {
-            CtlMsg::Ok => Ok(()),
-            other => Err(unexpected("Ok", &other)),
-        }
+        self.request_ok(&CtlMsg::Crash)
     }
 
     /// Bring a crashed node back; it rejoins via real-socket state sync.
@@ -92,10 +105,7 @@ impl CtlClient {
     /// # Errors
     /// Transport errors or an unexpected reply kind.
     pub fn recover(&mut self) -> Result<()> {
-        match self.request(&CtlMsg::Recover)? {
-            CtlMsg::Ok => Ok(()),
-            other => Err(unexpected("Ok", &other)),
-        }
+        self.request_ok(&CtlMsg::Recover)
     }
 
     /// Ask the orderer to change the cluster's shard count: it seals a
@@ -109,10 +119,7 @@ impl CtlClient {
     /// Transport errors, an `Err` reply (non-orderer target), or an
     /// unexpected reply kind.
     pub fn reshard(&mut self, new_shards: u32) -> Result<()> {
-        match self.request(&CtlMsg::Reshard { new_shards })? {
-            CtlMsg::Ok => Ok(()),
-            other => Err(unexpected("Ok", &other)),
-        }
+        self.request_ok(&CtlMsg::Reshard { new_shards })
     }
 
     /// Scrape the node's live metrics in Prometheus text format over
@@ -132,10 +139,7 @@ impl CtlClient {
     /// # Errors
     /// Transport errors or an unexpected reply kind.
     pub fn shutdown(&mut self) -> Result<()> {
-        match self.request(&CtlMsg::Shutdown)? {
-            CtlMsg::Ok => Ok(()),
-            other => Err(unexpected("Ok", &other)),
-        }
+        self.request_ok(&CtlMsg::Shutdown)
     }
 }
 
@@ -160,8 +164,9 @@ impl SubmitClient {
         let mut stream = TcpStream::connect(orderer).map_err(Error::Io)?;
         stream.set_nodelay(true).map_err(Error::Io)?;
         // The client slot is index 0 in every ClusterLayout.
-        let hello = encode_ctl(&CtlMsg::Hello { index: 0 });
-        write_frame(&mut stream, &hello).map_err(Error::Io)?;
+        stream
+            .write_all(&encode_ctl(&CtlMsg::Hello { index: 0 }))
+            .map_err(Error::Io)?;
         Ok(SubmitClient {
             stream,
             codec: WireCodec::new(codec),

@@ -9,104 +9,88 @@
 //!
 //! No external HTTP stack: the build environment is offline, and the
 //! endpoint only needs `GET` + `Content-Length` + `Connection: close`.
+//! The runtime's accept loop ([`crate::tcp`]) owns the listener and each
+//! connection; `serve` answers the one request a connection carries.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use harmony_common::{Error, Result};
 use harmony_metrics::{Registry, Timeline};
 use parking_lot::Mutex;
 
-/// Spawn the observability server; returns the bound address and the
-/// accept thread, which exits on the first connection it takes once
-/// `shutdown` is set.
-pub(crate) fn spawn_http(
-    addr: SocketAddr,
-    registry: Arc<Registry>,
-    timeline: Arc<Mutex<Timeline>>,
-    shutdown: Arc<AtomicBool>,
-) -> Result<(SocketAddr, JoinHandle<()>)> {
-    let listener = TcpListener::bind(addr).map_err(Error::Io)?;
-    let bound = listener.local_addr().map_err(Error::Io)?;
-    let thread = thread::Builder::new()
-        .name("harmony-http".into())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let Ok(stream) = stream else { continue };
-                let registry = Arc::clone(&registry);
-                let timeline = Arc::clone(&timeline);
-                let _ = thread::Builder::new()
-                    .name("harmony-http-conn".into())
-                    .spawn(move || serve_conn(stream, &registry, &timeline));
-            }
-        })
-        .map_err(Error::Io)?;
-    Ok((bound, thread))
+/// Longest request line plus headers taken in. `GET /metrics` with a
+/// handful of headers is a few hundred bytes; a client that sends more
+/// without ending its head is answered `431` and hung up on.
+const MAX_HEAD_BYTES: usize = 8 << 10;
+
+/// Longest a connection may sit between two reads of its head.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+const TEXT: &str = "text/plain; charset=utf-8";
+
+/// Read the request head up to its first blank line, or to end of
+/// stream, and return its request line; `None` once more than
+/// [`MAX_HEAD_BYTES`] came without a blank line.
+fn read_request_line(mut stream: &TcpStream) -> io::Result<Option<String>> {
+    let mut head = Vec::new();
+    let mut chunk = [0u8; 1024];
+    while !(head.windows(2).any(|w| w == b"\n\n") || head.windows(3).any(|w| w == b"\n\r\n")) {
+        if head.len() > MAX_HEAD_BYTES {
+            return Ok(None);
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => head.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    let line = head.split(|&b| b == b'\n').next().unwrap_or_default();
+    Ok(Some(String::from_utf8_lossy(line).into_owned()))
 }
 
-fn serve_conn(stream: TcpStream, registry: &Registry, timeline: &Mutex<Timeline>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
+/// Answer the one request on `stream`; the caller closes it.
+pub(crate) fn serve(stream: &TcpStream, registry: &Registry, timeline: &Mutex<Timeline>) {
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let Ok(request_line) = read_request_line(stream) else {
         return;
-    }
-    // Drain headers up to the blank line; we don't act on any of them.
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => break,
-            Ok(_) => {}
-            Err(_) => return,
-        }
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, content_type, body) = if method != "GET" {
-        (
-            "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
-            "method not allowed\n".to_string(),
-        )
-    } else {
-        match path {
-            "/metrics" => (
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                registry.render_prometheus(),
-            ),
-            "/timeline" => (
-                "200 OK",
-                "application/json; charset=utf-8",
-                timeline.lock().to_json(),
-            ),
-            "/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string()),
-            _ => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "not found\n".to_string(),
-            ),
-        }
     };
-    let mut out = stream;
-    let _ = write!(
-        out,
+    let request = request_line.as_deref().map(|line| {
+        let mut parts = line.split_whitespace();
+        (parts.next().unwrap_or(""), parts.next().unwrap_or(""))
+    });
+    let (status, content_type, body) = match request {
+        None => (
+            "431 Request Header Fields Too Large",
+            TEXT,
+            "request head too large\n".to_string(),
+        ),
+        Some((method, _)) if method != "GET" => (
+            "405 Method Not Allowed",
+            TEXT,
+            "method not allowed\n".to_string(),
+        ),
+        Some((_, "/metrics")) => (
+            "200 OK",
+            "text/plain; version=0.0.4; charset=utf-8",
+            registry.render_prometheus(),
+        ),
+        Some((_, "/timeline")) => (
+            "200 OK",
+            "application/json; charset=utf-8",
+            timeline.lock().to_json(),
+        ),
+        Some((_, "/healthz")) => ("200 OK", TEXT, "ok\n".to_string()),
+        Some(_) => ("404 Not Found", TEXT, "not found\n".to_string()),
+    };
+    let response = format!(
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    let _ = out.flush();
+    let mut out = stream;
+    let _ = out.write_all(response.as_bytes());
 }
 
 /// Minimal blocking HTTP GET against a node's observability endpoint —

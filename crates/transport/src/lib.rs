@@ -15,7 +15,10 @@
 //!   connectors (re)connect, and control requests are answered by the
 //!   reader of the connection they came in on.
 //! * [`http`] — a tiny per-node observability endpoint (`/metrics` in
-//!   Prometheus text format, `/timeline` JSON, `/healthz`).
+//!   Prometheus text format, `/timeline` JSON, `/healthz`), served by
+//!   the runtime's own accept loop: its listener, connections and
+//!   threads are the runtime's, registered, closed and joined like the
+//!   cluster port's.
 //! * [`ctl`] — the operator clients `harmonyctl` drives:
 //!   [`ctl::CtlClient`] (status, block inspection, crash/recover,
 //!   metrics, shutdown) and [`ctl::SubmitClient`] (stream workload
@@ -37,6 +40,6 @@ pub use ctl::{CtlClient, SubmitClient};
 pub use http::http_get;
 pub use tcp::{NodeRuntime, NodeRuntimeConfig, PEER_BACKLOG_BYTES};
 pub use wire::{
-    decode_ctl, encode_ctl, frame_tag, is_ctl_tag, read_frame, write_frame, CtlMsg, FrameBuf,
-    WireCodec, MAX_FRAME_BYTES, READ_BUF_BYTES, WIRE_VERSION,
+    decode_ctl, encode_ctl, frame_tag, is_ctl_tag, CtlMsg, FrameBuf, WireCodec, MAX_FRAME_BYTES,
+    READ_BUF_BYTES, WIRE_VERSION,
 };

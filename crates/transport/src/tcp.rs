@@ -11,7 +11,15 @@
 //!   and every outbound buffer sit behind one mutex. Whoever holds it runs
 //!   the *identical* `on_message`/`on_timer` handlers the deterministic
 //!   simulator drives; nothing else ever touches the node.
-//! * **Listener + one reader thread per inbound connection** — a reader
+//! * **Two listeners, one accept loop** — the cluster port and, when one
+//!   is configured, the HTTP port ([`crate::http`]) each have a listener
+//!   thread running the same loop: it registers every connection it
+//!   accepts in one table, so shutdown can close it, and starts one
+//!   reader thread for it. It joins its readers, too: the finished ones
+//!   at each accept, all that are left when it stops. An HTTP reader
+//!   answers one request from the registry's atomics and the timeline,
+//!   never the node lock, and closes.
+//! * **One reader thread per cluster connection** — a reader
 //!   owns one reused buffer ([`FrameBuf`]): one `read` brings in whatever
 //!   the socket holds, every whole frame in it is decoded on the reader
 //!   (outside the lock; a partial tail just stays buffered), then the
@@ -47,7 +55,9 @@
 //!   starts with the interrupted frame, whole.
 //! * **Timer thread** — what is left of an event loop: fires due timers
 //!   under the lock, retries backlogs, takes the wall-clock metric
-//!   timeline snapshots, and runs the shutdown sequence. It sleeps until
+//!   timeline snapshots, and runs the shutdown sequence: it closes every
+//!   registered connection, wakes both listeners and joins them and the
+//!   connectors, and the listeners join their readers. It sleeps until
 //!   its next deadline and is woken only when a handler arms an earlier
 //!   one or the node is asked to stop.
 //!
@@ -66,7 +76,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -77,7 +86,7 @@ use harmony_metrics::{Counter, Registry, Timeline};
 use harmony_node::cluster::Msg;
 use harmony_node::{build_node, ClusterConfig, ClusterLayout, ClusterNode, RetryPolicy};
 
-use crate::http::spawn_http;
+use crate::http;
 use crate::wire::{decode_ctl, encode_ctl, frame_tag, is_ctl_tag, CtlMsg, FrameBuf, WireCodec};
 
 /// Most unsent bytes kept for one configured peer. The orderer's window
@@ -391,14 +400,18 @@ struct Core {
 }
 
 impl Core {
-    fn drive(&mut self, rt: &Runtime, f: impl FnOnce(&mut ClusterNode, &mut TcpCtx<'_>)) {
+    fn drive<R>(
+        &mut self,
+        rt: &Runtime,
+        f: impl FnOnce(&mut ClusterNode, &mut TcpCtx<'_>) -> R,
+    ) -> R {
         let mut ctx = TcpCtx {
             rt,
             now_ns: rt.now_ns(),
             links: &mut self.links,
             timers: &mut self.timers,
         };
-        f(&mut self.node, &mut ctx);
+        f(&mut self.node, &mut ctx)
     }
 
     /// Answer one control request. `true` with the reply asks the caller
@@ -418,10 +431,7 @@ impl Core {
                 CtlMsg::Ok
             }
             Ok(CtlMsg::Reshard { new_shards }) => {
-                if self.node.role() == "orderer" {
-                    self.drive(rt, |n, ctx| {
-                        n.on_message(rt.me, Msg::Reshard { new_shards }, ctx);
-                    });
+                if self.drive(rt, |n, ctx| n.reshard(new_shards, ctx)) {
                     CtlMsg::Ok
                 } else {
                     CtlMsg::Err("reshard must target the orderer".into())
@@ -447,12 +457,15 @@ enum Inbound {
     Link { index: usize },
 }
 
-/// Accepted connections, kept so shutdown can unblock their readers.
+/// Accepted connections of both listeners, kept so shutdown can unblock
+/// their readers.
 #[derive(Default)]
 struct Conns {
-    /// Set by shutdown under the lock: nothing registers after it.
+    /// Set by shutdown: the listeners stop, and nothing registers after it.
     closed: bool,
     open: HashMap<u64, Arc<TcpStream>>,
+    /// The id of the last connection registered.
+    next: u64,
 }
 
 /// State shared across the runtime's threads.
@@ -467,10 +480,14 @@ struct Runtime {
     codec: WireCodec,
     metrics: NetMetrics,
     registry: Arc<Registry>,
+    /// Wall-clock metric snapshots: the timer thread records them, the
+    /// HTTP endpoint serves them.
+    timeline: parking_lot::Mutex<Timeline>,
     /// Node indices reached over a connector (an address, and not ours).
     configured: Vec<bool>,
-    shutdown: Arc<AtomicBool>,
     conns: parking_lot::Mutex<Conns>,
+    /// The connectors and listeners, joined by shutdown.
+    threads: parking_lot::Mutex<Vec<JoinHandle<()>>>,
     listen_addr: SocketAddr,
     /// The HTTP endpoint's bound address, if one was configured.
     http_addr: Option<SocketAddr>,
@@ -559,9 +576,21 @@ impl Runtime {
         self.timer_wake.notify_one();
     }
 
+    /// Start one of the threads the shutdown sequence joins: a connector
+    /// or a listener.
+    fn spawn(
+        self: &Arc<Runtime>,
+        name: String,
+        body: impl FnOnce(&Arc<Runtime>) + Send + 'static,
+    ) -> io::Result<()> {
+        let rt = Arc::clone(self);
+        let thread = thread::Builder::new().name(name).spawn(move || body(&rt))?;
+        self.threads.lock().push(thread);
+        Ok(())
+    }
+
     /// Flip the flag, unblock every thread, and wait for them.
-    fn shut_down(&self, threads: Vec<JoinHandle<()>>) {
-        self.shutdown.store(true, Ordering::SeqCst);
+    fn shut_down(&self) {
         self.lock().stopping = true;
         self.connector_wake.notify_all();
         {
@@ -575,6 +604,7 @@ impl Runtime {
         for addr in std::iter::once(self.listen_addr).chain(self.http_addr) {
             let _ = TcpStream::connect(addr);
         }
+        let threads = std::mem::take(&mut *self.threads.lock());
         for thread in threads {
             let _ = thread.join();
         }
@@ -589,8 +619,9 @@ pub struct NodeRuntime {
 }
 
 impl NodeRuntime {
-    /// Bind the listener, spawn the runtime's threads, and start the
-    /// node at `cfg.index` built by the same [`build_node`] factory the
+    /// Bind the listeners (the cluster port, and the HTTP port if one is
+    /// configured), spawn the runtime's threads, and start the node at
+    /// `cfg.index` built by the same [`build_node`] factory the
     /// simulator uses. Every thread that will run a handler descends from
     /// the calling thread (and so inherits its CPU affinity).
     ///
@@ -613,8 +644,13 @@ impl NodeRuntime {
         let node = build_node(&cfg.cluster, &registry, cfg.index)?;
         let codec = WireCodec::new(cfg.cluster.workload.codec()?);
         let metrics = NetMetrics::register(&registry);
-        let listener = bind_with_retry(listen, cfg.cluster.sync_retry, cfg.cluster.seed)?;
-        let listen_addr = listener.local_addr().map_err(Error::Io)?;
+        let (retry, seed) = (cfg.cluster.sync_retry, cfg.cluster.seed);
+        let listener = bind_with_retry(listen, retry, seed)?;
+        let http_listener = cfg.http.map(|addr| bind_with_retry(addr, retry, seed));
+        let http_listener = http_listener.transpose()?;
+        let bound = |listener: &TcpListener| listener.local_addr().map_err(Error::Io);
+        let listen_addr = bound(&listener)?;
+        let http_addr = http_listener.as_ref().map(bound).transpose()?;
 
         let configured: Vec<bool> = cfg
             .peers
@@ -622,22 +658,7 @@ impl NodeRuntime {
             .enumerate()
             .map(|(to, addr)| addr.is_some() && to != cfg.index)
             .collect();
-        let shutdown = Arc::new(AtomicBool::new(false));
         let every_ns = cfg.cluster.metrics_every_ns.max(1);
-        let timeline = Arc::new(parking_lot::Mutex::new(Timeline::new(
-            &format!("tcp·node{}", cfg.index),
-            cfg.cluster.seed,
-            every_ns,
-        )));
-        let (http_addr, http_thread) = match cfg.http {
-            Some(addr) => {
-                let timeline = Arc::clone(&timeline);
-                let registry = Arc::clone(&registry);
-                let (bound, thread) = spawn_http(addr, registry, timeline, Arc::clone(&shutdown))?;
-                (Some(bound), Some(thread))
-            }
-            None => (None, None),
-        };
         let rt = Arc::new(Runtime {
             me: cfg.index,
             epoch: Instant::now(),
@@ -662,44 +683,47 @@ impl NodeRuntime {
             connector_wake: Condvar::new(),
             codec,
             metrics,
-            registry: Arc::clone(&registry),
+            timeline: parking_lot::Mutex::new(Timeline::new(
+                &format!("tcp·node{}", cfg.index),
+                seed,
+                every_ns,
+            )),
+            registry,
             configured,
-            shutdown,
             conns: parking_lot::Mutex::new(Conns::default()),
+            threads: parking_lot::Mutex::new(Vec::new()),
             listen_addr,
             http_addr,
         });
 
-        // Connectors and the listener first: the timer thread, which ends
-        // the runtime, takes their handles with it, and the HTTP
-        // endpoint's.
+        // Connectors and listeners first, each kept for the shutdown
+        // sequence; then the timer thread, which runs it.
         let spawn_all = || -> io::Result<JoinHandle<()>> {
-            let named = |name: String| thread::Builder::new().name(name);
-            let mut threads: Vec<_> = http_thread.into_iter().collect();
             for (to, addr) in cfg.peers.iter().enumerate() {
                 if let (Some(addr), true) = (*addr, rt.configured[to]) {
-                    let (rt, retry, seed) =
-                        (Arc::clone(&rt), cfg.cluster.sync_retry, cfg.cluster.seed);
-                    threads.push(
-                        named(format!("harmony-conn-{}-{to}", cfg.index))
-                            .spawn(move || run_connector(&rt, to, addr, retry, seed))?,
-                    );
+                    let name = format!("harmony-conn-{}-{to}", cfg.index);
+                    rt.spawn(name, move |rt| run_connector(rt, to, addr, retry, seed))?;
                 }
             }
-            let listener_rt = Arc::clone(&rt);
-            threads.push(
-                named("harmony-listener".into())
-                    .spawn(move || run_listener(&listener_rt, &listener))?,
-            );
-            let rt = Arc::clone(&rt);
-            named(format!("harmony-node-{}", cfg.index))
-                .spawn(move || run_timers(&rt, &timeline, every_ns, threads))
+            rt.spawn("harmony-listener".into(), move |rt| {
+                run_listener(rt, &listener, "harmony-reader", run_reader);
+            })?;
+            if let Some(listener) = http_listener {
+                rt.spawn("harmony-http".into(), move |rt| {
+                    run_listener(rt, &listener, "harmony-http-rd", |rt, _, stream| {
+                        http::serve(stream, &rt.registry, &rt.timeline);
+                    });
+                })?;
+            }
+            let timer_rt = Arc::clone(&rt);
+            thread::Builder::new()
+                .name(format!("harmony-node-{}", cfg.index))
+                .spawn(move || run_timers(&timer_rt, every_ns))
         };
         match spawn_all() {
             Ok(timer) => Ok(NodeRuntime { timer, rt }),
             Err(e) => {
-                // Whatever did start exits on the flag, unjoined.
-                rt.shut_down(Vec::new());
+                rt.shut_down();
                 Err(Error::Io(e))
             }
         }
@@ -729,8 +753,8 @@ impl NodeRuntime {
     }
 }
 
-/// Bind the node's listener, retrying with the cluster's deterministic
-/// backoff policy while the address is still in use.
+/// Bind one of the node's listeners, retrying with the cluster's
+/// deterministic backoff policy while the address is still in use.
 ///
 /// `harmonyctl spawn` allocates ports by bind-and-release, so the
 /// spawned process can race the allocator's socket still closing (or a
@@ -758,12 +782,7 @@ fn bind_with_retry(addr: SocketAddr, retry: RetryPolicy, seed: u64) -> Result<Tc
 
 /// The timer thread: fire due timers, retry backlogs, snapshot the
 /// timeline; on the way out, stop everything else.
-fn run_timers(
-    rt: &Runtime,
-    timeline: &parking_lot::Mutex<Timeline>,
-    snapshot_every_ns: u64,
-    threads: Vec<JoinHandle<()>>,
-) {
+fn run_timers(rt: &Runtime, snapshot_every_ns: u64) {
     let mut next_snapshot = snapshot_every_ns;
     loop {
         let mut core = rt.lock();
@@ -784,7 +803,7 @@ fn run_timers(
         if now >= next_snapshot {
             // Off the lock: a snapshot reads atomics, not the node.
             drop(core);
-            timeline.lock().record(now, &rt.registry);
+            rt.timeline.lock().record(now, &rt.registry);
             while next_snapshot <= now {
                 next_snapshot += snapshot_every_ns;
             }
@@ -796,7 +815,7 @@ fn run_timers(
         let (mut core, _) = rt.timer_wake.wait_timeout(core, wait).expect(POISONED);
         core.asleep_until_ns = 0;
     }
-    rt.shut_down(threads);
+    rt.shut_down();
 }
 
 /// Connect to `addr` and introduce ourselves; the stream comes back
@@ -856,36 +875,46 @@ fn run_connector(rt: &Runtime, to: usize, addr: SocketAddr, retry: RetryPolicy, 
     }
 }
 
-fn run_listener(rt: &Arc<Runtime>, listener: &TcpListener) {
+/// One listener's accept loop, the same for both ports: register each
+/// connection, run `serve` on it on a reader thread of its own (named
+/// `name`), and join every reader, as it is found finished and when the
+/// loop ends.
+fn run_listener(
+    rt: &Arc<Runtime>,
+    listener: &TcpListener,
+    name: &str,
+    serve: fn(&Runtime, u64, &Arc<TcpStream>),
+) {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    let mut next_conn: u64 = 0;
     loop {
         let accepted = listener.accept();
-        if rt.shutdown.load(Ordering::SeqCst) {
+        let mut conns = rt.conns.lock();
+        if conns.closed {
             break;
         }
         let Ok((stream, _)) = accepted else {
+            drop(conns);
             thread::sleep(ACCEPT_RETRY);
             continue;
         };
-        readers.retain(|reader| !reader.is_finished());
         let _ = stream.set_nodelay(true);
         let stream = Arc::new(stream);
-        let conn = next_conn;
-        next_conn += 1;
-        {
-            let mut conns = rt.conns.lock();
-            if conns.closed {
-                break;
-            }
-            conns.open.insert(conn, Arc::clone(&stream));
+        conns.next += 1;
+        let conn = conns.next;
+        conns.open.insert(conn, Arc::clone(&stream));
+        drop(conns);
+        for finished in readers.extract_if(.., |reader| reader.is_finished()) {
+            let _ = finished.join();
         }
         let reader_rt = Arc::clone(rt);
-        let reader = thread::Builder::new()
-            .name("harmony-reader".into())
-            .spawn(move || run_reader(&reader_rt, conn, &stream));
-        match reader {
-            Ok(reader) => readers.push(reader),
+        let spawned = thread::Builder::new().name(name.into()).spawn(move || {
+            serve(&reader_rt, conn, &stream);
+            // Drop the table's handle; this thread's, the last, closes
+            // the descriptor.
+            reader_rt.conns.lock().open.remove(&conn);
+        });
+        match spawned {
+            Ok(spawned) => readers.push(spawned),
             Err(_) => {
                 rt.conns.lock().open.remove(&conn);
             }
@@ -938,9 +967,8 @@ fn run_reader(rt: &Runtime, conn: u64, stream: &Arc<TcpStream>) {
             rt.request_stop();
         }
     }
-    // Close the descriptor: drop every handle on it but the caller's.
+    // Drop the node's handle on the descriptor; the accept loop drops the rest.
     rt.lock().links.dynamic.retain(|_, link| link.conn != conn);
-    rt.conns.lock().open.remove(&conn);
 }
 
 /// Decode one frame body on the reader. `Ok(None)`: a `Hello` that needs

@@ -37,12 +37,13 @@ use harmony_txn::{encode_contract, ContractCodec};
 /// Wire-format version carried in every frame body, and the only one
 /// decoded. Version 2 added the topology-change (reshard) tags; version 3
 /// gave the state-sync frames one shape for both replica kinds; version 4
-/// puts a sync manifest's chain position ahead of its tables.
-pub const WIRE_VERSION: u8 = 4;
+/// puts a sync manifest's chain position ahead of its tables; version 5
+/// leaves a reshard to the control plane (message tag 11 is gone).
+pub const WIRE_VERSION: u8 = 5;
 
 /// Upper bound on a frame body; a longer length prefix is refused. Below
-/// it the prefix still sizes nothing by itself: see [`FrameBuf`] and
-/// [`read_frame`], which reserve as the body's bytes arrive.
+/// it the prefix still sizes nothing by itself: see [`FrameBuf`], which
+/// reserves as the body's bytes arrive.
 pub const MAX_FRAME_BYTES: usize = 256 << 20;
 
 // Msg variant tags (0x00..0x7F).
@@ -57,7 +58,6 @@ const TAG_SYNC_REQUEST: u8 = 7;
 const TAG_SYNC_REPLY: u8 = 8;
 const TAG_SYNC_REFUSED: u8 = 9;
 const TAG_REJECT: u8 = 10;
-const TAG_RESHARD: u8 = 11;
 
 // Control-plane tags (0x80..).
 const TAG_CTL_STATUS_REQ: u8 = 0x80;
@@ -290,11 +290,6 @@ impl WireCodec {
                 w.put_bytes(&bytes);
                 w
             }
-            Msg::Reshard { new_shards } => {
-                let mut w = body_writer(TAG_RESHARD, 4);
-                w.put_u32(*new_shards);
-                w
-            }
         };
         frame(w)
     }
@@ -384,9 +379,6 @@ impl WireCodec {
             }
             TAG_SYNC_REFUSED => Msg::SyncRefused {
                 epoch: r.get_u64()?,
-            },
-            TAG_RESHARD => Msg::Reshard {
-                new_shards: r.get_u32()?,
             },
             t => return Err(corrupt(&format!("unknown message tag {t:#x}"))),
         };
@@ -574,20 +566,13 @@ pub fn decode_ctl(body: &[u8]) -> Result<CtlMsg> {
 
 // ── Frame I/O ───────────────────────────────────────────────────────────
 
-/// Bytes a [`FrameBuf`] starts with and shrinks back to once drained, and
-/// the most [`read_frame`] reserves before a body byte has arrived. One
+/// Bytes a [`FrameBuf`] starts with and shrinks back to once drained:
+/// the most any connection reserves before a body byte has arrived. One
 /// `read` of this size takes in a whole burst of consensus frames (a
 /// HotStuff round is under 100 bytes, a 100-transaction `Deliver` about
 /// 6 KiB) with room to spare, and a multi-megabyte sync reply needs few
 /// reads once the buffer has doubled a few times.
 pub const READ_BUF_BYTES: usize = 64 << 10;
-
-fn oversize(len: usize) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("frame of {len} bytes exceeds cap"),
-    )
-}
 
 /// The inbound half of a connection: one reused buffer that a single
 /// `read` fills with whatever the socket holds, and that hands back every
@@ -680,7 +665,10 @@ impl FrameBuf {
             return Ok(None);
         };
         if len > MAX_FRAME_BYTES {
-            return Err(oversize(len));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame of {len} bytes exceeds cap"),
+            ));
         }
         let body = self.start + 4;
         if self.end - body < len {
@@ -689,53 +677,4 @@ impl FrameBuf {
         self.start = body + len;
         Ok(Some(&self.buf[body..body + len]))
     }
-}
-
-/// Read one frame body from a stream. `Ok(None)` means the peer closed
-/// the connection cleanly at a frame boundary.
-///
-/// # Errors
-/// I/O errors pass through; a length prefix beyond [`MAX_FRAME_BYTES`]
-/// or an EOF inside a frame surface as [`io::ErrorKind::InvalidData`] /
-/// [`io::ErrorKind::UnexpectedEof`].
-pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut prefix = [0u8; 4];
-    let mut have = 0;
-    while have < 4 {
-        match stream.read(&mut prefix[have..]) {
-            Ok(0) if have == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame length",
-                ))
-            }
-            Ok(n) => have += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(oversize(len));
-    }
-    // The prefix is the peer's claim, not yet bytes received: reserve a
-    // bounded amount and let the body grow as it really arrives.
-    let mut body = Vec::with_capacity(len.min(READ_BUF_BYTES));
-    stream.take(len as u64).read_to_end(&mut body)?;
-    if body.len() < len {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "eof inside frame body",
-        ));
-    }
-    Ok(Some(body))
-}
-
-/// Write one already-framed buffer (as produced by the encoders).
-///
-/// # Errors
-/// I/O errors pass through.
-pub fn write_frame(stream: &mut impl io::Write, frame: &[u8]) -> io::Result<()> {
-    stream.write_all(frame)
 }

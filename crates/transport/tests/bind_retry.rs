@@ -88,6 +88,27 @@ fn node_comes_up_after_a_transient_port_holder_releases() {
 }
 
 #[test]
+fn node_comes_up_after_a_transient_http_port_holder_releases() {
+    // The HTTP port is handed out by the same bind-and-release, so it
+    // meets the same race and takes the same retry.
+    let holder = TcpListener::bind("127.0.0.1:0").expect("bind holder");
+    let http = holder.local_addr().expect("holder addr");
+    let release = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(100));
+        drop(holder);
+    });
+    let cfg = NodeRuntimeConfig {
+        http: Some(http),
+        ..config_for("127.0.0.1:0".parse().expect("addr"))
+    };
+    let runtime = NodeRuntime::start(cfg).expect("bind retry must win the race");
+    release.join().expect("release thread");
+    assert_eq!(runtime.http_addr(), Some(http));
+    runtime.stop();
+    runtime.join();
+}
+
+#[test]
 fn permanently_stolen_port_fails_with_typed_error() {
     let holder = TcpListener::bind("127.0.0.1:0").expect("bind holder");
     let addr = holder.local_addr().expect("holder addr");

@@ -24,14 +24,13 @@ use harmony_crypto::CryptoCost;
 use harmony_node::cluster::Msg;
 use harmony_node::{
     submission_trace, ClusterConfig, ClusterLayout, ClusterWorkload, MempoolConfig, OrderingMode,
-    ReplicaConfig, RetryPolicy, Submission,
+    ReplicaConfig, RetryPolicy, ShardTopology, Submission,
 };
 use harmony_sim::EngineKind;
 use harmony_storage::{StorageConfig, StorageEngine};
 use harmony_transport::{
-    decode_ctl, encode_ctl, read_frame, CtlClient, CtlMsg, FrameBuf, NodeRuntime,
-    NodeRuntimeConfig, SubmitClient, WireCodec, MAX_FRAME_BYTES, PEER_BACKLOG_BYTES,
-    READ_BUF_BYTES,
+    decode_ctl, encode_ctl, CtlClient, CtlMsg, FrameBuf, NodeRuntime, NodeRuntimeConfig,
+    SubmitClient, WireCodec, MAX_FRAME_BYTES, PEER_BACKLOG_BYTES, READ_BUF_BYTES, WIRE_VERSION,
 };
 use harmony_workloads::{
     OpenLoopConfig, Smallbank, SmallbankConfig, Tpcc, TpccConfig, Workload, Ycsb, YcsbConfig,
@@ -114,19 +113,50 @@ struct Node(Option<NodeRuntime>);
 
 impl Node {
     fn start(cluster: &ClusterConfig, index: usize, peers: Vec<Option<SocketAddr>>) -> Node {
+        Node::start_serving(cluster, index, peers, None)
+    }
+
+    /// An orderer (alone in its peer table) with an HTTP endpoint.
+    fn orderer_with_http(cluster: &ClusterConfig) -> Node {
+        let layout = ClusterLayout::of(cluster);
+        let mut peers = vec![None; layout.total()];
+        peers[layout.orderer()] = any_port();
+        Node::start_serving(cluster, layout.orderer(), peers, any_port())
+    }
+
+    fn start_serving(
+        cluster: &ClusterConfig,
+        index: usize,
+        peers: Vec<Option<SocketAddr>>,
+        http: Option<SocketAddr>,
+    ) -> Node {
         Node(Some(
             NodeRuntime::start(NodeRuntimeConfig {
                 cluster: cluster.clone(),
                 index,
                 peers,
-                http: None,
+                http,
             })
             .expect("start runtime"),
         ))
     }
 
+    fn runtime(&self) -> &NodeRuntime {
+        self.0.as_ref().expect("running")
+    }
+
     fn addr(&self) -> SocketAddr {
-        self.0.as_ref().expect("running").listen_addr()
+        self.runtime().listen_addr()
+    }
+
+    fn http(&self) -> SocketAddr {
+        self.runtime().http_addr().expect("an HTTP endpoint")
+    }
+
+    fn stop_and_join(mut self) {
+        let runtime = self.0.take().expect("running");
+        runtime.stop();
+        runtime.join();
     }
 
     fn ctl(&self) -> CtlClient {
@@ -161,8 +191,35 @@ fn any_port() -> Option<SocketAddr> {
     Some("127.0.0.1:0".parse().expect("addr"))
 }
 
+/// The read side of a raw socket: every frame on it comes through one
+/// [`FrameBuf`], as on the runtime's own readers.
+struct Frames {
+    stream: TcpStream,
+    buf: FrameBuf,
+}
+
+impl Frames {
+    fn new(stream: TcpStream) -> Frames {
+        Frames {
+            stream,
+            buf: FrameBuf::new(),
+        }
+    }
+
+    /// Decode the next frame's body; the stream may not end before it.
+    fn next<T>(&mut self, decode: impl FnOnce(&[u8]) -> T) -> T {
+        loop {
+            if let Some(body) = self.buf.next_frame().expect("a legal prefix") {
+                return decode(body);
+            }
+            let read = self.buf.fill(&mut self.stream).expect("read");
+            assert!(read > 0, "a frame, not end of stream");
+        }
+    }
+}
+
 /// Accept one connection, or fail the test after [`PATIENCE`].
-fn accept(listener: &TcpListener) -> TcpStream {
+fn accept(listener: &TcpListener) -> Frames {
     listener.set_nonblocking(true).expect("nonblocking");
     let started = Instant::now();
     loop {
@@ -172,7 +229,7 @@ fn accept(listener: &TcpListener) -> TcpStream {
                 stream
                     .set_read_timeout(Some(PATIENCE))
                     .expect("read timeout");
-                return stream;
+                return Frames::new(stream);
             }
             Err(_) if started.elapsed() < PATIENCE => std::thread::sleep(Duration::from_millis(1)),
             Err(e) => panic!("no connection within {PATIENCE:?}: {e}"),
@@ -181,24 +238,20 @@ fn accept(listener: &TcpListener) -> TcpStream {
 }
 
 /// Read the `Hello` a connector opens with; returns the sender's index.
-fn expect_hello(stream: &mut TcpStream) -> u32 {
-    let body = read_frame(stream).expect("read").expect("hello frame");
-    match decode_ctl(&body).expect("decode hello") {
+fn expect_hello(stream: &mut Frames) -> u32 {
+    match stream.next(decode_ctl).expect("decode hello") {
         CtlMsg::Hello { index } => index,
         other => panic!("expected Hello, got {other:?}"),
     }
 }
 
-fn next_msg(stream: &mut TcpStream, codec: &WireCodec) -> Msg {
-    let body = read_frame(stream)
-        .expect("read")
-        .expect("a frame, not end of stream");
-    codec
-        .decode_msg(&body)
+fn next_msg(stream: &mut Frames, codec: &WireCodec) -> Msg {
+    stream
+        .next(|body| codec.decode_msg(body))
         .expect("frames must start at a boundary")
 }
 
-fn next_deliver_id(stream: &mut TcpStream, codec: &WireCodec) -> u64 {
+fn next_deliver_id(stream: &mut Frames, codec: &WireCodec) -> u64 {
     match next_msg(stream, codec) {
         Msg::Deliver { block, .. } => block.header.id.0,
         _ => panic!("expected Deliver"),
@@ -299,7 +352,7 @@ struct EchoRig {
     _follower: Node,
     codec: WireCodec,
     inbound: TcpStream,
-    acks: TcpStream,
+    acks: Frames,
 }
 
 impl EchoRig {
@@ -413,8 +466,8 @@ proptest! {
         }
         writer.join().expect("writer");
         if big_at.is_some_and(|at| at < frames) {
-            let body = read_frame(&mut rig.inbound).expect("read").expect("reply");
-            prop_assert!(matches!(decode_ctl(&body), Ok(CtlMsg::Err(_))));
+            let mut replies = Frames::new(rig.inbound.try_clone().expect("clone"));
+            prop_assert!(matches!(replies.next(decode_ctl), Ok(CtlMsg::Err(_))));
         }
     }
 }
@@ -635,6 +688,9 @@ fn control_connections_do_not_leak_descriptors() {
     wait_until("readers to close their sockets", || {
         open_fds() <= before + 2
     });
+    // Every reader that served one of them is joined.
+    node.stop_and_join();
+    assert_eq!(runtime_threads(), Vec::<String>::new());
 }
 
 // ── (g) stop with a backlog outstanding ─────────────────────────────────
@@ -782,10 +838,7 @@ fn a_client_that_never_reads_its_rejects_does_not_hold_up_sealing() {
 #[test]
 fn stop_and_join_end_the_http_endpoint_and_give_its_port_back() {
     let _turn = serial();
-    // A reader an earlier test's runtime let go of may still be exiting.
-    wait_until("earlier runtimes' threads to exit", || {
-        runtime_threads().is_empty()
-    });
+    assert_eq!(runtime_threads(), Vec::<String>::new());
     let cfg = cluster(small_ycsb(), 1, 10);
     let layout = ClusterLayout::of(&cfg);
     let mut peers = vec![None; layout.total()];
@@ -802,4 +855,164 @@ fn stop_and_join_end_the_http_endpoint_and_give_its_port_back() {
     runtime.join();
     assert_eq!(runtime_threads(), Vec::<String>::new());
     TcpListener::bind(http).expect("the HTTP port binds again");
+}
+
+#[test]
+fn stop_and_join_close_an_idle_http_connection() {
+    let _turn = serial();
+    assert_eq!(runtime_threads(), Vec::<String>::new());
+    let node = Node::orderer_with_http(&cluster(small_ycsb(), 1, 10));
+    let http = node.http();
+    let started = runtime_threads().len();
+    // Connected, and never a byte sent: a thread of the runtime serves it.
+    let _idle = TcpStream::connect(http).expect("connect");
+    wait_until("the idle connection to be served", || {
+        runtime_threads().len() > started
+    });
+    node.stop_and_join();
+    assert_eq!(runtime_threads(), Vec::<String>::new());
+    TcpListener::bind(http).expect("the HTTP port binds again");
+}
+
+// ── (k) what the HTTP endpoint answers ──────────────────────────────────
+
+/// Send `request` to the endpoint and read until it hangs up.
+fn http_exchange(addr: SocketAddr, request: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(PATIENCE))
+        .expect("read timeout");
+    // The endpoint may hang up before taking all of a request it refuses:
+    // only its answer counts.
+    let _ = stream.write_all(request);
+    let mut answer = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => answer.extend_from_slice(&chunk[..n]),
+            // Closed with part of our request unread.
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("no answer: {e}"),
+        }
+    }
+    String::from_utf8(answer).expect("utf-8")
+}
+
+#[test]
+fn http_answers_keep_their_bytes() {
+    let _turn = serial();
+    let node = Node::orderer_with_http(&cluster(small_ycsb(), 1, 10));
+    let text = |status: &str, body: &str| {
+        format!(
+            "HTTP/1.0 {status}\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    let get = |path: &str| format!("GET {path} HTTP/1.0\r\nHost: harmony\r\n\r\n");
+    assert_eq!(
+        http_exchange(node.http(), get("/healthz").as_bytes()),
+        text("200 OK", "ok\n")
+    );
+    assert_eq!(
+        http_exchange(node.http(), get("/nowhere").as_bytes()),
+        text("404 Not Found", "not found\n")
+    );
+    assert_eq!(
+        http_exchange(node.http(), b"POST /metrics HTTP/1.0\r\n\r\n"),
+        text("405 Method Not Allowed", "method not allowed\n")
+    );
+    let metrics = http_exchange(node.http(), get("/metrics").as_bytes());
+    assert!(
+        metrics.starts_with(
+            "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
+        ),
+        "{metrics}"
+    );
+    assert!(metrics.contains("\nharmony_transport_frames_total{dir=\"in\"} "));
+    let timeline = http_exchange(node.http(), get("/timeline").as_bytes());
+    assert!(
+        timeline
+            .starts_with("HTTP/1.0 200 OK\r\nContent-Type: application/json; charset=utf-8\r\n"),
+        "{timeline}"
+    );
+    assert!(timeline.contains("\r\n\r\n{"), "{timeline}");
+}
+
+#[test]
+fn an_http_head_without_an_end_is_refused() {
+    let _turn = serial();
+    let node = Node::orderer_with_http(&cluster(small_ycsb(), 1, 10));
+    let answer = http_exchange(node.http(), &[b'x'; 64 << 10]);
+    assert!(answer.starts_with("HTTP/1.0 431 "), "{answer:?}");
+    // The endpoint still answers the next client.
+    let healthz = http_exchange(node.http(), b"GET /healthz HTTP/1.0\r\n\r\n");
+    assert!(healthz.ends_with("\r\n\r\nok\n"), "{healthz}");
+}
+
+// ── (l) a reshard is an operator request ────────────────────────────────
+
+/// A sharded cluster: every replica hosts 2 shards of 4 partitions.
+fn sharded_cluster() -> ClusterConfig {
+    ClusterConfig {
+        topology: Some(ShardTopology {
+            shards: 2,
+            partitions: 4,
+            ..ShardTopology::default()
+        }),
+        ..cluster(
+            ClusterWorkload::Ycsb(YcsbConfig {
+                keys: 100,
+                ops_per_txn: 1,
+                partitions: 4,
+                ..YcsbConfig::default()
+            }),
+            1,
+            10,
+        )
+    }
+}
+
+#[test]
+fn a_reshard_frame_from_a_peer_is_a_decode_error() {
+    let _turn = serial();
+    let cfg = sharded_cluster();
+    let layout = ClusterLayout::of(&cfg);
+    let mut peers = vec![None; layout.total()];
+    peers[layout.orderer()] = any_port();
+    let orderer = Node::start(&cfg, layout.orderer(), peers);
+    let mut peer = TcpStream::connect(orderer.addr()).expect("connect");
+    let hello = encode_ctl(&CtlMsg::Hello {
+        index: layout.replica(0) as u32,
+    });
+    peer.write_all(&hello).expect("hello");
+    // What a reshard message was on the wire: tag 11, a u32 shard count.
+    let mut reshard = 6u32.to_le_bytes().to_vec();
+    reshard.extend([WIRE_VERSION, 11]);
+    reshard.extend(4u32.to_le_bytes());
+    peer.write_all(&reshard).expect("tag-11 frame");
+    wait_until("the frame to be refused", || {
+        orderer.counter("harmony_transport_decode_errors_total") == 1
+    });
+    assert_eq!(orderer.ctl().status().expect("status").sealed_blocks, 0);
+}
+
+#[test]
+fn an_operator_reshard_reaches_the_replicas() {
+    let _turn = serial();
+    let cfg = sharded_cluster();
+    let layout = ClusterLayout::of(&cfg);
+    let mut peers = vec![None; layout.total()];
+    peers[layout.replica(0)] = any_port();
+    let replica = Node::start(&cfg, layout.replica(0), peers.clone());
+    peers[layout.replica(0)] = Some(replica.addr());
+    peers[layout.orderer()] = any_port();
+    let orderer = Node::start(&cfg, layout.orderer(), peers);
+    let hosted = || replica.counter("harmony_replica_hosted_shards");
+    assert_eq!(hosted(), 2);
+
+    assert!(replica.ctl().reshard(4).is_err(), "a replica refuses it");
+    orderer.ctl().reshard(4).expect("the orderer takes it");
+    wait_until("the replica to host 4 shards", || hosted() == 4);
+    assert_eq!(orderer.ctl().status().expect("status").sealed_blocks, 1);
 }
